@@ -10,6 +10,11 @@ distributions are inaccessible.
 
 States are immutable tuples; transitions are pure functions of
 (state, character), so one automaton may serve many concurrent sessions.
+Each automaton hand-writes only its ``transition``; the next-character set of
+a state is derived from it over printable ASCII. That set is exact because
+tool and argument names must be identifiers (``[A-Za-z0-9_]+``), which the
+automata check at compile time, and every other accepted character is
+printable ASCII.
 
 Accepted value shapes per argument are deliberately relaxed around
 references: both a bare ``"$$PREV[i]"`` and a singleton ``["$$PREV[i]"]``
@@ -19,25 +24,22 @@ wrapping decision afterwards.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .plan import PREV_REF_PATTERN
-from .registry import Registry, ValueType
+from .registry import IDENTIFIER_PATTERN, Registry, ValueType
 
 # Bounds keep the state space finite and guarantee repair termination.
 MAX_STRING_CHARS = 512
 MAX_NUMBER_DIGITS = 12
 MAX_OBJECT_KEY_CHARS = 64
 
-_PRINTABLE = frozenset(chr(c) for c in range(0x20, 0x7F))
-_STRING_BODY = _PRINTABLE - {'"', "\\"}
+_PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
+_STRING_BODY = frozenset(_PRINTABLE) - {'"', "\\"}
 _ESCAPES = frozenset('"\\/bfnrt')
-_ESCAPES_ALL = _ESCAPES | {"u"}
 _HEX = frozenset("0123456789abcdefABCDEF")
 _DIGITS = frozenset("0123456789")
 _DIGITS_NONZERO = frozenset("123456789")
-_STRING_ALLOWED = _STRING_BODY | {'"', "\\"}
 
 _PREV_LIT = '"$$PREV['
 
@@ -360,163 +362,45 @@ def _v_done(spec: tuple, state: tuple) -> bool:
     raise ValueError(f"unknown value spec {spec!r}")
 
 
-@lru_cache(maxsize=65536)
-def _v_allowed(spec: tuple, state: tuple) -> frozenset[str]:  # noqa: C901
-    kind = spec[0]
-
-    if kind == "union":
-        if state == ("u0",):
-            out: frozenset[str] = frozenset()
-            for branch in spec[1]:
-                out = out | _v_allowed(branch, _v_init(branch))
-            return out
-        return _v_allowed(spec[1][state[1]], state[2])
-
-    if kind == "string":
-        tag = state[0]
-        if tag == "s0":
-            return frozenset('"')
-        if tag == "s":
-            return frozenset('"') if state[1] >= MAX_STRING_CHARS else _STRING_ALLOWED
-        if tag == "se":
-            return _ESCAPES_ALL
-        if tag == "su":
-            return _HEX
-        return frozenset()
-
-    if kind in ("integer", "uint"):
-        tag = state[0]
-        if tag == "i0":
-            return _DIGITS | {"-"}
-        if tag == "ui0":
-            return _DIGITS
-        if tag == "ineg":
-            return _DIGITS
-        if tag == "id":
-            return _DIGITS if state[1] < MAX_NUMBER_DIGITS else frozenset()
-        return frozenset()
-
-    if kind == "float":
-        tag = state[0]
-        if tag == "f0":
-            return _DIGITS | {"-"}
-        if tag == "fneg":
-            return _DIGITS
-        if tag == "fz":
-            return frozenset(".")
-        if tag == "fi":
-            base = frozenset(".")
-            return base | _DIGITS if state[1] < MAX_NUMBER_DIGITS else base
-        if tag == "fdot":
-            return _DIGITS
-        if tag == "ff":
-            return _DIGITS if state[1] < MAX_NUMBER_DIGITS else frozenset()
-        return frozenset()
-
-    if kind == "boolean":
-        prefix = state[1]
-        out = set()
-        for lit in ("true", "false"):
-            if lit.startswith(prefix) and len(prefix) < len(lit):
-                out.add(lit[len(prefix)])
-        return frozenset(out)
-
-    if kind == "prev":
-        tag = state[0]
-        if tag == "p":
-            return frozenset(_PREV_LIT[state[1]])
-        if tag == "pd":
-            n = state[1]
-            out = _DIGITS if n < MAX_NUMBER_DIGITS else frozenset()
-            if n >= 1:
-                out = out | {"]"}
-            return out
-        if tag == "pq":
-            return frozenset('"')
-        return frozenset()
-
-    if kind == "wrap":
-        tag = state[0]
-        if tag == "w0":
-            return frozenset("[")
-        if tag == "wp":
-            sub = state[1]
-            out = _v_allowed(("prev",), sub)
-            if _v_done(("prev",), sub):
-                out = out | {"]"}
-            return out
-        return frozenset()
-
-    if kind == "object":
-        tag = state[0]
-        if tag == "o0":
-            return frozenset("{")
-        if tag == "of":
-            return frozenset('}"')
-        if tag == "ok":
-            return frozenset('"') | (_STRING_BODY if state[1] < MAX_OBJECT_KEY_CHARS else frozenset())
-        if tag == "oc":
-            return frozenset(":")
-        if tag == "om0":
-            return frozenset('"tfn-') | _DIGITS
-        if tag == "om":
-            mk, sub = state[1], state[2]
-            if mk == "n":
-                out = frozenset("null"[sub]) if sub < 4 else frozenset()
-                done = sub == 4
-            else:
-                mspec = {"s": ("string",), "f": ("float",), "b": ("boolean",)}[mk]
-                out = _v_allowed(mspec, sub)
-                done = _v_done(mspec, sub)
-            if done:
-                out = out | {",", "}"}
-            return out
-        if tag == "onk":
-            return frozenset('"')
-        return frozenset()
-
-    if kind == "list":
-        espec = spec[1]
-        tag = state[0]
-        if tag == "l0":
-            return frozenset("[")
-        if tag == "lf":
-            return frozenset("]") | _v_allowed(espec, _v_init(espec))
-        if tag == "le":
-            sub = state[1]
-            out = _v_allowed(espec, sub)
-            if _v_done(espec, sub):
-                out = out | {",", "]"}
-            return out
-        if tag == "ln":
-            return _v_allowed(espec, _v_init(espec))
-        return frozenset()
-
-    raise ValueError(f"unknown value spec {spec!r}")
-
-
 # ---------------------------------------------------------------------------
-# Plan automaton
+# Automata. Each hand-writes only ``transition``; ``allowed`` is derived.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlanSchema:
-    registry_version: str
-    tool_name_enum: tuple[str, ...]
-    arguments_by_tool: dict[str, tuple[str, ...]]
-    prev_ref_pattern: str = PREV_REF_PATTERN.pattern
+def _require_identifiers(names, what: str) -> None:
+    for name in names:
+        if not IDENTIFIER_PATTERN.fullmatch(name):
+            raise SchemaCompileError(f"{what} name {name!r} is not an identifier")
 
 
-class PlanAutomaton:
-    """Deterministic character acceptor for schema-valid plan texts."""
+def _extends(names: tuple[str, ...], prefix: str) -> bool:
+    """Whether some name of the sorted tuple ``names`` starts with ``prefix``."""
+    i = bisect_left(names, prefix)
+    return i < len(names) and names[i].startswith(prefix)
 
+
+class _Automaton:
     initial_state = ("start",)
+
+    def accepting(self, state: tuple) -> bool:
+        return state == ("accept",)
+
+    def allowed(self, state: tuple) -> frozenset[str]:
+        """The printable ASCII characters ``transition`` accepts from ``state``."""
+        transition = self.transition
+        return frozenset(ch for ch in _PRINTABLE if transition(state, ch) is not None)
+
+
+class PlanAutomaton(_Automaton):
+    """Deterministic character acceptor for schema-valid plan texts."""
 
     def __init__(self, registry: Registry):
         if not registry.tools:
             raise SchemaCompileError("cannot compile a schema for an empty registry")
+        _require_identifiers(registry.tools, "tool")
+        for spec in registry.tools.values():
+            _require_identifiers(spec.argument_names, f"tool {spec.name!r} argument")
         self.registry_version = registry.version
-        self._tool_names = tuple(registry.tools)
+        self._tool_names = tuple(sorted(registry.tools))
         self._tool_set = frozenset(self._tool_names)
         self._args = {name: spec.argument_names for name, spec in registry.tools.items()}
         self._arg_specs = {
@@ -524,14 +408,6 @@ class PlanAutomaton:
             for name, spec in registry.tools.items()
             for arg in spec.arguments
         }
-        self.schema = PlanSchema(
-            registry_version=registry.version,
-            tool_name_enum=self._tool_names,
-            arguments_by_tool=dict(self._args),
-        )
-
-    def accepting(self, state: tuple) -> bool:
-        return state == ("accept",)
 
     def transition(self, state: tuple, ch: str):  # noqa: C901 - one dispatcher
         tag = state[0]
@@ -555,9 +431,7 @@ class PlanAutomaton:
             if ch == '"' and prefix in self._tool_set:
                 return ("cmid", prefix, 0)
             cand = prefix + ch
-            if any(t.startswith(cand) for t in self._tool_names):
-                return ("tool", cand)
-            return None
+            return ("tool", cand) if _extends(self._tool_names, cand) else None
         if tag == "cmid":
             tool, i = state[1], state[2]
             if ch == _CALL_MID[i]:
@@ -620,59 +494,6 @@ class PlanAutomaton:
             return None
         return None  # accept
 
-    def allowed(self, state: tuple) -> frozenset[str]:  # noqa: C901
-        tag = state[0]
-        if tag == "start":
-            return frozenset("[")
-        if tag == "plan_open":
-            return frozenset("]{")
-        if tag == "call_open":
-            return frozenset("{")
-        if tag == "chead":
-            return frozenset(_CALL_HEAD[state[1]])
-        if tag == "tool":
-            prefix = state[1]
-            out = {t[len(prefix)] for t in self._tool_names
-                   if t.startswith(prefix) and len(t) > len(prefix)}
-            if prefix in self._tool_set:
-                out.add('"')
-            return frozenset(out)
-        if tag == "cmid":
-            return frozenset(_CALL_MID[state[2]])
-        if tag == "args_open":
-            return frozenset("]{") if self._args[state[1]] else frozenset("]")
-        if tag == "ahead":
-            return frozenset(_ARG_HEAD[state[3]])
-        if tag == "aname":
-            tool, used, prefix = state[1], state[2], state[3]
-            unused = [a for a in self._args[tool] if a not in used]
-            out = {a[len(prefix)] for a in unused
-                   if a.startswith(prefix) and len(a) > len(prefix)}
-            if prefix in unused:
-                out.add('"')
-            return frozenset(out)
-        if tag == "amid":
-            return frozenset(_ARG_MID[state[4]])
-        if tag == "value":
-            tool, arg, _, vstate = state[1], state[2], state[3], state[4]
-            spec = self._arg_specs[(tool, arg)]
-            out = _v_allowed(spec, vstate)
-            if _v_done(spec, vstate):
-                out = out | {"}"}
-            return out
-        if tag == "arg_sep":
-            tool, used = state[1], state[2]
-            if len(used) < len(self._args[tool]):
-                return frozenset("],")
-            return frozenset("]")
-        if tag == "arg_open":
-            return frozenset("{")
-        if tag == "call_tail":
-            return frozenset("}")
-        if tag == "plan_sep":
-            return frozenset(",]")
-        return frozenset()  # accept
-
 
 def compile_schema(registry: Registry) -> PlanAutomaton:
     return PlanAutomaton(registry)
@@ -687,20 +508,16 @@ _ST_MID = ',"thought":'
 _ST_TAIL = ',"tool_name":"'
 
 
-class SubTaskAutomaton:
+class SubTaskAutomaton(_Automaton):
     """Acceptor for decomposition output with tool names pinned to an enum."""
 
-    initial_state = ("start",)
-
     def __init__(self, tool_names):
-        names = tuple(tool_names)
+        names = tuple(sorted(tool_names))
         if not names:
             raise SchemaCompileError("sub-task schema needs at least one tool name")
+        _require_identifiers(names, "tool")
         self._tool_names = names
         self._tool_set = frozenset(names)
-
-    def accepting(self, state: tuple) -> bool:
-        return state == ("accept",)
 
     def transition(self, state: tuple, ch: str):  # noqa: C901
         tag = state[0]
@@ -750,9 +567,7 @@ class SubTaskAutomaton:
             if ch == '"' and prefix in self._tool_set:
                 return ("item_close",)
             cand = prefix + ch
-            if any(t.startswith(cand) for t in self._tool_names):
-                return ("tname", cand)
-            return None
+            return ("tname", cand) if _extends(self._tool_names, cand) else None
         if tag == "item_close":
             return ("item_sep",) if ch == "}" else None
         if tag == "item_sep":
@@ -762,45 +577,6 @@ class SubTaskAutomaton:
                 return ("accept",)
             return None
         return None
-
-    def allowed(self, state: tuple) -> frozenset[str]:
-        tag = state[0]
-        if tag == "start":
-            return frozenset("[")
-        if tag == "first":
-            return frozenset("]{")
-        if tag == "item_open":
-            return frozenset("{")
-        if tag == "hlit":
-            return frozenset(_ST_HEAD[state[1]])
-        if tag == "idval":
-            sub = state[1]
-            out = _v_allowed(("uint",), sub)
-            if _v_done(("uint",), sub):
-                out = out | {_ST_MID[0]}
-            return out
-        if tag == "tlit":
-            return frozenset(_ST_MID[state[1]])
-        if tag == "tstr":
-            sub = state[1]
-            out = _v_allowed(("string",), sub)
-            if _v_done(("string",), sub):
-                out = out | {_ST_TAIL[0]}
-            return out
-        if tag == "nlit":
-            return frozenset(_ST_TAIL[state[1]])
-        if tag == "tname":
-            prefix = state[1]
-            out = {t[len(prefix)] for t in self._tool_names
-                   if t.startswith(prefix) and len(t) > len(prefix)}
-            if prefix in self._tool_set:
-                out.add('"')
-            return frozenset(out)
-        if tag == "item_close":
-            return frozenset("}")
-        if tag == "item_sep":
-            return frozenset(",]")
-        return frozenset()
 
 
 def compile_subtask_schema(tool_names) -> SubTaskAutomaton:
@@ -900,40 +676,28 @@ def enforced_repair(automaton, candidate: str) -> tuple[str, list[Edit]]:
     i = 0
     n = len(candidate)
     while not automaton.accepting(state):
-        allowed = automaton.allowed(state)
         if i < n:
-            ch = candidate[i]
-            if ch in allowed:
-                state = automaton.transition(state, ch)
-                out.append(ch)
+            nxt = automaton.transition(state, candidate[i])
+            if nxt is not None:
+                state = nxt
+                out.append(candidate[i])
                 i += 1
                 continue
-            if len(allowed) == 1:
-                forced = next(iter(allowed))
-                state = automaton.transition(state, forced)
-                out.append(forced)
-                edits.append(Edit("insert", i, forced))
-                continue
+        allowed = automaton.allowed(state)
+        if len(allowed) == 1:
+            pick = next(iter(allowed))
+        else:
             window = candidate[i + 1 : i + 1 + _REPAIR_LOOKAHEAD]
             jump = next((j for j, c in enumerate(window) if c in allowed), None)
             if jump is not None:
-                skipped = candidate[i : i + 1 + jump]
-                edits.append(Edit("skip", i, skipped))
+                # the next pass consumes the allowed character skipped to
+                edits.append(Edit("skip", i, candidate[i : i + 1 + jump]))
                 i += 1 + jump
-                ch = candidate[i]
-                state = automaton.transition(state, ch)
-                out.append(ch)
-                i += 1
                 continue
             pick = _priority_char(allowed)
-            state = automaton.transition(state, pick)
-            out.append(pick)
-            edits.append(Edit("insert", i, pick))
-        else:
-            pick = next(iter(allowed)) if len(allowed) == 1 else _priority_char(allowed)
-            state = automaton.transition(state, pick)
-            out.append(pick)
-            edits.append(Edit("insert", i, pick))
+        state = automaton.transition(state, pick)
+        out.append(pick)
+        edits.append(Edit("insert", i, pick))
     if i < n:
         edits.append(Edit("truncate", i, candidate[i:]))
     return "".join(out), edits

@@ -76,7 +76,8 @@ def fingerprint(prompt: str) -> str:
 def post_json(url: str, payload: dict, api_key: str = "", timeout: float = 30.0,
               max_attempts: int = 3, backoff_s: float = 0.5) -> dict:
     """POST JSON with bounded exponential backoff; raises CompletionError
-    after the final attempt."""
+    after the final attempt. A 4xx response other than 408 (timeout) or 429
+    (rate limit) will not change on a retry, so it fails at once."""
     body = json.dumps(payload).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if api_key:
@@ -89,6 +90,8 @@ def post_json(url: str, payload: dict, api_key: str = "", timeout: float = 30.0,
                 return json.loads(response.read().decode("utf-8"))
         except (urllib.error.URLError, urllib.error.HTTPError, OSError, ValueError) as exc:
             last = exc
+            if isinstance(exc, urllib.error.HTTPError) and 400 <= exc.code < 500 and exc.code not in (408, 429):
+                raise CompletionError(f"request to {url} failed with HTTP {exc.code}: {exc}") from exc
             if attempt + 1 < max_attempts:
                 time.sleep(backoff_s * (2 ** attempt))
     raise CompletionError(f"request to {url} failed after {max_attempts} attempts: {last}")

@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-_IDENTIFIER = re.compile(r"^[A-Za-z0-9_]+$")
+# Tool, argument and object type names; test with ``fullmatch``.
+IDENTIFIER_PATTERN = re.compile(r"[A-Za-z0-9_]+")
 
 PRIMITIVES = ("string", "integer", "float", "boolean")
 
@@ -88,7 +89,7 @@ def parse_type(text: str, tool: str | None = None, path: str | None = None) -> V
         spec = spec[len("array of "):].strip()
     if spec.startswith("object:"):
         name = spec[len("object:"):].strip()
-        if not name or not _IDENTIFIER.match(name):
+        if not name or not IDENTIFIER_PATTERN.fullmatch(name):
             raise RegistryError(f"bad object type name in {text!r}", tool, path)
         result = object_type(name)
     elif spec in PRIMITIVES:
@@ -173,6 +174,8 @@ def _load_tool(entry: object, index: int) -> ToolSpec:
     name = entry["tool_name"]
     if not isinstance(name, str):
         raise RegistryError("tool_name is not a string", path=path)
+    if not IDENTIFIER_PATTERN.fullmatch(name):
+        raise RegistryError("tool_name is not an identifier", tool=name, path=path)
     args: list[ArgSpec] = []
     for j, raw in enumerate(entry.get("arguments", [])):
         arg_path = f"{path}.arguments[{j}]"
@@ -181,9 +184,12 @@ def _load_tool(entry: object, index: int) -> ToolSpec:
         for key in ("argument_name", "argument_type"):
             if key not in raw:
                 raise RegistryError(f"missing required field {key!r}", tool=name, path=arg_path)
+        arg_name = raw["argument_name"]
+        if not isinstance(arg_name, str) or not IDENTIFIER_PATTERN.fullmatch(arg_name):
+            raise RegistryError(f"argument_name {arg_name!r} is not an identifier", tool=name, path=arg_path)
         args.append(
             ArgSpec(
-                name=raw["argument_name"],
+                name=arg_name,
                 description=raw.get("argument_description", ""),
                 value_type=parse_type(raw["argument_type"], tool=name, path=arg_path),
                 required=bool(raw.get("required", False)),
@@ -216,13 +222,7 @@ def load_registry(source: str | Path) -> Registry:
         raise RegistryError(f"parse failure: {exc}") from exc
     if not isinstance(data, list):
         raise RegistryError("tool document must be a JSON array")
-    specs = [_load_tool(entry, i) for i, entry in enumerate(data)]
-    seen: set[str] = set()
-    for spec in specs:
-        if spec.name in seen:
-            raise RegistryError("duplicate tool name", tool=spec.name)
-        seen.add(spec.name)
-    return Registry.from_tools(specs)
+    return Registry.from_tools([_load_tool(entry, i) for i, entry in enumerate(data)])
 
 
 def serialize_registry(registry: Registry) -> str:
@@ -262,7 +262,7 @@ def _check_type(vt: ValueType, location: str, out: list[Diagnostic], depth: int 
         elif vt.element is not None:
             _check_type(vt.element, location, out, depth + 1)
     elif vt.kind == "object":
-        if not vt.type_name or not _IDENTIFIER.match(vt.type_name):
+        if not vt.type_name or not IDENTIFIER_PATTERN.fullmatch(vt.type_name):
             out.append(Diagnostic("error", location, "object type name is not a valid identifier"))
 
 
@@ -271,7 +271,7 @@ def validate_registry(registry: Registry) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for spec in registry.tools.values():
         loc = f"tool {spec.name!r}"
-        if not spec.name or not _IDENTIFIER.match(spec.name):
+        if not spec.name or not IDENTIFIER_PATTERN.fullmatch(spec.name):
             out.append(Diagnostic("error", loc, "tool name is not a valid identifier"))
         if not spec.description:
             out.append(Diagnostic("warning", loc, "tool description is empty"))
@@ -281,7 +281,7 @@ def validate_registry(registry: Registry) -> list[Diagnostic]:
             if arg.name in seen:
                 out.append(Diagnostic("error", arg_loc, "duplicate argument name"))
             seen.add(arg.name)
-            if not arg.name or not _IDENTIFIER.match(arg.name):
+            if not arg.name or not IDENTIFIER_PATTERN.fullmatch(arg.name):
                 out.append(Diagnostic("error", arg_loc, "argument name is not a valid identifier"))
             if not arg.description:
                 out.append(Diagnostic("warning", arg_loc, "argument description is empty"))

@@ -3,15 +3,17 @@
 An edge of weight 1 from tool A to argument g of tool B means A's return type
 equals g's type exactly; weight 2 means g is list-typed and A's return type
 equals its element type. At most one edge can exist per (A, B, g) triple
-because a type never equals a list of itself.
+because a type never equals a list of itself. The graph keeps only the types;
+edges are computed from them when asked for.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .plan import ArgValue, ListOf, Plan, PrevRef
-from .registry import Registry
+from .registry import Registry, ValueType
 
 COMPATIBLE = "compatible"
 INCOMPATIBLE = "incompatible"
@@ -29,14 +31,38 @@ class TypeEdge:
 class TypeGraph:
     """Immutable after build; check/repair are pure and safe to share."""
 
-    def __init__(self, registry_version: str, tool_names, edges):
+    def __init__(self, registry_version: str, returns: dict[str, ValueType],
+                 arguments: dict[str, dict[str, ValueType]]):
         self.registry_version = registry_version
-        self.tool_names = frozenset(tool_names)
-        self.edges = frozenset(edges)
-        self._weights = {(e.from_tool, e.to_tool, e.to_argument): e.weight for e in self.edges}
+        self.tool_names = frozenset(returns)
+        self._returns = returns
+        self._arguments = arguments
 
     def edge_weight(self, from_tool: str, to_tool: str, argument: str) -> int | None:
-        return self._weights.get((from_tool, to_tool, argument))
+        source = self._returns.get(from_tool)
+        target = self._arguments.get(to_tool, {}).get(argument)
+        if source is None or target is None:
+            return None
+        if target == source:
+            return 1
+        if target.is_list and target.element == source:
+            return 2
+        return None
+
+    @property
+    def edges(self) -> frozenset[TypeEdge]:
+        """Every edge, found through an index of the tools by return type."""
+        by_return: dict[ValueType, list[str]] = defaultdict(list)
+        for tool, returns in self._returns.items():
+            by_return[returns].append(tool)
+        edges = set()
+        for to_tool, arguments in self._arguments.items():
+            for argument, target in arguments.items():
+                feeds = [(1, target)] + ([(2, target.element)] if target.is_list else [])
+                for weight, source in feeds:
+                    for from_tool in by_return.get(source, ()):
+                        edges.add(TypeEdge(from_tool, to_tool, argument, weight))
+        return frozenset(edges)
 
     def dump(self) -> list[dict]:
         rows = [
@@ -51,16 +77,11 @@ def build_graph(registry: Registry) -> TypeGraph:
     """Edge (A, B, g) with weight 1 iff returns(A) = type(g), weight 2 iff
     type(g) = list of returns(A); no edge otherwise. Ordered pairs include
     A = B since a tool may feed a later call of itself."""
-    edges: list[TypeEdge] = []
-    specs = list(registry.tools.values())
-    for src in specs:
-        for dst in specs:
-            for arg in dst.arguments:
-                if arg.value_type == src.returns:
-                    edges.append(TypeEdge(src.name, dst.name, arg.name, 1))
-                elif arg.value_type.is_list and arg.value_type.element == src.returns:
-                    edges.append(TypeEdge(src.name, dst.name, arg.name, 2))
-    return TypeGraph(registry.version, registry.names, edges)
+    return TypeGraph(
+        registry.version,
+        {name: spec.returns for name, spec in registry.tools.items()},
+        {name: {arg.name: arg.value_type for arg in spec.arguments} for name, spec in registry.tools.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -89,6 +110,44 @@ def _edge_for(graph: TypeGraph, plan: Plan, position: int, ref: PrevRef, argumen
     return weight, None
 
 
+@dataclass(frozen=True)
+class _RefValue:
+    """How one argument value references earlier calls."""
+
+    ref: PrevRef | None  # the one reference of a bare or singleton value
+    wrapped: bool  # the value is an array
+    weight: int | None  # weight of the edge the value sits on
+    errors: tuple[str, ...]  # one per reference without a fitting edge
+
+    @property
+    def wrapping_mismatch(self) -> bool:
+        return not self.errors and self.weight != (2 if self.wrapped else 1)
+
+
+def _classify(graph: TypeGraph, plan: Plan, position: int, argument: str,
+              value: ArgValue) -> _RefValue | None:
+    """Classify a bare reference, a singleton array holding one, or a
+    multi-element array holding some; ``None`` for any other value."""
+    if isinstance(value, PrevRef):
+        ref, wrapped = value, False
+    elif isinstance(value, ListOf) and any(isinstance(item, PrevRef) for item in value.elements):
+        if len(value.elements) > 1:
+            # Multi-element arrays: each referenced element needs its own
+            # weight-2 edge; unwrapping would drop siblings.
+            errors = []
+            for item in value.elements:
+                if isinstance(item, PrevRef):
+                    weight, error = _edge_for(graph, plan, position, item, argument)
+                    if weight != 2:
+                        errors.append(error or "array element without a list-wrapped edge")
+            return _RefValue(None, True, 2, tuple(errors))
+        ref, wrapped = value.elements[0], True
+    else:
+        return None
+    weight, error = _edge_for(graph, plan, position, ref, argument)
+    return _RefValue(ref, wrapped, weight, () if weight is not None else (error,))
+
+
 def check_ref(graph: TypeGraph, plan: Plan, position: int, argument: str) -> CheckResult:
     """Check the reference held by one argument of one call.
 
@@ -99,38 +158,15 @@ def check_ref(graph: TypeGraph, plan: Plan, position: int, argument: str) -> Che
     value = plan.calls[position].argument(argument)
     if value is None:
         return CheckResult(status=NOT_A_PREV_REF, note=f"no argument {argument!r} on call {position}")
-
-    if isinstance(value, PrevRef):
-        weight, error = _edge_for(graph, plan, position, value, argument)
-        if weight is None:
-            return CheckResult(status=INCOMPATIBLE, note=error)
-        if weight == 1:
-            return CheckResult(status=COMPATIBLE, weight=1)
-        return CheckResult(status=COMPATIBLE, weight=2, wrapping_mismatch=True,
-                           note="bare value where array required")
-
-    if isinstance(value, ListOf):
-        refs = [item for item in value.elements if isinstance(item, PrevRef)]
-        if not refs:
-            return CheckResult(status=NOT_A_PREV_REF)
-        if len(value.elements) == 1 and len(refs) == 1:
-            weight, error = _edge_for(graph, plan, position, refs[0], argument)
-            if weight is None:
-                return CheckResult(status=INCOMPATIBLE, note=error)
-            if weight == 2:
-                return CheckResult(status=COMPATIBLE, weight=2)
-            return CheckResult(status=COMPATIBLE, weight=1, wrapping_mismatch=True,
-                               note="array where bare value required")
-        # Multi-element arrays: each referenced element needs its own
-        # weight-2 edge; unwrapping would drop siblings.
-        for ref in refs:
-            weight, error = _edge_for(graph, plan, position, ref, argument)
-            if weight != 2:
-                return CheckResult(status=INCOMPATIBLE,
-                                   note=error or "array element without a list-wrapped edge")
-        return CheckResult(status=COMPATIBLE, weight=2)
-
-    return CheckResult(status=NOT_A_PREV_REF)
+    found = _classify(graph, plan, position, argument, value)
+    if found is None:
+        return CheckResult(status=NOT_A_PREV_REF)
+    if found.errors:
+        return CheckResult(status=INCOMPATIBLE, note=found.errors[0])
+    if found.wrapping_mismatch:
+        note = "array where bare value required" if found.wrapped else "bare value where array required"
+        return CheckResult(status=COMPATIBLE, weight=found.weight, wrapping_mismatch=True, note=note)
+    return CheckResult(status=COMPATIBLE, weight=found.weight)
 
 
 @dataclass(frozen=True)
@@ -143,42 +179,22 @@ class Repair:
 
 def _repair_value(graph: TypeGraph, plan: Plan, position: int, argument: str,
                   value: ArgValue, repairs: list[Repair]) -> ArgValue:
+    found = _classify(graph, plan, position, argument, value)
+    if found is None:
+        return value
+    for error in found.errors:
+        repairs.append(Repair(position, argument, "unrepaired", error))
+    if not found.wrapping_mismatch:
+        return value
     tool = plan.calls[position].tool_name
-
-    if isinstance(value, PrevRef):
-        weight, error = _edge_for(graph, plan, position, value, argument)
-        if weight is None:
-            repairs.append(Repair(position, argument, "unrepaired", error or "no edge"))
-            return value
-        if weight == 2:
-            repairs.append(Repair(position, argument, "wrapped",
-                                  f"$$PREV[{value.index}] wrapped into array for {tool}.{argument}"))
-            return ListOf((value,))
-        return value
-
-    if isinstance(value, ListOf):
-        refs = [item for item in value.elements if isinstance(item, PrevRef)]
-        if not refs:
-            return value
-        if len(value.elements) == 1 and len(refs) == 1:
-            ref = refs[0]
-            weight, error = _edge_for(graph, plan, position, ref, argument)
-            if weight is None:
-                repairs.append(Repair(position, argument, "unrepaired", error or "no edge"))
-                return value
-            if weight == 1:
-                repairs.append(Repair(position, argument, "unwrapped",
-                                      f"[$$PREV[{ref.index}]] unwrapped to bare value for {tool}.{argument}"))
-                return ref
-            return value
-        for ref in refs:
-            weight, error = _edge_for(graph, plan, position, ref, argument)
-            if weight != 2:
-                repairs.append(Repair(position, argument, "unrepaired",
-                                      error or "array element without a list-wrapped edge"))
-        return value
-
-    return value
+    ref = found.ref
+    if found.wrapped:
+        repairs.append(Repair(position, argument, "unwrapped",
+                              f"[$$PREV[{ref.index}]] unwrapped to bare value for {tool}.{argument}"))
+        return ref
+    repairs.append(Repair(position, argument, "wrapped",
+                          f"$$PREV[{ref.index}] wrapped into array for {tool}.{argument}"))
+    return ListOf((ref,))
 
 
 def repair_plan(graph: TypeGraph, plan: Plan) -> tuple[Plan, list[Repair]]:

@@ -54,6 +54,21 @@ def test_compile_empty_registry_fails():
         compile_schema(Registry(tools={}, version="empty"))
 
 
+def test_compile_rejects_non_identifier_names():
+    from chainplan.registry import ArgSpec, ToolSpec, primitive
+
+    def registry(tool_name, argument_name):
+        arg = ArgSpec(name=argument_name, description="d", value_type=primitive("string"))
+        return Registry.from_tools([ToolSpec(tool_name, "d", (arg,), primitive("string"))])
+
+    compile_schema(registry("ok_1", "q"))
+    for tool_name, argument_name in (('a"b', "q"), ("ok", "q\n"), ("ok", "")):
+        with pytest.raises(SchemaCompileError):
+            compile_schema(registry(tool_name, argument_name))
+    with pytest.raises(SchemaCompileError):
+        compile_subtask_schema(["who_am_i", "a b"])
+
+
 def test_allowed_next_at_start(automaton):
     allowed, at_end = DecoderSession(automaton).allowed_next()
     assert allowed == frozenset("[")
@@ -356,3 +371,55 @@ def test_repair_unterminated_string_pads_to_cap_and_closes(automaton):
     # the open string is filled to the length cap with priority characters,
     # then force-closed; bounded, deterministic output
     assert len(out) < 700
+
+
+# Corruptions for the pinned-repair test: dropped spans, noise (including
+# non-ASCII and control characters), fabricated names and cut-offs.
+_PIN_NOISE = '[]{}",:$ aZ_09\\\té'
+
+
+def _corrupt(rng: random.Random, text: str) -> str:
+    import re
+
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(text))
+        roll = rng.random()
+        if roll < 0.3:
+            text = text[:pos] + text[pos + rng.randint(1, 6):]
+        elif roll < 0.6:
+            noise = "".join(rng.choice(_PIN_NOISE) for _ in range(rng.randint(1, 4)))
+            text = text[:pos] + noise + text[pos:]
+        elif roll < 0.9:
+            names = re.findall(r'"(?:tool_name|argument_name)":"(\w+)"', text)
+            if names:
+                name = rng.choice(names)
+                text = text.replace(f'"{name}"', f'"{rng.choice("xyz")}{name}"', 1)
+        else:
+            text = text[:pos]
+    return text
+
+
+def test_repair_output_is_pinned(fixture_registry, golden_examples):
+    # sha256 over (text, edits) of enforced_repair on 500 seeded corrupted
+    # plans: 250 over the fixture registry, 250 over a synthetic one. Any
+    # change to the projection's output or its edit records changes it.
+    import hashlib
+    import json
+
+    from conftest import random_registry
+
+    rng = random.Random(2024)
+    synthetic = random_registry(random.Random(77), max_tools=8)
+    digest = hashlib.sha256()
+    for registry in (fixture_registry, synthetic):
+        automaton = compile_schema(registry)
+        bases = [ex.gold_text for ex in golden_examples] if registry is fixture_registry else []
+        for k in range(250):
+            if k < len(bases):
+                base = bases[k]
+            else:
+                base = serialize_plan(random_plan(rng, tool_names=registry.names, max_calls=4))
+            out, edits = enforced_repair(automaton, _corrupt(rng, base))
+            record = [out, [[e.kind, e.position, e.text] for e in edits]]
+            digest.update(json.dumps(record).encode("utf-8"))
+    assert digest.hexdigest() == "b81531db7bb22ae9e7fccb7de0f910b7ae6922c5e055ba01c88c5f907d5e318a"

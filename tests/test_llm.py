@@ -70,6 +70,7 @@ def test_replay_file_bad_line(tmp_path):
 
 class _StubHandler(BaseHTTPRequestHandler):
     failures_left = 0
+    failure_status = 500
     seen_payloads: list = []
 
     def do_POST(self):
@@ -78,7 +79,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         type(self).seen_payloads.append(payload)
         if type(self).failures_left > 0:
             type(self).failures_left -= 1
-            self.send_response(500)
+            self.send_response(type(self).failure_status)
             self.end_headers()
             return
         body = json.dumps({
@@ -101,6 +102,7 @@ def stub_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _StubHandler.failures_left = 0
+    _StubHandler.failure_status = 500
     _StubHandler.seen_payloads = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
@@ -132,6 +134,26 @@ def test_remote_model_fails_after_retries(stub_server):
     with pytest.raises(CompletionError) as err:
         model.complete(CompletionRequest(prompt="q"))
     assert "3 attempts" in str(err.value)
+
+
+def test_remote_model_does_not_retry_client_error(stub_server):
+    _StubHandler.failures_left = 10
+    _StubHandler.failure_status = 400
+    model = RemoteChatModel(api_base=stub_server, api_key="k", backoff_s=0.0, max_attempts=3)
+    with pytest.raises(CompletionError) as err:
+        model.complete(CompletionRequest(prompt="q"))
+    assert "HTTP 400" in str(err.value)
+    assert len(_StubHandler.seen_payloads) == 1
+
+
+def test_remote_model_retries_rate_limit(stub_server):
+    _StubHandler.failures_left = 10
+    _StubHandler.failure_status = 429
+    model = RemoteChatModel(api_base=stub_server, api_key="k", backoff_s=0.0, max_attempts=3)
+    with pytest.raises(CompletionError) as err:
+        model.complete(CompletionRequest(prompt="q"))
+    assert "3 attempts" in str(err.value)
+    assert len(_StubHandler.seen_payloads) == 3
 
 
 def test_constrained_token_model_masks_hallucinated_name(fixture_registry):

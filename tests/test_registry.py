@@ -50,6 +50,22 @@ def test_unknown_type_keyword_names_tool_and_argument():
     assert "arguments[0]" in message
 
 
+@pytest.mark.parametrize("tool_name, argument_name, path", [
+    ('a"b', "q", "at=$[0]"),
+    ("search", "q limit", "at=$[0].arguments[0]"),
+])
+def test_non_identifier_names_rejected(tool_name, argument_name, path):
+    doc = json.dumps([
+        {"tool_name": tool_name, "tool_description": "d", "arguments": [
+            {"argument_name": argument_name, "argument_description": "d", "argument_type": "string"},
+        ], "return_type": "string"},
+    ])
+    with pytest.raises(RegistryError) as err:
+        load_registry(doc)
+    assert "not an identifier" in str(err.value)
+    assert str(err.value).endswith(path)
+
+
 def test_missing_required_field():
     doc = json.dumps([{"tool_name": "x", "arguments": []}])
     with pytest.raises(RegistryError) as err:
