@@ -16,6 +16,13 @@ tool and argument names must be identifiers (``[A-Za-z0-9_]+``), which the
 automata check at compile time, and every other accepted character is
 printable ASCII.
 
+Vocabulary masks are exact: a token is allowed if and only if feeding it
+character by character would succeed. A session indexes the first vocabulary
+it masks (``TokenIndex``: sorted distinct tokens, one shared-prefix byte per
+token and a token-to-position dict, about 0.5 MB for 8k tokens) and computes
+each mask in one pass over that implicit trie, memoizing transitions for the
+pass; tokens outside the index are fed one by one.
+
 Accepted value shapes per argument are deliberately relaxed around
 references: both a bare ``"$$PREV[i]"`` and a singleton ``["$$PREV[i]"]``
 are accepted at decode time for any argument; the type graph owns the
@@ -587,6 +594,78 @@ def compile_subtask_schema(tool_names) -> SubTaskAutomaton:
 # Decode sessions and greedy projection repair
 # ---------------------------------------------------------------------------
 
+# Shared-prefix lengths are stored one byte each. A longer shared prefix is
+# recorded as the cap and its rest walked again: slower, never wrong.
+_SHARED_CAP = 255
+_UNSEEN = object()
+
+
+class TokenIndex:
+    """A vocabulary as an implicit trie: its distinct tokens in sorted order,
+    each with the length of the prefix it shares with the token before it.
+
+    Costs one list of the tokens, one byte per token and one token-to-position
+    dict: about 0.5 MB for 8k tokens.
+    """
+
+    __slots__ = ("tokens", "shared", "position")
+
+    def __init__(self, vocabulary):
+        self.tokens = sorted(set(vocabulary))
+        self.shared = bytearray(len(self.tokens))
+        previous = ""
+        for i, token in enumerate(self.tokens):
+            limit = min(len(previous), len(token), _SHARED_CAP)
+            k = 0
+            while k < limit and previous[k] == token[k]:
+                k += 1
+            self.shared[i] = k
+            previous = token
+        self.position = {token: i for i, token in enumerate(self.tokens)}
+
+    def accepted(self, automaton, state: tuple) -> list[bool]:
+        """Per indexed token, whether ``automaton`` consumes all of it from
+        ``state``.
+
+        One pass over the sorted tokens: a token starts from the states of
+        the prefix it shares with the previous one, and a token that shares a
+        rejected prefix is rejected unwalked. Transitions are memoized per
+        (state, character) for the pass, so equal states reached by different
+        prefixes are stepped once.
+        """
+        transition = automaton.transition
+        # A node maps each character seen from its state to the next node,
+        # or to None when the character is rejected; the key None holds the
+        # node's own state.
+        root = {None: state}
+        nodes = {state: root}
+        path = [root]  # path[k]: node after the first k characters of the last token walked
+        shared = self.shared
+        no_rejection = _SHARED_CAP + 1  # longer than any shared prefix
+        dead = no_rejection  # length of the last rejected prefix
+        ok = [False] * len(self.tokens)
+        for i, token in enumerate(self.tokens):
+            depth = shared[i]
+            if depth >= dead:
+                continue
+            del path[depth + 1:]
+            here = path[depth]
+            for ch in token[depth:]:
+                node = here.get(ch, _UNSEEN)
+                if node is _UNSEEN:
+                    nxt = transition(here[None], ch)
+                    node = here[ch] = None if nxt is None else nodes.setdefault(nxt, {None: nxt})
+                if node is None:
+                    dead = len(path)
+                    break
+                path.append(node)
+                here = node
+            else:
+                ok[i] = True
+                dead = no_rejection
+        return ok
+
+
 class DecoderSession:
     """Single decode stream over a shared automaton.
 
@@ -598,6 +677,7 @@ class DecoderSession:
         self.automaton = automaton
         self.state = automaton.initial_state
         self.emitted = ""
+        self._index: TokenIndex | None = None
 
     @property
     def at_end(self) -> bool:
@@ -628,13 +708,25 @@ class DecoderSession:
         return True
 
     def mask_vocabulary(self, vocabulary: list[str]) -> list[bool]:
-        """Speculative per-token mask; the session state is unchanged."""
-        return [self.peek(token) for token in vocabulary]
+        """Speculative per-token mask, equal to ``[self.peek(t) for t in
+        vocabulary]``; the session state is unchanged.
+
+        The first call indexes its vocabulary (``TokenIndex``) for the life
+        of the session; every call walks that index once from the current
+        state. Tokens outside the index are peeked one by one.
+        """
+        if self._index is None:
+            self._index = TokenIndex(vocabulary)
+        accepted = self._index.accepted(self.automaton, self.state)
+        position = self._index.position
+        return [accepted[i] if (i := position.get(token)) is not None else self.peek(token)
+                for token in vocabulary]
 
     def copy(self) -> "DecoderSession":
         dup = DecoderSession(self.automaton)
         dup.state = self.state
         dup.emitted = self.emitted
+        dup._index = self._index
         return dup
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .datasets import GoldenExample
-from .enforcer import DecoderSession, compile_schema, compile_subtask_schema, enforced_repair
+from .enforcer import DecoderSession, PlanAutomaton, compile_schema, compile_subtask_schema, enforced_repair
 from .llm import CompletionRequest, constrained_complete, estimate_tokens
 from .plan import Plan, parse_plan, serialize_plan
 from .registry import Registry
@@ -166,7 +166,8 @@ def render_examples(examples: list[GoldenExample]) -> str:
 @dataclass
 class PlannerContext:
     """Immutable inputs shared by pipeline runs: registry, embedding provider,
-    indexed corpora, golden examples and the type graph."""
+    indexed corpora, golden examples, the type graph and the plan automaton
+    over the whole registry, compiled on first use."""
 
     registry: Registry
     provider: object
@@ -174,6 +175,7 @@ class PlannerContext:
     example_corpus: Corpus | None = None
     examples: dict[str, GoldenExample] = field(default_factory=dict)
     graph: TypeGraph | None = None
+    automaton: PlanAutomaton | None = None
 
     @classmethod
     def build(cls, registry: Registry, provider, golden_examples: list[GoldenExample] | None = None) -> "PlannerContext":
@@ -243,6 +245,12 @@ def _graph_for(ctx: PlannerContext) -> TypeGraph:
     if ctx.graph is None:
         ctx.graph = build_graph(ctx.registry)
     return ctx.graph
+
+
+def _automaton_for(ctx: PlannerContext) -> PlanAutomaton:
+    if ctx.automaton is None:
+        ctx.automaton = compile_schema(ctx.registry)
+    return ctx.automaton
 
 
 def assemble_decompose_prompt(query: str, tool_names, registry: Registry, config: PipelineConfig) -> str:
@@ -315,16 +323,17 @@ def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig |
     tool_names = [name for name, _ in retrieved]
 
     decompose_prompt = assemble_decompose_prompt(query, tool_names, ctx.registry, config)
-    decompose_session = DecoderSession(compile_subtask_schema(tool_names))
-    decompose_result = constrained_complete(model, _request(decompose_prompt, config), decompose_session)
+    # No session outlives its completion, so one vocabulary index is alive at a time.
+    decompose_result = constrained_complete(model, _request(decompose_prompt, config),
+                                            DecoderSession(compile_subtask_schema(tool_names)))
     subtasks = parse_subtasks(decompose_result.text)
 
     recompose_prompt = assemble_recompose_prompt(
         query, serialize_subtasks(subtasks), tool_names, ctx.registry, config
     )
     sub_registry = ctx.registry.subset(tool_names)
-    recompose_session = DecoderSession(compile_schema(sub_registry))
-    recompose_result = constrained_complete(model, _request(recompose_prompt, config), recompose_session)
+    recompose_result = constrained_complete(model, _request(recompose_prompt, config),
+                                            DecoderSession(compile_schema(sub_registry)))
 
     outcome = parse_plan(recompose_result.text)
     if not outcome.ok:
@@ -361,7 +370,7 @@ def run_regains(query: str, ctx: PlannerContext, model, config: PipelineConfig |
 
     outcome = parse_plan(raw_text)
     if not outcome.ok or not _names_in_registry(outcome.plan, ctx.registry):
-        repaired_text, _ = enforced_repair(compile_schema(ctx.registry), raw_text)
+        repaired_text, _ = enforced_repair(_automaton_for(ctx), raw_text)
         outcome = parse_plan(repaired_text)
         if not outcome.ok:
             raise PipelineError(f"projection repair produced unparseable text: {outcome.detail}")

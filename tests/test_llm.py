@@ -203,3 +203,57 @@ def test_call_accounting_is_exact():
     model.complete(CompletionRequest(prompt="b"))
     model.complete(CompletionRequest(prompt="a"))
     assert model.calls == 3
+
+
+_PLAN = '[{"tool_name":"works_list","arguments":[{"argument_name":"type","argument_value":"bug"}]}]'
+# Every character and character pair of the plan: a shared tail offered after
+# each step's leading candidate, much of it permissible at any one step.
+_TAIL = sorted(set(_PLAN) | {_PLAN[i : i + 2] for i in range(len(_PLAN) - 1)})
+
+
+@pytest.fixture
+def built_indexes(monkeypatch):
+    """Sizes of the vocabularies a TokenIndex is built from."""
+    import chainplan.enforcer as enforcer
+
+    sizes = []
+
+    class CountingIndex(enforcer.TokenIndex):
+        def __init__(self, vocabulary):
+            sizes.append(len(vocabulary))
+            super().__init__(vocabulary)
+
+    monkeypatch.setattr(enforcer, "TokenIndex", CountingIndex)
+    return sizes
+
+
+def _steps(pieces):
+    return [[piece, *_TAIL] for piece in pieces]
+
+
+def test_constrained_builds_one_token_index_per_call(fixture_registry, built_indexes):
+    # the leading candidate changes at every step and is mostly outside the
+    # index built from the first step's candidates
+    pieces = [_PLAN[i : i + 3] for i in range(0, len(_PLAN), 3)]
+    automaton = compile_schema(fixture_registry)
+    result = constrained_complete(ScriptedTokenModel(_steps(pieces)), CompletionRequest(prompt="q"),
+                                  DecoderSession(automaton))
+    assert result.text == _PLAN
+    assert built_indexes == [1 + len(_TAIL)]
+    constrained_complete(ScriptedTokenModel(_steps(pieces)), CompletionRequest(prompt="q"),
+                         DecoderSession(automaton))
+    assert len(built_indexes) == 2
+
+
+def test_constrained_errors_unchanged_with_an_index(fixture_registry, built_indexes):
+    automaton = compile_schema(fixture_registry)
+    head = '[{"tool_name":"'
+    # indexed candidates that no tool name starts with
+    stuck = _steps([head]) + [["[", "{", "]]", ":"]]
+    with pytest.raises(NoPermissibleTokenError):
+        constrained_complete(ScriptedTokenModel(stuck), CompletionRequest(prompt="q"), DecoderSession(automaton))
+    with pytest.raises(CompletionError, match="exhausted") as err:
+        constrained_complete(ScriptedTokenModel(_steps([head, "who_am_i"])), CompletionRequest(prompt="q"),
+                             DecoderSession(automaton))
+    assert not isinstance(err.value, NoPermissibleTokenError)
+    assert len(built_indexes) == 2

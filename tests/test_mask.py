@@ -1,0 +1,118 @@
+"""Vocabulary masks walked over the token index equal flat per-token peeks."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from chainplan.enforcer import (
+    MAX_STRING_CHARS,
+    DecoderSession,
+    TokenIndex,
+    compile_schema,
+    compile_subtask_schema,
+)
+from chainplan.registry import fixture_tools_path, load_registry
+
+from conftest import random_registry
+
+_FIXTURE = load_registry(fixture_tools_path())
+_AUTOMATA = {
+    "fixture": compile_schema(_FIXTURE),
+    "subtask": compile_subtask_schema(_FIXTURE.tools),
+}
+# Text that leaves each automaton inside an empty string value.
+_STRING_OPENERS = {
+    "fixture": '[{"tool_name":"search_object_by_name","arguments":[{"argument_name":"query","argument_value":"',
+    "subtask": '[{"id":0,"thought":"',
+}
+# Structural and value characters of both automata, plus characters neither accepts.
+_ALPHABET = '[]{}",:\\/$PREV0123456789.-_ abefilnorstuwxy' + "é☃\n\x00"
+_LONG = 300  # longer than the index's shared-prefix cap
+
+_tokens = st.text(alphabet=_ALPHABET, max_size=8)
+
+
+def _walk(session: DecoderSession, rng: random.Random, steps: int) -> None:
+    for _ in range(steps):
+        allowed, _ = session.allowed_next()
+        if not allowed:
+            return
+        session.advance(rng.choice(sorted(allowed)))
+
+
+@st.composite
+def sessions(draw) -> DecoderSession:
+    """A session of the fixture plan automaton, the sub-task automaton or a
+    random registry's plan automaton, in a random-walk state or (fixed
+    automata) in a string state a few characters from ``MAX_STRING_CHARS``
+    or just over the shared-prefix cap from it."""
+    kind = draw(st.sampled_from(("fixture", "subtask", "random")))
+    if kind == "random":
+        automaton = compile_schema(random_registry(random.Random(draw(st.integers(0, 2**32 - 1)))))
+    else:
+        automaton = _AUTOMATA[kind]
+    session = DecoderSession(automaton)
+    if kind != "random" and draw(st.booleans()):
+        room = draw(st.one_of(st.integers(0, 4), st.integers(250, 290)))
+        session.advance(_STRING_OPENERS[kind] + "a" * (MAX_STRING_CHARS - room))
+        if room:
+            session.advance(draw(st.sampled_from(("", "\\", "\\u0"))))
+    else:
+        _walk(session, random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(0, 80)))
+    return session
+
+
+@st.composite
+def vocabularies(draw) -> list[str]:
+    """Short random tokens; families with a long shared stem; tokens longer
+    than the shared-prefix cap; the empty token, a quote and a backslash;
+    duplicates; all shuffled."""
+    vocab = draw(st.lists(_tokens, max_size=40))
+    stem = draw(st.text(alphabet=_ALPHABET, min_size=3, max_size=12))
+    vocab += [stem + tail for tail in draw(st.lists(_tokens, max_size=6))]
+    fill = draw(st.sampled_from('a"\\:'))
+    vocab += [fill * _LONG + tail for tail in draw(st.lists(_tokens, max_size=3))]
+    vocab += ["", '"', "\\"]
+    vocab += draw(st.lists(st.sampled_from(vocab), max_size=5))
+    return draw(st.permutations(vocab))
+
+
+def _flat(session: DecoderSession, vocab: list[str]) -> list[bool]:
+    return [session.peek(token) for token in vocab]
+
+
+@settings(max_examples=150, deadline=None)
+@given(session=sessions(), vocab=vocabularies())
+def test_mask_equals_flat_peek(session, vocab):
+    state, emitted = session.state, session.emitted
+    assert session.mask_vocabulary(vocab) == _flat(session, vocab)
+    assert (session.state, session.emitted) == (state, emitted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(session=sessions(), vocab=vocabularies(), data=st.data())
+def test_mask_equals_flat_peek_as_candidates_change(session, vocab, data):
+    # the first call indexes ``vocab``; later calls mix indexed tokens with
+    # tokens outside the index, from states further along the walk
+    assert session.mask_vocabulary(vocab) == _flat(session, vocab)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(4):
+        _walk(session, rng, data.draw(st.integers(0, 3)))
+        candidates = data.draw(st.lists(st.one_of(st.sampled_from(vocab), _tokens), max_size=30))
+        assert session.mask_vocabulary(candidates) == _flat(session, candidates)
+
+
+def test_token_index_is_sorted_distinct_with_capped_shared_prefixes():
+    index = TokenIndex(["ab", "", "abc", "ab", "b", "x" * _LONG, "x" * (_LONG + 1)])
+    assert index.tokens == ["", "ab", "abc", "b", "x" * _LONG, "x" * (_LONG + 1)]
+    assert list(index.shared) == [0, 0, 2, 0, 0, 255]
+    assert [index.position[token] for token in index.tokens] == list(range(6))
+
+
+def test_copy_shares_the_index_and_masks_from_its_own_state():
+    session = DecoderSession(_AUTOMATA["fixture"]).advance('[{"tool_name":"w')
+    vocab = ["ho_am_i", "orks_list", "xyz", '"']
+    assert session.mask_vocabulary(vocab) == [True, True, False, False]
+    dup = session.copy().advance("ho_am_i")
+    assert dup.mask_vocabulary(vocab) == [False, False, False, True]
+    assert session.mask_vocabulary(vocab) == [True, True, False, False]

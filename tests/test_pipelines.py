@@ -258,3 +258,34 @@ def test_enchant_with_token_level_constrained_model(ctx, config, golden_examples
     assert trace.enforcement == {"decompose": "enforced", "recompose": "enforced"}
     assert trace.final_plan.tool_sequence == ("who_am_i",)
     assert trace.final_text == example.gold_text
+
+
+def test_regains_compiles_the_plan_automaton_once_per_context(fixture_registry, golden_examples, config,
+                                                              monkeypatch):
+    # straying answers to several queries share one automaton and project as
+    # a freshly compiled one would
+    import chainplan.pipelines as pipelines
+    from chainplan.enforcer import compile_schema, enforced_repair
+    from chainplan.plan import parse_plan, serialize_plan
+    from chainplan.typegraph import repair_plan
+
+    fresh = PlannerContext.build(fixture_registry, HashEmbeddingProvider(), golden_examples)
+    compiled = []
+
+    def counting_compile(registry):
+        compiled.append(registry.version)
+        return compile_schema(registry)
+
+    monkeypatch.setattr(pipelines, "compile_schema", counting_compile)
+    for i, example in enumerate(golden_examples[:6]):
+        if i % 2:
+            straying = example.gold_text[:-1] + ",]"  # trailing comma
+        else:
+            straying = example.gold_text.replace('"tool_name":"', '"tool_name":"x', 1)  # unknown tool
+        model = ScriptedModel(dict(regains_replay_entries(example, fresh, config, response_text=straying)))
+        trace = run_regains(example.query, fresh, model, config)
+        assert trace.enforcement["rap"] == "repaired"
+        projected, _ = enforced_repair(compile_schema(fixture_registry), straying)
+        expected, _ = repair_plan(fresh.graph, parse_plan(projected).plan)
+        assert trace.final_text == serialize_plan(expected)
+    assert compiled == [fixture_registry.version]
