@@ -168,19 +168,27 @@ def cmd_plan(query, pipeline, tools, examples, config_file, replay_file, trace_f
 @_TOOLS_OPTION
 @click.option("--in", "in_file", default=None, help="Plan JSON file (stdin otherwise).")
 def cmd_check(tools, in_file):
-    """Validate references and type-graph compatibility of a plan."""
+    """Validate a plan's names, references and type-graph wiring.
+
+    Errors, each once: every ``validate_refs`` finding against the registry,
+    then every reference without a type edge in the arguments left clean.
+    Warns on a repairable wrapping mismatch. Exits 1 on any error."""
     registry = _load_registry_arg(tools, with_operators=True)
     text = _read_plan_text(in_file)
     outcome = parse_plan(text)
     if not outcome.ok:
         _fail(f"{outcome.kind}: {outcome.detail}")
+    findings = validate_refs(outcome.plan, registry)
+    for diag in findings:
+        unit = f"call {diag.position}" if diag.argument is None else f"call {diag.position} argument {diag.argument!r}"
+        click.echo(f"error: {unit}: {diag.message}")
+    errors = len(findings)
+    flagged = {(diag.position, diag.argument) for diag in findings}
     graph = build_graph(registry)
-    errors = 0
-    for diag in validate_refs(outcome.plan):
-        click.echo(f"error: call {diag.position} argument {diag.argument!r}: {diag.message}")
-        errors += 1
     for position, call in enumerate(outcome.plan.calls):
         for name, _ in call.arguments:
+            if {(position, None), (position, name)} & flagged:
+                continue  # the unit, or its call's tool, has a finding
             result = check_ref(graph, outcome.plan, position, name)
             if result.status == "incompatible":
                 click.echo(f"error: call {position} argument {name!r}: {result.note}")

@@ -742,6 +742,10 @@ _INSERT_PRIORITY = ']}",:{['
 
 
 def _priority_char(allowed: frozenset[str]) -> str:
+    if '"' in allowed and _STRING_BODY <= allowed:
+        # A string or object-key body: close it rather than pad it with
+        # structural characters, which are legal content, up to the cap.
+        return '"'
     for ch in _INSERT_PRIORITY:
         if ch in allowed:
             return ch
@@ -757,8 +761,9 @@ def enforced_repair(automaton, candidate: str) -> tuple[str, list[Edit]]:
     Identity on accepted inputs. Otherwise, per automaton state: consume the
     current character when allowed; else emit the forced character when only
     one is allowed; else skip ahead to the nearest allowed character within a
-    16-character window; else insert by fixed priority (structural closers
-    first, then openers, then digits, then the smallest allowed character).
+    16-character window; else insert by fixed priority (the closing quote of
+    a free string body, else structural closers first, then openers, then
+    digits, then the smallest allowed character).
     Once the automaton accepts, any unconsumed suffix is dropped. Always
     terminates with accepted text; idempotent.
     """

@@ -121,9 +121,9 @@ def _resolve(value, outputs: list[RuntimeValue], step: int) -> RuntimeValue:
 def execute(plan: Plan, runtime, graph: TypeGraph | None = None) -> ExecutionTrace:
     """Run the plan sequentially on the runtime.
 
-    Pre-flight: every tool must be covered by the runtime and every
-    reference must point strictly backwards; nothing is invoked if either
-    check fails. Deterministic given a deterministic runtime.
+    Pre-flight: every tool must be covered by the runtime and
+    :func:`validate_refs` must find no bad or malformed reference; nothing is
+    invoked if either check fails. Deterministic given a deterministic runtime.
     """
     uncovered = [call.tool_name for call in plan.calls if call.tool_name not in runtime.coverage]
     if uncovered:
@@ -267,19 +267,16 @@ class StubRuntime:
     """Deterministic synthetic runtime for the bundled nine-tool fixture;
     values are implementer-authored test data, no service is contacted."""
 
-    def __init__(self, include_operators: bool = True):
-        self._operators = OperatorRuntime() if include_operators else None
-        names = {
+    def __init__(self):
+        self._operators = OperatorRuntime()
+        self.coverage = self._operators.coverage | {
             "works_list", "summarize_objects", "prioritize_objects",
             "add_work_items_to_sprint", "get_sprint_id", "get_similar_work_items",
             "search_object_by_name", "create_actionable_tasks_from_text", "who_am_i",
         }
-        if self._operators:
-            names |= self._operators.coverage
-        self.coverage = frozenset(names)
 
     def invoke(self, tool_name: str, arguments: dict[str, RuntimeValue]) -> RuntimeValue:
-        if self._operators and tool_name in self._operators.coverage:
+        if tool_name in self._operators.coverage:
             return self._operators.invoke(tool_name, arguments)
         if tool_name == "who_am_i":
             return Scalar("USER-001")

@@ -19,15 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .plan import (
-    ListOf,
-    Literal,
-    Plan,
-    PREV_REF_PATTERN,
-    PrevRef,
-    parse_plan,
-    serialize_plan,
-)
+from .plan import Plan, parse_plan, serialize_plan, validate_refs
 from .registry import Registry
 
 
@@ -47,51 +39,21 @@ def tool_selection_scores(predicted: Plan, gold: Plan) -> tuple[float, float, fl
     return ir, nr, mr
 
 
-def _prev_like_literal(value) -> bool:
-    """A string literal that looks like a reference but failed the exact
-    pattern: a hallucinated resource, never silently coerced."""
-    return (
-        isinstance(value, Literal)
-        and isinstance(value.value, str)
-        and value.value.startswith("$$PREV")
-        and not PREV_REF_PATTERN.match(value.value)
-    )
-
-
-def _argument_hallucinated(value, position: int) -> bool:
-    if isinstance(value, PrevRef):
-        return value.index >= position or value.index < 0
-    if _prev_like_literal(value):
-        return True
-    if isinstance(value, ListOf):
-        return any(_argument_hallucinated(item, position) for item in value.elements)
-    return False
-
-
 def hallucination_rate(predicted: Plan, registry: Registry) -> float:
     """Hallucinated units / total units.
 
     Units: one per call for the tool name, one per argument assignment. A
-    unit is hallucinated iff the tool name is unknown (which also condemns
-    that call's argument units, since arguments of a nonexistent tool are
-    nonexistent resources), the argument name is unknown for the tool, a
-    reference does not point strictly backwards, or a $$PREV-like literal
-    failed the exact pattern. A plan with zero units scores 0.
+    unit is hallucinated iff :func:`validate_refs` reports a finding on it,
+    or it is an argument of an unknown tool (arguments of a nonexistent tool
+    are nonexistent resources). A plan with zero units scores 0.
     """
-    units = 0
-    hallucinated = 0
-    for position, call in enumerate(predicted.calls):
-        spec = registry.get(call.tool_name)
-        units += 1
-        if spec is None:
-            hallucinated += 1
-        for name, value in call.arguments:
-            units += 1
-            if spec is None or spec.argument(name) is None:
-                hallucinated += 1
-            elif _argument_hallucinated(value, position):
-                hallucinated += 1
-    return hallucinated / units if units else 0.0
+    units = sum(1 + len(call.arguments) for call in predicted.calls)
+    flagged: set[tuple[int, str | None]] = set()
+    for diag in validate_refs(predicted, registry):
+        flagged.add((diag.position, diag.argument))
+        if diag.kind == "unknown_tool":
+            flagged.update((diag.position, name) for name in predicted.calls[diag.position].argument_names)
+    return len(flagged) / units if units else 0.0
 
 
 def plan_tokens(plan: Plan) -> list[str]:
@@ -237,6 +199,7 @@ def score_example(record: EvalRecord, registry: Registry) -> ExampleScores:
         return ExampleScores(query=record.query, invalid_json=True)
     predicted = outcome.plan
     ir, nr, mr = tool_selection_scores(predicted, record.gold)
+    predicted_tokens, gold_tokens = plan_tokens(predicted), plan_tokens(record.gold)
     return ExampleScores(
         query=record.query,
         invalid_json=False,
@@ -244,8 +207,8 @@ def score_example(record: EvalRecord, registry: Registry) -> ExampleScores:
         nr=nr,
         mr=mr,
         hr=hallucination_rate(predicted, registry),
-        bleu=bleu(plan_tokens(predicted), plan_tokens(record.gold)),
-        rouge_l_f1=rouge_l_f1(plan_tokens(predicted), plan_tokens(record.gold)),
+        bleu=bleu(predicted_tokens, gold_tokens),
+        rouge_l_f1=rouge_l_f1(predicted_tokens, gold_tokens),
         correct_path=correct_path(predicted, record.gold),
     )
 

@@ -23,8 +23,8 @@ from pathlib import Path
 
 from .datasets import GoldenExample
 from .enforcer import DecoderSession, PlanAutomaton, compile_schema, compile_subtask_schema, enforced_repair
-from .llm import CompletionRequest, constrained_complete, estimate_tokens
-from .plan import Plan, parse_plan, serialize_plan
+from .llm import CompletionRequest, constrained_complete
+from .plan import Plan, parse_plan, serialize_plan, validate_refs
 from .registry import Registry
 from .retrieval import Corpus, index_corpus, retrieve_top_k, tool_embedding_text
 from .typegraph import TypeGraph, build_graph, repair_plan
@@ -94,7 +94,6 @@ class PipelineConfig:
     model_id: str = "default"
     max_tokens: int = 1024
     temperature: float = 0.0
-    token_budget: int = 4000
 
     def validate(self) -> None:
         for attr, slots in _REQUIRED_SLOTS.items():
@@ -127,7 +126,7 @@ class PipelineConfig:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         base = Path(path).resolve().parent
         config = cls.default()
-        for key in ("k", "example_count", "model_id", "max_tokens", "temperature", "token_budget"):
+        for key in ("k", "example_count", "model_id", "max_tokens", "temperature"):
             if key in doc:
                 setattr(config, key, doc[key])
         templates = doc.get("templates", {})
@@ -303,17 +302,6 @@ def _request(prompt: str, config: PipelineConfig) -> CompletionRequest:
     )
 
 
-def _names_in_registry(plan: Plan, registry: Registry) -> bool:
-    for call in plan.calls:
-        spec = registry.get(call.tool_name)
-        if spec is None:
-            return False
-        for name, _ in call.arguments:
-            if spec.argument(name) is None:
-                return False
-    return True
-
-
 def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig | None = None) -> PipelineTrace:
     """Retrieve, decompose under the sub-task schema, recompose under the plan
     schema restricted to the retrieved tools, then type-graph repair.
@@ -369,7 +357,9 @@ def run_regains(query: str, ctx: PlannerContext, model, config: PipelineConfig |
     mode = "plain"
 
     outcome = parse_plan(raw_text)
-    if not outcome.ok or not _names_in_registry(outcome.plan, ctx.registry):
+    strays = not outcome.ok or any(diag.kind in ("unknown_tool", "unknown_argument")
+                                   for diag in validate_refs(outcome.plan, ctx.registry))
+    if strays:
         repaired_text, _ = enforced_repair(_automaton_for(ctx), raw_text)
         outcome = parse_plan(repaired_text)
         if not outcome.ok:
@@ -410,7 +400,3 @@ def dry_run(query: str, ctx: PlannerContext, pipeline: str, config: PipelineConf
             "recompose": assemble_recompose_prompt(query, "[]", tool_names, ctx.registry, config),
         }
     raise PipelineError(f"unknown pipeline {pipeline!r}")
-
-
-def prompt_within_budget(prompt: str, config: PipelineConfig) -> bool:
-    return estimate_tokens(prompt) <= config.token_budget

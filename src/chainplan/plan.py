@@ -6,7 +6,7 @@ The wire format is a JSON array of calls::
       "arguments": [{"argument_name": str,
                      "argument_value": <scalar | "$$PREV[i]" | array | object>}]}]
 
-``"$$PREV[i]"`` strings (exact pattern, 0-indexed) decode to :class:`PrevRef`;
+``"$$PREV[i]"`` strings (the whole string, 0-indexed) decode to :class:`PrevRef`;
 every other string stays a literal. Parsing and serialization are pure, and
 all types here are immutable values.
 """
@@ -18,7 +18,9 @@ import re
 from dataclasses import dataclass
 from typing import Any, Iterator, Union
 
-PREV_REF_PATTERN = re.compile(r"^\$\$PREV\[(\d+)\]$")
+from .registry import Registry
+
+PREV_REF_PATTERN = re.compile(r"\$\$PREV\[(\d+)\]")
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class _Violation(Exception):
 
 def _decode_value(raw: Any, path: str) -> ArgValue:
     if isinstance(raw, str):
-        match = PREV_REF_PATTERN.match(raw)
+        match = PREV_REF_PATTERN.fullmatch(raw)
         if match:
             return PrevRef(index=int(match.group(1)))
         return Literal(raw)
@@ -212,34 +214,43 @@ def iter_prev_refs(value: ArgValue) -> Iterator[PrevRef]:
 @dataclass(frozen=True)
 class RefDiagnostic:
     position: int
-    argument: str
-    index: int
+    argument: str | None  # None for the call's tool name
+    index: int | None  # the referenced call, for a bad_reference
+    kind: str  # "unknown_tool" | "unknown_argument" | "bad_reference" | "malformed_reference"
     message: str
 
 
-def validate_refs(plan: Plan) -> list[RefDiagnostic]:
-    """One diagnostic per reference that does not point strictly backwards."""
+def _reference_findings(value: ArgValue, position: int, argument: str) -> Iterator[RefDiagnostic]:
+    """Every reference in ``value``, at any list depth, that does not point
+    strictly backwards or is malformed."""
+    if isinstance(value, PrevRef):
+        if not 0 <= value.index < position:
+            way = "negative" if value.index < 0 else "self" if value.index == position else "forward/out-of-range"
+            yield RefDiagnostic(position, argument, value.index, "bad_reference",
+                                f"{way} reference $$PREV[{value.index}] at call {position}")
+    elif isinstance(value, ListOf):
+        for item in value.elements:
+            yield from _reference_findings(item, position, argument)
+    elif (isinstance(value.value, str) and value.value.startswith("$$PREV")
+          and not PREV_REF_PATTERN.fullmatch(value.value)):
+        yield RefDiagnostic(position, argument, None, "malformed_reference",
+                            f"malformed reference {value.value!r} at call {position}")
+
+
+def validate_refs(plan: Plan, registry: Registry | None = None) -> list[RefDiagnostic]:
+    """The one definition of a hallucinated plan unit: one diagnostic per
+    finding, in plan order. With a registry, an unknown tool or argument
+    name; always, a ``$$PREV[i]`` at any list depth with ``i >= position`` or
+    ``i < 0`` and a ``$$PREV``-prefixed string that is not a whole match."""
     out: list[RefDiagnostic] = []
     for position, call in enumerate(plan.calls):
+        spec = None if registry is None else registry.get(call.tool_name)
+        if registry is not None and spec is None:
+            out.append(RefDiagnostic(position, None, None, "unknown_tool",
+                                     f"unknown tool {call.tool_name!r} at call {position}"))
         for arg_name, value in call.arguments:
-            for ref in iter_prev_refs(value):
-                if ref.index >= position:
-                    kind = "self" if ref.index == position else "forward/out-of-range"
-                    out.append(
-                        RefDiagnostic(
-                            position=position,
-                            argument=arg_name,
-                            index=ref.index,
-                            message=f"{kind} reference $$PREV[{ref.index}] at call {position}",
-                        )
-                    )
-                elif ref.index < 0:
-                    out.append(
-                        RefDiagnostic(
-                            position=position,
-                            argument=arg_name,
-                            index=ref.index,
-                            message=f"negative reference at call {position}",
-                        )
-                    )
+            if spec is not None and spec.argument(arg_name) is None:
+                out.append(RefDiagnostic(position, arg_name, None, "unknown_argument",
+                                         f"unknown argument {arg_name!r} for tool {call.tool_name!r} at call {position}"))
+            out.extend(_reference_findings(value, position, arg_name))
     return out

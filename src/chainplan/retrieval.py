@@ -204,11 +204,10 @@ def load_corpus(path: str | Path, expect_registry_version: str | None = None) ->
     )
 
 
-def tool_embedding_text(spec, include_arguments: bool = True) -> str:
-    """Text embedded for a tool: name and description, optionally joined with
-    argument names and descriptions for better disambiguation."""
+def tool_embedding_text(spec) -> str:
+    """Text embedded for a tool: name and description, joined with argument
+    names and descriptions for better disambiguation."""
     parts = [f"{spec.name}: {spec.description}"]
-    if include_arguments:
-        for arg in spec.arguments:
-            parts.append(f"{arg.name}: {arg.description}" if arg.description else arg.name)
+    for arg in spec.arguments:
+        parts.append(f"{arg.name}: {arg.description}" if arg.description else arg.name)
     return " | ".join(parts)

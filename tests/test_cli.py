@@ -246,3 +246,22 @@ def test_eval_mixed_fixture_matches_precomputed_values(runner, tmp_path, golden_
     assert aggregates["mr"] == pytest.approx(1 / 9)
     assert aggregates["hr"] == 0.0
     assert aggregates["correct_path_rate"] == pytest.approx(8 / 9)
+
+
+@pytest.mark.parametrize("plan_text", [
+    '[{"tool_name":"ghost_tool","arguments":[]}]',
+    '[{"tool_name":"works_list","arguments":[{"argument_name":"ghost_arg","argument_value":1}]}]',
+    '[{"tool_name":"who_am_i","arguments":[]},'
+    '{"tool_name":"works_list","arguments":[{"argument_name":"owned_by","argument_value":["$$PREV[x]"]}]}]',
+], ids=["unknown_tool", "unknown_argument", "malformed_reference"])
+def test_check_hallucinated_unit_exits_one(runner, plan_text):
+    result = runner.invoke(main, ["check"], input=plan_text)
+    assert result.exit_code == 1
+    assert result.output.count("error:") == 1, result.output
+
+
+def test_check_self_reference_reported_once(runner):
+    plan_text = '[{"tool_name":"works_list","arguments":[{"argument_name":"owned_by","argument_value":["$$PREV[0]"]}]}]'
+    result = runner.invoke(main, ["check"], input=plan_text)
+    assert result.exit_code == 1
+    assert result.output.count("error:") == 1, result.output

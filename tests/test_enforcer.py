@@ -368,9 +368,15 @@ def test_repair_unterminated_string_pads_to_cap_and_closes(automaton):
     prefix = '[{"tool_name":"works_list","arguments":[{"argument_name":"type","argument_value":"abc'
     out, _ = enforced_repair(automaton, prefix)
     assert parse_plan(out).ok
-    # the open string is filled to the length cap with priority characters,
+    # the open string is closed, not filled to the length cap; the rest is
     # then force-closed; bounded, deterministic output
     assert len(out) < 700
+
+
+def test_repair_closes_unterminated_string_value(automaton):
+    prefix = '[{"tool_name":"works_list","arguments":[{"argument_name":"type","argument_value":"abc'
+    out, _ = enforced_repair(automaton, prefix)
+    assert parse_plan(out).plan.calls[0].argument("type").value == "abc"
 
 
 # Corruptions for the pinned-repair test: dropped spans, noise (including
@@ -422,4 +428,4 @@ def test_repair_output_is_pinned(fixture_registry, golden_examples):
             out, edits = enforced_repair(automaton, _corrupt(rng, base))
             record = [out, [[e.kind, e.position, e.text] for e in edits]]
             digest.update(json.dumps(record).encode("utf-8"))
-    assert digest.hexdigest() == "b81531db7bb22ae9e7fccb7de0f910b7ae6922c5e055ba01c88c5f907d5e318a"
+    assert digest.hexdigest() == "814ca6b74e73b7c56e8e62d9b729a3ab31beec52da44fe0ff1e96a6c015cca4b"

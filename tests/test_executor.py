@@ -58,6 +58,24 @@ def test_execute_rejects_forward_reference(fixture_registry):
         execute(plan, StubRuntime(), build_graph(fixture_registry))
 
 
+def test_execute_rejects_malformed_reference_before_invoking(fixture_registry):
+    class Recording(StubRuntime):
+        invocations = 0
+
+        def invoke(self, tool_name, arguments):
+            self.invocations += 1
+            return super().invoke(tool_name, arguments)
+
+    runtime = Recording()
+    plan = Plan((
+        ToolCall("who_am_i"),
+        ToolCall("works_list", (("owned_by", ListOf((Literal("$$PREV[x]"),))),)),
+    ))
+    with pytest.raises(ExecutionError, match="malformed reference"):
+        execute(plan, runtime, build_graph(fixture_registry))
+    assert runtime.invocations == 0
+
+
 def test_execute_resolution_uses_trace_not_reinvocation(fixture_registry):
     class CountingRuntime(StubRuntime):
         def __init__(self):

@@ -120,6 +120,16 @@ def test_hr_counts_prev_like_literal(fixture_registry):
     assert hallucination_rate(plan, fixture_registry) == pytest.approx(1 / 3)
 
 
+def test_hr_counts_reference_with_trailing_newline(fixture_registry):
+    from chainplan.plan import parse_plan
+
+    plan = parse_plan(
+        '[{"tool_name":"who_am_i","arguments":[]},{"tool_name":"works_list","arguments":'
+        '[{"argument_name":"owned_by","argument_value":["$$PREV[0]\\n"]}]}]'
+    ).plan
+    assert hallucination_rate(plan, fixture_registry) == pytest.approx(1 / 3)
+
+
 def test_hr_empty_plan(fixture_registry):
     assert hallucination_rate(Plan(), fixture_registry) == 0.0
 

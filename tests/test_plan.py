@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
+from chainplan.metrics import hallucination_rate
 from chainplan.plan import (
     ListOf,
     Literal,
@@ -10,6 +13,8 @@ from chainplan.plan import (
     serialize_plan,
     validate_refs,
 )
+
+from chainplan.registry import fixture_tools_path, load_registry
 
 from conftest import random_plan
 
@@ -118,3 +123,60 @@ def test_forward_reference_still_parses():
     outcome = parse_plan(text)
     assert outcome.ok
     assert len(validate_refs(outcome.plan)) == 1
+
+
+def test_reference_with_trailing_newline_stays_literal():
+    text = '[{"tool_name":"a","arguments":[{"argument_name":"x","argument_value":"$$PREV[0]\\n"}]}]'
+    outcome = parse_plan(text)
+    assert outcome.plan.calls[0].argument("x") == Literal("$$PREV[0]\n")
+    assert serialize_plan(outcome.plan) == text
+
+
+def test_validate_refs_reports_each_kind(fixture_registry):
+    plan = Plan((
+        ToolCall("who_am_i"),
+        ToolCall("ghost_tool", (("x", Literal(1)),)),
+        ToolCall("works_list", (
+            ("ghost_arg", Literal(1)),
+            ("owned_by", ListOf((ListOf((PrevRef(2),)), Literal("$$PREV[x]")))),
+        )),
+    ))
+    found = [(d.position, d.argument, d.index, d.kind) for d in validate_refs(plan, fixture_registry)]
+    assert found == [
+        (1, None, None, "unknown_tool"),
+        (2, "ghost_arg", None, "unknown_argument"),
+        (2, "owned_by", 2, "bad_reference"),
+        (2, "owned_by", None, "malformed_reference"),
+    ]
+    # without a registry only the reference findings remain
+    assert [d.kind for d in validate_refs(plan)] == ["bad_reference", "malformed_reference"]
+
+
+_FIXTURE = load_registry(fixture_tools_path())
+
+
+def _values(position: int):
+    leaves = st.one_of(
+        st.builds(Literal, st.sampled_from(["x", 1, None, "$$PREV", "$$PREV[x]", "$$PREV[0]\n", "$$PREV[0]"])),
+        st.builds(PrevRef, st.integers(-1, position + 1)),
+    )
+    return st.recursive(leaves, lambda inner: st.builds(ListOf, st.tuples(inner) | st.tuples(inner, inner)),
+                        max_leaves=4)
+
+
+@st.composite
+def _fixture_plans(draw):
+    calls = []
+    for position in range(draw(st.integers(0, 4))):
+        tool = draw(st.sampled_from(_FIXTURE.names + ("ghost_tool",)))
+        spec = _FIXTURE.get(tool)
+        known = tuple(arg.name for arg in spec.arguments) if spec else ()
+        names = draw(st.lists(st.sampled_from(known + ("ghost_arg",)), max_size=3, unique=True))
+        calls.append(ToolCall(tool, tuple((name, draw(_values(position))) for name in names)))
+    return Plan(tuple(calls))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fixture_plans())
+def test_hallucination_rate_positive_iff_validate_refs_finds(plan):
+    assert (hallucination_rate(plan, _FIXTURE) > 0) == bool(validate_refs(plan, _FIXTURE))
