@@ -27,7 +27,7 @@ from .pipelines import (
     run_enchant,
     run_regains,
 )
-from .plan import parse_plan, serialize_plan, validate_refs
+from .plan import iter_prev_refs, parse_plan, serialize_plan, validate_refs
 from .registry import RegistryError, fixture_tools_path, load_registry, validate_registry
 from .retrieval import (
     HashEmbeddingProvider,
@@ -171,7 +171,8 @@ def cmd_check(tools, in_file):
     """Validate a plan's names, references and type-graph wiring.
 
     Errors, each once: every ``validate_refs`` finding against the registry,
-    then every reference without a type edge in the arguments left clean.
+    then every reference without a type edge in the arguments left clean (no
+    finding on the argument, on its call's tool or on a tool it references).
     Warns on a repairable wrapping mismatch. Exits 1 on any error."""
     registry = _load_registry_arg(tools, with_operators=True)
     text = _read_plan_text(in_file)
@@ -184,11 +185,13 @@ def cmd_check(tools, in_file):
         click.echo(f"error: {unit}: {diag.message}")
     errors = len(findings)
     flagged = {(diag.position, diag.argument) for diag in findings}
+    unknown_tools = {position for position, argument in flagged if argument is None}
     graph = build_graph(registry)
     for position, call in enumerate(outcome.plan.calls):
-        for name, _ in call.arguments:
-            if {(position, None), (position, name)} & flagged:
-                continue  # the unit, or its call's tool, has a finding
+        for name, value in call.arguments:
+            if ((position, name) in flagged or position in unknown_tools
+                    or any(ref.index in unknown_tools for ref in iter_prev_refs(value))):
+                continue
             result = check_ref(graph, outcome.plan, position, name)
             if result.status == "incompatible":
                 click.echo(f"error: call {position} argument {name!r}: {result.note}")

@@ -82,6 +82,10 @@ _REQUIRED_SLOTS = {
     "rap_template": ("query", "tools", "examples", "insights"),
 }
 
+_CONFIG_SCALARS = ("k", "example_count", "model_id", "max_tokens", "temperature")
+_CONFIG_TEMPLATES = {"decompose": "decompose_template", "recompose": "recompose_template",
+                     "rap": "rap_template"}
+
 
 @dataclass
 class PipelineConfig:
@@ -122,17 +126,20 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         """Config file: JSON with k, example_count, template paths, insights
-        path and model params; missing fields fall back to the defaults."""
+        path and model params; missing fields fall back to the defaults, and
+        an unknown key, at the top or under templates, is an error."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         base = Path(path).resolve().parent
+        templates = doc.get("templates", {})
+        unknown = sorted(set(doc) - {*_CONFIG_SCALARS, "templates", "insights"})
+        unknown += sorted(f"templates.{key}" for key in set(templates) - set(_CONFIG_TEMPLATES))
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
         config = cls.default()
-        for key in ("k", "example_count", "model_id", "max_tokens", "temperature"):
+        for key in _CONFIG_SCALARS:
             if key in doc:
                 setattr(config, key, doc[key])
-        templates = doc.get("templates", {})
-        for key, attr in (("decompose", "decompose_template"),
-                          ("recompose", "recompose_template"),
-                          ("rap", "rap_template")):
+        for key, attr in _CONFIG_TEMPLATES.items():
             if key in templates:
                 setattr(config, attr, (base / templates[key]).read_text(encoding="utf-8"))
         if "insights" in doc:

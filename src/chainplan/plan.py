@@ -20,7 +20,7 @@ from typing import Any, Iterator, Union
 
 from .registry import Registry
 
-PREV_REF_PATTERN = re.compile(r"\$\$PREV\[(\d+)\]")
+PREV_REF_PATTERN = re.compile(r"\$\$PREV\[([0-9]+)\]")
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,24 @@
 """Dense retrieval over tool and example corpora.
 
 Embeds texts through a pluggable provider, ranks by cosine similarity, and
-selects top-k. Ships a deterministic hashing provider for network-free tests
-and a client for any OpenAI-compatible embeddings endpoint. Corpora are
-immutable after indexing and carry the provider id plus registry version so
-stale caches are rejected instead of silently reused.
+selects top-k. Item norms are derived once per corpus, so a query costs one
+dot product per item, and scores equal :func:`cosine` bit for bit. Ships a
+deterministic hashing provider for network-free tests and a client for any
+OpenAI-compatible embeddings endpoint. Corpora are immutable after indexing
+and carry the provider id plus registry version so stale caches are rejected
+instead of silently reused.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 
@@ -35,24 +40,32 @@ def cosine(a: list[float], b: list[float]) -> float:
 
 class HashEmbeddingProvider:
     """Deterministic test provider: hashed character trigrams projected into a
-    fixed-dimension space, then L2-normalized. CI-stable, no network."""
+    fixed-dimension space, then L2-normalized. CI-stable, no network.
+
+    Each distinct trigram is hashed once per instance and memoized as one int,
+    ``bucket << 1 | sign_bit``; the memo holds one entry per distinct trigram
+    embedded and does not change any vector."""
 
     def __init__(self, dimension: int = 64, seed: int = 0):
         self.dimension = dimension
         self.seed = seed
         self.provider_id = f"hash-trigram-{dimension}-{seed}"
+        self._trigram_codes: dict[str, int] = {}
 
     def embed(self, text: str) -> list[float]:
         if not text:
             raise RetrievalError("cannot embed empty text")
         padded = f"##{text.lower()}##"
         values = [0.0] * self.dimension
+        codes = self._trigram_codes
         for i in range(len(padded) - 2):
             gram = padded[i : i + 3]
-            digest = hashlib.sha256(f"{self.seed}:{gram}".encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:4], "big") % self.dimension
-            sign = 1.0 if digest[4] & 1 else -1.0
-            values[bucket] += sign
+            code = codes.get(gram)
+            if code is None:
+                digest = hashlib.sha256(f"{self.seed}:{gram}".encode("utf-8")).digest()
+                bucket = int.from_bytes(digest[:4], "big") % self.dimension
+                code = codes[gram] = (bucket << 1) | (digest[4] & 1)
+            values[code >> 1] += 1.0 if code & 1 else -1.0
         norm = math.sqrt(sum(v * v for v in values))
         if norm == 0.0:
             values[0] = 1.0
@@ -111,6 +124,38 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.items)
 
+    @cached_property
+    def norms(self) -> tuple[float, ...]:
+        """Each item's L2 norm, in item order, summed as :func:`cosine` sums
+        it. Derived on first use and never saved; a zero or wrong-length item
+        vector raises here, once per corpus."""
+        norms = []
+        for index, item in enumerate(self.items):
+            if len(item.vector) != self.dimension:
+                raise RetrievalError(
+                    f"dimension mismatch: item {index} ({item.id!r}) has {len(item.vector)}, "
+                    f"corpus has {self.dimension}"
+                )
+            norm = math.sqrt(sum(map(operator.mul, item.vector, item.vector)))
+            if norm == 0.0:
+                raise RetrievalError(f"cosine of a zero vector is undefined: item {index} ({item.id!r})")
+            norms.append(norm)
+        return tuple(norms)
+
+
+def _check_item(index: int, item_id: str, vector, dimension: int, seen: set[str]) -> None:
+    """Every corpus item, indexed or loaded, has a new id and a vector of
+    `dimension` finite values; errors name the item's index and id."""
+    if item_id in seen:
+        raise RetrievalError(f"item {index}: duplicate corpus id {item_id!r}")
+    seen.add(item_id)
+    if len(vector) != dimension:
+        raise RetrievalError(
+            f"item {index} ({item_id!r}): vector has dimension {len(vector)}, expected {dimension}"
+        )
+    if not all(map(math.isfinite, vector)):
+        raise RetrievalError(f"item {index} ({item_id!r}): non-finite vector value")
+
 
 def index_corpus(provider, items: list[tuple[str, str]], kind: str = "tools",
                  registry_version: str = "") -> Corpus:
@@ -118,10 +163,7 @@ def index_corpus(provider, items: list[tuple[str, str]], kind: str = "tools",
     seen: set[str] = set()
     indexed: list[CorpusItem] = []
     dimension = getattr(provider, "dimension", None)
-    for item_id, text in items:
-        if item_id in seen:
-            raise RetrievalError(f"duplicate corpus id {item_id!r}")
-        seen.add(item_id)
+    for index, (item_id, text) in enumerate(items):
         try:
             vector = provider.embed(text)
         except RetrievalError:
@@ -130,12 +172,7 @@ def index_corpus(provider, items: list[tuple[str, str]], kind: str = "tools",
             raise RetrievalError(f"provider failed on item {item_id!r}: {exc}") from exc
         if dimension is None:
             dimension = len(vector)
-        if len(vector) != dimension:
-            raise RetrievalError(
-                f"provider returned dimension {len(vector)} for item {item_id!r}, expected {dimension}"
-            )
-        if not all(math.isfinite(v) for v in vector):
-            raise RetrievalError(f"non-finite embedding for item {item_id!r}")
+        _check_item(index, item_id, vector, dimension, seen)
         indexed.append(CorpusItem(id=item_id, text=text, vector=tuple(vector)))
     return Corpus(
         kind=kind,
@@ -158,9 +195,18 @@ def retrieve_top_k(query: str, corpus: Corpus, provider, k: int) -> list[tuple[s
             f"corpus indexed with provider {corpus.provider_id!r}, queried with {provider.provider_id!r}"
         )
     query_vec = provider.embed(query)
-    scored = [(item.id, cosine(query_vec, list(item.vector))) for item in corpus.items]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+    if len(query_vec) != corpus.dimension:
+        raise RetrievalError(f"dimension mismatch: {len(query_vec)} vs {corpus.dimension}")
+    query_norm = math.sqrt(sum(map(operator.mul, query_vec, query_vec)))
+    if query_norm == 0.0:
+        raise RetrievalError("cosine of a zero vector is undefined")
+    # The same products, summed in the same order and divided the same way
+    # as cosine(query_vec, item.vector), so every score equals it exactly.
+    scored = [
+        (item.id, sum(map(operator.mul, query_vec, item.vector)) / (query_norm * norm))
+        for item, norm in zip(corpus.items, corpus.norms)
+    ]
+    return heapq.nsmallest(k, scored, key=lambda pair: (-pair[1], pair[0]))
 
 
 def top_n_recall(retrieved: list[str], needed: set[str], n: int) -> float:
@@ -192,15 +238,19 @@ def load_corpus(path: str | Path, expect_registry_version: str | None = None) ->
             f"stale corpus: indexed for registry {doc['registry_version']!r}, "
             f"current is {expect_registry_version!r}"
         )
+    dimension = int(doc["dimension"])
+    seen: set[str] = set()
+    items: list[CorpusItem] = []
+    for index, raw in enumerate(doc["items"]):
+        vector = tuple(float(v) for v in raw["vector"])
+        _check_item(index, raw["id"], vector, dimension, seen)
+        items.append(CorpusItem(id=raw["id"], text=raw["text"], vector=vector))
     return Corpus(
         kind=doc["kind"],
-        items=tuple(
-            CorpusItem(id=i["id"], text=i["text"], vector=tuple(float(v) for v in i["vector"]))
-            for i in doc["items"]
-        ),
+        items=tuple(items),
         provider_id=doc["provider"],
         registry_version=doc["registry_version"],
-        dimension=int(doc["dimension"]),
+        dimension=dimension,
     )
 
 

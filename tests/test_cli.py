@@ -260,6 +260,15 @@ def test_check_hallucinated_unit_exits_one(runner, plan_text):
     assert result.output.count("error:") == 1, result.output
 
 
+def test_check_reference_to_unknown_tool_reported_once(runner):
+    plan_text = ('[{"tool_name":"ghost","arguments":[]},'
+                 '{"tool_name":"works_list","arguments":[{"argument_name":"owned_by","argument_value":["$$PREV[0]"]}]}]')
+    result = runner.invoke(main, ["check"], input=plan_text)
+    assert result.exit_code == 1
+    assert result.output.count("error:") == 1, result.output
+    assert "unknown tool 'ghost'" in result.output
+
+
 def test_check_self_reference_reported_once(runner):
     plan_text = '[{"tool_name":"works_list","arguments":[{"argument_name":"owned_by","argument_value":["$$PREV[0]"]}]}]'
     result = runner.invoke(main, ["check"], input=plan_text)

@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chainplan.metrics import (
     EvalRecord,
+    _lcs_length,
     bleu,
     correct_path,
     evaluate_dataset,
@@ -232,6 +234,23 @@ def test_rouge_matches_dp_oracle():
             r = lcs / len(gold)
             expected = 2 * p * r / (p + r)
         assert rouge_l_f1(pred, gold) == pytest.approx(expected, abs=1e-12)
+
+
+_LCS_TOKENS = st.sampled_from(["{", "}", "[", "]", ",", ":", '"', "tool_name", "a", "b", "$$PREV[0]"])
+_LONG_A = [["{", "a", ",", "b", "}"][i % 5] for i in range(1100)]
+_LONG_B = [["a", "{", "b", "b", ",", "}", "["][i * 7 % 11 % 7] for i in range(1030)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LCS_TOKENS, max_size=150), st.lists(_LCS_TOKENS, max_size=150))
+@example([], [])
+@example([], ["a", "b"])
+@example(["a", "b"], [])
+@example(["a"] * 70, ["a", "b"] * 40)
+@example(_LONG_A, _LONG_B)
+@example(_LONG_B, _LONG_A[:65])
+def test_lcs_length_matches_dp_oracle(a, b):
+    assert _lcs_length(a, b) == oracle_lcs(a, b)
 
 
 # ---------------------------------------------------------------------------

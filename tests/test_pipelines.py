@@ -227,6 +227,19 @@ def test_config_validation_rejects_broken_template(tmp_path):
     assert "rap_template" in str(err.value)
 
 
+def test_config_unknown_keys_rejected(tmp_path):
+    import json
+
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "token_budget": 10,
+        "exmaple_count": 5,
+        "templates": {"rpa": "my_rap.txt"},
+    }), encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown config keys: exmaple_count, token_budget, templates.rpa"):
+        PipelineConfig.from_file(config_path)
+
+
 def test_enchant_with_token_level_constrained_model(ctx, config, golden_examples):
     # true constrained decoding through both stages: hallucinated candidates
     # are masked out mid-stream, and both stage outputs are automaton-accepted

@@ -132,6 +132,15 @@ def test_reference_with_trailing_newline_stays_literal():
     assert serialize_plan(outcome.plan) == text
 
 
+def test_reference_with_non_ascii_digit_stays_literal():
+    # U+0663 ARABIC-INDIC DIGIT THREE is a Unicode digit, not an index digit.
+    text = '[{"tool_name":"a","arguments":[{"argument_name":"x","argument_value":"$$PREV[\\u0663]"}]}]'
+    outcome = parse_plan(text)
+    assert outcome.plan.calls[0].argument("x") == Literal("$$PREV[\u0663]")
+    assert serialize_plan(outcome.plan) == text
+    assert [d.kind for d in validate_refs(outcome.plan)] == ["malformed_reference"]
+
+
 def test_validate_refs_reports_each_kind(fixture_registry):
     plan = Plan((
         ToolCall("who_am_i"),

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainplan.retrieval import (
     HashEmbeddingProvider,
@@ -11,6 +14,7 @@ from chainplan.retrieval import (
     load_corpus,
     retrieve_top_k,
     save_corpus,
+    tool_embedding_text,
     top_n_recall,
 )
 
@@ -60,8 +64,6 @@ def test_hash_provider_is_deterministic():
 
 
 def test_index_corpus_nine_tools(fixture_registry):
-    from chainplan.retrieval import tool_embedding_text
-
     provider = HashEmbeddingProvider()
     items = [(name, tool_embedding_text(spec)) for name, spec in fixture_registry.tools.items()]
     corpus = index_corpus(provider, items, registry_version=fixture_registry.version)
@@ -124,6 +126,81 @@ def test_retrieve_matches_exhaustive_sort_oracle():
             key=lambda pair: (-pair[1], pair[0]),
         )[:k]
         assert got == oracle
+
+
+class TableProvider:
+    """Embeds each text as the vector the test gave it."""
+
+    provider_id = "table"
+    dimension = None
+
+    def __init__(self, table):
+        self.table = table
+
+    def embed(self, text):
+        return list(self.table[text])
+
+
+def _oracle_top_k(query_vec, corpus, k):
+    return sorted(
+        ((item.id, cosine(query_vec, list(item.vector))) for item in corpus.items),
+        key=lambda pair: (-pair[1], pair[0]),
+    )[:k]
+
+
+@st.composite
+def _retrieval_cases(draw):
+    dimension = draw(st.integers(1, 6))
+    component = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+    vector = st.lists(component, min_size=dimension, max_size=dimension).filter(
+        lambda v: sum(x * x for x in v) > 0.0
+    )
+    distinct = draw(st.lists(vector, min_size=1, max_size=5))
+    size = draw(st.integers(1, 12))
+    # Several items share a text, hence a vector and an exact score, and ids
+    # are shuffled against item order, so ties must be broken by id.
+    texts = [f"doc{draw(st.integers(0, len(distinct) - 1))}" for _ in range(size)]
+    ids = draw(st.permutations([f"id{i:02d}" for i in range(size)]))
+    table = {f"doc{i}": v for i, v in enumerate(distinct)}
+    table["query"] = draw(vector)
+    return table, list(zip(ids, texts)), draw(st.integers(1, size + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_retrieval_cases())
+def test_retrieve_equals_cosine_sort_oracle_exactly(case):
+    table, items, k = case
+    provider = TableProvider(table)
+    corpus = index_corpus(provider, items)
+    got = retrieve_top_k("query", corpus, provider, k)
+    assert got == _oracle_top_k(table["query"], corpus, k)
+    assert len(got) == min(k, len(items))
+
+
+def test_retrieve_zero_vectors_and_wrong_dimension_raise():
+    table = {"a": [1.0, -2.0], "zero": [0.0, 0.0], "q": [0.5, 0.5], "q3": [1.0, 1.0, 1.0]}
+    provider = TableProvider(table)
+    with pytest.raises(RetrievalError, match="cosine of a zero vector is undefined"):
+        retrieve_top_k("q", index_corpus(provider, [("a", "a"), ("z", "zero")]), provider, k=1)
+    corpus = index_corpus(provider, [("a", "a")])
+    with pytest.raises(RetrievalError, match="cosine of a zero vector is undefined"):
+        retrieve_top_k("zero", corpus, provider, k=1)
+    with pytest.raises(RetrievalError, match="dimension mismatch"):
+        retrieve_top_k("q3", corpus, provider, k=1)
+    assert retrieve_top_k("q", corpus, provider, k=1) == [("a", cosine([0.5, 0.5], [1.0, -2.0]))]
+
+
+def test_hash_embeddings_are_pinned(fixture_registry, golden_examples):
+    # sha256 over the vectors of the fixture tool texts and golden queries,
+    # each embedded twice by one provider; the digest was taken before
+    # trigram hashing was memoized, so the memo changes no vector.
+    texts = [tool_embedding_text(spec) for spec in fixture_registry.tools.values()]
+    texts += [example.query for example in golden_examples]
+    provider = HashEmbeddingProvider()
+    digest = hashlib.sha256()
+    for text in texts + texts:
+        digest.update(json.dumps(provider.embed(text)).encode("utf-8"))
+    assert digest.hexdigest() == "187301b2ba4727a6847a95695a1e4348faf788a8c2fcb96e6969e498cd4cf20d"
 
 
 def test_retrieve_ties_broken_by_ascending_id():
@@ -195,6 +272,37 @@ def test_corpus_stale_version_rejected(tmp_path):
     save_corpus(corpus, target)
     with pytest.raises(RetrievalError):
         load_corpus(target, expect_registry_version="v2")
+
+
+def test_saved_corpus_bytes_unchanged_by_retrieval(tmp_path):
+    provider = HashEmbeddingProvider()
+    corpus = index_corpus(provider, [("a", "alpha"), ("b", "beta")], registry_version="v1")
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    save_corpus(corpus, before)
+    retrieve_top_k("alphabet", corpus, provider, k=1)
+    save_corpus(corpus, after)
+    assert before.read_bytes() == after.read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("damage", "message"),
+    [
+        (lambda items: items[1]["vector"].pop(), r"item 1 \('b'\): vector has dimension 63, expected 64"),
+        (lambda items: items[1]["vector"].__setitem__(5, float("nan")), r"item 1 \('b'\): non-finite"),
+        (lambda items: items[2].__setitem__("id", "a"), r"item 2: duplicate corpus id 'a'"),
+    ],
+    ids=["truncated", "nan", "duplicate-id"],
+)
+def test_load_corpus_rejects_bad_items(tmp_path, damage, message):
+    provider = HashEmbeddingProvider()
+    corpus = index_corpus(provider, [("a", "alpha"), ("b", "beta"), ("c", "gamma")])
+    target = tmp_path / "corpus.json"
+    save_corpus(corpus, target)
+    doc = json.loads(target.read_text(encoding="utf-8"))
+    damage(doc["items"])
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(RetrievalError, match=message):
+        load_corpus(target)
 
 
 def test_remote_embedding_provider_against_stub():
