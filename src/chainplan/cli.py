@@ -257,7 +257,7 @@ def cmd_exec(tools, in_file, out):
     from .executor import ExecutionError
 
     try:
-        trace = execute(outcome.plan, StubRuntime(), build_graph(registry))
+        trace = execute(outcome.plan, StubRuntime())
     except ExecutionError as exc:
         _fail(str(exc))
     if out:

@@ -10,6 +10,11 @@ distributions are inaccessible.
 
 States are immutable tuples; transitions are pure functions of
 (state, character), so one automaton may serve many concurrent sessions.
+They are built from a few general pieces: one literal state matches every
+fixed text (``("lit", text, i, then)`` continues in ``then``), one number
+machine serves integers, unsigned ids and floats, one fixed-words machine
+serves ``true``/``false`` and ``null``, and an object member's value is a
+union of string, float, boolean and null run by the union machine.
 Each automaton hand-writes only its ``transition``; the next-character set of
 a state is derived from it over printable ASCII. That set is exact because
 tool and argument names must be identifiers (``[A-Za-z0-9_]+``), which the
@@ -50,11 +55,6 @@ _DIGITS_NONZERO = frozenset("123456789")
 
 _PREV_LIT = '"$$PREV['
 
-_CALL_HEAD = '"tool_name":"'
-_CALL_MID = ',"arguments":['
-_ARG_HEAD = '"argument_name":"'
-_ARG_MID = ',"argument_value":'
-
 
 class SchemaCompileError(ValueError):
     """The registry cannot be compiled into an automaton."""
@@ -75,6 +75,13 @@ class DecodeRejection(ValueError):
 # Value sub-machines. A value spec is a nested tuple; value states are nested
 # tuples tagged by machine. ``None`` from _v_step means reject.
 # ---------------------------------------------------------------------------
+
+_NUMBER_KINDS = frozenset(("integer", "uint", "float"))
+_WORDS = {"boolean": ("true", "false"), "null": ("null",)}
+
+# An object member's value: the four branches start with distinct characters.
+_MEMBER_SPEC = ("union", (("string",), ("float",), ("boolean",), ("null",)))
+
 
 def _value_spec(vt: ValueType) -> tuple:
     if vt.kind == "primitive":
@@ -101,29 +108,16 @@ def argument_value_spec(vt: ValueType) -> tuple:
     return ("union", (inner, ("prev",), ("wrap",)))
 
 
+_V_INIT = {
+    "union": ("u0",), "string": ("s0",), "integer": ("n0",), "uint": ("n0",), "float": ("n0",),
+    "boolean": ("word", ""), "null": ("word", ""), "object": ("o0",), "list": ("l0",),
+    "prev": ("p", 0), "wrap": ("w0",),
+}
+_V_DONE = {"string": ("sdone",), "prev": ("pdone",), "wrap": ("wdone",), "object": ("odone",), "list": ("ldone",)}
+
+
 def _v_init(spec: tuple) -> tuple:
-    kind = spec[0]
-    if kind == "union":
-        return ("u0",)
-    if kind == "string":
-        return ("s0",)
-    if kind == "integer":
-        return ("i0",)
-    if kind == "uint":
-        return ("ui0",)
-    if kind == "float":
-        return ("f0",)
-    if kind == "boolean":
-        return ("b", "")
-    if kind == "object":
-        return ("o0",)
-    if kind == "list":
-        return ("l0",)
-    if kind == "prev":
-        return ("p", 0)
-    if kind == "wrap":
-        return ("w0",)
-    raise ValueError(f"unknown value spec {spec!r}")
+    return _V_INIT[spec[0]]
 
 
 def _v_step(spec: tuple, state: tuple, ch: str):  # noqa: C901 - one dispatcher
@@ -168,69 +162,27 @@ def _v_step(spec: tuple, state: tuple, ch: str):  # noqa: C901 - one dispatcher
             return None
         return None  # sdone
 
-    if kind in ("integer", "uint"):
+    if kind in _NUMBER_KINDS:
+        # -?(0|[1-9][0-9]*)(\.[0-9]+)?: no sign for uint, a fraction only
+        # for float, at most MAX_NUMBER_DIGITS digits in each digit run.
         tag = state[0]
-        if tag in ("i0", "ui0"):
-            if kind == "integer" and ch == "-":
-                return ("ineg",)
+        if tag == "n0" and ch == "-" and kind != "uint":
+            return ("nneg",)
+        if tag in ("n0", "nneg"):
             if ch == "0":
-                return ("iz",)
-            if ch in _DIGITS_NONZERO:
-                return ("id", 1)
-            return None
-        if tag == "ineg":
-            if ch == "0":
-                return ("iz",)
-            if ch in _DIGITS_NONZERO:
-                return ("id", 1)
-            return None
-        if tag == "id":
-            n = state[1]
-            if ch in _DIGITS and n < MAX_NUMBER_DIGITS:
-                return ("id", n + 1)
-            return None
-        return None  # iz
-
-    if kind == "float":
-        tag = state[0]
-        if tag == "f0":
-            if ch == "-":
-                return ("fneg",)
-            if ch == "0":
-                return ("fz",)
-            if ch in _DIGITS_NONZERO:
-                return ("fi", 1)
-            return None
-        if tag == "fneg":
-            if ch == "0":
-                return ("fz",)
-            if ch in _DIGITS_NONZERO:
-                return ("fi", 1)
-            return None
-        if tag == "fz":
-            return ("fdot",) if ch == "." else None
-        if tag == "fi":
-            n = state[1]
-            if ch in _DIGITS and n < MAX_NUMBER_DIGITS:
-                return ("fi", n + 1)
-            if ch == ".":
-                return ("fdot",)
-            return None
-        if tag == "fdot":
-            return ("ff", 1) if ch in _DIGITS else None
-        if tag == "ff":
-            n = state[1]
-            if ch in _DIGITS and n < MAX_NUMBER_DIGITS:
-                return ("ff", n + 1)
-            return None
+                return ("nz",)
+            return ("ni", 1) if ch in _DIGITS_NONZERO else None
+        if ch == "." and kind == "float" and tag in ("nz", "ni"):
+            return ("ndot",)
+        if tag == "ndot":
+            return ("nf", 1) if ch in _DIGITS else None
+        if tag in ("ni", "nf") and ch in _DIGITS and state[1] < MAX_NUMBER_DIGITS:
+            return (tag, state[1] + 1)
         return None
 
-    if kind == "boolean":
-        prefix = state[1]
-        for lit in ("true", "false"):
-            if lit.startswith(prefix) and len(prefix) < len(lit) and lit[len(prefix)] == ch:
-                return ("b", prefix + ch)
-        return None
+    if kind in _WORDS:
+        text = state[1] + ch
+        return ("word", text) if any(word.startswith(text) for word in _WORDS[kind]) else None
 
     if kind == "prev":
         tag = state[0]
@@ -282,32 +234,13 @@ def _v_step(spec: tuple, state: tuple, ch: str):  # noqa: C901 - one dispatcher
                 return ("ok", n + 1)
             return None
         if tag == "oc":
-            return ("om0",) if ch == ":" else None
-        if tag == "om0":
-            if ch == '"':
-                return ("om", "s", ("s", 0))
-            if ch == "-" or ch in _DIGITS:
-                nxt = _v_step(("float",), ("f0",), ch)
-                return None if nxt is None else ("om", "f", nxt)
-            if ch in "tf":
-                return ("om", "b", ("b", ch))
-            if ch == "n":
-                return ("om", "n", 1)
-            return None
+            return ("om", _v_init(_MEMBER_SPEC)) if ch == ":" else None
         if tag == "om":
-            mk, sub = state[1], state[2]
-            if mk == "n":
-                if sub < 4 and ch == "null"[sub]:
-                    return ("om", "n", sub + 1)
-                nxt = None
-                done = sub == 4
-            else:
-                mspec = {"s": ("string",), "f": ("float",), "b": ("boolean",)}[mk]
-                nxt = _v_step(mspec, sub, ch)
-                done = _v_done(mspec, sub)
+            sub = state[1]
+            nxt = _v_step(_MEMBER_SPEC, sub, ch)
             if nxt is not None:
-                return ("om", mk, nxt)
-            if done:
+                return ("om", nxt)
+            if _v_done(_MEMBER_SPEC, sub):
                 if ch == ",":
                     return ("onk",)
                 if ch == "}":
@@ -350,28 +283,26 @@ def _v_done(spec: tuple, state: tuple) -> bool:
     kind = spec[0]
     if kind == "union":
         return state != ("u0",) and _v_done(spec[1][state[1]], state[2])
-    if kind == "string":
-        return state == ("sdone",)
-    if kind in ("integer", "uint"):
-        return state[0] in ("iz", "id")
-    if kind == "float":
-        return state[0] in ("fz", "fi", "ff")
-    if kind == "boolean":
-        return state[1] in ("true", "false")
-    if kind == "prev":
-        return state == ("pdone",)
-    if kind == "wrap":
-        return state == ("wdone",)
-    if kind == "object":
-        return state == ("odone",)
-    if kind == "list":
-        return state == ("ldone",)
-    raise ValueError(f"unknown value spec {spec!r}")
+    if kind in _NUMBER_KINDS:
+        return state[0] in ("nz", "ni", "nf")
+    if kind in _WORDS:
+        return state[1] in _WORDS[kind]
+    return state == _V_DONE[kind]
 
 
 # ---------------------------------------------------------------------------
 # Automata. Each hand-writes only ``transition``; ``allowed`` is derived.
+# Fixed texts are matched by one literal state, ``("lit", text, i, then)``:
+# it takes ``text[i]`` and, at the end of ``text``, continues in ``then``.
 # ---------------------------------------------------------------------------
+
+def _lit_step(state: tuple, ch: str):
+    _, text, i, then = state
+    if ch != text[i]:
+        return None
+    i += 1
+    return then if i == len(text) else ("lit", text, i, then)
+
 
 def _require_identifiers(names, what: str) -> None:
     for name in names:
@@ -397,6 +328,13 @@ class _Automaton:
         return frozenset(ch for ch in _PRINTABLE if transition(state, ch) is not None)
 
 
+_CALL_OPEN = '{"tool_name":"'
+_CALL_MID = ',"arguments":['
+_ARG_OPEN = '{"argument_name":"'
+_ARG_MID = ',"argument_value":'
+_CALL_CLOSE = ("lit", "}", 0, ("plan_sep",))
+
+
 class PlanAutomaton(_Automaton):
     """Deterministic character acceptor for schema-valid plan texts."""
 
@@ -405,8 +343,11 @@ class PlanAutomaton(_Automaton):
             raise SchemaCompileError("cannot compile a schema for an empty registry")
         _require_identifiers(registry.tools, "tool")
         for spec in registry.tools.values():
-            _require_identifiers(spec.argument_names, f"tool {spec.name!r} argument")
-        self.registry_version = registry.version
+            names = spec.argument_names
+            _require_identifiers(names, f"tool {spec.name!r} argument")
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise SchemaCompileError(f"tool {spec.name!r} has two arguments named {name!r}")
         self._tool_names = tuple(sorted(registry.tools))
         self._tool_set = frozenset(self._tool_names)
         self._args = {name: spec.argument_names for name, spec in registry.tools.items()}
@@ -418,60 +359,36 @@ class PlanAutomaton(_Automaton):
 
     def transition(self, state: tuple, ch: str):  # noqa: C901 - one dispatcher
         tag = state[0]
+        if tag == "lit":
+            return _lit_step(state, ch)
         if tag == "start":
             return ("plan_open",) if ch == "[" else None
         if tag == "plan_open":
             if ch == "]":
                 return ("accept",)
-            if ch == "{":
-                return ("chead", 0)
-            return None
-        if tag == "call_open":
-            return ("chead", 0) if ch == "{" else None
-        if tag == "chead":
-            i = state[1]
-            if ch == _CALL_HEAD[i]:
-                return ("tool", "") if i == len(_CALL_HEAD) - 1 else ("chead", i + 1)
-            return None
+            return ("lit", _CALL_OPEN, 1, ("tool", "")) if ch == "{" else None
         if tag == "tool":
             prefix = state[1]
             if ch == '"' and prefix in self._tool_set:
-                return ("cmid", prefix, 0)
+                return ("lit", _CALL_MID, 0, ("args_open", prefix))
             cand = prefix + ch
             return ("tool", cand) if _extends(self._tool_names, cand) else None
-        if tag == "cmid":
-            tool, i = state[1], state[2]
-            if ch == _CALL_MID[i]:
-                return ("args_open", tool) if i == len(_CALL_MID) - 1 else ("cmid", tool, i + 1)
-            return None
         if tag == "args_open":
             tool = state[1]
             if ch == "]":
-                return ("call_tail",)
+                return _CALL_CLOSE
             if ch == "{" and self._args[tool]:
-                return ("ahead", tool, frozenset(), 0)
-            return None
-        if tag == "ahead":
-            tool, used, i = state[1], state[2], state[3]
-            if ch == _ARG_HEAD[i]:
-                return ("aname", tool, used, "") if i == len(_ARG_HEAD) - 1 else ("ahead", tool, used, i + 1)
+                return ("lit", _ARG_OPEN, 1, ("aname", tool, frozenset(), ""))
             return None
         if tag == "aname":
             tool, used, prefix = state[1], state[2], state[3]
             unused = [a for a in self._args[tool] if a not in used]
             if ch == '"' and prefix in unused:
-                return ("amid", tool, prefix, used, 0)
+                spec = self._arg_specs[(tool, prefix)]
+                return ("lit", _ARG_MID, 0, ("value", tool, prefix, used, _v_init(spec)))
             cand = prefix + ch
             if any(a.startswith(cand) for a in unused):
                 return ("aname", tool, used, cand)
-            return None
-        if tag == "amid":
-            tool, arg, used, i = state[1], state[2], state[3], state[4]
-            if ch == _ARG_MID[i]:
-                if i == len(_ARG_MID) - 1:
-                    spec = self._arg_specs[(tool, arg)]
-                    return ("value", tool, arg, used, _v_init(spec))
-                return ("amid", tool, arg, used, i + 1)
             return None
         if tag == "value":
             tool, arg, used, vstate = state[1], state[2], state[3], state[4]
@@ -485,17 +402,13 @@ class PlanAutomaton(_Automaton):
         if tag == "arg_sep":
             tool, used = state[1], state[2]
             if ch == "]":
-                return ("call_tail",)
+                return _CALL_CLOSE
             if ch == "," and len(used) < len(self._args[tool]):
-                return ("arg_open", tool, used)
+                return ("lit", _ARG_OPEN, 0, ("aname", tool, used, ""))
             return None
-        if tag == "arg_open":
-            return ("ahead", state[1], state[2], 0) if ch == "{" else None
-        if tag == "call_tail":
-            return ("plan_sep",) if ch == "}" else None
         if tag == "plan_sep":
             if ch == ",":
-                return ("call_open",)
+                return ("lit", _CALL_OPEN, 0, ("tool", ""))
             if ch == "]":
                 return ("accept",)
             return None
@@ -510,9 +423,11 @@ def compile_schema(registry: Registry) -> PlanAutomaton:
 # Sub-task automaton: [{"id": n, "thought": str, "tool_name": enum}]
 # ---------------------------------------------------------------------------
 
-_ST_HEAD = '"id":'
-_ST_MID = ',"thought":'
-_ST_TAIL = ',"tool_name":"'
+_ST_OPEN = '{"id":'
+_ST_THOUGHT = ',"thought":'
+_ST_TOOL = ',"tool_name":"'
+_ST_ID = ("idval", _v_init(("uint",)))
+_ST_CLOSE = ("lit", "}", 0, ("item_sep",))
 
 
 class SubTaskAutomaton(_Automaton):
@@ -528,58 +443,39 @@ class SubTaskAutomaton(_Automaton):
 
     def transition(self, state: tuple, ch: str):  # noqa: C901
         tag = state[0]
+        if tag == "lit":
+            return _lit_step(state, ch)
         if tag == "start":
             return ("first",) if ch == "[" else None
         if tag == "first":
             if ch == "]":
                 return ("accept",)
-            if ch == "{":
-                return ("hlit", 0)
-            return None
-        if tag == "item_open":
-            return ("hlit", 0) if ch == "{" else None
-        if tag == "hlit":
-            i = state[1]
-            if ch == _ST_HEAD[i]:
-                return ("idval", ("ui0",)) if i == len(_ST_HEAD) - 1 else ("hlit", i + 1)
-            return None
+            return ("lit", _ST_OPEN, 1, _ST_ID) if ch == "{" else None
         if tag == "idval":
             sub = state[1]
             nxt = _v_step(("uint",), sub, ch)
             if nxt is not None:
                 return ("idval", nxt)
-            if _v_done(("uint",), sub) and ch == _ST_MID[0]:
-                return ("tlit", 1)
-            return None
-        if tag == "tlit":
-            i = state[1]
-            if ch == _ST_MID[i]:
-                return ("tstr", ("s0",)) if i == len(_ST_MID) - 1 else ("tlit", i + 1)
+            if _v_done(("uint",), sub) and ch == ",":
+                return ("lit", _ST_THOUGHT, 1, ("tstr", ("s0",)))
             return None
         if tag == "tstr":
             sub = state[1]
             nxt = _v_step(("string",), sub, ch)
             if nxt is not None:
                 return ("tstr", nxt)
-            if _v_done(("string",), sub) and ch == _ST_TAIL[0]:
-                return ("nlit", 1)
-            return None
-        if tag == "nlit":
-            i = state[1]
-            if ch == _ST_TAIL[i]:
-                return ("tname", "") if i == len(_ST_TAIL) - 1 else ("nlit", i + 1)
+            if _v_done(("string",), sub) and ch == ",":
+                return ("lit", _ST_TOOL, 1, ("tname", ""))
             return None
         if tag == "tname":
             prefix = state[1]
             if ch == '"' and prefix in self._tool_set:
-                return ("item_close",)
+                return _ST_CLOSE
             cand = prefix + ch
             return ("tname", cand) if _extends(self._tool_names, cand) else None
-        if tag == "item_close":
-            return ("item_sep",) if ch == "}" else None
         if tag == "item_sep":
             if ch == ",":
-                return ("item_open",)
+                return ("lit", _ST_OPEN, 0, _ST_ID)
             if ch == "]":
                 return ("accept",)
             return None

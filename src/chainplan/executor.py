@@ -16,7 +16,6 @@ from typing import Any
 
 from .plan import ListOf, Literal, Plan, PrevRef, validate_refs
 from .registry import ArgSpec, Registry, ToolSpec, primitive
-from .typegraph import TypeGraph
 
 
 class ExecutionError(RuntimeError):
@@ -118,7 +117,7 @@ def _resolve(value, outputs: list[RuntimeValue], step: int) -> RuntimeValue:
     raise ExecutionError(f"unknown argument value {value!r}", step=step)
 
 
-def execute(plan: Plan, runtime, graph: TypeGraph | None = None) -> ExecutionTrace:
+def execute(plan: Plan, runtime) -> ExecutionTrace:
     """Run the plan sequentially on the runtime.
 
     Pre-flight: every tool must be covered by the runtime and

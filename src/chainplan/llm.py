@@ -117,10 +117,6 @@ class ScriptedModel:
         self.prompt_tokens = 0
         self.completion_tokens = 0
 
-    @classmethod
-    def from_prompts(cls, prompt_responses: list[tuple[str, str]], strict: bool = False) -> "ScriptedModel":
-        return cls([(fingerprint(p), r) for p, r in prompt_responses], strict=strict)
-
     def complete(self, request: CompletionRequest) -> CompletionResult:
         fp = fingerprint(request.prompt)
         if self.strict:

@@ -2,8 +2,8 @@
 
 Tools are described in JSON files (see ``load_registry``) so that nothing else
 in the system hard-codes tool knowledge. A registry is immutable once built;
-derived structures (retrieval corpora, type graphs, schema automatons) key on
-its ``version`` and must never silently desync from it.
+a saved retrieval corpus records its ``version`` and is refused when loaded
+against a different one.
 """
 
 from __future__ import annotations

@@ -200,6 +200,8 @@ def retrieve_top_k(query: str, corpus: Corpus, provider, k: int) -> list[tuple[s
     query_norm = math.sqrt(sum(map(operator.mul, query_vec, query_vec)))
     if query_norm == 0.0:
         raise RetrievalError("cosine of a zero vector is undefined")
+    if not math.isfinite(query_norm):
+        raise RetrievalError("query vector has a NaN or infinite value")
     # The same products, summed in the same order and divided the same way
     # as cosine(query_vec, item.vector), so every score equals it exactly.
     scored = [
@@ -233,6 +235,9 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 def load_corpus(path: str | Path, expect_registry_version: str | None = None) -> Corpus:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    for key in ("provider", "dimension", "registry_version", "kind", "items"):
+        if key not in doc:
+            raise RetrievalError(f"corpus file lacks the key {key!r}")
     if expect_registry_version is not None and doc["registry_version"] != expect_registry_version:
         raise RetrievalError(
             f"stale corpus: indexed for registry {doc['registry_version']!r}, "
@@ -242,7 +247,10 @@ def load_corpus(path: str | Path, expect_registry_version: str | None = None) ->
     seen: set[str] = set()
     items: list[CorpusItem] = []
     for index, raw in enumerate(doc["items"]):
-        vector = tuple(float(v) for v in raw["vector"])
+        try:
+            vector = tuple(float(v) for v in raw["vector"])
+        except (TypeError, ValueError) as exc:
+            raise RetrievalError(f"item {index} ({raw['id']!r}): non-numeric vector value: {exc}") from None
         _check_item(index, raw["id"], vector, dimension, seen)
         items.append(CorpusItem(id=raw["id"], text=raw["text"], vector=vector))
     return Corpus(

@@ -31,9 +31,7 @@ class TypeEdge:
 class TypeGraph:
     """Immutable after build; check/repair are pure and safe to share."""
 
-    def __init__(self, registry_version: str, returns: dict[str, ValueType],
-                 arguments: dict[str, dict[str, ValueType]]):
-        self.registry_version = registry_version
+    def __init__(self, returns: dict[str, ValueType], arguments: dict[str, dict[str, ValueType]]):
         self.tool_names = frozenset(returns)
         self._returns = returns
         self._arguments = arguments
@@ -78,7 +76,6 @@ def build_graph(registry: Registry) -> TypeGraph:
     type(g) = list of returns(A); no edge otherwise. Ordered pairs include
     A = B since a tool may feed a later call of itself."""
     return TypeGraph(
-        registry.version,
         {name: spec.returns for name, spec in registry.tools.items()},
         {name: {arg.name: arg.value_type for arg in spec.arguments} for name, spec in registry.tools.items()},
     )

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -67,6 +68,24 @@ def test_compile_rejects_non_identifier_names():
             compile_schema(registry(tool_name, argument_name))
     with pytest.raises(SchemaCompileError):
         compile_subtask_schema(["who_am_i", "a b"])
+
+
+def test_compile_rejects_duplicate_argument_names():
+    # A tool file may hold them (validate_registry reports them as errors),
+    # but the automaton would offer a second argument it cannot name.
+    from chainplan.registry import load_registry
+
+    doc = json.dumps([{
+        "tool_name": "t",
+        "tool_description": "d",
+        "arguments": [
+            {"argument_name": "a", "argument_type": "string"},
+            {"argument_name": "a", "argument_type": "integer"},
+        ],
+        "return_type": "string",
+    }])
+    with pytest.raises(SchemaCompileError, match="tool 't' has two arguments named 'a'"):
+        compile_schema(load_registry(doc))
 
 
 def test_allowed_next_at_start(automaton):
@@ -429,3 +448,54 @@ def test_repair_output_is_pinned(fixture_registry, golden_examples):
             record = [out, [[e.kind, e.position, e.text] for e in edits]]
             digest.update(json.dumps(record).encode("utf-8"))
     assert digest.hexdigest() == "814ca6b74e73b7c56e8e62d9b729a3ab31beec52da44fe0ff1e96a6c015cca4b"
+
+
+def _char_class(ch: str) -> str:
+    return "0" if ch.isdigit() else "a" if ch.isalpha() else ch
+
+
+def _walk_choice(rng: random.Random, allowed: frozenset[str]) -> str:
+    # Free string bodies close early and plans, argument lists and lists go
+    # on more often than they close, so the walk's steps reach values; half
+    # the other picks are uniform over character classes (digits, letters,
+    # each other character), so signs, escapes and literals come up.
+    chars = sorted(allowed)
+    if '"' in allowed and len(chars) > 60 and rng.random() < 0.25:
+        return '"'
+    if len(chars) == 2 and "]" in allowed and rng.random() < 0.6:
+        return chars[0] if chars[1] == "]" else chars[1]
+    if rng.random() < 0.5:
+        return rng.choice(chars)
+    picked = rng.choice(sorted({_char_class(c) for c in chars}))
+    return rng.choice([c for c in chars if _char_class(c) == picked])
+
+
+def test_allowed_sets_are_pinned(fixture_registry):
+    # sha256 over the allowed set, the accepting flag and the accepted
+    # characters of "\t\né" at every step of seeded random walks, for both
+    # automata, over the fixture and twelve synthetic registries (integer,
+    # float, boolean, object and list arguments). test_mask.py cannot see a
+    # change to the accepted language, since peek steps the same transition;
+    # this can.
+    import hashlib
+
+    from conftest import random_registry
+
+    rng = random.Random(4096)
+    registries = [fixture_registry] + [random_registry(random.Random(seed), max_tools=8) for seed in range(12)]
+    digest = hashlib.sha256()
+    states = 0
+    for registry in registries:
+        for automaton in (compile_schema(registry), compile_subtask_schema(registry.names)):
+            for _ in range(4):
+                session = DecoderSession(automaton)
+                while True:
+                    allowed, end = session.allowed_next()
+                    probed = "".join(c for c in "\t\né" if automaton.transition(session.state, c) is not None)
+                    digest.update(f"{''.join(sorted(allowed))}|{end}|{probed}\n".encode("utf-8"))
+                    states += 1
+                    if end:
+                        break
+                    session.advance(_walk_choice(rng, allowed))
+    assert states > 20_000
+    assert digest.hexdigest() == "579c408c1f9f4f81a845b2490af7e43d1db38066720da1acd8220b8445e3e3dd"

@@ -15,7 +15,6 @@ from chainplan.executor import (
     register_operator_tools,
 )
 from chainplan.plan import ListOf, Literal, Plan, PrevRef, ToolCall, parse_plan
-from chainplan.typegraph import build_graph
 
 
 def test_execute_two_step_chain(fixture_registry):
@@ -23,7 +22,7 @@ def test_execute_two_step_chain(fixture_registry):
         ToolCall("who_am_i"),
         ToolCall("works_list", (("owned_by", ListOf((PrevRef(0),))),)),
     ))
-    trace = execute(plan, StubRuntime(), build_graph(fixture_registry))
+    trace = execute(plan, StubRuntime())
     assert len(trace.steps) == 2
     owned_by = trace.steps[1].arguments["owned_by"]
     assert isinstance(owned_by, ListVal)
@@ -31,7 +30,7 @@ def test_execute_two_step_chain(fixture_registry):
 
 
 def test_execute_empty_plan(fixture_registry):
-    trace = execute(Plan(), StubRuntime(), build_graph(fixture_registry))
+    trace = execute(Plan(), StubRuntime())
     assert trace.steps == []
 
 
@@ -48,14 +47,14 @@ def test_execute_uncovered_tool_preflight(fixture_registry):
     runtime = Recording()
     plan = Plan((ToolCall("who_am_i"), ToolCall("unknown_tool")))
     with pytest.raises(ExecutionError):
-        execute(plan, runtime, build_graph(fixture_registry))
+        execute(plan, runtime)
     assert runtime.invocations == 0
 
 
 def test_execute_rejects_forward_reference(fixture_registry):
     plan = Plan((ToolCall("works_list", (("owned_by", ListOf((PrevRef(0),))),)),))
     with pytest.raises(ExecutionError):
-        execute(plan, StubRuntime(), build_graph(fixture_registry))
+        execute(plan, StubRuntime())
 
 
 def test_execute_rejects_malformed_reference_before_invoking(fixture_registry):
@@ -72,7 +71,7 @@ def test_execute_rejects_malformed_reference_before_invoking(fixture_registry):
         ToolCall("works_list", (("owned_by", ListOf((Literal("$$PREV[x]"),))),)),
     ))
     with pytest.raises(ExecutionError, match="malformed reference"):
-        execute(plan, runtime, build_graph(fixture_registry))
+        execute(plan, runtime)
     assert runtime.invocations == 0
 
 
@@ -93,7 +92,7 @@ def test_execute_resolution_uses_trace_not_reinvocation(fixture_registry):
         ToolCall("summarize_objects", (("objects", PrevRef(1)),)),
         ToolCall("prioritize_objects", (("objects", PrevRef(1)),)),
     ))
-    execute(plan, runtime, build_graph(fixture_registry))
+    execute(plan, runtime)
     assert runtime.count["who_am_i"] == 1
     assert runtime.count["works_list"] == 1
 
@@ -102,7 +101,7 @@ def test_trace_dump_is_json(fixture_registry):
     import json
 
     plan = Plan((ToolCall("get_sprint_id"),))
-    trace = execute(plan, StubRuntime(), build_graph(fixture_registry))
+    trace = execute(plan, StubRuntime())
     doc = json.loads(trace.to_json())
     assert doc[0]["tool_name"] == "get_sprint_id"
     assert doc[0]["output"] == "SPRINT-42"
@@ -225,8 +224,7 @@ def test_operator_pseudo_tools_chain_via_references(fixture_registry):
     )
     outcome = parse_plan(text)
     assert outcome.ok
-    extended = register_operator_tools(fixture_registry)
-    trace = execute(outcome.plan, StubRuntime(), build_graph(extended))
+    trace = execute(outcome.plan, StubRuntime())
     assert trace.outputs[0] == Scalar(5)
     assert trace.outputs[1] == Scalar(20)
     assert trace.outputs[2] == Scalar(True)
@@ -246,7 +244,7 @@ def test_literal_resolution_kinds(fixture_registry):
             ("owned_by", ListOf((Literal("u1"), Literal("u2")))),
         )),
     ))
-    trace = execute(plan, StubRuntime(), build_graph(fixture_registry))
+    trace = execute(plan, StubRuntime())
     args = trace.steps[0].arguments
     assert args["type"] == Scalar("issue")
     assert args["limit"] == Scalar(5)

@@ -203,6 +203,15 @@ def test_hash_embeddings_are_pinned(fixture_registry, golden_examples):
     assert digest.hexdigest() == "187301b2ba4727a6847a95695a1e4348faf788a8c2fcb96e6969e498cd4cf20d"
 
 
+def test_retrieve_rejects_non_finite_query():
+    table = {"a": [1.0, 0.0], "z": [0.0, 1.0], "nan": [float("nan"), 1.0], "inf": [float("inf"), 1.0]}
+    provider = TableProvider(table)
+    corpus = index_corpus(provider, [("z", "z"), ("a", "a")])
+    for query in ("nan", "inf"):
+        with pytest.raises(RetrievalError, match="NaN or infinite"):
+            retrieve_top_k(query, corpus, provider, k=2)
+
+
 def test_retrieve_ties_broken_by_ascending_id():
     class ConstantProvider:
         provider_id = "constant"
@@ -287,11 +296,13 @@ def test_saved_corpus_bytes_unchanged_by_retrieval(tmp_path):
 @pytest.mark.parametrize(
     ("damage", "message"),
     [
-        (lambda items: items[1]["vector"].pop(), r"item 1 \('b'\): vector has dimension 63, expected 64"),
-        (lambda items: items[1]["vector"].__setitem__(5, float("nan")), r"item 1 \('b'\): non-finite"),
-        (lambda items: items[2].__setitem__("id", "a"), r"item 2: duplicate corpus id 'a'"),
+        (lambda doc: doc["items"][1]["vector"].pop(), r"item 1 \('b'\): vector has dimension 63, expected 64"),
+        (lambda doc: doc["items"][1]["vector"].__setitem__(5, float("nan")), r"item 1 \('b'\): non-finite"),
+        (lambda doc: doc["items"][2].__setitem__("id", "a"), r"item 2: duplicate corpus id 'a'"),
+        (lambda doc: doc["items"][1]["vector"].__setitem__(5, "x"), r"item 1 \('b'\): non-numeric vector value"),
+        (lambda doc: doc.pop("dimension"), r"corpus file lacks the key 'dimension'"),
     ],
-    ids=["truncated", "nan", "duplicate-id"],
+    ids=["truncated", "nan", "duplicate-id", "non-numeric", "missing-key"],
 )
 def test_load_corpus_rejects_bad_items(tmp_path, damage, message):
     provider = HashEmbeddingProvider()
@@ -299,7 +310,7 @@ def test_load_corpus_rejects_bad_items(tmp_path, damage, message):
     target = tmp_path / "corpus.json"
     save_corpus(corpus, target)
     doc = json.loads(target.read_text(encoding="utf-8"))
-    damage(doc["items"])
+    damage(doc)
     target.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(RetrievalError, match=message):
         load_corpus(target)
