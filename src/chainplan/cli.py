@@ -15,7 +15,7 @@ import click
 
 from . import __version__
 from .datasets import DatasetError, load_golden_dataset
-from .enforcer import compile_schema, enforced_repair
+from .enforcer import SchemaCompileError, compile_schema, enforced_repair
 from .executor import StubRuntime, execute, register_operator_tools
 from .llm import CompletionError, RemoteChatModel, load_replay
 from .metrics import EvalRecord, evaluate_dataset, render_csv, render_table
@@ -158,7 +158,7 @@ def cmd_plan(query, pipeline, tools, examples, config_file, replay_file, trace_f
     try:
         runner = run_enchant if pipeline == "enchant" else run_regains
         trace = runner(query, ctx, model, config)
-    except (PipelineError, PromptError, CompletionError, RetrievalError) as exc:
+    except (PipelineError, PromptError, CompletionError, RetrievalError, SchemaCompileError) as exc:
         _fail(str(exc))
     Path(trace_file).write_text(trace.to_json(), encoding="utf-8")
     click.echo(trace.final_text)
@@ -234,7 +234,11 @@ def cmd_enforce(tools, in_file, fmt):
     """Project arbitrary text onto the schema-valid plan language."""
     registry = _load_registry_arg(tools, with_operators=True)
     text = _read_plan_text(in_file)
-    repaired, edits = enforced_repair(compile_schema(registry), text)
+    try:
+        automaton = compile_schema(registry)
+    except SchemaCompileError as exc:
+        _fail(str(exc))
+    repaired, edits = enforced_repair(automaton, text)
     if fmt == "json":
         click.echo(json.dumps({"text": repaired, "edits": [e.__dict__ for e in edits]}, indent=2))
     else:
@@ -310,7 +314,7 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
         for example in examples:
             try:
                 trace = runner(example.query, ctx, model)
-            except (PipelineError, CompletionError) as exc:
+            except (PipelineError, CompletionError, SchemaCompileError) as exc:
                 _fail(f"pipeline failed on {example.query!r}: {exc}")
             predicted_texts.append(trace.final_text)
             traces.append(trace)

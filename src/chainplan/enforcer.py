@@ -26,7 +26,12 @@ character by character would succeed. A session indexes the first vocabulary
 it masks (``TokenIndex``: sorted distinct tokens, one shared-prefix byte per
 token and a token-to-position dict, about 0.5 MB for 8k tokens) and computes
 each mask in one pass over that implicit trie, memoizing transitions for the
-pass; tokens outside the index are fed one by one.
+pass; tokens outside the index are fed one by one. Masks of string states far
+from the cap are reused: when an open string's count ``n`` and the longest
+indexed token's length ``reach`` satisfy ``n + reach <= MAX_STRING_CHARS``,
+every indexed token is accepted from the state exactly when it is accepted
+from its count-free shape (the same state with ``n`` set to 0), so the index
+walks each shape once and keeps the mask for its own life.
 
 Accepted value shapes per argument are deliberately relaxed around
 references: both a bare ``"$$PREV[i]"`` and a singleton ``["$$PREV[i]"]``
@@ -494,6 +499,24 @@ def compile_subtask_schema(tool_names) -> SubTaskAutomaton:
 # recorded as the cap and its rest walked again: slower, never wrong.
 _SHARED_CAP = 255
 _UNSEEN = object()
+_STRING_TAGS = frozenset(("s", "se", "su"))
+
+
+def _count_free_shape(state: tuple, room: int):
+    """``state`` with the count of its open string set to 0, or None unless
+    ``state`` is inside a string whose count leaves at least ``room``
+    characters below ``MAX_STRING_CHARS``.
+
+    An open string state, ``("s", n)``, ``("se", n)`` or ``("su", n, k)``,
+    sits at the last position of every state that contains it.
+    """
+    last = state[-1]
+    if isinstance(last, tuple):
+        inner = _count_free_shape(last, room)
+        return None if inner is None else state[:-1] + (inner,)
+    if state[0] in _STRING_TAGS and state[1] + room <= MAX_STRING_CHARS:
+        return (state[0], 0) + state[2:]
+    return None
 
 
 class TokenIndex:
@@ -501,10 +524,13 @@ class TokenIndex:
     each with the length of the prefix it shares with the token before it.
 
     Costs one list of the tokens, one byte per token and one token-to-position
-    dict: about 0.5 MB for 8k tokens.
+    dict: about 0.5 MB for 8k tokens. Masks of string states with at least
+    ``reach`` (the longest token's length) characters left below
+    ``MAX_STRING_CHARS`` are kept per (automaton, count-free shape) for the
+    life of the index: a few lists of one bool per token.
     """
 
-    __slots__ = ("tokens", "shared", "position")
+    __slots__ = ("tokens", "shared", "position", "reach", "_masks")
 
     def __init__(self, vocabulary):
         self.tokens = sorted(set(vocabulary))
@@ -518,12 +544,30 @@ class TokenIndex:
             self.shared[i] = k
             previous = token
         self.position = {token: i for i, token in enumerate(self.tokens)}
+        self.reach = max(map(len, self.tokens), default=0)
+        self._masks: dict[tuple, list[bool]] = {}
 
     def accepted(self, automaton, state: tuple) -> list[bool]:
         """Per indexed token, whether ``automaton`` consumes all of it from
-        ``state``.
+        ``state``; the list may be shared, so callers must not change it.
 
-        One pass over the sorted tokens: a token starts from the states of
+        A string state with ``n + reach <= MAX_STRING_CHARS`` takes the mask
+        of its count-free shape, walked once per index: every in-string
+        character of an indexed token is then checked at a count below the
+        cap, and the closing quote leads to a count-free state, so each token
+        is accepted from the state exactly when it is from the shape.
+        """
+        shape = _count_free_shape(state, self.reach)
+        if shape is None:
+            return self._walk(automaton, state)
+        key = (automaton, shape)
+        ok = self._masks.get(key)
+        if ok is None:
+            ok = self._masks[key] = self._walk(automaton, shape)
+        return ok
+
+    def _walk(self, automaton, state: tuple) -> list[bool]:
+        """One pass over the sorted tokens: a token starts from the states of
         the prefix it shares with the previous one, and a token that shares a
         rejected prefix is rejected unwalked. Transitions are memoized per
         (state, character) for the pass, so equal states reached by different
@@ -608,8 +652,9 @@ class DecoderSession:
         vocabulary]``; the session state is unchanged.
 
         The first call indexes its vocabulary (``TokenIndex``) for the life
-        of the session; every call walks that index once from the current
-        state. Tokens outside the index are peeked one by one.
+        of the session and its copies; every call walks that index once from
+        the current state, or reuses the walk of its count-free string shape.
+        Tokens outside the index are peeked one by one.
         """
         if self._index is None:
             self._index = TokenIndex(vocabulary)

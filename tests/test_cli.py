@@ -116,6 +116,17 @@ def test_enforce_trailing_comma(runner):
     assert parse_plan(result.output.strip().splitlines()[0]).ok
 
 
+def test_enforce_uncompilable_registry_is_one_line_error(runner, tmp_path):
+    # the loader accepts two arguments of one name; the schema compiler does not
+    argument = {"argument_name": "a", "argument_description": "a", "argument_type": "string", "required": False}
+    tools = tmp_path / "tools.json"
+    tools.write_text(json.dumps([{"tool_name": "t", "tool_description": "t", "arguments": [argument, argument],
+                                  "return_type": "string"}]), encoding="utf-8")
+    result = runner.invoke(main, ["enforce", "--tools", str(tools)], input="[]")
+    assert result.exit_code == 1
+    assert result.output == "Error: tool 't' has two arguments named 'a'\n"
+
+
 def test_exec_runs_plan_on_stub(runner, golden_examples):
     result = runner.invoke(main, ["exec"], input=golden_examples[0].gold_text)
     assert result.exit_code == 0, result.output

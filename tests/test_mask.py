@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainplan.enforcer import (
@@ -116,3 +117,60 @@ def test_copy_shares_the_index_and_masks_from_its_own_state():
     dup = session.copy().advance("ho_am_i")
     assert dup.mask_vocabulary(vocab) == [False, False, False, True]
     assert session.mask_vocabulary(vocab) == [True, True, False, False]
+
+
+# String openers in three places: a sub-task thought, a plan string argument
+# and an element of an array-of-string argument.
+_PLACES = {
+    "thought": ("subtask", _STRING_OPENERS["subtask"]),
+    "string argument": ("fixture", _STRING_OPENERS["fixture"]),
+    "array of string": ("fixture", '[{"tool_name":"works_list","arguments":'
+                                   '[{"argument_name":"owned_by","argument_value":["'),
+}
+_REACH = 8
+# A body token, one that closes the string on its last character and one that
+# closes it and continues; all ``_REACH`` long.
+_EDGE_VOCAB = ["a" * _REACH, "a" * (_REACH - 1) + '"', '","' + "a" * (_REACH - 3)]
+
+
+@pytest.mark.parametrize("place", sorted(_PLACES))
+def test_mask_at_the_shape_reuse_boundary_equals_flat_peek(place):
+    # a string state reuses its count-free shape's mask only with ``_REACH``
+    # characters of room below the cap; one index serves both sides
+    kind, opener = _PLACES[place]
+    session = DecoderSession(_AUTOMATA[kind]).advance(opener + "a" * (MAX_STRING_CHARS - _REACH))
+    for _room in (_REACH, _REACH - 1):
+        for escape in ("", "\\", "\\u0"):
+            at = session.copy().advance(escape)
+            assert at.mask_vocabulary(_EDGE_VOCAB) == _flat(at, _EDGE_VOCAB)
+        session.advance("a")
+
+
+class _CountingTransitions:
+    """An automaton that counts its ``transition`` calls."""
+
+    def __init__(self, automaton):
+        self._automaton = automaton
+        self.initial_state = automaton.initial_state
+        self.calls = 0
+
+    def transition(self, state, ch):
+        self.calls += 1
+        return self._automaton.transition(state, ch)
+
+
+@pytest.mark.parametrize("place", sorted(_PLACES))
+def test_string_masks_reuse_the_walk_of_their_shape(place):
+    kind, opener = _PLACES[place]
+    automaton = _CountingTransitions(_AUTOMATA[kind])
+    vocab = _EDGE_VOCAB + ['"', "\\", "\\u", "é"]
+    session = DecoderSession(automaton).advance(opener)
+    session.mask_vocabulary(vocab)  # walks the shape of a plain string state
+    session.copy().advance("\\").mask_vocabulary(vocab)  # and of one after a backslash
+    for text in ("a", "bc", "\\n", "\\u00e9"):
+        session.advance(text)
+        for at in (session, session.copy().advance("\\")):
+            automaton.calls = 0
+            mask = at.mask_vocabulary(vocab)
+            assert automaton.calls == 0
+            assert mask == _flat(at, vocab)
