@@ -15,8 +15,8 @@ import click
 
 from . import __version__
 from .datasets import DatasetError, load_golden_dataset
-from .enforcer import SchemaCompileError, compile_schema, enforced_repair
-from .executor import StubRuntime, execute, register_operator_tools
+from .enforcer import compile_schema, enforced_repair
+from .executor import ExecutionError, StubRuntime, execute, register_operator_tools
 from .llm import CompletionError, RemoteChatModel, load_replay
 from .metrics import EvalRecord, evaluate_dataset, render_csv, render_table
 from .pipelines import (
@@ -27,7 +27,7 @@ from .pipelines import (
     run_enchant,
     run_regains,
 )
-from .plan import iter_prev_refs, parse_plan, serialize_plan, validate_refs
+from .plan import Plan, iter_prev_refs, parse_plan, serialize_plan, validate_refs
 from .registry import RegistryError, fixture_tools_path, load_registry, validate_registry
 from .retrieval import (
     HashEmbeddingProvider,
@@ -62,6 +62,13 @@ def _read_plan_text(in_file: str | None) -> str:
             raise click.UsageError(f"input file not found: {in_file}")
         return path.read_text(encoding="utf-8")
     return sys.stdin.read()
+
+
+def _read_plan(in_file: str | None) -> Plan:
+    outcome = parse_plan(_read_plan_text(in_file))
+    if not outcome.ok:
+        _fail(f"{outcome.kind}: {outcome.detail}")
+    return outcome.plan
 
 
 def _provider(kind: str):
@@ -103,8 +110,6 @@ def cmd_tools(tools, dump_graph, fmt):
             click.echo(f"  {name}")
         for diag in diagnostics:
             click.echo(f"{diag.severity}: {diag.location}: {diag.message}")
-    if any(d.severity == "error" for d in diagnostics):
-        sys.exit(1)
 
 
 @main.command("index")
@@ -158,7 +163,7 @@ def cmd_plan(query, pipeline, tools, examples, config_file, replay_file, trace_f
     try:
         runner = run_enchant if pipeline == "enchant" else run_regains
         trace = runner(query, ctx, model, config)
-    except (PipelineError, PromptError, CompletionError, RetrievalError, SchemaCompileError) as exc:
+    except (PipelineError, PromptError, CompletionError, RetrievalError) as exc:
         _fail(str(exc))
     Path(trace_file).write_text(trace.to_json(), encoding="utf-8")
     click.echo(trace.final_text)
@@ -175,11 +180,8 @@ def cmd_check(tools, in_file):
     finding on the argument, on its call's tool or on a tool it references).
     Warns on a repairable wrapping mismatch. Exits 1 on any error."""
     registry = _load_registry_arg(tools, with_operators=True)
-    text = _read_plan_text(in_file)
-    outcome = parse_plan(text)
-    if not outcome.ok:
-        _fail(f"{outcome.kind}: {outcome.detail}")
-    findings = validate_refs(outcome.plan, registry)
+    plan = _read_plan(in_file)
+    findings = validate_refs(plan, registry)
     for diag in findings:
         unit = f"call {diag.position}" if diag.argument is None else f"call {diag.position} argument {diag.argument!r}"
         click.echo(f"error: {unit}: {diag.message}")
@@ -187,12 +189,12 @@ def cmd_check(tools, in_file):
     flagged = {(diag.position, diag.argument) for diag in findings}
     unknown_tools = {position for position, argument in flagged if argument is None}
     graph = build_graph(registry)
-    for position, call in enumerate(outcome.plan.calls):
+    for position, call in enumerate(plan.calls):
         for name, value in call.arguments:
             if ((position, name) in flagged or position in unknown_tools
                     or any(ref.index in unknown_tools for ref in iter_prev_refs(value))):
                 continue
-            result = check_ref(graph, outcome.plan, position, name)
+            result = check_ref(graph, plan, position, name)
             if result.status == "incompatible":
                 click.echo(f"error: call {position} argument {name!r}: {result.note}")
                 errors += 1
@@ -210,11 +212,7 @@ def cmd_check(tools, in_file):
 def cmd_repair(tools, in_file, fmt):
     """Re-wrap $$PREV references to match the type graph."""
     registry = _load_registry_arg(tools, with_operators=True)
-    text = _read_plan_text(in_file)
-    outcome = parse_plan(text)
-    if not outcome.ok:
-        _fail(f"{outcome.kind}: {outcome.detail}")
-    repaired, repairs = repair_plan(build_graph(registry), outcome.plan)
+    repaired, repairs = repair_plan(build_graph(registry), _read_plan(in_file))
     if fmt == "json":
         click.echo(json.dumps({
             "plan": json.loads(serialize_plan(repaired)),
@@ -233,12 +231,7 @@ def cmd_repair(tools, in_file, fmt):
 def cmd_enforce(tools, in_file, fmt):
     """Project arbitrary text onto the schema-valid plan language."""
     registry = _load_registry_arg(tools, with_operators=True)
-    text = _read_plan_text(in_file)
-    try:
-        automaton = compile_schema(registry)
-    except SchemaCompileError as exc:
-        _fail(str(exc))
-    repaired, edits = enforced_repair(automaton, text)
+    repaired, edits = enforced_repair(compile_schema(registry), _read_plan_text(in_file))
     if fmt == "json":
         click.echo(json.dumps({"text": repaired, "edits": [e.__dict__ for e in edits]}, indent=2))
     else:
@@ -253,15 +246,10 @@ def cmd_enforce(tools, in_file, fmt):
 @click.option("--out", default=None, help="Write the execution trace here instead of stdout.")
 def cmd_exec(tools, in_file, out):
     """Execute a plan on the bundled stub runtime."""
-    registry = _load_registry_arg(tools, with_operators=True)
-    text = _read_plan_text(in_file)
-    outcome = parse_plan(text)
-    if not outcome.ok:
-        _fail(f"{outcome.kind}: {outcome.detail}")
-    from .executor import ExecutionError
-
+    _load_registry_arg(tools, with_operators=True)
+    plan = _read_plan(in_file)
     try:
-        trace = execute(outcome.plan, StubRuntime())
+        trace = execute(plan, StubRuntime())
     except ExecutionError as exc:
         _fail(str(exc))
     if out:
@@ -314,7 +302,7 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
         for example in examples:
             try:
                 trace = runner(example.query, ctx, model)
-            except (PipelineError, CompletionError, SchemaCompileError) as exc:
+            except (PipelineError, CompletionError) as exc:
                 _fail(f"pipeline failed on {example.query!r}: {exc}")
             predicted_texts.append(trace.final_text)
             traces.append(trace)

@@ -17,9 +17,9 @@ serves ``true``/``false`` and ``null``, and an object member's value is a
 union of string, float, boolean and null run by the union machine.
 Each automaton hand-writes only its ``transition``; the next-character set of
 a state is derived from it over printable ASCII. That set is exact because
-tool and argument names must be identifiers (``[A-Za-z0-9_]+``), which the
-automata check at compile time, and every other accepted character is
-printable ASCII.
+tool and argument names are identifiers (``[A-Za-z0-9_]+``), which a
+``Registry`` guarantees when it is built and the sub-task automaton checks
+at compile time, and every other accepted character is printable ASCII.
 
 Vocabulary masks are exact: a token is allowed if and only if feeding it
 character by character would succeed. A session indexes the first vocabulary
@@ -309,12 +309,6 @@ def _lit_step(state: tuple, ch: str):
     return then if i == len(text) else ("lit", text, i, then)
 
 
-def _require_identifiers(names, what: str) -> None:
-    for name in names:
-        if not IDENTIFIER_PATTERN.fullmatch(name):
-            raise SchemaCompileError(f"{what} name {name!r} is not an identifier")
-
-
 def _extends(names: tuple[str, ...], prefix: str) -> bool:
     """Whether some name of the sorted tuple ``names`` starts with ``prefix``."""
     i = bisect_left(names, prefix)
@@ -346,13 +340,6 @@ class PlanAutomaton(_Automaton):
     def __init__(self, registry: Registry):
         if not registry.tools:
             raise SchemaCompileError("cannot compile a schema for an empty registry")
-        _require_identifiers(registry.tools, "tool")
-        for spec in registry.tools.values():
-            names = spec.argument_names
-            _require_identifiers(names, f"tool {spec.name!r} argument")
-            for i, name in enumerate(names):
-                if name in names[:i]:
-                    raise SchemaCompileError(f"tool {spec.name!r} has two arguments named {name!r}")
         self._tool_names = tuple(sorted(registry.tools))
         self._tool_set = frozenset(self._tool_names)
         self._args = {name: spec.argument_names for name, spec in registry.tools.items()}
@@ -442,7 +429,9 @@ class SubTaskAutomaton(_Automaton):
         names = tuple(sorted(tool_names))
         if not names:
             raise SchemaCompileError("sub-task schema needs at least one tool name")
-        _require_identifiers(names, "tool")
+        for name in names:
+            if not IDENTIFIER_PATTERN.fullmatch(name):
+                raise SchemaCompileError(f"tool name {name!r} is not an identifier")
         self._tool_names = names
         self._tool_set = frozenset(names)
 
@@ -622,10 +611,6 @@ class DecoderSession:
     @property
     def at_end(self) -> bool:
         return self.automaton.accepting(self.state)
-
-    def allowed_next(self) -> tuple[frozenset[str], bool]:
-        """(allowed characters, end-of-text flag)."""
-        return self.automaton.allowed(self.state), self.at_end
 
     def advance(self, text: str) -> "DecoderSession":
         state = self.state

@@ -27,9 +27,10 @@ class CompletionError(RuntimeError):
 
 
 class ReplayMismatchError(CompletionError):
-    def __init__(self, expected: str | None, got: str):
-        super().__init__(f"replay mismatch: expected fingerprint {expected!r}, request fingerprinted {got!r}")
-        self.expected = expected
+    """A prompt whose fingerprint the replay does not hold."""
+
+    def __init__(self, got: str):
+        super().__init__(f"replay mismatch: prompt fingerprint {got!r} is not in the replay")
         self.got = got
 
 
@@ -73,6 +74,19 @@ def fingerprint(prompt: str) -> str:
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
 
 
+def resolve_endpoint(api_base: str | None, api_key: str | None,
+                     timeout: float | None) -> tuple[str, str, float]:
+    """(api_base, api_key, timeout): each explicit value, else CHAINPLAN_API_BASE
+    / CHAINPLAN_API_KEY / CHAINPLAN_TIMEOUT, else OPENAI_API_BASE / OPENAI_API_KEY,
+    else the OpenAI endpoint, no key and 30 s."""
+    env = os.environ
+    base = api_base or env.get("CHAINPLAN_API_BASE") or env.get("OPENAI_API_BASE", "https://api.openai.com")
+    key = api_key or env.get("CHAINPLAN_API_KEY") or env.get("OPENAI_API_KEY", "")
+    if timeout is None:
+        timeout = float(env.get("CHAINPLAN_TIMEOUT", "30"))
+    return base.rstrip("/"), key, timeout
+
+
 def post_json(url: str, payload: dict, api_key: str = "", timeout: float = 30.0,
               max_attempts: int = 3, backoff_s: float = 0.5) -> dict:
     """POST JSON with bounded exponential backoff; raises CompletionError
@@ -98,38 +112,20 @@ def post_json(url: str, payload: dict, api_key: str = "", timeout: float = 30.0,
 
 
 class ScriptedModel:
-    """Replays canned responses keyed by prompt fingerprint.
+    """Replays canned responses keyed by prompt fingerprint; any known
+    fingerprint may be requested any number of times, in any order."""
 
-    In strict mode requests must arrive in the scripted order; otherwise any
-    known fingerprint may be requested any number of times.
-    """
-
-    def __init__(self, entries: list[tuple[str, str]] | dict[str, str], strict: bool = False):
-        if isinstance(entries, dict):
-            pairs = list(entries.items())
-        else:
-            pairs = list(entries)
-        self._order = pairs
-        self._by_fp = dict(pairs)
-        self.strict = strict
-        self._cursor = 0
+    def __init__(self, entries: list[tuple[str, str]] | dict[str, str]):
+        self._by_fp = dict(entries)
         self.calls = 0
         self.prompt_tokens = 0
         self.completion_tokens = 0
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         fp = fingerprint(request.prompt)
-        if self.strict:
-            if self._cursor >= len(self._order):
-                raise ReplayMismatchError(None, fp)
-            expected, response = self._order[self._cursor]
-            if expected != fp:
-                raise ReplayMismatchError(expected, fp)
-            self._cursor += 1
-        else:
-            if fp not in self._by_fp:
-                raise ReplayMismatchError(None, fp)
-            response = self._by_fp[fp]
+        response = self._by_fp.get(fp)
+        if response is None:
+            raise ReplayMismatchError(fp)
         self.calls += 1
         prompt_tokens = estimate_tokens(request.prompt)
         completion_tokens = estimate_tokens(response)
@@ -172,10 +168,7 @@ class RemoteChatModel:
                  api_key: str | None = None, timeout: float | None = None,
                  max_attempts: int = 3, backoff_s: float = 0.5):
         self.model_id = model_id or os.environ.get("CHAINPLAN_MODEL", "gpt-3.5-turbo")
-        self.api_base = (api_base or os.environ.get("CHAINPLAN_API_BASE")
-                         or os.environ.get("OPENAI_API_BASE", "https://api.openai.com")).rstrip("/")
-        self.api_key = api_key or os.environ.get("CHAINPLAN_API_KEY") or os.environ.get("OPENAI_API_KEY", "")
-        self.timeout = timeout if timeout is not None else float(os.environ.get("CHAINPLAN_TIMEOUT", "30"))
+        self.api_base, self.api_key, self.timeout = resolve_endpoint(api_base, api_key, timeout)
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
         self.calls = 0
@@ -269,7 +262,7 @@ def constrained_complete(model, request: CompletionRequest, session: DecoderSess
     )
 
 
-def load_replay(path: str | Path, strict: bool = False) -> ScriptedModel:
+def load_replay(path: str | Path) -> ScriptedModel:
     """Replay file: JSON lines of {"fingerprint": ..., "response": ...}."""
     entries: list[tuple[str, str]] = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -280,7 +273,7 @@ def load_replay(path: str | Path, strict: bool = False) -> ScriptedModel:
             entries.append((record["fingerprint"], record["response"]))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise CompletionError(f"bad replay line {line_no}: {exc}") from exc
-    return ScriptedModel(entries, strict=strict)
+    return ScriptedModel(entries)
 
 
 def save_replay(entries: list[tuple[str, str]], path: str | Path) -> None:

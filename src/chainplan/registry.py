@@ -1,9 +1,12 @@
 """Tool registry: load, validate, and serve externally described tool specs.
 
 Tools are described in JSON files (see ``load_registry``) so that nothing else
-in the system hard-codes tool knowledge. A registry is immutable once built;
-a saved retrieval corpus records its ``version`` and is refused when loaded
-against a different one.
+in the system hard-codes tool knowledge. A registry is immutable once built
+and valid by construction: ``Registry.__post_init__`` is the one gate for
+every tool-spec rule (identifier names, distinct argument names, list depth,
+object type names), and later stages rely on it without re-checking. A saved
+retrieval corpus records its ``version`` and is refused when loaded against
+a different one.
 """
 
 from __future__ import annotations
@@ -84,21 +87,28 @@ def parse_type(text: str, tool: str | None = None, path: str | None = None) -> V
     depth = 0
     while spec.startswith("array of "):
         depth += 1
-        if depth > MAX_LIST_DEPTH:
-            raise RegistryError(f"list nesting deeper than {MAX_LIST_DEPTH}: {text!r}", tool, path)
         spec = spec[len("array of "):].strip()
     if spec.startswith("object:"):
-        name = spec[len("object:"):].strip()
-        if not name or not IDENTIFIER_PATTERN.fullmatch(name):
-            raise RegistryError(f"bad object type name in {text!r}", tool, path)
-        result = object_type(name)
+        result = object_type(spec[len("object:"):].strip())
     elif spec in PRIMITIVES:
         result = primitive(spec)
     else:
         raise RegistryError(f"unknown type keyword {spec!r}", tool, path)
     for _ in range(depth):
         result = list_of(result)
+    _reject_bad_type(result, tool, path)
     return result
+
+
+def _reject_bad_type(vt: ValueType, tool: str | None, path: str | None) -> None:
+    depth = 0
+    while vt.is_list:
+        depth += 1
+        if depth > MAX_LIST_DEPTH:
+            raise RegistryError(f"list nesting deeper than {MAX_LIST_DEPTH}", tool, path)
+        vt = vt.element
+    if vt.kind == "object" and not IDENTIFIER_PATTERN.fullmatch(vt.type_name or ""):
+        raise RegistryError(f"object type name {vt.type_name!r} is not an identifier", tool, path)
 
 
 @dataclass(frozen=True)
@@ -129,10 +139,27 @@ class ToolSpec:
 
 @dataclass(frozen=True)
 class Registry:
-    """Immutable, insertion-ordered collection of tool specs."""
+    """Immutable, insertion-ordered collection of tool specs, valid by
+    construction; paths name the tool's position, as in a tool file."""
 
     tools: dict[str, ToolSpec]
     version: str
+
+    def __post_init__(self) -> None:
+        for i, spec in enumerate(self.tools.values()):
+            path = f"$[{i}]"
+            if not IDENTIFIER_PATTERN.fullmatch(spec.name):
+                raise RegistryError("tool_name is not an identifier", tool=spec.name, path=path)
+            names: set[str] = set()
+            for j, arg in enumerate(spec.arguments):
+                arg_path = f"{path}.arguments[{j}]"
+                if not IDENTIFIER_PATTERN.fullmatch(arg.name):
+                    raise RegistryError(f"argument_name {arg.name!r} is not an identifier", spec.name, arg_path)
+                if arg.name in names:
+                    raise RegistryError(f"duplicate argument_name {arg.name!r}", spec.name, arg_path)
+                names.add(arg.name)
+                _reject_bad_type(arg.value_type, spec.name, arg_path)
+            _reject_bad_type(spec.returns, spec.name, f"{path}.return_type")
 
     @classmethod
     def from_tools(cls, specs: list[ToolSpec] | tuple[ToolSpec, ...], version: str | None = None) -> "Registry":
@@ -141,11 +168,9 @@ class Registry:
             if spec.name in tools:
                 raise RegistryError("duplicate tool name", tool=spec.name)
             tools[spec.name] = spec
-        reg = cls(tools=tools, version=version or "")
         if version is None:
-            digest = hashlib.sha256(serialize_registry(reg).encode("utf-8")).hexdigest()
-            reg = cls(tools=tools, version=digest[:12])
-        return reg
+            version = hashlib.sha256(_tool_document(tools.values()).encode("utf-8")).hexdigest()[:12]
+        return cls(tools=tools, version=version)
 
     def get(self, name: str) -> ToolSpec | None:
         """Exact, case-sensitive lookup; ``None`` signals an unknown tool."""
@@ -174,8 +199,6 @@ def _load_tool(entry: object, index: int) -> ToolSpec:
     name = entry["tool_name"]
     if not isinstance(name, str):
         raise RegistryError("tool_name is not a string", path=path)
-    if not IDENTIFIER_PATTERN.fullmatch(name):
-        raise RegistryError("tool_name is not an identifier", tool=name, path=path)
     args: list[ArgSpec] = []
     for j, raw in enumerate(entry.get("arguments", [])):
         arg_path = f"{path}.arguments[{j}]"
@@ -185,8 +208,8 @@ def _load_tool(entry: object, index: int) -> ToolSpec:
             if key not in raw:
                 raise RegistryError(f"missing required field {key!r}", tool=name, path=arg_path)
         arg_name = raw["argument_name"]
-        if not isinstance(arg_name, str) or not IDENTIFIER_PATTERN.fullmatch(arg_name):
-            raise RegistryError(f"argument_name {arg_name!r} is not an identifier", tool=name, path=arg_path)
+        if not isinstance(arg_name, str):
+            raise RegistryError("argument_name is not a string", tool=name, path=arg_path)
         args.append(
             ArgSpec(
                 name=arg_name,
@@ -227,8 +250,12 @@ def load_registry(source: str | Path) -> Registry:
 
 def serialize_registry(registry: Registry) -> str:
     """Canonical wire-format JSON for the registry's tool set."""
+    return _tool_document(registry.tools.values())
+
+
+def _tool_document(specs) -> str:
     doc = []
-    for spec in registry.tools.values():
+    for spec in specs:
         doc.append(
             {
                 "tool_name": spec.name,
@@ -250,43 +277,22 @@ def serialize_registry(registry: Registry) -> str:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" | "warning"
+    severity: str  # always "warning": a registry that breaks a rule is never built
     location: str
     message: str
 
 
-def _check_type(vt: ValueType, location: str, out: list[Diagnostic], depth: int = 0) -> None:
-    if vt.kind == "list":
-        if depth + 1 > MAX_LIST_DEPTH:
-            out.append(Diagnostic("error", location, f"list nesting deeper than {MAX_LIST_DEPTH}"))
-        elif vt.element is not None:
-            _check_type(vt.element, location, out, depth + 1)
-    elif vt.kind == "object":
-        if not vt.type_name or not IDENTIFIER_PATTERN.fullmatch(vt.type_name):
-            out.append(Diagnostic("error", location, "object type name is not a valid identifier"))
-
-
 def validate_registry(registry: Registry) -> list[Diagnostic]:
-    """Check every tool/argument invariant; empty list means all hold."""
+    """Warn about empty tool and argument descriptions; an empty list means
+    none. Every hard rule is enforced when the registry is built."""
     out: list[Diagnostic] = []
     for spec in registry.tools.values():
         loc = f"tool {spec.name!r}"
-        if not spec.name or not IDENTIFIER_PATTERN.fullmatch(spec.name):
-            out.append(Diagnostic("error", loc, "tool name is not a valid identifier"))
         if not spec.description:
             out.append(Diagnostic("warning", loc, "tool description is empty"))
-        seen: set[str] = set()
         for arg in spec.arguments:
-            arg_loc = f"{loc} argument {arg.name!r}"
-            if arg.name in seen:
-                out.append(Diagnostic("error", arg_loc, "duplicate argument name"))
-            seen.add(arg.name)
-            if not arg.name or not IDENTIFIER_PATTERN.fullmatch(arg.name):
-                out.append(Diagnostic("error", arg_loc, "argument name is not a valid identifier"))
             if not arg.description:
-                out.append(Diagnostic("warning", arg_loc, "argument description is empty"))
-            _check_type(arg.value_type, arg_loc, out)
-        _check_type(spec.returns, f"{loc} return type", out)
+                out.append(Diagnostic("warning", f"{loc} argument {arg.name!r}", "argument description is empty"))
     return out
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from .llm import post_json, resolve_endpoint
+
 
 class RetrievalError(ValueError):
     pass
@@ -79,18 +81,13 @@ class RemoteEmbeddingProvider:
     def __init__(self, model: str | None = None, api_base: str | None = None,
                  api_key: str | None = None, timeout: float | None = None):
         self.model = model or os.environ.get("CHAINPLAN_EMBED_MODEL", "text-embedding-ada-002")
-        self.api_base = (api_base or os.environ.get("CHAINPLAN_API_BASE")
-                         or os.environ.get("OPENAI_API_BASE", "https://api.openai.com")).rstrip("/")
-        self.api_key = api_key or os.environ.get("CHAINPLAN_API_KEY") or os.environ.get("OPENAI_API_KEY", "")
-        self.timeout = timeout if timeout is not None else float(os.environ.get("CHAINPLAN_TIMEOUT", "30"))
+        self.api_base, self.api_key, self.timeout = resolve_endpoint(api_base, api_key, timeout)
         self.provider_id = f"remote-{self.model}"
         self.dimension: int | None = None
 
     def embed(self, text: str) -> list[float]:
         if not text:
             raise RetrievalError("cannot embed empty text")
-        from .llm import post_json  # shared transport with retry
-
         body = post_json(
             f"{self.api_base}/v1/embeddings",
             {"model": self.model, "input": text},

@@ -143,7 +143,7 @@ def test_criterion_3_enforcer_soundness(fixture_registry, golden_examples):
         session = DecoderSession(automaton)
         steps = 0
         while not session.at_end:
-            allowed, _ = session.allowed_next()
+            allowed = session.automaton.allowed(session.state)
             session.advance(rng.choice(sorted(allowed)))
             steps += 1
             assert steps < 100_000, "depth cap exceeded"
@@ -171,11 +171,11 @@ def test_criterion_3_enforcer_soundness(fixture_registry, golden_examples):
         for _ in range(depth):
             if session.at_end:
                 break
-            allowed, _ = session.allowed_next()
+            allowed = session.automaton.allowed(session.state)
             session.advance(rng.choice(sorted(allowed)))
         probe_tokens = list(tokens)
         if not session.at_end:
-            allowed, _ = session.allowed_next()
+            allowed = session.automaton.allowed(session.state)
             head = rng.choice(sorted(allowed))
             probe_tokens.append(head)
             probe_tokens.append(head + rng.choice(sorted(allowed)))

@@ -117,14 +117,14 @@ def test_enforce_trailing_comma(runner):
 
 
 def test_enforce_uncompilable_registry_is_one_line_error(runner, tmp_path):
-    # the loader accepts two arguments of one name; the schema compiler does not
+    # the loader refuses two arguments of one name before anything compiles
     argument = {"argument_name": "a", "argument_description": "a", "argument_type": "string", "required": False}
     tools = tmp_path / "tools.json"
     tools.write_text(json.dumps([{"tool_name": "t", "tool_description": "t", "arguments": [argument, argument],
                                   "return_type": "string"}]), encoding="utf-8")
     result = runner.invoke(main, ["enforce", "--tools", str(tools)], input="[]")
     assert result.exit_code == 1
-    assert result.output == "Error: tool 't' has two arguments named 'a'\n"
+    assert result.output == "Error: duplicate argument_name 'a'; tool=t; at=$[0].arguments[1]\n"
 
 
 def test_exec_runs_plan_on_stub(runner, golden_examples):

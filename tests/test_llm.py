@@ -19,6 +19,7 @@ from chainplan.llm import (
     save_replay,
 )
 from chainplan.plan import parse_plan
+from chainplan.retrieval import RemoteEmbeddingProvider
 
 
 def test_request_validation():
@@ -40,17 +41,12 @@ def test_scripted_replay():
     assert model.calls == 1
 
 
-def test_scripted_strict_order_mismatch():
-    model = ScriptedModel([(fingerprint("first"), "1"), (fingerprint("second"), "2")], strict=True)
-    with pytest.raises(ReplayMismatchError) as err:
-        model.complete(CompletionRequest(prompt="second"))
-    assert fingerprint("first") in str(err.value)
-
-
 def test_scripted_unknown_prompt():
-    model = ScriptedModel({})
-    with pytest.raises(ReplayMismatchError):
+    model = ScriptedModel({fingerprint("scripted"): "[]"})
+    with pytest.raises(ReplayMismatchError) as err:
         model.complete(CompletionRequest(prompt="never scripted"))
+    assert str(err.value) == (f"replay mismatch: prompt fingerprint {fingerprint('never scripted')!r} "
+                              "is not in the replay")
 
 
 def test_replay_file_round_trip(tmp_path):
@@ -154,6 +150,25 @@ def test_remote_model_retries_rate_limit(stub_server):
         model.complete(CompletionRequest(prompt="q"))
     assert "3 attempts" in str(err.value)
     assert len(_StubHandler.seen_payloads) == 3
+
+
+@pytest.mark.parametrize("client_class", [RemoteChatModel, RemoteEmbeddingProvider])
+def test_endpoint_resolved_from_environment(monkeypatch, client_class):
+    def endpoint(**explicit):
+        client = client_class(**explicit)
+        return client.api_base, client.api_key, client.timeout
+
+    for name in ("CHAINPLAN_API_BASE", "CHAINPLAN_API_KEY", "CHAINPLAN_TIMEOUT", "OPENAI_API_BASE", "OPENAI_API_KEY"):
+        monkeypatch.delenv(name, raising=False)
+    assert endpoint() == ("https://api.openai.com", "", 30.0)
+    monkeypatch.setenv("OPENAI_API_BASE", "http://openai.test/")
+    monkeypatch.setenv("OPENAI_API_KEY", "openai-key")
+    assert endpoint() == ("http://openai.test", "openai-key", 30.0)
+    monkeypatch.setenv("CHAINPLAN_API_BASE", "http://chainplan.test")
+    monkeypatch.setenv("CHAINPLAN_API_KEY", "chainplan-key")
+    monkeypatch.setenv("CHAINPLAN_TIMEOUT", "7.5")
+    assert endpoint() == ("http://chainplan.test", "chainplan-key", 7.5)
+    assert endpoint(api_base="http://explicit.test/", api_key="k", timeout=2.0) == ("http://explicit.test", "k", 2.0)
 
 
 def test_constrained_token_model_masks_hallucinated_name(fixture_registry):

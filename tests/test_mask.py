@@ -35,7 +35,7 @@ _tokens = st.text(alphabet=_ALPHABET, max_size=8)
 
 def _walk(session: DecoderSession, rng: random.Random, steps: int) -> None:
     for _ in range(steps):
-        allowed, _ = session.allowed_next()
+        allowed = session.automaton.allowed(session.state)
         if not allowed:
             return
         session.advance(rng.choice(sorted(allowed)))

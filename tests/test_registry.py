@@ -3,7 +3,10 @@ import json
 import pytest
 
 from chainplan.registry import (
+    ArgSpec,
+    Registry,
     RegistryError,
+    ToolSpec,
     fixture_tools_path,
     list_of,
     load_registry,
@@ -50,20 +53,51 @@ def test_unknown_type_keyword_names_tool_and_argument():
     assert "arguments[0]" in message
 
 
-@pytest.mark.parametrize("tool_name, argument_name, path", [
-    ('a"b', "q", "at=$[0]"),
-    ("search", "q limit", "at=$[0].arguments[0]"),
+@pytest.mark.parametrize("tool_name, argument_names, message, path", [
+    pytest.param('a"b', ["q"], "tool_name is not an identifier", "at=$[0]", id='a"b-q-at=$[0]'),
+    pytest.param("search", ["q limit"], "argument_name 'q limit' is not an identifier", "at=$[0].arguments[0]",
+                 id="search-q limit-at=$[0].arguments[0]"),
+    pytest.param("t", ["a", "a"], "duplicate argument_name 'a'", "at=$[0].arguments[1]",
+                 id="t-a-a-at=$[0].arguments[1]"),
 ])
-def test_non_identifier_names_rejected(tool_name, argument_name, path):
+def test_non_identifier_names_rejected(tool_name, argument_names, message, path):
     doc = json.dumps([
         {"tool_name": tool_name, "tool_description": "d", "arguments": [
-            {"argument_name": argument_name, "argument_description": "d", "argument_type": "string"},
+            {"argument_name": name, "argument_description": "d", "argument_type": "string"}
+            for name in argument_names
         ], "return_type": "string"},
     ])
     with pytest.raises(RegistryError) as err:
         load_registry(doc)
-    assert "not an identifier" in str(err.value)
+    assert str(err.value).startswith(message)
     assert str(err.value).endswith(path)
+
+
+def _tool(name="t", arguments=(("a", primitive("string")),), returns=primitive("string")):
+    return ToolSpec(name, "d", tuple(ArgSpec(n, "d", vt) for n, vt in arguments), returns)
+
+
+@pytest.mark.parametrize("build", [
+    Registry.from_tools,
+    lambda specs: Registry(tools={spec.name: spec for spec in specs}, version="v"),
+], ids=["from_tools", "direct"])
+@pytest.mark.parametrize("tool, error", [
+    (_tool(name="a b"), "tool_name is not an identifier; tool=a b; at=$[1]"),
+    (_tool(arguments=(("q", primitive("string")), ("q-2", primitive("integer")))),
+     "argument_name 'q-2' is not an identifier; tool=t; at=$[1].arguments[1]"),
+    (_tool(arguments=(("a", primitive("string")), ("a", primitive("integer")))),
+     "duplicate argument_name 'a'; tool=t; at=$[1].arguments[1]"),
+    (_tool(arguments=(("a", list_of(list_of(list_of(primitive("string"))))),)),
+     "list nesting deeper than 2; tool=t; at=$[1].arguments[0]"),
+    (_tool(arguments=(("a", list_of(object_type("Work Item"))),)),
+     "object type name 'Work Item' is not an identifier; tool=t; at=$[1].arguments[0]"),
+    (_tool(returns=object_type("")), "object type name '' is not an identifier; tool=t; at=$[1].return_type"),
+], ids=["tool-name", "argument-name", "duplicate-argument", "list-depth-3", "argument-object-name",
+        "return-object-name"])
+def test_registry_gate_rejects_broken_specs(build, tool, error):
+    with pytest.raises(RegistryError) as err:
+        build([_tool(name="ok", arguments=()), tool])
+    assert str(err.value) == error
 
 
 def test_missing_required_field():
@@ -104,24 +138,6 @@ def test_validate_empty_description_warns():
     diagnostics = validate_registry(load_registry(doc))
     assert len(diagnostics) == 1
     assert diagnostics[0].severity == "warning"
-
-
-def test_validate_duplicate_argument_names_error():
-    doc = json.dumps([
-        {
-            "tool_name": "dup",
-            "tool_description": "duplicate args",
-            "arguments": [
-                {"argument_name": "a", "argument_description": "x", "argument_type": "string"},
-                {"argument_name": "a", "argument_description": "y", "argument_type": "integer"},
-            ],
-            "return_type": "string",
-        }
-    ])
-    diagnostics = validate_registry(load_registry(doc))
-    errors = [d for d in diagnostics if d.severity == "error"]
-    assert len(errors) == 1
-    assert "duplicate" in errors[0].message
 
 
 def test_round_trip_preserves_tools_and_order(fixture_registry):
