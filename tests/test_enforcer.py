@@ -70,6 +70,16 @@ def test_compile_rejects_non_identifier_names():
         compile_subtask_schema(["who_am_i", "a b"])
 
 
+def test_compile_rejects_duplicate_argument_names():
+    # The registry refuses the second argument before the automaton could
+    # offer one it cannot name.
+    from chainplan.registry import ArgSpec, RegistryError, ToolSpec, primitive
+
+    args = tuple(ArgSpec("a", "d", primitive(kind)) for kind in ("string", "integer"))
+    with pytest.raises(RegistryError, match=r"^duplicate argument_name 'a'; tool=t; at=\$\[0\]\.arguments\[1\]$"):
+        compile_schema(Registry.from_tools([ToolSpec("t", "d", args, primitive("string"))]))
+
+
 def test_allowed_next_at_start(automaton):
     session = DecoderSession(automaton)
     allowed, at_end = session.automaton.allowed(session.state), session.at_end

@@ -57,8 +57,6 @@ def test_unknown_type_keyword_names_tool_and_argument():
     pytest.param('a"b', ["q"], "tool_name is not an identifier", "at=$[0]", id='a"b-q-at=$[0]'),
     pytest.param("search", ["q limit"], "argument_name 'q limit' is not an identifier", "at=$[0].arguments[0]",
                  id="search-q limit-at=$[0].arguments[0]"),
-    pytest.param("t", ["a", "a"], "duplicate argument_name 'a'", "at=$[0].arguments[1]",
-                 id="t-a-a-at=$[0].arguments[1]"),
 ])
 def test_non_identifier_names_rejected(tool_name, argument_names, message, path):
     doc = json.dumps([
@@ -71,6 +69,25 @@ def test_non_identifier_names_rejected(tool_name, argument_names, message, path)
         load_registry(doc)
     assert str(err.value).startswith(message)
     assert str(err.value).endswith(path)
+
+
+
+def test_validate_duplicate_argument_names_error():
+    # The loader refuses the second argument, so validate_registry never sees it.
+    doc = json.dumps([
+        {
+            "tool_name": "dup",
+            "tool_description": "duplicate args",
+            "arguments": [
+                {"argument_name": "a", "argument_description": "x", "argument_type": "string"},
+                {"argument_name": "a", "argument_description": "y", "argument_type": "integer"},
+            ],
+            "return_type": "string",
+        }
+    ])
+    with pytest.raises(RegistryError) as err:
+        load_registry(doc)
+    assert str(err.value) == "duplicate argument_name 'a'; tool=dup; at=$[0].arguments[1]"
 
 
 def _tool(name="t", arguments=(("a", primitive("string")),), returns=primitive("string")):
