@@ -20,6 +20,11 @@ a state is derived from it over printable ASCII. That set is exact because
 tool and argument names are identifiers (``[A-Za-z0-9_]+``), which a
 ``Registry`` guarantees when it is built and the sub-task automaton checks
 at compile time, and every other accepted character is printable ASCII.
+Each automaton memoizes those sets on a state's shape, which allows the same
+characters: a literal state without its ``then``, an open string with room
+for one more character as its count-free shape (defined below), any other
+state as itself. The memo is bounded and cleared when full. Sessions share
+it safely: the sets are immutable, and a lost entry only costs a rescan.
 
 Vocabulary masks are exact: a token is allowed if and only if feeding it
 character by character would succeed. A session indexes the first vocabulary
@@ -315,16 +320,42 @@ def _extends(names: tuple[str, ...], prefix: str) -> bool:
     return i < len(names) and names[i].startswith(prefix)
 
 
+# Next-character sets an automaton keeps before it clears them all.
+_ALLOWED_CACHE_SIZE = 4096
+
+
 class _Automaton:
     initial_state = ("start",)
+
+    def __init__(self):
+        self._allowed: dict[tuple, frozenset[str]] = {}
 
     def accepting(self, state: tuple) -> bool:
         return state == ("accept",)
 
     def allowed(self, state: tuple) -> frozenset[str]:
-        """The printable ASCII characters ``transition`` accepts from ``state``."""
-        transition = self.transition
-        return frozenset(ch for ch in _PRINTABLE if transition(state, ch) is not None)
+        """The printable ASCII characters ``transition`` accepts from ``state``.
+
+        Memoized per automaton on the state's shape, which allows the same
+        characters: a literal state drops ``then``, since ``_lit_step``
+        accepts ``text[i]`` alone whatever follows; a string state with room
+        for one more character takes its count-free shape; any other state is
+        its own shape. At ``_ALLOWED_CACHE_SIZE`` shapes the memo is cleared.
+        Sessions may share it: the sets are immutable, and a lost entry only
+        costs a rescan.
+        """
+        if state[0] == "lit":
+            key = state[:3]
+        else:
+            key = _count_free_shape(state, 1) or state
+        found = self._allowed.get(key)
+        if found is None:
+            transition = self.transition
+            found = frozenset(ch for ch in _PRINTABLE if transition(state, ch) is not None)
+            if len(self._allowed) >= _ALLOWED_CACHE_SIZE:
+                self._allowed.clear()
+            self._allowed[key] = found
+        return found
 
 
 _CALL_OPEN = '{"tool_name":"'
@@ -338,6 +369,7 @@ class PlanAutomaton(_Automaton):
     """Deterministic character acceptor for schema-valid plan texts."""
 
     def __init__(self, registry: Registry):
+        super().__init__()
         if not registry.tools:
             raise SchemaCompileError("cannot compile a schema for an empty registry")
         self._tool_names = tuple(sorted(registry.tools))
@@ -426,6 +458,7 @@ class SubTaskAutomaton(_Automaton):
     """Acceptor for decomposition output with tool names pinned to an enum."""
 
     def __init__(self, tool_names):
+        super().__init__()
         names = tuple(sorted(tool_names))
         if not names:
             raise SchemaCompileError("sub-task schema needs at least one tool name")

@@ -146,8 +146,10 @@ class Registry:
     version: str
 
     def __post_init__(self) -> None:
-        for i, spec in enumerate(self.tools.values()):
+        for i, (key, spec) in enumerate(self.tools.items()):
             path = f"$[{i}]"
+            if key != spec.name:
+                raise RegistryError(f"registry key {key!r} differs from tool_name", tool=spec.name, path=path)
             if not IDENTIFIER_PATTERN.fullmatch(spec.name):
                 raise RegistryError("tool_name is not an identifier", tool=spec.name, path=path)
             names: set[str] = set()

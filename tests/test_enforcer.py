@@ -2,9 +2,15 @@ import random
 
 import pytest
 
+from dataclasses import replace
+
 from chainplan.enforcer import (
+    _ALLOWED_CACHE_SIZE,
+    _PRINTABLE,
+    MAX_STRING_CHARS,
     DecodeRejection,
     DecoderSession,
+    PlanAutomaton,
     SchemaCompileError,
     compile_schema,
     compile_subtask_schema,
@@ -13,7 +19,7 @@ from chainplan.enforcer import (
 from chainplan.plan import parse_plan, serialize_plan
 from chainplan.registry import Registry
 
-from conftest import random_plan
+from conftest import random_plan, random_registry
 
 
 SIMPLE = '[{"tool_name":"who_am_i","arguments":[]}]'
@@ -492,3 +498,163 @@ def test_allowed_sets_are_pinned(fixture_registry):
                     session.advance(_walk_choice(rng, allowed))
     assert states > 20_000
     assert digest.hexdigest() == "579c408c1f9f4f81a845b2490af7e43d1db38066720da1acd8220b8445e3e3dd"
+
+
+def _scan(automaton, state) -> frozenset[str]:
+    """The next-character set of ``state``, computed without the memo."""
+    return frozenset(c for c in _PRINTABLE if automaton.transition(state, c) is not None)
+
+
+def test_memoized_allowed_equals_a_fresh_scan_on_walks(fixture_registry):
+    # each automaton serves six walks, so later states meet a warm memo
+    rng = random.Random(31)
+    registries = [fixture_registry] + [random_registry(random.Random(seed), max_tools=8) for seed in range(100, 106)]
+    for registry in registries:
+        for automaton in (compile_schema(registry), compile_subtask_schema(registry.names)):
+            for _ in range(6):
+                session = DecoderSession(automaton)
+                while True:
+                    allowed = automaton.allowed(session.state)
+                    assert allowed == _scan(automaton, session.state), session.emitted[-60:]
+                    if session.at_end:
+                        break
+                    session.advance(_walk_choice(rng, allowed))
+
+
+# String openers in three places: a sub-task thought, a plan string argument
+# and an element of an array-of-string argument.
+_STRING_PLACES = {
+    "thought": ("subtask", '[{"id":0,"thought":"'),
+    "string argument": ("plan", '[{"tool_name":"search_object_by_name","arguments":'
+                                '[{"argument_name":"query","argument_value":"'),
+    "array of string": ("plan", '[{"tool_name":"works_list","arguments":'
+                                '[{"argument_name":"owned_by","argument_value":["'),
+}
+
+
+@pytest.mark.parametrize("place", sorted(_STRING_PLACES))
+def test_memoized_allowed_of_string_states_near_the_cap(fixture_registry, place):
+    # the memo is warmed at n = 0 first, so a key that maps a full string to
+    # its count-free shape would answer with the body characters
+    kind, opener = _STRING_PLACES[place]
+    automaton = compile_schema(fixture_registry) if kind == "plan" else compile_subtask_schema(fixture_registry.names)
+    checked = 0
+    for n in (0, MAX_STRING_CHARS - 1, MAX_STRING_CHARS):
+        at_n = DecoderSession(automaton).advance(opener + "a" * n)
+        for escape in ("", "\\", "\\u", "\\u0"):
+            if not at_n.peek(escape):
+                continue  # no escape starts at the cap
+            state = at_n.copy().advance(escape).state
+            assert automaton.allowed(state) == _scan(automaton, state), (n, escape)
+            checked += 1
+    assert checked == 9  # four at n = 0 and at the cap less one, the plain state at the cap
+    full = DecoderSession(automaton).advance(opener + "a" * MAX_STRING_CHARS).state
+    assert automaton.allowed(full) == frozenset('"')
+
+
+def test_memoized_allowed_of_a_literal_ignores_its_continuation(fixture_registry):
+    # the ',"arguments":[' literal, once after each of two tools: the same
+    # text and position with different ``then`` states
+    automaton = compile_schema(fixture_registry)
+    first = DecoderSession(automaton).advance('[{"tool_name":"who_am_i"')
+    second = DecoderSession(automaton).advance('[{"tool_name":"works_list"')
+    for ch in ',"arguments":[':
+        assert first.state[:3] == second.state[:3] and first.state != second.state
+        for session in (first, second):
+            assert automaton.allowed(session.state) == _scan(automaton, session.state) == frozenset(ch)
+            session.advance(ch)
+    assert automaton.allowed(first.state) == _scan(automaton, first.state) == frozenset("]")
+    assert automaton.allowed(second.state) == _scan(automaton, second.state) == frozenset("{]")
+
+
+def test_memoized_allowed_after_copy(fixture_registry):
+    # two copies of one session branch on through the memo it warmed
+    automaton = compile_schema(fixture_registry)
+    session = DecoderSession(automaton).advance('[{"tool_name":"works_list","arguments":[{"argument_name":"')
+    automaton.allowed(session.state)
+    for text in ('owned_by","argument_value":["a"', 'type","argument_value":"issue'):
+        branch = session.copy()
+        for ch in text:
+            assert branch.automaton.allowed(branch.state) == _scan(automaton, branch.state)
+            branch.advance(ch)
+        assert branch.automaton.allowed(branch.state) == _scan(automaton, branch.state)
+
+
+class _CountingPlanAutomaton(PlanAutomaton):
+    """A plan automaton that counts its ``transition`` calls."""
+
+    calls = 0
+
+    def transition(self, state, ch):
+        self.calls += 1
+        return super().transition(state, ch)
+
+
+def test_allowed_reuses_the_set_of_a_seen_shape(fixture_registry):
+    automaton = _CountingPlanAutomaton(fixture_registry)
+    opener = _STRING_PLACES["string argument"][1]
+    pairs = [
+        # the same state twice
+        ('[{"tool_name":"works_l', '[{"tool_name":"works_l'),
+        # string states of one count-free shape
+        (opener + "a", opener + "a" * (MAX_STRING_CHARS - 1)),
+        (opener + "\\", opener + "ab\\"),
+        (opener + "\\u0", opener + "abc\\u0"),
+        # one literal position with two continuations
+        ('[{"tool_name":"who_am_i"', '[{"tool_name":"works_list"'),
+    ]
+    for seen, same in pairs:
+        first = DecoderSession(automaton).advance(seen).state
+        second = DecoderSession(automaton).advance(same).state
+        allowed = automaton.allowed(first)
+        automaton.calls = 0
+        assert automaton.allowed(second) == allowed
+        assert automaton.calls == 0, (seen, same)
+
+
+def test_allowed_memo_is_bounded(fixture_registry):
+    # tool names long enough that their prefix states outnumber the bound
+    long_names = random_registry(random.Random(5), max_tools=8)
+    length = _ALLOWED_CACHE_SIZE // len(long_names) + 40
+    specs = [replace(spec, name=f"t{i}_" + "x" * length) for i, spec in enumerate(long_names.tools.values())]
+    automaton = PlanAutomaton(Registry.from_tools(specs))
+    session = DecoderSession(automaton).advance('[{"tool_name":"')
+    prefixes = 0
+    for spec in specs:
+        name_session = session.copy()
+        for ch in spec.name:
+            name_session.advance(ch)
+            assert automaton.allowed(name_session.state) == _scan(automaton, name_session.state)
+            assert len(automaton._allowed) <= _ALLOWED_CACHE_SIZE
+            prefixes += 1
+    assert prefixes > _ALLOWED_CACHE_SIZE
+
+
+def test_shared_memo_stays_exact_under_threads(fixture_registry, monkeypatch):
+    # a tiny bound makes clears frequent while eight threads read and fill
+    # one automaton's memo; a lost entry may only cost a rescan
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr("chainplan.enforcer._ALLOWED_CACHE_SIZE", 8)
+    automaton = compile_schema(fixture_registry)
+
+    def run(seed):
+        rng = random.Random(seed)
+        for _ in range(3):
+            session = DecoderSession(automaton)
+            while not session.at_end:
+                allowed = automaton.allowed(session.state)
+                if allowed != _scan(automaton, session.state):
+                    return False
+                session.advance(_walk_choice(rng, allowed))
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run, seed) for seed in range(16)]
+            assert all(future.result(timeout=120) for future in futures)
+    finally:
+        sys.setswitchinterval(interval)

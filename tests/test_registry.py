@@ -117,6 +117,13 @@ def test_registry_gate_rejects_broken_specs(build, tool, error):
     assert str(err.value) == error
 
 
+def test_registry_gate_rejects_a_key_that_is_not_the_tool_name():
+    with pytest.raises(RegistryError) as err:
+        Registry(tools={"ok": _tool(name="ok", arguments=()), "alias": _tool(name="real")}, version="v")
+    assert str(err.value) == "registry key 'alias' differs from tool_name; tool=real; at=$[1]"
+    assert (err.value.tool, err.value.path) == ("real", "$[1]")
+
+
 def test_missing_required_field():
     doc = json.dumps([{"tool_name": "x", "arguments": []}])
     with pytest.raises(RegistryError) as err:
