@@ -29,14 +29,18 @@ it safely: the sets are immutable, and a lost entry only costs a rescan.
 Vocabulary masks are exact: a token is allowed if and only if feeding it
 character by character would succeed. A session indexes the first vocabulary
 it masks (``TokenIndex``: sorted distinct tokens, one shared-prefix byte per
-token and a token-to-position dict, about 0.5 MB for 8k tokens) and computes
-each mask in one pass over that implicit trie, memoizing transitions for the
-pass; tokens outside the index are fed one by one. Masks of string states far
-from the cap are reused: when an open string's count ``n`` and the longest
-indexed token's length ``reach`` satisfy ``n + reach <= MAX_STRING_CHARS``,
-every indexed token is accepted from the state exactly when it is accepted
-from its count-free shape (the same state with ``n`` set to 0), so the index
-walks each shape once and keeps the mask for its own life.
+token and a dict of every token mapped to False, about 0.5 MB for 8k tokens).
+Each state's verdict table, a copy of that dict with the accepted tokens set
+to True, comes from one pass over that implicit trie, which memoizes
+transitions for the pass and jumps by bisection past every token under a
+rejected prefix. The session maps its candidates through the table in C;
+tokens outside the index are fed one by one from the session's state.
+Tables of string states far from the cap are reused: when an open string's
+count ``n`` and the longest indexed token's length ``reach`` satisfy
+``n + reach <= MAX_STRING_CHARS``, every indexed token is accepted from the
+state exactly when it is accepted from its count-free shape (the same state
+with ``n`` set to 0), so the index walks each shape once and keeps its table
+for its own life.
 
 Accepted value shapes per argument are deliberately relaxed around
 references: both a bare ``"$$PREV[i]"`` and a singleton ``["$$PREV[i]"]``
@@ -521,6 +525,7 @@ def compile_subtask_schema(tool_names) -> SubTaskAutomaton:
 # recorded as the cap and its rest walked again: slower, never wrong.
 _SHARED_CAP = 255
 _UNSEEN = object()
+_LAST_CHAR = chr(0x10FFFF)  # the one character without a successor
 _STRING_TAGS = frozenset(("s", "se", "su"))
 
 
@@ -545,14 +550,17 @@ class TokenIndex:
     """A vocabulary as an implicit trie: its distinct tokens in sorted order,
     each with the length of the prefix it shares with the token before it.
 
-    Costs one list of the tokens, one byte per token and one token-to-position
-    dict: about 0.5 MB for 8k tokens. Masks of string states with at least
+    ``rejected`` maps every indexed token, in sorted order, to False; a walk
+    copies it and sets its accepted tokens to True. That copy is the mask's
+    verdict table: a decode session maps its candidates through it in C.
+    The index costs one list of the tokens, one byte per token and that dict:
+    about 0.5 MB for 8k tokens. Tables of string states with at least
     ``reach`` (the longest token's length) characters left below
     ``MAX_STRING_CHARS`` are kept per (automaton, count-free shape) for the
-    life of the index: a few lists of one bool per token.
+    life of the index: a few more dicts of the same size.
     """
 
-    __slots__ = ("tokens", "shared", "position", "reach", "_masks")
+    __slots__ = ("tokens", "shared", "rejected", "reach", "_tables")
 
     def __init__(self, vocabulary):
         self.tokens = sorted(set(vocabulary))
@@ -565,15 +573,16 @@ class TokenIndex:
                 k += 1
             self.shared[i] = k
             previous = token
-        self.position = {token: i for i, token in enumerate(self.tokens)}
+        self.rejected = dict.fromkeys(self.tokens, False)
         self.reach = max(map(len, self.tokens), default=0)
-        self._masks: dict[tuple, list[bool]] = {}
+        self._tables: dict[tuple, dict[str, bool]] = {}
 
-    def accepted(self, automaton, state: tuple) -> list[bool]:
-        """Per indexed token, whether ``automaton`` consumes all of it from
-        ``state``; the list may be shared, so callers must not change it.
+    def accepted(self, automaton, state: tuple) -> dict[str, bool]:
+        """Each indexed token mapped to whether ``automaton`` consumes all of
+        it from ``state``; the table may be shared, so callers must not
+        change it.
 
-        A string state with ``n + reach <= MAX_STRING_CHARS`` takes the mask
+        A string state with ``n + reach <= MAX_STRING_CHARS`` takes the table
         of its count-free shape, walked once per index: every in-string
         character of an indexed token is then checked at a count below the
         cap, and the closing quote leads to a count-free state, so each token
@@ -583,17 +592,20 @@ class TokenIndex:
         if shape is None:
             return self._walk(automaton, state)
         key = (automaton, shape)
-        ok = self._masks.get(key)
-        if ok is None:
-            ok = self._masks[key] = self._walk(automaton, shape)
-        return ok
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = self._walk(automaton, shape)
+        return table
 
-    def _walk(self, automaton, state: tuple) -> list[bool]:
+    def _walk(self, automaton, state: tuple) -> dict[str, bool]:
         """One pass over the sorted tokens: a token starts from the states of
-        the prefix it shares with the previous one, and a token that shares a
-        rejected prefix is rejected unwalked. Transitions are memoized per
-        (state, character) for the pass, so equal states reached by different
-        prefixes are stepped once.
+        the prefix it shares with the previous one. When a prefix ``p`` is
+        rejected, the pass jumps by bisection to the first token that does
+        not start with ``p``: the first one not below ``p`` with its last
+        character incremented. A ``p`` ending in U+10FFFF has no such
+        successor; the tokens after it are stepped over one by one.
+        Transitions are memoized per (state, character) for the pass, so
+        equal states reached by different prefixes are stepped once.
         """
         transition = automaton.transition
         # A node maps each character seen from its state to the next node,
@@ -602,14 +614,13 @@ class TokenIndex:
         root = {None: state}
         nodes = {state: root}
         path = [root]  # path[k]: node after the first k characters of the last token walked
+        tokens = self.tokens
         shared = self.shared
-        no_rejection = _SHARED_CAP + 1  # longer than any shared prefix
-        dead = no_rejection  # length of the last rejected prefix
-        ok = [False] * len(self.tokens)
-        for i, token in enumerate(self.tokens):
+        table = self.rejected.copy()
+        i, end = 0, len(tokens)
+        while i < end:
+            token = tokens[i]
             depth = shared[i]
-            if depth >= dead:
-                continue
             del path[depth + 1:]
             here = path[depth]
             for ch in token[depth:]:
@@ -618,14 +629,33 @@ class TokenIndex:
                     nxt = transition(here[None], ch)
                     node = here[ch] = None if nxt is None else nodes.setdefault(nxt, {None: nxt})
                 if node is None:
-                    dead = len(path)
                     break
                 path.append(node)
                 here = node
             else:
-                ok[i] = True
-                dead = no_rejection
-        return ok
+                table[token] = True
+                i += 1
+                continue
+            # token[:cut] is rejected, and so is every token that starts with it
+            cut = len(path)
+            i += 1
+            last = token[cut - 1]
+            if last == _LAST_CHAR:
+                while i < end and shared[i] >= cut:
+                    i += 1
+            else:
+                i = bisect_left(tokens, token[:cut - 1] + chr(ord(last) + 1), i)
+        return table
+
+
+class _Verdicts(dict):
+    """A verdict table that answers a token outside the index with ``peek``:
+    a session's, so from the session's current state."""
+
+    __slots__ = ("peek",)
+
+    def __missing__(self, token: str) -> bool:
+        return self.peek(token)
 
 
 class DecoderSession:
@@ -670,16 +700,16 @@ class DecoderSession:
         vocabulary]``; the session state is unchanged.
 
         The first call indexes its vocabulary (``TokenIndex``) for the life
-        of the session and its copies; every call walks that index once from
-        the current state, or reuses the walk of its count-free string shape.
-        Tokens outside the index are peeked one by one.
+        of the session and its copies. Every call takes the index's verdict
+        table for the current state, walked once or reused from its
+        count-free string shape, and maps the vocabulary through a copy of it
+        in C; tokens outside the index are peeked from the current state.
         """
         if self._index is None:
             self._index = TokenIndex(vocabulary)
-        accepted = self._index.accepted(self.automaton, self.state)
-        position = self._index.position
-        return [accepted[i] if (i := position.get(token)) is not None else self.peek(token)
-                for token in vocabulary]
+        table = _Verdicts(self._index.accepted(self.automaton, self.state))
+        table.peek = self.peek
+        return list(map(table.__getitem__, vocabulary))
 
     def copy(self) -> "DecoderSession":
         dup = DecoderSession(self.automaton)

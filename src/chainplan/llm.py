@@ -214,26 +214,38 @@ class RemoteChatModel:
         )
 
 
+def _tail(emitted: str, keep: int = 60) -> str:
+    """The last ``keep`` characters of decoded text, for error messages."""
+    return repr(emitted) if len(emitted) <= keep else "..." + repr(emitted[-keep:])
+
+
 def constrained_complete(model, request: CompletionRequest, session: DecoderSession) -> CompletionResult:
     """Complete under the session's automaton.
 
     Models that expose per-step candidates are decoded token by token with a
-    vocabulary mask, yielding automaton-accepted text ("enforced"). Models
-    without per-step access run one plain completion whose output is greedily
-    projected onto the schema ("repaired").
+    vocabulary mask, yielding automaton-accepted text ("enforced"), in at
+    most ``request.max_tokens`` steps. Models without per-step access run one
+    plain completion whose output is greedily projected onto the schema
+    ("repaired").
     """
     if hasattr(model, "candidate_steps"):
         started = time.monotonic()
-        for candidates in model.candidate_steps():
+        for step, candidates in enumerate(model.candidate_steps(), start=1):
             mask = session.mask_vocabulary(candidates)
             chosen = next((tok for tok, ok in zip(candidates, mask) if ok), None)
             if chosen is None:
                 raise NoPermissibleTokenError(
-                    f"no candidate in {candidates!r} is permissible after {session.emitted!r}"
+                    f"none of {len(candidates)} candidates is permissible after "
+                    f"{_tail(session.emitted)}; first candidates: {repr(candidates[:3])[:120]}"
                 )
             session.advance(chosen)
             if session.at_end:
                 break
+            if step == request.max_tokens:
+                raise CompletionError(
+                    f"the schema did not accept within max_tokens={request.max_tokens} decode steps, "
+                    f"after {_tail(session.emitted)}"
+                )
         if not session.at_end:
             raise CompletionError("scripted token steps exhausted before the schema accepted")
         model.calls += 1

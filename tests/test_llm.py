@@ -1,3 +1,4 @@
+import itertools
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -200,6 +201,32 @@ def test_constrained_no_permissible_token(fixture_registry):
     model = ScriptedTokenModel([["zzz", "###"]])
     with pytest.raises(NoPermissibleTokenError):
         constrained_complete(model, CompletionRequest(prompt="q"), DecoderSession(automaton))
+
+
+_STRING_VALUE = '[{"tool_name":"search_object_by_name","arguments":[{"argument_name":"query","argument_value":"'
+
+
+def test_no_permissible_message_is_bounded_for_a_large_vocabulary(fixture_registry):
+    session = DecoderSession(compile_schema(fixture_registry)).advance(_STRING_VALUE + "a" * 400)
+    candidates = [f"\x00{i:04d}" for i in range(8193)]
+    with pytest.raises(NoPermissibleTokenError) as err:
+        constrained_complete(ScriptedTokenModel([candidates]), CompletionRequest(prompt="q"), session)
+    message = str(err.value)
+    assert len(message) < 1000
+    assert "8193 candidates" in message
+    assert "'\\x000000'" in message and message.count("a") > 40
+
+
+def test_constrained_stops_after_max_tokens_steps(fixture_registry):
+    # a string value takes "a" for hundreds of steps
+    session = DecoderSession(compile_schema(fixture_registry)).advance(_STRING_VALUE)
+    model = ScriptedTokenModel([])
+    model.candidate_steps = lambda: itertools.repeat(["a"])
+    with pytest.raises(CompletionError, match="max_tokens=5") as err:
+        constrained_complete(model, CompletionRequest(prompt="q", max_tokens=5), session)
+    assert not isinstance(err.value, NoPermissibleTokenError)
+    assert model.calls == 0
+    assert session.emitted == _STRING_VALUE + "a" * 5
 
 
 def test_constrained_plain_model_is_repaired(fixture_registry):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chainplan.enforcer import (
     MAX_STRING_CHARS,
@@ -29,6 +29,7 @@ _STRING_OPENERS = {
 # Structural and value characters of both automata, plus characters neither accepts.
 _ALPHABET = '[]{}",:\\/$PREV0123456789.-_ abefilnorstuwxy' + "é☃\n\x00"
 _LONG = 300  # longer than the index's shared-prefix cap
+_LAST_CHAR = chr(0x10FFFF)  # the one character without a successor
 
 _tokens = st.text(alphabet=_ALPHABET, max_size=8)
 
@@ -45,8 +46,9 @@ def _walk(session: DecoderSession, rng: random.Random, steps: int) -> None:
 def sessions(draw) -> DecoderSession:
     """A session of the fixture plan automaton, the sub-task automaton or a
     random registry's plan automaton, in a random-walk state or (fixed
-    automata) in a string state a few characters from ``MAX_STRING_CHARS``
-    or just over the shared-prefix cap from it."""
+    automata) in a string state a few characters from ``MAX_STRING_CHARS``,
+    just over the shared-prefix cap from it, or with room for a little more
+    than ``_LONG`` characters."""
     kind = draw(st.sampled_from(("fixture", "subtask", "random")))
     if kind == "random":
         automaton = compile_schema(random_registry(random.Random(draw(st.integers(0, 2**32 - 1)))))
@@ -54,7 +56,7 @@ def sessions(draw) -> DecoderSession:
         automaton = _AUTOMATA[kind]
     session = DecoderSession(automaton)
     if kind != "random" and draw(st.booleans()):
-        room = draw(st.one_of(st.integers(0, 4), st.integers(250, 290)))
+        room = draw(st.one_of(st.integers(0, 4), st.integers(250, 290), st.integers(_LONG, _LONG + 20)))
         session.advance(_STRING_OPENERS[kind] + "a" * (MAX_STRING_CHARS - room))
         if room:
             session.advance(draw(st.sampled_from(("", "\\", "\\u0"))))
@@ -65,14 +67,24 @@ def sessions(draw) -> DecoderSession:
 
 @st.composite
 def vocabularies(draw) -> list[str]:
-    """Short random tokens; families with a long shared stem; tokens longer
-    than the shared-prefix cap; the empty token, a quote and a backslash;
-    duplicates; all shuffled."""
+    """Short random tokens; families with a long shared stem; large families
+    under a short, often rejected, head and under the head's successor, where
+    a jump past the head's family lands; tokens with U+10FFFF after nothing,
+    the head or the stem; tokens longer than the shared-prefix cap, one of
+    them ending in a character no state accepts, rejected before, at or past
+    the cap; the empty token, a quote and a backslash; duplicates; all
+    shuffled."""
     vocab = draw(st.lists(_tokens, max_size=40))
     stem = draw(st.text(alphabet=_ALPHABET, min_size=3, max_size=12))
     vocab += [stem + tail for tail in draw(st.lists(_tokens, max_size=6))]
+    head = draw(st.text(alphabet=_ALPHABET, min_size=1, max_size=2))
+    after = head[:-1] + chr(ord(head[-1]) + 1)
+    vocab += [prefix + tail for prefix in (head, after)
+              for tail in draw(st.lists(_tokens, min_size=10, max_size=40))]
+    vocab += [before + _LAST_CHAR + tail for before in ("", head, stem)
+              for tail in draw(st.lists(_tokens, max_size=3))]
     fill = draw(st.sampled_from('a"\\:'))
-    vocab += [fill * _LONG + tail for tail in draw(st.lists(_tokens, max_size=3))]
+    vocab += [fill * _LONG + tail for tail in ["\x00", *draw(st.lists(_tokens, max_size=8))]]
     vocab += ["", '"', "\\"]
     vocab += draw(st.lists(st.sampled_from(vocab), max_size=5))
     return draw(st.permutations(vocab))
@@ -84,6 +96,13 @@ def _flat(session: DecoderSession, vocab: list[str]) -> list[bool]:
 
 @settings(max_examples=150, deadline=None)
 @given(session=sessions(), vocab=vocabularies())
+# No tool name starts with "v", some with "w" and "s": the walk must not jump
+# past the "w" family, and must step over the tokens under "s" + U+10FFFF.
+@example(session=DecoderSession(_AUTOMATA["fixture"]).advance('[{"tool_name":"'),
+         vocab=["v", "vx", "w", "wh", "who", "s" + _LAST_CHAR, "s" + _LAST_CHAR + "x", "x"])
+# Rejected past the shared-prefix cap, with an accepted sibling.
+@example(session=DecoderSession(_AUTOMATA["subtask"]).advance(_STRING_OPENERS["subtask"]),
+         vocab=["a", "a" * _LONG + "\x00", "a" * _LONG + "\x00b", "a" * _LONG + "b"])
 def test_mask_equals_flat_peek(session, vocab):
     state, emitted = session.state, session.emitted
     assert session.mask_vocabulary(vocab) == _flat(session, vocab)
@@ -107,7 +126,7 @@ def test_token_index_is_sorted_distinct_with_capped_shared_prefixes():
     index = TokenIndex(["ab", "", "abc", "ab", "b", "x" * _LONG, "x" * (_LONG + 1)])
     assert index.tokens == ["", "ab", "abc", "b", "x" * _LONG, "x" * (_LONG + 1)]
     assert list(index.shared) == [0, 0, 2, 0, 0, 255]
-    assert [index.position[token] for token in index.tokens] == list(range(6))
+    assert list(index.rejected.items()) == [(token, False) for token in index.tokens]
 
 
 def test_copy_shares_the_index_and_masks_from_its_own_state():
@@ -131,19 +150,42 @@ _REACH = 8
 # A body token, one that closes the string on its last character and one that
 # closes it and continues; all ``_REACH`` long.
 _EDGE_VOCAB = ["a" * _REACH, "a" * (_REACH - 1) + '"', '","' + "a" * (_REACH - 3)]
+# Tokens outside an index of ``_EDGE_VOCAB``, longer than its reach: body
+# characters that overflow the cap from a state with ``_REACH`` characters of
+# room, also after a backslash or inside ``\u``, though not from the shape.
+_BEYOND_REACH = ["a" * (_REACH + 1), "a" * _REACH + '"', "n" + "a" * _REACH, "00" + "a" * _REACH]
 
 
 @pytest.mark.parametrize("place", sorted(_PLACES))
 def test_mask_at_the_shape_reuse_boundary_equals_flat_peek(place):
     # a string state reuses its count-free shape's mask only with ``_REACH``
-    # characters of room below the cap; one index serves both sides
+    # characters of room below the cap; one index serves both sides, and
+    # tokens outside it are peeked from the state, not from the shape
     kind, opener = _PLACES[place]
     session = DecoderSession(_AUTOMATA[kind]).advance(opener + "a" * (MAX_STRING_CHARS - _REACH))
     for _room in (_REACH, _REACH - 1):
         for escape in ("", "\\", "\\u0"):
             at = session.copy().advance(escape)
             assert at.mask_vocabulary(_EDGE_VOCAB) == _flat(at, _EDGE_VOCAB)
+            candidates = _EDGE_VOCAB + _BEYOND_REACH
+            assert at.mask_vocabulary(candidates) == _flat(at, candidates)
         session.advance("a")
+
+
+@pytest.mark.parametrize("place", sorted(_PLACES))
+@pytest.mark.parametrize("inside", [True, False], ids=["reused shape", "walked state"])
+def test_masks_are_fresh_lists_of_bools(place, inside):
+    # from the string opened in ``place`` (a table kept per shape) or from
+    # the state before its quote (a table walked per call)
+    kind, opener = _PLACES[place]
+    session = DecoderSession(_AUTOMATA[kind]).advance(opener if inside else opener[:-1])
+    session.mask_vocabulary(_EDGE_VOCAB)
+    candidates = _EDGE_VOCAB + _BEYOND_REACH + ['"', "zz"]
+    mask = session.mask_vocabulary(candidates)
+    assert all(type(ok) is bool for ok in mask)
+    assert mask == _flat(session, candidates)
+    mask[:] = [not ok for ok in mask]
+    assert session.mask_vocabulary(candidates) == _flat(session, candidates)
 
 
 class _CountingTransitions:
