@@ -44,24 +44,20 @@ def _fail(message: str) -> None:
     raise click.ClickException(message)
 
 
+# An input file option: a missing file is a usage error.
+_FILE = click.Path(exists=True, dir_okay=False)
+
+
 def _load_registry_arg(tools: str, with_operators: bool = False):
-    path = Path(tools)
-    if not path.exists():
-        raise click.UsageError(f"tools file not found: {tools}")
     try:
-        registry = load_registry(path)
+        registry = load_registry(Path(tools))
     except RegistryError as exc:
         _fail(str(exc))
     return register_operator_tools(registry) if with_operators else registry
 
 
 def _read_plan_text(in_file: str | None) -> str:
-    if in_file:
-        path = Path(in_file)
-        if not path.exists():
-            raise click.UsageError(f"input file not found: {in_file}")
-        return path.read_text(encoding="utf-8")
-    return sys.stdin.read()
+    return Path(in_file).read_text(encoding="utf-8") if in_file else sys.stdin.read()
 
 
 def _read_plan(in_file: str | None) -> Plan:
@@ -76,7 +72,7 @@ def _provider(kind: str):
 
 
 _TOOLS_OPTION = click.option(
-    "--tools", default=str(fixture_tools_path()), show_default=False,
+    "--tools", type=_FILE, default=str(fixture_tools_path()), show_default=False,
     help="Tool registry JSON file (defaults to the bundled fixture).",
 )
 
@@ -116,7 +112,7 @@ def cmd_tools(tools, dump_graph, fmt):
 @_TOOLS_OPTION
 @click.option("--out", required=True, help="Corpus cache file to write.")
 @click.option("--kind", type=click.Choice(["tools", "examples"]), default="tools")
-@click.option("--dataset", default=None, help="Golden dataset JSONL (for --kind examples).")
+@click.option("--dataset", type=_FILE, default=None, help="Golden dataset JSONL (for --kind examples).")
 @click.option("--provider", "provider_kind", type=click.Choice(["hash", "remote"]), default="hash")
 def cmd_index(tools, out, kind, dataset, provider_kind):
     """Embed tool descriptions or example queries into a corpus cache."""
@@ -141,26 +137,27 @@ def cmd_index(tools, out, kind, dataset, provider_kind):
 @click.argument("query")
 @click.option("--pipeline", type=click.Choice(["enchant", "regains"]), default="regains")
 @_TOOLS_OPTION
-@click.option("--examples", default=None, help="Golden dataset JSONL used as worked examples.")
-@click.option("--config", "config_file", default=None, help="Pipeline config JSON.")
-@click.option("--mock", "replay_file", default=None, help="Replay JSONL; no network is touched.")
+@click.option("--examples", type=_FILE, default=None, help="Golden dataset JSONL used as worked examples.")
+@click.option("--config", "config_file", type=_FILE, default=None, help="Pipeline config JSON.")
+@click.option("--mock", "replay_file", type=_FILE, default=None, help="Replay JSONL; no network is touched.")
 @click.option("--trace", "trace_file", default="trace.json", show_default=True)
 @click.option("--with-operators", is_flag=True, help="Add op_* pseudo-tools to the registry.")
 def cmd_plan(query, pipeline, tools, examples, config_file, replay_file, trace_file, with_operators):
     """Turn QUERY into a validated plan; plan JSON on stdout, trace to file."""
     registry = _load_registry_arg(tools, with_operators)
-    config = PipelineConfig.from_file(config_file) if config_file else PipelineConfig.default()
+    try:
+        config = PipelineConfig.from_file(config_file) if config_file else PipelineConfig.default()
+    except (ValueError, OSError) as exc:
+        _fail(f"config: {exc}")
     golden = None
     if examples:
-        if not Path(examples).exists():
-            raise click.UsageError(f"examples file not found: {examples}")
         try:
             golden = load_golden_dataset(examples)
         except DatasetError as exc:
             _fail(str(exc))
     ctx = PlannerContext.build(registry, HashEmbeddingProvider(), golden)
-    model = load_replay(replay_file) if replay_file else RemoteChatModel()
     try:
+        model = load_replay(replay_file) if replay_file else RemoteChatModel()
         runner = run_enchant if pipeline == "enchant" else run_regains
         trace = runner(query, ctx, model, config)
     except (PipelineError, PromptError, CompletionError, RetrievalError) as exc:
@@ -171,7 +168,7 @@ def cmd_plan(query, pipeline, tools, examples, config_file, replay_file, trace_f
 
 @main.command("check")
 @_TOOLS_OPTION
-@click.option("--in", "in_file", default=None, help="Plan JSON file (stdin otherwise).")
+@click.option("--in", "in_file", type=_FILE, default=None, help="Plan JSON file (stdin otherwise).")
 def cmd_check(tools, in_file):
     """Validate a plan's names, references and type-graph wiring.
 
@@ -207,7 +204,7 @@ def cmd_check(tools, in_file):
 
 @main.command("repair")
 @_TOOLS_OPTION
-@click.option("--in", "in_file", default=None, help="Plan JSON file (stdin otherwise).")
+@click.option("--in", "in_file", type=_FILE, default=None, help="Plan JSON file (stdin otherwise).")
 @click.option("--format", "fmt", type=click.Choice(["plan", "json"]), default="plan")
 def cmd_repair(tools, in_file, fmt):
     """Re-wrap $$PREV references to match the type graph."""
@@ -226,7 +223,7 @@ def cmd_repair(tools, in_file, fmt):
 
 @main.command("enforce")
 @_TOOLS_OPTION
-@click.option("--in", "in_file", default=None, help="Raw candidate text (stdin otherwise).")
+@click.option("--in", "in_file", type=_FILE, default=None, help="Raw candidate text (stdin otherwise).")
 @click.option("--format", "fmt", type=click.Choice(["plan", "json"]), default="plan")
 def cmd_enforce(tools, in_file, fmt):
     """Project arbitrary text onto the schema-valid plan language."""
@@ -242,7 +239,7 @@ def cmd_enforce(tools, in_file, fmt):
 
 @main.command("exec")
 @_TOOLS_OPTION
-@click.option("--in", "in_file", default=None, help="Plan JSON file (stdin otherwise).")
+@click.option("--in", "in_file", type=_FILE, default=None, help="Plan JSON file (stdin otherwise).")
 @click.option("--out", default=None, help="Write the execution trace here instead of stdout.")
 def cmd_exec(tools, in_file, out):
     """Execute a plan on the bundled stub runtime."""
@@ -260,12 +257,12 @@ def cmd_exec(tools, in_file, out):
 
 
 @main.command("eval")
-@click.option("--dataset", required=True, help="Golden dataset JSONL.")
-@click.option("--predictions", default=None,
+@click.option("--dataset", type=_FILE, required=True, help="Golden dataset JSONL.")
+@click.option("--predictions", type=_FILE, default=None,
               help="Predictions JSONL: one {\"predicted\": \"<plan text>\"} per dataset line.")
 @click.option("--pipeline", type=click.Choice(["enchant", "regains"]), default=None,
               help="Generate predictions by running this pipeline instead.")
-@click.option("--mock", "replay_file", default=None, help="Replay JSONL for --pipeline runs.")
+@click.option("--mock", "replay_file", type=_FILE, default=None, help="Replay JSONL for --pipeline runs.")
 @_TOOLS_OPTION
 @click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table")
 @click.option("--trace", "trace_file", default="eval_trace.json", show_default=True,
@@ -288,14 +285,19 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
                 continue
             try:
                 record = json.loads(line)
-                predicted_texts.append(record["predicted"] if isinstance(record, dict) else str(record))
-            except (json.JSONDecodeError, KeyError) as exc:
+            except json.JSONDecodeError as exc:
                 _fail(f"predictions line {line_no}: {exc}")
+            if not isinstance(record, dict) or not isinstance(record.get("predicted"), str):
+                _fail(f'predictions line {line_no}: need an object with a string "predicted"')
+            predicted_texts.append(record["predicted"])
         if len(predicted_texts) != len(examples):
             _fail(f"{len(examples)} dataset records but {len(predicted_texts)} predictions")
     else:
         ctx = PlannerContext.build(registry, HashEmbeddingProvider(), examples)
-        model = load_replay(replay_file) if replay_file else RemoteChatModel()
+        try:
+            model = load_replay(replay_file) if replay_file else RemoteChatModel()
+        except CompletionError as exc:
+            _fail(str(exc))
         runner = run_enchant if pipeline == "enchant" else run_regains
         predicted_texts = []
         traces = []

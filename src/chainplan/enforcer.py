@@ -10,16 +10,29 @@ distributions are inaccessible.
 
 States are immutable tuples; transitions are pure functions of
 (state, character), so one automaton may serve many concurrent sessions.
-They are built from a few general pieces: one literal state matches every
-fixed text (``("lit", text, i, then)`` continues in ``then``), one number
-machine serves integers, unsigned ids and floats, one fixed-words machine
-serves ``true``/``false`` and ``null``, and an object member's value is a
-union of string, float, boolean and null run by the union machine.
-Each automaton hand-writes only its ``transition``; the next-character set of
-a state is derived from it over printable ASCII. That set is exact because
-tool and argument names are identifiers (``[A-Za-z0-9_]+``), which a
-``Registry`` guarantees when it is built and the sub-task automaton checks
-at compile time, and every other accepted character is printable ASCII.
+Both automata, for sub-tasks and for plans, run one transition over an
+array of records, built from four pieces that each carry their continuation:
+
+- literal ``("lit", text, i, then)`` matches ``text[i]`` and, at the end of
+  ``text``, continues in ``then``;
+- field ``("field", spec, then, vstate)`` runs the value machine of ``spec``
+  and, once the value is done, continues in the literal ``then``;
+- name ``("name", prefix)`` spells one of the automaton's sorted names and,
+  after its closing quote, continues in ``_after_name(name)``;
+- array ``("open"|"sep", item, close)``, after ``[`` or after an item: an
+  item opens with the literal ``item`` (``None``: no further item), and
+  ``]`` continues in ``close``.
+
+The sub-task automaton is these pieces alone. The plan automaton adds
+``("aname", tool, used, prefix)``, which spells an argument of ``tool`` not
+yet ``used``. One number machine serves integers, unsigned ids and floats,
+one fixed-words machine ``true``/``false`` and ``null``; an object member's
+value is a union of string, float, boolean and null. The next-character set
+of a state is derived from the transition over printable ASCII. That set is
+exact because tool and argument names are identifiers (``[A-Za-z0-9_]+``),
+which a ``Registry`` guarantees when it is built and the sub-task automaton
+checks at compile time, and every other accepted character is printable
+ASCII.
 Each automaton memoizes those sets on a state's shape, which allows the same
 characters: a literal state without its ``then``, an open string with room
 for one more character as its count-free shape (defined below), any other
@@ -305,10 +318,14 @@ def _v_done(spec: tuple, state: tuple) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Automata. Each hand-writes only ``transition``; ``allowed`` is derived.
-# Fixed texts are matched by one literal state, ``("lit", text, i, then)``:
-# it takes ``text[i]`` and, at the end of ``text``, continues in ``then``.
+# Automata: one scaffold of four pieces (see the module docstring). A field's
+# ``vstate`` sits last, where ``_count_free_shape`` looks for an open string.
+# Subclasses supply names, a top-level item, ``_after_name`` and, for states
+# of their own, ``_own_step``.
 # ---------------------------------------------------------------------------
+
+_ACCEPT = ("accept",)
+
 
 def _lit_step(state: tuple, ch: str):
     _, text, i, then = state
@@ -316,6 +333,10 @@ def _lit_step(state: tuple, ch: str):
         return None
     i += 1
     return then if i == len(text) else ("lit", text, i, then)
+
+
+def _field(spec: tuple, then: tuple) -> tuple:
+    return ("field", spec, then, _v_init(spec))
 
 
 def _extends(names: tuple[str, ...], prefix: str) -> bool:
@@ -329,13 +350,42 @@ _ALLOWED_CACHE_SIZE = 4096
 
 
 class _Automaton:
-    initial_state = ("start",)
-
-    def __init__(self):
+    def __init__(self, names: tuple[str, ...], item: tuple):
+        self._names = names
+        self._name_set = frozenset(names)
+        self.initial_state = ("lit", "[", 0, ("open", item, _ACCEPT))
+        self._item_close = ("lit", "}", 0, ("sep", item, _ACCEPT))
         self._allowed: dict[tuple, frozenset[str]] = {}
 
     def accepting(self, state: tuple) -> bool:
-        return state == ("accept",)
+        return state == _ACCEPT
+
+    def transition(self, state: tuple, ch: str):
+        tag = state[0]
+        if tag == "lit":
+            return _lit_step(state, ch)
+        if tag == "field":
+            _, spec, then, vstate = state
+            nxt = _v_step(spec, vstate, ch)
+            if nxt is not None:
+                return ("field", spec, then, nxt)
+            return _lit_step(then, ch) if _v_done(spec, vstate) else None
+        if tag == "name":
+            prefix = state[1]
+            if ch == '"' and prefix in self._name_set:
+                return self._after_name(prefix)
+            cand = prefix + ch
+            return ("name", cand) if _extends(self._names, cand) else None
+        if tag == "open" or tag == "sep":
+            _, item, close = state
+            if ch == "]":
+                return close
+            if item is None:
+                return None
+            if tag == "open":
+                return _lit_step(item, ch)
+            return item if ch == "," else None
+        return None if tag == "accept" else self._own_step(state, ch)
 
     def allowed(self, state: tuple) -> frozenset[str]:
         """The printable ASCII characters ``transition`` accepts from ``state``.
@@ -362,22 +412,15 @@ class _Automaton:
         return found
 
 
-_CALL_OPEN = '{"tool_name":"'
-_CALL_MID = ',"arguments":['
-_ARG_OPEN = '{"argument_name":"'
-_ARG_MID = ',"argument_value":'
-_CALL_CLOSE = ("lit", "}", 0, ("plan_sep",))
-
-
 class PlanAutomaton(_Automaton):
-    """Deterministic character acceptor for schema-valid plan texts."""
+    """Deterministic character acceptor for schema-valid plan texts:
+    ``[{"tool_name":name,"arguments":[{"argument_name":arg,"argument_value":value}]}]``.
+    An argument list offers no further item once every argument is used."""
 
     def __init__(self, registry: Registry):
-        super().__init__()
         if not registry.tools:
             raise SchemaCompileError("cannot compile a schema for an empty registry")
-        self._tool_names = tuple(sorted(registry.tools))
-        self._tool_set = frozenset(self._tool_names)
+        super().__init__(tuple(sorted(registry.tools)), ("lit", '{"tool_name":"', 0, ("name", "")))
         self._args = {name: spec.argument_names for name, spec in registry.tools.items()}
         self._arg_specs = {
             (name, arg.name): argument_value_spec(arg.value_type)
@@ -385,132 +428,48 @@ class PlanAutomaton(_Automaton):
             for arg in spec.arguments
         }
 
-    def transition(self, state: tuple, ch: str):  # noqa: C901 - one dispatcher
-        tag = state[0]
-        if tag == "lit":
-            return _lit_step(state, ch)
-        if tag == "start":
-            return ("plan_open",) if ch == "[" else None
-        if tag == "plan_open":
-            if ch == "]":
-                return ("accept",)
-            return ("lit", _CALL_OPEN, 1, ("tool", "")) if ch == "{" else None
-        if tag == "tool":
-            prefix = state[1]
-            if ch == '"' and prefix in self._tool_set:
-                return ("lit", _CALL_MID, 0, ("args_open", prefix))
-            cand = prefix + ch
-            return ("tool", cand) if _extends(self._tool_names, cand) else None
-        if tag == "args_open":
-            tool = state[1]
-            if ch == "]":
-                return _CALL_CLOSE
-            if ch == "{" and self._args[tool]:
-                return ("lit", _ARG_OPEN, 1, ("aname", tool, frozenset(), ""))
+    def _after_name(self, tool: str) -> tuple:
+        return ("lit", ',"arguments":[', 0, ("open", self._arg_item(tool, frozenset()), self._item_close))
+
+    def _arg_item(self, tool: str, used: frozenset):
+        if len(used) == len(self._args[tool]):
             return None
-        if tag == "aname":
-            tool, used, prefix = state[1], state[2], state[3]
-            unused = [a for a in self._args[tool] if a not in used]
-            if ch == '"' and prefix in unused:
-                spec = self._arg_specs[(tool, prefix)]
-                return ("lit", _ARG_MID, 0, ("value", tool, prefix, used, _v_init(spec)))
-            cand = prefix + ch
-            if any(a.startswith(cand) for a in unused):
-                return ("aname", tool, used, cand)
-            return None
-        if tag == "value":
-            tool, arg, used, vstate = state[1], state[2], state[3], state[4]
-            spec = self._arg_specs[(tool, arg)]
-            nxt = _v_step(spec, vstate, ch)
-            if nxt is not None:
-                return ("value", tool, arg, used, nxt)
-            if _v_done(spec, vstate) and ch == "}":
-                return ("arg_sep", tool, used | {arg})
-            return None
-        if tag == "arg_sep":
-            tool, used = state[1], state[2]
-            if ch == "]":
-                return _CALL_CLOSE
-            if ch == "," and len(used) < len(self._args[tool]):
-                return ("lit", _ARG_OPEN, 0, ("aname", tool, used, ""))
-            return None
-        if tag == "plan_sep":
-            if ch == ",":
-                return ("lit", _CALL_OPEN, 0, ("tool", ""))
-            if ch == "]":
-                return ("accept",)
-            return None
-        return None  # accept
+        return ("lit", '{"argument_name":"', 0, ("aname", tool, used, ""))
+
+    def _own_step(self, state: tuple, ch: str):
+        """``("aname", tool, used, prefix)``: an argument of ``tool`` not in ``used``."""
+        _, tool, used, prefix = state
+        unused = [a for a in self._args[tool] if a not in used]
+        if ch == '"' and prefix in unused:
+            then = ("lit", "}", 0, ("sep", self._arg_item(tool, used | {prefix}), self._item_close))
+            return ("lit", ',"argument_value":', 0, _field(self._arg_specs[(tool, prefix)], then))
+        cand = prefix + ch
+        if any(a.startswith(cand) for a in unused):
+            return ("aname", tool, used, cand)
+        return None
 
 
 def compile_schema(registry: Registry) -> PlanAutomaton:
     return PlanAutomaton(registry)
 
 
-# ---------------------------------------------------------------------------
-# Sub-task automaton: [{"id": n, "thought": str, "tool_name": enum}]
-# ---------------------------------------------------------------------------
-
-_ST_OPEN = '{"id":'
-_ST_THOUGHT = ',"thought":'
-_ST_TOOL = ',"tool_name":"'
-_ST_ID = ("idval", _v_init(("uint",)))
-_ST_CLOSE = ("lit", "}", 0, ("item_sep",))
-
-
 class SubTaskAutomaton(_Automaton):
-    """Acceptor for decomposition output with tool names pinned to an enum."""
+    """Acceptor for decomposition output with tool names pinned to an enum:
+    ``[{"id":uint,"thought":string,"tool_name":name}]``."""
 
     def __init__(self, tool_names):
-        super().__init__()
         names = tuple(sorted(tool_names))
         if not names:
             raise SchemaCompileError("sub-task schema needs at least one tool name")
         for name in names:
             if not IDENTIFIER_PATTERN.fullmatch(name):
                 raise SchemaCompileError(f"tool name {name!r} is not an identifier")
-        self._tool_names = names
-        self._tool_set = frozenset(names)
+        tool = ("lit", ',"tool_name":"', 0, ("name", ""))
+        thought = ("lit", ',"thought":', 0, _field(("string",), tool))
+        super().__init__(names, ("lit", '{"id":', 0, _field(("uint",), thought)))
 
-    def transition(self, state: tuple, ch: str):  # noqa: C901
-        tag = state[0]
-        if tag == "lit":
-            return _lit_step(state, ch)
-        if tag == "start":
-            return ("first",) if ch == "[" else None
-        if tag == "first":
-            if ch == "]":
-                return ("accept",)
-            return ("lit", _ST_OPEN, 1, _ST_ID) if ch == "{" else None
-        if tag == "idval":
-            sub = state[1]
-            nxt = _v_step(("uint",), sub, ch)
-            if nxt is not None:
-                return ("idval", nxt)
-            if _v_done(("uint",), sub) and ch == ",":
-                return ("lit", _ST_THOUGHT, 1, ("tstr", ("s0",)))
-            return None
-        if tag == "tstr":
-            sub = state[1]
-            nxt = _v_step(("string",), sub, ch)
-            if nxt is not None:
-                return ("tstr", nxt)
-            if _v_done(("string",), sub) and ch == ",":
-                return ("lit", _ST_TOOL, 1, ("tname", ""))
-            return None
-        if tag == "tname":
-            prefix = state[1]
-            if ch == '"' and prefix in self._tool_set:
-                return _ST_CLOSE
-            cand = prefix + ch
-            return ("tname", cand) if _extends(self._tool_names, cand) else None
-        if tag == "item_sep":
-            if ch == ",":
-                return ("lit", _ST_OPEN, 0, _ST_ID)
-            if ch == "]":
-                return ("accept",)
-            return None
-        return None
+    def _after_name(self, name: str) -> tuple:
+        return self._item_close
 
 
 def compile_subtask_schema(tool_names) -> SubTaskAutomaton:

@@ -102,10 +102,12 @@ def post_json(url: str, payload: dict, api_key: str = "", timeout: float = 30.0,
         try:
             with urllib.request.urlopen(request, timeout=timeout) as response:
                 return json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, urllib.error.HTTPError, OSError, ValueError) as exc:
+        except (OSError, ValueError) as exc:  # URLError and HTTPError are OSErrors
             last = exc
-            if isinstance(exc, urllib.error.HTTPError) and 400 <= exc.code < 500 and exc.code not in (408, 429):
-                raise CompletionError(f"request to {url} failed with HTTP {exc.code}: {exc}") from exc
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # it holds the response and its socket
+                if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                    raise CompletionError(f"request to {url} failed with HTTP {exc.code}: {exc}") from exc
             if attempt + 1 < max_attempts:
                 time.sleep(backoff_s * (2 ** attempt))
     raise CompletionError(f"request to {url} failed after {max_attempts} attempts: {last}")

@@ -82,7 +82,7 @@ _REQUIRED_SLOTS = {
     "rap_template": ("query", "tools", "examples", "insights"),
 }
 
-_CONFIG_SCALARS = ("k", "example_count", "model_id", "max_tokens", "temperature")
+_CONFIG_SCALARS = {"k": int, "example_count": int, "model_id": str, "max_tokens": int, "temperature": (int, float)}
 _CONFIG_TEMPLATES = {"decompose": "decompose_template", "recompose": "recompose_template",
                      "rap": "rap_template"}
 
@@ -126,15 +126,27 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         """Config file: JSON with k, example_count, template paths, insights
-        path and model params; missing fields fall back to the defaults, and
-        an unknown key, at the top or under templates, is an error."""
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        path and model params; missing fields fall back to the defaults. An
+        unknown key, at the top or under templates, or a value of the wrong
+        type is an error (``ValueError``)."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+        templates = doc.get("templates", {}) if isinstance(doc, dict) else None
+        if not isinstance(templates, dict):
+            raise ValueError(f"{path}: a config is a JSON object, and its templates an object")
         base = Path(path).resolve().parent
-        templates = doc.get("templates", {})
         unknown = sorted(set(doc) - {*_CONFIG_SCALARS, "templates", "insights"})
         unknown += sorted(f"templates.{key}" for key in set(templates) - set(_CONFIG_TEMPLATES))
         if unknown:
             raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        # every other value, the insights path and the template paths, is a string
+        values = [(key, doc[key], _CONFIG_SCALARS.get(key, str)) for key in doc if key != "templates"]
+        values += [(f"templates.{key}", value, str) for key, value in templates.items()]
+        wrong = [key for key, value, kind in values if isinstance(value, bool) or not isinstance(value, kind)]
+        if wrong:
+            raise ValueError(f"{path}: config values of the wrong type: {', '.join(wrong)}")
         config = cls.default()
         for key in _CONFIG_SCALARS:
             if key in doc:
@@ -178,9 +190,9 @@ class PlannerContext:
     registry: Registry
     provider: object
     tool_corpus: Corpus
+    graph: TypeGraph
     example_corpus: Corpus | None = None
     examples: dict[str, GoldenExample] = field(default_factory=dict)
-    graph: TypeGraph | None = None
     automaton: PlanAutomaton | None = None
 
     @classmethod
@@ -201,9 +213,9 @@ class PlannerContext:
             registry=registry,
             provider=provider,
             tool_corpus=tool_corpus,
+            graph=build_graph(registry),
             example_corpus=example_corpus,
             examples=examples,
-            graph=build_graph(registry),
         )
 
 
@@ -245,12 +257,6 @@ def _retrieve_tools(query: str, ctx: PlannerContext, config: PipelineConfig) -> 
     if not ctx.tool_corpus.items:
         raise PipelineError("tool corpus is empty; nothing to retrieve")
     return retrieve_top_k(query, ctx.tool_corpus, ctx.provider, config.k)
-
-
-def _graph_for(ctx: PlannerContext) -> TypeGraph:
-    if ctx.graph is None:
-        ctx.graph = build_graph(ctx.registry)
-    return ctx.graph
 
 
 def _automaton_for(ctx: PlannerContext) -> PlanAutomaton:
@@ -333,7 +339,7 @@ def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig |
     outcome = parse_plan(recompose_result.text)
     if not outcome.ok:
         raise PipelineError(f"enforced recomposition produced unparseable text: {outcome.detail}")
-    final_plan, repairs = repair_plan(_graph_for(ctx), outcome.plan)
+    final_plan, repairs = repair_plan(ctx.graph, outcome.plan)
 
     return PipelineTrace(
         pipeline="enchant",
@@ -373,7 +379,7 @@ def run_regains(query: str, ctx: PlannerContext, model, config: PipelineConfig |
             raise PipelineError(f"projection repair produced unparseable text: {outcome.detail}")
         mode = "repaired"
 
-    final_plan, repairs = repair_plan(_graph_for(ctx), outcome.plan)
+    final_plan, repairs = repair_plan(ctx.graph, outcome.plan)
 
     return PipelineTrace(
         pipeline="regains",

@@ -87,6 +87,68 @@ def test_no_network_under_mock(runner, tmp_path, replay_files, golden_examples, 
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["plan", "q", "--config", "/nonexistent/config.json"],
+    ["plan", "q", "--mock", "/nonexistent/replay.jsonl"],
+    ["plan", "q", "--examples", "/nonexistent/golden.jsonl"],
+    ["eval", "--dataset", str(GOLDEN_PATH), "--predictions", "/nonexistent/predictions.jsonl"],
+    ["eval", "--dataset", str(GOLDEN_PATH), "--pipeline", "regains", "--mock", "/nonexistent/replay.jsonl"],
+    ["eval", "--dataset", "/nonexistent/golden.jsonl", "--predictions", str(GOLDEN_PATH)],
+    ["check", "--in", "/nonexistent/plan.json"],
+], ids=["config", "plan_mock", "examples", "predictions", "eval_mock", "dataset", "in"])
+def test_missing_input_file_is_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "does not exist" in result.output
+
+
+def _assert_one_line_error(result, *fragments):
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1, result.output
+    for fragment in fragments:
+        assert fragment in result.output
+
+
+def test_malformed_replay_is_one_line_error(runner, tmp_path):
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text('{"fingerprint": "x"}\n', encoding="utf-8")
+    for args in (["plan", "q", "--mock", str(replay), "--trace", str(tmp_path / "t.json")],
+                 ["eval", "--dataset", str(GOLDEN_PATH), "--pipeline", "enchant", "--mock", str(replay),
+                  "--trace", str(tmp_path / "t.json")]):
+        _assert_one_line_error(runner.invoke(main, args), "bad replay line 1")
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("{not json", "invalid JSON"),
+    ("[1, 2]", "JSON object"),
+    ('{"templates": ["rap.txt"]}', "JSON object"),
+    ('{"k": 3, "token_budget": 10}', "unknown config keys: token_budget"),
+    ('{"templates": {"rap": "missing.txt"}}', "missing.txt"),
+    ('{"k": "4", "temperature": true, "insights": 5, "templates": {"rap": null}}',
+     "wrong type: k, temperature, insights, templates.rap"),
+], ids=["invalid_json", "array", "templates_array", "unknown_key", "missing_template", "wrong_types"])
+def test_bad_config_is_one_line_error(runner, tmp_path, text, fragment):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, ["plan", "q", "--config", str(config), "--trace", str(tmp_path / "t.json")])
+    _assert_one_line_error(result, "config: ", fragment)
+
+
+@pytest.mark.parametrize("bad_line", ["[1, 2]", '{"predicted": ["x"]}', '{"plan": "[]"}', '"[]"'],
+                         ids=["array", "list_predicted", "no_predicted", "bare_string"])
+def test_eval_bad_predictions_line_is_one_line_error(runner, tmp_path, golden_examples, bad_line):
+    lines = [json.dumps({"predicted": ex.gold_text}) for ex in golden_examples]
+    lines[1] = bad_line
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, [
+        "eval", "--dataset", str(GOLDEN_PATH), "--predictions", str(predictions),
+        "--trace", str(tmp_path / "t.json"),
+    ])
+    _assert_one_line_error(result, "predictions line 2", '"predicted"')
+
+
 def test_check_forward_reference_exits_one(runner):
     plan_text = '[{"tool_name":"works_list","arguments":[{"argument_name":"owned_by","argument_value":["$$PREV[5]"]}]}]'
     result = runner.invoke(main, ["check"], input=plan_text)

@@ -4,6 +4,8 @@ import pytest
 
 from dataclasses import replace
 
+from hypothesis import example, given, settings, strategies as st
+
 from chainplan.enforcer import (
     _ALLOWED_CACHE_SIZE,
     _PRINTABLE,
@@ -16,6 +18,7 @@ from chainplan.enforcer import (
     compile_subtask_schema,
     enforced_repair,
 )
+from chainplan.pipelines import SubTask, parse_subtasks, serialize_subtasks
 from chainplan.plan import parse_plan, serialize_plan
 from chainplan.registry import Registry
 
@@ -259,6 +262,45 @@ def test_subtask_automaton_repair(fixture_registry):
 
     data = json.loads(out)
     assert data[0]["tool_name"] in fixture_registry.names
+
+
+def _string_units(text: str) -> int:
+    """Characters the string machine counts for ``text`` as JSON with only
+    ASCII: one per character, two for a character beyond U+FFFF, which is
+    escaped as a surrogate pair."""
+    return sum(2 if ord(ch) > 0xFFFF else 1 for ch in text)
+
+
+@st.composite
+def _subtask_lists(draw):
+    names = random_registry(random.Random(draw(st.integers(0, 2**16))), max_tools=8).names
+    # printable ASCII; the characters JSON escapes, with neighbours; Latin-1; any character
+    alphabets = (_PRINTABLE, '"\\/\b\f\n\r\t\x00\x1f\x7f a\xe9\u2028\uffff\U0001F600',
+                 st.characters(max_codepoint=0xFF), st.characters())
+    thoughts = st.one_of(st.text(alphabet=alphabet, max_size=MAX_STRING_CHARS) for alphabet in alphabets)
+    subtasks = draw(st.lists(
+        st.builds(SubTask, index=st.integers(0, 10**12 - 1), thought=thoughts, tool_name=st.sampled_from(names)),
+        max_size=4,
+    ))
+    return names, subtasks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subtask_lists())
+@example((("tool0",), [SubTask(0, "a" * MAX_STRING_CHARS, "tool0")]))
+@example((("tool0",), [SubTask(999_999_999_999, "é\n\"\\" * (MAX_STRING_CHARS // 4), "tool0")]))
+@example((("tool0",), [SubTask(1, "\U0001F600" * (MAX_STRING_CHARS // 2), "tool0")]))
+@example((("tool0",), [SubTask(1, "\U0001F600" * (MAX_STRING_CHARS // 2 + 1), "tool0")]))
+def test_serialized_subtasks_are_accepted_and_parse_back(case):
+    names, subtasks = case
+    text = serialize_subtasks(subtasks)
+    automaton = compile_subtask_schema(names)
+    if all(_string_units(subtask.thought) <= MAX_STRING_CHARS for subtask in subtasks):
+        assert DecoderSession(automaton).advance(text).at_end
+    else:
+        # the thought's surrogate pairs outgrow the cap the automaton counts
+        assert not DecoderSession(automaton).peek(text)
+    assert parse_subtasks(text) == subtasks
 
 
 def test_subtask_schema_needs_tools():

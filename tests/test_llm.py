@@ -103,6 +103,7 @@ def stub_server():
     _StubHandler.seen_payloads = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_model_against_stub(stub_server):
@@ -151,6 +152,25 @@ def test_remote_model_retries_rate_limit(stub_server):
         model.complete(CompletionRequest(prompt="q"))
     assert "3 attempts" in str(err.value)
     assert len(_StubHandler.seen_payloads) == 3
+
+
+def test_retried_and_refused_responses_are_closed(stub_server):
+    # an HTTPError holds its response's socket until it is closed
+    import gc
+    import warnings
+
+    model = RemoteChatModel(api_base=stub_server, api_key="k", backoff_s=0.0, max_attempts=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        _StubHandler.failures_left = 2
+        assert model.complete(CompletionRequest(prompt="q")).text == "[]"
+        for status in (500, 429, 400):
+            _StubHandler.failures_left = 10
+            _StubHandler.failure_status = status
+            with pytest.raises(CompletionError):
+                model.complete(CompletionRequest(prompt="q"))
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.mark.parametrize("client_class", [RemoteChatModel, RemoteEmbeddingProvider])

@@ -351,3 +351,4 @@ def test_remote_embedding_provider_against_stub():
         assert corpus.provider_id == "remote-test-embed"
     finally:
         server.shutdown()
+        server.server_close()
