@@ -48,6 +48,19 @@ def _fail(message: str) -> None:
 _FILE = click.Path(exists=True, dir_okay=False)
 
 
+def _write_output(path: str, write) -> None:
+    """Call ``write(path)``; an OS error, such as a missing directory, is one
+    error line naming the path."""
+    try:
+        write(path)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _write_text(path: str, text: str) -> None:
+    _write_output(path, lambda out: Path(out).write_text(text, encoding="utf-8"))
+
+
 def _load_registry_arg(tools: str, with_operators: bool = False):
     try:
         registry = load_registry(Path(tools))
@@ -127,9 +140,9 @@ def cmd_index(tools, out, kind, dataset, provider_kind):
             examples = load_golden_dataset(dataset)
             items = [(ex.id, ex.query) for ex in examples]
         corpus = index_corpus(provider, items, kind=kind, registry_version=registry.version)
-        save_corpus(corpus, out)
     except (RetrievalError, DatasetError) as exc:
         _fail(str(exc))
+    _write_output(out, lambda path: save_corpus(corpus, path))
     click.echo(f"indexed {len(items)} items into {out}")
 
 
@@ -162,7 +175,7 @@ def cmd_plan(query, pipeline, tools, examples, config_file, replay_file, trace_f
         trace = runner(query, ctx, model, config)
     except (PipelineError, PromptError, CompletionError, RetrievalError) as exc:
         _fail(str(exc))
-    Path(trace_file).write_text(trace.to_json(), encoding="utf-8")
+    _write_text(trace_file, trace.to_json())
     click.echo(trace.final_text)
 
 
@@ -250,7 +263,7 @@ def cmd_exec(tools, in_file, out):
     except ExecutionError as exc:
         _fail(str(exc))
     if out:
-        Path(out).write_text(trace.to_json(), encoding="utf-8")
+        _write_text(out, trace.to_json())
         click.echo(f"executed {len(trace.steps)} steps")
     else:
         click.echo(trace.to_json())
@@ -317,7 +330,7 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
     trace_doc = {"report": json.loads(report.to_json())}
     if traces:
         trace_doc["runs"] = [json.loads(t.to_json()) for t in traces]
-    Path(trace_file).write_text(json.dumps(trace_doc, indent=2), encoding="utf-8")
+    _write_text(trace_file, json.dumps(trace_doc, indent=2))
     if fmt == "json":
         click.echo(report.to_json())
     elif fmt == "csv":

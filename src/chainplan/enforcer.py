@@ -40,20 +40,24 @@ state as itself. The memo is bounded and cleared when full. Sessions share
 it safely: the sets are immutable, and a lost entry only costs a rescan.
 
 Vocabulary masks are exact: a token is allowed if and only if feeding it
-character by character would succeed. A session indexes the first vocabulary
-it masks (``TokenIndex``: sorted distinct tokens, one shared-prefix byte per
-token and a dict of every token mapped to False, about 0.5 MB for 8k tokens).
-Each state's verdict table, a copy of that dict with the accepted tokens set
-to True, comes from one pass over that implicit trie, which memoizes
+character by character would succeed. A vocabulary belongs to the model: it
+is indexed once (``vocabulary_index``) into a ``TokenIndex`` (sorted distinct
+tokens, one shared-prefix byte per token, the token range of each first
+character and a dict of every token mapped to False, about 0.5 MB for 8k
+tokens) that every automaton and session shares. A session maps its
+candidates through a verdict table in C; tokens outside the index are fed one
+by one from the session's state. A structural state's table is a copy of that
+dict with the accepted tokens set to True, from one pass over the implicit
+trie that visits only the first characters the state allows, memoizes
 transitions for the pass and jumps by bisection past every token under a
-rejected prefix. The session maps its candidates through the table in C;
-tokens outside the index are fed one by one from the session's state.
-Tables of string states far from the cap are reused: when an open string's
-count ``n`` and the longest indexed token's length ``reach`` satisfy
-``n + reach <= MAX_STRING_CHARS``, every indexed token is accepted from the
-state exactly when it is accepted from its count-free shape (the same state
-with ``n`` set to 0), so the index walks each shape once and keeps its table
-for its own life.
+rejected prefix. String states far from the cap reuse their verdicts: when an
+open string's count ``n`` and the longest indexed token's length ``reach``
+satisfy ``n + reach <= MAX_STRING_CHARS``, every indexed token is accepted
+from the state exactly when it is accepted from its count-free shape (the
+same state with ``n`` set to 0). A token without ``"`` cannot leave the
+string, so its verdict is the string machine's alone, kept once per index for
+each innermost string shape; only the tokens with a ``"`` are walked per
+(automaton, count-free shape).
 
 Accepted value shapes per argument are deliberately relaxed around
 references: both a bare ``"$$PREV[i]"`` and a singleton ``["$$PREV[i]"]``
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .registry import IDENTIFIER_PATTERN, Registry, ValueType
 
@@ -505,21 +510,23 @@ def _count_free_shape(state: tuple, room: int):
     return None
 
 
-class TokenIndex:
-    """A vocabulary as an implicit trie: its distinct tokens in sorted order,
-    each with the length of the prefix it shares with the token before it.
+def _innermost(state: tuple) -> tuple:
+    """The innermost machine state of ``state``, which sits last in it."""
+    while isinstance(state[-1], tuple):
+        state = state[-1]
+    return state
 
-    ``rejected`` maps every indexed token, in sorted order, to False; a walk
-    copies it and sets its accepted tokens to True. That copy is the mask's
-    verdict table: a decode session maps its candidates through it in C.
-    The index costs one list of the tokens, one byte per token and that dict:
-    about 0.5 MB for 8k tokens. Tables of string states with at least
-    ``reach`` (the longest token's length) characters left below
-    ``MAX_STRING_CHARS`` are kept per (automaton, count-free shape) for the
-    life of the index: a few more dicts of the same size.
+
+class _Trie:
+    """Tokens as an implicit trie: the distinct tokens in sorted order, each
+    with the length of the prefix it shares with the token before it, and the
+    range of tokens under each first character.
+
+    ``rejected`` maps every token, in sorted order, to False; a walk sets the
+    accepted tokens of a copy to True.
     """
 
-    __slots__ = ("tokens", "shared", "rejected", "reach", "_tables")
+    __slots__ = ("tokens", "shared", "rejected", "_spans")
 
     def __init__(self, vocabulary):
         self.tokens = sorted(set(vocabulary))
@@ -533,78 +540,164 @@ class TokenIndex:
             self.shared[i] = k
             previous = token
         self.rejected = dict.fromkeys(self.tokens, False)
-        self.reach = max(map(len, self.tokens), default=0)
-        self._tables: dict[tuple, dict[str, bool]] = {}
+        firsts = sorted({token[0] for token in self.tokens if token})
+        starts = [bisect_left(self.tokens, first) for first in firsts] + [len(self.tokens)]
+        self._spans = {first: (starts[j], starts[j + 1]) for j, first in enumerate(firsts)}
 
-    def accepted(self, automaton, state: tuple) -> dict[str, bool]:
-        """Each indexed token mapped to whether ``automaton`` consumes all of
-        it from ``state``; the table may be shared, so callers must not
-        change it.
+    def _walk(self, transition, state: tuple, firsts, table: dict) -> None:
+        """Set ``table[token]`` to True for every token that ``transition``
+        consumes whole from ``state``, given ``firsts``, a superset of the
+        first characters it accepts there; the empty token is accepted.
 
-        A string state with ``n + reach <= MAX_STRING_CHARS`` takes the table
-        of its count-free shape, walked once per index: every in-string
-        character of an indexed token is then checked at a count below the
-        cap, and the closing quote leads to a count-free state, so each token
-        is accepted from the state exactly when it is from the shape.
+        Only the ranges of tokens under ``firsts`` are visited. In a range, a
+        token starts from the states of the prefix it shares with the
+        previous one. When a prefix ``p`` is rejected, the walk jumps by
+        bisection to the first token that does not start with ``p``: the
+        first one not below ``p`` with its last character incremented. A
+        ``p`` ending in U+10FFFF has no such successor; the tokens after it
+        are stepped over one by one. Transitions are memoized per (state,
+        character) for the walk, so equal states reached by different
+        prefixes are stepped once.
         """
-        shape = _count_free_shape(state, self.reach)
-        if shape is None:
-            return self._walk(automaton, state)
-        key = (automaton, shape)
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = self._walk(automaton, shape)
-        return table
-
-    def _walk(self, automaton, state: tuple) -> dict[str, bool]:
-        """One pass over the sorted tokens: a token starts from the states of
-        the prefix it shares with the previous one. When a prefix ``p`` is
-        rejected, the pass jumps by bisection to the first token that does
-        not start with ``p``: the first one not below ``p`` with its last
-        character incremented. A ``p`` ending in U+10FFFF has no such
-        successor; the tokens after it are stepped over one by one.
-        Transitions are memoized per (state, character) for the pass, so
-        equal states reached by different prefixes are stepped once.
-        """
-        transition = automaton.transition
+        tokens = self.tokens
+        shared = self.shared
+        if tokens and not tokens[0]:
+            table[""] = True
         # A node maps each character seen from its state to the next node,
         # or to None when the character is rejected; the key None holds the
         # node's own state.
         root = {None: state}
         nodes = {state: root}
         path = [root]  # path[k]: node after the first k characters of the last token walked
-        tokens = self.tokens
-        shared = self.shared
-        table = self.rejected.copy()
-        i, end = 0, len(tokens)
-        while i < end:
-            token = tokens[i]
-            depth = shared[i]
-            del path[depth + 1:]
-            here = path[depth]
-            for ch in token[depth:]:
-                node = here.get(ch, _UNSEEN)
-                if node is _UNSEEN:
-                    nxt = transition(here[None], ch)
-                    node = here[ch] = None if nxt is None else nodes.setdefault(nxt, {None: nxt})
-                if node is None:
-                    break
-                path.append(node)
-                here = node
-            else:
-                table[token] = True
-                i += 1
+        for first in firsts:
+            span = self._spans.get(first)
+            if span is None:
                 continue
-            # token[:cut] is rejected, and so is every token that starts with it
-            cut = len(path)
-            i += 1
-            last = token[cut - 1]
-            if last == _LAST_CHAR:
-                while i < end and shared[i] >= cut:
+            i, end = span
+            while i < end:
+                token = tokens[i]
+                depth = shared[i]  # 0 at the start of a range
+                del path[depth + 1:]
+                here = path[depth]
+                for ch in token[depth:]:
+                    node = here.get(ch, _UNSEEN)
+                    if node is _UNSEEN:
+                        nxt = transition(here[None], ch)
+                        node = here[ch] = None if nxt is None else nodes.setdefault(nxt, {None: nxt})
+                    if node is None:
+                        break
+                    path.append(node)
+                    here = node
+                else:
+                    table[token] = True
                     i += 1
-            else:
-                i = bisect_left(tokens, token[:cut - 1] + chr(ord(last) + 1), i)
+                    continue
+                # token[:cut] is rejected, and so is every token that starts with it
+                cut = len(path)
+                i += 1
+                last = token[cut - 1]
+                if last == _LAST_CHAR:
+                    while i < end and shared[i] >= cut:
+                        i += 1
+                else:
+                    i = bisect_left(tokens, token[:cut - 1] + chr(ord(last) + 1), i, end)
+
+
+# Verdict tables of quoted tokens an index keeps, per (automaton, string
+# shape), before it clears them all. Automata are compiled per plan and each
+# key keeps its automaton alive, about 40 KB with its memo after a plan, so
+# the bound is small; a plan decodes a few string shapes, and a table cleared
+# too early costs one walk of the few quoted tokens.
+_QUOTED_CACHE_SIZE = 32
+_STRING_SPEC = ("string",)
+
+
+class TokenIndex(_Trie):
+    """A model's vocabulary as an implicit trie, built once per vocabulary
+    (``vocabulary_index``) and shared by every automaton and session that
+    masks it: about 0.5 MB for 8k tokens, and at most six string-body tables
+    of the ``rejected`` size (see ``verdicts``). Kept tables are never
+    changed, so sessions in different threads may share an index.
+    """
+
+    __slots__ = ("reach", "quoted", "_bodies", "_quoted_tables")
+
+    def __init__(self, vocabulary):
+        super().__init__(vocabulary)
+        self.reach = max(map(len, self.tokens), default=0)
+        self.quoted = _Trie(token for token in self.tokens if '"' in token)
+        self._bodies: dict[tuple, dict[str, bool]] = {}
+        self._quoted_tables: dict[tuple, dict[str, bool]] = {}
+
+    def verdicts(self, automaton, state: tuple, peek) -> dict[str, bool]:
+        """A fresh table: each indexed token mapped to whether ``automaton``
+        consumes all of it from ``state``, any other token to ``peek(token)``.
+
+        A state outside a string, or one with fewer than ``reach`` characters
+        of room, is walked over the first characters ``automaton`` allows
+        there: that set is exact, since every accepted character is
+        printable ASCII. A string state with room takes the kept tables of
+        its count-free shape:
+
+        - the body table of its innermost string state, ``("s", 0)``,
+          ``("se", 0)`` or ``("su", 0, k)``, walked once with the string
+          machine alone;
+        - laid over it, the verdicts of the tokens that contain ``"``
+          (``quoted``), walked per (automaton, shape) and kept in a cache
+          cleared when full.
+
+        Both are exact. Every in-string character of an indexed token is
+        checked at a count below the cap, and a closing quote leads to a
+        count-free state, so a token is accepted from the state exactly
+        when it is from the shape. A character the string machine rejects
+        is rejected by every machine that encloses it, one it accepts is
+        accepted, and only ``"`` leaves the string, so a token without
+        ``"`` gets the body table's verdict from every automaton.
+        """
+        shape = _count_free_shape(state, self.reach)
+        if shape is None:
+            table = _Verdicts(self.rejected)
+            self._walk(automaton.transition, state, automaton.allowed(state), table)
+        else:
+            table = _Verdicts(self._body(_innermost(shape)))
+            table.update(self._quoted_verdicts(automaton, shape))
+        table.peek = peek
         return table
+
+    def _body(self, inner: tuple) -> dict[str, bool]:
+        table = self._bodies.get(inner)
+        if table is None:
+            step = partial(_v_step, _STRING_SPEC)
+            table = self.rejected.copy()
+            self._walk(step, inner, [ch for ch in _PRINTABLE if step(inner, ch) is not None], table)
+            self._bodies[inner] = table
+        return table
+
+    def _quoted_verdicts(self, automaton, shape: tuple) -> dict[str, bool]:
+        key = (automaton, shape)
+        table = self._quoted_tables.get(key)
+        if table is None:
+            table = self.quoted.rejected.copy()
+            self.quoted._walk(automaton.transition, shape, automaton.allowed(shape), table)
+            if len(self._quoted_tables) >= _QUOTED_CACHE_SIZE:
+                self._quoted_tables.clear()
+            self._quoted_tables[key] = table
+        return table
+
+
+# Vocabulary indexes kept at once: a process serves a few models at most.
+_INDEXES_KEPT = 4
+
+
+@lru_cache(maxsize=_INDEXES_KEPT)
+def _index_of(vocabulary: tuple[str, ...]) -> TokenIndex:
+    return TokenIndex(vocabulary)
+
+
+def vocabulary_index(vocabulary) -> TokenIndex:
+    """The index of ``vocabulary``, shared by every call with equal content
+    (the same tokens in the same order); changed content builds a new one."""
+    return _index_of(tuple(vocabulary))
 
 
 class _Verdicts(dict):
@@ -618,17 +711,18 @@ class _Verdicts(dict):
 
 
 class DecoderSession:
-    """Single decode stream over a shared automaton.
+    """Single decode stream over a shared automaton, masking through
+    ``index`` when it has one.
 
     The emitted buffer is always a prefix of some accepted string; ``advance``
     is atomic and leaves the session untouched on rejection.
     """
 
-    def __init__(self, automaton):
+    def __init__(self, automaton, index: TokenIndex | None = None):
         self.automaton = automaton
         self.state = automaton.initial_state
         self.emitted = ""
-        self._index: TokenIndex | None = None
+        self.index = index
 
     @property
     def at_end(self) -> bool:
@@ -658,23 +752,19 @@ class DecoderSession:
         """Speculative per-token mask, equal to ``[self.peek(t) for t in
         vocabulary]``; the session state is unchanged.
 
-        The first call indexes its vocabulary (``TokenIndex``) for the life
-        of the session and its copies. Every call takes the index's verdict
-        table for the current state, walked once or reused from its
-        count-free string shape, and maps the vocabulary through a copy of it
-        in C; tokens outside the index are peeked from the current state.
+        With an index, the vocabulary is mapped in C through the index's
+        verdict table for the current state (``TokenIndex.verdicts``), and
+        tokens outside the index are peeked; without one, every token is.
         """
-        if self._index is None:
-            self._index = TokenIndex(vocabulary)
-        table = _Verdicts(self._index.accepted(self.automaton, self.state))
-        table.peek = self.peek
+        if self.index is None:
+            return list(map(self.peek, vocabulary))
+        table = self.index.verdicts(self.automaton, self.state, self.peek)
         return list(map(table.__getitem__, vocabulary))
 
     def copy(self) -> "DecoderSession":
-        dup = DecoderSession(self.automaton)
+        dup = DecoderSession(self.automaton, self.index)
         dup.state = self.state
         dup.emitted = self.emitted
-        dup._index = self._index
         return dup
 
 

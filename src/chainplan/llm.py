@@ -19,7 +19,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .enforcer import DecoderSession, enforced_repair
+from .enforcer import DecoderSession, enforced_repair, vocabulary_index
 
 
 class CompletionError(RuntimeError):
@@ -145,11 +145,13 @@ class ScriptedTokenModel:
     """Replays ranked candidate-token lists, one list per decode step.
 
     Exposes per-step candidates so constrained decoding can mask them; the
-    first candidate that survives the mask is emitted.
+    first candidate that survives the mask is emitted. Its ``vocabulary`` is
+    the distinct tokens of its steps, in the order first offered.
     """
 
     def __init__(self, steps: list[list[str]]):
         self.steps = [list(step) for step in steps]
+        self.vocabulary = list(dict.fromkeys(token for step in self.steps for token in step))
         self.calls = 0
         self.prompt_tokens = 0
         self.completion_tokens = 0
@@ -224,14 +226,18 @@ def _tail(emitted: str, keep: int = 60) -> str:
 def constrained_complete(model, request: CompletionRequest, session: DecoderSession) -> CompletionResult:
     """Complete under the session's automaton.
 
-    Models that expose per-step candidates are decoded token by token with a
-    vocabulary mask, yielding automaton-accepted text ("enforced"), in at
-    most ``request.max_tokens`` steps. Models without per-step access run one
-    plain completion whose output is greedily projected onto the schema
+    Models that expose per-step candidates declare their ``vocabulary`` and
+    are decoded token by token with a vocabulary mask, yielding
+    automaton-accepted text ("enforced"), in at most ``request.max_tokens``
+    steps. The session masks through the vocabulary's index, built once for
+    equal content (``vocabulary_index``); a candidate outside the vocabulary
+    is still masked exactly. Models without per-step access run one plain
+    completion whose output is greedily projected onto the schema
     ("repaired").
     """
     if hasattr(model, "candidate_steps"):
         started = time.monotonic()
+        session.index = vocabulary_index(model.vocabulary)
         for step, candidates in enumerate(model.candidate_steps(), start=1):
             mask = session.mask_vocabulary(candidates)
             chosen = next((tok for tok, ok in zip(candidates, mask) if ok), None)

@@ -324,7 +324,7 @@ def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig |
     tool_names = [name for name, _ in retrieved]
 
     decompose_prompt = assemble_decompose_prompt(query, tool_names, ctx.registry, config)
-    # No session outlives its completion, so one vocabulary index is alive at a time.
+    # Both sessions mask through the one index of the model's vocabulary.
     decompose_result = constrained_complete(model, _request(decompose_prompt, config),
                                             DecoderSession(compile_subtask_schema(tool_names)))
     subtasks = parse_subtasks(decompose_result.text)

@@ -119,6 +119,22 @@ def test_malformed_replay_is_one_line_error(runner, tmp_path):
         _assert_one_line_error(runner.invoke(main, args), "bad replay line 1")
 
 
+@pytest.mark.parametrize("command", ["plan", "eval", "exec", "index"])
+def test_output_in_a_missing_directory_is_one_line_error(runner, tmp_path, replay_files, golden_examples,
+                                                           command):
+    out = str(tmp_path / "missing" / "out.json")
+    args = {
+        "plan": ["plan", golden_examples[0].query, "--examples", str(GOLDEN_PATH),
+                 "--mock", replay_files["regains"], "--trace", out],
+        "eval": ["eval", "--dataset", str(GOLDEN_PATH), "--pipeline", "regains",
+                 "--mock", replay_files["regains"], "--trace", out],
+        "exec": ["exec", "--out", out],
+        "index": ["index", "--out", out],
+    }[command]
+    result = runner.invoke(main, args, input=golden_examples[0].gold_text)
+    _assert_one_line_error(result, f"cannot write {out}: No such file or directory")
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("{not json", "invalid JSON"),
     ("[1, 2]", "JSON object"),

@@ -275,7 +275,8 @@ _TAIL = sorted(set(_PLAN) | {_PLAN[i : i + 2] for i in range(len(_PLAN) - 1)})
 
 @pytest.fixture
 def built_indexes(monkeypatch):
-    """Sizes of the vocabularies a TokenIndex is built from."""
+    """Sizes of the vocabularies a TokenIndex is built from, none kept from
+    before the test."""
     import chainplan.enforcer as enforcer
 
     sizes = []
@@ -286,25 +287,48 @@ def built_indexes(monkeypatch):
             super().__init__(vocabulary)
 
     monkeypatch.setattr(enforcer, "TokenIndex", CountingIndex)
-    return sizes
+    enforcer._index_of.cache_clear()
+    yield sizes
+    enforcer._index_of.cache_clear()
 
 
 def _steps(pieces):
     return [[piece, *_TAIL] for piece in pieces]
 
 
-def test_constrained_builds_one_token_index_per_call(fixture_registry, built_indexes):
-    # the leading candidate changes at every step and is mostly outside the
-    # index built from the first step's candidates
-    pieces = [_PLAN[i : i + 3] for i in range(0, len(_PLAN), 3)]
-    automaton = compile_schema(fixture_registry)
-    result = constrained_complete(ScriptedTokenModel(_steps(pieces)), CompletionRequest(prompt="q"),
-                                  DecoderSession(automaton))
-    assert result.text == _PLAN
-    assert built_indexes == [1 + len(_TAIL)]
-    constrained_complete(ScriptedTokenModel(_steps(pieces)), CompletionRequest(prompt="q"),
-                         DecoderSession(automaton))
-    assert len(built_indexes) == 2
+def test_constrained_builds_one_token_index_per_vocabulary(fixture_registry, built_indexes):
+    # models with equal vocabularies in new lists share one index across
+    # calls and automata; a changed vocabulary, even the same list changed
+    # in place, is indexed again
+    steps = _steps([_PLAN[i : i + 3] for i in range(0, len(_PLAN), 3)])
+    for _ in range(2):
+        session = DecoderSession(compile_schema(fixture_registry))
+        model = ScriptedTokenModel(steps)
+        assert constrained_complete(model, CompletionRequest(prompt="q"), session).text == _PLAN
+    assert built_indexes == [len(model.vocabulary)]
+    model.vocabulary.append("zz")
+    session = DecoderSession(compile_schema(fixture_registry))
+    assert constrained_complete(model, CompletionRequest(prompt="q"), session).text == _PLAN
+    assert built_indexes == [len(model.vocabulary) - 1, len(model.vocabulary)]
+    assert session.index.tokens == sorted(model.vocabulary)
+
+
+def test_scripted_token_model_vocabulary_is_its_distinct_step_tokens():
+    assert ScriptedTokenModel([["b", "a"], [], ["a", "c", "b"]]).vocabulary == ["b", "a", "c"]
+
+
+def test_candidates_outside_the_vocabulary_are_masked_exactly(fixture_registry):
+    model = ScriptedTokenModel([
+        ['[{"tool_name":"'],
+        ["made_up_tool", "who_am_i"],
+        ['","arguments":[]}]'],
+    ])
+    # a declared vocabulary that holds none of the candidates
+    model.vocabulary = ["who", "works_list", "zzz"]
+    session = DecoderSession(compile_schema(fixture_registry))
+    result = constrained_complete(model, CompletionRequest(prompt="q"), session)
+    assert result.text == '[{"tool_name":"who_am_i","arguments":[]}]'
+    assert session.index.tokens == ["who", "works_list", "zzz"]
 
 
 def test_constrained_errors_unchanged_with_an_index(fixture_registry, built_indexes):

@@ -104,6 +104,7 @@ def _flat(session: DecoderSession, vocab: list[str]) -> list[bool]:
 @example(session=DecoderSession(_AUTOMATA["subtask"]).advance(_STRING_OPENERS["subtask"]),
          vocab=["a", "a" * _LONG + "\x00", "a" * _LONG + "\x00b", "a" * _LONG + "b"])
 def test_mask_equals_flat_peek(session, vocab):
+    session.index = TokenIndex(vocab)
     state, emitted = session.state, session.emitted
     assert session.mask_vocabulary(vocab) == _flat(session, vocab)
     assert (session.state, session.emitted) == (state, emitted)
@@ -112,8 +113,10 @@ def test_mask_equals_flat_peek(session, vocab):
 @settings(max_examples=60, deadline=None)
 @given(session=sessions(), vocab=vocabularies(), data=st.data())
 def test_mask_equals_flat_peek_as_candidates_change(session, vocab, data):
-    # the first call indexes ``vocab``; later calls mix indexed tokens with
-    # tokens outside the index, from states further along the walk
+    # the session masks through an index of ``vocab``; later calls mix
+    # indexed tokens with tokens outside the index, from states further
+    # along the walk
+    session.index = TokenIndex(vocab)
     assert session.mask_vocabulary(vocab) == _flat(session, vocab)
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     for _ in range(4):
@@ -130,10 +133,11 @@ def test_token_index_is_sorted_distinct_with_capped_shared_prefixes():
 
 
 def test_copy_shares_the_index_and_masks_from_its_own_state():
-    session = DecoderSession(_AUTOMATA["fixture"]).advance('[{"tool_name":"w')
     vocab = ["ho_am_i", "orks_list", "xyz", '"']
+    session = DecoderSession(_AUTOMATA["fixture"], TokenIndex(vocab)).advance('[{"tool_name":"w')
     assert session.mask_vocabulary(vocab) == [True, True, False, False]
     dup = session.copy().advance("ho_am_i")
+    assert dup.index is session.index
     assert dup.mask_vocabulary(vocab) == [False, False, False, True]
     assert session.mask_vocabulary(vocab) == [True, True, False, False]
 
@@ -162,7 +166,8 @@ def test_mask_at_the_shape_reuse_boundary_equals_flat_peek(place):
     # characters of room below the cap; one index serves both sides, and
     # tokens outside it are peeked from the state, not from the shape
     kind, opener = _PLACES[place]
-    session = DecoderSession(_AUTOMATA[kind]).advance(opener + "a" * (MAX_STRING_CHARS - _REACH))
+    session = DecoderSession(_AUTOMATA[kind], TokenIndex(_EDGE_VOCAB))
+    session.advance(opener + "a" * (MAX_STRING_CHARS - _REACH))
     for _room in (_REACH, _REACH - 1):
         for escape in ("", "\\", "\\u0"):
             at = session.copy().advance(escape)
@@ -178,7 +183,7 @@ def test_masks_are_fresh_lists_of_bools(place, inside):
     # from the string opened in ``place`` (a table kept per shape) or from
     # the state before its quote (a table walked per call)
     kind, opener = _PLACES[place]
-    session = DecoderSession(_AUTOMATA[kind]).advance(opener if inside else opener[:-1])
+    session = DecoderSession(_AUTOMATA[kind], TokenIndex(_EDGE_VOCAB)).advance(opener if inside else opener[:-1])
     session.mask_vocabulary(_EDGE_VOCAB)
     candidates = _EDGE_VOCAB + _BEYOND_REACH + ['"', "zz"]
     mask = session.mask_vocabulary(candidates)
@@ -194,6 +199,7 @@ class _CountingTransitions:
     def __init__(self, automaton):
         self._automaton = automaton
         self.initial_state = automaton.initial_state
+        self.allowed = automaton.allowed
         self.calls = 0
 
     def transition(self, state, ch):
@@ -206,7 +212,7 @@ def test_string_masks_reuse_the_walk_of_their_shape(place):
     kind, opener = _PLACES[place]
     automaton = _CountingTransitions(_AUTOMATA[kind])
     vocab = _EDGE_VOCAB + ['"', "\\", "\\u", "é"]
-    session = DecoderSession(automaton).advance(opener)
+    session = DecoderSession(automaton, TokenIndex(vocab)).advance(opener)
     session.mask_vocabulary(vocab)  # walks the shape of a plain string state
     session.copy().advance("\\").mask_vocabulary(vocab)  # and of one after a backslash
     for text in ("a", "bc", "\\n", "\\u00e9"):
@@ -216,3 +222,65 @@ def test_string_masks_reuse_the_walk_of_their_shape(place):
             mask = at.mask_vocabulary(vocab)
             assert automaton.calls == 0
             assert mask == _flat(at, vocab)
+
+
+def _opening(value_type):
+    """Text that opens a string inside a value of ``value_type``: the value
+    itself, an element of an array, an object member's value, or None."""
+    if value_type.kind == "list":
+        inner = _opening(value_type.element)
+        return None if inner is None else "[" + inner
+    if value_type.kind == "object":
+        return '{"k":"'
+    return '"' if value_type.primitive == "string" else None
+
+
+def _string_openers(registry) -> list[tuple[str, str]]:
+    """(opening, text) that leaves a plan of ``registry`` inside a string,
+    for each argument with a string place."""
+    openers = []
+    for name in sorted(registry.tools):
+        for arg in registry.tools[name].arguments:
+            opening = _opening(arg.value_type)
+            if opening is not None:
+                openers.append((opening, f'[{{"tool_name":"{name}","arguments":[{{"argument_name":'
+                                         f'"{arg.name}","argument_value":{opening}'))
+    return openers
+
+
+# Quotes in every role: closing alone, closing then structure or a tool name,
+# escaped, after an escaped backslash; an escape and a ``\u`` escape in
+# pieces; body text and tokens that no string state accepts.
+_SHARED_VOCAB = ['"', '",', '"}', '"]', '"},{"', '"}]}]', '","thought":"', '","tool_name":"who',
+                 '","tool_name":"tool0"}', '\\"', '\\\\"', "\\", "\\u", "u00", "00e9", 'e9"',
+                 "a", "ab c", "é", "\x00", "", "}", "]", ",", '"$$PREV[', "0]"]
+# After the opener: inside the string, after a backslash, at each digit of a
+# ``\u`` escape, after an escaped quote or backslash, and just closed.
+_SUFFIXES = ("", "a", "\\", "\\u", "\\u0", "\\u00", "\\u00e", '\\"', "\\\\", 'a"')
+
+
+def test_one_index_serves_interleaved_automata():
+    # the fixture plan automaton, a random registry's plan automaton and the
+    # sub-task automata of both registries mask in turn through one index,
+    # from string states in every string place and the states around them;
+    # the sub-task automata reach equal states that close into different names
+    registry = random_registry(random.Random(0))
+    random_places = _string_openers(registry)
+    assert {opening for opening, _ in random_places} == {'"', '["', '{"k":"', '[{"k":"'}
+    places = {
+        _AUTOMATA["subtask"]: [('"', _STRING_OPENERS["subtask"])],
+        compile_subtask_schema(registry.tools): [('"', _STRING_OPENERS["subtask"])],
+        _AUTOMATA["fixture"]: _string_openers(_FIXTURE),
+        compile_schema(registry): random_places,
+    }
+    index = TokenIndex(_SHARED_VOCAB)
+    sessions = [DecoderSession(automaton, index).advance(opener + suffix)
+                for automaton, openers in places.items()
+                for _, opener in openers
+                for suffix in _SUFFIXES]
+    rng = random.Random(7)
+    for _ in range(3):
+        rng.shuffle(sessions)
+        for session in sessions:
+            assert session.mask_vocabulary(_SHARED_VOCAB) == _flat(session, _SHARED_VOCAB)
+            _walk(session, rng, 1)

@@ -248,6 +248,7 @@ def test_enchant_with_token_level_constrained_model(ctx, config, golden_examples
     class StagedTokenModel:
         def __init__(self, stages):
             self.stages = list(stages)
+            self.vocabulary = [token for stage in stages for step in stage for token in step]
             self.calls = 0
             self.prompt_tokens = 0
             self.completion_tokens = 0
