@@ -40,6 +40,8 @@ def load_golden_dataset(source: str | Path) -> list[GoldenExample]:
             raise DatasetError(f"invalid JSON: {exc}", line=line_no) from exc
         if not isinstance(record, dict) or "query" not in record or "gold" not in record:
             raise DatasetError("record needs query and gold fields", line=line_no)
+        if not isinstance(record["query"], str) or not record["query"]:
+            raise DatasetError(f"query must be a non-empty string, not {record['query']!r}", line=line_no)
         outcome = plan_from_data(record["gold"])
         if not outcome.ok:
             raise DatasetError(f"gold plan does not match the wire format: {outcome.detail}", line=line_no)

@@ -10,34 +10,41 @@ distributions are inaccessible.
 
 States are immutable tuples; transitions are pure functions of
 (state, character), so one automaton may serve many concurrent sessions.
-Both automata, for sub-tasks and for plans, run one transition over an
-array of records, built from four pieces that each carry their continuation:
+One transition runs both automata, for sub-tasks and for plans, over an
+array of records built from pieces that carry their continuation, the state
+the text goes on in once the piece is done:
 
 - literal ``("lit", text, i, then)`` matches ``text[i]`` and, at the end of
   ``text``, continues in ``then``;
-- field ``("field", spec, then, vstate)`` runs the value machine of ``spec``
-  and, once the value is done, continues in the literal ``then``;
 - name ``("name", prefix)`` spells one of the automaton's sorted names and,
   after its closing quote, continues in ``_after_name(name)``;
-- array ``("open"|"sep", item, close)``, after ``[`` or after an item: an
-  item opens with the literal ``item`` (``None``: no further item), and
-  ``]`` continues in ``close``.
+- array ``("open"|"sep", item, close)``, after ``[`` or after a record: a
+  record opens with the literal ``item`` (``None``: no further record), and
+  ``]`` continues in ``close``;
+- value ``_start(spec, then)``, the first state of a value of ``spec``. A
+  string, an object or a list steps into ``then`` on its closing ``"``,
+  ``}`` or ``]``. ``true``, ``false``, ``null`` and the fixed text of a
+  reference ``"$$PREV[i]"`` are literals. A union ``("u0", branches, then)``
+  hands its first character to the first branch that takes it. Only a
+  number and a reference's digit run end without a closing character: a
+  character they do not take is stepped from ``then``.
 
 The sub-task automaton is these pieces alone. The plan automaton adds
 ``("aname", tool, used, prefix)``, which spells an argument of ``tool`` not
-yet ``used``. One number machine serves integers, unsigned ids and floats,
-one fixed-words machine ``true``/``false`` and ``null``; an object member's
-value is a union of string, float, boolean and null. The next-character set
-of a state is derived from the transition over printable ASCII. That set is
-exact because tool and argument names are identifiers (``[A-Za-z0-9_]+``),
-which a ``Registry`` guarantees when it is built and the sub-task automaton
-checks at compile time, and every other accepted character is printable
-ASCII.
+yet ``used`` and goes on in the literal ``,"argument_value":`` and the
+argument's value. One number machine serves integers, unsigned ids and
+floats; an object member's value is a union of string, float, boolean and
+null. The next-character set of a state is derived from the transition over
+printable ASCII. That set is exact because tool and argument names are
+identifiers (``[A-Za-z0-9_]+``), which a ``Registry`` guarantees when it is
+built and the sub-task automaton checks at compile time, and every other
+accepted character is printable ASCII.
 Each automaton memoizes those sets on a state's shape, which allows the same
 characters: a literal state without its ``then``, an open string with room
-for one more character as its count-free shape (defined below), any other
-state as itself. The memo is bounded and cleared when full. Sessions share
-it safely: the sets are immutable, and a lost entry only costs a rescan.
+for one more character as its count-free shape (defined below) without its
+``then``, any other state as itself. The memo is bounded and cleared when
+full. Sessions share it safely: the sets are immutable, and a lost entry
+only costs a rescan.
 
 Vocabulary masks are exact: a token is allowed if and only if feeding it
 character by character would succeed. A vocabulary belongs to the model: it
@@ -55,9 +62,9 @@ open string's count ``n`` and the longest indexed token's length ``reach``
 satisfy ``n + reach <= MAX_STRING_CHARS``, every indexed token is accepted
 from the state exactly when it is accepted from its count-free shape (the
 same state with ``n`` set to 0). A token without ``"`` cannot leave the
-string, so its verdict is the string machine's alone, kept once per index for
-each innermost string shape; only the tokens with a ``"`` are walked per
-(automaton, count-free shape).
+string, so its verdict is the string's alone, kept once per index for each
+count-free shape without ``then``; only the tokens with a ``"`` are walked
+per (automaton, count-free shape).
 
 Accepted value shapes per argument are deliberately relaxed around
 references: both a bare ``"$$PREV[i]"`` and a singleton ``["$$PREV[i]"]``
@@ -69,7 +76,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .registry import IDENTIFIER_PATTERN, Registry, ValueType
 
@@ -84,8 +91,6 @@ _ESCAPES = frozenset('"\\/bfnrt')
 _HEX = frozenset("0123456789abcdefABCDEF")
 _DIGITS = frozenset("0123456789")
 _DIGITS_NONZERO = frozenset("123456789")
-
-_PREV_LIT = '"$$PREV['
 
 
 class SchemaCompileError(ValueError):
@@ -104,20 +109,22 @@ class DecodeRejection(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Value sub-machines. A value spec is a nested tuple; value states are nested
-# tuples tagged by machine. ``None`` from _v_step means reject.
+# Value specs. A value spec is a nested tuple; ``_start(spec, then)`` is the
+# first state of a value of ``spec`` that continues in ``then``.
 # ---------------------------------------------------------------------------
 
 _NUMBER_KINDS = frozenset(("integer", "uint", "float"))
-_WORDS = {"boolean": ("true", "false"), "null": ("null",)}
+_BOOLEAN = ("union", (("lit", "true"), ("lit", "false")))
+_NULL = ("lit", "null")
+_PREV = ("prev",)
 
 # An object member's value: the four branches start with distinct characters.
-_MEMBER_SPEC = ("union", (("string",), ("float",), ("boolean",), ("null",)))
+_MEMBER_SPEC = ("union", (("string",), ("float",), _BOOLEAN, _NULL))
 
 
 def _value_spec(vt: ValueType) -> tuple:
     if vt.kind == "primitive":
-        return (vt.primitive,)
+        return _BOOLEAN if vt.primitive == "boolean" else (vt.primitive,)
     if vt.kind == "object":
         return ("object",)
     return ("list", _element_spec(vt.element))
@@ -127,221 +134,48 @@ def _element_spec(vt: ValueType) -> tuple:
     inner = _value_spec(vt)
     if inner == ("string",):
         return inner  # strings already cover the reference pattern
-    return ("union", (inner, ("prev",)))
+    return ("union", (inner, _PREV))
 
 
 def argument_value_spec(vt: ValueType) -> tuple:
     """Declared type, plus bare and singleton-array reference forms."""
     inner = _value_spec(vt)
     if inner[0] == "list":
-        return ("union", (inner, ("prev",)))
+        return ("union", (inner, _PREV))
     if inner == ("string",):
         return ("union", (inner, ("wrap",)))
-    return ("union", (inner, ("prev",), ("wrap",)))
+    return ("union", (inner, _PREV, ("wrap",)))
 
 
-_V_INIT = {
-    "union": ("u0",), "string": ("s0",), "integer": ("n0",), "uint": ("n0",), "float": ("n0",),
-    "boolean": ("word", ""), "null": ("word", ""), "object": ("o0",), "list": ("l0",),
-    "prev": ("p", 0), "wrap": ("w0",),
-}
-_V_DONE = {"string": ("sdone",), "prev": ("pdone",), "wrap": ("wdone",), "object": ("odone",), "list": ("ldone",)}
-
-
-def _v_init(spec: tuple) -> tuple:
-    return _V_INIT[spec[0]]
-
-
-def _v_step(spec: tuple, state: tuple, ch: str):  # noqa: C901 - one dispatcher
+def _start(spec: tuple, then: tuple) -> tuple:
+    """The first state of a value of ``spec`` that continues in ``then``."""
     kind = spec[0]
-
     if kind == "union":
-        if state == ("u0",):
-            for bi, branch in enumerate(spec[1]):
-                nxt = _v_step(branch, _v_init(branch), ch)
-                if nxt is not None:
-                    return ("u", bi, nxt)
-            return None
-        _, bi, sub = state
-        nxt = _v_step(spec[1][bi], sub, ch)
-        return None if nxt is None else ("u", bi, nxt)
-
+        return ("u0", spec[1], then)
+    if kind == "lit":
+        return ("lit", spec[1], 0, then)
     if kind == "string":
-        tag = state[0]
-        if tag == "s0":
-            return ("s", 0) if ch == '"' else None
-        if tag == "s":
-            n = state[1]
-            if ch == '"':
-                return ("sdone",)
-            if n < MAX_STRING_CHARS:
-                if ch == "\\":
-                    return ("se", n)
-                if ch in _STRING_BODY:
-                    return ("s", n + 1)
-            return None
-        if tag == "se":
-            n = state[1]
-            if ch == "u":
-                return ("su", n, 0)
-            if ch in _ESCAPES:
-                return ("s", n + 1)
-            return None
-        if tag == "su":
-            n, k = state[1], state[2]
-            if ch in _HEX:
-                return ("s", n + 1) if k == 3 else ("su", n, k + 1)
-            return None
-        return None  # sdone
-
+        return ("lit", '"', 0, ("s", 0, then))
     if kind in _NUMBER_KINDS:
-        # -?(0|[1-9][0-9]*)(\.[0-9]+)?: no sign for uint, a fraction only
-        # for float, at most MAX_NUMBER_DIGITS digits in each digit run.
-        tag = state[0]
-        if tag == "n0" and ch == "-" and kind != "uint":
-            return ("nneg",)
-        if tag in ("n0", "nneg"):
-            if ch == "0":
-                return ("nz",)
-            return ("ni", 1) if ch in _DIGITS_NONZERO else None
-        if ch == "." and kind == "float" and tag in ("nz", "ni"):
-            return ("ndot",)
-        if tag == "ndot":
-            return ("nf", 1) if ch in _DIGITS else None
-        if tag in ("ni", "nf") and ch in _DIGITS and state[1] < MAX_NUMBER_DIGITS:
-            return (tag, state[1] + 1)
-        return None
-
-    if kind in _WORDS:
-        text = state[1] + ch
-        return ("word", text) if any(word.startswith(text) for word in _WORDS[kind]) else None
-
-    if kind == "prev":
-        tag = state[0]
-        if tag == "p":
-            i = state[1]
-            if ch == _PREV_LIT[i]:
-                return ("pd", 0) if i == len(_PREV_LIT) - 1 else ("p", i + 1)
-            return None
-        if tag == "pd":
-            n = state[1]
-            if ch in _DIGITS and n < MAX_NUMBER_DIGITS:
-                return ("pd", n + 1)
-            if ch == "]" and n >= 1:
-                return ("pq",)
-            return None
-        if tag == "pq":
-            return ("pdone",) if ch == '"' else None
-        return None  # pdone
-
-    if kind == "wrap":
-        tag = state[0]
-        if tag == "w0":
-            return ("wp", ("p", 0)) if ch == "[" else None
-        if tag == "wp":
-            sub = state[1]
-            nxt = _v_step(("prev",), sub, ch)
-            if nxt is not None:
-                return ("wp", nxt)
-            if _v_done(("prev",), sub) and ch == "]":
-                return ("wdone",)
-            return None
-        return None  # wdone
-
+        return ("n0", kind, 0, then)
     if kind == "object":
-        tag = state[0]
-        if tag == "o0":
-            return ("of",) if ch == "{" else None
-        if tag == "of":
-            if ch == "}":
-                return ("odone",)
-            if ch == '"':
-                return ("ok", 0)
-            return None
-        if tag == "ok":
-            n = state[1]
-            if ch == '"':
-                return ("oc",)
-            if ch in _STRING_BODY and n < MAX_OBJECT_KEY_CHARS:
-                return ("ok", n + 1)
-            return None
-        if tag == "oc":
-            return ("om", _v_init(_MEMBER_SPEC)) if ch == ":" else None
-        if tag == "om":
-            sub = state[1]
-            nxt = _v_step(_MEMBER_SPEC, sub, ch)
-            if nxt is not None:
-                return ("om", nxt)
-            if _v_done(_MEMBER_SPEC, sub):
-                if ch == ",":
-                    return ("onk",)
-                if ch == "}":
-                    return ("odone",)
-            return None
-        if tag == "onk":
-            return ("ok", 0) if ch == '"' else None
-        return None  # odone
-
+        return ("lit", "{", 0, ("of", then))
     if kind == "list":
-        espec = spec[1]
-        tag = state[0]
-        if tag == "l0":
-            return ("lf",) if ch == "[" else None
-        if tag == "lf":
-            if ch == "]":
-                return ("ldone",)
-            nxt = _v_step(espec, _v_init(espec), ch)
-            return None if nxt is None else ("le", nxt)
-        if tag == "le":
-            sub = state[1]
-            nxt = _v_step(espec, sub, ch)
-            if nxt is not None:
-                return ("le", nxt)
-            if _v_done(espec, sub):
-                if ch == ",":
-                    return ("ln",)
-                if ch == "]":
-                    return ("ldone",)
-            return None
-        if tag == "ln":
-            nxt = _v_step(espec, _v_init(espec), ch)
-            return None if nxt is None else ("le", nxt)
-        return None  # ldone
-
+        return ("lit", "[", 0, ("lf", spec[1], then))
+    if kind == "prev":
+        return ("lit", '"$$PREV[', 0, ("pd", 0, ("lit", ']"', 0, then)))
+    if kind == "wrap":
+        return ("lit", "[", 0, _start(_PREV, ("lit", "]", 0, then)))
     raise ValueError(f"unknown value spec {spec!r}")
 
 
-def _v_done(spec: tuple, state: tuple) -> bool:
-    kind = spec[0]
-    if kind == "union":
-        return state != ("u0",) and _v_done(spec[1][state[1]], state[2])
-    if kind in _NUMBER_KINDS:
-        return state[0] in ("nz", "ni", "nf")
-    if kind in _WORDS:
-        return state[1] in _WORDS[kind]
-    return state == _V_DONE[kind]
-
-
 # ---------------------------------------------------------------------------
-# Automata: one scaffold of four pieces (see the module docstring). A field's
-# ``vstate`` sits last, where ``_count_free_shape`` looks for an open string.
+# Automata: one transition over the pieces of the module docstring.
 # Subclasses supply names, a top-level item, ``_after_name`` and, for states
 # of their own, ``_own_step``.
 # ---------------------------------------------------------------------------
 
 _ACCEPT = ("accept",)
-
-
-def _lit_step(state: tuple, ch: str):
-    _, text, i, then = state
-    if ch != text[i]:
-        return None
-    i += 1
-    return then if i == len(text) else ("lit", text, i, then)
-
-
-def _field(spec: tuple, then: tuple) -> tuple:
-    return ("field", spec, then, _v_init(spec))
 
 
 def _extends(names: tuple[str, ...], prefix: str) -> bool:
@@ -365,16 +199,39 @@ class _Automaton:
     def accepting(self, state: tuple) -> bool:
         return state == _ACCEPT
 
-    def transition(self, state: tuple, ch: str):
+    def transition(self, state: tuple, ch: str):  # noqa: C901 - one dispatcher
+        """The state after ``ch``, or None if ``state`` does not take it."""
         tag = state[0]
         if tag == "lit":
-            return _lit_step(state, ch)
-        if tag == "field":
-            _, spec, then, vstate = state
-            nxt = _v_step(spec, vstate, ch)
-            if nxt is not None:
-                return ("field", spec, then, nxt)
-            return _lit_step(then, ch) if _v_done(spec, vstate) else None
+            _, text, i, then = state
+            if ch != text[i]:
+                return None
+            i += 1
+            return then if i == len(text) else ("lit", text, i, then)
+
+        # An open string: ("s", n, then), after a backslash ("se", n, then),
+        # inside \u at hex digit k ("su", n, k, then); n counts characters.
+        if tag == "s":
+            _, n, then = state
+            if ch == '"':
+                return then
+            if n < MAX_STRING_CHARS:
+                if ch == "\\":
+                    return ("se", n, then)
+                if ch in _STRING_BODY:
+                    return ("s", n + 1, then)
+            return None
+        if tag == "se":
+            _, n, then = state
+            if ch == "u":
+                return ("su", n, 0, then)
+            return ("s", n + 1, then) if ch in _ESCAPES else None
+        if tag == "su":
+            _, n, k, then = state
+            if ch not in _HEX:
+                return None
+            return ("s", n + 1, then) if k == 3 else ("su", n, k + 1, then)
+
         if tag == "name":
             prefix = state[1]
             if ch == '"' and prefix in self._name_set:
@@ -388,25 +245,93 @@ class _Automaton:
             if item is None:
                 return None
             if tag == "open":
-                return _lit_step(item, ch)
+                return self.transition(item, ch)
             return item if ch == "," else None
+
+        if tag == "u0":
+            _, branches, then = state
+            for branch in branches:
+                nxt = self.transition(_start(branch, then), ch)
+                if nxt is not None:
+                    return nxt
+            return None
+
+        # A number, (tag, kind, n, then): -?(0|[1-9][0-9]*)(\.[0-9]+)?, no sign
+        # for uint, a fraction only for float, at most MAX_NUMBER_DIGITS
+        # digits in each digit run n counts. "nz", "ni" and "nf" may end.
+        if tag == "n0" or tag == "nneg":
+            _, kind, _, then = state
+            if ch == "-" and tag == "n0" and kind != "uint":
+                return ("nneg", kind, 0, then)
+            if ch == "0":
+                return ("nz", kind, 0, then)
+            return ("ni", kind, 1, then) if ch in _DIGITS_NONZERO else None
+        if tag == "ndot":
+            return ("nf", state[1], 1, state[3]) if ch in _DIGITS else None
+        if tag == "nz" or tag == "ni" or tag == "nf":
+            _, kind, n, then = state
+            if ch in _DIGITS and tag != "nz" and n < MAX_NUMBER_DIGITS:
+                return (tag, kind, n + 1, then)
+            if ch == "." and kind == "float" and tag != "nf":
+                return ("ndot", kind, 0, then)
+            return self.transition(then, ch)
+
+        # A reference's digit run, ("pd", n, then), with the literal ']"' as then.
+        if tag == "pd":
+            _, n, then = state
+            if ch in _DIGITS and n < MAX_NUMBER_DIGITS:
+                return ("pd", n + 1, then)
+            return self.transition(then, ch) if n else None
+
+        # An object: after "{" ("of", then), a key of n characters
+        # ("ok", n, then), after a member ("om", then).
+        if tag == "of":
+            if ch == "}":
+                return state[1]
+            return ("ok", 0, state[1]) if ch == '"' else None
+        if tag == "ok":
+            _, n, then = state
+            if ch == '"':
+                return ("lit", ":", 0, _start(_MEMBER_SPEC, ("om", then)))
+            if ch in _STRING_BODY and n < MAX_OBJECT_KEY_CHARS:
+                return ("ok", n + 1, then)
+            return None
+        if tag == "om":
+            if ch == ",":
+                return ("lit", '"', 0, ("ok", 0, state[1]))
+            return state[1] if ch == "}" else None
+
+        # A list of ``espec``: after "[" ("lf", espec, then), after an
+        # element ("le", espec, then).
+        if tag == "lf":
+            _, espec, then = state
+            if ch == "]":
+                return then
+            return self.transition(_start(espec, ("le", espec, then)), ch)
+        if tag == "le":
+            if ch == ",":
+                return _start(state[1], state)
+            return state[2] if ch == "]" else None
+
         return None if tag == "accept" else self._own_step(state, ch)
 
     def allowed(self, state: tuple) -> frozenset[str]:
         """The printable ASCII characters ``transition`` accepts from ``state``.
 
         Memoized per automaton on the state's shape, which allows the same
-        characters: a literal state drops ``then``, since ``_lit_step``
-        accepts ``text[i]`` alone whatever follows; a string state with room
-        for one more character takes its count-free shape; any other state is
-        its own shape. At ``_ALLOWED_CACHE_SIZE`` shapes the memo is cleared.
+        characters: a literal state drops ``then``, since it accepts
+        ``text[i]`` alone whatever follows; a string state with room for one
+        more character takes its count-free shape without ``then``, since
+        its closing quote steps into any ``then``; any other state is its
+        own shape. At ``_ALLOWED_CACHE_SIZE`` shapes the memo is cleared.
         Sessions may share it: the sets are immutable, and a lost entry only
         costs a rescan.
         """
         if state[0] == "lit":
             key = state[:3]
         else:
-            key = _count_free_shape(state, 1) or state
+            shape = _count_free_shape(state, 1)
+            key = state if shape is None else shape[:-1]
         found = self._allowed.get(key)
         if found is None:
             transition = self.transition
@@ -447,7 +372,7 @@ class PlanAutomaton(_Automaton):
         unused = [a for a in self._args[tool] if a not in used]
         if ch == '"' and prefix in unused:
             then = ("lit", "}", 0, ("sep", self._arg_item(tool, used | {prefix}), self._item_close))
-            return ("lit", ',"argument_value":', 0, _field(self._arg_specs[(tool, prefix)], then))
+            return ("lit", ',"argument_value":', 0, _start(self._arg_specs[(tool, prefix)], then))
         cand = prefix + ch
         if any(a.startswith(cand) for a in unused):
             return ("aname", tool, used, cand)
@@ -470,8 +395,8 @@ class SubTaskAutomaton(_Automaton):
             if not IDENTIFIER_PATTERN.fullmatch(name):
                 raise SchemaCompileError(f"tool name {name!r} is not an identifier")
         tool = ("lit", ',"tool_name":"', 0, ("name", ""))
-        thought = ("lit", ',"thought":', 0, _field(("string",), tool))
-        super().__init__(names, ("lit", '{"id":', 0, _field(("uint",), thought)))
+        thought = ("lit", ',"thought":', 0, _start(("string",), tool))
+        super().__init__(names, ("lit", '{"id":', 0, _start(("uint",), thought)))
 
     def _after_name(self, name: str) -> tuple:
         return self._item_close
@@ -494,27 +419,16 @@ _STRING_TAGS = frozenset(("s", "se", "su"))
 
 
 def _count_free_shape(state: tuple, room: int):
-    """``state`` with the count of its open string set to 0, or None unless
-    ``state`` is inside a string whose count leaves at least ``room``
-    characters below ``MAX_STRING_CHARS``.
+    """``state`` with its count set to 0 if it is an open string, ``("s", n,
+    then)``, ``("se", n, then)`` or ``("su", n, k, then)``, whose count
+    leaves at least ``room`` characters below ``MAX_STRING_CHARS``; else None.
 
-    An open string state, ``("s", n)``, ``("se", n)`` or ``("su", n, k)``,
-    sits at the last position of every state that contains it.
+    An open string is always the top state: what encloses it rides in its
+    ``then``.
     """
-    last = state[-1]
-    if isinstance(last, tuple):
-        inner = _count_free_shape(last, room)
-        return None if inner is None else state[:-1] + (inner,)
     if state[0] in _STRING_TAGS and state[1] + room <= MAX_STRING_CHARS:
         return (state[0], 0) + state[2:]
     return None
-
-
-def _innermost(state: tuple) -> tuple:
-    """The innermost machine state of ``state``, which sits last in it."""
-    while isinstance(state[-1], tuple):
-        state = state[-1]
-    return state
 
 
 class _Trie:
@@ -609,7 +523,6 @@ class _Trie:
 # the bound is small; a plan decodes a few string shapes, and a table cleared
 # too early costs one walk of the few quoted tokens.
 _QUOTED_CACHE_SIZE = 32
-_STRING_SPEC = ("string",)
 
 
 class TokenIndex(_Trie):
@@ -639,37 +552,36 @@ class TokenIndex(_Trie):
         printable ASCII. A string state with room takes the kept tables of
         its count-free shape:
 
-        - the body table of its innermost string state, ``("s", 0)``,
-          ``("se", 0)`` or ``("su", 0, k)``, walked once with the string
-          machine alone;
+        - the body table of the shape without ``then``, ``("s", 0)``,
+          ``("se", 0)`` or ``("su", 0, k)``, walked once with ``then`` set
+          to the final state, which takes no character;
         - laid over it, the verdicts of the tokens that contain ``"``
           (``quoted``), walked per (automaton, shape) and kept in a cache
           cleared when full.
 
         Both are exact. Every in-string character of an indexed token is
-        checked at a count below the cap, and a closing quote leads to a
-        count-free state, so a token is accepted from the state exactly
-        when it is from the shape. A character the string machine rejects
-        is rejected by every machine that encloses it, one it accepts is
-        accepted, and only ``"`` leaves the string, so a token without
-        ``"`` gets the body table's verdict from every automaton.
+        checked at a count below the cap, and a closing quote steps into
+        ``then``, which holds no count, so a token is accepted from the
+        state exactly when it is from the shape. Until its closing quote a
+        string's steps do not read ``then``, so a token without ``"`` gets
+        the body table's verdict from every automaton.
         """
         shape = _count_free_shape(state, self.reach)
         if shape is None:
             table = _Verdicts(self.rejected)
             self._walk(automaton.transition, state, automaton.allowed(state), table)
         else:
-            table = _Verdicts(self._body(_innermost(shape)))
+            table = _Verdicts(self._body(automaton, shape[:-1]))
             table.update(self._quoted_verdicts(automaton, shape))
         table.peek = peek
         return table
 
-    def _body(self, inner: tuple) -> dict[str, bool]:
+    def _body(self, automaton, inner: tuple) -> dict[str, bool]:
         table = self._bodies.get(inner)
         if table is None:
-            step = partial(_v_step, _STRING_SPEC)
+            state = inner + (_ACCEPT,)
             table = self.rejected.copy()
-            self._walk(step, inner, [ch for ch in _PRINTABLE if step(inner, ch) is not None], table)
+            self._walk(automaton.transition, state, automaton.allowed(state), table)
             self._bodies[inner] = table
         return table
 

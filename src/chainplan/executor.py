@@ -10,6 +10,7 @@ manipulations through references.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -155,9 +156,18 @@ def execute(plan: Plan, runtime) -> ExecutionTrace:
 # Operators
 # ---------------------------------------------------------------------------
 
-ARITHMETIC_OPS = ("add", "sub", "mul", "div", "floordiv", "pow", "mod")
-COMPARISON_OPS = ("gt", "lt", "ge", "le", "eq", "neq")
-ALL_OPS = ARITHMETIC_OPS + COMPARISON_OPS
+_ARITHMETIC = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv,
+    "floordiv": operator.floordiv, "pow": operator.pow, "mod": operator.mod,
+}
+_COMPARISON = {
+    "gt": operator.gt, "lt": operator.lt, "ge": operator.ge, "le": operator.le,
+    "eq": operator.eq, "neq": operator.ne,
+}
+_OPERATORS = {**_ARITHMETIC, **_COMPARISON}
+ARITHMETIC_OPS = tuple(_ARITHMETIC)
+COMPARISON_OPS = tuple(_COMPARISON)
+ALL_OPS = tuple(_OPERATORS)
 
 
 def _numeric(value: Scalar) -> bool:
@@ -167,75 +177,41 @@ def _numeric(value: Scalar) -> bool:
 def apply_operator(op: str, a: RuntimeValue, b: RuntimeValue) -> Scalar:
     """Standard semantics; floor division truncates toward negative infinity
     and the modulus sign follows the divisor, so a = b*q + r always holds."""
-    if op not in ALL_OPS:
+    if op not in _OPERATORS:
         raise OperatorError(f"unknown operator {op!r}")
     if not isinstance(a, Scalar) or not isinstance(b, Scalar):
         raise OperatorError(f"{op} requires scalar operands")
-    if op in ARITHMETIC_OPS:
+    if op in _ARITHMETIC:
         if not (_numeric(a) and _numeric(b)):
             raise OperatorError(f"{op} requires numeric operands, got {a.kind}/{b.kind}")
-        x, y = a.value, b.value
-        if op in ("div", "floordiv", "mod") and y == 0:
+        if op in ("div", "floordiv", "mod") and b.value == 0:
             raise OperatorError(f"{op} by zero")
-        if op == "add":
-            return Scalar(x + y)
-        if op == "sub":
-            return Scalar(x - y)
-        if op == "mul":
-            return Scalar(x * y)
-        if op == "div":
-            return Scalar(x / y)
-        if op == "floordiv":
-            return Scalar(x // y)
-        if op == "pow":
-            return Scalar(x ** y)
-        return Scalar(x % y)
-    if op in ("eq", "neq"):
+    elif op in ("eq", "neq"):
         if a.kind != b.kind:
             raise OperatorError(f"{op} requires operands of the same kind, got {a.kind}/{b.kind}")
-        return Scalar(a.value == b.value if op == "eq" else a.value != b.value)
-    # ordered comparisons: both numeric or both text
-    if a.kind != b.kind or a.kind == "boolean":
+    elif a.kind != b.kind or a.kind == "boolean":
+        # ordered comparisons: both numeric or both text
         raise OperatorError(f"{op} requires two numbers or two strings, got {a.kind}/{b.kind}")
-    x, y = a.value, b.value
-    if op == "gt":
-        return Scalar(x > y)
-    if op == "lt":
-        return Scalar(x < y)
-    if op == "ge":
-        return Scalar(x >= y)
-    return Scalar(x <= y)
+    return Scalar(_OPERATORS[op](a.value, b.value))
 
 
 def operator_tool_specs() -> list[ToolSpec]:
     """Pseudo-tool specs for every operator (op_add, op_gt, ...)."""
-    specs: list[ToolSpec] = []
     number = primitive("float")
-    for op in ARITHMETIC_OPS:
-        specs.append(
-            ToolSpec(
-                name=f"op_{op}",
-                description=f"Applies {op} to two numeric operands and returns the result",
-                arguments=(
-                    ArgSpec("a", "left operand", number, required=True),
-                    ArgSpec("b", "right operand", number, required=True),
-                ),
-                returns=number,
-            )
+    operands = (
+        ArgSpec("a", "left operand", number, required=True),
+        ArgSpec("b", "right operand", number, required=True),
+    )
+    return [
+        ToolSpec(
+            name=f"op_{op}",
+            description=(f"Applies {op} to two numeric operands and returns the result" if op in _ARITHMETIC
+                         else f"Compares two operands with {op} and returns a boolean"),
+            arguments=operands,
+            returns=number if op in _ARITHMETIC else primitive("boolean"),
         )
-    for op in COMPARISON_OPS:
-        specs.append(
-            ToolSpec(
-                name=f"op_{op}",
-                description=f"Compares two operands with {op} and returns a boolean",
-                arguments=(
-                    ArgSpec("a", "left operand", number, required=True),
-                    ArgSpec("b", "right operand", number, required=True),
-                ),
-                returns=primitive("boolean"),
-            )
-        )
-    return specs
+        for op in ALL_OPS
+    ]
 
 
 def register_operator_tools(registry: Registry) -> Registry:

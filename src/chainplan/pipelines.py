@@ -83,6 +83,8 @@ _REQUIRED_SLOTS = {
 }
 
 _CONFIG_SCALARS = {"k": int, "example_count": int, "model_id": str, "max_tokens": int, "temperature": (int, float)}
+# The least value each numeric setting may take.
+_CONFIG_MINIMA = {"k": 1, "example_count": 0, "max_tokens": 1, "temperature": 0}
 _CONFIG_TEMPLATES = {"decompose": "decompose_template", "recompose": "recompose_template",
                      "rap": "rap_template"}
 
@@ -105,6 +107,11 @@ class PipelineConfig:
             missing = [slot for slot in slots if f"{{{slot}}}" not in template]
             if missing:
                 raise ValueError(f"{attr} lacks required placeholders: {missing}")
+        # "not >=" also refuses NaN, which JSON config files may spell
+        low = [f"{key} must be at least {least}"
+               for key, least in _CONFIG_MINIMA.items() if not getattr(self, key) >= least]
+        if low:
+            raise ValueError(f"config values out of range: {', '.join(low)}")
 
     @classmethod
     def default(cls, **overrides) -> "PipelineConfig":
@@ -157,7 +164,10 @@ class PipelineConfig:
         if "insights" in doc:
             text = (base / doc["insights"]).read_text(encoding="utf-8")
             config.insights = tuple(line.strip() for line in text.splitlines() if line.strip())
-        config.validate()
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return config
 
 

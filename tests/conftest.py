@@ -48,7 +48,7 @@ _TYPE_POOL = (
 )
 
 
-def random_registry(rng: random.Random, max_tools: int = 8) -> Registry:
+def random_registry(rng: random.Random, max_tools: int = 8, type_pool: tuple = _TYPE_POOL) -> Registry:
     count = rng.randint(1, max_tools)
     specs = []
     for i in range(count):
@@ -56,7 +56,7 @@ def random_registry(rng: random.Random, max_tools: int = 8) -> Registry:
             ArgSpec(
                 name=f"arg{j}",
                 description=f"argument {j}",
-                value_type=rng.choice(_TYPE_POOL),
+                value_type=rng.choice(type_pool),
                 required=rng.random() < 0.5,
             )
             for j in range(rng.randint(0, 3))
@@ -66,7 +66,7 @@ def random_registry(rng: random.Random, max_tools: int = 8) -> Registry:
                 name=f"tool{i}",
                 description=f"synthetic tool {i}",
                 arguments=args,
-                returns=rng.choice(_TYPE_POOL),
+                returns=rng.choice(type_pool),
             )
         )
     return Registry.from_tools(specs)

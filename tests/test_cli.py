@@ -143,7 +143,16 @@ def test_output_in_a_missing_directory_is_one_line_error(runner, tmp_path, repla
     ('{"templates": {"rap": "missing.txt"}}', "missing.txt"),
     ('{"k": "4", "temperature": true, "insights": 5, "templates": {"rap": null}}',
      "wrong type: k, temperature, insights, templates.rap"),
-], ids=["invalid_json", "array", "templates_array", "unknown_key", "missing_template", "wrong_types"])
+    ('{"k": 0}', "out of range: k must be at least 1"),
+    ('{"example_count": -1}', "out of range: example_count must be at least 0"),
+    ('{"max_tokens": 0}', "out of range: max_tokens must be at least 1"),
+    ('{"temperature": -1}', "out of range: temperature must be at least 0"),
+    ('{"temperature": NaN}', "out of range: temperature must be at least 0"),
+    ('{"k": 0, "max_tokens": 0, "temperature": -0.5}',
+     "out of range: k must be at least 1, max_tokens must be at least 1, temperature must be at least 0"),
+], ids=["invalid_json", "array", "templates_array", "unknown_key", "missing_template", "wrong_types",
+        "k_zero", "example_count_negative", "max_tokens_zero", "temperature_negative", "temperature_nan",
+        "several_out_of_range"])
 def test_bad_config_is_one_line_error(runner, tmp_path, text, fragment):
     config = tmp_path / "config.json"
     config.write_text(text, encoding="utf-8")

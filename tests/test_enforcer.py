@@ -20,7 +20,7 @@ from chainplan.enforcer import (
 )
 from chainplan.pipelines import SubTask, parse_subtasks, serialize_subtasks
 from chainplan.plan import parse_plan, serialize_plan
-from chainplan.registry import Registry
+from chainplan.registry import Registry, list_of, object_type, primitive
 
 from conftest import random_plan, random_registry
 
@@ -511,19 +511,12 @@ def _walk_choice(rng: random.Random, allowed: frozenset[str]) -> str:
     return rng.choice([c for c in chars if _char_class(c) == picked])
 
 
-def test_allowed_sets_are_pinned(fixture_registry):
-    # sha256 over the allowed set, the accepting flag and the accepted
-    # characters of "\t\né" at every step of seeded random walks, for both
-    # automata, over the fixture and twelve synthetic registries (integer,
-    # float, boolean, object and list arguments). test_mask.py cannot see a
-    # change to the accepted language, since peek steps the same transition;
-    # this can.
+def _pinned_walk_digest(registries, rng: random.Random) -> tuple[str, int]:
+    """sha256 over the allowed set, the accepting flag and the accepted
+    characters of "\\t\\né" at every step of four seeded random walks per
+    automaton, for both automata of each registry; and the number of states."""
     import hashlib
 
-    from conftest import random_registry
-
-    rng = random.Random(4096)
-    registries = [fixture_registry] + [random_registry(random.Random(seed), max_tools=8) for seed in range(12)]
     digest = hashlib.sha256()
     states = 0
     for registry in registries:
@@ -538,8 +531,39 @@ def test_allowed_sets_are_pinned(fixture_registry):
                     if end:
                         break
                     session.advance(_walk_choice(rng, allowed))
+    return digest.hexdigest(), states
+
+
+def test_allowed_sets_are_pinned(fixture_registry):
+    # The walk digest over the fixture and twelve synthetic registries
+    # (integer, float, boolean, object and list arguments). test_mask.py
+    # cannot see a change to the accepted language, since peek steps the same
+    # transition; this can.
+    rng = random.Random(4096)
+    registries = [fixture_registry] + [random_registry(random.Random(seed), max_tools=8) for seed in range(12)]
+    digest, states = _pinned_walk_digest(registries, rng)
     assert states > 20_000
-    assert digest.hexdigest() == "579c408c1f9f4f81a845b2490af7e43d1db38066720da1acd8220b8445e3e3dd"
+    assert digest == "579c408c1f9f4f81a845b2490af7e43d1db38066720da1acd8220b8445e3e3dd"
+
+
+# Argument types the default pool of ``random_registry`` lacks: numbers and
+# booleans inside an array, and arrays inside an array.
+_ARRAY_TYPES = (
+    list_of(primitive("integer")),
+    list_of(primitive("float")),
+    list_of(primitive("boolean")),
+    list_of(list_of(primitive("string"))),
+    list_of(list_of(object_type("A"))),
+)
+
+
+def test_allowed_sets_are_pinned_inside_arrays():
+    # The same walk digest over registries drawing only _ARRAY_TYPES.
+    rng = random.Random(4097)
+    registries = [random_registry(random.Random(seed), max_tools=8, type_pool=_ARRAY_TYPES) for seed in range(12)]
+    digest, states = _pinned_walk_digest(registries, rng)
+    assert states > 20_000
+    assert digest == "e93ede9ed9e4c3ba273c9361a9e59f312c59b1bbbc57c36f29c558768559107c"
 
 
 def _scan(automaton, state) -> frozenset[str]:

@@ -199,15 +199,17 @@ def test_golden_dataset_save_round_trip(tmp_path, golden_examples):
     assert [ex.gold for ex in reloaded] == [ex.gold for ex in golden_examples]
 
 
-def test_dataset_loader_cites_bad_line(tmp_path):
-    import pytest as _pytest
-
+@pytest.mark.parametrize("bad_record", [
+    '{"query": "missing gold"}',
+    '{"query": 7, "gold": []}',
+    '{"query": "", "gold": []}',
+    '{"query": null, "gold": []}',
+], ids=["missing_gold", "int_query", "empty_query", "null_query"])
+def test_dataset_loader_cites_bad_line(tmp_path, bad_record):
     from chainplan.datasets import DatasetError, load_golden_dataset
 
     target = tmp_path / "bad.jsonl"
-    target.write_text(
-        '{"query": "ok", "gold": []}\n{"query": "missing gold"}\n', encoding="utf-8"
-    )
-    with _pytest.raises(DatasetError) as err:
+    target.write_text('{"query": "ok", "gold": []}\n' + bad_record + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as err:
         load_golden_dataset(target)
     assert err.value.line == 2
