@@ -1,5 +1,10 @@
 """Execute validated plans against pluggable tool runtimes.
 
+A runtime has ``coverage``, the tool names it runs, and ``invoke(tool_name,
+arguments) -> value``. Arguments map names to the JSON values the plan holds
+(string, number, boolean, null or dict; an array is a tuple, so no step can
+change an array an earlier step stored), and a runtime returns such a value.
+
 Steps run strictly in order; every ``$$PREV[i]`` resolves to step i's stored
 output, never by re-invoking the tool, and results are not fed back to any
 planner. Arithmetic and comparison operators are available both directly and
@@ -29,57 +34,11 @@ class OperatorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Scalar:
-    value: Any  # number, text, or boolean
-
-    @property
-    def kind(self) -> str:
-        if isinstance(self.value, bool):
-            return "boolean"
-        if isinstance(self.value, (int, float)):
-            return "number"
-        return "text"
-
-
-@dataclass(frozen=True)
-class ListVal:
-    elements: tuple
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
-class OpaqueObject:
-    type_name: str
-    payload: dict
-
-
-RuntimeValue = Scalar | ListVal | OpaqueObject
-
-
-def _to_runtime(value: Any) -> RuntimeValue:
-    if isinstance(value, dict):
-        return OpaqueObject(type_name="object", payload=value)
-    if isinstance(value, list):
-        return ListVal(tuple(_to_runtime(v) for v in value))
-    return Scalar(value)
-
-
-def _to_plain(value: RuntimeValue) -> Any:
-    if isinstance(value, Scalar):
-        return value.value
-    if isinstance(value, ListVal):
-        return [_to_plain(v) for v in value.elements]
-    return {"type": value.type_name, **value.payload}
-
-
 @dataclass
 class ExecutionStep:
     tool_name: str
-    arguments: dict[str, RuntimeValue]
-    output: RuntimeValue
+    arguments: dict[str, Any]
+    output: Any
     duration_s: float
 
 
@@ -88,7 +47,7 @@ class ExecutionTrace:
     steps: list[ExecutionStep] = field(default_factory=list)
 
     @property
-    def outputs(self) -> list[RuntimeValue]:
+    def outputs(self) -> list[Any]:
         return [step.output for step in self.steps]
 
     def to_json(self) -> str:
@@ -96,8 +55,8 @@ class ExecutionTrace:
             [
                 {
                     "tool_name": step.tool_name,
-                    "arguments": {k: _to_plain(v) for k, v in step.arguments.items()},
-                    "output": _to_plain(step.output),
+                    "arguments": step.arguments,
+                    "output": step.output,
                     "duration_s": step.duration_s,
                 }
                 for step in self.steps
@@ -106,15 +65,15 @@ class ExecutionTrace:
         )
 
 
-def _resolve(value, outputs: list[RuntimeValue], step: int) -> RuntimeValue:
+def _resolve(value, outputs: list[Any], step: int) -> Any:
     if isinstance(value, PrevRef):
         if not 0 <= value.index < len(outputs):
             raise ExecutionError(f"unresolvable reference $$PREV[{value.index}]", step=step)
         return outputs[value.index]
     if isinstance(value, ListOf):
-        return ListVal(tuple(_resolve(item, outputs, step) for item in value.elements))
+        return tuple(_resolve(item, outputs, step) for item in value.elements)
     if isinstance(value, Literal):
-        return _to_runtime(value.value)
+        return value.value
     raise ExecutionError(f"unknown argument value {value!r}", step=step)
 
 
@@ -132,8 +91,9 @@ def execute(plan: Plan, runtime) -> ExecutionTrace:
     if bad_refs:
         raise ExecutionError(f"plan has invalid references: {bad_refs[0].message}")
     trace = ExecutionTrace()
+    outputs: list[Any] = []
     for step, call in enumerate(plan.calls):
-        resolved = {name: _resolve(value, trace.outputs, step) for name, value in call.arguments}
+        resolved = {name: _resolve(value, outputs, step) for name, value in call.arguments}
         started = time.monotonic()
         try:
             output = runtime.invoke(call.tool_name, resolved)
@@ -141,6 +101,7 @@ def execute(plan: Plan, runtime) -> ExecutionTrace:
             raise
         except Exception as exc:
             raise ExecutionError(f"{call.tool_name} failed: {exc}", step=step) from exc
+        outputs.append(output)
         trace.steps.append(
             ExecutionStep(
                 tool_name=call.tool_name,
@@ -165,34 +126,38 @@ _COMPARISON = {
     "eq": operator.eq, "neq": operator.ne,
 }
 _OPERATORS = {**_ARITHMETIC, **_COMPARISON}
-ARITHMETIC_OPS = tuple(_ARITHMETIC)
-COMPARISON_OPS = tuple(_COMPARISON)
 ALL_OPS = tuple(_OPERATORS)
 
 
-def _numeric(value: Scalar) -> bool:
-    return value.kind == "number"
+def _kind(value: Any, op: str) -> str:
+    """An operand's kind: "boolean", "number" or "text" (null included)."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, (tuple, list, dict)):
+        raise OperatorError(f"{op} requires scalar operands")
+    return "text"
 
 
-def apply_operator(op: str, a: RuntimeValue, b: RuntimeValue) -> Scalar:
+def apply_operator(op: str, a: Any, b: Any) -> Any:
     """Standard semantics; floor division truncates toward negative infinity
     and the modulus sign follows the divisor, so a = b*q + r always holds."""
     if op not in _OPERATORS:
         raise OperatorError(f"unknown operator {op!r}")
-    if not isinstance(a, Scalar) or not isinstance(b, Scalar):
-        raise OperatorError(f"{op} requires scalar operands")
+    kind_a, kind_b = _kind(a, op), _kind(b, op)
     if op in _ARITHMETIC:
-        if not (_numeric(a) and _numeric(b)):
-            raise OperatorError(f"{op} requires numeric operands, got {a.kind}/{b.kind}")
-        if op in ("div", "floordiv", "mod") and b.value == 0:
+        if kind_a != "number" or kind_b != "number":
+            raise OperatorError(f"{op} requires numeric operands, got {kind_a}/{kind_b}")
+        if op in ("div", "floordiv", "mod") and b == 0:
             raise OperatorError(f"{op} by zero")
     elif op in ("eq", "neq"):
-        if a.kind != b.kind:
-            raise OperatorError(f"{op} requires operands of the same kind, got {a.kind}/{b.kind}")
-    elif a.kind != b.kind or a.kind == "boolean":
+        if kind_a != kind_b:
+            raise OperatorError(f"{op} requires operands of the same kind, got {kind_a}/{kind_b}")
+    elif kind_a != kind_b or kind_a == "boolean":
         # ordered comparisons: both numeric or both text
-        raise OperatorError(f"{op} requires two numbers or two strings, got {a.kind}/{b.kind}")
-    return Scalar(_OPERATORS[op](a.value, b.value))
+        raise OperatorError(f"{op} requires two numbers or two strings, got {kind_a}/{kind_b}")
+    return _OPERATORS[op](a, b)
 
 
 def operator_tool_specs() -> list[ToolSpec]:
@@ -227,15 +192,15 @@ class OperatorRuntime:
     def __init__(self):
         self.coverage = frozenset(f"op_{op}" for op in ALL_OPS)
 
-    def invoke(self, tool_name: str, arguments: dict[str, RuntimeValue]) -> RuntimeValue:
+    def invoke(self, tool_name: str, arguments: dict[str, Any]) -> Any:
         op = tool_name.removeprefix("op_")
         if "a" not in arguments or "b" not in arguments:
             raise OperatorError(f"{tool_name} needs arguments a and b")
         return apply_operator(op, arguments["a"], arguments["b"])
 
 
-def _work_item(item_id: str, title: str) -> OpaqueObject:
-    return OpaqueObject(type_name="WorkItem", payload={"id": item_id, "title": title})
+def _work_item(item_id: str, title: str) -> dict:
+    return {"type": "WorkItem", "id": item_id, "title": title}
 
 
 class StubRuntime:
@@ -250,31 +215,31 @@ class StubRuntime:
             "search_object_by_name", "create_actionable_tasks_from_text", "who_am_i",
         }
 
-    def invoke(self, tool_name: str, arguments: dict[str, RuntimeValue]) -> RuntimeValue:
+    def invoke(self, tool_name: str, arguments: dict[str, Any]) -> Any:
         if tool_name in self._operators.coverage:
             return self._operators.invoke(tool_name, arguments)
         if tool_name == "who_am_i":
-            return Scalar("USER-001")
+            return "USER-001"
         if tool_name == "get_sprint_id":
-            return Scalar("SPRINT-42")
+            return "SPRINT-42"
         if tool_name == "works_list":
-            return ListVal((_work_item("ITEM-001", "Fix login flow"),
-                            _work_item("ITEM-002", "Update billing page")))
+            return (_work_item("ITEM-001", "Fix login flow"),
+                    _work_item("ITEM-002", "Update billing page"))
         if tool_name == "prioritize_objects":
-            objects = arguments.get("objects", ListVal(()))
-            if not isinstance(objects, ListVal):
-                objects = ListVal((objects,))
-            return ListVal(tuple(reversed(objects.elements)))
+            objects = arguments.get("objects", ())
+            if not isinstance(objects, (tuple, list)):
+                objects = (objects,)
+            return tuple(reversed(objects))
         if tool_name == "summarize_objects":
-            objects = arguments.get("objects", ListVal(()))
-            count = len(objects) if isinstance(objects, ListVal) else 1
-            return ListVal((OpaqueObject("Summary", {"text": f"{count} objects summarized"}),))
+            objects = arguments.get("objects", ())
+            count = len(objects) if isinstance(objects, (tuple, list)) else 1
+            return ({"type": "Summary", "text": f"{count} objects summarized"},)
         if tool_name == "add_work_items_to_sprint":
-            return Scalar(True)
+            return True
         if tool_name == "get_similar_work_items":
-            return ListVal((_work_item("ITEM-003", "Similar: login timeout"),))
+            return (_work_item("ITEM-003", "Similar: login timeout"),)
         if tool_name == "search_object_by_name":
-            return Scalar("OBJ-007")
+            return "OBJ-007"
         if tool_name == "create_actionable_tasks_from_text":
-            return ListVal((_work_item("TASK-001", "Follow up on notes"),))
+            return (_work_item("TASK-001", "Follow up on notes"),)
         raise ExecutionError(f"stub runtime does not cover {tool_name!r}")

@@ -47,9 +47,10 @@ class CompletionRequest:
     system: str | None = None
 
     def __post_init__(self):
-        if self.max_tokens < 1:
+        # `not x >= least`, so NaN is refused too
+        if not self.max_tokens >= 1:
             raise ValueError("max_tokens must be at least 1")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise ValueError("temperature must be nonnegative")
 
 

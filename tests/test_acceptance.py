@@ -13,7 +13,7 @@ import time
 import pytest
 
 from chainplan.enforcer import DecoderSession, compile_schema, enforced_repair
-from chainplan.executor import Scalar, apply_operator, OperatorError, register_operator_tools
+from chainplan.executor import apply_operator, OperatorError, register_operator_tools
 from chainplan.llm import ScriptedModel, estimate_tokens
 from chainplan.metrics import bleu, hallucination_rate, rouge_l_f1, tool_selection_scores
 from chainplan.pipelines import PipelineConfig, PlannerContext, assemble_rap_prompt, run_enchant, run_regains
@@ -469,7 +469,7 @@ def test_criterion_8_executor_arithmetic():
         b = rng.choice([n for n in range(-20, 21) if n != 0])
         if op == "pow":
             a, b = rng.randint(-9, 9), rng.randint(0, 6)
-        got = apply_operator(op, Scalar(a), Scalar(b)).value
+        got = apply_operator(op, a, b)
         want = reference[op](a, b)
         if isinstance(want, float):
             assert math.isclose(got, want, rel_tol=1e-12)
@@ -477,21 +477,21 @@ def test_criterion_8_executor_arithmetic():
             assert got == want
         ia = rng.randint(-500, 500)
         ib = rng.choice([n for n in range(-20, 21) if n != 0])
-        q = apply_operator("floordiv", Scalar(ia), Scalar(ib)).value
-        r = apply_operator("mod", Scalar(ia), Scalar(ib)).value
+        q = apply_operator("floordiv", ia, ib)
+        r = apply_operator("mod", ia, ib)
         assert ia == ib * q + r
         if ib > 0:
             assert 0 <= r < ib
         identity_checked += 1
 
     with pytest.raises(OperatorError):
-        apply_operator("div", Scalar(1), Scalar(0))
+        apply_operator("div", 1, 0)
     with pytest.raises(OperatorError):
-        apply_operator("mod", Scalar(3), Scalar(0))
+        apply_operator("mod", 3, 0)
     with pytest.raises(OperatorError):
-        apply_operator("add", Scalar("text"), Scalar(2))
+        apply_operator("add", "text", 2)
     with pytest.raises(OperatorError):
-        apply_operator("lt", Scalar(True), Scalar(1))
+        apply_operator("lt", True, 1)
 
     _report(8, f"100 random operand pairs match reference arithmetic; floor-division identity held on "
                f"{identity_checked} integer pairs; zero-division and kind-mismatch raise as specified")

@@ -156,7 +156,10 @@ def test_output_in_a_missing_directory_is_one_line_error(runner, tmp_path, repla
 def test_bad_config_is_one_line_error(runner, tmp_path, text, fragment):
     config = tmp_path / "config.json"
     config.write_text(text, encoding="utf-8")
-    result = runner.invoke(main, ["plan", "q", "--config", str(config), "--trace", str(tmp_path / "t.json")])
+    replay = tmp_path / "empty.jsonl"  # a config loaded by mistake fails on a replay miss, offline
+    replay.write_text("", encoding="utf-8")
+    result = runner.invoke(main, ["plan", "q", "--config", str(config), "--mock", str(replay),
+                                  "--trace", str(tmp_path / "t.json")])
     _assert_one_line_error(result, "config: ", fragment)
 
 
@@ -179,6 +182,21 @@ def test_check_forward_reference_exits_one(runner):
     result = runner.invoke(main, ["check"], input=plan_text)
     assert result.exit_code == 1
     assert "$$PREV[5]" in result.output
+
+
+@pytest.mark.parametrize("first, objects, code, lines", [
+    ("who_am_i", '"$$PREV[0]"', 1,
+     ["error: call 1 argument 'objects': no type edge who_am_i -> summarize_objects.objects"]),
+    ("works_list", '["$$PREV[0]"]', 0,
+     ["warning: call 1 argument 'objects': array where bare value required (repairable)", "ok"]),
+], ids=["no_edge", "repairable_wrapping"])
+def test_check_reports_type_graph_wiring(runner, first, objects, code, lines):
+    plan_text = (f'[{{"tool_name":"{first}","arguments":[]}},'
+                 f'{{"tool_name":"summarize_objects","arguments":['
+                 f'{{"argument_name":"objects","argument_value":{objects}}}]}}]')
+    result = runner.invoke(main, ["check"], input=plan_text)
+    assert result.exit_code == code, result.output
+    assert result.output.splitlines() == lines
 
 
 def test_check_valid_plan_ok(runner, golden_examples):

@@ -4,10 +4,8 @@ import pytest
 
 from chainplan.executor import (
     ExecutionError,
-    ListVal,
     OperatorError,
     OperatorRuntime,
-    Scalar,
     StubRuntime,
     apply_operator,
     execute,
@@ -25,8 +23,8 @@ def test_execute_two_step_chain(fixture_registry):
     trace = execute(plan, StubRuntime())
     assert len(trace.steps) == 2
     owned_by = trace.steps[1].arguments["owned_by"]
-    assert isinstance(owned_by, ListVal)
-    assert owned_by.elements[0] == Scalar("USER-001")
+    assert isinstance(owned_by, tuple)
+    assert owned_by[0] == "USER-001"
 
 
 def test_execute_empty_plan(fixture_registry):
@@ -112,21 +110,21 @@ def test_trace_dump_is_json(fixture_registry):
 # ---------------------------------------------------------------------------
 
 def test_add():
-    assert apply_operator("add", Scalar(2), Scalar(3)) == Scalar(5)
+    assert apply_operator("add", 2, 3) == 5
 
 
 def test_division_by_zero():
     with pytest.raises(OperatorError):
-        apply_operator("div", Scalar(1), Scalar(0))
+        apply_operator("div", 1, 0)
     with pytest.raises(OperatorError):
-        apply_operator("mod", Scalar(1), Scalar(0))
+        apply_operator("mod", 1, 0)
     with pytest.raises(OperatorError):
-        apply_operator("floordiv", Scalar(1), Scalar(0))
+        apply_operator("floordiv", 1, 0)
 
 
 def test_floor_division_and_modulus_signs():
-    assert apply_operator("floordiv", Scalar(-7), Scalar(2)) == Scalar(-4)
-    assert apply_operator("mod", Scalar(-7), Scalar(2)) == Scalar(1)
+    assert apply_operator("floordiv", -7, 2) == -4
+    assert apply_operator("mod", -7, 2) == 1
 
 
 def test_floor_division_identity_random_pairs():
@@ -134,8 +132,8 @@ def test_floor_division_identity_random_pairs():
     for _ in range(100):
         a = rng.randint(-1000, 1000)
         b = rng.randint(-50, 50) or 7
-        q = apply_operator("floordiv", Scalar(a), Scalar(b)).value
-        r = apply_operator("mod", Scalar(a), Scalar(b)).value
+        q = apply_operator("floordiv", a, b)
+        r = apply_operator("mod", a, b)
         assert a == b * q + r
         if b > 0:
             assert 0 <= r < b
@@ -144,30 +142,30 @@ def test_floor_division_identity_random_pairs():
 def test_comparison_trichotomy():
     rng = random.Random(9)
     for _ in range(100):
-        a, b = Scalar(rng.randint(-20, 20)), Scalar(rng.randint(-20, 20))
+        a, b = rng.randint(-20, 20), rng.randint(-20, 20)
         results = [
-            apply_operator("gt", a, b).value,
-            apply_operator("lt", a, b).value,
-            apply_operator("eq", a, b).value,
+            apply_operator("gt", a, b),
+            apply_operator("lt", a, b),
+            apply_operator("eq", a, b),
         ]
         assert results.count(True) == 1
 
 
 def test_kind_mismatch_errors():
     with pytest.raises(OperatorError):
-        apply_operator("add", Scalar("x"), Scalar(1))
+        apply_operator("add", "x", 1)
     with pytest.raises(OperatorError):
-        apply_operator("gt", Scalar("x"), Scalar(1))
+        apply_operator("gt", "x", 1)
     with pytest.raises(OperatorError):
-        apply_operator("eq", Scalar("x"), Scalar(1))
+        apply_operator("eq", "x", 1)
     with pytest.raises(OperatorError):
-        apply_operator("gt", Scalar(True), Scalar(False))  # booleans are not ordered here
+        apply_operator("gt", True, False)  # booleans are not ordered here
 
 
 def test_text_comparisons_allowed():
-    assert apply_operator("lt", Scalar("apple"), Scalar("banana")) == Scalar(True)
-    assert apply_operator("eq", Scalar("a"), Scalar("a")) == Scalar(True)
-    assert apply_operator("neq", Scalar(True), Scalar(False)) == Scalar(True)
+    assert apply_operator("lt", "apple", "banana") is True
+    assert apply_operator("eq", "a", "a") is True
+    assert apply_operator("neq", True, False) is True
 
 
 def test_operator_reference_semantics():
@@ -184,12 +182,12 @@ def test_operator_reference_semantics():
         name = rng.choice(list(table))
         a = rng.randint(-100, 100)
         b = rng.randint(1, 50)
-        got = apply_operator(name, Scalar(a), Scalar(b)).value
+        got = apply_operator(name, a, b)
         assert got == table[name](a, b)
 
 
 def test_pow_exact_integers():
-    assert apply_operator("pow", Scalar(2), Scalar(30)).value == 2 ** 30
+    assert apply_operator("pow", 2, 30) == 2 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +223,15 @@ def test_operator_pseudo_tools_chain_via_references(fixture_registry):
     outcome = parse_plan(text)
     assert outcome.ok
     trace = execute(outcome.plan, StubRuntime())
-    assert trace.outputs[0] == Scalar(5)
-    assert trace.outputs[1] == Scalar(20)
-    assert trace.outputs[2] == Scalar(True)
+    assert trace.outputs[0] == 5
+    assert trace.outputs[1] == 20
+    assert trace.outputs[2] is True
 
 
 def test_operator_runtime_requires_both_operands():
     runtime = OperatorRuntime()
     with pytest.raises(OperatorError):
-        runtime.invoke("op_add", {"a": Scalar(1)})
+        runtime.invoke("op_add", {"a": 1})
 
 
 def test_literal_resolution_kinds(fixture_registry):
@@ -246,6 +244,6 @@ def test_literal_resolution_kinds(fixture_registry):
     ))
     trace = execute(plan, StubRuntime())
     args = trace.steps[0].arguments
-    assert args["type"] == Scalar("issue")
-    assert args["limit"] == Scalar(5)
-    assert args["owned_by"] == ListVal((Scalar("u1"), Scalar("u2")))
+    assert args["type"] == "issue"
+    assert args["limit"] == 5
+    assert args["owned_by"] == ("u1", "u2")

@@ -30,6 +30,12 @@ def test_request_validation():
         CompletionRequest(prompt="x", temperature=-0.1)
 
 
+@pytest.mark.parametrize("field", ["max_tokens", "temperature"])
+def test_request_refuses_nan(field):
+    with pytest.raises(ValueError):
+        CompletionRequest(prompt="x", **{field: float("nan")})
+
+
 def test_fingerprint_normalizes_whitespace():
     assert fingerprint("a  b\n\tc") == fingerprint("a b c")
     assert fingerprint("a b") != fingerprint("a c")
