@@ -154,10 +154,20 @@ def apply_operator(op: str, a: Any, b: Any) -> Any:
     elif op in ("eq", "neq"):
         if kind_a != kind_b:
             raise OperatorError(f"{op} requires operands of the same kind, got {kind_a}/{kind_b}")
+    elif a is None or b is None:
+        raise OperatorError(f"{op} cannot order null")
     elif kind_a != kind_b or kind_a == "boolean":
         # ordered comparisons: both numeric or both text
         raise OperatorError(f"{op} requires two numbers or two strings, got {kind_a}/{kind_b}")
-    return _OPERATORS[op](a, b)
+    try:
+        result = _OPERATORS[op](a, b)
+    except OverflowError:
+        raise OperatorError(f"{op} result out of range") from None
+    except ZeroDivisionError:
+        raise OperatorError(f"{op} by zero") from None
+    if isinstance(result, complex):
+        raise OperatorError(f"{op} has no real result for {a!r} and {b!r}")
+    return result
 
 
 def operator_tool_specs() -> list[ToolSpec]:

@@ -1,12 +1,24 @@
 """Dense retrieval over tool and example corpora.
 
 Embeds texts through a pluggable provider, ranks by cosine similarity, and
-selects top-k. Item norms are derived once per corpus, so a query costs one
-dot product per item, and scores equal :func:`cosine` bit for bit. Ships a
-deterministic hashing provider for network-free tests and a client for any
-OpenAI-compatible embeddings endpoint. Corpora are immutable after indexing
-and carry the provider id plus registry version so stale caches are rejected
-instead of silently reused.
+selects top-k. Ships a deterministic hashing provider for network-free tests
+and a client for any OpenAI-compatible embeddings endpoint. Corpora are
+immutable after indexing and carry the provider id plus registry version so
+stale caches are rejected instead of silently reused.
+
+A query is scored in two passes. A corpus derives, on first use and never
+saves, its items' norms and a packed form of its unit vectors: one Python int
+per dimension whose 64-bit field i holds item i's component rounded to
+``_Q`` fractional bits. One integer multiply-add per dimension then pre-scores
+every item at once, and only the items whose pre-score lies within twice the
+pre-score's error bound of the k-th best (about k of them) are scored in
+floating point. Those scores use the products, order and division of
+:func:`cosine`, so results equal a full :func:`cosine` sort bit for bit, ties
+included; :class:`_PreScore` derives the bound. On a 2-core x86-64 host
+under CPython 3.11, a query over 1,000 tools of 64 dimensions costs about
+0.45 ms instead of 2.5 ms for scoring every item in float, and over 10,000
+tools about 5 ms instead of 35 ms; packing takes about 27 ms per 1,000
+tools, on the first query.
 """
 
 from __future__ import annotations
@@ -17,6 +29,8 @@ import json
 import math
 import operator
 import os
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -124,8 +138,9 @@ class Corpus:
     @cached_property
     def norms(self) -> tuple[float, ...]:
         """Each item's L2 norm, in item order, summed as :func:`cosine` sums
-        it. Derived on first use and never saved; a zero or wrong-length item
-        vector raises here, once per corpus."""
+        it. Derived on first use and never saved; a zero, wrong-length or
+        non-finite item vector, or one whose norm overflows, raises here,
+        once per corpus (a corpus built directly is not checked before)."""
         norms = []
         for index, item in enumerate(self.items):
             if len(item.vector) != self.dimension:
@@ -136,8 +151,120 @@ class Corpus:
             norm = math.sqrt(sum(map(operator.mul, item.vector, item.vector)))
             if norm == 0.0:
                 raise RetrievalError(f"cosine of a zero vector is undefined: item {index} ({item.id!r})")
+            if not math.isfinite(norm):
+                problem = ("non-finite vector value" if not all(map(math.isfinite, item.vector))
+                           else "vector norm overflows")
+                raise RetrievalError(f"item {index} ({item.id!r}): {problem}")
             norms.append(norm)
         return tuple(norms)
+
+    @cached_property
+    def _prescore(self) -> _PreScore:
+        """The packed unit vectors; derived on first use and never saved."""
+        return _PreScore(self.items, self.norms, self.dimension)
+
+
+# Fractional bits of a quantized unit component. A unit component c is held
+# as round(c * 2**_Q) + _BIAS, which lies in [0, 2**(_Q + 2)); a query's sum
+# over the dimensions is stored as _OFFSET + P, where |P| <= 2**(2*_Q) + slack.
+_Q = 29
+_BIAS = 1 << (_Q + 1)
+_OFFSET = 1 << 63
+# Norms in this range have squares and products neither overflowing nor
+# losing relative precision; other items, or every item for such a query,
+# are scored in floating point only.
+_SAFE_NORMS = (2.0 ** -400, 2.0 ** 400)
+# Largest dimension pre-scored: the bound below holds and no field can
+# overflow up to it (test_prescore_fields_fit_every_dimension_up_to_the_limit).
+_MAX_DIMENSION = 1 << 30
+
+
+def _slack(dimension: int) -> int:
+    """Δ of :class:`_PreScore`, in field units (2**(-2*_Q) of a score)."""
+    return (
+        ((math.isqrt(dimension) + 2) << _Q)
+        + dimension // 4
+        + 1
+        + ((dimension + 4) << (2 * _Q - 48))
+    )
+
+
+class _PreScore:
+    """Every item's unit vector quantized to ``_Q`` fractional bits and
+    packed by dimension: ``columns[j]`` holds item ``positions[i]``'s
+    component j in its 64-bit field i. Items whose norm lies outside
+    ``_SAFE_NORMS`` are left out and listed in ``rest``.
+
+    For a query q and an item v of dimension D, let a = q/|q| and b = v/|v|
+    in exact arithmetic, c = <a, b> the exact cosine, s the float score that
+    :func:`retrieve_top_k` computes, u = 2**-53 and γ_m = m·u / (1 - m·u).
+    The quantized components are ã_j = 2**Q·a_j·(1 + σ_j) + f_j and
+    b̃_j = 2**Q·b_j·(1 + ρ_j) + e_j, with |e_j|, |f_j| <= 1/2 from rounding
+    to an integer and |σ_j|, |ρ_j| <= γ_(D+4) from the float norm (relative
+    error γ_(D+2)), the float scale 2**Q / norm and the product. Expanding
+    P = Σ ã_j·b̃_j, with Σ|a_j·b_j| <= 1 and Σ|a_j|, Σ|b_j| <= √D:
+
+        |P - 2**(2Q)·c| <= 2**(2Q)·γ_(2D+8) + 2**Q·√D·(1 + γ_(D+4)) + D/4.
+
+    The float score divides a dot product with absolute error at most
+    γ_(D+2)·|q|·|v| by |q|·|v|·(1 + τ), |τ| <= γ_(2D+5), so
+    |s - c| <= γ_(3D+9). This holds for left-to-right summation and for
+    the compensated float ``sum`` of Python 3.12 and later, whose error is
+    smaller. Products or squares that underflow add at most D·2**-1074 to
+    quantities no smaller than 2**-800 (both norms are at least 2**-400),
+    a relative D·2**-274. For D <= ``_MAX_DIMENSION`` all of this fits in
+
+        |P - 2**(2Q)·s| <= Δ = (isqrt(D) + 2)·2**Q + D//4 + 1 + (D + 4)·2**(2Q - 48),
+
+    and |P| <= 2**(2Q) + Δ < 2**63, so the field _OFFSET + P never leaves
+    [0, 2**64) and no carry or borrow crosses a field boundary.
+
+    Let T be the k-th largest P. At least k items have P >= T, hence
+    2**(2Q)·s >= T - Δ, so the k-th best score s_k has 2**(2Q)·s_k >= T - Δ,
+    and every item with s >= s_k has P >= T - 2Δ. Scoring those items in
+    float and selecting by ``(-score, id)`` therefore gives the full sort's
+    result, every tie of the k-th score included."""
+
+    def __init__(self, items: tuple[CorpusItem, ...], norms: tuple[float, ...], dimension: int):
+        low, high = _SAFE_NORMS
+        self.positions = [i for i, norm in enumerate(norms) if low <= norm <= high]
+        self.rest = [i for i, norm in enumerate(norms) if not low <= norm <= high]
+        scales = [2.0 ** _Q / norms[i] for i in self.positions]
+        vectors = [items[i].vector for i in self.positions]
+        self.columns = tuple(
+            _pack([round(x * scale) + _BIAS for x, scale in zip(column, scales)])
+            for column in zip(*vectors)
+        )
+        self.ones = _pack([1] * len(self.positions))
+        self.slack = _slack(dimension)
+
+    def candidates(self, query_vec: list[float], query_norm: float, k: int) -> list[int]:
+        """Item indices that may rank in the top k; needs more than k
+        positions and a query norm inside ``_SAFE_NORMS``."""
+        scale = 2.0 ** _Q / query_norm
+        weights = [round(x * scale) for x in query_vec]
+        total = (_OFFSET - _BIAS * sum(weights)) * self.ones + sum(map(operator.mul, weights, self.columns))
+        fields = memoryview(total.to_bytes(8 * len(self.positions), sys.byteorder)).cast("Q")
+        cut = heapq.nlargest(k, fields)[-1] - 2 * self.slack
+        positions = self.positions
+        return [positions[i] for i, field in enumerate(fields) if field >= cut] + self.rest
+
+
+def _pack(fields: list[int]) -> int:
+    """One int whose 64-bit field i is fields[i], in the byte order that
+    :meth:`_PreScore.candidates` unpacks."""
+    return int.from_bytes(array("Q", fields).tobytes(), sys.byteorder)
+
+
+def _candidates(corpus: Corpus, query_vec: list[float], query_norm: float, k: int):
+    """Indices of the items to score in float: all of them, unless the
+    pre-score can prune (see :class:`_PreScore`)."""
+    low, high = _SAFE_NORMS
+    if len(corpus.items) > k and low <= query_norm <= high and corpus.dimension <= _MAX_DIMENSION:
+        prescore = corpus._prescore
+        if len(prescore.positions) > k:
+            return prescore.candidates(query_vec, query_norm, k)
+    return range(len(corpus.items))
 
 
 def _check_item(index: int, item_id: str, vector, dimension: int, seen: set[str]) -> None:
@@ -201,9 +328,10 @@ def retrieve_top_k(query: str, corpus: Corpus, provider, k: int) -> list[tuple[s
         raise RetrievalError("query vector has a NaN or infinite value")
     # The same products, summed in the same order and divided the same way
     # as cosine(query_vec, item.vector), so every score equals it exactly.
+    items, norms = corpus.items, corpus.norms
     scored = [
-        (item.id, sum(map(operator.mul, query_vec, item.vector)) / (query_norm * norm))
-        for item, norm in zip(corpus.items, corpus.norms)
+        (items[i].id, sum(map(operator.mul, query_vec, items[i].vector)) / (query_norm * norms[i]))
+        for i in _candidates(corpus, query_vec, query_norm, k)
     ]
     return heapq.nsmallest(k, scored, key=lambda pair: (-pair[1], pair[0]))
 

@@ -190,6 +190,31 @@ def test_pow_exact_integers():
     assert apply_operator("pow", 2, 30) == 2 ** 30
 
 
+@pytest.mark.parametrize(
+    ("a", "b"),
+    [(-8, 0.5), (2.0, 10000), (0, -1)],
+    ids=["complex-result", "overflow", "zero-to-negative-power"],
+)
+def test_pow_without_a_real_result_raises_operator_error(a, b):
+    with pytest.raises(OperatorError, match="pow"):
+        apply_operator("pow", a, b)
+
+
+@pytest.mark.parametrize("op", ["gt", "lt", "ge", "le"])
+@pytest.mark.parametrize(("a", "b"), [(None, "a"), ("a", None), (None, 1), (None, None)])
+def test_ordered_comparison_with_null_raises_operator_error(op, a, b):
+    with pytest.raises(OperatorError, match=op):
+        apply_operator(op, a, b)
+
+
+def test_equality_with_null_is_unchanged():
+    assert apply_operator("eq", None, None) is True
+    assert apply_operator("eq", None, "a") is False
+    assert apply_operator("neq", None, "a") is True
+    with pytest.raises(OperatorError, match="same kind"):
+        apply_operator("eq", None, 1)
+
+
 # ---------------------------------------------------------------------------
 # Pseudo-tools
 # ---------------------------------------------------------------------------

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainplan.retrieval import (
+    _BIAS,
+    _MAX_DIMENSION,
+    _OFFSET,
+    _Q,
+    Corpus,
+    CorpusItem,
     HashEmbeddingProvider,
     RetrievalError,
+    _candidates,
+    _slack,
     cosine,
     index_corpus,
     load_corpus,
@@ -175,6 +183,165 @@ def test_retrieve_equals_cosine_sort_oracle_exactly(case):
     got = retrieve_top_k("query", corpus, provider, k)
     assert got == _oracle_top_k(table["query"], corpus, k)
     assert len(got) == min(k, len(items))
+
+
+def _scaled_vector(rng, dimension, exponent, tiny_share):
+    """Gaussian components scaled by 10**exponent, some of them replaced by
+    subnormal or tiny values."""
+    scale = 10.0 ** exponent
+    vector = [rng.gauss(0.0, 1.0) * scale for _ in range(dimension)]
+    for j in range(dimension):
+        if j and rng.random() < tiny_share:
+            vector[j] = rng.choice([5e-324, -5e-324, 2.5e-310, -1e-320, 3e-150, -7e-200])
+    if vector[0] == 0.0:
+        vector[0] = scale
+    return vector
+
+
+@st.composite
+def _prescore_cases(draw, dimensions=st.integers(1, 64), sizes=st.integers(11, 384)):
+    """Corpora larger than k, with near-ties and exact ties placed around the
+    k-th score and ids shuffled against item order."""
+    dimension, size, k = draw(dimensions), draw(sizes), draw(st.integers(1, 10))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    scaled_share, tiny_share = draw(st.sampled_from([0.0, 0.1, 0.5])), draw(st.sampled_from([0.0, 0.05, 0.3]))
+    query = _scaled_vector(rng, dimension, draw(st.one_of(st.just(0), st.integers(-150, 150))), tiny_share)
+    vectors = [
+        _scaled_vector(rng, dimension, rng.randint(-150, 150) if rng.random() < scaled_share else 0, tiny_share)
+        for _ in range(size)
+    ]
+    ranked = sorted(vectors, key=lambda v: -cosine(query, v))
+    kth = ranked[min(k, size) - 1]
+    for _ in range(draw(st.integers(0, 4))):
+        vectors.append(list(kth))
+    for _ in range(draw(st.integers(0, 4))):
+        nudged = list(kth)
+        j = rng.randrange(dimension)
+        for _ in range(rng.randint(1, 4)):
+            nudged[j] = math.nextafter(nudged[j], rng.choice([math.inf, -math.inf]))
+        vectors.append(nudged)
+    # Scores a little apart, closer than the pre-score can tell.
+    for _ in range(draw(st.integers(0, 8))):
+        near = list(kth)
+        j = rng.randrange(dimension)
+        near[j] += near[j] * rng.uniform(-1.0, 1.0) * 2.0 ** -rng.randint(20, 50)
+        vectors.append(near)
+    ids = [f"id{i:03d}" for i in range(len(vectors))]
+    rng.shuffle(ids)
+    table = {f"doc{i}": v for i, v in enumerate(vectors)}
+    table["query"] = query
+    return table, [(item_id, f"doc{i}") for i, item_id in enumerate(ids)], k
+
+
+def _check_prescore_case(case):
+    table, items, k = case
+    provider = TableProvider(table)
+    corpus = index_corpus(provider, items)
+    query = table["query"]
+    oracle = _oracle_top_k(query, corpus, len(items))
+    assert retrieve_top_k("query", corpus, provider, k) == oracle[:k]
+    kth_score = oracle[k - 1][1]
+    query_norm = math.sqrt(sum(x * x for x in query))
+    rescored = {corpus.items[i].id for i in _candidates(corpus, query, query_norm, k)}
+    assert {item_id for item_id, score in oracle if score >= kth_score} <= rescored
+
+
+@settings(max_examples=200, deadline=None)
+@given(_prescore_cases())
+def test_prescored_retrieval_equals_cosine_sort_oracle(case):
+    _check_prescore_case(case)
+
+
+@settings(max_examples=3, deadline=None)
+@given(_prescore_cases(dimensions=st.just(1536), sizes=st.integers(11, 60)))
+def test_prescored_retrieval_equals_oracle_at_1536_dimensions(case):
+    _check_prescore_case(case)
+
+
+def test_rescored_set_holds_every_tie_of_the_kth_score():
+    rng = random.Random(15)
+    query = [rng.uniform(-1, 1) for _ in range(16)]
+    vectors = [[rng.uniform(-1, 1) for _ in range(16)] for _ in range(300)]
+    tie = sorted(vectors, key=lambda v: -cosine(query, v))[4]
+    # 30 copies of the 5th best vector, scaled by powers of two (exact
+    # scores) and spread over ids on both sides of the k = 10 boundary.
+    vectors += [[x * 2.0 ** (i % 7 - 3) for x in tie] for i in range(30)]
+    ids = [f"t{i:03d}" for i in range(len(vectors))]
+    rng.shuffle(ids)
+    table = {f"d{i}": v for i, v in enumerate(vectors)}
+    table["q"] = query
+    provider = TableProvider(table)
+    corpus = index_corpus(provider, [(item_id, f"d{i}") for i, item_id in enumerate(ids)])
+    oracle = _oracle_top_k(query, corpus, len(vectors))
+    kth_score = oracle[9][1]
+    ties = {item_id for item_id, score in oracle if score == kth_score}
+    assert len(ties) == 31
+    rescored = {corpus.items[i].id for i in _candidates(corpus, query, math.sqrt(sum(x * x for x in query)), 10)}
+    assert ties <= rescored
+    assert len(rescored) < 40
+    assert retrieve_top_k("q", corpus, provider, k=10) == oracle[:10]
+
+
+def test_prescore_fields_fit_every_dimension_up_to_the_limit():
+    # A quantized unit component is at most 2**Q + 1 in magnitude and |P|, a
+    # query's field sum, at most 2**(2Q) + slack, so every field stays in
+    # [0, 2**64) and cannot carry into its neighbour.
+    assert 0 <= _BIAS - (1 << _Q) - 1 and _BIAS + (1 << _Q) + 1 < 1 << 64
+    for dimension in (1, 2, 64, 1536, 3072, 1 << 20, _MAX_DIMENSION):
+        assert (1 << 2 * _Q) + _slack(dimension) < _OFFSET
+    # The same bound attained: items equal to the query, its negation and
+    # all-equal components of either sign, at 1,536 dimensions.
+    rng = random.Random(1536)
+    query = [rng.uniform(-1, 1) for _ in range(1536)]
+    flat = [1.0] * 1536
+    vectors = [query, [-x for x in query], flat, [-x for x in flat]]
+    vectors += [[rng.uniform(-1, 1) for _ in range(1536)] for _ in range(20)]
+    table = {f"d{i}": v for i, v in enumerate(vectors)}
+    table["q"], table["flat"] = query, flat
+    provider = TableProvider(table)
+    corpus = index_corpus(provider, [(f"i{i:02d}", f"d{i}") for i in range(len(vectors))])
+    for text in ("q", "flat"):
+        for k in (1, 3):
+            assert retrieve_top_k(text, corpus, provider, k) == _oracle_top_k(table[text], corpus, k)
+
+
+def test_items_and_queries_outside_the_safe_norm_range_are_scored_in_float():
+    rng = random.Random(400)
+    vectors = [[rng.uniform(-1, 1) for _ in range(8)] for _ in range(40)]
+    vectors[3] = [x * 1e-130 for x in vectors[3]]
+    vectors[7] = [x * 1e130 for x in vectors[7]]
+    table = {f"d{i}": v for i, v in enumerate(vectors)}
+    table["q"] = [rng.uniform(-1, 1) for _ in range(8)]
+    table["tiny"] = [x * 1e-125 for x in table["q"]]
+    table["huge"] = [x * 1e125 for x in table["q"]]
+    provider = TableProvider(table)
+    corpus = index_corpus(provider, [(f"i{i:02d}", f"d{i}") for i in range(len(vectors))])
+    for text in ("q", "tiny", "huge"):
+        query = table[text]
+        norm = math.sqrt(sum(x * x for x in query))
+        rescored = set(_candidates(corpus, query, norm, 2))
+        if text == "q":
+            assert {3, 7} <= rescored and len(rescored) < 10
+        else:
+            assert rescored == set(range(40))
+        assert retrieve_top_k(text, corpus, provider, 2) == _oracle_top_k(query, corpus, 2)
+
+
+def test_norms_refuse_non_finite_and_overflowing_items():
+    good = CorpusItem(id="a", text="a", vector=(1.0, 0.0))
+    for vector, problem in [
+        ((float("nan"), 1.0), "non-finite vector value"),
+        ((float("inf"), 1.0), "non-finite vector value"),
+        ((1e200, 1.0), "vector norm overflows"),
+    ]:
+        corpus = Corpus(kind="tools", items=(good, CorpusItem(id="b", text="b", vector=vector)),
+                        provider_id="table", registry_version="", dimension=2)
+        with pytest.raises(RetrievalError, match=rf"item 1 \('b'\): {problem}"):
+            corpus.norms
+    provider = TableProvider({"big": [1e200, 1.0], "q": [1.0, 1.0]})
+    corpus = index_corpus(provider, [("big", "big")])
+    with pytest.raises(RetrievalError, match=r"item 0 \('big'\): vector norm overflows"):
+        retrieve_top_k("q", corpus, provider, k=1)
 
 
 def test_retrieve_zero_vectors_and_wrong_dimension_raise():
