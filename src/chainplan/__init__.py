@@ -34,8 +34,6 @@ from .metrics import (
 )
 from .pipelines import PipelineConfig, PlannerContext, run_enchant, run_regains
 from .plan import (
-    ListOf,
-    Literal,
     Plan,
     PrevRef,
     ToolCall,
@@ -54,8 +52,6 @@ __all__ = [
     "EvalRecord",
     "GoldenExample",
     "HashEmbeddingProvider",
-    "ListOf",
-    "Literal",
     "MetricsReport",
     "Plan",
     "PlanAutomaton",

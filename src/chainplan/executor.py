@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .plan import ListOf, Literal, Plan, PrevRef, validate_refs
+from .plan import Plan, PrevRef, validate_refs
 from .registry import ArgSpec, Registry, ToolSpec, primitive
 
 
@@ -70,11 +70,9 @@ def _resolve(value, outputs: list[Any], step: int) -> Any:
         if not 0 <= value.index < len(outputs):
             raise ExecutionError(f"unresolvable reference $$PREV[{value.index}]", step=step)
         return outputs[value.index]
-    if isinstance(value, ListOf):
-        return tuple(_resolve(item, outputs, step) for item in value.elements)
-    if isinstance(value, Literal):
-        return value.value
-    raise ExecutionError(f"unknown argument value {value!r}", step=step)
+    if isinstance(value, tuple):
+        return tuple(_resolve(item, outputs, step) for item in value)
+    return value
 
 
 def execute(plan: Plan, runtime) -> ExecutionTrace:

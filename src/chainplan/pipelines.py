@@ -406,20 +406,3 @@ def run_regains(query: str, ctx: PlannerContext, model, config: PipelineConfig |
         prompt_tokens=result.prompt_tokens,
         completion_tokens=result.completion_tokens,
     )
-
-
-def dry_run(query: str, ctx: PlannerContext, pipeline: str, config: PipelineConfig | None = None) -> dict[str, str]:
-    """Assembled prompts without any model call, for prompt-budget checks.
-    The recompose prompt is assembled with an empty sub-task list."""
-    config = config or PipelineConfig.default()
-    if pipeline == "regains":
-        prompt, _, _ = assemble_rap_prompt(query, ctx, config)
-        return {"rap": prompt}
-    if pipeline == "enchant":
-        retrieved = _retrieve_tools(query, ctx, config)
-        tool_names = [name for name, _ in retrieved]
-        return {
-            "decompose": assemble_decompose_prompt(query, tool_names, ctx.registry, config),
-            "recompose": assemble_recompose_prompt(query, "[]", tool_names, ctx.registry, config),
-        }
-    raise PipelineError(f"unknown pipeline {pipeline!r}")

@@ -6,9 +6,12 @@ The wire format is a JSON array of calls::
       "arguments": [{"argument_name": str,
                      "argument_value": <scalar | "$$PREV[i]" | array | object>}]}]
 
-``"$$PREV[i]"`` strings (the whole string, 0-indexed) decode to :class:`PrevRef`;
-every other string stays a literal. Parsing and serialization are pure, and
-all types here are immutable values.
+An argument value is the value that was on the wire: a string, number,
+boolean, null or object as JSON gives it, and each array a tuple. A whole
+``"$$PREV[i]"`` string (0-indexed), at the top of a value or directly inside
+an array, decodes to :class:`PrevRef`, the one wrapper a plan adds to JSON;
+every other string stays a string, and strings inside objects are never
+references. Parsing and serialization are pure, and plans are immutable.
 """
 
 from __future__ import annotations
@@ -16,18 +19,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator, Union
+from typing import Any, Iterator
 
 from .registry import Registry
 
 PREV_REF_PATTERN = re.compile(r"\$\$PREV\[([0-9]+)\]")
-
-
-@dataclass(frozen=True)
-class Literal:
-    """A plain JSON value (scalar or object) used as an argument."""
-
-    value: Any
 
 
 @dataclass(frozen=True)
@@ -40,12 +36,9 @@ class PrevRef:
         return f"$$PREV[{self.index}]"
 
 
-@dataclass(frozen=True)
-class ListOf:
-    elements: tuple["ArgValue", ...]
-
-
-ArgValue = Union[Literal, PrevRef, ListOf]
+# An argument value: a JSON scalar or object, a PrevRef, or a tuple of
+# argument values for a JSON array.
+ArgValue = Any
 
 
 @dataclass(frozen=True)
@@ -107,18 +100,17 @@ class _Violation(Exception):
         self.detail = detail
 
 
-def _decode_value(raw: Any, path: str) -> ArgValue:
+def _decode_value(raw: Any) -> ArgValue:
     if isinstance(raw, str):
         match = PREV_REF_PATTERN.fullmatch(raw)
         if match:
             return PrevRef(index=int(match.group(1)))
-        return Literal(raw)
-    if isinstance(raw, list):
-        return ListOf(tuple(_decode_value(item, f"{path}/{i}") for i, item in enumerate(raw)))
-    # Scalars and objects stay literal; prev-ref strings nested inside
+    elif isinstance(raw, list):
+        return tuple(_decode_value(item) for item in raw)
+    # Scalars and objects stay as they are; prev-ref strings nested inside
     # objects are NOT recognized (references live at argument top level
     # or directly inside an array).
-    return Literal(raw)
+    return raw
 
 
 def plan_from_data(data: Any) -> ParseOutcome:
@@ -153,7 +145,7 @@ def plan_from_data(data: Any) -> ParseOutcome:
                 if arg_name in seen:
                     raise _Violation(f"{arg_path}/argument_name", f"duplicate argument name {arg_name!r}")
                 seen.add(arg_name)
-                pairs.append((arg_name, _decode_value(raw_arg["argument_value"], f"{arg_path}/argument_value")))
+                pairs.append((arg_name, _decode_value(raw_arg["argument_value"])))
             calls.append(ToolCall(tool_name=name, arguments=tuple(pairs)))
         return ParseOutcome.of(Plan(calls=tuple(calls)))
     except _Violation as exc:
@@ -173,9 +165,9 @@ def parse_plan(text: str) -> ParseOutcome:
 def _encode_value(value: ArgValue) -> Any:
     if isinstance(value, PrevRef):
         return value.render()
-    if isinstance(value, ListOf):
-        return [_encode_value(item) for item in value.elements]
-    return value.value
+    if isinstance(value, tuple):
+        return [_encode_value(item) for item in value]
+    return value
 
 
 def plan_to_data(plan: Plan) -> list:
@@ -195,9 +187,9 @@ def serialize_plan(plan: Plan) -> str:
     """Canonical single-line form: no insignificant whitespace, key order
     tool_name then arguments, arguments in stored order, ASCII only.
 
-    Note: a hand-built ``Literal`` whose string happens to match the
+    Note: a hand-built string argument that happens to match the
     ``$$PREV[i]`` pattern is indistinguishable from a reference on the wire
-    and re-parses as one; parsing never produces such literals.
+    and re-parses as one; parsing never produces such strings.
     """
     return json.dumps(plan_to_data(plan), separators=(",", ":"), ensure_ascii=True)
 
@@ -206,8 +198,8 @@ def iter_prev_refs(value: ArgValue) -> Iterator[PrevRef]:
     """Yield every PrevRef in ``value``, including inside nested arrays."""
     if isinstance(value, PrevRef):
         yield value
-    elif isinstance(value, ListOf):
-        for item in value.elements:
+    elif isinstance(value, tuple):
+        for item in value:
             yield from iter_prev_refs(item)
 
 
@@ -228,13 +220,12 @@ def _reference_findings(value: ArgValue, position: int, argument: str) -> Iterat
             way = "negative" if value.index < 0 else "self" if value.index == position else "forward/out-of-range"
             yield RefDiagnostic(position, argument, value.index, "bad_reference",
                                 f"{way} reference $$PREV[{value.index}] at call {position}")
-    elif isinstance(value, ListOf):
-        for item in value.elements:
+    elif isinstance(value, tuple):
+        for item in value:
             yield from _reference_findings(item, position, argument)
-    elif (isinstance(value.value, str) and value.value.startswith("$$PREV")
-          and not PREV_REF_PATTERN.fullmatch(value.value)):
+    elif isinstance(value, str) and value.startswith("$$PREV") and not PREV_REF_PATTERN.fullmatch(value):
         yield RefDiagnostic(position, argument, None, "malformed_reference",
-                            f"malformed reference {value.value!r} at call {position}")
+                            f"malformed reference {value!r} at call {position}")
 
 
 def validate_refs(plan: Plan, registry: Registry | None = None) -> list[RefDiagnostic]:

@@ -191,6 +191,18 @@ class Registry:
         return Registry(tools=picked, version=self.version)
 
 
+_JSON_KINDS = {str: "a string", bool: "a boolean", list: "an array"}
+
+
+def _field(raw: dict, key: str, kind: type, tool: str | None, path: str, default=None):
+    """``raw[key]`` (or ``default`` when absent), refused unless it has the
+    JSON kind the tool format gives the field."""
+    value = raw.get(key, default)
+    if not isinstance(value, kind):
+        raise RegistryError(f"{key} is not {_JSON_KINDS[kind]}", tool=tool, path=path)
+    return value
+
+
 def _load_tool(entry: object, index: int) -> ToolSpec:
     path = f"$[{index}]"
     if not isinstance(entry, dict):
@@ -198,33 +210,29 @@ def _load_tool(entry: object, index: int) -> ToolSpec:
     for key in ("tool_name", "tool_description", "return_type"):
         if key not in entry:
             raise RegistryError(f"missing required field {key!r}", tool=entry.get("tool_name"), path=path)
-    name = entry["tool_name"]
-    if not isinstance(name, str):
-        raise RegistryError("tool_name is not a string", path=path)
+    name = _field(entry, "tool_name", str, None, path)
     args: list[ArgSpec] = []
-    for j, raw in enumerate(entry.get("arguments", [])):
+    for j, raw in enumerate(_field(entry, "arguments", list, name, path, default=[])):
         arg_path = f"{path}.arguments[{j}]"
         if not isinstance(raw, dict):
             raise RegistryError("argument entry is not an object", tool=name, path=arg_path)
         for key in ("argument_name", "argument_type"):
             if key not in raw:
                 raise RegistryError(f"missing required field {key!r}", tool=name, path=arg_path)
-        arg_name = raw["argument_name"]
-        if not isinstance(arg_name, str):
-            raise RegistryError("argument_name is not a string", tool=name, path=arg_path)
         args.append(
             ArgSpec(
-                name=arg_name,
-                description=raw.get("argument_description", ""),
-                value_type=parse_type(raw["argument_type"], tool=name, path=arg_path),
-                required=bool(raw.get("required", False)),
+                name=_field(raw, "argument_name", str, name, arg_path),
+                description=_field(raw, "argument_description", str, name, arg_path, default=""),
+                value_type=parse_type(_field(raw, "argument_type", str, name, arg_path), tool=name, path=arg_path),
+                required=_field(raw, "required", bool, name, arg_path, default=False),
             )
         )
     return ToolSpec(
         name=name,
-        description=entry["tool_description"],
+        description=_field(entry, "tool_description", str, name, path),
         arguments=tuple(args),
-        returns=parse_type(entry["return_type"], tool=name, path=f"{path}.return_type"),
+        returns=parse_type(_field(entry, "return_type", str, name, f"{path}.return_type"),
+                           tool=name, path=f"{path}.return_type"),
     )
 
 

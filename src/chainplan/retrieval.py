@@ -325,7 +325,8 @@ def retrieve_top_k(query: str, corpus: Corpus, provider, k: int) -> list[tuple[s
     if query_norm == 0.0:
         raise RetrievalError("cosine of a zero vector is undefined")
     if not math.isfinite(query_norm):
-        raise RetrievalError("query vector has a NaN or infinite value")
+        raise RetrievalError("query vector has a NaN or infinite value" if not all(map(math.isfinite, query_vec))
+                             else "query vector norm overflows")
     # The same products, summed in the same order and divided the same way
     # as cosine(query_vec, item.vector), so every score equals it exactly.
     items, norms = corpus.items, corpus.norms

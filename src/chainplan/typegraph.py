@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .plan import ArgValue, ListOf, Plan, PrevRef
+from .plan import ArgValue, Plan, PrevRef
 from .registry import Registry, ValueType
 
 COMPATIBLE = "compatible"
@@ -127,18 +127,18 @@ def _classify(graph: TypeGraph, plan: Plan, position: int, argument: str,
     multi-element array holding some; ``None`` for any other value."""
     if isinstance(value, PrevRef):
         ref, wrapped = value, False
-    elif isinstance(value, ListOf) and any(isinstance(item, PrevRef) for item in value.elements):
-        if len(value.elements) > 1:
+    elif isinstance(value, tuple) and any(isinstance(item, PrevRef) for item in value):
+        if len(value) > 1:
             # Multi-element arrays: each referenced element needs its own
             # weight-2 edge; unwrapping would drop siblings.
             errors = []
-            for item in value.elements:
+            for item in value:
                 if isinstance(item, PrevRef):
                     weight, error = _edge_for(graph, plan, position, item, argument)
                     if weight != 2:
                         errors.append(error or "array element without a list-wrapped edge")
             return _RefValue(None, True, 2, tuple(errors))
-        ref, wrapped = value.elements[0], True
+        ref, wrapped = value[0], True
     else:
         return None
     weight, error = _edge_for(graph, plan, position, ref, argument)
@@ -191,7 +191,7 @@ def _repair_value(graph: TypeGraph, plan: Plan, position: int, argument: str,
         return ref
     repairs.append(Repair(position, argument, "wrapped",
                           f"$$PREV[{ref.index}] wrapped into array for {tool}.{argument}"))
-    return ListOf((ref,))
+    return (ref,)
 
 
 def repair_plan(graph: TypeGraph, plan: Plan) -> tuple[Plan, list[Repair]]:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from chainplan.datasets import GoldenExample, load_golden_dataset
-from chainplan.plan import ListOf, Literal, Plan, PrevRef, ToolCall
+from chainplan.plan import Plan, PrevRef, ToolCall
 from chainplan.registry import (
     ArgSpec,
     Registry,
@@ -72,29 +72,29 @@ def random_registry(rng: random.Random, max_tools: int = 8, type_pool: tuple = _
     return Registry.from_tools(specs)
 
 
-def random_literal(rng: random.Random) -> Literal:
+def random_literal(rng: random.Random):
     choice = rng.randint(0, 4)
     if choice == 0:
-        return Literal(rng.randint(-1000, 1000))
+        return rng.randint(-1000, 1000)
     if choice == 1:
-        return Literal(round(rng.uniform(-10, 10), 3))
+        return round(rng.uniform(-10, 10), 3)
     if choice == 2:
-        return Literal(rng.random() < 0.5)
+        return rng.random() < 0.5
     if choice == 3:
-        return Literal(f"value-{rng.randint(0, 99)}")
-    return Literal({"key": f"k{rng.randint(0, 9)}", "count": rng.randint(0, 9)})
+        return f"value-{rng.randint(0, 99)}"
+    return {"key": f"k{rng.randint(0, 9)}", "count": rng.randint(0, 9)}
 
 
 def random_arg_value(rng: random.Random, position: int):
     roll = rng.random()
     if roll < 0.3 and position > 0:
         ref = PrevRef(rng.randrange(position))
-        return ListOf((ref,)) if rng.random() < 0.5 else ref
+        return (ref,) if rng.random() < 0.5 else ref
     if roll < 0.45:
         items = tuple(random_literal(rng) for _ in range(rng.randint(0, 3)))
         if position > 0 and rng.random() < 0.4:
             items = items + (PrevRef(rng.randrange(position)),)
-        return ListOf(items)
+        return items
     return random_literal(rng)
 
 

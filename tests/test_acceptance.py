@@ -59,18 +59,16 @@ def _oracle_hr(plan: Plan, registry) -> float:
             for ref in iter_prev_refs(value):
                 if ref.index >= position or ref.index < 0:
                     flagged = True
-            from chainplan.plan import Literal, ListOf as LO
-
             def prev_like(v):
-                if isinstance(v, Literal) and isinstance(v.value, str):
-                    text = v.value
+                if isinstance(v, str):
+                    text = v
                     if text.startswith("$$PREV"):
                         import re
 
                         if not re.fullmatch(r"\$\$PREV\[\d+\]", text):
                             return True
-                if isinstance(v, LO):
-                    return any(prev_like(e) for e in v.elements)
+                if isinstance(v, tuple):
+                    return any(prev_like(e) for e in v)
                 return False
 
             if flagged or prev_like(value):
@@ -340,7 +338,7 @@ def test_criterion_5_type_graph_oracle():
 
     # plans built directly from edges: every reference sits on a known edge
     # with randomly scrambled wrapping, so repair must fix each one
-    from chainplan.plan import PrevRef as Ref, ListOf as Arr
+    from chainplan.plan import PrevRef as Ref
     from chainplan.registry import load_registry, fixture_tools_path
 
     fixture = load_registry(fixture_tools_path())
@@ -349,7 +347,7 @@ def test_criterion_5_type_graph_oracle():
     for _ in range(100):
         edge = rng.choice(edges)
         ref = Ref(0)
-        value = Arr((ref,)) if rng.random() < 0.5 else ref
+        value = (ref,) if rng.random() < 0.5 else ref
         plan = Plan((
             ToolCall(edge.from_tool),
             ToolCall(edge.to_tool, ((edge.to_argument, value),)),

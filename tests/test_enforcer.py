@@ -436,7 +436,7 @@ def test_repair_unterminated_string_pads_to_cap_and_closes(automaton):
 def test_repair_closes_unterminated_string_value(automaton):
     prefix = '[{"tool_name":"works_list","arguments":[{"argument_name":"type","argument_value":"abc'
     out, _ = enforced_repair(automaton, prefix)
-    assert parse_plan(out).plan.calls[0].argument("type").value == "abc"
+    assert parse_plan(out).plan.calls[0].argument("type") == "abc"
 
 
 # Corruptions for the pinned-repair test: dropped spans, noise (including

@@ -12,13 +12,13 @@ from chainplan.executor import (
     operator_tool_specs,
     register_operator_tools,
 )
-from chainplan.plan import ListOf, Literal, Plan, PrevRef, ToolCall, parse_plan
+from chainplan.plan import Plan, PrevRef, ToolCall, parse_plan
 
 
 def test_execute_two_step_chain(fixture_registry):
     plan = Plan((
         ToolCall("who_am_i"),
-        ToolCall("works_list", (("owned_by", ListOf((PrevRef(0),))),)),
+        ToolCall("works_list", (("owned_by", (PrevRef(0),)),)),
     ))
     trace = execute(plan, StubRuntime())
     assert len(trace.steps) == 2
@@ -50,7 +50,7 @@ def test_execute_uncovered_tool_preflight(fixture_registry):
 
 
 def test_execute_rejects_forward_reference(fixture_registry):
-    plan = Plan((ToolCall("works_list", (("owned_by", ListOf((PrevRef(0),))),)),))
+    plan = Plan((ToolCall("works_list", (("owned_by", (PrevRef(0),)),)),))
     with pytest.raises(ExecutionError):
         execute(plan, StubRuntime())
 
@@ -66,7 +66,7 @@ def test_execute_rejects_malformed_reference_before_invoking(fixture_registry):
     runtime = Recording()
     plan = Plan((
         ToolCall("who_am_i"),
-        ToolCall("works_list", (("owned_by", ListOf((Literal("$$PREV[x]"),))),)),
+        ToolCall("works_list", (("owned_by", ("$$PREV[x]",)),)),
     ))
     with pytest.raises(ExecutionError, match="malformed reference"):
         execute(plan, runtime)
@@ -86,7 +86,7 @@ def test_execute_resolution_uses_trace_not_reinvocation(fixture_registry):
     runtime = CountingRuntime()
     plan = Plan((
         ToolCall("who_am_i"),
-        ToolCall("works_list", (("owned_by", ListOf((PrevRef(0),))),)),
+        ToolCall("works_list", (("owned_by", (PrevRef(0),)),)),
         ToolCall("summarize_objects", (("objects", PrevRef(1)),)),
         ToolCall("prioritize_objects", (("objects", PrevRef(1)),)),
     ))
@@ -262,9 +262,9 @@ def test_operator_runtime_requires_both_operands():
 def test_literal_resolution_kinds(fixture_registry):
     plan = Plan((
         ToolCall("works_list", (
-            ("type", Literal("issue")),
-            ("limit", Literal(5)),
-            ("owned_by", ListOf((Literal("u1"), Literal("u2")))),
+            ("type", "issue"),
+            ("limit", 5),
+            ("owned_by", ("u1", "u2")),
         )),
     ))
     trace = execute(plan, StubRuntime())

@@ -18,7 +18,7 @@ from chainplan.metrics import (
     text_tokens,
     tool_selection_scores,
 )
-from chainplan.plan import ListOf, Literal, Plan, PrevRef, ToolCall, serialize_plan
+from chainplan.plan import Plan, PrevRef, ToolCall, serialize_plan
 
 from conftest import random_plan
 
@@ -90,7 +90,7 @@ def test_selection_matches_oracle_on_random_pairs():
 def test_hr_zero_on_valid_plan(fixture_registry):
     plan = Plan((
         ToolCall("who_am_i"),
-        ToolCall("works_list", (("owned_by", ListOf((PrevRef(0),))),)),
+        ToolCall("works_list", (("owned_by", (PrevRef(0),)),)),
     ))
     assert hallucination_rate(plan, fixture_registry) == 0.0
 
@@ -103,21 +103,21 @@ def test_hr_unknown_tool_is_total(fixture_registry):
 def test_hr_quarter_for_one_bad_argument(fixture_registry):
     # 2 calls, 4 units total (2 tool names + 2 arguments), one bad arg name
     plan = Plan((
-        ToolCall("works_list", (("type", Literal("issue")),)),
-        ToolCall("summarize_objects", (("bogus", Literal(1)),)),
+        ToolCall("works_list", (("type", "issue"),)),
+        ToolCall("summarize_objects", (("bogus", 1),)),
     ))
     assert hallucination_rate(plan, fixture_registry) == 0.25
 
 
 def test_hr_counts_forward_reference(fixture_registry):
-    plan = Plan((ToolCall("works_list", (("owned_by", ListOf((PrevRef(3),))),)),))
+    plan = Plan((ToolCall("works_list", (("owned_by", (PrevRef(3),)),)),))
     assert hallucination_rate(plan, fixture_registry) == 0.5  # 1 of 2 units
 
 
 def test_hr_counts_prev_like_literal(fixture_registry):
     plan = Plan((
         ToolCall("who_am_i"),
-        ToolCall("works_list", (("owned_by", ListOf((Literal("$$PREV[x]"),))),)),
+        ToolCall("works_list", (("owned_by", ("$$PREV[x]",)),)),
     ))
     assert hallucination_rate(plan, fixture_registry) == pytest.approx(1 / 3)
 

@@ -10,7 +10,6 @@ from chainplan.pipelines import (
     PromptError,
     assemble_rap_prompt,
     build_prompt,
-    dry_run,
     run_enchant,
     run_regains,
 )
@@ -149,15 +148,6 @@ def test_pipelines_deterministic_under_replay(ctx, config, golden_examples):
     assert first.prompts == second.prompts
     assert first.raw_texts == second.raw_texts
     assert first.prompt_tokens == second.prompt_tokens
-
-
-def test_dry_run_emits_prompts_without_model(ctx, config):
-    prompts = dry_run("Prioritize my work items", ctx, "regains", config)
-    assert set(prompts) == {"rap"}
-    prompts2 = dry_run("Prioritize my work items", ctx, "enchant", config)
-    assert set(prompts2) == {"decompose", "recompose"}
-    with pytest.raises(PipelineError):
-        dry_run("q", ctx, "unknown", config)
 
 
 def test_regains_prompt_budget_seventeen_tools(fixture_registry, golden_examples):

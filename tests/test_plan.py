@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from chainplan.metrics import hallucination_rate
 from chainplan.plan import (
-    ListOf,
-    Literal,
+    PREV_REF_PATTERN,
     Plan,
     PrevRef,
     ToolCall,
@@ -32,7 +31,7 @@ def test_parse_array_wrapped_reference():
     outcome = parse_plan(text)
     assert outcome.ok
     value = outcome.plan.calls[0].argument("owned_by")
-    assert value == ListOf((PrevRef(0),))
+    assert value == (PrevRef(0),)
 
 
 def test_parse_malformed_json():
@@ -64,7 +63,7 @@ def test_prev_ref_recognition_is_exact():
     text = '[{"tool_name":"x","arguments":[{"argument_name":"a","argument_value":"$$PREV[x]"}]}]'
     outcome = parse_plan(text)
     assert outcome.ok
-    assert outcome.plan.calls[0].argument("a") == Literal("$$PREV[x]")
+    assert outcome.plan.calls[0].argument("a") == "$$PREV[x]"
 
 
 def test_serialize_empty_plan():
@@ -98,13 +97,13 @@ def test_parse_is_pure():
 def test_validate_refs_clean_chain():
     plan = Plan((
         ToolCall("who_am_i"),
-        ToolCall("works_list", (("owned_by", ListOf((PrevRef(0),))),)),
+        ToolCall("works_list", (("owned_by", (PrevRef(0),)),)),
     ))
     assert validate_refs(plan) == []
 
 
 def test_validate_refs_self_reference():
-    plan = Plan((ToolCall("works_list", (("owned_by", ListOf((PrevRef(0),))),)),))
+    plan = Plan((ToolCall("works_list", (("owned_by", (PrevRef(0),)),)),))
     diagnostics = validate_refs(plan)
     assert len(diagnostics) == 1
     assert diagnostics[0].position == 0
@@ -128,7 +127,7 @@ def test_forward_reference_still_parses():
 def test_reference_with_trailing_newline_stays_literal():
     text = '[{"tool_name":"a","arguments":[{"argument_name":"x","argument_value":"$$PREV[0]\\n"}]}]'
     outcome = parse_plan(text)
-    assert outcome.plan.calls[0].argument("x") == Literal("$$PREV[0]\n")
+    assert outcome.plan.calls[0].argument("x") == "$$PREV[0]\n"
     assert serialize_plan(outcome.plan) == text
 
 
@@ -136,7 +135,7 @@ def test_reference_with_non_ascii_digit_stays_literal():
     # U+0663 ARABIC-INDIC DIGIT THREE is a Unicode digit, not an index digit.
     text = '[{"tool_name":"a","arguments":[{"argument_name":"x","argument_value":"$$PREV[\\u0663]"}]}]'
     outcome = parse_plan(text)
-    assert outcome.plan.calls[0].argument("x") == Literal("$$PREV[\u0663]")
+    assert outcome.plan.calls[0].argument("x") == "$$PREV[\u0663]"
     assert serialize_plan(outcome.plan) == text
     assert [d.kind for d in validate_refs(outcome.plan)] == ["malformed_reference"]
 
@@ -144,10 +143,10 @@ def test_reference_with_non_ascii_digit_stays_literal():
 def test_validate_refs_reports_each_kind(fixture_registry):
     plan = Plan((
         ToolCall("who_am_i"),
-        ToolCall("ghost_tool", (("x", Literal(1)),)),
+        ToolCall("ghost_tool", (("x", 1),)),
         ToolCall("works_list", (
-            ("ghost_arg", Literal(1)),
-            ("owned_by", ListOf((ListOf((PrevRef(2),)), Literal("$$PREV[x]")))),
+            ("ghost_arg", 1),
+            ("owned_by", ((PrevRef(2),), "$$PREV[x]")),
         )),
     ))
     found = [(d.position, d.argument, d.index, d.kind) for d in validate_refs(plan, fixture_registry)]
@@ -166,10 +165,13 @@ _FIXTURE = load_registry(fixture_tools_path())
 
 def _values(position: int):
     leaves = st.one_of(
-        st.builds(Literal, st.sampled_from(["x", 1, None, "$$PREV", "$$PREV[x]", "$$PREV[0]\n", "$$PREV[0]"])),
+        st.sampled_from(["x", 1, None, "$$PREV", "$$PREV[x]", "$$PREV[0]\n", "$$PREV[0]"]),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.booleans(),
+        st.dictionaries(st.sampled_from(["key", "$$PREV[0]"]), st.sampled_from(["$$PREV[0]", 2.5, None]), max_size=2),
         st.builds(PrevRef, st.integers(-1, position + 1)),
     )
-    return st.recursive(leaves, lambda inner: st.builds(ListOf, st.tuples(inner) | st.tuples(inner, inner)),
+    return st.recursive(leaves, lambda inner: st.tuples(inner) | st.tuples(inner, inner),
                         max_leaves=4)
 
 
@@ -189,3 +191,29 @@ def _fixture_plans(draw):
 @given(_fixture_plans())
 def test_hallucination_rate_positive_iff_validate_refs_finds(plan):
     assert (hallucination_rate(plan, _FIXTURE) > 0) == bool(validate_refs(plan, _FIXTURE))
+
+
+def _as_parsed(value):
+    """What parsing makes of a hand-built value: a string matching
+    ``$$PREV[i]`` outside an object becomes a reference, and a negative
+    reference becomes a string."""
+    if isinstance(value, tuple):
+        return tuple(_as_parsed(item) for item in value)
+    if isinstance(value, PrevRef) and value.index < 0:
+        return value.render()
+    if isinstance(value, str) and PREV_REF_PATTERN.fullmatch(value):
+        return PrevRef(int(value[len("$$PREV["):-1]))
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fixture_plans())
+def test_round_trip_hypothesis_plans(plan):
+    text = serialize_plan(plan)
+    outcome = parse_plan(text)
+    assert outcome.ok
+    assert serialize_plan(outcome.plan) == text
+    assert outcome.plan == Plan(tuple(
+        ToolCall(call.tool_name, tuple((name, _as_parsed(value)) for name, value in call.arguments))
+        for call in plan.calls
+    ))

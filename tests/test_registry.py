@@ -124,6 +124,21 @@ def test_registry_gate_rejects_a_key_that_is_not_the_tool_name():
     assert (err.value.tool, err.value.path) == ("real", "$[1]")
 
 
+@pytest.mark.parametrize("tool_field, argument_field, error", [
+    ({}, {"required": "false"}, "required is not a boolean; tool=t; at=$[0].arguments[0]"),
+    ({"return_type": 5}, {}, "return_type is not a string; tool=t; at=$[0].return_type"),
+    ({}, {"argument_type": ["string"]}, "argument_type is not a string; tool=t; at=$[0].arguments[0]"),
+    ({"tool_description": 7}, {}, "tool_description is not a string; tool=t; at=$[0]"),
+], ids=["required-string", "return-type-int", "argument-type-array", "tool-description-int"])
+def test_wrong_typed_field_names_tool_and_path(tool_field, argument_field, error):
+    argument = {"argument_name": "a", "argument_description": "d", "argument_type": "string", **argument_field}
+    doc = json.dumps([{"tool_name": "t", "tool_description": "d", "arguments": [argument],
+                       "return_type": "string", **tool_field}])
+    with pytest.raises(RegistryError) as err:
+        load_registry(doc)
+    assert str(err.value) == error
+
+
 def test_missing_required_field():
     doc = json.dumps([{"tool_name": "x", "arguments": []}])
     with pytest.raises(RegistryError) as err:

@@ -379,6 +379,21 @@ def test_retrieve_rejects_non_finite_query():
             retrieve_top_k(query, corpus, provider, k=2)
 
 
+def _query_error(vector):
+    provider = TableProvider({"a": [1.0, 0.0], "q": vector})
+    with pytest.raises(RetrievalError) as err:
+        retrieve_top_k("q", index_corpus(provider, [("a", "a")]), provider, k=1)
+    return str(err.value)
+
+
+def test_retrieve_names_a_nan_query_value():
+    assert _query_error([float("nan"), 1.0]) == "query vector has a NaN or infinite value"
+
+
+def test_retrieve_names_an_overflowing_query_norm():
+    assert _query_error([1e200, 1.0]) == "query vector norm overflows"
+
+
 def test_retrieve_ties_broken_by_ascending_id():
     class ConstantProvider:
         provider_id = "constant"

@@ -1,6 +1,6 @@
 import random
 
-from chainplan.plan import ListOf, Literal, Plan, PrevRef, ToolCall, iter_prev_refs
+from chainplan.plan import Plan, PrevRef, ToolCall, iter_prev_refs
 from chainplan.typegraph import TypeEdge, build_graph, check_ref, repair_plan
 
 from conftest import random_plan, random_registry
@@ -46,7 +46,7 @@ def test_check_ref_compatible_wrapped(fixture_registry):
     graph = build_graph(fixture_registry)
     plan = Plan((
         ToolCall("who_am_i"),
-        ToolCall("works_list", (("owned_by", ListOf((PrevRef(0),))),)),
+        ToolCall("works_list", (("owned_by", (PrevRef(0),)),)),
     ))
     result = check_ref(graph, plan, 1, "owned_by")
     assert result.compatible
@@ -89,7 +89,7 @@ def test_check_ref_unknown_tool(fixture_registry):
 
 def test_check_ref_literal_is_not_a_ref(fixture_registry):
     graph = build_graph(fixture_registry)
-    plan = Plan((ToolCall("works_list", (("type", Literal("issue")),)),))
+    plan = Plan((ToolCall("works_list", (("type", "issue"),)),))
     assert check_ref(graph, plan, 0, "type").status == "not_a_prev_ref"
 
 
@@ -100,7 +100,7 @@ def test_repair_wraps_bare_reference(fixture_registry):
         ToolCall("works_list", (("owned_by", PrevRef(0)),)),
     ))
     repaired, repairs = repair_plan(graph, plan)
-    assert repaired.calls[1].argument("owned_by") == ListOf((PrevRef(0),))
+    assert repaired.calls[1].argument("owned_by") == (PrevRef(0),)
     assert len(repairs) == 1
     assert repairs[0].action == "wrapped"
 
@@ -109,7 +109,7 @@ def test_repair_unwraps_singleton_on_weight_one(fixture_registry):
     graph = build_graph(fixture_registry)
     plan = Plan((
         ToolCall("works_list"),
-        ToolCall("prioritize_objects", (("objects", ListOf((PrevRef(0),))),)),
+        ToolCall("prioritize_objects", (("objects", (PrevRef(0),)),)),
     ))
     repaired, repairs = repair_plan(graph, plan)
     assert repaired.calls[1].argument("objects") == PrevRef(0)
@@ -120,7 +120,7 @@ def test_repair_is_fixed_point_on_correct_plan(fixture_registry):
     graph = build_graph(fixture_registry)
     plan = Plan((
         ToolCall("who_am_i"),
-        ToolCall("works_list", (("owned_by", ListOf((PrevRef(0),))),)),
+        ToolCall("works_list", (("owned_by", (PrevRef(0),)),)),
         ToolCall("prioritize_objects", (("objects", PrevRef(1)),)),
     ))
     repaired, repairs = repair_plan(graph, plan)
