@@ -29,14 +29,7 @@ from .pipelines import (
 )
 from .plan import Plan, iter_prev_refs, parse_plan, serialize_plan, validate_refs
 from .registry import RegistryError, fixture_tools_path, load_registry, validate_registry
-from .retrieval import (
-    HashEmbeddingProvider,
-    RemoteEmbeddingProvider,
-    RetrievalError,
-    index_corpus,
-    save_corpus,
-    tool_embedding_text,
-)
+from .retrieval import HashEmbeddingProvider, RetrievalError
 from .typegraph import build_graph, check_ref, repair_plan
 
 
@@ -48,17 +41,13 @@ def _fail(message: str) -> None:
 _FILE = click.Path(exists=True, dir_okay=False)
 
 
-def _write_output(path: str, write) -> None:
-    """Call ``write(path)``; an OS error, such as a missing directory, is one
-    error line naming the path."""
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; an OS error, such as a missing directory,
+    is one error line naming the path."""
     try:
-        write(path)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         _fail(f"cannot write {path}: {exc.strerror or exc}")
-
-
-def _write_text(path: str, text: str) -> None:
-    _write_output(path, lambda out: Path(out).write_text(text, encoding="utf-8"))
 
 
 def _load_registry_arg(tools: str, with_operators: bool = False):
@@ -78,10 +67,6 @@ def _read_plan(in_file: str | None) -> Plan:
     if not outcome.ok:
         _fail(f"{outcome.kind}: {outcome.detail}")
     return outcome.plan
-
-
-def _provider(kind: str):
-    return HashEmbeddingProvider() if kind == "hash" else RemoteEmbeddingProvider()
 
 
 _TOOLS_OPTION = click.option(
@@ -119,31 +104,6 @@ def cmd_tools(tools, dump_graph, fmt):
             click.echo(f"  {name}")
         for diag in diagnostics:
             click.echo(f"{diag.severity}: {diag.location}: {diag.message}")
-
-
-@main.command("index")
-@_TOOLS_OPTION
-@click.option("--out", required=True, help="Corpus cache file to write.")
-@click.option("--kind", type=click.Choice(["tools", "examples"]), default="tools")
-@click.option("--dataset", type=_FILE, default=None, help="Golden dataset JSONL (for --kind examples).")
-@click.option("--provider", "provider_kind", type=click.Choice(["hash", "remote"]), default="hash")
-def cmd_index(tools, out, kind, dataset, provider_kind):
-    """Embed tool descriptions or example queries into a corpus cache."""
-    registry = _load_registry_arg(tools)
-    provider = _provider(provider_kind)
-    try:
-        if kind == "tools":
-            items = [(name, tool_embedding_text(spec)) for name, spec in registry.tools.items()]
-        else:
-            if not dataset:
-                raise click.UsageError("--kind examples needs --dataset")
-            examples = load_golden_dataset(dataset)
-            items = [(ex.id, ex.query) for ex in examples]
-        corpus = index_corpus(provider, items, kind=kind, registry_version=registry.version)
-    except (RetrievalError, DatasetError) as exc:
-        _fail(str(exc))
-    _write_output(out, lambda path: save_corpus(corpus, path))
-    click.echo(f"indexed {len(items)} items into {out}")
 
 
 @main.command("plan")

@@ -518,10 +518,11 @@ class _Trie:
 
 
 # Verdict tables of quoted tokens an index keeps, per (automaton, string
-# shape), before it clears them all. Automata are compiled per plan and each
-# key keeps its automaton alive, about 40 KB with its memo after a plan, so
-# the bound is small; a plan decodes a few string shapes, and a table cleared
-# too early costs one walk of the few quoted tokens.
+# shape), before it clears them all. A planner context compiles one automaton
+# per kind and retrieved tool set, and each key keeps its automaton alive,
+# about 40 KB with its memo after a plan, so the bound is small; a plan
+# decodes a few string shapes, and a table cleared too early costs one walk
+# of the few quoted tokens.
 _QUOTED_CACHE_SIZE = 32
 
 

@@ -4,6 +4,7 @@ A runtime has ``coverage``, the tool names it runs, and ``invoke(tool_name,
 arguments) -> value``. Arguments map names to the JSON values the plan holds
 (string, number, boolean, null or dict; an array is a tuple, so no step can
 change an array an earlier step stored), and a runtime returns such a value.
+A dict the plan holds is passed as a copy, so no runtime can change the plan.
 
 Steps run strictly in order; every ``$$PREV[i]`` resolves to step i's stored
 output, never by re-invoking the tool, and results are not fed back to any
@@ -14,6 +15,7 @@ manipulations through references.
 
 from __future__ import annotations
 
+import copy
 import json
 import operator
 import time
@@ -66,13 +68,14 @@ class ExecutionTrace:
 
 
 def _resolve(value, outputs: list[Any], step: int) -> Any:
+    """``value`` with its references resolved and each object copied."""
     if isinstance(value, PrevRef):
         if not 0 <= value.index < len(outputs):
             raise ExecutionError(f"unresolvable reference $$PREV[{value.index}]", step=step)
         return outputs[value.index]
     if isinstance(value, tuple):
         return tuple(_resolve(item, outputs, step) for item in value)
-    return value
+    return copy.deepcopy(value) if isinstance(value, dict) else value
 
 
 def execute(plan: Plan, runtime) -> ExecutionTrace:

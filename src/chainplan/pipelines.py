@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .datasets import GoldenExample
-from .enforcer import DecoderSession, PlanAutomaton, compile_schema, compile_subtask_schema, enforced_repair
+from .enforcer import DecoderSession, compile_schema, compile_subtask_schema, enforced_repair
 from .llm import CompletionRequest, constrained_complete
 from .plan import Plan, parse_plan, serialize_plan, validate_refs
 from .registry import Registry
@@ -191,11 +191,16 @@ def render_examples(examples: list[GoldenExample]) -> str:
     return "\n\n".join(blocks) if blocks else "(none)"
 
 
+# Automata a context keeps before it clears them all. A run retrieves a few
+# distinct tool sets, and a lost automaton only costs a recompile.
+_AUTOMATA_KEPT = 32
+
+
 @dataclass
 class PlannerContext:
     """Immutable inputs shared by pipeline runs: registry, embedding provider,
-    indexed corpora, golden examples, the type graph and the plan automaton
-    over the whole registry, compiled on first use."""
+    indexed corpora, golden examples, the type graph, and the automata
+    compiled so far (see :func:`_automaton`)."""
 
     registry: Registry
     provider: object
@@ -203,21 +208,16 @@ class PlannerContext:
     graph: TypeGraph
     example_corpus: Corpus | None = None
     examples: dict[str, GoldenExample] = field(default_factory=dict)
-    automaton: PlanAutomaton | None = None
+    automata: dict[tuple, object] = field(default_factory=dict)
 
     @classmethod
     def build(cls, registry: Registry, provider, golden_examples: list[GoldenExample] | None = None) -> "PlannerContext":
         tool_items = [(name, tool_embedding_text(spec)) for name, spec in registry.tools.items()]
-        tool_corpus = index_corpus(provider, tool_items, kind="tools", registry_version=registry.version)
+        tool_corpus = index_corpus(provider, tool_items)
         example_corpus = None
         examples: dict[str, GoldenExample] = {}
         if golden_examples:
-            example_corpus = index_corpus(
-                provider,
-                [(ex.id, ex.query) for ex in golden_examples],
-                kind="examples",
-                registry_version=registry.version,
-            )
+            example_corpus = index_corpus(provider, [(ex.id, ex.query) for ex in golden_examples])
             examples = {ex.id: ex for ex in golden_examples}
         return cls(
             registry=registry,
@@ -269,10 +269,20 @@ def _retrieve_tools(query: str, ctx: PlannerContext, config: PipelineConfig) -> 
     return retrieve_top_k(query, ctx.tool_corpus, ctx.provider, config.k)
 
 
-def _automaton_for(ctx: PlannerContext) -> PlanAutomaton:
-    if ctx.automaton is None:
-        ctx.automaton = compile_schema(ctx.registry)
-    return ctx.automaton
+def _automaton(ctx: PlannerContext, kind: str, names):
+    """The ``"plan"`` or ``"subtask"`` automaton over the tools ``names``,
+    compiled once per context and tool set: both automata sort their names,
+    so the language depends on the set alone. At ``_AUTOMATA_KEPT``
+    automata the memo is cleared."""
+    key = (kind, frozenset(names))
+    automaton = ctx.automata.get(key)
+    if automaton is None:
+        automaton = (compile_schema(ctx.registry.subset(names)) if kind == "plan"
+                     else compile_subtask_schema(names))
+        if len(ctx.automata) >= _AUTOMATA_KEPT:
+            ctx.automata.clear()
+        ctx.automata[key] = automaton
+    return automaton
 
 
 def assemble_decompose_prompt(query: str, tool_names, registry: Registry, config: PipelineConfig) -> str:
@@ -336,15 +346,14 @@ def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig |
     decompose_prompt = assemble_decompose_prompt(query, tool_names, ctx.registry, config)
     # Both sessions mask through the one index of the model's vocabulary.
     decompose_result = constrained_complete(model, _request(decompose_prompt, config),
-                                            DecoderSession(compile_subtask_schema(tool_names)))
+                                            DecoderSession(_automaton(ctx, "subtask", tool_names)))
     subtasks = parse_subtasks(decompose_result.text)
 
     recompose_prompt = assemble_recompose_prompt(
         query, serialize_subtasks(subtasks), tool_names, ctx.registry, config
     )
-    sub_registry = ctx.registry.subset(tool_names)
     recompose_result = constrained_complete(model, _request(recompose_prompt, config),
-                                            DecoderSession(compile_schema(sub_registry)))
+                                            DecoderSession(_automaton(ctx, "plan", tool_names)))
 
     outcome = parse_plan(recompose_result.text)
     if not outcome.ok:
@@ -383,7 +392,7 @@ def run_regains(query: str, ctx: PlannerContext, model, config: PipelineConfig |
     strays = not outcome.ok or any(diag.kind in ("unknown_tool", "unknown_argument")
                                    for diag in validate_refs(outcome.plan, ctx.registry))
     if strays:
-        repaired_text, _ = enforced_repair(_automaton_for(ctx), raw_text)
+        repaired_text, _ = enforced_repair(_automaton(ctx, "plan", ctx.registry.names), raw_text)
         outcome = parse_plan(repaired_text)
         if not outcome.ok:
             raise PipelineError(f"projection repair produced unparseable text: {outcome.detail}")

@@ -4,9 +4,9 @@ Tools are described in JSON files (see ``load_registry``) so that nothing else
 in the system hard-codes tool knowledge. A registry is immutable once built
 and valid by construction: ``Registry.__post_init__`` is the one gate for
 every tool-spec rule (identifier names, distinct argument names, list depth,
-object type names), and later stages rely on it without re-checking. A saved
-retrieval corpus records its ``version`` and is refused when loaded against
-a different one.
+object type names), and later stages rely on it without re-checking. Its
+``version`` is a digest of the tool document unless given: ``chainplan
+tools`` prints it, and adding the operator pseudo-tools suffixes it.
 """
 
 from __future__ import annotations
@@ -192,6 +192,10 @@ class Registry:
 
 
 _JSON_KINDS = {str: "a string", bool: "a boolean", list: "an array"}
+# The fields the tool format defines; any other key is refused, so that a
+# misspelt field is not read as absent.
+_TOOL_KEYS = ("tool_name", "tool_description", "arguments", "return_type")
+_ARGUMENT_KEYS = ("argument_name", "argument_description", "argument_type", "required")
 
 
 def _field(raw: dict, key: str, kind: type, tool: str | None, path: str, default=None):
@@ -203,22 +207,27 @@ def _field(raw: dict, key: str, kind: type, tool: str | None, path: str, default
     return value
 
 
+def _check_keys(raw: dict, known: tuple[str, ...], required: tuple[str, ...], tool, path: str) -> None:
+    for key in raw:
+        if key not in known:
+            raise RegistryError(f"unknown field {key!r}", tool=tool, path=path)
+    for key in required:
+        if key not in raw:
+            raise RegistryError(f"missing required field {key!r}", tool=tool, path=path)
+
+
 def _load_tool(entry: object, index: int) -> ToolSpec:
     path = f"$[{index}]"
     if not isinstance(entry, dict):
         raise RegistryError("tool entry is not an object", path=path)
-    for key in ("tool_name", "tool_description", "return_type"):
-        if key not in entry:
-            raise RegistryError(f"missing required field {key!r}", tool=entry.get("tool_name"), path=path)
+    _check_keys(entry, _TOOL_KEYS, ("tool_name", "tool_description", "return_type"), entry.get("tool_name"), path)
     name = _field(entry, "tool_name", str, None, path)
     args: list[ArgSpec] = []
     for j, raw in enumerate(_field(entry, "arguments", list, name, path, default=[])):
         arg_path = f"{path}.arguments[{j}]"
         if not isinstance(raw, dict):
             raise RegistryError("argument entry is not an object", tool=name, path=arg_path)
-        for key in ("argument_name", "argument_type"):
-            if key not in raw:
-                raise RegistryError(f"missing required field {key!r}", tool=name, path=arg_path)
+        _check_keys(raw, _ARGUMENT_KEYS, ("argument_name", "argument_type"), name, arg_path)
         args.append(
             ArgSpec(
                 name=_field(raw, "argument_name", str, name, arg_path),

@@ -3,16 +3,16 @@
 Embeds texts through a pluggable provider, ranks by cosine similarity, and
 selects top-k. Ships a deterministic hashing provider for network-free tests
 and a client for any OpenAI-compatible embeddings endpoint. Corpora are
-immutable after indexing and carry the provider id plus registry version so
-stale caches are rejected instead of silently reused.
+built in memory, immutable after indexing, and carry the provider id so a
+query embedded by another provider is refused.
 
-A query is scored in two passes. A corpus derives, on first use and never
-saves, its items' norms and a packed form of its unit vectors: one Python int
-per dimension whose 64-bit field i holds item i's component rounded to
-``_Q`` fractional bits. One integer multiply-add per dimension then pre-scores
-every item at once, and only the items whose pre-score lies within twice the
-pre-score's error bound of the k-th best (about k of them) are scored in
-floating point. Those scores use the products, order and division of
+A query is scored in two passes. A corpus derives, on first use, its items'
+norms and a packed form of its unit vectors: one Python int per dimension
+whose 64-bit field i holds item i's component rounded to ``_Q`` fractional
+bits. One integer multiply-add per dimension then pre-scores every item at
+once, and only the items whose pre-score lies within twice the pre-score's
+error bound of the k-th best (about k of them) are scored in floating
+point. Those scores use the products, order and division of
 :func:`cosine`, so results equal a full :func:`cosine` sort bit for bit, ties
 included; :class:`_PreScore` derives the bound. On a 2-core x86-64 host
 under CPython 3.11, a query over 1,000 tools of 64 dimensions costs about
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import math
 import operator
 import os
@@ -33,7 +32,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 from .llm import post_json, resolve_endpoint
 
@@ -120,16 +118,13 @@ class RemoteEmbeddingProvider:
 @dataclass(frozen=True)
 class CorpusItem:
     id: str
-    text: str
     vector: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class Corpus:
-    kind: str  # "tools" | "examples"
     items: tuple[CorpusItem, ...]
     provider_id: str
-    registry_version: str
     dimension: int
 
     def __len__(self) -> int:
@@ -138,9 +133,9 @@ class Corpus:
     @cached_property
     def norms(self) -> tuple[float, ...]:
         """Each item's L2 norm, in item order, summed as :func:`cosine` sums
-        it. Derived on first use and never saved; a zero, wrong-length or
-        non-finite item vector, or one whose norm overflows, raises here,
-        once per corpus (a corpus built directly is not checked before)."""
+        it. Derived on first use; a zero, wrong-length or non-finite item
+        vector, or one whose norm overflows, raises here, once per corpus
+        (a corpus built directly is not checked before)."""
         norms = []
         for index, item in enumerate(self.items):
             if len(item.vector) != self.dimension:
@@ -160,7 +155,7 @@ class Corpus:
 
     @cached_property
     def _prescore(self) -> _PreScore:
-        """The packed unit vectors; derived on first use and never saved."""
+        """The packed unit vectors, derived on first use."""
         return _PreScore(self.items, self.norms, self.dimension)
 
 
@@ -267,23 +262,10 @@ def _candidates(corpus: Corpus, query_vec: list[float], query_norm: float, k: in
     return range(len(corpus.items))
 
 
-def _check_item(index: int, item_id: str, vector, dimension: int, seen: set[str]) -> None:
-    """Every corpus item, indexed or loaded, has a new id and a vector of
-    `dimension` finite values; errors name the item's index and id."""
-    if item_id in seen:
-        raise RetrievalError(f"item {index}: duplicate corpus id {item_id!r}")
-    seen.add(item_id)
-    if len(vector) != dimension:
-        raise RetrievalError(
-            f"item {index} ({item_id!r}): vector has dimension {len(vector)}, expected {dimension}"
-        )
-    if not all(map(math.isfinite, vector)):
-        raise RetrievalError(f"item {index} ({item_id!r}): non-finite vector value")
-
-
-def index_corpus(provider, items: list[tuple[str, str]], kind: str = "tools",
-                 registry_version: str = "") -> Corpus:
-    """One vector per (id, text) item, order preserved; ids must be unique."""
+def index_corpus(provider, items: list[tuple[str, str]]) -> Corpus:
+    """One vector per (id, text) item, order preserved. Every item needs a
+    new id and a vector of the corpus dimension with finite values; errors
+    name the item's index and id."""
     seen: set[str] = set()
     indexed: list[CorpusItem] = []
     dimension = getattr(provider, "dimension", None)
@@ -296,15 +278,17 @@ def index_corpus(provider, items: list[tuple[str, str]], kind: str = "tools",
             raise RetrievalError(f"provider failed on item {item_id!r}: {exc}") from exc
         if dimension is None:
             dimension = len(vector)
-        _check_item(index, item_id, vector, dimension, seen)
-        indexed.append(CorpusItem(id=item_id, text=text, vector=tuple(vector)))
-    return Corpus(
-        kind=kind,
-        items=tuple(indexed),
-        provider_id=provider.provider_id,
-        registry_version=registry_version,
-        dimension=dimension or 0,
-    )
+        if item_id in seen:
+            raise RetrievalError(f"item {index}: duplicate corpus id {item_id!r}")
+        seen.add(item_id)
+        if len(vector) != dimension:
+            raise RetrievalError(
+                f"item {index} ({item_id!r}): vector has dimension {len(vector)}, expected {dimension}"
+            )
+        if not all(map(math.isfinite, vector)):
+            raise RetrievalError(f"item {index} ({item_id!r}): non-finite vector value")
+        indexed.append(CorpusItem(id=item_id, vector=tuple(vector)))
+    return Corpus(items=tuple(indexed), provider_id=provider.provider_id, dimension=dimension or 0)
 
 
 def retrieve_top_k(query: str, corpus: Corpus, provider, k: int) -> list[tuple[str, float]]:
@@ -343,49 +327,6 @@ def top_n_recall(retrieved: list[str], needed: set[str], n: int) -> float:
         raise RetrievalError("needed set must not be empty")
     head = set(retrieved[:n])
     return len(needed & head) / len(needed)
-
-
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    doc = {
-        "provider": corpus.provider_id,
-        "dimension": corpus.dimension,
-        "registry_version": corpus.registry_version,
-        "kind": corpus.kind,
-        "items": [
-            {"id": item.id, "text": item.text, "vector": list(item.vector)}
-            for item in corpus.items
-        ],
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
-
-
-def load_corpus(path: str | Path, expect_registry_version: str | None = None) -> Corpus:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    for key in ("provider", "dimension", "registry_version", "kind", "items"):
-        if key not in doc:
-            raise RetrievalError(f"corpus file lacks the key {key!r}")
-    if expect_registry_version is not None and doc["registry_version"] != expect_registry_version:
-        raise RetrievalError(
-            f"stale corpus: indexed for registry {doc['registry_version']!r}, "
-            f"current is {expect_registry_version!r}"
-        )
-    dimension = int(doc["dimension"])
-    seen: set[str] = set()
-    items: list[CorpusItem] = []
-    for index, raw in enumerate(doc["items"]):
-        try:
-            vector = tuple(float(v) for v in raw["vector"])
-        except (TypeError, ValueError) as exc:
-            raise RetrievalError(f"item {index} ({raw['id']!r}): non-numeric vector value: {exc}") from None
-        _check_item(index, raw["id"], vector, dimension, seen)
-        items.append(CorpusItem(id=raw["id"], text=raw["text"], vector=vector))
-    return Corpus(
-        kind=doc["kind"],
-        items=tuple(items),
-        provider_id=doc["provider"],
-        registry_version=doc["registry_version"],
-        dimension=dimension,
-    )
 
 
 def tool_embedding_text(spec) -> str:

@@ -119,7 +119,7 @@ def test_malformed_replay_is_one_line_error(runner, tmp_path):
         _assert_one_line_error(runner.invoke(main, args), "bad replay line 1")
 
 
-@pytest.mark.parametrize("command", ["plan", "eval", "exec", "index"])
+@pytest.mark.parametrize("command", ["plan", "eval", "exec"])
 def test_output_in_a_missing_directory_is_one_line_error(runner, tmp_path, replay_files, golden_examples,
                                                            command):
     out = str(tmp_path / "missing" / "out.json")
@@ -129,7 +129,6 @@ def test_output_in_a_missing_directory_is_one_line_error(runner, tmp_path, repla
         "eval": ["eval", "--dataset", str(GOLDEN_PATH), "--pipeline", "regains",
                  "--mock", replay_files["regains"], "--trace", out],
         "exec": ["exec", "--out", out],
-        "index": ["index", "--out", out],
     }[command]
     result = runner.invoke(main, args, input=golden_examples[0].gold_text)
     _assert_one_line_error(result, f"cannot write {out}: No such file or directory")
@@ -309,14 +308,6 @@ def test_tools_summary_and_graph(runner):
     assert {"from": "who_am_i", "to": "works_list", "argument": "owned_by", "weight": 2} in edges
 
 
-def test_index_writes_corpus(runner, tmp_path):
-    out = tmp_path / "corpus.json"
-    result = runner.invoke(main, ["index", "--out", str(out)])
-    assert result.exit_code == 0, result.output
-    doc = json.loads(out.read_text(encoding="utf-8"))
-    assert len(doc["items"]) == 9
-
-
 def test_usage_error_on_unknown_pipeline(runner):
     result = runner.invoke(main, ["plan", "q", "--pipeline", "bogus"])
     assert result.exit_code == 2
@@ -327,15 +318,12 @@ def test_eval_requires_predictions_or_pipeline(runner):
     assert result.exit_code == 2
 
 
-def test_index_examples_corpus(runner, tmp_path):
-    out = tmp_path / "examples.json"
-    result = runner.invoke(main, [
-        "index", "--kind", "examples", "--dataset", str(GOLDEN_PATH), "--out", str(out),
-    ])
-    assert result.exit_code == 0, result.output
-    doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["kind"] == "examples"
-    assert len(doc["items"]) == 10
+def test_index_is_not_a_command(runner, tmp_path):
+    # corpora are indexed in memory by every plan and eval run; none is saved
+    result = runner.invoke(main, ["index", "--out", str(tmp_path / "corpus.json")])
+    assert result.exit_code == 2
+    assert "No such command 'index'" in result.output
+    assert not (tmp_path / "corpus.json").exists()
 
 
 def test_eval_mixed_fixture_matches_precomputed_values(runner, tmp_path, golden_examples):

@@ -12,7 +12,7 @@ from chainplan.executor import (
     operator_tool_specs,
     register_operator_tools,
 )
-from chainplan.plan import Plan, PrevRef, ToolCall, parse_plan
+from chainplan.plan import Plan, PrevRef, ToolCall, parse_plan, serialize_plan
 
 
 def test_execute_two_step_chain(fixture_registry):
@@ -93,6 +93,23 @@ def test_execute_resolution_uses_trace_not_reinvocation(fixture_registry):
     execute(plan, runtime)
     assert runtime.count["who_am_i"] == 1
     assert runtime.count["works_list"] == 1
+
+
+def test_runtime_cannot_change_the_plans_objects():
+    class Mutating:
+        coverage = {"t"}
+
+        def invoke(self, tool_name, arguments):
+            arguments["o"]["k"] = 99
+            arguments["os"][0]["k"] = 99
+            return None
+
+    plan = parse_plan('[{"tool_name":"t","arguments":[{"argument_name":"o","argument_value":{"k":1}},'
+                      '{"argument_name":"os","argument_value":[{"k":1}]}]}]').plan
+    before = serialize_plan(plan)
+    execute(plan, Mutating())
+    assert serialize_plan(plan) == before
+    assert plan.calls[0].argument("o") == {"k": 1}
 
 
 def test_trace_dump_is_json(fixture_registry):

@@ -293,3 +293,52 @@ def test_regains_compiles_the_plan_automaton_once_per_context(fixture_registry, 
         expected, _ = repair_plan(fresh.graph, parse_plan(projected).plan)
         assert trace.final_text == serialize_plan(expected)
     assert compiled == [fixture_registry.version]
+
+
+def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, golden_examples, monkeypatch):
+    # plans over the same retrieved tools share both automata and decode as
+    # freshly compiled ones would; both stages stray, so both are projected
+    from collections import Counter
+
+    import chainplan.pipelines as pipelines
+    from chainplan.enforcer import compile_schema, compile_subtask_schema, enforced_repair
+    from chainplan.llm import fingerprint
+    from chainplan.pipelines import (
+        assemble_decompose_prompt,
+        assemble_recompose_prompt,
+        parse_subtasks,
+        serialize_subtasks,
+    )
+    from conftest import subtasks_for
+
+    config = PipelineConfig.default(k=3)  # several distinct tool sets over the fixture
+    fresh = PlannerContext.build(fixture_registry, HashEmbeddingProvider(), golden_examples)
+    compiled = Counter()
+
+    def counting_compile(registry):
+        compiled["plan", frozenset(registry.names)] += 1
+        return compile_schema(registry)
+
+    def counting_subtask_compile(names):
+        compiled["subtask", frozenset(names)] += 1
+        return compile_subtask_schema(names)
+
+    monkeypatch.setattr(pipelines, "compile_schema", counting_compile)
+    monkeypatch.setattr(pipelines, "compile_subtask_schema", counting_subtask_compile)
+    tool_sets = set()
+    for example in golden_examples[:6] * 2:
+        names = [name for name, _ in pipelines._retrieve_tools(example.query, fresh, config)]
+        tool_sets.add(frozenset(names))
+        decompose_text = subtasks_for(example)[:-1] + ",]"  # trailing comma
+        recompose_text = example.gold_text.replace('"tool_name":"', '"tool_name":"x', 1)  # unknown tool
+        subtasks, _ = enforced_repair(compile_subtask_schema(names), decompose_text)
+        plan_text, _ = enforced_repair(compile_schema(fixture_registry.subset(names)), recompose_text)
+        decompose_prompt = assemble_decompose_prompt(example.query, names, fixture_registry, config)
+        recompose_prompt = assemble_recompose_prompt(
+            example.query, serialize_subtasks(parse_subtasks(subtasks)), names, fixture_registry, config)
+        model = ScriptedModel({fingerprint(decompose_prompt): decompose_text,
+                               fingerprint(recompose_prompt): recompose_text})
+        trace = run_enchant(example.query, fresh, model, config)
+        assert trace.raw_texts == {"decompose": subtasks, "recompose": plan_text}
+    assert len(tool_sets) > 1
+    assert compiled == Counter({(kind, names): 1 for kind in ("plan", "subtask") for names in tool_sets})

@@ -139,6 +139,20 @@ def test_wrong_typed_field_names_tool_and_path(tool_field, argument_field, error
     assert str(err.value) == error
 
 
+@pytest.mark.parametrize("tool_field, argument_field, error", [
+    ({"tool_descripton": "d"}, {}, "unknown field 'tool_descripton'; tool=t; at=$[0]"),
+    ({}, {"requried": True}, "unknown field 'requried'; tool=t; at=$[0].arguments[0]"),
+], ids=["tool-key", "argument-key"])
+def test_unknown_field_names_tool_and_path(tool_field, argument_field, error):
+    # a misspelt field is refused rather than read as absent
+    argument = {"argument_name": "a", "argument_type": "string", **argument_field}
+    doc = json.dumps([{"tool_name": "t", "tool_description": "d", "arguments": [argument],
+                       "return_type": "string", **tool_field}])
+    with pytest.raises(RegistryError) as err:
+        load_registry(doc)
+    assert str(err.value) == error
+
+
 def test_missing_required_field():
     doc = json.dumps([{"tool_name": "x", "arguments": []}])
     with pytest.raises(RegistryError) as err:

@@ -19,9 +19,7 @@ from chainplan.retrieval import (
     _slack,
     cosine,
     index_corpus,
-    load_corpus,
     retrieve_top_k,
-    save_corpus,
     tool_embedding_text,
     top_n_recall,
 )
@@ -74,7 +72,7 @@ def test_hash_provider_is_deterministic():
 def test_index_corpus_nine_tools(fixture_registry):
     provider = HashEmbeddingProvider()
     items = [(name, tool_embedding_text(spec)) for name, spec in fixture_registry.tools.items()]
-    corpus = index_corpus(provider, items, registry_version=fixture_registry.version)
+    corpus = index_corpus(provider, items)
     assert len(corpus) == 9
     assert [item.id for item in corpus.items] == list(fixture_registry.names)
 
@@ -84,20 +82,15 @@ def test_index_empty_items():
     assert len(corpus) == 0
 
 
-def test_index_rejects_wrong_dimension():
-    class BrokenProvider:
-        provider_id = "broken"
-        dimension = None
-
-        def __init__(self):
-            self.n = 0
-
-        def embed(self, text):
-            self.n += 1
-            return [1.0] * (3 if self.n == 1 else 4)
-
-    with pytest.raises(RetrievalError):
-        index_corpus(BrokenProvider(), [("a", "x"), ("b", "y")])
+@pytest.mark.parametrize(("items", "message"), [
+    ([("a", "x"), ("b", "y")], r"item 1 \('b'\): vector has dimension 4, expected 3"),
+    ([("a", "x"), ("b", "nan")], r"item 1 \('b'\): non-finite vector value"),
+    ([("a", "x"), ("b", "z"), ("a", "x")], r"item 2: duplicate corpus id 'a'"),
+], ids=["wrong-dimension", "nan", "duplicate-id"])
+def test_index_rejects_wrong_dimension(items, message):
+    provider = TableProvider({"x": [1.0] * 3, "y": [1.0] * 4, "z": [1.0] * 3, "nan": [1.0, float("nan"), 1.0]})
+    with pytest.raises(RetrievalError, match=message):
+        index_corpus(provider, items)
 
 
 def test_retrieve_full_corpus_when_k_large():
@@ -328,14 +321,13 @@ def test_items_and_queries_outside_the_safe_norm_range_are_scored_in_float():
 
 
 def test_norms_refuse_non_finite_and_overflowing_items():
-    good = CorpusItem(id="a", text="a", vector=(1.0, 0.0))
+    good = CorpusItem(id="a", vector=(1.0, 0.0))
     for vector, problem in [
         ((float("nan"), 1.0), "non-finite vector value"),
         ((float("inf"), 1.0), "non-finite vector value"),
         ((1e200, 1.0), "vector norm overflows"),
     ]:
-        corpus = Corpus(kind="tools", items=(good, CorpusItem(id="b", text="b", vector=vector)),
-                        provider_id="table", registry_version="", dimension=2)
+        corpus = Corpus(items=(good, CorpusItem(id="b", vector=vector)), provider_id="table", dimension=2)
         with pytest.raises(RetrievalError, match=rf"item 1 \('b'\): {problem}"):
             corpus.norms
     provider = TableProvider({"big": [1e200, 1.0], "q": [1.0, 1.0]})
@@ -445,57 +437,6 @@ def test_top_n_recall_monotone_in_n():
             assert value >= last
             last = value
         assert last == 1.0
-
-
-def test_corpus_save_load_round_trip(tmp_path):
-    provider = HashEmbeddingProvider()
-    corpus = index_corpus(provider, [("a", "alpha"), ("b", "beta")], registry_version="v1")
-    target = tmp_path / "corpus.json"
-    save_corpus(corpus, target)
-    loaded = load_corpus(target, expect_registry_version="v1")
-    assert loaded == corpus
-
-
-def test_corpus_stale_version_rejected(tmp_path):
-    provider = HashEmbeddingProvider()
-    corpus = index_corpus(provider, [("a", "alpha")], registry_version="v1")
-    target = tmp_path / "corpus.json"
-    save_corpus(corpus, target)
-    with pytest.raises(RetrievalError):
-        load_corpus(target, expect_registry_version="v2")
-
-
-def test_saved_corpus_bytes_unchanged_by_retrieval(tmp_path):
-    provider = HashEmbeddingProvider()
-    corpus = index_corpus(provider, [("a", "alpha"), ("b", "beta")], registry_version="v1")
-    before, after = tmp_path / "before.json", tmp_path / "after.json"
-    save_corpus(corpus, before)
-    retrieve_top_k("alphabet", corpus, provider, k=1)
-    save_corpus(corpus, after)
-    assert before.read_bytes() == after.read_bytes()
-
-
-@pytest.mark.parametrize(
-    ("damage", "message"),
-    [
-        (lambda doc: doc["items"][1]["vector"].pop(), r"item 1 \('b'\): vector has dimension 63, expected 64"),
-        (lambda doc: doc["items"][1]["vector"].__setitem__(5, float("nan")), r"item 1 \('b'\): non-finite"),
-        (lambda doc: doc["items"][2].__setitem__("id", "a"), r"item 2: duplicate corpus id 'a'"),
-        (lambda doc: doc["items"][1]["vector"].__setitem__(5, "x"), r"item 1 \('b'\): non-numeric vector value"),
-        (lambda doc: doc.pop("dimension"), r"corpus file lacks the key 'dimension'"),
-    ],
-    ids=["truncated", "nan", "duplicate-id", "non-numeric", "missing-key"],
-)
-def test_load_corpus_rejects_bad_items(tmp_path, damage, message):
-    provider = HashEmbeddingProvider()
-    corpus = index_corpus(provider, [("a", "alpha"), ("b", "beta"), ("c", "gamma")])
-    target = tmp_path / "corpus.json"
-    save_corpus(corpus, target)
-    doc = json.loads(target.read_text(encoding="utf-8"))
-    damage(doc)
-    target.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(RetrievalError, match=message):
-        load_corpus(target)
 
 
 def test_remote_embedding_provider_against_stub():
