@@ -82,13 +82,18 @@ def test_index_empty_items():
     assert len(corpus) == 0
 
 
+def test_index_rejects_wrong_dimension():
+    provider = TableProvider({"x": [1.0] * 3, "y": [1.0] * 4})
+    with pytest.raises(RetrievalError, match=r"item 1 \('b'\): vector has dimension 4, expected 3"):
+        index_corpus(provider, [("a", "x"), ("b", "y")])
+
+
 @pytest.mark.parametrize(("items", "message"), [
-    ([("a", "x"), ("b", "y")], r"item 1 \('b'\): vector has dimension 4, expected 3"),
     ([("a", "x"), ("b", "nan")], r"item 1 \('b'\): non-finite vector value"),
     ([("a", "x"), ("b", "z"), ("a", "x")], r"item 2: duplicate corpus id 'a'"),
-], ids=["wrong-dimension", "nan", "duplicate-id"])
-def test_index_rejects_wrong_dimension(items, message):
-    provider = TableProvider({"x": [1.0] * 3, "y": [1.0] * 4, "z": [1.0] * 3, "nan": [1.0, float("nan"), 1.0]})
+], ids=["nan", "duplicate-id"])
+def test_index_rejects_bad_items(items, message):
+    provider = TableProvider({"x": [1.0] * 3, "z": [1.0] * 3, "nan": [1.0, float("nan"), 1.0]})
     with pytest.raises(RetrievalError, match=message):
         index_corpus(provider, items)
 
