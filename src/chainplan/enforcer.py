@@ -24,27 +24,27 @@ the text goes on in once the piece is done:
 - value ``_start(spec, then)``, the first state of a value of ``spec``. A
   string, an object or a list steps into ``then`` on its closing ``"``,
   ``}`` or ``]``. ``true``, ``false``, ``null`` and the fixed text of a
-  reference ``"$$PREV[i]"`` are literals. A union ``("u0", branches, then)``
-  hands its first character to the first branch that takes it. Only a
-  number and a reference's digit run end without a closing character: a
-  character they do not take is stepped from ``then``.
+  reference ``"$$PREV[i]"`` around its index are literals. A union
+  ``("u0", branches, then)`` hands its first character to the first branch
+  that takes it. Only a number ends without a closing character: a
+  character it does not take is stepped from ``then``.
 
 The sub-task automaton is these pieces alone. The plan automaton adds
 ``("aname", tool, used, prefix)``, which spells an argument of ``tool`` not
 yet ``used`` and goes on in the literal ``,"argument_value":`` and the
-argument's value. One number machine serves integers, unsigned ids and
-floats; an object member's value is a union of string, float, boolean and
-null. The next-character set of a state is derived from the transition over
-printable ASCII. That set is exact because tool and argument names are
+argument's value. One number machine serves integers, floats and the
+unsigned sub-task ids and reference indices, which are canonical (no
+leading zero). An object's keys are strings, and a member's value is a
+union of string, float, boolean and null. No value is capped in length:
+no state counts characters. The next-character set of a state is derived
+from the transition over printable ASCII. That set is exact because tool and argument names are
 identifiers (``[A-Za-z0-9_]+``), which a ``Registry`` guarantees when it is
 built and the sub-task automaton checks at compile time, and every other
 accepted character is printable ASCII.
 Each automaton memoizes those sets on a state's shape, which allows the same
-characters: a literal state without its ``then``, an open string with room
-for one more character as its count-free shape (defined below) without its
-``then``, any other state as itself. The memo is bounded and cleared when
-full. Sessions share it safely: the sets are immutable, and a lost entry
-only costs a rescan.
+characters: a literal or open-string state without its ``then``, any other
+state as itself. The memo is bounded and cleared when full. Sessions share
+it safely: the sets are immutable, and a lost entry only costs a rescan.
 
 Vocabulary masks are exact: a token is allowed if and only if feeding it
 character by character would succeed. A vocabulary belongs to the model: it
@@ -57,14 +57,10 @@ by one from the session's state. A structural state's table is a copy of that
 dict with the accepted tokens set to True, from one pass over the implicit
 trie that visits only the first characters the state allows, memoizes
 transitions for the pass and jumps by bisection past every token under a
-rejected prefix. String states far from the cap reuse their verdicts: when an
-open string's count ``n`` and the longest indexed token's length ``reach``
-satisfy ``n + reach <= MAX_STRING_CHARS``, every indexed token is accepted
-from the state exactly when it is accepted from its count-free shape (the
-same state with ``n`` set to 0). A token without ``"`` cannot leave the
-string, so its verdict is the string's alone, kept once per index for each
-count-free shape without ``then``; only the tokens with a ``"`` are walked
-per (automaton, count-free shape).
+rejected prefix. String states reuse their verdicts: a token without ``"``
+cannot leave the string, so its verdict is the string's alone, kept once per
+index for each string state without ``then``; only the tokens with a ``"``
+are walked per (automaton, state).
 
 Accepted value shapes per argument are deliberately relaxed around
 references: both a bare ``"$$PREV[i]"`` and a singleton ``["$$PREV[i]"]``
@@ -79,11 +75,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .registry import IDENTIFIER_PATTERN, Registry, ValueType
-
-# Bounds keep the state space finite and guarantee repair termination.
-MAX_STRING_CHARS = 512
-MAX_NUMBER_DIGITS = 12
-MAX_OBJECT_KEY_CHARS = 64
 
 _PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
 _STRING_BODY = frozenset(_PRINTABLE) - {'"', "\\"}
@@ -155,18 +146,24 @@ def _start(spec: tuple, then: tuple) -> tuple:
     if kind == "lit":
         return ("lit", spec[1], 0, then)
     if kind == "string":
-        return ("lit", '"', 0, ("s", 0, then))
+        return ("lit", '"', 0, ("s", then))
     if kind in _NUMBER_KINDS:
-        return ("n0", kind, 0, then)
+        return ("n0", kind, then)
     if kind == "object":
         return ("lit", "{", 0, ("of", then))
     if kind == "list":
         return ("lit", "[", 0, ("lf", spec[1], then))
     if kind == "prev":
-        return ("lit", '"$$PREV[', 0, ("pd", 0, ("lit", ']"', 0, then)))
+        return ("lit", '"$$PREV[', 0, _start(("uint",), ("lit", ']"', 0, then)))
     if kind == "wrap":
         return ("lit", "[", 0, _start(_PREV, ("lit", "]", 0, then)))
     raise ValueError(f"unknown value spec {spec!r}")
+
+
+def _member(then: tuple) -> tuple:
+    """The first state of an object member, ``"key":value``, that goes on in
+    ``("om", then)``."""
+    return _start(("string",), ("lit", ":", 0, _start(_MEMBER_SPEC, ("om", then))))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +183,11 @@ def _extends(names: tuple[str, ...], prefix: str) -> bool:
 
 # Next-character sets an automaton keeps before it clears them all.
 _ALLOWED_CACHE_SIZE = 4096
+
+_STRING_TAGS = frozenset(("s", "se", "su"))
+# States whose next characters do not depend on their ``then``: literals and
+# open strings, which ``allowed`` keys without it.
+_SHAPE_TAGS = _STRING_TAGS | {"lit"}
 
 
 class _Automaton:
@@ -209,28 +211,23 @@ class _Automaton:
             i += 1
             return then if i == len(text) else ("lit", text, i, then)
 
-        # An open string: ("s", n, then), after a backslash ("se", n, then),
-        # inside \u at hex digit k ("su", n, k, then); n counts characters.
+        # An open string: ("s", then), after a backslash ("se", then),
+        # inside \u at hex digit k ("su", k, then).
         if tag == "s":
-            _, n, then = state
             if ch == '"':
-                return then
-            if n < MAX_STRING_CHARS:
-                if ch == "\\":
-                    return ("se", n, then)
-                if ch in _STRING_BODY:
-                    return ("s", n + 1, then)
-            return None
+                return state[1]
+            if ch == "\\":
+                return ("se", state[1])
+            return state if ch in _STRING_BODY else None
         if tag == "se":
-            _, n, then = state
             if ch == "u":
-                return ("su", n, 0, then)
-            return ("s", n + 1, then) if ch in _ESCAPES else None
+                return ("su", 0, state[1])
+            return ("s", state[1]) if ch in _ESCAPES else None
         if tag == "su":
-            _, n, k, then = state
+            _, k, then = state
             if ch not in _HEX:
                 return None
-            return ("s", n + 1, then) if k == 3 else ("su", n, k + 1, then)
+            return ("s", then) if k == 3 else ("su", k + 1, then)
 
         if tag == "name":
             prefix = state[1]
@@ -256,49 +253,30 @@ class _Automaton:
                     return nxt
             return None
 
-        # A number, (tag, kind, n, then): -?(0|[1-9][0-9]*)(\.[0-9]+)?, no sign
-        # for uint, a fraction only for float, at most MAX_NUMBER_DIGITS
-        # digits in each digit run n counts. "nz", "ni" and "nf" may end.
+        # A number, (tag, kind, then): -?(0|[1-9][0-9]*)(\.[0-9]+)?, no sign
+        # for uint, a fraction only for float. "nz", "ni" and "nf" may end.
         if tag == "n0" or tag == "nneg":
-            _, kind, _, then = state
+            _, kind, then = state
             if ch == "-" and tag == "n0" and kind != "uint":
-                return ("nneg", kind, 0, then)
+                return ("nneg", kind, then)
             if ch == "0":
-                return ("nz", kind, 0, then)
-            return ("ni", kind, 1, then) if ch in _DIGITS_NONZERO else None
+                return ("nz", kind, then)
+            return ("ni", kind, then) if ch in _DIGITS_NONZERO else None
         if tag == "ndot":
-            return ("nf", state[1], 1, state[3]) if ch in _DIGITS else None
+            return ("nf",) + state[1:] if ch in _DIGITS else None
         if tag == "nz" or tag == "ni" or tag == "nf":
-            _, kind, n, then = state
-            if ch in _DIGITS and tag != "nz" and n < MAX_NUMBER_DIGITS:
-                return (tag, kind, n + 1, then)
-            if ch == "." and kind == "float" and tag != "nf":
-                return ("ndot", kind, 0, then)
-            return self.transition(then, ch)
+            if ch in _DIGITS and tag != "nz":
+                return state
+            if ch == "." and state[1] == "float" and tag != "nf":
+                return ("ndot",) + state[1:]
+            return self.transition(state[2], ch)
 
-        # A reference's digit run, ("pd", n, then), with the literal ']"' as then.
-        if tag == "pd":
-            _, n, then = state
-            if ch in _DIGITS and n < MAX_NUMBER_DIGITS:
-                return ("pd", n + 1, then)
-            return self.transition(then, ch) if n else None
-
-        # An object: after "{" ("of", then), a key of n characters
-        # ("ok", n, then), after a member ("om", then).
+        # An object: after "{" ("of", then), after a member ("om", then).
         if tag == "of":
-            if ch == "}":
-                return state[1]
-            return ("ok", 0, state[1]) if ch == '"' else None
-        if tag == "ok":
-            _, n, then = state
-            if ch == '"':
-                return ("lit", ":", 0, _start(_MEMBER_SPEC, ("om", then)))
-            if ch in _STRING_BODY and n < MAX_OBJECT_KEY_CHARS:
-                return ("ok", n + 1, then)
-            return None
+            return state[1] if ch == "}" else self.transition(_member(state[1]), ch)
         if tag == "om":
             if ch == ",":
-                return ("lit", '"', 0, ("ok", 0, state[1]))
+                return _member(state[1])
             return state[1] if ch == "}" else None
 
         # A list of ``espec``: after "[" ("lf", espec, then), after an
@@ -320,18 +298,13 @@ class _Automaton:
 
         Memoized per automaton on the state's shape, which allows the same
         characters: a literal state drops ``then``, since it accepts
-        ``text[i]`` alone whatever follows; a string state with room for one
-        more character takes its count-free shape without ``then``, since
-        its closing quote steps into any ``then``; any other state is its
-        own shape. At ``_ALLOWED_CACHE_SIZE`` shapes the memo is cleared.
+        ``text[i]`` alone whatever follows; so does an open string, since its
+        closing quote steps into any ``then``; any other state is its own
+        shape. At ``_ALLOWED_CACHE_SIZE`` shapes the memo is cleared.
         Sessions may share it: the sets are immutable, and a lost entry only
         costs a rescan.
         """
-        if state[0] == "lit":
-            key = state[:3]
-        else:
-            shape = _count_free_shape(state, 1)
-            key = state if shape is None else shape[:-1]
+        key = state[:-1] if state[0] in _SHAPE_TAGS else state
         found = self._allowed.get(key)
         if found is None:
             transition = self.transition
@@ -415,20 +388,6 @@ def compile_subtask_schema(tool_names) -> SubTaskAutomaton:
 _SHARED_CAP = 255
 _UNSEEN = object()
 _LAST_CHAR = chr(0x10FFFF)  # the one character without a successor
-_STRING_TAGS = frozenset(("s", "se", "su"))
-
-
-def _count_free_shape(state: tuple, room: int):
-    """``state`` with its count set to 0 if it is an open string, ``("s", n,
-    then)``, ``("se", n, then)`` or ``("su", n, k, then)``, whose count
-    leaves at least ``room`` characters below ``MAX_STRING_CHARS``; else None.
-
-    An open string is always the top state: what encloses it rides in its
-    ``then``.
-    """
-    if state[0] in _STRING_TAGS and state[1] + room <= MAX_STRING_CHARS:
-        return (state[0], 0) + state[2:]
-    return None
 
 
 class _Trie:
@@ -518,10 +477,10 @@ class _Trie:
 
 
 # Verdict tables of quoted tokens an index keeps, per (automaton, string
-# shape), before it clears them all. A planner context compiles one automaton
+# state), before it clears them all. A planner context compiles one automaton
 # per kind and retrieved tool set, and each key keeps its automaton alive,
 # about 40 KB with its memo after a plan, so the bound is small; a plan
-# decodes a few string shapes, and a table cleared too early costs one walk
+# decodes a few string states, and a table cleared too early costs one walk
 # of the few quoted tokens.
 _QUOTED_CACHE_SIZE = 32
 
@@ -534,11 +493,10 @@ class TokenIndex(_Trie):
     changed, so sessions in different threads may share an index.
     """
 
-    __slots__ = ("reach", "quoted", "_bodies", "_quoted_tables")
+    __slots__ = ("quoted", "_bodies", "_quoted_tables")
 
     def __init__(self, vocabulary):
         super().__init__(vocabulary)
-        self.reach = max(map(len, self.tokens), default=0)
         self.quoted = _Trie(token for token in self.tokens if '"' in token)
         self._bodies: dict[tuple, dict[str, bool]] = {}
         self._quoted_tables: dict[tuple, dict[str, bool]] = {}
@@ -547,33 +505,27 @@ class TokenIndex(_Trie):
         """A fresh table: each indexed token mapped to whether ``automaton``
         consumes all of it from ``state``, any other token to ``peek(token)``.
 
-        A state outside a string, or one with fewer than ``reach`` characters
-        of room, is walked over the first characters ``automaton`` allows
-        there: that set is exact, since every accepted character is
-        printable ASCII. A string state with room takes the kept tables of
-        its count-free shape:
+        A state outside a string is walked over the first characters
+        ``automaton`` allows there: that set is exact, since every accepted
+        character is printable ASCII. A string state takes kept tables:
 
-        - the body table of the shape without ``then``, ``("s", 0)``,
-          ``("se", 0)`` or ``("su", 0, k)``, walked once with ``then`` set
-          to the final state, which takes no character;
+        - the body table of the state without ``then``, ``("s",)``,
+          ``("se",)`` or ``("su", k)``, walked once with ``then`` set to the
+          final state, which takes no character;
         - laid over it, the verdicts of the tokens that contain ``"``
-          (``quoted``), walked per (automaton, shape) and kept in a cache
+          (``quoted``), walked per (automaton, state) and kept in a cache
           cleared when full.
 
-        Both are exact. Every in-string character of an indexed token is
-        checked at a count below the cap, and a closing quote steps into
-        ``then``, which holds no count, so a token is accepted from the
-        state exactly when it is from the shape. Until its closing quote a
-        string's steps do not read ``then``, so a token without ``"`` gets
-        the body table's verdict from every automaton.
+        Both are exact: until its closing quote a string's steps do not read
+        ``then``, so a token without ``"`` gets the body table's verdict
+        from every automaton.
         """
-        shape = _count_free_shape(state, self.reach)
-        if shape is None:
+        if state[0] in _STRING_TAGS:
+            table = _Verdicts(self._body(automaton, state[:-1]))
+            table.update(self._quoted_verdicts(automaton, state))
+        else:
             table = _Verdicts(self.rejected)
             self._walk(automaton.transition, state, automaton.allowed(state), table)
-        else:
-            table = _Verdicts(self._body(automaton, shape[:-1]))
-            table.update(self._quoted_verdicts(automaton, shape))
         table.peek = peek
         return table
 
@@ -586,12 +538,12 @@ class TokenIndex(_Trie):
             self._bodies[inner] = table
         return table
 
-    def _quoted_verdicts(self, automaton, shape: tuple) -> dict[str, bool]:
-        key = (automaton, shape)
+    def _quoted_verdicts(self, automaton, state: tuple) -> dict[str, bool]:
+        key = (automaton, state)
         table = self._quoted_tables.get(key)
         if table is None:
             table = self.quoted.rejected.copy()
-            self.quoted._walk(automaton.transition, shape, automaton.allowed(shape), table)
+            self.quoted._walk(automaton.transition, state, automaton.allowed(state), table)
             if len(self._quoted_tables) >= _QUOTED_CACHE_SIZE:
                 self._quoted_tables.clear()
             self._quoted_tables[key] = table
@@ -694,8 +646,8 @@ _INSERT_PRIORITY = ']}",:{['
 
 def _priority_char(allowed: frozenset[str]) -> str:
     if '"' in allowed and _STRING_BODY <= allowed:
-        # A string or object-key body: close it rather than pad it with
-        # structural characters, which are legal content, up to the cap.
+        # An open string: close it rather than pad it with structural
+        # characters, which are legal content without end.
         return '"'
     for ch in _INSERT_PRIORITY:
         if ch in allowed:
@@ -716,7 +668,10 @@ def enforced_repair(automaton, candidate: str) -> tuple[str, list[Edit]]:
     a free string body, else structural closers first, then openers, then
     digits, then the smallest allowed character).
     Once the automaton accepts, any unconsumed suffix is dropped. Always
-    terminates with accepted text; idempotent.
+    terminates with accepted text, although no value is capped: an insert
+    closes an open string with ``"``, and a number or reference index
+    offers its continuation's closer, which the priority puts ahead of a
+    digit. Idempotent.
     """
     state = automaton.initial_state
     out: list[str] = []

@@ -4,7 +4,8 @@ A runtime has ``coverage``, the tool names it runs, and ``invoke(tool_name,
 arguments) -> value``. Arguments map names to the JSON values the plan holds
 (string, number, boolean, null or dict; an array is a tuple, so no step can
 change an array an earlier step stored), and a runtime returns such a value.
-A dict the plan holds is passed as a copy, so no runtime can change the plan.
+A runtime gets a deep copy of its arguments, so it cannot change the plan,
+an earlier step's stored output or the arguments the trace records.
 
 Steps run strictly in order; every ``$$PREV[i]`` resolves to step i's stored
 output, never by re-invoking the tool, and results are not fed back to any
@@ -68,14 +69,14 @@ class ExecutionTrace:
 
 
 def _resolve(value, outputs: list[Any], step: int) -> Any:
-    """``value`` with its references resolved and each object copied."""
+    """``value`` with its references resolved to the stored outputs."""
     if isinstance(value, PrevRef):
         if not 0 <= value.index < len(outputs):
             raise ExecutionError(f"unresolvable reference $$PREV[{value.index}]", step=step)
         return outputs[value.index]
     if isinstance(value, tuple):
         return tuple(_resolve(item, outputs, step) for item in value)
-    return copy.deepcopy(value) if isinstance(value, dict) else value
+    return value
 
 
 def execute(plan: Plan, runtime) -> ExecutionTrace:
@@ -97,7 +98,7 @@ def execute(plan: Plan, runtime) -> ExecutionTrace:
         resolved = {name: _resolve(value, outputs, step) for name, value in call.arguments}
         started = time.monotonic()
         try:
-            output = runtime.invoke(call.tool_name, resolved)
+            output = runtime.invoke(call.tool_name, copy.deepcopy(resolved))
         except ExecutionError:
             raise
         except Exception as exc:

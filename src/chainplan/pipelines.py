@@ -76,6 +76,11 @@ def _read_data(name: str) -> str:
     return (_DATA_DIR / name).read_text(encoding="utf-8")
 
 
+def _lines(text: str) -> tuple[str, ...]:
+    """The non-blank lines of ``text``, stripped: one insight each."""
+    return tuple(line.strip() for line in text.splitlines() if line.strip())
+
+
 _REQUIRED_SLOTS = {
     "decompose_template": ("query", "tools"),
     "recompose_template": ("query", "tools", "subtasks"),
@@ -91,15 +96,21 @@ _CONFIG_TEMPLATES = {"decompose": "decompose_template", "recompose": "recompose_
 
 @dataclass
 class PipelineConfig:
+    """Pipeline settings, validated when built; the templates and insights
+    default to the packaged ones."""
+
     k: int = 10
     example_count: int = 2
-    decompose_template: str = ""
-    recompose_template: str = ""
-    rap_template: str = ""
-    insights: tuple[str, ...] = ()
+    decompose_template: str = field(default_factory=lambda: _read_data("templates/decompose.txt"))
+    recompose_template: str = field(default_factory=lambda: _read_data("templates/recompose.txt"))
+    rap_template: str = field(default_factory=lambda: _read_data("templates/rap.txt"))
+    insights: tuple[str, ...] = field(default_factory=lambda: _lines(_read_data("insights.txt")))
     model_id: str = "default"
     max_tokens: int = 1024
     temperature: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         for attr, slots in _REQUIRED_SLOTS.items():
@@ -115,20 +126,7 @@ class PipelineConfig:
 
     @classmethod
     def default(cls, **overrides) -> "PipelineConfig":
-        config = cls(
-            decompose_template=_read_data("templates/decompose.txt"),
-            recompose_template=_read_data("templates/recompose.txt"),
-            rap_template=_read_data("templates/rap.txt"),
-            insights=tuple(
-                line.strip()
-                for line in _read_data("insights.txt").splitlines()
-                if line.strip()
-            ),
-        )
-        for key, value in overrides.items():
-            setattr(config, key, value)
-        config.validate()
-        return config
+        return cls(**overrides)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -154,21 +152,16 @@ class PipelineConfig:
         wrong = [key for key, value, kind in values if isinstance(value, bool) or not isinstance(value, kind)]
         if wrong:
             raise ValueError(f"{path}: config values of the wrong type: {', '.join(wrong)}")
-        config = cls.default()
-        for key in _CONFIG_SCALARS:
-            if key in doc:
-                setattr(config, key, doc[key])
+        settings = {key: doc[key] for key in _CONFIG_SCALARS if key in doc}
         for key, attr in _CONFIG_TEMPLATES.items():
             if key in templates:
-                setattr(config, attr, (base / templates[key]).read_text(encoding="utf-8"))
+                settings[attr] = (base / templates[key]).read_text(encoding="utf-8")
         if "insights" in doc:
-            text = (base / doc["insights"]).read_text(encoding="utf-8")
-            config.insights = tuple(line.strip() for line in text.splitlines() if line.strip())
+            settings["insights"] = _lines((base / doc["insights"]).read_text(encoding="utf-8"))
         try:
-            config.validate()
+            return cls(**settings)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return config
 
 
 def render_tool_docs(registry: Registry, names: list[str] | tuple[str, ...]) -> str:

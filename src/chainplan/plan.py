@@ -8,10 +8,11 @@ The wire format is a JSON array of calls::
 
 An argument value is the value that was on the wire: a string, number,
 boolean, null or object as JSON gives it, and each array a tuple. A whole
-``"$$PREV[i]"`` string (0-indexed), at the top of a value or directly inside
-an array, decodes to :class:`PrevRef`, the one wrapper a plan adds to JSON;
-every other string stays a string, and strings inside objects are never
-references. Parsing and serialization are pure, and plans are immutable.
+``"$$PREV[i]"`` string (0-indexed, ``i`` without a leading zero), at the top
+of a value or directly inside an array, decodes to :class:`PrevRef`, the one
+wrapper a plan adds to JSON; every other string stays a string, and strings
+inside objects are never references. Parsing and serialization are pure,
+and plans are immutable.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Any, Iterator
 
 from .registry import Registry
 
-PREV_REF_PATTERN = re.compile(r"\$\$PREV\[([0-9]+)\]")
+# A canonical index, as the schema automaton spells it: no leading zero.
+PREV_REF_PATTERN = re.compile(r"\$\$PREV\[(0|[1-9][0-9]*)\]")
 
 
 @dataclass(frozen=True)

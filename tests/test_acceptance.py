@@ -65,7 +65,7 @@ def _oracle_hr(plan: Plan, registry) -> float:
                     if text.startswith("$$PREV"):
                         import re
 
-                        if not re.fullmatch(r"\$\$PREV\[\d+\]", text):
+                        if not re.fullmatch(r"\$\$PREV\[(0|[1-9][0-9]*)\]", text):
                             return True
                 if isinstance(v, tuple):
                     return any(prev_like(e) for e in v)

@@ -112,6 +112,38 @@ def test_runtime_cannot_change_the_plans_objects():
     assert plan.calls[0].argument("o") == {"k": 1}
 
 
+def test_runtime_cannot_change_a_stored_output():
+    class Mutating:
+        coverage = {"a", "b"}
+
+        def invoke(self, tool_name, arguments):
+            if tool_name == "a":
+                return {"k": 1}
+            arguments["x"]["k"] = 99
+            return None
+
+    plan = parse_plan('[{"tool_name":"a","arguments":[]},'
+                      '{"tool_name":"b","arguments":[{"argument_name":"x","argument_value":"$$PREV[0]"}]}]').plan
+    trace = execute(plan, Mutating())
+    assert trace.steps[0].output == {"k": 1}
+    assert trace.steps[1].arguments == {"x": {"k": 1}}
+
+
+def test_trace_records_the_arguments_a_runtime_was_given():
+    import json
+
+    class Mutating:
+        coverage = {"t"}
+
+        def invoke(self, tool_name, arguments):
+            arguments["o"]["k"] = 99
+            return None
+
+    plan = parse_plan('[{"tool_name":"t","arguments":[{"argument_name":"o","argument_value":{"k":1}}]}]').plan
+    trace = execute(plan, Mutating())
+    assert json.loads(trace.to_json())[0]["arguments"] == {"o": {"k": 1}}
+
+
 def test_trace_dump_is_json(fixture_registry):
     import json
 

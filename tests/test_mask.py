@@ -5,13 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chainplan.enforcer import (
-    MAX_STRING_CHARS,
-    DecoderSession,
-    TokenIndex,
-    compile_schema,
-    compile_subtask_schema,
-)
+from chainplan.enforcer import DecoderSession, TokenIndex, compile_schema, compile_subtask_schema
 from chainplan.registry import fixture_tools_path, load_registry
 
 from conftest import random_registry
@@ -30,6 +24,7 @@ _STRING_OPENERS = {
 _ALPHABET = '[]{}",:\\/$PREV0123456789.-_ abefilnorstuwxy' + "é☃\n\x00"
 _LONG = 300  # longer than the index's shared-prefix cap
 _LAST_CHAR = chr(0x10FFFF)  # the one character without a successor
+_LONG_STRING = 600  # characters of a long open string, well past the index's longest token
 
 _tokens = st.text(alphabet=_ALPHABET, max_size=8)
 
@@ -46,9 +41,8 @@ def _walk(session: DecoderSession, rng: random.Random, steps: int) -> None:
 def sessions(draw) -> DecoderSession:
     """A session of the fixture plan automaton, the sub-task automaton or a
     random registry's plan automaton, in a random-walk state or (fixed
-    automata) in a string state a few characters from ``MAX_STRING_CHARS``,
-    just over the shared-prefix cap from it, or with room for a little more
-    than ``_LONG`` characters."""
+    automata) in a string state after ``_LONG_STRING`` characters, plain,
+    after a backslash or inside ``\\u``."""
     kind = draw(st.sampled_from(("fixture", "subtask", "random")))
     if kind == "random":
         automaton = compile_schema(random_registry(random.Random(draw(st.integers(0, 2**32 - 1)))))
@@ -56,10 +50,8 @@ def sessions(draw) -> DecoderSession:
         automaton = _AUTOMATA[kind]
     session = DecoderSession(automaton)
     if kind != "random" and draw(st.booleans()):
-        room = draw(st.one_of(st.integers(0, 4), st.integers(250, 290), st.integers(_LONG, _LONG + 20)))
-        session.advance(_STRING_OPENERS[kind] + "a" * (MAX_STRING_CHARS - room))
-        if room:
-            session.advance(draw(st.sampled_from(("", "\\", "\\u0"))))
+        session.advance(_STRING_OPENERS[kind] + "a" * _LONG_STRING)
+        session.advance(draw(st.sampled_from(("", "\\", "\\u0"))))
     else:
         _walk(session, random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(0, 80)))
     return session
@@ -154,27 +146,26 @@ _REACH = 8
 # A body token, one that closes the string on its last character and one that
 # closes it and continues; all ``_REACH`` long.
 _EDGE_VOCAB = ["a" * _REACH, "a" * (_REACH - 1) + '"', '","' + "a" * (_REACH - 3)]
-# Tokens outside an index of ``_EDGE_VOCAB``, longer than its reach: body
-# characters that overflow the cap from a state with ``_REACH`` characters of
-# room, also after a backslash or inside ``\u``, though not from the shape.
+# Tokens outside an index of ``_EDGE_VOCAB``, longer than any token in it:
+# body characters, a closed string, an escape and a ``\u`` escape's rest.
 _BEYOND_REACH = ["a" * (_REACH + 1), "a" * _REACH + '"', "n" + "a" * _REACH, "00" + "a" * _REACH]
 
 
 @pytest.mark.parametrize("place", sorted(_PLACES))
 def test_mask_at_the_shape_reuse_boundary_equals_flat_peek(place):
-    # a string state reuses its count-free shape's mask only with ``_REACH``
-    # characters of room below the cap; one index serves both sides, and
-    # tokens outside it are peeked from the state, not from the shape
+    # a string state reuses the tables of its shape at any length: after an
+    # empty and a long run of characters, one index serves both, and tokens
+    # outside it are peeked from the state
     kind, opener = _PLACES[place]
     session = DecoderSession(_AUTOMATA[kind], TokenIndex(_EDGE_VOCAB))
-    session.advance(opener + "a" * (MAX_STRING_CHARS - _REACH))
-    for _room in (_REACH, _REACH - 1):
+    session.advance(opener)
+    for run in ("", "a" * _LONG_STRING):
+        session.advance(run)
         for escape in ("", "\\", "\\u0"):
             at = session.copy().advance(escape)
             assert at.mask_vocabulary(_EDGE_VOCAB) == _flat(at, _EDGE_VOCAB)
             candidates = _EDGE_VOCAB + _BEYOND_REACH
             assert at.mask_vocabulary(candidates) == _flat(at, candidates)
-        session.advance("a")
 
 
 @pytest.mark.parametrize("place", sorted(_PLACES))

@@ -204,6 +204,14 @@ def test_config_from_file(tmp_path, ctx, golden_examples):
     assert len(example_ids) == 1
 
 
+def test_config_built_directly_holds_the_packaged_templates(ctx, golden_examples):
+    assert PipelineConfig() == PipelineConfig.default()
+    prompt, _, _ = assemble_rap_prompt(golden_examples[0].query, ctx, PipelineConfig())
+    assert golden_examples[0].query in prompt
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        PipelineConfig(k=0)
+
+
 def test_config_validation_rejects_broken_template(tmp_path):
     import json
 

@@ -140,6 +140,15 @@ def test_reference_with_non_ascii_digit_stays_literal():
     assert [d.kind for d in validate_refs(outcome.plan)] == ["malformed_reference"]
 
 
+def test_reference_with_leading_zero_stays_literal():
+    # the index is canonical, as the automaton spells it
+    text = '[{"tool_name":"a","arguments":[{"argument_name":"x","argument_value":"$$PREV[01]"}]}]'
+    outcome = parse_plan(text)
+    assert outcome.plan.calls[0].argument("x") == "$$PREV[01]"
+    assert serialize_plan(outcome.plan) == text
+    assert [d.kind for d in validate_refs(outcome.plan)] == ["malformed_reference"]
+
+
 def test_validate_refs_reports_each_kind(fixture_registry):
     plan = Plan((
         ToolCall("who_am_i"),
