@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .plan import Plan, plan_from_data, serialize_plan
@@ -22,7 +23,7 @@ class GoldenExample:
     query: str
     gold: Plan
 
-    @property
+    @cached_property
     def gold_text(self) -> str:
         return serialize_plan(self.gold)
 

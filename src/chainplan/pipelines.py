@@ -256,7 +256,8 @@ class PipelineTrace:
         return json.dumps(doc, indent=2)
 
 
-def _retrieve_tools(query: str, ctx: PlannerContext, config: PipelineConfig) -> list[tuple[str, float]]:
+def _retrieve_tools(query: str | list[float], ctx: PlannerContext,
+                    config: PipelineConfig) -> list[tuple[str, float]]:
     if not ctx.tool_corpus.items:
         raise PipelineError("tool corpus is empty; nothing to retrieve")
     return retrieve_top_k(query, ctx.tool_corpus, ctx.provider, config.k)
@@ -299,12 +300,14 @@ def assemble_recompose_prompt(query: str, subtasks_text: str, tool_names,
 
 def assemble_rap_prompt(query: str, ctx: PlannerContext, config: PipelineConfig
                         ) -> tuple[str, list[tuple[str, float]], list[str]]:
-    """(prompt, retrieved tools, retrieved example ids); pure, model-free."""
-    retrieved = _retrieve_tools(query, ctx, config)
+    """(prompt, retrieved tools, retrieved example ids); pure, model-free.
+    The query is embedded once, for both corpora."""
+    query_vec = ctx.provider.embed(query)
+    retrieved = _retrieve_tools(query_vec, ctx, config)
     tool_names = [name for name, _ in retrieved]
     example_ids: list[str] = []
     if ctx.example_corpus is not None and ctx.example_corpus.items and config.example_count > 0:
-        ranked = retrieve_top_k(query, ctx.example_corpus, ctx.provider, config.example_count)
+        ranked = retrieve_top_k(query_vec, ctx.example_corpus, ctx.provider, config.example_count)
         example_ids = [ex_id for ex_id, _ in ranked]
     picked = [ctx.examples[ex_id] for ex_id in example_ids if ex_id in ctx.examples]
     prompt = build_prompt(

@@ -6,19 +6,20 @@ and a client for any OpenAI-compatible embeddings endpoint. Corpora are
 built in memory, immutable after indexing, and carry the provider id so a
 query embedded by another provider is refused.
 
-A query is scored in two passes. A corpus derives, on first use, its items'
-norms and a packed form of its unit vectors: one Python int per dimension
-whose 64-bit field i holds item i's component rounded to ``_Q`` fractional
-bits. One integer multiply-add per dimension then pre-scores every item at
-once, and only the items whose pre-score lies within twice the pre-score's
-error bound of the k-th best (about k of them) are scored in floating
-point. Those scores use the products, order and division of
-:func:`cosine`, so results equal a full :func:`cosine` sort bit for bit, ties
-included; :class:`_PreScore` derives the bound. On a 2-core x86-64 host
-under CPython 3.11, a query over 1,000 tools of 64 dimensions costs about
-0.45 ms instead of 2.5 ms for scoring every item in float, and over 10,000
-tools about 5 ms instead of 35 ms; packing takes about 27 ms per 1,000
-tools, on the first query.
+A query, a text or the vector a provider embedded it as, is scored in two
+passes. A corpus derives, on first use, its items' norms and a packed form
+of its unit vectors: one Python int per dimension whose 32-bit field i holds
+item i's component rounded to ``_Q`` fractional bits. One integer
+multiply-add per dimension then pre-scores every item at once, one more
+carry-free addition flags the items whose pre-score lies within twice the
+pre-score's error bound of the k-th best (about k of them), and only those
+are scored in floating point. Those scores use the products, order and
+division of :func:`cosine`, so results equal a full :func:`cosine` sort bit
+for bit, ties included; :class:`_PreScore` derives the bound. On a 2-core
+x86-64 host under CPython 3.11, given the query vector, a query over 1,000
+tools of 64 dimensions costs about 0.2 ms instead of 2.3 ms for scoring
+every item in float, and over 10,000 tools about 1.4 ms instead of 25 to
+30 ms; packing takes about 12 to 20 ms per 1,000 tools, on the first query.
 """
 
 from __future__ import annotations
@@ -161,17 +162,21 @@ class Corpus:
 
 # Fractional bits of a quantized unit component. A unit component c is held
 # as round(c * 2**_Q) + _BIAS, which lies in [0, 2**(_Q + 2)); a query's sum
-# over the dimensions is stored as _OFFSET + P, where |P| <= 2**(2*_Q) + slack.
-_Q = 29
+# over the dimensions is stored as _OFFSET + P, where |P| <= 2**(2*_Q) + slack
+# <= 2**29, so every 32-bit field lies in [2**29, 3 * 2**29].
+_Q = 14
 _BIAS = 1 << (_Q + 1)
-_OFFSET = 1 << 63
+_OFFSET = 1 << 30
 # Norms in this range have squares and products neither overflowing nor
 # losing relative precision; other items, or every item for such a query,
 # are scored in floating point only.
 _SAFE_NORMS = (2.0 ** -400, 2.0 ** 400)
 # Largest dimension pre-scored: the bound below holds and no field can
 # overflow up to it (test_prescore_fields_fit_every_dimension_up_to_the_limit).
-_MAX_DIMENSION = 1 << 30
+_MAX_DIMENSION = 1 << 26
+# Fields are packed and unpacked as C unsigned ints ("I").
+if array("I").itemsize != 4:
+    raise ImportError("chainplan.retrieval packs 32-bit fields, but a C unsigned int is not 4 bytes here")
 
 
 def _slack(dimension: int) -> int:
@@ -180,14 +185,15 @@ def _slack(dimension: int) -> int:
         ((math.isqrt(dimension) + 2) << _Q)
         + dimension // 4
         + 1
-        + ((dimension + 4) << (2 * _Q - 48))
+        + ((dimension + 4) >> (48 - 2 * _Q))
+        + 1
     )
 
 
 class _PreScore:
     """Every item's unit vector quantized to ``_Q`` fractional bits and
     packed by dimension: ``columns[j]`` holds item ``positions[i]``'s
-    component j in its 64-bit field i. Items whose norm lies outside
+    component j in its 32-bit field i. Items whose norm lies outside
     ``_SAFE_NORMS`` are left out and listed in ``rest``.
 
     For a query q and an item v of dimension D, let a = q/|q| and b = v/|v|
@@ -207,18 +213,28 @@ class _PreScore:
     the compensated float ``sum`` of Python 3.12 and later, whose error is
     smaller. Products or squares that underflow add at most D·2**-1074 to
     quantities no smaller than 2**-800 (both norms are at least 2**-400),
-    a relative D·2**-274. For D <= ``_MAX_DIMENSION`` all of this fits in
+    a relative D·2**-274. Together these float terms stay below
+    2**(2Q)·(D + 4)·2**-48, that is below ((D + 4) >> (48 - 2Q)) + 1 field
+    units, so for D <= ``_MAX_DIMENSION`` all of this fits in
 
-        |P - 2**(2Q)·s| <= Δ = (isqrt(D) + 2)·2**Q + D//4 + 1 + (D + 4)·2**(2Q - 48),
+        |P - 2**(2Q)·s| <= Δ = (isqrt(D) + 2)·2**Q + D//4 + 1 + ((D + 4) >> (48 - 2Q)) + 1,
 
-    and |P| <= 2**(2Q) + Δ < 2**63, so the field _OFFSET + P never leaves
-    [0, 2**64) and no carry or borrow crosses a field boundary.
+    and |P| <= 2**(2Q) + Δ <= 2**29, so the field _OFFSET + P lies in
+    [2**29, 3·2**29] and no carry or borrow crosses a field boundary.
 
     Let T be the k-th largest P. At least k items have P >= T, hence
     2**(2Q)·s >= T - Δ, so the k-th best score s_k has 2**(2Q)·s_k >= T - Δ,
     and every item with s >= s_k has P >= T - 2Δ. Scoring those items in
     float and selecting by ``(-score, id)`` therefore gives the full sort's
-    result, every tie of the k-th score included."""
+    result, every tie of the k-th score included.
+
+    The items to score are flagged by one carry-free sum over all fields
+    (SWAR, SIMD within a register; Fisher & Dietz 1998). The k-th largest
+    field is _OFFSET + T; let cut = _OFFSET + T - 2Δ. Every field lies in
+    [2**29, 3·2**29] and 2Δ <= 2**29 (as Δ <= 2**29 - 2**(2Q) = 2**28), so
+    each field - cut + 2**31 lies in [2**30, 7·2**29], inside [0, 2**32):
+    adding 2**31 - cut to every field carries nothing across fields, and
+    bit 31 of the sum is set exactly when field >= cut."""
 
     def __init__(self, items: tuple[CorpusItem, ...], norms: tuple[float, ...], dimension: int):
         low, high = _SAFE_NORMS
@@ -238,17 +254,25 @@ class _PreScore:
         positions and a query norm inside ``_SAFE_NORMS``."""
         scale = 2.0 ** _Q / query_norm
         weights = [round(x * scale) for x in query_vec]
-        total = (_OFFSET - _BIAS * sum(weights)) * self.ones + sum(map(operator.mul, weights, self.columns))
-        fields = memoryview(total.to_bytes(8 * len(self.positions), sys.byteorder)).cast("Q")
+        ones, size = self.ones, 4 * len(self.positions)
+        total = (_OFFSET - _BIAS * sum(weights)) * ones + sum(map(operator.mul, weights, self.columns))
+        fields = memoryview(total.to_bytes(size, sys.byteorder)).cast("I")
         cut = heapq.nlargest(k, fields)[-1] - 2 * self.slack
-        positions = self.positions
-        return [positions[i] for i, field in enumerate(fields) if field >= cut] + self.rest
+        # Bit 31 of field i + 2**31 - cut is set exactly when field i >= cut;
+        # shifted to bit 0, it is byte 4i of the little-endian flags.
+        flags = (((total + ((1 << 31) - cut) * ones) >> 31) & ones).to_bytes(size, "little")
+        positions, found = self.positions, []
+        at = flags.find(1)
+        while at >= 0:
+            found.append(positions[at >> 2])
+            at = flags.find(1, at + 4)
+        return found + self.rest
 
 
 def _pack(fields: list[int]) -> int:
-    """One int whose 64-bit field i is fields[i], in the byte order that
+    """One int whose 32-bit field i is fields[i], in the byte order that
     :meth:`_PreScore.candidates` unpacks."""
-    return int.from_bytes(array("Q", fields).tobytes(), sys.byteorder)
+    return int.from_bytes(array("I", fields).tobytes(), sys.byteorder)
 
 
 def _candidates(corpus: Corpus, query_vec: list[float], query_norm: float, k: int):
@@ -291,9 +315,12 @@ def index_corpus(provider, items: list[tuple[str, str]]) -> Corpus:
     return Corpus(items=tuple(indexed), provider_id=provider.provider_id, dimension=dimension or 0)
 
 
-def retrieve_top_k(query: str, corpus: Corpus, provider, k: int) -> list[tuple[str, float]]:
+def retrieve_top_k(query: str | list[float], corpus: Corpus, provider, k: int) -> list[tuple[str, float]]:
     """The k highest-cosine items, descending score, ties broken by ascending
-    id; the whole corpus when it holds fewer than k items."""
+    id; the whole corpus when it holds fewer than k items. ``query`` is a
+    text, which ``provider`` embeds, or a vector that ``provider.embed``
+    returned, so that one embedding serves several corpora; a vector is
+    checked as an embedded text is."""
     if k < 1:
         raise RetrievalError("k must be at least 1")
     if not corpus.items:
@@ -302,7 +329,7 @@ def retrieve_top_k(query: str, corpus: Corpus, provider, k: int) -> list[tuple[s
         raise RetrievalError(
             f"corpus indexed with provider {corpus.provider_id!r}, queried with {provider.provider_id!r}"
         )
-    query_vec = provider.embed(query)
+    query_vec = provider.embed(query) if isinstance(query, str) else query
     if len(query_vec) != corpus.dimension:
         raise RetrievalError(f"dimension mismatch: {len(query_vec)} vs {corpus.dimension}")
     query_norm = math.sqrt(sum(map(operator.mul, query_vec, query_vec)))

@@ -350,3 +350,73 @@ def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, gol
         assert trace.raw_texts == {"decompose": subtasks, "recompose": plan_text}
     assert len(tool_sets) > 1
     assert compiled == Counter({(kind, names): 1 for kind in ("plan", "subtask") for names in tool_sets})
+
+
+class CountingProvider(HashEmbeddingProvider):
+    """The hashing provider, counting the texts it embeds."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        return super().embed(text)
+
+
+def test_each_run_embeds_its_query_once(fixture_registry, golden_examples, config):
+    # regains ranks tools and examples from one query embedding; enchant
+    # ranks tools only
+    provider = CountingProvider()
+    fresh = PlannerContext.build(fixture_registry, provider, golden_examples)
+    for example in golden_examples[:3]:
+        regains_model = ScriptedModel(dict(regains_replay_entries(example, fresh, config)))
+        enchant_model = ScriptedModel(dict(enchant_replay_entries(example, fresh, config)))
+        provider.calls = 0
+        trace = run_regains(example.query, fresh, regains_model, config)
+        assert provider.calls == 1
+        assert trace.final_text == example.gold_text and len(trace.retrieved_examples) == config.example_count
+        provider.calls = 0
+        run_enchant(example.query, fresh, enchant_model, config)
+        assert provider.calls == 1
+
+
+def test_regains_sends_one_embeddings_request_per_run(fixture_registry, golden_examples, config):
+    import json
+    import threading
+    from http.server import BaseHTTPRequestHandler, HTTPServer
+
+    from chainplan.retrieval import RemoteEmbeddingProvider
+
+    hashing = HashEmbeddingProvider()
+    posts = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            posts.append(self.path)
+            body = json.dumps({"data": [{"embedding": hashing.embed(payload["input"])}]}).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        provider = RemoteEmbeddingProvider(api_base=f"http://127.0.0.1:{server.server_port}", api_key="k")
+        remote = PlannerContext.build(fixture_registry, provider, golden_examples)
+        assert len(posts) == len(fixture_registry) + len(golden_examples)
+        for example in golden_examples[:2]:
+            model = ScriptedModel(dict(regains_replay_entries(example, remote, config)))
+            posts.clear()
+            trace = run_regains(example.query, remote, model, config)
+            assert posts == ["/v1/embeddings"]
+            assert trace.final_text == example.gold_text
+    finally:
+        server.shutdown()
+        server.server_close()

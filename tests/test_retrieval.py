@@ -280,13 +280,55 @@ def test_rescored_set_holds_every_tie_of_the_kth_score():
     assert retrieve_top_k("q", corpus, provider, k=10) == oracle[:10]
 
 
+def _near_unit_components(fraction, spread):
+    """64 components n_j + fraction, n_j alternating 2047 -/+ spread and
+    raised until the norm passes 2**14, which it then exceeds by less than
+    1e-5 of itself: each 2**14 * c_j / |c| keeps about that fractional part."""
+    vector = [2047 + (spread if j % 2 else -spread) + fraction for j in range(64)]
+    j = 0
+    while sum(x * x for x in vector) < 2.0 ** 28:
+        vector[j] += 1
+        j += 1
+    return vector
+
+
+def test_prescore_rounding_at_its_extreme_keeps_the_best_item():
+    # With 14 fractional bits, every component of "over" rounds up by about
+    # 0.4 and every component of "under" down by about 0.4, so "over"
+    # pre-scores about 6 * 2**14 field units above "under", although "under"
+    # scores higher in float: the cut must reach that far below the k-th
+    # pre-score.
+    query = [1.0] * 64
+    over, under = _near_unit_components(0.6, 2), _near_unit_components(0.4, 0)
+    assert cosine(query, under) > cosine(query, over)
+    fillers = [[(-1.0) ** (j // (i + 1)) for j in range(64)] for i in range(6)]
+    provider = TableProvider({"q": query, "over": over, "under": under,
+                              **{f"f{i}": v for i, v in enumerate(fillers)}})
+    corpus = index_corpus(provider, [("over", "over"), ("under", "under")]
+                          + [(f"f{i}", f"f{i}") for i in range(len(fillers))])
+    assert 1 in _candidates(corpus, query, 8.0, 1)
+    assert retrieve_top_k("q", corpus, provider, 1) == [("under", cosine(query, under))]
+
+
 def test_prescore_fields_fit_every_dimension_up_to_the_limit():
     # A quantized unit component is at most 2**Q + 1 in magnitude and |P|, a
-    # query's field sum, at most 2**(2Q) + slack, so every field stays in
-    # [0, 2**64) and cannot carry into its neighbour.
-    assert 0 <= _BIAS - (1 << _Q) - 1 and _BIAS + (1 << _Q) + 1 < 1 << 64
+    # query's field sum, at most 2**(2Q) + slack <= 2**29, so every field
+    # stays in [2**29, 3 * 2**29] and cannot carry into its neighbour.
+    assert 0 <= _BIAS - (1 << _Q) - 1 and _BIAS + (1 << _Q) + 1 < 1 << 32
     for dimension in (1, 2, 64, 1536, 3072, 1 << 20, _MAX_DIMENSION):
-        assert (1 << 2 * _Q) + _slack(dimension) < _OFFSET
+        assert (1 << 2 * _Q) + _slack(dimension) <= 1 << 29
+    # The candidate flag sum: field - cut + 2**31 stays in [0, 2**32) for the
+    # extreme fields and k-th fields, so it carries nothing across fields,
+    # and its bit 31 is set exactly when field >= cut.
+    low, high = _OFFSET - (1 << 29), _OFFSET + (1 << 29)
+    for dimension in (1, 64, 1536, _MAX_DIMENSION):
+        for kth in (low, _OFFSET, high):
+            cut = kth - 2 * _slack(dimension)
+            for field in (low, cut - 1, cut, kth, high):
+                if low <= field <= high:
+                    flagged = field - cut + (1 << 31)
+                    assert 0 <= flagged < 1 << 32
+                    assert (flagged >> 31 == 1) == (field >= cut)
     # The same bound attained: items equal to the query, its negation and
     # all-equal components of either sign, at 1,536 dimensions.
     rng = random.Random(1536)
@@ -301,6 +343,24 @@ def test_prescore_fields_fit_every_dimension_up_to_the_limit():
     for text in ("q", "flat"):
         for k in (1, 3):
             assert retrieve_top_k(text, corpus, provider, k) == _oracle_top_k(table[text], corpus, k)
+
+
+def test_about_k_items_of_a_hashed_corpus_are_rescored():
+    # 1,000 tool texts, 64-dimensional hashed trigrams, 50 queries with k = 10:
+    # the pre-score's error bound leaves few items beyond the k to rescore.
+    rng = random.Random(1000)
+    words = ("list create update delete work item sprint user account query filter sort "
+             "tag owner date priority issue ticket comment summary").split()
+    provider = HashEmbeddingProvider()
+    corpus = index_corpus(provider, [(f"tool{i:04d}", f"tool{i}: {' '.join(rng.choices(words, k=12))}")
+                                     for i in range(1000)])
+    rescored = []
+    for _ in range(50):
+        query = provider.embed(" ".join(rng.choices(words, k=8)))
+        rescored.append(len(_candidates(corpus, query, math.sqrt(sum(x * x for x in query)), 10)))
+        assert retrieve_top_k(query, corpus, provider, 10) == _oracle_top_k(query, corpus, 10)
+    assert min(rescored) >= 10
+    assert sum(rescored) / len(rescored) <= 12
 
 
 def test_items_and_queries_outside_the_safe_norm_range_are_scored_in_float():
@@ -351,7 +411,13 @@ def test_retrieve_zero_vectors_and_wrong_dimension_raise():
         retrieve_top_k("zero", corpus, provider, k=1)
     with pytest.raises(RetrievalError, match="dimension mismatch"):
         retrieve_top_k("q3", corpus, provider, k=1)
+    # a vector query is checked as an embedded text is
+    with pytest.raises(RetrievalError, match="cosine of a zero vector is undefined"):
+        retrieve_top_k(table["zero"], corpus, provider, k=1)
+    with pytest.raises(RetrievalError, match="dimension mismatch: 3 vs 2"):
+        retrieve_top_k(table["q3"], corpus, provider, k=1)
     assert retrieve_top_k("q", corpus, provider, k=1) == [("a", cosine([0.5, 0.5], [1.0, -2.0]))]
+    assert retrieve_top_k(table["q"], corpus, provider, k=1) == retrieve_top_k("q", corpus, provider, k=1)
 
 
 def test_hash_embeddings_are_pinned(fixture_registry, golden_examples):
@@ -371,7 +437,7 @@ def test_retrieve_rejects_non_finite_query():
     table = {"a": [1.0, 0.0], "z": [0.0, 1.0], "nan": [float("nan"), 1.0], "inf": [float("inf"), 1.0]}
     provider = TableProvider(table)
     corpus = index_corpus(provider, [("z", "z"), ("a", "a")])
-    for query in ("nan", "inf"):
+    for query in ("nan", "inf", table["nan"], table["inf"]):
         with pytest.raises(RetrievalError, match="NaN or infinite"):
             retrieve_top_k(query, corpus, provider, k=2)
 
@@ -415,8 +481,11 @@ def test_retrieve_empty_corpus_errors():
 def test_retrieve_provider_mismatch():
     provider = HashEmbeddingProvider()
     corpus = index_corpus(provider, [("a", "text")])
-    with pytest.raises(RetrievalError):
-        retrieve_top_k("q", corpus, HashEmbeddingProvider(seed=9), k=1)
+    other = HashEmbeddingProvider(seed=9)
+    for query in ("q", other.embed("q")):
+        with pytest.raises(RetrievalError, match="corpus indexed with provider 'hash-trigram-64-0', "
+                                                 "queried with 'hash-trigram-64-9'"):
+            retrieve_top_k(query, corpus, other, k=1)
 
 
 def test_top_n_recall_hand_counted():
