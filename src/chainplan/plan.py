@@ -9,7 +9,7 @@ The wire format is a JSON array of calls::
 An argument value is the value that was on the wire: a string, number,
 boolean, null or object as JSON gives it, and each array a tuple. A whole
 ``"$$PREV[i]"`` string (0-indexed, ``i`` without a leading zero), at the top
-of a value or directly inside an array, decodes to :class:`PrevRef`, the one
+of a value or inside arrays at any depth, decodes to :class:`PrevRef`, the one
 wrapper a plan adds to JSON; every other string stays a string, and strings
 inside objects are never references. Parsing and serialization are pure,
 and plans are immutable.
@@ -111,7 +111,7 @@ def _decode_value(raw: Any) -> ArgValue:
         return tuple(_decode_value(item) for item in raw)
     # Scalars and objects stay as they are; prev-ref strings nested inside
     # objects are NOT recognized (references live at argument top level
-    # or directly inside an array).
+    # or inside arrays).
     return raw
 
 

@@ -1,16 +1,22 @@
-"""Directed tool-compatibility graph and ``$$PREV`` wrapping repair.
+"""Tool-compatibility graph, the one wiring verdict, and ``$$PREV`` repair.
 
 An edge of weight 1 from tool A to argument g of tool B means A's return type
 equals g's type exactly; weight 2 means g is list-typed and A's return type
 equals its element type. At most one edge can exist per (A, B, g) triple
-because a type never equals a list of itself. The graph keeps only the types;
-edges are computed from them when asked for.
+because a type never equals a list of itself. The graph is a view of the
+registry, and edges are computed from it when asked for.
+
+``check_ref`` classifies a referenced value; ``repair_plan`` acts on it. A
+bare reference, or one alone in an array, may sit on either edge; a wrapping
+that disagrees is a repairable mismatch. Any other reference nested d arrays
+deep fits only if g's type less d list layers is A's return type.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
 from .plan import ArgValue, Plan, PrevRef
 from .registry import Registry, ValueType
@@ -28,38 +34,38 @@ class TypeEdge:
     weight: int  # 1 = direct, 2 = list-wrapped
 
 
-class TypeGraph:
-    """Immutable after build; check/repair are pure and safe to share."""
+def _layers(source: ValueType, target: ValueType | None) -> int | None:
+    """How many list layers of ``target`` wrap ``source``, if any number does."""
+    depth = 0
+    while target is not None and target != source:
+        target, depth = target.element, depth + 1
+    return None if target is None else depth
 
-    def __init__(self, returns: dict[str, ValueType], arguments: dict[str, dict[str, ValueType]]):
-        self.tool_names = frozenset(returns)
-        self._returns = returns
-        self._arguments = arguments
+
+class TypeGraph:
+    """A view of one registry; check/repair are pure and safe to share."""
+
+    def __init__(self, registry: Registry):
+        self._registry = registry
 
     def edge_weight(self, from_tool: str, to_tool: str, argument: str) -> int | None:
-        source = self._returns.get(from_tool)
-        target = self._arguments.get(to_tool, {}).get(argument)
-        if source is None or target is None:
-            return None
-        if target == source:
-            return 1
-        if target.is_list and target.element == source:
-            return 2
-        return None
+        source, spec = self._registry.get(from_tool), self._registry.get(to_tool)
+        arg = spec.argument(argument) if spec is not None else None
+        depth = _layers(source.returns, arg.value_type) if source is not None and arg is not None else None
+        return depth + 1 if depth in (0, 1) else None
 
     @property
     def edges(self) -> frozenset[TypeEdge]:
         """Every edge, found through an index of the tools by return type."""
         by_return: dict[ValueType, list[str]] = defaultdict(list)
-        for tool, returns in self._returns.items():
-            by_return[returns].append(tool)
+        for spec in self._registry.tools.values():
+            by_return[spec.returns].append(spec.name)
         edges = set()
-        for to_tool, arguments in self._arguments.items():
-            for argument, target in arguments.items():
-                feeds = [(1, target)] + ([(2, target.element)] if target.is_list else [])
-                for weight, source in feeds:
+        for to_spec in self._registry.tools.values():
+            for arg in to_spec.arguments:
+                for weight, source in ((1, arg.value_type), (2, arg.value_type.element)):
                     for from_tool in by_return.get(source, ()):
-                        edges.add(TypeEdge(from_tool, to_tool, argument, weight))
+                        edges.add(TypeEdge(from_tool, to_spec.name, arg.name, weight))
         return frozenset(edges)
 
     def dump(self) -> list[dict]:
@@ -75,95 +81,78 @@ def build_graph(registry: Registry) -> TypeGraph:
     """Edge (A, B, g) with weight 1 iff returns(A) = type(g), weight 2 iff
     type(g) = list of returns(A); no edge otherwise. Ordered pairs include
     A = B since a tool may feed a later call of itself."""
-    return TypeGraph(
-        {name: spec.returns for name, spec in registry.tools.items()},
-        {name: {arg.name: arg.value_type for arg in spec.arguments} for name, spec in registry.tools.items()},
-    )
+    return TypeGraph(registry)
 
 
 @dataclass(frozen=True)
 class CheckResult:
     status: str  # COMPATIBLE | INCOMPATIBLE | NOT_A_PREV_REF
-    weight: int | None = None
+    weight: int | None = None  # of the first reference: w - 1 list layers wrap its type
     wrapping_mismatch: bool = False
     note: str | None = None
+    errors: tuple[str, ...] = ()  # one per reference without a fitting edge
 
     @property
     def compatible(self) -> bool:
         return self.status == COMPATIBLE
 
 
-def _edge_for(graph: TypeGraph, plan: Plan, position: int, ref: PrevRef, argument: str) -> tuple[int | None, str | None]:
-    """(weight, error) for the edge feeding ``ref`` into the call's argument."""
+def _references(value: ArgValue, depth: int = 0) -> Iterator[tuple[PrevRef, int]]:
+    """Every reference in ``value`` with the number of arrays around it."""
+    if isinstance(value, PrevRef):
+        yield value, depth
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _references(item, depth + 1)
+
+
+def _edge_for(graph: TypeGraph, plan: Plan, position: int, argument: str,
+              ref: PrevRef, depth: int, relaxed: bool) -> tuple[int | None, str | None]:
+    """(weight, error) for ``ref`` nested ``depth`` arrays deep in the call's
+    argument. A weight w means the return type fits w - 1 list layers deep;
+    a relaxed reference takes weight 1 or 2, any other only ``depth + 1``."""
     if not 0 <= ref.index < position:
         return None, f"reference $$PREV[{ref.index}] does not point strictly backwards"
-    to_tool = plan.calls[position].tool_name
-    from_tool = plan.calls[ref.index].tool_name
-    if from_tool not in graph.tool_names or to_tool not in graph.tool_names:
+    source = graph._registry.get(plan.calls[ref.index].tool_name)
+    spec = graph._registry.get(plan.calls[position].tool_name)
+    if source is None or spec is None:
         return None, "unknown tool"
-    weight = graph.edge_weight(from_tool, to_tool, argument)
-    if weight is None:
-        return None, f"no type edge {from_tool} -> {to_tool}.{argument}"
-    return weight, None
-
-
-@dataclass(frozen=True)
-class _RefValue:
-    """How one argument value references earlier calls."""
-
-    ref: PrevRef | None  # the one reference of a bare or singleton value
-    wrapped: bool  # the value is an array
-    weight: int | None  # weight of the edge the value sits on
-    errors: tuple[str, ...]  # one per reference without a fitting edge
-
-    @property
-    def wrapping_mismatch(self) -> bool:
-        return not self.errors and self.weight != (2 if self.wrapped else 1)
-
-
-def _classify(graph: TypeGraph, plan: Plan, position: int, argument: str,
-              value: ArgValue) -> _RefValue | None:
-    """Classify a bare reference, a singleton array holding one, or a
-    multi-element array holding some; ``None`` for any other value."""
-    if isinstance(value, PrevRef):
-        ref, wrapped = value, False
-    elif isinstance(value, tuple) and any(isinstance(item, PrevRef) for item in value):
-        if len(value) > 1:
-            # Multi-element arrays: each referenced element needs its own
-            # weight-2 edge; unwrapping would drop siblings.
-            errors = []
-            for item in value:
-                if isinstance(item, PrevRef):
-                    weight, error = _edge_for(graph, plan, position, item, argument)
-                    if weight != 2:
-                        errors.append(error or "array element without a list-wrapped edge")
-            return _RefValue(None, True, 2, tuple(errors))
-        ref, wrapped = value[0], True
-    else:
-        return None
-    weight, error = _edge_for(graph, plan, position, ref, argument)
-    return _RefValue(ref, wrapped, weight, () if weight is not None else (error,))
+    arg = spec.argument(argument)
+    fit = _layers(source.returns, arg.value_type) if arg is not None else None
+    if fit == depth or (relaxed and fit in (0, 1)):
+        return fit + 1, None
+    if depth < 2 and fit == 0:
+        return None, "array element without a list-wrapped edge"
+    missing = f"no type edge {source.name} -> {spec.name}.{argument}"
+    return None, missing if depth < 2 else f"{missing} for $$PREV[{ref.index}] at array depth {depth}"
 
 
 def check_ref(graph: TypeGraph, plan: Plan, position: int, argument: str) -> CheckResult:
-    """Check the reference held by one argument of one call.
+    """Check the references held by one argument of one call.
 
     Compatible with matching wrapping when a bare value sits on a weight-1
     edge or an array-wrapped value on a weight-2 edge; compatible with a
     wrapping-mismatch note when the edge exists but the wrapping disagrees.
+    Otherwise incompatible, with one error per reference that does not fit
+    and ``note`` the first of them.
     """
     value = plan.calls[position].argument(argument)
     if value is None:
         return CheckResult(status=NOT_A_PREV_REF, note=f"no argument {argument!r} on call {position}")
-    found = _classify(graph, plan, position, argument, value)
-    if found is None:
+    refs = list(_references(value))
+    if not refs:
         return CheckResult(status=NOT_A_PREV_REF)
-    if found.errors:
-        return CheckResult(status=INCOMPATIBLE, note=found.errors[0])
-    if found.wrapping_mismatch:
-        note = "array where bare value required" if found.wrapped else "bare value where array required"
-        return CheckResult(status=COMPATIBLE, weight=found.weight, wrapping_mismatch=True, note=note)
-    return CheckResult(status=COMPATIBLE, weight=found.weight)
+    first, depth = refs[0]
+    relaxed = value == first or value == (first,)  # bare, or alone in an array
+    verdicts = [_edge_for(graph, plan, position, argument, ref, d, relaxed) for ref, d in refs]
+    errors = tuple(error for _, error in verdicts if error is not None)
+    if errors:
+        return CheckResult(status=INCOMPATIBLE, note=errors[0], errors=errors)
+    weight = verdicts[0][0]
+    if weight != depth + 1:
+        note = "array where bare value required" if depth else "bare value where array required"
+        return CheckResult(status=COMPATIBLE, weight=weight, wrapping_mismatch=True, note=note)
+    return CheckResult(status=COMPATIBLE, weight=weight)
 
 
 @dataclass(frozen=True)
@@ -172,26 +161,6 @@ class Repair:
     argument: str
     action: str  # "wrapped" | "unwrapped" | "unrepaired"
     detail: str
-
-
-def _repair_value(graph: TypeGraph, plan: Plan, position: int, argument: str,
-                  value: ArgValue, repairs: list[Repair]) -> ArgValue:
-    found = _classify(graph, plan, position, argument, value)
-    if found is None:
-        return value
-    for error in found.errors:
-        repairs.append(Repair(position, argument, "unrepaired", error))
-    if not found.wrapping_mismatch:
-        return value
-    tool = plan.calls[position].tool_name
-    ref = found.ref
-    if found.wrapped:
-        repairs.append(Repair(position, argument, "unwrapped",
-                              f"[$$PREV[{ref.index}]] unwrapped to bare value for {tool}.{argument}"))
-        return ref
-    repairs.append(Repair(position, argument, "wrapped",
-                          f"$$PREV[{ref.index}] wrapped into array for {tool}.{argument}"))
-    return (ref,)
 
 
 def repair_plan(graph: TypeGraph, plan: Plan) -> tuple[Plan, list[Repair]]:
@@ -204,9 +173,18 @@ def repair_plan(graph: TypeGraph, plan: Plan) -> tuple[Plan, list[Repair]]:
     repairs: list[Repair] = []
     calls: list = []
     for position, call in enumerate(plan.calls):
-        new_args = tuple(
-            (name, _repair_value(graph, plan, position, name, value, repairs))
-            for name, value in call.arguments
-        )
-        calls.append(type(call)(tool_name=call.tool_name, arguments=new_args))
+        arguments = []
+        for name, value in call.arguments:
+            result = check_ref(graph, plan, position, name)
+            repairs.extend(Repair(position, name, "unrepaired", error) for error in result.errors)
+            if result.wrapping_mismatch and isinstance(value, PrevRef):
+                repairs.append(Repair(position, name, "wrapped",
+                                      f"$$PREV[{value.index}] wrapped into array for {call.tool_name}.{name}"))
+                value = (value,)
+            elif result.wrapping_mismatch:
+                value = value[0]
+                repairs.append(Repair(position, name, "unwrapped",
+                                      f"[$$PREV[{value.index}]] unwrapped to bare value for {call.tool_name}.{name}"))
+            arguments.append((name, value))
+        calls.append(type(call)(tool_name=call.tool_name, arguments=tuple(arguments)))
     return Plan(calls=tuple(calls)), repairs

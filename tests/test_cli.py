@@ -378,3 +378,75 @@ def test_check_self_reference_reported_once(runner):
     result = runner.invoke(main, ["check"], input=plan_text)
     assert result.exit_code == 1
     assert result.output.count("error:") == 1, result.output
+
+
+def test_check_reference_two_arrays_deep_exits_one(runner):
+    plan_text = ('[{"tool_name":"who_am_i","arguments":[]},'
+                 '{"tool_name":"works_list","arguments":[{"argument_name":"owned_by","argument_value":[["$$PREV[0]"]]}]}]')
+    result = runner.invoke(main, ["check"], input=plan_text)
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "error: call 1 argument 'owned_by': no type edge who_am_i -> works_list.owned_by for $$PREV[0] at array depth 2",
+    ]
+
+
+def test_check_reference_two_arrays_deep_into_list_of_lists_ok(runner, tmp_path):
+    tools = tmp_path / "tools.json"
+    tools.write_text(json.dumps([{
+        "tool_name": "t", "tool_description": "t", "return_type": "string",
+        "arguments": [{"argument_name": "a", "argument_description": "a", "argument_type": "array of array of string"}],
+    }]), encoding="utf-8")
+    plan_text = ('[{"tool_name":"t","arguments":[]},'
+                 '{"tool_name":"t","arguments":[{"argument_name":"a","argument_value":[["$$PREV[0]"]]}]}]')
+    result = runner.invoke(main, ["check", "--tools", str(tools)], input=plan_text)
+    assert result.exit_code == 0, result.output
+    assert result.output == "ok\n"
+
+
+def test_repair_json_format(runner, golden_examples):
+    gold = json.loads(golden_examples[0].gold_text)
+    miswrapped = json.loads(golden_examples[0].gold_text)
+    miswrapped[1]["arguments"][0]["argument_value"] = "$$PREV[0]"
+    miswrapped[2]["arguments"][0]["argument_value"] = ["$$PREV[1]"]
+    result = runner.invoke(main, ["repair", "--format", "json"], input=json.dumps(miswrapped))
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {"plan": gold, "repairs": [
+        {"position": 1, "argument": "owned_by", "action": "wrapped",
+         "detail": "$$PREV[0] wrapped into array for works_list.owned_by"},
+        {"position": 2, "argument": "objects", "action": "unwrapped",
+         "detail": "[$$PREV[1]] unwrapped to bare value for prioritize_objects.objects"},
+    ]}
+
+
+def test_enforce_json_format(runner):
+    plan_text = '[{"tool_name":"who_am_i","arguments":[]}]'
+    result = runner.invoke(main, ["enforce", "--format", "json"], input=plan_text + "!")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {
+        "text": plan_text, "edits": [{"kind": "truncate", "position": len(plan_text), "text": "!"}],
+    }
+
+
+def test_tools_json_format(runner, fixture_registry):
+    result = runner.invoke(main, ["tools", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {
+        "version": fixture_registry.version, "tools": list(fixture_registry.names), "diagnostics": [],
+    }
+
+
+def test_eval_csv_format(runner, tmp_path, golden_examples):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(
+        "\n".join(json.dumps({"predicted": ex.gold_text}) for ex in golden_examples) + "\n",
+        encoding="utf-8",
+    )
+    result = runner.invoke(main, [
+        "eval", "--dataset", str(GOLDEN_PATH), "--predictions", str(predictions),
+        "--format", "csv", "--trace", str(tmp_path / "t.json"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == [
+        "ir,nr,hr,mr,bleu,rouge_l_f1,invalid_json_rate,correct_path_rate",
+        "0.000,1.000,0.000,0.000,1.000,1.000,0.000,1.000",
+    ]

@@ -1,7 +1,8 @@
 import random
 
 from chainplan.plan import Plan, PrevRef, ToolCall, iter_prev_refs
-from chainplan.typegraph import TypeEdge, build_graph, check_ref, repair_plan
+from chainplan.registry import ArgSpec, Registry, ToolSpec, list_of, primitive
+from chainplan.typegraph import Repair, TypeEdge, build_graph, check_ref, repair_plan
 
 from conftest import random_plan, random_registry
 
@@ -166,3 +167,75 @@ def test_post_repair_check_passes_for_every_edged_reference():
                 result = check_ref(graph, repaired, position, name)
                 if result.compatible:
                     assert not result.wrapping_mismatch, (position, name, value)
+
+
+def test_forward_reference_in_array_is_unrepaired(fixture_registry):
+    graph = build_graph(fixture_registry)
+    plan = Plan((
+        ToolCall("who_am_i"),
+        ToolCall("works_list", (("owned_by", (PrevRef(1),)),)),
+    ))
+    detail = "reference $$PREV[1] does not point strictly backwards"
+    result = check_ref(graph, plan, 1, "owned_by")
+    assert result.status == "incompatible"
+    assert result.note == detail
+    repaired, repairs = repair_plan(graph, plan)
+    assert repaired == plan
+    assert repairs == [Repair(1, "owned_by", "unrepaired", detail)]
+
+
+def test_reference_among_literals_on_weight_two_edge(fixture_registry):
+    graph = build_graph(fixture_registry)
+    plan = Plan((
+        ToolCall("who_am_i"),
+        ToolCall("works_list", (("owned_by", (PrevRef(0), "x")),)),
+    ))
+    result = check_ref(graph, plan, 1, "owned_by")
+    assert result.compatible
+    assert result.weight == 2
+    assert not result.wrapping_mismatch
+    assert repair_plan(graph, plan) == (plan, [])
+
+
+def test_array_elements_on_weight_one_edge_are_unrepaired(fixture_registry):
+    graph = build_graph(fixture_registry)
+    plan = Plan((
+        ToolCall("works_list"),
+        ToolCall("prioritize_objects", (("objects", (PrevRef(0), PrevRef(0))),)),
+    ))
+    repaired, repairs = repair_plan(graph, plan)
+    assert repaired == plan
+    assert repairs == [Repair(1, "objects", "unrepaired", "array element without a list-wrapped edge")] * 2
+    assert check_ref(graph, plan, 1, "objects").note == repairs[0].detail
+
+
+def test_reference_two_arrays_deep_without_fitting_type_is_unrepaired(fixture_registry):
+    graph = build_graph(fixture_registry)
+    plan = Plan((
+        ToolCall("who_am_i"),
+        ToolCall("works_list", (("owned_by", ((PrevRef(0),),)),)),
+    ))
+    detail = "no type edge who_am_i -> works_list.owned_by for $$PREV[0] at array depth 2"
+    result = check_ref(graph, plan, 1, "owned_by")
+    assert result.status == "incompatible"
+    assert result.note == detail
+    assert result.errors == (detail,)
+    assert repair_plan(graph, plan) == (plan, [Repair(1, "owned_by", "unrepaired", detail)])
+
+
+def test_reference_two_arrays_deep_fits_a_list_of_lists():
+    string = primitive("string")
+    registry = Registry.from_tools([ToolSpec(
+        "t", "a tool", (ArgSpec("a", "rows", list_of(list_of(string))),), string,
+    )])
+    graph = build_graph(registry)
+    for value in [((PrevRef(0),),), ((PrevRef(0), "x"), ("y",))]:
+        plan = Plan((ToolCall("t"), ToolCall("t", (("a", value),))))
+        result = check_ref(graph, plan, 1, "a")
+        assert result.compatible, value
+        assert not result.wrapping_mismatch and result.errors == ()
+        assert repair_plan(graph, plan) == (plan, [])
+    # a reference directly inside the outer array, or bare, does not fit
+    for value in [(PrevRef(0),), PrevRef(0), ((PrevRef(0),), PrevRef(0))]:
+        plan = Plan((ToolCall("t"), ToolCall("t", (("a", value),))))
+        assert check_ref(graph, plan, 1, "a").status == "incompatible", value
