@@ -215,9 +215,13 @@ def cmd_enforce(tools, in_file, fmt):
 @click.option("--in", "in_file", type=_FILE, default=None, help="Plan JSON file (stdin otherwise).")
 @click.option("--out", default=None, help="Write the execution trace here instead of stdout.")
 def cmd_exec(tools, in_file, out):
-    """Execute a plan on the bundled stub runtime."""
-    _load_registry_arg(tools, with_operators=True)
+    """Execute a plan on the bundled stub runtime. A plan with unknown names
+    or bad references against the registry is refused before the first call."""
+    registry = _load_registry_arg(tools, with_operators=True)
     plan = _read_plan(in_file)
+    findings = validate_refs(plan, registry)
+    if findings:
+        _fail(f"{findings[0].message} ({len(findings)} finding(s) in all; chainplan check lists them)")
     try:
         trace = execute(plan, StubRuntime())
     except ExecutionError as exc:

@@ -16,8 +16,9 @@ the text goes on in once the piece is done:
 
 - literal ``("lit", text, i, then)`` matches ``text[i]`` and, at the end of
   ``text``, continues in ``then``;
-- name ``("name", prefix)`` spells one of the automaton's sorted names and,
-  after its closing quote, continues in ``_after_name(name)``;
+- name ``("name", key, prefix)`` spells one of the sorted names the
+  automaton maps ``key`` to and, after its closing quote, continues in
+  ``_after_name(key, name)``. ``key`` is None for tool names;
 - array ``("open"|"sep", item, close)``, after ``[`` or after a record: a
   record opens with the literal ``item`` (``None``: no further record), and
   ``]`` continues in ``close``;
@@ -29,18 +30,18 @@ the text goes on in once the piece is done:
   that takes it. Only a number ends without a closing character: a
   character it does not take is stepped from ``then``.
 
-The sub-task automaton is these pieces alone. The plan automaton adds
-``("aname", tool, used, prefix)``, which spells an argument of ``tool`` not
-yet ``used`` and goes on in the literal ``,"argument_value":`` and the
-argument's value. One number machine serves integers, floats and the
-unsigned sub-task ids and reference indices, which are canonical (no
-leading zero). An object's keys are strings, and a member's value is a
-union of string, float, boolean and null. No value is capped in length:
-no state counts characters. The next-character set of a state is derived
-from the transition over printable ASCII. That set is exact because tool and argument names are
-identifiers (``[A-Za-z0-9_]+``), which a ``Registry`` guarantees when it is
-built and the sub-task automaton checks at compile time, and every other
-accepted character is printable ASCII.
+Both automata are these pieces alone: the plan automaton's argument names
+are name pieces keyed by ``(tool, used)``, the arguments of ``tool`` not yet
+``used``, each going on in ``,"argument_value":`` and its value. One number
+machine serves integers, floats and the unsigned sub-task ids and reference
+indices, which are canonical (no leading zero). An object's keys are
+strings, and a member's value is a union of string, float, boolean and null.
+No value is capped in length: no state counts characters. The next-character
+set of a state is derived from the transition over printable ASCII. That set
+is exact because tool and argument names are identifiers
+(``[A-Za-z0-9_]+``), which a ``Registry`` guarantees when it is built and
+the sub-task automaton checks at compile time, and every other accepted
+character is printable ASCII.
 Each automaton memoizes those sets on a state's shape, which allows the same
 characters: a literal or open-string state without its ``then``, any other
 state as itself. The memo is bounded and cleared when full. Sessions share
@@ -168,17 +169,17 @@ def _member(then: tuple) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Automata: one transition over the pieces of the module docstring.
-# Subclasses supply names, a top-level item, ``_after_name`` and, for states
-# of their own, ``_own_step``.
+# Subclasses supply the tool names, a top-level item and ``_after_name``; the
+# plan automaton also keys argument names in ``_names``.
 # ---------------------------------------------------------------------------
 
 _ACCEPT = ("accept",)
 
 
-def _extends(names: tuple[str, ...], prefix: str) -> bool:
-    """Whether some name of the sorted tuple ``names`` starts with ``prefix``."""
+def _first_from(names: tuple[str, ...], prefix: str) -> str:
+    """The first name of the sorted tuple ``names`` not below ``prefix``, or ""."""
     i = bisect_left(names, prefix)
-    return i < len(names) and names[i].startswith(prefix)
+    return names[i] if i < len(names) else ""
 
 
 # Next-character sets an automaton keeps before it clears them all.
@@ -191,15 +192,18 @@ _SHAPE_TAGS = _STRING_TAGS | {"lit"}
 
 
 class _Automaton:
-    def __init__(self, names: tuple[str, ...], item: tuple):
-        self._names = names
-        self._name_set = frozenset(names)
+    def __init__(self, tools: tuple[str, ...], item: tuple):
+        self._tools = tools
         self.initial_state = ("lit", "[", 0, ("open", item, _ACCEPT))
         self._item_close = ("lit", "}", 0, ("sep", item, _ACCEPT))
         self._allowed: dict[tuple, frozenset[str]] = {}
 
     def accepting(self, state: tuple) -> bool:
         return state == _ACCEPT
+
+    def _names(self, key) -> tuple[str, ...]:
+        """The sorted names the name piece keyed by ``key`` spells."""
+        return self._tools
 
     def transition(self, state: tuple, ch: str):  # noqa: C901 - one dispatcher
         """The state after ``ch``, or None if ``state`` does not take it."""
@@ -230,11 +234,12 @@ class _Automaton:
             return ("s", then) if k == 3 else ("su", k + 1, then)
 
         if tag == "name":
-            prefix = state[1]
-            if ch == '"' and prefix in self._name_set:
-                return self._after_name(prefix)
+            _, key, prefix = state
+            names = self._names(key)
+            if ch == '"':
+                return self._after_name(key, prefix) if _first_from(names, prefix) == prefix else None
             cand = prefix + ch
-            return ("name", cand) if _extends(self._names, cand) else None
+            return ("name", key, cand) if _first_from(names, cand).startswith(cand) else None
         if tag == "open" or tag == "sep":
             _, item, close = state
             if ch == "]":
@@ -291,7 +296,7 @@ class _Automaton:
                 return _start(state[1], state)
             return state[2] if ch == "]" else None
 
-        return None if tag == "accept" else self._own_step(state, ch)
+        return None
 
     def allowed(self, state: tuple) -> frozenset[str]:
         """The printable ASCII characters ``transition`` accepts from ``state``.
@@ -318,38 +323,33 @@ class _Automaton:
 class PlanAutomaton(_Automaton):
     """Deterministic character acceptor for schema-valid plan texts:
     ``[{"tool_name":name,"arguments":[{"argument_name":arg,"argument_value":value}]}]``.
-    An argument list offers no further item once every argument is used."""
+    An argument list offers no further item once every argument is used;
+    argument names are read from the registry, which is not copied."""
 
     def __init__(self, registry: Registry):
         if not registry.tools:
             raise SchemaCompileError("cannot compile a schema for an empty registry")
-        super().__init__(tuple(sorted(registry.tools)), ("lit", '{"tool_name":"', 0, ("name", "")))
-        self._args = {name: spec.argument_names for name, spec in registry.tools.items()}
-        self._arg_specs = {
-            (name, arg.name): argument_value_spec(arg.value_type)
-            for name, spec in registry.tools.items()
-            for arg in spec.arguments
-        }
+        super().__init__(tuple(sorted(registry.tools)), ("lit", '{"tool_name":"', 0, ("name", None, "")))
+        self._registry = registry
 
-    def _after_name(self, tool: str) -> tuple:
-        return ("lit", ',"arguments":[', 0, ("open", self._arg_item(tool, frozenset()), self._item_close))
+    def _names(self, key) -> tuple[str, ...]:
+        if key is None:
+            return self._tools
+        tool, used = key
+        return tuple(sorted(a for a in self._registry.tools[tool].argument_names if a not in used))
+
+    def _after_name(self, key, name: str) -> tuple:
+        if key is None:
+            return ("lit", ',"arguments":[', 0, ("open", self._arg_item(name, frozenset()), self._item_close))
+        tool, used = key
+        then = ("lit", "}", 0, ("sep", self._arg_item(tool, used | {name}), self._item_close))
+        spec = argument_value_spec(self._registry.tools[tool].argument(name).value_type)
+        return ("lit", ',"argument_value":', 0, _start(spec, then))
 
     def _arg_item(self, tool: str, used: frozenset):
-        if len(used) == len(self._args[tool]):
+        if len(used) == len(self._registry.tools[tool].arguments):
             return None
-        return ("lit", '{"argument_name":"', 0, ("aname", tool, used, ""))
-
-    def _own_step(self, state: tuple, ch: str):
-        """``("aname", tool, used, prefix)``: an argument of ``tool`` not in ``used``."""
-        _, tool, used, prefix = state
-        unused = [a for a in self._args[tool] if a not in used]
-        if ch == '"' and prefix in unused:
-            then = ("lit", "}", 0, ("sep", self._arg_item(tool, used | {prefix}), self._item_close))
-            return ("lit", ',"argument_value":', 0, _start(self._arg_specs[(tool, prefix)], then))
-        cand = prefix + ch
-        if any(a.startswith(cand) for a in unused):
-            return ("aname", tool, used, cand)
-        return None
+        return ("lit", '{"argument_name":"', 0, ("name", (tool, used), ""))
 
 
 def compile_schema(registry: Registry) -> PlanAutomaton:
@@ -367,11 +367,11 @@ class SubTaskAutomaton(_Automaton):
         for name in names:
             if not IDENTIFIER_PATTERN.fullmatch(name):
                 raise SchemaCompileError(f"tool name {name!r} is not an identifier")
-        tool = ("lit", ',"tool_name":"', 0, ("name", ""))
+        tool = ("lit", ',"tool_name":"', 0, ("name", None, ""))
         thought = ("lit", ',"thought":', 0, _start(("string",), tool))
         super().__init__(names, ("lit", '{"id":', 0, _start(("uint",), thought)))
 
-    def _after_name(self, name: str) -> tuple:
+    def _after_name(self, key, name: str) -> tuple:
         return self._item_close
 
 

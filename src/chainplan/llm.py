@@ -4,8 +4,11 @@ decoding glue.
 Scripted models make every pipeline reproducible at desk scale: a replay maps
 prompt fingerprints to canned responses, bit-deterministic across runs. The
 remote client speaks the OpenAI-compatible chat completions wire format with
-bounded exponential backoff. Call accounting is exact: every ``complete`` or
-``constrained_complete`` invocation bumps the owning client's counters.
+bounded exponential backoff. Call accounting is exact and in one place:
+``_counted`` builds the result of every model call, from ``complete`` or from
+``constrained_complete``'s token path, and bumps the owning client's
+counters. A repaired completion is the underlying call's result with the
+projected text.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .enforcer import DecoderSession, enforced_repair, vocabulary_index
@@ -66,6 +69,25 @@ class CompletionResult:
 def estimate_tokens(text: str) -> int:
     """Rough budget estimate: about four characters per token."""
     return (len(text) + 3) // 4
+
+
+def _counted(model, request: CompletionRequest, text: str, latency_s: float,
+             mode: str = "plain", usage: dict | None = None) -> CompletionResult:
+    """The result of one call of ``model``, counted on its ``calls``,
+    ``prompt_tokens`` and ``completion_tokens``. Token counts come from the
+    server's ``usage`` where it gives them, else from ``estimate_tokens``."""
+    usage = usage or {}
+    result = CompletionResult(
+        text=text,
+        prompt_tokens=int(usage.get("prompt_tokens", estimate_tokens(request.prompt))),
+        completion_tokens=int(usage.get("completion_tokens", estimate_tokens(text))),
+        latency_s=latency_s,
+        mode=mode,
+    )
+    model.calls += 1
+    model.prompt_tokens += result.prompt_tokens
+    model.completion_tokens += result.completion_tokens
+    return result
 
 
 def fingerprint(prompt: str) -> str:
@@ -129,17 +151,7 @@ class ScriptedModel:
         response = self._by_fp.get(fp)
         if response is None:
             raise ReplayMismatchError(fp)
-        self.calls += 1
-        prompt_tokens = estimate_tokens(request.prompt)
-        completion_tokens = estimate_tokens(response)
-        self.prompt_tokens += prompt_tokens
-        self.completion_tokens += completion_tokens
-        return CompletionResult(
-            text=response,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            latency_s=0.0,
-        )
+        return _counted(self, request, response, 0.0)
 
 
 class ScriptedTokenModel:
@@ -205,18 +217,7 @@ class RemoteChatModel:
             text = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise CompletionError(f"malformed chat completion response: {exc}") from exc
-        usage = body.get("usage", {})
-        prompt_tokens = int(usage.get("prompt_tokens", estimate_tokens(request.prompt)))
-        completion_tokens = int(usage.get("completion_tokens", estimate_tokens(text)))
-        self.calls += 1
-        self.prompt_tokens += prompt_tokens
-        self.completion_tokens += completion_tokens
-        return CompletionResult(
-            text=text,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            latency_s=latency,
-        )
+        return _counted(self, request, text, latency, usage=body.get("usage"))
 
 
 def _tail(emitted: str, keep: int = 60) -> str:
@@ -257,30 +258,12 @@ def constrained_complete(model, request: CompletionRequest, session: DecoderSess
                 )
         if not session.at_end:
             raise CompletionError("scripted token steps exhausted before the schema accepted")
-        model.calls += 1
-        text = session.emitted
-        completion_tokens = estimate_tokens(text)
-        prompt_tokens = estimate_tokens(request.prompt)
-        model.prompt_tokens += prompt_tokens
-        model.completion_tokens += completion_tokens
-        return CompletionResult(
-            text=text,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-            latency_s=time.monotonic() - started,
-            mode="enforced",
-        )
+        return _counted(model, request, session.emitted, time.monotonic() - started, "enforced")
 
     result = model.complete(request)
     repaired, _ = enforced_repair(session.automaton, result.text)
     session.advance(repaired)
-    return CompletionResult(
-        text=repaired,
-        prompt_tokens=result.prompt_tokens,
-        completion_tokens=result.completion_tokens,
-        latency_s=result.latency_s,
-        mode="repaired",
-    )
+    return replace(result, text=repaired, mode="repaired")
 
 
 def load_replay(path: str | Path) -> ScriptedModel:

@@ -10,6 +10,7 @@ state/action-framed prompt seeded with curated insights, completes once,
 projects the output onto the plan schema if needed, and finishes with
 type-graph repair.
 
+Both build their trace in ``_trace``, from one record per model call.
 Prompt assembly is exposed as pure functions so replays can be authored
 offline and prompt budgets checked without any model call.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .datasets import GoldenExample
@@ -331,6 +332,29 @@ def _request(prompt: str, config: PipelineConfig) -> CompletionRequest:
     )
 
 
+def _trace(pipeline: str, query: str, retrieved: list[tuple[str, float]], example_ids: list[str],
+           stages: list[tuple], plan: Plan, ctx: PlannerContext) -> PipelineTrace:
+    """The trace of one run, from one ``(stage, prompt, result)`` record per
+    model call, in call order, and the parsed ``plan``, which is type-graph
+    repaired here. A result's text is the stage's raw text."""
+    final_plan, repairs = repair_plan(ctx.graph, plan)
+    return PipelineTrace(
+        pipeline=pipeline,
+        query=query,
+        retrieved_tools=retrieved,
+        retrieved_examples=example_ids,
+        prompts={stage: prompt for stage, prompt, _ in stages},
+        raw_texts={stage: result.text for stage, _, result in stages},
+        enforcement={stage: result.mode for stage, _, result in stages},
+        repairs=[repair.__dict__ for repair in repairs],
+        final_plan=final_plan,
+        final_text=serialize_plan(final_plan),
+        llm_calls=len(stages),
+        prompt_tokens=sum(result.prompt_tokens for _, _, result in stages),
+        completion_tokens=sum(result.completion_tokens for _, _, result in stages),
+    )
+
+
 def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig | None = None) -> PipelineTrace:
     """Retrieve, decompose under the sub-task schema, recompose under the plan
     schema restricted to the retrieved tools, then type-graph repair.
@@ -341,36 +365,19 @@ def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig |
 
     decompose_prompt = assemble_decompose_prompt(query, tool_names, ctx.registry, config)
     # Both sessions mask through the one index of the model's vocabulary.
-    decompose_result = constrained_complete(model, _request(decompose_prompt, config),
-                                            DecoderSession(_automaton(ctx, "subtask", tool_names)))
-    subtasks = parse_subtasks(decompose_result.text)
-
+    decomposed = constrained_complete(model, _request(decompose_prompt, config),
+                                      DecoderSession(_automaton(ctx, "subtask", tool_names)))
     recompose_prompt = assemble_recompose_prompt(
-        query, serialize_subtasks(subtasks), tool_names, ctx.registry, config
+        query, serialize_subtasks(parse_subtasks(decomposed.text)), tool_names, ctx.registry, config
     )
-    recompose_result = constrained_complete(model, _request(recompose_prompt, config),
-                                            DecoderSession(_automaton(ctx, "plan", tool_names)))
+    recomposed = constrained_complete(model, _request(recompose_prompt, config),
+                                      DecoderSession(_automaton(ctx, "plan", tool_names)))
 
-    outcome = parse_plan(recompose_result.text)
+    outcome = parse_plan(recomposed.text)
     if not outcome.ok:
         raise PipelineError(f"enforced recomposition produced unparseable text: {outcome.detail}")
-    final_plan, repairs = repair_plan(ctx.graph, outcome.plan)
-
-    return PipelineTrace(
-        pipeline="enchant",
-        query=query,
-        retrieved_tools=retrieved,
-        retrieved_examples=[],
-        prompts={"decompose": decompose_prompt, "recompose": recompose_prompt},
-        raw_texts={"decompose": decompose_result.text, "recompose": recompose_result.text},
-        enforcement={"decompose": decompose_result.mode, "recompose": recompose_result.mode},
-        repairs=[repair.__dict__ for repair in repairs],
-        final_plan=final_plan,
-        final_text=serialize_plan(final_plan),
-        llm_calls=2,
-        prompt_tokens=decompose_result.prompt_tokens + recompose_result.prompt_tokens,
-        completion_tokens=decompose_result.completion_tokens + recompose_result.completion_tokens,
-    )
+    stages = [("decompose", decompose_prompt, decomposed), ("recompose", recompose_prompt, recomposed)]
+    return _trace("enchant", query, retrieved, [], stages, outcome.plan, ctx)
 
 
 def run_regains(query: str, ctx: PlannerContext, model, config: PipelineConfig | None = None) -> PipelineTrace:
@@ -381,33 +388,12 @@ def run_regains(query: str, ctx: PlannerContext, model, config: PipelineConfig |
     prompt, retrieved, example_ids = assemble_rap_prompt(query, ctx, config)
 
     result = model.complete(_request(prompt, config))
-    raw_text = result.text
-    mode = "plain"
-
-    outcome = parse_plan(raw_text)
-    strays = not outcome.ok or any(diag.kind in ("unknown_tool", "unknown_argument")
-                                   for diag in validate_refs(outcome.plan, ctx.registry))
-    if strays:
-        repaired_text, _ = enforced_repair(_automaton(ctx, "plan", ctx.registry.names), raw_text)
+    outcome = parse_plan(result.text)
+    if not outcome.ok or any(diag.kind in ("unknown_tool", "unknown_argument")
+                             for diag in validate_refs(outcome.plan, ctx.registry)):
+        repaired_text, _ = enforced_repair(_automaton(ctx, "plan", ctx.registry.names), result.text)
         outcome = parse_plan(repaired_text)
         if not outcome.ok:
             raise PipelineError(f"projection repair produced unparseable text: {outcome.detail}")
-        mode = "repaired"
-
-    final_plan, repairs = repair_plan(ctx.graph, outcome.plan)
-
-    return PipelineTrace(
-        pipeline="regains",
-        query=query,
-        retrieved_tools=retrieved,
-        retrieved_examples=example_ids,
-        prompts={"rap": prompt},
-        raw_texts={"rap": raw_text},
-        enforcement={"rap": mode},
-        repairs=[repair.__dict__ for repair in repairs],
-        final_plan=final_plan,
-        final_text=serialize_plan(final_plan),
-        llm_calls=1,
-        prompt_tokens=result.prompt_tokens,
-        completion_tokens=result.completion_tokens,
-    )
+        result = replace(result, mode="repaired")  # the trace keeps the model's own text
+    return _trace("regains", query, retrieved, example_ids, [("rap", prompt, result)], outcome.plan, ctx)

@@ -48,12 +48,6 @@ class TypeGraph:
     def __init__(self, registry: Registry):
         self._registry = registry
 
-    def edge_weight(self, from_tool: str, to_tool: str, argument: str) -> int | None:
-        source, spec = self._registry.get(from_tool), self._registry.get(to_tool)
-        arg = spec.argument(argument) if spec is not None else None
-        depth = _layers(source.returns, arg.value_type) if source is not None and arg is not None else None
-        return depth + 1 if depth in (0, 1) else None
-
     @property
     def edges(self) -> frozenset[TypeEdge]:
         """Every edge, found through an index of the tools by return type."""

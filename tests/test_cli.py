@@ -239,6 +239,49 @@ def test_exec_runs_plan_on_stub(runner, golden_examples):
     assert trace[1]["arguments"]["owned_by"] == ["USER-001"]
 
 
+def test_exec_refuses_plan_unknown_to_tools_file(runner, tmp_path, fixture_registry):
+    # --tools holds only get_sprint_id: both calls name unknown tools, so
+    # nothing runs and one error line names the first finding
+    from chainplan.registry import serialize_registry
+
+    tools = tmp_path / "tools.json"
+    tools.write_text(serialize_registry(fixture_registry.subset(["get_sprint_id"])), encoding="utf-8")
+    plan_text = ('[{"tool_name":"who_am_i","arguments":[]},'
+                 '{"tool_name":"works_list","arguments":[{"argument_name":"owned_by","argument_value":["$$PREV[0]"]}]}]')
+    out = tmp_path / "trace.json"
+    result = runner.invoke(main, ["exec", "--tools", str(tools), "--out", str(out)], input=plan_text)
+    _assert_one_line_error(result, "unknown tool 'who_am_i' at call 0", "2 finding(s)")
+    assert not out.exists()
+    checked = runner.invoke(main, ["check", "--tools", str(tools)], input=plan_text)
+    assert checked.exit_code == 1 and "unknown tool 'who_am_i'" in checked.output
+
+
+@pytest.mark.parametrize("with_operators, mode", [(True, "plain"), (False, "repaired")])
+def test_plan_with_operators_keeps_an_operator_call(runner, tmp_path, fixture_registry, with_operators, mode):
+    # the same op_gt answer is a known tool with the flag and is projected
+    # onto the fixture's tools without it
+    from chainplan.executor import register_operator_tools
+    from chainplan.llm import fingerprint
+    from chainplan.pipelines import assemble_rap_prompt
+
+    query = "Is 3 greater than 2?"
+    answer = ('[{"tool_name":"op_gt","arguments":[{"argument_name":"a","argument_value":3.0},'
+              '{"argument_name":"b","argument_value":2.0}]}]')
+    registry = register_operator_tools(fixture_registry) if with_operators else fixture_registry
+    ctx = PlannerContext.build(registry, HashEmbeddingProvider())
+    prompt, _, _ = assemble_rap_prompt(query, ctx, PipelineConfig.default())
+    replay = tmp_path / "replay.jsonl"
+    save_replay([(fingerprint(prompt), answer)], replay)
+    trace_file = tmp_path / "trace.json"
+    args = ["plan", query, "--mock", str(replay), "--trace", str(trace_file)]
+    result = runner.invoke(main, args + ["--with-operators"] * with_operators)
+    assert result.exit_code == 0, result.output
+    trace = json.loads(trace_file.read_text(encoding="utf-8"))
+    assert trace["enforcement"] == {"rap": mode}
+    assert (result.output.strip() == answer) is with_operators
+    assert ("op_gt" in result.output) is with_operators
+
+
 def test_eval_predictions_equal_golds(runner, tmp_path, golden_examples):
     predictions = tmp_path / "predictions.jsonl"
     predictions.write_text(

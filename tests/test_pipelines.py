@@ -272,6 +272,45 @@ def test_enchant_with_token_level_constrained_model(ctx, config, golden_examples
     assert trace.final_text == example.gold_text
 
 
+def test_trace_json_is_pinned(ctx, config, golden_examples):
+    # sha256 over PipelineTrace.to_json() of: both pipelines on every golden
+    # query, regains on a trailing-comma and a fabricated-name answer (the
+    # projection path), and enchant with a token-level model (enforced) and
+    # with a mis-wrapped chat answer (repaired, with a type-graph repair).
+    # Any change to a trace field, its value or its layout changes it.
+    import hashlib
+
+    from chainplan.llm import ScriptedTokenModel
+
+    digest = hashlib.sha256()
+
+    def pin(trace):
+        digest.update(trace.to_json().encode("utf-8"))
+
+    for example in golden_examples:
+        pin(run_regains(example.query, ctx, ScriptedModel(dict(regains_replay_entries(example, ctx, config))),
+                        config))
+        pin(run_enchant(example.query, ctx, ScriptedModel(dict(enchant_replay_entries(example, ctx, config))),
+                        config))
+    example = golden_examples[5]  # gold: [who_am_i]
+    for answer in (example.gold_text[:-1] + ",]", '[{"tool_name":"fetch_sprint","arguments":[]}]'):
+        model = ScriptedModel(dict(regains_replay_entries(example, ctx, config, response_text=answer)))
+        pin(run_regains(example.query, ctx, model, config))
+    # each step ranks the sub-task token first and the plan token second, so
+    # both stages decode from the one script
+    steps = [
+        ['[{"id":0,"thought":"resolve the user","tool_name":"', '[{"tool_name":"'],
+        ["lookup_identity", "who_am_i"],
+        ['"}]', '","arguments":[]}]'],
+    ]
+    pin(run_enchant(example.query, ctx, ScriptedTokenModel(steps), config))
+    example = golden_examples[0]
+    miswrapped = example.gold_text.replace('["$$PREV[0]"]', '"$$PREV[0]"')
+    model = ScriptedModel(dict(enchant_replay_entries(example, ctx, config, recompose_text=miswrapped)))
+    pin(run_enchant(example.query, ctx, model, config))
+    assert digest.hexdigest() == "d7f0348af06a12bb5d07b97303b11126aa27e2b71c1d6cc5857ec75c43a7752d"
+
+
 def test_regains_compiles_the_plan_automaton_once_per_context(fixture_registry, golden_examples, config,
                                                               monkeypatch):
     # straying answers to several queries share one automaton and project as

@@ -9,17 +9,18 @@ from conftest import random_plan, random_registry
 
 def test_fixture_weight_one_edge(fixture_registry):
     graph = build_graph(fixture_registry)
-    assert graph.edge_weight("works_list", "prioritize_objects", "objects") == 1
+    assert TypeEdge("works_list", "prioritize_objects", "objects", 1) in graph.edges
 
 
 def test_fixture_weight_two_edge(fixture_registry):
     graph = build_graph(fixture_registry)
-    assert graph.edge_weight("who_am_i", "works_list", "owned_by") == 2
+    assert TypeEdge("who_am_i", "works_list", "owned_by", 2) in graph.edges
 
 
 def test_fixture_no_edge_on_type_mismatch(fixture_registry):
     graph = build_graph(fixture_registry)
-    assert graph.edge_weight("get_sprint_id", "prioritize_objects", "objects") is None
+    triple = ("get_sprint_id", "prioritize_objects", "objects")
+    assert not [e for e in graph.edges if (e.from_tool, e.to_tool, e.to_argument) == triple]
 
 
 def _oracle_edges(registry):
