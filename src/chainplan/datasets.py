@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .plan import Plan, plan_from_data, serialize_plan
+from .plan import Plan, load_json, plan_from_data, serialize_plan
 
 
 class DatasetError(ValueError):
@@ -36,8 +36,8 @@ def load_golden_dataset(source: str | Path) -> list[GoldenExample]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = load_json(line)
+        except ValueError as exc:
             raise DatasetError(f"invalid JSON: {exc}", line=line_no) from exc
         if not isinstance(record, dict) or "query" not in record or "gold" not in record:
             raise DatasetError("record needs query and gold fields", line=line_no)

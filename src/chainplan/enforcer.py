@@ -36,9 +36,10 @@ are name pieces keyed by ``(tool, used)``, the arguments of ``tool`` not yet
 machine serves integers, floats and the unsigned sub-task ids and reference
 indices, which are canonical (no leading zero). An object's keys are
 strings, and a member's value is a union of string, float, boolean and null.
-No value is capped in length: no state counts characters. The next-character
-set of a state is derived from the transition over printable ASCII. That set
-is exact because tool and argument names are identifiers
+No value is capped in length: no state counts characters. A name state reads
+its next-character set off the sorted names, one bisection per distinct next
+character; every other state scans the transition over printable ASCII.
+Both sets are exact because tool and argument names are identifiers
 (``[A-Za-z0-9_]+``), which a ``Registry`` guarantees when it is built and
 the sub-task automaton checks at compile time, and every other accepted
 character is printable ASCII.
@@ -299,7 +300,9 @@ class _Automaton:
         return None
 
     def allowed(self, state: tuple) -> frozenset[str]:
-        """The printable ASCII characters ``transition`` accepts from ``state``.
+        """The printable ASCII characters ``transition`` accepts from ``state``:
+        read off the sorted names for a name state (``_name_next``), found
+        by scanning the transition over printable ASCII for any other.
 
         Memoized per automaton on the state's shape, which allows the same
         characters: a literal state drops ``then``, since it accepts
@@ -312,12 +315,33 @@ class _Automaton:
         key = state[:-1] if state[0] in _SHAPE_TAGS else state
         found = self._allowed.get(key)
         if found is None:
-            transition = self.transition
-            found = frozenset(ch for ch in _PRINTABLE if transition(state, ch) is not None)
+            if state[0] == "name":
+                found = self._name_next(state[1], state[2])
+            else:
+                transition = self.transition
+                found = frozenset(ch for ch in _PRINTABLE if transition(state, ch) is not None)
             if len(self._allowed) >= _ALLOWED_CACHE_SIZE:
                 self._allowed.clear()
             self._allowed[key] = found
         return found
+
+    def _name_next(self, key, prefix: str) -> frozenset[str]:
+        """The characters a name piece takes after ``prefix``, read off the
+        sorted names: ``"`` if ``prefix`` is a name, and the next character
+        of each name that extends it, one bisection per distinct character
+        (after ``c``, to ``prefix + chr(ord(c) + 1)``)."""
+        names = self._names(key)
+        found = set()
+        i = bisect_left(names, prefix)
+        if i < len(names) and names[i] == prefix:
+            found.add('"')
+            i += 1
+        at = len(prefix)
+        while i < len(names) and names[i].startswith(prefix):
+            ch = names[i][at]
+            found.add(ch)
+            i = bisect_left(names, prefix + chr(ord(ch) + 1), i)
+        return frozenset(found)
 
 
 class PlanAutomaton(_Automaton):

@@ -267,13 +267,15 @@ def _retrieve_tools(query: str | list[float], ctx: PlannerContext,
 def _automaton(ctx: PlannerContext, kind: str, names):
     """The ``"plan"`` or ``"subtask"`` automaton over the tools ``names``,
     compiled once per context and tool set: both automata sort their names,
-    so the language depends on the set alone. At ``_AUTOMATA_KEPT``
-    automata the memo is cleared."""
-    key = (kind, frozenset(names))
+    so the language depends on the set alone. ``names`` None, for a plan,
+    is the whole registry, keyed ``("plan", None)`` and compiled from
+    ``ctx.registry`` itself, so no key or subset is built per call. At
+    ``_AUTOMATA_KEPT`` automata the memo is cleared."""
+    key = (kind, None if names is None else frozenset(names))
     automaton = ctx.automata.get(key)
     if automaton is None:
-        automaton = (compile_schema(ctx.registry.subset(names)) if kind == "plan"
-                     else compile_subtask_schema(names))
+        automaton = (compile_schema(ctx.registry if names is None else ctx.registry.subset(names))
+                     if kind == "plan" else compile_subtask_schema(names))
         if len(ctx.automata) >= _AUTOMATA_KEPT:
             ctx.automata.clear()
         ctx.automata[key] = automaton
@@ -391,7 +393,7 @@ def run_regains(query: str, ctx: PlannerContext, model, config: PipelineConfig |
     outcome = parse_plan(result.text)
     if not outcome.ok or any(diag.kind in ("unknown_tool", "unknown_argument")
                              for diag in validate_refs(outcome.plan, ctx.registry)):
-        repaired_text, _ = enforced_repair(_automaton(ctx, "plan", ctx.registry.names), result.text)
+        repaired_text, _ = enforced_repair(_automaton(ctx, "plan", None), result.text)
         outcome = parse_plan(repaired_text)
         if not outcome.ok:
             raise PipelineError(f"projection repair produced unparseable text: {outcome.detail}")

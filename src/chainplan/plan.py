@@ -18,6 +18,7 @@ and plans are immutable.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -154,12 +155,34 @@ def plan_from_data(data: Any) -> ParseOutcome:
         return ParseOutcome.violation(exc.path, exc.detail)
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is out of a float's range")
+    return value
+
+
+_STRICT_DECODER = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float)
+
+
+def load_json(text: str) -> Any:
+    """``json.loads`` that refuses numbers strict JSON does not have:
+    ``NaN``, ``Infinity`` and ``-Infinity``, and a float out of range such
+    as ``1e999``, which Python would read as infinite. Raises ValueError."""
+    return _STRICT_DECODER.decode(text)
+
+
 def parse_plan(text: str) -> ParseOutcome:
-    """Parse plan wire-format text. Forward/self references still parse;
-    they are validated separately so metrics can score malformed plans."""
+    """Parse plan wire-format text; a non-finite number is invalid JSON.
+    Forward/self references still parse; they are validated separately so
+    metrics can score malformed plans."""
     try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, ValueError) as exc:
+        data = load_json(text)
+    except ValueError as exc:
         return ParseOutcome.invalid_json(str(exc))
     return plan_from_data(data)
 

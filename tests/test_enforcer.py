@@ -19,7 +19,7 @@ from chainplan.enforcer import (
 )
 from chainplan.pipelines import SubTask, parse_subtasks, serialize_subtasks
 from chainplan.plan import Plan, ToolCall, parse_plan, serialize_plan
-from chainplan.registry import Registry, list_of, object_type, primitive
+from chainplan.registry import ArgSpec, Registry, ToolSpec, list_of, object_type, primitive
 
 from conftest import random_plan, random_registry
 
@@ -666,6 +666,46 @@ def test_memoized_allowed_after_copy(fixture_registry):
             assert branch.automaton.allowed(branch.state) == _scan(automaton, branch.state)
             branch.advance(ch)
         assert branch.automaton.allowed(branch.state) == _scan(automaton, branch.state)
+
+
+# Names over a four-character alphabet, so that stems are shared and one name
+# is often a prefix of another.
+_NAME_ALPHABET = "ab_1"
+
+
+def _stemmed_names(max_size):
+    return st.lists(st.text(_NAME_ALPHABET, min_size=1, max_size=4), min_size=1, max_size=max_size, unique=True)
+
+
+def _name_states(key, names):
+    """Name states keyed ``key`` at every prefix of every name (each full
+    name and "" among them) and one character past each prefix."""
+    prefixes = {name[:k] for name in names for k in range(len(name) + 1)}
+    dead = {prefix + ch for prefix in prefixes for ch in _NAME_ALPHABET}
+    return [("name", key, prefix) for prefix in sorted(prefixes | dead)]
+
+
+@settings(max_examples=40, deadline=None)
+@example(tools=["a", "ab", "abc", "abd", "b_1"], arguments=[["a", "ab", "abc", "abd", "b_1"], ["b", "b_1"]])
+@given(tools=_stemmed_names(8), arguments=st.lists(_stemmed_names(5), min_size=2, max_size=2))
+def test_name_state_sets_equal_the_scan(tools, arguments):
+    # name states read their next characters off the sorted names; the
+    # transition probe over printable ASCII is the oracle. The first two
+    # tools take arguments, with none, one or two of them used.
+    specs = [ToolSpec(tool, "d", tuple(ArgSpec(a, "d", primitive("string")) for a in args), primitive("string"))
+             for tool, args in zip(tools, arguments + [[]] * len(tools))]
+    plan = compile_schema(Registry.from_tools(specs))
+    states = _name_states(None, tools)
+    for spec in specs:
+        names = sorted(spec.argument_names)
+        for k in range(min(len(names), 3)):  # some arguments are left
+            used = frozenset(names[:k])
+            states += _name_states((spec.name, used), [a for a in names if a not in used])
+    for state in states:
+        assert plan.allowed(state) == _scan(plan, state), state
+    subtask = compile_subtask_schema(tools)
+    for state in _name_states(None, tools):
+        assert subtask.allowed(state) == _scan(subtask, state), state
 
 
 class _CountingPlanAutomaton(PlanAutomaton):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -128,6 +129,21 @@ def test_regains_unknown_tool_name_is_projected(ctx, config, golden_examples):
     assert trace.enforcement["rap"] == "repaired"
     for call in trace.final_plan.calls:
         assert ctx.registry.get(call.tool_name) is not None
+
+
+def test_regains_projects_a_non_finite_number(ctx, config, golden_examples):
+    example = golden_examples[6]
+    bad = '[{"tool_name":"works_list","arguments":[{"argument_name":"limit","argument_value":NaN}]}]'
+    model = ScriptedModel(dict(regains_replay_entries(example, ctx, config, response_text=bad)))
+    trace = run_regains(example.query, ctx, model, config)
+    assert trace.enforcement["rap"] == "repaired"
+
+    def refuse(name):
+        raise ValueError(name)
+
+    json.loads(trace.final_text, parse_constant=refuse)
+    json.loads(trace.to_json(), parse_constant=refuse)
+    assert trace.final_plan.calls[0].tool_name == "works_list"
 
 
 def test_regains_retrieves_examples(ctx, config, golden_examples):

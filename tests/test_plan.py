@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainplan.metrics import hallucination_rate
@@ -38,6 +39,15 @@ def test_parse_malformed_json():
     outcome = parse_plan('[{"tool_name": "x", "arguments": [}]')
     assert outcome.kind == "invalid_json"
     assert not outcome.ok
+
+
+@pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e999"])
+def test_parse_refuses_non_finite_numbers(number):
+    text = ('[{"tool_name":"works_list","arguments":[{"argument_name":"limit","argument_value":'
+            + number + "}]}]")
+    outcome = parse_plan(text)
+    assert outcome.kind == "invalid_json", outcome
+    assert number in outcome.detail
 
 
 def test_parse_schema_violation_has_pointer_path():

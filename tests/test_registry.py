@@ -233,7 +233,9 @@ def test_golden_dataset_save_round_trip(tmp_path, golden_examples):
     '{"query": 7, "gold": []}',
     '{"query": "", "gold": []}',
     '{"query": null, "gold": []}',
-], ids=["missing_gold", "int_query", "empty_query", "null_query"])
+    '{"query": "q", "gold": [{"tool_name": "t", "arguments": [{"argument_name": "a", "argument_value": NaN}]}]}',
+    '{"query": "q", "gold": [{"tool_name": "t", "arguments": [{"argument_name": "a", "argument_value": 1e999}]}]}',
+], ids=["missing_gold", "int_query", "empty_query", "null_query", "nan_value", "overflowing_value"])
 def test_dataset_loader_cites_bad_line(tmp_path, bad_record):
     from chainplan.datasets import DatasetError, load_golden_dataset
 
