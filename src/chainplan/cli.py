@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -279,8 +280,11 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
         predicted_texts = []
         traces = []
         for example in examples:
+            # Hold the example out of the worked examples: no prompt shows its own gold plan.
+            pool = tuple(item for item in ctx.example_corpus.items if item.id != example.id)
+            held_out = replace(ctx, example_corpus=replace(ctx.example_corpus, items=pool))
             try:
-                trace = runner(example.query, ctx, model)
+                trace = runner(example.query, held_out, model)
             except (PipelineError, CompletionError) as exc:
                 _fail(f"pipeline failed on {example.query!r}: {exc}")
             predicted_texts.append(trace.final_text)

@@ -19,13 +19,16 @@ the text goes on in once the piece is done:
 - name ``("name", key, prefix)`` spells one of the sorted names the
   automaton maps ``key`` to and, after its closing quote, continues in
   ``_after_name(key, name)``. ``key`` is None for tool names;
-- array ``("open"|"sep", item, close)``, after ``[`` or after a record: a
-  record opens with the literal ``item`` (``None``: no further record), and
-  ``]`` continues in ``close``;
+- records ``("open"|"sep", item, close)``, after ``[`` or after a record:
+  a record opens with the literal ``item`` (``None``: no further record),
+  and ``]`` continues in ``close``;
+- sequence ``("lf"|"le", espec, close, then)``, after its opener or after an
+  element: ``,``-separated values of ``espec``, then ``close`` and ``then``.
+  An object is a list of members: ``("lf", ("member",), "}", then)``;
 - value ``_start(spec, then)``, the first state of a value of ``spec``. A
-  string, an object or a list steps into ``then`` on its closing ``"``,
-  ``}`` or ``]``. ``true``, ``false``, ``null`` and the fixed text of a
-  reference ``"$$PREV[i]"`` around its index are literals. A union
+  string steps into ``then`` on its closing ``"``, an object or a list on
+  its sequence's ``close``. ``true``, ``false``, ``null`` and the fixed
+  text of a reference ``"$$PREV[i]"`` around its index are literals. A union
   ``("u0", branches, then)`` hands its first character to the first branch
   that takes it. Only a number ends without a closing character: a
   character it does not take is stepped from ``then``.
@@ -34,8 +37,8 @@ Both automata are these pieces alone: the plan automaton's argument names
 are name pieces keyed by ``(tool, used)``, the arguments of ``tool`` not yet
 ``used``, each going on in ``,"argument_value":`` and its value. One number
 machine serves integers, floats and the unsigned sub-task ids and reference
-indices, which are canonical (no leading zero). An object's keys are
-strings, and a member's value is a union of string, float, boolean and null.
+indices, which are canonical (no leading zero). A member ``"key":value`` has
+a string key and a value of ``_MEMBER_SPEC``: string, float, boolean or null.
 No value is capped in length: no state counts characters. A name state reads
 its next-character set off the sorted names, one bisection per distinct next
 character; every other state scans the transition over printable ASCII.
@@ -152,20 +155,16 @@ def _start(spec: tuple, then: tuple) -> tuple:
     if kind in _NUMBER_KINDS:
         return ("n0", kind, then)
     if kind == "object":
-        return ("lit", "{", 0, ("of", then))
+        return ("lit", "{", 0, ("lf", ("member",), "}", then))
     if kind == "list":
-        return ("lit", "[", 0, ("lf", spec[1], then))
+        return ("lit", "[", 0, ("lf", spec[1], "]", then))
     if kind == "prev":
         return ("lit", '"$$PREV[', 0, _start(("uint",), ("lit", ']"', 0, then)))
     if kind == "wrap":
         return ("lit", "[", 0, _start(_PREV, ("lit", "]", 0, then)))
+    if kind == "member":
+        return _start(("string",), ("lit", ":", 0, _start(_MEMBER_SPEC, then)))
     raise ValueError(f"unknown value spec {spec!r}")
-
-
-def _member(then: tuple) -> tuple:
-    """The first state of an object member, ``"key":value``, that goes on in
-    ``("om", then)``."""
-    return _start(("string",), ("lit", ":", 0, _start(_MEMBER_SPEC, ("om", then))))
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +276,14 @@ class _Automaton:
                 return ("ndot",) + state[1:]
             return self.transition(state[2], ch)
 
-        # An object: after "{" ("of", then), after a member ("om", then).
-        if tag == "of":
-            return state[1] if ch == "}" else self.transition(_member(state[1]), ch)
-        if tag == "om":
-            if ch == ",":
-                return _member(state[1])
-            return state[1] if ch == "}" else None
-
-        # A list of ``espec``: after "[" ("lf", espec, then), after an
-        # element ("le", espec, then).
-        if tag == "lf":
-            _, espec, then = state
-            if ch == "]":
-                return then
-            return self.transition(_start(espec, ("le", espec, then)), ch)
-        if tag == "le":
-            if ch == ",":
-                return _start(state[1], state)
-            return state[2] if ch == "]" else None
+        # A sequence: after its opener ("lf", espec, close, then), after an
+        # element ("le", espec, close, then).
+        if tag == "lf" or tag == "le":
+            if ch == state[2]:
+                return state[3]
+            if tag == "lf":
+                return self.transition(_start(state[1], ("le",) + state[1:]), ch)
+            return _start(state[1], state) if ch == "," else None
 
         return None
 

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .plan import Plan, PrevRef, validate_refs
+from .plan import Plan, map_refs, validate_refs
 from .registry import ArgSpec, Registry, ToolSpec, primitive
 
 
@@ -68,17 +68,6 @@ class ExecutionTrace:
         )
 
 
-def _resolve(value, outputs: list[Any], step: int) -> Any:
-    """``value`` with its references resolved to the stored outputs."""
-    if isinstance(value, PrevRef):
-        if not 0 <= value.index < len(outputs):
-            raise ExecutionError(f"unresolvable reference $$PREV[{value.index}]", step=step)
-        return outputs[value.index]
-    if isinstance(value, tuple):
-        return tuple(_resolve(item, outputs, step) for item in value)
-    return value
-
-
 def execute(plan: Plan, runtime) -> ExecutionTrace:
     """Run the plan sequentially on the runtime.
 
@@ -95,7 +84,7 @@ def execute(plan: Plan, runtime) -> ExecutionTrace:
     trace = ExecutionTrace()
     outputs: list[Any] = []
     for step, call in enumerate(plan.calls):
-        resolved = {name: _resolve(value, outputs, step) for name, value in call.arguments}
+        resolved = {name: map_refs(value, lambda ref: outputs[ref.index]) for name, value in call.arguments}
         started = time.monotonic()
         try:
             output = runtime.invoke(call.tool_name, copy.deepcopy(resolved))

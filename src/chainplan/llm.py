@@ -234,8 +234,8 @@ def constrained_complete(model, request: CompletionRequest, session: DecoderSess
     steps. The session masks through the vocabulary's index, built once for
     equal content (``vocabulary_index``); a candidate outside the vocabulary
     is still masked exactly. Models without per-step access run one plain
-    completion whose output is greedily projected onto the schema
-    ("repaired").
+    completion, kept as the result's text, greedily projected onto the schema
+    ("repaired"). Either way the accepted text is ``session.emitted``.
     """
     if hasattr(model, "candidate_steps"):
         started = time.monotonic()
@@ -261,9 +261,8 @@ def constrained_complete(model, request: CompletionRequest, session: DecoderSess
         return _counted(model, request, session.emitted, time.monotonic() - started, "enforced")
 
     result = model.complete(request)
-    repaired, _ = enforced_repair(session.automaton, result.text)
-    session.advance(repaired)
-    return replace(result, text=repaired, mode="repaired")
+    session.advance(enforced_repair(session.automaton, result.text)[0])
+    return replace(result, mode="repaired")
 
 
 def load_replay(path: str | Path) -> ScriptedModel:
@@ -274,9 +273,12 @@ def load_replay(path: str | Path) -> ScriptedModel:
             continue
         try:
             record = json.loads(line)
-            entries.append((record["fingerprint"], record["response"]))
+            entry = (record["fingerprint"], record["response"])
+            if not all(isinstance(part, str) for part in entry):
+                raise TypeError("fingerprint and response must be strings")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise CompletionError(f"bad replay line {line_no}: {exc}") from exc
+        entries.append(entry)
     return ScriptedModel(entries)
 
 

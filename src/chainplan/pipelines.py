@@ -367,15 +367,15 @@ def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig |
 
     decompose_prompt = assemble_decompose_prompt(query, tool_names, ctx.registry, config)
     # Both sessions mask through the one index of the model's vocabulary.
-    decomposed = constrained_complete(model, _request(decompose_prompt, config),
-                                      DecoderSession(_automaton(ctx, "subtask", tool_names)))
+    decompose = DecoderSession(_automaton(ctx, "subtask", tool_names))
+    decomposed = constrained_complete(model, _request(decompose_prompt, config), decompose)
     recompose_prompt = assemble_recompose_prompt(
-        query, serialize_subtasks(parse_subtasks(decomposed.text)), tool_names, ctx.registry, config
+        query, serialize_subtasks(parse_subtasks(decompose.emitted)), tool_names, ctx.registry, config
     )
-    recomposed = constrained_complete(model, _request(recompose_prompt, config),
-                                      DecoderSession(_automaton(ctx, "plan", tool_names)))
+    recompose = DecoderSession(_automaton(ctx, "plan", tool_names))
+    recomposed = constrained_complete(model, _request(recompose_prompt, config), recompose)
 
-    outcome = parse_plan(recomposed.text)
+    outcome = parse_plan(recompose.emitted)
     if not outcome.ok:
         raise PipelineError(f"enforced recomposition produced unparseable text: {outcome.detail}")
     stages = [("decompose", decompose_prompt, decomposed), ("recompose", recompose_prompt, recomposed)]

@@ -12,7 +12,9 @@ boolean, null or object as JSON gives it, and each array a tuple. A whole
 of a value or inside arrays at any depth, decodes to :class:`PrevRef`, the one
 wrapper a plan adds to JSON; every other string stays a string, and strings
 inside objects are never references. Parsing and serialization are pure,
-and plans are immutable.
+and plans are immutable. Every walk over a parsed value goes through
+``leaves`` (each non-array value with its array depth) or ``map_refs`` (the
+value with its references mapped).
 """
 
 from __future__ import annotations
@@ -187,11 +189,22 @@ def parse_plan(text: str) -> ParseOutcome:
     return plan_from_data(data)
 
 
-def _encode_value(value: ArgValue) -> Any:
-    if isinstance(value, PrevRef):
-        return value.render()
+def leaves(value: ArgValue, depth: int = 0) -> Iterator[tuple[ArgValue, int]]:
+    """Every value in ``value`` that is not an array, in order, with the
+    number of arrays around it."""
     if isinstance(value, tuple):
-        return [_encode_value(item) for item in value]
+        for item in value:
+            yield from leaves(item, depth + 1)
+    else:
+        yield value, depth
+
+
+def map_refs(value: ArgValue, fn) -> ArgValue:
+    """``value`` with each PrevRef, at any array depth, replaced by ``fn(ref)``."""
+    if isinstance(value, PrevRef):
+        return fn(value)
+    if isinstance(value, tuple):
+        return tuple(map_refs(item, fn) for item in value)
     return value
 
 
@@ -200,7 +213,7 @@ def plan_to_data(plan: Plan) -> list:
         {
             "tool_name": call.tool_name,
             "arguments": [
-                {"argument_name": name, "argument_value": _encode_value(value)}
+                {"argument_name": name, "argument_value": map_refs(value, PrevRef.render)}
                 for name, value in call.arguments
             ],
         }
@@ -221,11 +234,7 @@ def serialize_plan(plan: Plan) -> str:
 
 def iter_prev_refs(value: ArgValue) -> Iterator[PrevRef]:
     """Yield every PrevRef in ``value``, including inside nested arrays."""
-    if isinstance(value, PrevRef):
-        yield value
-    elif isinstance(value, tuple):
-        for item in value:
-            yield from iter_prev_refs(item)
+    return (leaf for leaf, _ in leaves(value) if isinstance(leaf, PrevRef))
 
 
 @dataclass(frozen=True)
@@ -240,17 +249,15 @@ class RefDiagnostic:
 def _reference_findings(value: ArgValue, position: int, argument: str) -> Iterator[RefDiagnostic]:
     """Every reference in ``value``, at any list depth, that does not point
     strictly backwards or is malformed."""
-    if isinstance(value, PrevRef):
-        if not 0 <= value.index < position:
-            way = "negative" if value.index < 0 else "self" if value.index == position else "forward/out-of-range"
-            yield RefDiagnostic(position, argument, value.index, "bad_reference",
-                                f"{way} reference $$PREV[{value.index}] at call {position}")
-    elif isinstance(value, tuple):
-        for item in value:
-            yield from _reference_findings(item, position, argument)
-    elif isinstance(value, str) and value.startswith("$$PREV") and not PREV_REF_PATTERN.fullmatch(value):
-        yield RefDiagnostic(position, argument, None, "malformed_reference",
-                            f"malformed reference {value!r} at call {position}")
+    for leaf, _ in leaves(value):
+        if isinstance(leaf, PrevRef):
+            if not 0 <= leaf.index < position:
+                way = "negative" if leaf.index < 0 else "self" if leaf.index == position else "forward/out-of-range"
+                yield RefDiagnostic(position, argument, leaf.index, "bad_reference",
+                                    f"{way} reference $$PREV[{leaf.index}] at call {position}")
+        elif isinstance(leaf, str) and leaf.startswith("$$PREV") and not PREV_REF_PATTERN.fullmatch(leaf):
+            yield RefDiagnostic(position, argument, None, "malformed_reference",
+                                f"malformed reference {leaf!r} at call {position}")
 
 
 def validate_refs(plan: Plan, registry: Registry | None = None) -> list[RefDiagnostic]:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator
 
-from .plan import ArgValue, Plan, PrevRef
+from .plan import Plan, PrevRef, leaves
 from .registry import Registry, ValueType
 
 COMPATIBLE = "compatible"
@@ -91,15 +90,6 @@ class CheckResult:
         return self.status == COMPATIBLE
 
 
-def _references(value: ArgValue, depth: int = 0) -> Iterator[tuple[PrevRef, int]]:
-    """Every reference in ``value`` with the number of arrays around it."""
-    if isinstance(value, PrevRef):
-        yield value, depth
-    elif isinstance(value, tuple):
-        for item in value:
-            yield from _references(item, depth + 1)
-
-
 def _edge_for(graph: TypeGraph, plan: Plan, position: int, argument: str,
               ref: PrevRef, depth: int, relaxed: bool) -> tuple[int | None, str | None]:
     """(weight, error) for ``ref`` nested ``depth`` arrays deep in the call's
@@ -133,7 +123,7 @@ def check_ref(graph: TypeGraph, plan: Plan, position: int, argument: str) -> Che
     value = plan.calls[position].argument(argument)
     if value is None:
         return CheckResult(status=NOT_A_PREV_REF, note=f"no argument {argument!r} on call {position}")
-    refs = list(_references(value))
+    refs = [(leaf, depth) for leaf, depth in leaves(value) if isinstance(leaf, PrevRef)]
     if not refs:
         return CheckResult(status=NOT_A_PREV_REF)
     first, depth = refs[0]

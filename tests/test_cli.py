@@ -26,6 +26,10 @@ def replay_files(tmp_path_factory, fixture_registry, golden_examples):
     for example in golden_examples:
         regains_entries.extend(regains_replay_entries(example, ctx, config))
         enchant_entries.extend(enchant_replay_entries(example, ctx, config))
+        # eval plans each query with its own example held out of the pool
+        others = [other for other in golden_examples if other is not example]
+        held_out = PlannerContext.build(fixture_registry, HashEmbeddingProvider(), others)
+        regains_entries.extend(regains_replay_entries(example, held_out, config))
     base = tmp_path_factory.mktemp("replays")
     regains_path = base / "regains.jsonl"
     enchant_path = base / "enchant.jsonl"
@@ -327,6 +331,20 @@ def test_eval_pipeline_mock(runner, tmp_path, replay_files):
     report = json.loads(result.output)
     assert report["aggregates"]["nr"] == 1.0
     assert report["counts"]["llm_calls"] == 10
+
+
+def test_eval_prompts_hold_out_their_own_example(runner, tmp_path, replay_files, golden_examples):
+    trace_file = tmp_path / "t.json"
+    result = runner.invoke(main, [
+        "eval", "--dataset", str(GOLDEN_PATH),
+        "--pipeline", "regains", "--mock", replay_files["regains"], "--trace", str(trace_file),
+    ])
+    assert result.exit_code == 0, result.output
+    runs = json.loads(trace_file.read_text(encoding="utf-8"))["runs"]
+    assert len(runs) == len(golden_examples)
+    for example, run in zip(golden_examples, runs):
+        assert run["retrieved_examples"] and example.id not in run["retrieved_examples"]
+        assert example.gold_text not in run["prompts"]["rap"]
 
 
 def test_eval_bad_dataset_line_cites_line_number(runner, tmp_path):

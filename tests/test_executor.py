@@ -95,6 +95,22 @@ def test_execute_resolution_uses_trace_not_reinvocation(fixture_registry):
     assert runtime.count["works_list"] == 1
 
 
+def test_execute_resolves_a_reference_two_arrays_deep():
+    class Echo:
+        coverage = {"a", "b"}
+
+        def invoke(self, tool_name, arguments):
+            return "out-a" if tool_name == "a" else arguments
+
+    plan = Plan((ToolCall("a"), ToolCall("b", (("x", ((PrevRef(0),), "x")),))))
+    text = serialize_plan(plan)
+    assert '"argument_value":[["$$PREV[0]"],"x"]' in text
+    assert parse_plan(text).plan == plan
+    trace = execute(plan, Echo())
+    assert trace.steps[1].arguments == {"x": (("out-a",), "x")}
+    assert trace.steps[1].output == {"x": (("out-a",), "x")}
+
+
 def test_runtime_cannot_change_the_plans_objects():
     class Mutating:
         coverage = {"t"}

@@ -71,6 +71,20 @@ def test_replay_file_bad_line(tmp_path):
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("record", [
+    {"fingerprint": "fp", "response": 5},
+    {"fingerprint": 5, "response": "[]"},
+    {"fingerprint": "fp", "response": None},
+    {"fingerprint": "fp", "response": ["[]"]},
+], ids=["int-response", "int-fingerprint", "null-response", "list-response"])
+def test_replay_file_refuses_non_string_fields(tmp_path, record):
+    path = tmp_path / "replay.jsonl"
+    path.write_text(f'{json.dumps({"fingerprint": "ok", "response": "[]"})}\n{json.dumps(record)}\n',
+                    encoding="utf-8")
+    with pytest.raises(CompletionError, match="bad replay line 2: fingerprint and response must be strings"):
+        load_replay(path)
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     failures_left = 0
     failure_status = 500
@@ -259,9 +273,11 @@ def test_constrained_plain_model_is_repaired(fixture_registry):
     automaton = compile_schema(fixture_registry)
     raw = '[{"tool":"who_am_i","arguments":[]}]'
     model = ScriptedModel({fingerprint("q"): raw})
-    result = constrained_complete(model, CompletionRequest(prompt="q"), DecoderSession(automaton))
+    session = DecoderSession(automaton)
+    result = constrained_complete(model, CompletionRequest(prompt="q"), session)
     assert result.mode == "repaired"
-    assert result.text == '[{"tool_name":"who_am_i","arguments":[]}]'
+    assert result.text == raw  # the model's own answer
+    assert session.emitted == '[{"tool_name":"who_am_i","arguments":[]}]'
     assert model.calls == 1
 
 

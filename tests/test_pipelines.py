@@ -80,6 +80,19 @@ def test_enchant_repairs_miswrapped_reference(ctx, config, golden_examples):
             assert not result.wrapping_mismatch
 
 
+def test_enchant_trace_keeps_the_models_answer(ctx, config, golden_examples):
+    # a chat model's straying recomposition is projected, and the trace keeps
+    # what the model wrote, as regains does
+    example = golden_examples[0]
+    straying = example.gold_text[:-1] + ",]"  # trailing comma
+    model = ScriptedModel(dict(enchant_replay_entries(example, ctx, config, recompose_text=straying)))
+    trace = run_enchant(example.query, ctx, model, config)
+    assert trace.enforcement["recompose"] == "repaired"
+    assert trace.raw_texts["recompose"] == straying
+    # the greedy projection still appends a call for the comma (ROADMAP item 1)
+    assert trace.final_text == example.gold_text[:-1] + ',{"tool_name":"add_work_items_to_sprint","arguments":[]}]'
+
+
 def test_enchant_empty_corpus_fails_before_any_call(ctx, config):
     empty = dataclasses.replace(
         ctx.tool_corpus, items=()
@@ -372,6 +385,8 @@ def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, gol
         parse_subtasks,
         serialize_subtasks,
     )
+    from chainplan.plan import parse_plan
+    from chainplan.typegraph import repair_plan
     from conftest import subtasks_for
 
     config = PipelineConfig.default(k=3)  # several distinct tool sets over the fixture
@@ -402,7 +417,11 @@ def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, gol
         model = ScriptedModel({fingerprint(decompose_prompt): decompose_text,
                                fingerprint(recompose_prompt): recompose_text})
         trace = run_enchant(example.query, fresh, model, config)
-        assert trace.raw_texts == {"decompose": subtasks, "recompose": plan_text}
+        # the trace keeps the model's answers; the projections feed the
+        # recomposition prompt and the final plan
+        assert trace.raw_texts == {"decompose": decompose_text, "recompose": recompose_text}
+        assert trace.prompts["recompose"] == recompose_prompt
+        assert trace.final_plan == repair_plan(fresh.graph, parse_plan(plan_text).plan)[0]
     assert len(tool_sets) > 1
     assert compiled == Counter({(kind, names): 1 for kind in ("plan", "subtask") for names in tool_sets})
 
