@@ -337,3 +337,18 @@ def test_literal_resolution_kinds(fixture_registry):
     assert args["type"] == "issue"
     assert args["limit"] == 5
     assert args["owned_by"] == ("u1", "u2")
+
+
+def test_exec_trace_json_is_pinned(golden_examples):
+    # sha256 over ExecutionTrace.to_json() of every golden plan run on the
+    # stub runtime, each step's duration zeroed: any change to a step field,
+    # its value or the layout changes it.
+    import hashlib
+
+    digest = hashlib.sha256()
+    for example in golden_examples:
+        trace = execute(example.gold, StubRuntime())
+        for step in trace.steps:
+            step.duration_s = 0.0
+        digest.update(trace.to_json().encode("utf-8"))
+    assert digest.hexdigest() == "0e1d55e6cafeb02dba3174b013a9bf1753b1f86f8fbd7a4d0f3ee2ce8f152fe1"

@@ -337,6 +337,28 @@ def test_report_renderings(fixture_registry):
     assert report.to_json()
 
 
+def test_eval_report_is_pinned(fixture_registry, golden_examples):
+    # sha256 over the report's JSON, table and CSV for the golden set scored
+    # against itself and against fixed damaged predictions: invalid JSON, a
+    # fabricated tool, a forward reference and an empty plan.
+    import hashlib
+
+    records = [EvalRecord(ex.query, ex.gold, ex.gold_text) for ex in golden_examples]
+    damaged = [
+        golden_examples[0].gold_text[:-1] + ",]",
+        golden_examples[1].gold_text.replace("summarize_objects", "summarise_objects"),
+        golden_examples[2].gold_text.replace("$$PREV[1]", "$$PREV[3]"),
+        "[]",
+    ]
+    records += [EvalRecord(ex.query, ex.gold, text) for ex, text in zip(golden_examples, damaged)]
+    report = evaluate_dataset(records, fixture_registry)
+    digest = hashlib.sha256()
+    for text in (report.to_json(), render_table(report), render_csv(report)):
+        digest.update(text.encode("utf-8"))
+    assert report.aggregates["invalid_json_rate"] == 1 / 14
+    assert digest.hexdigest() == "9f682eacc4903fb2d5c93a0b02acc768c6ad5683a8ccb1d068caf6acd347121f"
+
+
 def test_all_zero_parsed_renders_dashes(fixture_registry):
     plan = Plan((ToolCall("who_am_i"),))
     record = EvalRecord(query="q", gold=plan, predicted_text="nope")
