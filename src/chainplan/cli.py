@@ -252,6 +252,8 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
         examples = load_golden_dataset(dataset)
     except DatasetError as exc:
         _fail(str(exc))
+    if not examples:
+        _fail(f"{dataset}: no dataset records to score")
     if predictions is None and pipeline is None:
         raise click.UsageError("need --predictions or --pipeline")
 

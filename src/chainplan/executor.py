@@ -20,7 +20,7 @@ import copy
 import json
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .plan import Plan, map_refs, validate_refs
@@ -54,18 +54,7 @@ class ExecutionTrace:
         return [step.output for step in self.steps]
 
     def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "tool_name": step.tool_name,
-                    "arguments": step.arguments,
-                    "output": step.output,
-                    "duration_s": step.duration_s,
-                }
-                for step in self.steps
-            ],
-            indent=2,
-        )
+        return json.dumps([asdict(step) for step in self.steps], indent=2)
 
 
 def execute(plan: Plan, runtime) -> ExecutionTrace:
@@ -73,7 +62,9 @@ def execute(plan: Plan, runtime) -> ExecutionTrace:
 
     Pre-flight: every tool must be covered by the runtime and
     :func:`validate_refs` must find no bad or malformed reference; nothing is
-    invoked if either check fails. Deterministic given a deterministic runtime.
+    invoked if either check fails. A ``$$PREV[i]`` resolves to
+    ``trace.steps[i].output``: the trace is the one store of outputs.
+    Deterministic given a deterministic runtime.
     """
     uncovered = [call.tool_name for call in plan.calls if call.tool_name not in runtime.coverage]
     if uncovered:
@@ -82,9 +73,9 @@ def execute(plan: Plan, runtime) -> ExecutionTrace:
     if bad_refs:
         raise ExecutionError(f"plan has invalid references: {bad_refs[0].message}")
     trace = ExecutionTrace()
-    outputs: list[Any] = []
     for step, call in enumerate(plan.calls):
-        resolved = {name: map_refs(value, lambda ref: outputs[ref.index]) for name, value in call.arguments}
+        resolved = {name: map_refs(value, lambda ref: trace.steps[ref.index].output)
+                    for name, value in call.arguments}
         started = time.monotonic()
         try:
             output = runtime.invoke(call.tool_name, copy.deepcopy(resolved))
@@ -92,15 +83,8 @@ def execute(plan: Plan, runtime) -> ExecutionTrace:
             raise
         except Exception as exc:
             raise ExecutionError(f"{call.tool_name} failed: {exc}", step=step) from exc
-        outputs.append(output)
-        trace.steps.append(
-            ExecutionStep(
-                tool_name=call.tool_name,
-                arguments=resolved,
-                output=output,
-                duration_s=time.monotonic() - started,
-            )
-        )
+        trace.steps.append(ExecutionStep(tool_name=call.tool_name, arguments=resolved, output=output,
+                                         duration_s=time.monotonic() - started))
     return trace
 
 

@@ -7,14 +7,15 @@ remote client speaks the OpenAI-compatible chat completions wire format with
 bounded exponential backoff. Call accounting is exact and in one place:
 ``_counted`` builds the result of every model call, from ``complete`` or from
 ``constrained_complete``'s token path, and bumps the owning client's
-counters. A repaired completion is the underlying call's result with the
-projected text.
+counters. A repaired completion is the underlying call's result, the
+model's own text, in mode "repaired"; the projection is ``session.emitted``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 import urllib.error
@@ -50,11 +51,14 @@ class CompletionRequest:
     system: str | None = None
 
     def __post_init__(self):
-        # `not x >= least`, so NaN is refused too
-        if not self.max_tokens >= 1:
+        # a bool is an int to Python; a fractional cap is never met by a step count
+        if isinstance(self.max_tokens, bool) or not isinstance(self.max_tokens, int):
+            raise ValueError("max_tokens must be an integer")
+        if self.max_tokens < 1:
             raise ValueError("max_tokens must be at least 1")
-        if not self.temperature >= 0:
-            raise ValueError("temperature must be nonnegative")
+        # NaN fails both comparisons; infinity is no JSON number
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,15 @@ offline and prompt budgets checked without any model call.
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .datasets import GoldenExample
 from .enforcer import DecoderSession, compile_schema, compile_subtask_schema, enforced_repair
 from .llm import CompletionRequest, constrained_complete
-from .plan import Plan, parse_plan, serialize_plan, validate_refs
+from .plan import Plan, parse_plan, plan_to_data, serialize_plan, validate_refs
 from .registry import Registry
 from .retrieval import Corpus, index_corpus, retrieve_top_k, tool_embedding_text
 from .typegraph import TypeGraph, build_graph, repair_plan
@@ -95,6 +96,11 @@ _CONFIG_TEMPLATES = {"decompose": "decompose_template", "recompose": "recompose_
                      "rap": "rap_template"}
 
 
+def _wrong_type(value, kind) -> bool:
+    """A bool is never a config number, though Python counts it an int."""
+    return isinstance(value, bool) or not isinstance(value, kind)
+
+
 @dataclass
 class PipelineConfig:
     """Pipeline settings, validated when built; the templates and insights
@@ -119,9 +125,13 @@ class PipelineConfig:
             missing = [slot for slot in slots if f"{{{slot}}}" not in template]
             if missing:
                 raise ValueError(f"{attr} lacks required placeholders: {missing}")
-        # "not >=" also refuses NaN, which JSON config files may spell
+        wrong = [key for key, kind in _CONFIG_SCALARS.items() if _wrong_type(getattr(self, key), kind)]
+        if wrong:
+            raise ValueError(f"config values of the wrong type: {', '.join(wrong)}")
+        # JSON config files may spell NaN, which "not >=" refuses, and Infinity
         low = [f"{key} must be at least {least}"
                for key, least in _CONFIG_MINIMA.items() if not getattr(self, key) >= least]
+        low += ["temperature must be finite"] if self.temperature == math.inf else []
         if low:
             raise ValueError(f"config values out of range: {', '.join(low)}")
 
@@ -150,7 +160,7 @@ class PipelineConfig:
         # every other value, the insights path and the template paths, is a string
         values = [(key, doc[key], _CONFIG_SCALARS.get(key, str)) for key in doc if key != "templates"]
         values += [(f"templates.{key}", value, str) for key, value in templates.items()]
-        wrong = [key for key, value, kind in values if isinstance(value, bool) or not isinstance(value, kind)]
+        wrong = [key for key, value, kind in values if _wrong_type(value, kind)]
         if wrong:
             raise ValueError(f"{path}: config values of the wrong type: {', '.join(wrong)}")
         settings = {key: doc[key] for key in _CONFIG_SCALARS if key in doc}
@@ -225,6 +235,9 @@ class PlannerContext:
 
 @dataclass
 class PipelineTrace:
+    """The record of one run, each fact once: ``final_text`` is read off
+    ``final_plan``, and a field added here reaches ``to_json`` unlisted."""
+
     pipeline: str
     query: str
     retrieved_tools: list[tuple[str, float]]
@@ -234,26 +247,19 @@ class PipelineTrace:
     enforcement: dict[str, str]
     repairs: list[dict]
     final_plan: Plan
-    final_text: str
     llm_calls: int
     prompt_tokens: int
     completion_tokens: int
 
+    @property
+    def final_text(self) -> str:
+        return serialize_plan(self.final_plan)
+
     def to_json(self) -> str:
-        doc = {
-            "pipeline": self.pipeline,
-            "query": self.query,
-            "retrieved_tools": [{"id": i, "score": s} for i, s in self.retrieved_tools],
-            "retrieved_examples": self.retrieved_examples,
-            "prompts": self.prompts,
-            "raw_texts": self.raw_texts,
-            "enforcement": self.enforcement,
-            "repairs": self.repairs,
-            "final_plan": json.loads(self.final_text),
-            "llm_calls": self.llm_calls,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-        }
+        """Every field in order; tools as id/score objects, the plan as wire data."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["retrieved_tools"] = [{"id": i, "score": s} for i, s in self.retrieved_tools]
+        doc["final_plan"] = plan_to_data(self.final_plan)
         return json.dumps(doc, indent=2)
 
 
@@ -350,7 +356,6 @@ def _trace(pipeline: str, query: str, retrieved: list[tuple[str, float]], exampl
         enforcement={stage: result.mode for stage, _, result in stages},
         repairs=[repair.__dict__ for repair in repairs],
         final_plan=final_plan,
-        final_text=serialize_plan(final_plan),
         llm_calls=len(stages),
         prompt_tokens=sum(result.prompt_tokens for _, _, result in stages),
         completion_tokens=sum(result.completion_tokens for _, _, result in stages),

@@ -85,18 +85,6 @@ class ParseOutcome:
     def ok(self) -> bool:
         return self.kind == "ok"
 
-    @classmethod
-    def of(cls, plan: Plan) -> "ParseOutcome":
-        return cls(kind="ok", plan=plan)
-
-    @classmethod
-    def invalid_json(cls, detail: str) -> "ParseOutcome":
-        return cls(kind="invalid_json", detail=detail)
-
-    @classmethod
-    def violation(cls, path: str, detail: str) -> "ParseOutcome":
-        return cls(kind="schema_violation", path=path, detail=detail)
-
 
 class _Violation(Exception):
     def __init__(self, path: str, detail: str):
@@ -152,9 +140,9 @@ def plan_from_data(data: Any) -> ParseOutcome:
                 seen.add(arg_name)
                 pairs.append((arg_name, _decode_value(raw_arg["argument_value"])))
             calls.append(ToolCall(tool_name=name, arguments=tuple(pairs)))
-        return ParseOutcome.of(Plan(calls=tuple(calls)))
+        return ParseOutcome("ok", plan=Plan(calls=tuple(calls)))
     except _Violation as exc:
-        return ParseOutcome.violation(exc.path, exc.detail)
+        return ParseOutcome("schema_violation", path=exc.path, detail=exc.detail)
 
 
 def _refuse_constant(name: str):
@@ -185,7 +173,7 @@ def parse_plan(text: str) -> ParseOutcome:
     try:
         data = load_json(text)
     except ValueError as exc:
-        return ParseOutcome.invalid_json(str(exc))
+        return ParseOutcome("invalid_json", detail=str(exc))
     return plan_from_data(data)
 
 

@@ -151,11 +151,13 @@ def test_output_in_a_missing_directory_is_one_line_error(runner, tmp_path, repla
     ('{"max_tokens": 0}', "out of range: max_tokens must be at least 1"),
     ('{"temperature": -1}', "out of range: temperature must be at least 0"),
     ('{"temperature": NaN}', "out of range: temperature must be at least 0"),
+    ('{"temperature": Infinity}', "out of range: temperature must be finite"),
+    ('{"temperature": 1e999}', "out of range: temperature must be finite"),
     ('{"k": 0, "max_tokens": 0, "temperature": -0.5}',
      "out of range: k must be at least 1, max_tokens must be at least 1, temperature must be at least 0"),
 ], ids=["invalid_json", "array", "templates_array", "unknown_key", "missing_template", "wrong_types",
         "k_zero", "example_count_negative", "max_tokens_zero", "temperature_negative", "temperature_nan",
-        "several_out_of_range"])
+        "temperature_infinity", "temperature_overflow", "several_out_of_range"])
 def test_bad_config_is_one_line_error(runner, tmp_path, text, fragment):
     config = tmp_path / "config.json"
     config.write_text(text, encoding="utf-8")
@@ -178,6 +180,16 @@ def test_eval_bad_predictions_line_is_one_line_error(runner, tmp_path, golden_ex
         "--trace", str(tmp_path / "t.json"),
     ])
     _assert_one_line_error(result, "predictions line 2", '"predicted"')
+
+
+@pytest.mark.parametrize("source", ["predictions", "pipeline"])
+def test_eval_empty_dataset_is_one_line_error(runner, tmp_path, source):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    args = ["--predictions", str(empty)] if source == "predictions" else ["--pipeline", "regains",
+                                                                          "--mock", str(empty)]
+    result = runner.invoke(main, ["eval", "--dataset", str(empty), *args, "--trace", str(tmp_path / "t.json")])
+    _assert_one_line_error(result, f"{empty}: no dataset records")
 
 
 def test_check_forward_reference_exits_one(runner):

@@ -36,6 +36,15 @@ def test_request_refuses_nan(field):
         CompletionRequest(prompt="x", **{field: float("nan")})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_tokens", 2.5), ("max_tokens", True), ("temperature", float("inf")),
+])
+def test_request_refuses_a_value_no_decode_or_payload_can_hold(field, value):
+    # a fractional cap is never met by a step count, and infinity is no JSON number
+    with pytest.raises(ValueError, match=field):
+        CompletionRequest(prompt="x", **{field: value})
+
+
 def test_fingerprint_normalizes_whitespace():
     assert fingerprint("a  b\n\tc") == fingerprint("a b c")
     assert fingerprint("a b") != fingerprint("a c")
