@@ -255,6 +255,13 @@ def test_exec_runs_plan_on_stub(runner, golden_examples):
     assert trace[1]["arguments"]["owned_by"] == ["USER-001"]
 
 
+def test_exec_failed_step_is_one_line_error(runner):
+    plan_text = ('[{"tool_name":"op_div","arguments":[{"argument_name":"a","argument_value":1},'
+                 '{"argument_name":"b","argument_value":0}]}]')
+    result = runner.invoke(main, ["exec"], input=plan_text)
+    _assert_one_line_error(result, "Error: step 0: op_div failed: div by zero")
+
+
 def test_exec_refuses_plan_unknown_to_tools_file(runner, tmp_path, fixture_registry):
     # --tools holds only get_sprint_id: both calls name unknown tools, so
     # nothing runs and one error line names the first finding

@@ -73,6 +73,29 @@ def test_execute_rejects_malformed_reference_before_invoking(fixture_registry):
     assert runtime.invocations == 0
 
 
+def test_execute_wraps_a_failed_call_with_its_step():
+    plan = Plan((ToolCall("op_div", (("a", 1), ("b", 0))),))
+    with pytest.raises(ExecutionError) as err:
+        execute(plan, StubRuntime())
+    assert err.value.step == 0
+    assert str(err.value) == "step 0: op_div failed: div by zero"
+    assert isinstance(err.value.__cause__, OperatorError)
+
+
+def test_execute_passes_a_runtimes_execution_error_through():
+    raised = ExecutionError("runtime refused", step=7)
+
+    class Refusing:
+        coverage = frozenset({"t"})
+
+        def invoke(self, tool_name, arguments):
+            raise raised
+
+    with pytest.raises(ExecutionError) as err:
+        execute(Plan((ToolCall("t"),)), Refusing())
+    assert err.value is raised
+
+
 def test_execute_resolution_uses_trace_not_reinvocation(fixture_registry):
     class CountingRuntime(StubRuntime):
         def __init__(self):

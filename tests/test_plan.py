@@ -10,6 +10,7 @@ from chainplan.plan import (
     PrevRef,
     ToolCall,
     parse_plan,
+    plan_from_data,
     serialize_plan,
     validate_refs,
 )
@@ -58,6 +59,22 @@ def test_parse_schema_violation_has_pointer_path():
     outcome = parse_plan('[{"tool_name": "x"}]')
     assert outcome.kind == "schema_violation"
     assert outcome.path == "/0"
+
+
+@pytest.mark.parametrize(("data", "path", "detail"), [
+    ({}, "", "plan must be a JSON array of calls"),
+    ([1], "/0", "call must be a JSON object"),
+    ([{"tool_name": "x", "arguments": {}}], "/0/arguments", "arguments must be an array"),
+    ([{"tool_name": "x", "arguments": [1]}], "/0/arguments/0", "argument must be a JSON object"),
+    ([{"tool_name": "x", "arguments": [{"argument_name": "a"}]}], "/0/arguments/0",
+     "argument must have exactly argument_name and argument_value"),
+    ([{"tool_name": "x", "arguments": [{"argument_name": 1, "argument_value": 2}]}],
+     "/0/arguments/0/argument_name", "argument_name must be a string"),
+], ids=["plan_object", "call_number", "arguments_object", "argument_number", "argument_without_value",
+        "argument_name_number"])
+def test_plan_from_data_pins_each_violation(data, path, detail):
+    outcome = plan_from_data(data)
+    assert (outcome.kind, outcome.path, outcome.detail) == ("schema_violation", path, detail)
 
 
 def test_parse_duplicate_argument_name_rejected():
