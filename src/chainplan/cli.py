@@ -28,7 +28,7 @@ from .pipelines import (
     run_enchant,
     run_regains,
 )
-from .plan import Plan, iter_prev_refs, parse_plan, serialize_plan, validate_refs
+from .plan import Plan, iter_prev_refs, parse_plan, plan_to_data, serialize_plan, validate_refs
 from .registry import RegistryError, fixture_tools_path, load_registry, validate_registry
 from .retrieval import HashEmbeddingProvider, RetrievalError
 from .typegraph import build_graph, check_ref, repair_plan
@@ -37,6 +37,8 @@ from .typegraph import build_graph, check_ref, repair_plan
 def _fail(message: str) -> None:
     raise click.ClickException(message)
 
+
+_PIPELINES = {"enchant": run_enchant, "regains": run_regains}
 
 # An input file option: a missing file is a usage error.
 _FILE = click.Path(exists=True, dir_okay=False)
@@ -109,7 +111,7 @@ def cmd_tools(tools, dump_graph, fmt):
 
 @main.command("plan")
 @click.argument("query")
-@click.option("--pipeline", type=click.Choice(["enchant", "regains"]), default="regains")
+@click.option("--pipeline", type=click.Choice(list(_PIPELINES)), default="regains")
 @_TOOLS_OPTION
 @click.option("--examples", type=_FILE, default=None, help="Golden dataset JSONL used as worked examples.")
 @click.option("--config", "config_file", type=_FILE, default=None, help="Pipeline config JSON.")
@@ -132,8 +134,7 @@ def cmd_plan(query, pipeline, tools, examples, config_file, replay_file, trace_f
     ctx = PlannerContext.build(registry, HashEmbeddingProvider(), golden)
     try:
         model = load_replay(replay_file) if replay_file else RemoteChatModel()
-        runner = run_enchant if pipeline == "enchant" else run_regains
-        trace = runner(query, ctx, model, config)
+        trace = _PIPELINES[pipeline](query, ctx, model, config)
     except (PipelineError, PromptError, CompletionError, RetrievalError) as exc:
         _fail(str(exc))
     _write_text(trace_file, trace.to_json())
@@ -186,7 +187,7 @@ def cmd_repair(tools, in_file, fmt):
     repaired, repairs = repair_plan(build_graph(registry), _read_plan(in_file))
     if fmt == "json":
         click.echo(json.dumps({
-            "plan": json.loads(serialize_plan(repaired)),
+            "plan": plan_to_data(repaired),
             "repairs": [r.__dict__ for r in repairs],
         }, indent=2))
     else:
@@ -238,7 +239,7 @@ def cmd_exec(tools, in_file, out):
 @click.option("--dataset", type=_FILE, required=True, help="Golden dataset JSONL.")
 @click.option("--predictions", type=_FILE, default=None,
               help="Predictions JSONL: one {\"predicted\": \"<plan text>\"} per dataset line.")
-@click.option("--pipeline", type=click.Choice(["enchant", "regains"]), default=None,
+@click.option("--pipeline", type=click.Choice(list(_PIPELINES)), default=None,
               help="Generate predictions by running this pipeline instead.")
 @click.option("--mock", "replay_file", type=_FILE, default=None, help="Replay JSONL for --pipeline runs.")
 @_TOOLS_OPTION
@@ -278,7 +279,6 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
             model = load_replay(replay_file) if replay_file else RemoteChatModel()
         except CompletionError as exc:
             _fail(str(exc))
-        runner = run_enchant if pipeline == "enchant" else run_regains
         predicted_texts = []
         traces = []
         for example in examples:
@@ -286,7 +286,7 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
             pool = tuple(item for item in ctx.example_corpus.items if item.id != example.id)
             held_out = replace(ctx, example_corpus=replace(ctx.example_corpus, items=pool))
             try:
-                trace = runner(example.query, held_out, model)
+                trace = _PIPELINES[pipeline](example.query, held_out, model)
             except (PipelineError, CompletionError) as exc:
                 _fail(f"pipeline failed on {example.query!r}: {exc}")
             predicted_texts.append(trace.final_text)

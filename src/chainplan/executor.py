@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import json
 import operator
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any
@@ -135,6 +136,9 @@ def apply_operator(op: str, a: Any, b: Any) -> Any:
         # ordered comparisons: both numeric or both text
         raise OperatorError(f"{op} requires two numbers or two strings, got {kind_a}/{kind_b}")
     try:
+        # an int power is computed in full, so one that no float holds is refused uncomputed
+        if op == "pow" and isinstance(a, int) and isinstance(b, int) and b > 0 and (abs(a).bit_length() - 1) * b > 1024:
+            raise OverflowError
         result = _OPERATORS[op](a, b)
     except OverflowError:
         raise OperatorError(f"{op} result out of range") from None
@@ -142,6 +146,9 @@ def apply_operator(op: str, a: Any, b: Any) -> Any:
         raise OperatorError(f"{op} by zero") from None
     if isinstance(result, complex):
         raise OperatorError(f"{op} has no real result for {a!r} and {b!r}")
+    # JSON writes no infinite or NaN float, nor an int past the largest float, as a number
+    if not abs(result) <= sys.float_info.max:
+        raise OperatorError(f"{op} result out of range")
     return result
 
 
@@ -188,43 +195,40 @@ def _work_item(item_id: str, title: str) -> dict:
     return {"type": "WorkItem", "id": item_id, "title": title}
 
 
+def _objects(arguments: dict[str, Any]) -> tuple:
+    objects = arguments.get("objects", ())
+    return tuple(objects) if isinstance(objects, (tuple, list)) else (objects,)
+
+
+_STUB_TOOLS = {
+    "who_am_i": lambda _: "USER-001",
+    "get_sprint_id": lambda _: "SPRINT-42",
+    "works_list": lambda _: (_work_item("ITEM-001", "Fix login flow"),
+                             _work_item("ITEM-002", "Update billing page")),
+    "prioritize_objects": lambda arguments: tuple(reversed(_objects(arguments))),
+    "summarize_objects": lambda arguments: (
+        {"type": "Summary", "text": f"{len(_objects(arguments))} objects summarized"},),
+    "add_work_items_to_sprint": lambda _: True,
+    "get_similar_work_items": lambda _: (_work_item("ITEM-003", "Similar: login timeout"),),
+    "search_object_by_name": lambda _: "OBJ-007",
+    "create_actionable_tasks_from_text": lambda _: (_work_item("TASK-001", "Follow up on notes"),),
+}
+
+
 class StubRuntime:
-    """Deterministic synthetic runtime for the bundled nine-tool fixture;
-    values are implementer-authored test data, no service is contacted."""
+    """Deterministic synthetic runtime for the bundled nine-tool fixture:
+    ``_STUB_TOOLS`` maps each tool to its output given the arguments (a lone
+    ``objects`` value counts as one object), and the op_* pseudo-tools run on
+    :class:`OperatorRuntime`. The values are implementer-authored test data;
+    no service is contacted."""
 
     def __init__(self):
         self._operators = OperatorRuntime()
-        self.coverage = self._operators.coverage | {
-            "works_list", "summarize_objects", "prioritize_objects",
-            "add_work_items_to_sprint", "get_sprint_id", "get_similar_work_items",
-            "search_object_by_name", "create_actionable_tasks_from_text", "who_am_i",
-        }
+        self.coverage = self._operators.coverage | frozenset(_STUB_TOOLS)
 
     def invoke(self, tool_name: str, arguments: dict[str, Any]) -> Any:
         if tool_name in self._operators.coverage:
             return self._operators.invoke(tool_name, arguments)
-        if tool_name == "who_am_i":
-            return "USER-001"
-        if tool_name == "get_sprint_id":
-            return "SPRINT-42"
-        if tool_name == "works_list":
-            return (_work_item("ITEM-001", "Fix login flow"),
-                    _work_item("ITEM-002", "Update billing page"))
-        if tool_name == "prioritize_objects":
-            objects = arguments.get("objects", ())
-            if not isinstance(objects, (tuple, list)):
-                objects = (objects,)
-            return tuple(reversed(objects))
-        if tool_name == "summarize_objects":
-            objects = arguments.get("objects", ())
-            count = len(objects) if isinstance(objects, (tuple, list)) else 1
-            return ({"type": "Summary", "text": f"{count} objects summarized"},)
-        if tool_name == "add_work_items_to_sprint":
-            return True
-        if tool_name == "get_similar_work_items":
-            return (_work_item("ITEM-003", "Similar: login timeout"),)
-        if tool_name == "search_object_by_name":
-            return "OBJ-007"
-        if tool_name == "create_actionable_tasks_from_text":
-            return (_work_item("TASK-001", "Follow up on notes"),)
-        raise ExecutionError(f"stub runtime does not cover {tool_name!r}")
+        if tool_name not in _STUB_TOOLS:
+            raise ExecutionError(f"stub runtime does not cover {tool_name!r}")
+        return _STUB_TOOLS[tool_name](arguments)

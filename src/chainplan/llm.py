@@ -221,7 +221,11 @@ class RemoteChatModel:
             text = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise CompletionError(f"malformed chat completion response: {exc}") from exc
-        return _counted(self, request, text, latency, usage=body.get("usage"))
+        usage = {} if body.get("usage") is None else body["usage"]
+        if not isinstance(text, str) or not isinstance(usage, dict) or not all(
+                type(usage.get(key, 0)) is int for key in ("prompt_tokens", "completion_tokens")):
+            raise CompletionError("malformed chat completion response: need a string content and integer usage counts")
+        return _counted(self, request, text, latency, usage=usage)
 
 
 def _tail(emitted: str, keep: int = 60) -> str:

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .plan import Plan, parse_plan, serialize_plan, validate_refs
 from .registry import Registry
@@ -57,29 +58,17 @@ def hallucination_rate(predicted: Plan, registry: Registry) -> float:
 
 
 def plan_tokens(plan: Plan) -> list[str]:
-    """Canonical token stream: serialize, then split keeping each JSON
-    structural character as its own token."""
+    """Canonical token stream: the text tokens of the serialized plan."""
     return text_tokens(serialize_plan(plan))
 
 
-_STRUCTURAL = set('{}[],:"')
+_TOKEN = re.compile(r'[{}\[\],:"]|[^{}\[\],:"\s]+')
 
 
 def text_tokens(text: str) -> list[str]:
-    tokens: list[str] = []
-    buffer: list[str] = []
-    for ch in text:
-        if ch in _STRUCTURAL or ch.isspace():
-            if buffer:
-                tokens.append("".join(buffer))
-                buffer = []
-            if ch in _STRUCTURAL:
-                tokens.append(ch)
-        else:
-            buffer.append(ch)
-    if buffer:
-        tokens.append("".join(buffer))
-    return tokens
+    """Each JSON structural character ``{}[],:"`` as its own token, and each
+    run of other characters between them and whitespace as one token."""
+    return _TOKEN.findall(text)
 
 
 def bleu(predicted_tokens: list[str], gold_tokens: list[str]) -> float:
@@ -178,19 +167,14 @@ class ExampleScores:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    examples: tuple[ExampleScores, ...]
+    """A dataset's scores; ``to_json`` writes every field, in field order."""
+
     aggregates: dict[str, float | None]
     counts: dict[str, int]
+    examples: tuple[ExampleScores, ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "aggregates": self.aggregates,
-                "counts": self.counts,
-                "examples": [scores.__dict__ for scores in self.examples],
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def score_example(record: EvalRecord, registry: Registry) -> ExampleScores:

@@ -83,17 +83,15 @@ def _lines(text: str) -> tuple[str, ...]:
     return tuple(line.strip() for line in text.splitlines() if line.strip())
 
 
-_REQUIRED_SLOTS = {
-    "decompose_template": ("query", "tools"),
-    "recompose_template": ("query", "tools", "subtasks"),
-    "rap_template": ("query", "tools", "examples", "insights"),
+_TEMPLATE_SLOTS = {
+    "decompose": ("query", "tools"),
+    "recompose": ("query", "tools", "subtasks"),
+    "rap": ("query", "tools", "examples", "insights"),
 }
 
 _CONFIG_SCALARS = {"k": int, "example_count": int, "model_id": str, "max_tokens": int, "temperature": (int, float)}
 # The least value each numeric setting may take.
 _CONFIG_MINIMA = {"k": 1, "example_count": 0, "max_tokens": 1, "temperature": 0}
-_CONFIG_TEMPLATES = {"decompose": "decompose_template", "recompose": "recompose_template",
-                     "rap": "rap_template"}
 
 
 def _wrong_type(value, kind) -> bool:
@@ -104,7 +102,8 @@ def _wrong_type(value, kind) -> bool:
 @dataclass
 class PipelineConfig:
     """Pipeline settings, validated when built; the templates and insights
-    default to the packaged ones."""
+    default to the packaged ones. ``_TEMPLATE_SLOTS`` gives each template's
+    config-file key and required placeholders; its field is ``<key>_template``."""
 
     k: int = 10
     example_count: int = 2
@@ -120,11 +119,11 @@ class PipelineConfig:
         self.validate()
 
     def validate(self) -> None:
-        for attr, slots in _REQUIRED_SLOTS.items():
-            template = getattr(self, attr)
+        for key, slots in _TEMPLATE_SLOTS.items():
+            template = getattr(self, f"{key}_template")
             missing = [slot for slot in slots if f"{{{slot}}}" not in template]
             if missing:
-                raise ValueError(f"{attr} lacks required placeholders: {missing}")
+                raise ValueError(f"{key}_template lacks required placeholders: {missing}")
         wrong = [key for key, kind in _CONFIG_SCALARS.items() if _wrong_type(getattr(self, key), kind)]
         if wrong:
             raise ValueError(f"config values of the wrong type: {', '.join(wrong)}")
@@ -154,7 +153,7 @@ class PipelineConfig:
             raise ValueError(f"{path}: a config is a JSON object, and its templates an object")
         base = Path(path).resolve().parent
         unknown = sorted(set(doc) - {*_CONFIG_SCALARS, "templates", "insights"})
-        unknown += sorted(f"templates.{key}" for key in set(templates) - set(_CONFIG_TEMPLATES))
+        unknown += sorted(f"templates.{key}" for key in set(templates) - set(_TEMPLATE_SLOTS))
         if unknown:
             raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
         # every other value, the insights path and the template paths, is a string
@@ -164,9 +163,9 @@ class PipelineConfig:
         if wrong:
             raise ValueError(f"{path}: config values of the wrong type: {', '.join(wrong)}")
         settings = {key: doc[key] for key in _CONFIG_SCALARS if key in doc}
-        for key, attr in _CONFIG_TEMPLATES.items():
+        for key in _TEMPLATE_SLOTS:
             if key in templates:
-                settings[attr] = (base / templates[key]).read_text(encoding="utf-8")
+                settings[f"{key}_template"] = (base / templates[key]).read_text(encoding="utf-8")
         if "insights" in doc:
             settings["insights"] = _lines((base / doc["insights"]).read_text(encoding="utf-8"))
         try:

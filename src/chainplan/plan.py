@@ -106,6 +106,17 @@ def _decode_value(raw: Any) -> ArgValue:
     return raw
 
 
+def _record_name(raw: Any, path: str, record: str, name_key: str, value_key: str) -> str:
+    """The string name of a call or argument record, once its two keys are checked."""
+    if not isinstance(raw, dict):
+        raise _Violation(path, f"{record} must be a JSON object")
+    if set(raw) != {name_key, value_key}:
+        raise _Violation(path, f"{record} must have exactly {name_key} and {value_key}")
+    if not isinstance(raw[name_key], str):
+        raise _Violation(f"{path}/{name_key}", f"{name_key} must be a string")
+    return raw[name_key]
+
+
 def plan_from_data(data: Any) -> ParseOutcome:
     """Build a plan from already-decoded JSON data, checking the wire shape."""
     try:
@@ -114,13 +125,7 @@ def plan_from_data(data: Any) -> ParseOutcome:
         calls: list[ToolCall] = []
         for i, raw_call in enumerate(data):
             call_path = f"/{i}"
-            if not isinstance(raw_call, dict):
-                raise _Violation(call_path, "call must be a JSON object")
-            if set(raw_call) != {"tool_name", "arguments"}:
-                raise _Violation(call_path, "call must have exactly tool_name and arguments")
-            name = raw_call["tool_name"]
-            if not isinstance(name, str):
-                raise _Violation(f"{call_path}/tool_name", "tool_name must be a string")
+            name = _record_name(raw_call, call_path, "call", "tool_name", "arguments")
             raw_args = raw_call["arguments"]
             if not isinstance(raw_args, list):
                 raise _Violation(f"{call_path}/arguments", "arguments must be an array")
@@ -128,13 +133,7 @@ def plan_from_data(data: Any) -> ParseOutcome:
             seen: set[str] = set()
             for j, raw_arg in enumerate(raw_args):
                 arg_path = f"{call_path}/arguments/{j}"
-                if not isinstance(raw_arg, dict):
-                    raise _Violation(arg_path, "argument must be a JSON object")
-                if set(raw_arg) != {"argument_name", "argument_value"}:
-                    raise _Violation(arg_path, "argument must have exactly argument_name and argument_value")
-                arg_name = raw_arg["argument_name"]
-                if not isinstance(arg_name, str):
-                    raise _Violation(f"{arg_path}/argument_name", "argument_name must be a string")
+                arg_name = _record_name(raw_arg, arg_path, "argument", "argument_name", "argument_value")
                 if arg_name in seen:
                     raise _Violation(f"{arg_path}/argument_name", f"duplicate argument name {arg_name!r}")
                 seen.add(arg_name)

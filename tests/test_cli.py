@@ -262,6 +262,13 @@ def test_exec_failed_step_is_one_line_error(runner):
     _assert_one_line_error(result, "Error: step 0: op_div failed: div by zero")
 
 
+def test_exec_result_out_of_range_is_one_line_error(runner):
+    plan_text = ('[{"tool_name":"op_mul","arguments":[{"argument_name":"a","argument_value":1e308},'
+                 '{"argument_name":"b","argument_value":10}]}]')
+    result = runner.invoke(main, ["exec"], input=plan_text)
+    _assert_one_line_error(result, "Error: step 0: op_mul failed: mul result out of range")
+
+
 def test_exec_refuses_plan_unknown_to_tools_file(runner, tmp_path, fixture_registry):
     # --tools holds only get_sprint_id: both calls name unknown tools, so
     # nothing runs and one error line names the first finding

@@ -280,12 +280,25 @@ def test_pow_exact_integers():
 
 @pytest.mark.parametrize(
     ("a", "b"),
-    [(-8, 0.5), (2.0, 10000), (0, -1)],
-    ids=["complex-result", "overflow", "zero-to-negative-power"],
+    [(-8, 0.5), (2.0, 10000), (0, -1), (10, 5000)],
+    ids=["complex-result", "overflow", "zero-to-negative-power", "int-overflow"],
 )
 def test_pow_without_a_real_result_raises_operator_error(a, b):
     with pytest.raises(OperatorError, match="pow"):
         apply_operator("pow", a, b)
+
+
+@pytest.mark.parametrize(("op", "a", "b"), [
+    ("mul", 1e308, 10),
+    ("add", 1e308, 1e308),
+    ("div", 1e308, 1e-10),
+    ("floordiv", 1e308, 1e-10),
+    ("mul", 10 ** 200, 10 ** 200),
+], ids=["float-mul", "float-add", "float-div", "float-floordiv", "int-mul"])
+def test_result_json_cannot_hold_raises_operator_error(op, a, b):
+    # an infinite float is not JSON, and an int past the largest float is no JSON number
+    with pytest.raises(OperatorError, match=f"^{op} result out of range$"):
+        apply_operator(op, a, b)
 
 
 @pytest.mark.parametrize("op", ["gt", "lt", "ge", "le"])

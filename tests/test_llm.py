@@ -98,6 +98,10 @@ class _StubHandler(BaseHTTPRequestHandler):
     failures_left = 0
     failure_status = 500
     seen_payloads: list = []
+    response = {
+        "choices": [{"message": {"role": "assistant", "content": "[]"}}],
+        "usage": {"prompt_tokens": 12, "completion_tokens": 2},
+    }
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -108,10 +112,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_response(type(self).failure_status)
             self.end_headers()
             return
-        body = json.dumps({
-            "choices": [{"message": {"role": "assistant", "content": "[]"}}],
-            "usage": {"prompt_tokens": 12, "completion_tokens": 2},
-        }).encode("utf-8")
+        body = json.dumps(type(self).response).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -145,6 +146,26 @@ def test_remote_model_against_stub(stub_server):
     payload = _StubHandler.seen_payloads[0]
     assert payload["model"] == "test-model"
     assert payload["messages"][0] == {"role": "system", "content": "be terse"}
+
+
+@pytest.mark.parametrize("response", [
+    {"choices": [{"message": {"content": None}}], "usage": {"prompt_tokens": 3, "completion_tokens": 0}},
+    {"choices": [{"message": {"content": "[]"}}], "usage": {"prompt_tokens": None, "completion_tokens": 2}},
+    {"usage": {"prompt_tokens": 3, "completion_tokens": 0}},
+], ids=["null_content", "null_count", "no_choices"])
+def test_remote_model_refuses_a_malformed_answer(stub_server, monkeypatch, response):
+    monkeypatch.setattr(_StubHandler, "response", response)
+    model = RemoteChatModel(api_base=stub_server, api_key="k")
+    with pytest.raises(CompletionError, match="^malformed chat completion response: "):
+        model.complete(CompletionRequest(prompt="q"))
+    assert model.calls == 0
+
+
+def test_remote_model_estimates_tokens_without_usage(stub_server, monkeypatch):
+    monkeypatch.setattr(_StubHandler, "response", {"choices": [{"message": {"content": "[]"}}], "usage": None})
+    model = RemoteChatModel(api_base=stub_server, api_key="k")
+    result = model.complete(CompletionRequest(prompt="plan it"))
+    assert (result.text, result.prompt_tokens, result.completion_tokens) == ("[]", 2, 1)
 
 
 def test_remote_model_retries_then_succeeds(stub_server):

@@ -276,6 +276,25 @@ def test_tokenizer_keeps_structural_chars():
     assert tokens == ["[", "{", '"', "a", '"', ":", "1", "}", "]"]
 
 
+def _scanned_tokens(text: str) -> list[str]:
+    # reference: each character scanned once, str.isspace() separating runs
+    tokens, run = [], ""
+    for ch in text:
+        if ch in '{}[],:"' or ch.isspace():
+            tokens += [run] if run else []
+            tokens += [ch] if not ch.isspace() else []
+            run = ""
+        else:
+            run += ch
+    return tokens + ([run] if run else [])
+
+
+@given(st.text(alphabet=st.sampled_from('{}[],:"ab1 \t\n\x0b\x1c\x85\xa0\u2028\u3000$'), max_size=40) | st.text(max_size=40))
+@example(' \x1c{"a b":[1,\u3000"$$PREV[0]"]}\x85')
+def test_tokenizer_matches_a_character_scan(text):
+    assert text_tokens(text) == _scanned_tokens(text)
+
+
 def test_plan_tokens_serialization_stable():
     plan = Plan((ToolCall("who_am_i"),))
     assert plan_tokens(plan) == text_tokens(serialize_plan(plan))
