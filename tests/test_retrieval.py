@@ -1,10 +1,16 @@
+import contextlib
 import hashlib
+import heapq
 import json
 import math
 import random
+import sys
+import threading
+from array import array
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chainplan.retrieval import (
     _BIAS,
@@ -14,8 +20,10 @@ from chainplan.retrieval import (
     Corpus,
     CorpusItem,
     HashEmbeddingProvider,
+    RemoteEmbeddingProvider,
     RetrievalError,
     _candidates,
+    _select,
     _slack,
     cosine,
     index_corpus,
@@ -363,6 +371,104 @@ def test_about_k_items_of_a_hashed_corpus_are_rescored():
     assert sum(rescored) / len(rescored) <= 12
 
 
+_FIELD_LOW, _FIELD_HIGH = 1 << 29, 3 << 29
+
+
+def _reference_select(fields, k, slack):
+    """The rule :func:`_select` implements, over every field: T the k-th
+    largest field by ``heapq.nlargest``, then every field >= T - 2*slack."""
+    cut = heapq.nlargest(k, fields)[-1] - 2 * slack
+    return [i for i, field in enumerate(fields) if field >= cut]
+
+
+@st.composite
+def _packed_fields(draw):
+    """Fields in [2**29, 3 * 2**29] clustered about a few values, so that
+    ties and shared top bytes are common, a k below their count and a slack
+    up to 2**28."""
+    anchors = draw(st.lists(st.one_of(st.integers(_FIELD_LOW, _FIELD_HIGH),
+                                      st.integers(32, 96).map(lambda top: top << 24)), min_size=1, max_size=4))
+    spread = draw(st.sampled_from([0, 1, 1 << 12, 1 << 24, 1 << 26]))
+    field = st.builds(lambda anchor, offset: min(max(anchor + offset, _FIELD_LOW), _FIELD_HIGH),
+                      st.sampled_from(anchors), st.integers(-spread, spread))
+    fields = draw(st.lists(field, min_size=2, max_size=80))
+    k = draw(st.one_of(st.integers(1, len(fields) - 1), st.just(len(fields) - 1)))
+    slack = draw(st.one_of(st.integers(0, 1 << 20), st.integers((1 << 24) + 1, 1 << 28)))
+    return fields, k, slack
+
+
+@settings(max_examples=400, deadline=None)
+@given(_packed_fields())
+# Ties at the k-th field, across the k boundary.
+@example(([1 << 30] * 5 + [_FIELD_LOW + 7] * 3, 3, 0))
+# All of the top k in one top-byte bucket, above fields of another.
+@example(([(64 << 24) + i for i in range(10)] + [40 << 24] * 5, 7, 1))
+# The k-th field exactly at t << 24, and a cut just below it, in byte t - 1.
+@example(([(71 << 24) + 5, 70 << 24, (70 << 24) - 1, 69 << 24], 2, 0))
+@example(([(71 << 24) + 5, 70 << 24, (70 << 24) - 1, 69 << 24], 2, 1))
+# k one below the number of fields.
+@example(([_FIELD_LOW, _FIELD_HIGH, 1 << 30, 1 << 30], 3, 5))
+# Fields at both ends of [2**29, 3 * 2**29]; the last cut is 0.
+@example(([_FIELD_HIGH, _FIELD_LOW, _FIELD_LOW + 1, _FIELD_HIGH - 1], 1, 0))
+@example(([_FIELD_LOW] * 3 + [_FIELD_HIGH], 2, 1 << 28))
+# A slack above 2**24: the cut lies two bytes below t, and a field in
+# byte t - 2 is selected.
+@example(([80 << 24, 79 << 24, (78 << 24) + 1, 77 << 24, 60 << 24], 1, (1 << 24) + 1))
+def test_top_byte_selection_equals_nlargest_over_every_field(case):
+    fields, k, slack = case
+    assert _select(array("I", fields).tobytes(), k, slack) == _reference_select(fields, k, slack)
+
+
+def _check_against_plain_prescore(corpus, provider, query, k):
+    """Retrieval equals the cosine sort, and the rescored items are those
+    the plain pre-score selects: one multiply-add per dimension, then
+    :func:`_reference_select`. Returns the query's non-zero weights."""
+    assert retrieve_top_k(query, corpus, provider, k) == _oracle_top_k(query, corpus, k)
+    norm = math.sqrt(sum(x * x for x in query))
+    prescore = corpus._prescore
+    weights = [round(x * 2.0 ** _Q / norm) for x in query]
+    total = (_OFFSET - _BIAS * sum(weights)) * prescore.ones + sum(w * c for w, c in zip(weights, prescore.columns))
+    fields = array("I", total.to_bytes(4 * len(prescore.positions), sys.byteorder))
+    rescored = [prescore.positions[i] for i in _reference_select(fields, k, prescore.slack)]
+    assert _candidates(corpus, query, norm, k) == rescored + prescore.rest
+    return [w for w in weights if w]
+
+
+_QUERY_WORDS = ("find get list open close merge assign label review build deploy release "
+                "branch commit user team project milestone board status note").split()
+
+
+def _hashed_corpus(rng, provider, size):
+    return index_corpus(provider, [(f"tool{i:04d}", f"tool{i}: {' '.join(rng.choices(_QUERY_WORDS, k=10))}")
+                                   for i in range(size)])
+
+
+def test_hashed_queries_with_mostly_zero_weights_at_1536_dimensions_equal_the_oracle():
+    # A hashed query of 1,536 dimensions has a few dozen non-zero weights;
+    # the zero weights are skipped.
+    rng = random.Random(1537)
+    provider = HashEmbeddingProvider(dimension=1536)
+    corpus = _hashed_corpus(rng, provider, 120)
+    for k in (1, 3, 10, 10, 25):
+        query = provider.embed(" ".join(rng.choices(_QUERY_WORDS, k=6)))
+        nonzero = _check_against_plain_prescore(corpus, provider, query, k)
+        assert 0 < len(nonzero) < 1536 // 10
+
+
+def test_hashed_queries_with_repeated_weights_over_2000_tools_equal_the_oracle():
+    # 64-dimensional hashed trigram counts over a norm: a query's weights
+    # repeat, so columns sharing one are summed before one multiply.
+    rng = random.Random(2000)
+    provider = HashEmbeddingProvider()
+    corpus = _hashed_corpus(rng, provider, 2000)
+    repeated = 0
+    for k in (1, 5, 10, 10, 10, 20):
+        query = provider.embed(" ".join(rng.choices(_QUERY_WORDS, k=8)))
+        nonzero = _check_against_plain_prescore(corpus, provider, query, k)
+        repeated += len(nonzero) - len(set(nonzero))
+    assert repeated >= 6 * 10
+
+
 def test_items_and_queries_outside_the_safe_norm_range_are_scored_in_float():
     rng = random.Random(400)
     vectors = [[rng.uniform(-1, 1) for _ in range(8)] for _ in range(40)]
@@ -549,3 +655,59 @@ def test_remote_embedding_provider_against_stub():
     finally:
         server.shutdown()
         server.server_close()
+
+
+@contextlib.contextmanager
+def _embeddings_stub(body: bytes):
+    """A localhost embeddings endpoint answering every POST with ``body``."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.mark.parametrize("embedding, vector", [
+    ("[0.6, 0.8]", [0.6, 0.8]),
+    ("[3, -4]", [3.0, -4.0]),
+    ('["nan", 1.0]', None),
+    ('["inf", 1.0]', None),
+    ('["0.6", 0.8]', None),
+    ("[true, 1.0]", None),
+    ("[0.6, null]", None),
+    ("[NaN, 1.0]", None),
+    ("[Infinity, 1.0]", None),
+    ("[-Infinity, 1.0]", None),
+    ("[1e999, 1.0]", None),
+    ("[[0.6], 0.8]", None),
+    ('"0.6,0.8"', None),
+    ('{"0": 0.6}', None),
+])
+def test_remote_embedding_provider_takes_only_finite_json_numbers(embedding, vector):
+    body = f'{{"data": [{{"embedding": {embedding}}}]}}'.encode("utf-8")
+    with _embeddings_stub(body) as api_base:
+        provider = RemoteEmbeddingProvider(model="test-embed", api_base=api_base, api_key="k")
+        if vector is None:
+            with pytest.raises(RetrievalError, match="^malformed embeddings response: "):
+                provider.embed("some tool text")
+            assert provider.dimension is None
+        else:
+            assert provider.embed("some tool text") == vector
+            assert provider.dimension == len(vector)
