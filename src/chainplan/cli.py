@@ -205,7 +205,7 @@ def cmd_enforce(tools, in_file, fmt):
     registry = _load_registry_arg(tools, with_operators=True)
     repaired, edits = enforced_repair(compile_schema(registry), _read_plan_text(in_file))
     if fmt == "json":
-        click.echo(json.dumps({"text": repaired, "edits": [e.__dict__ for e in edits]}, indent=2))
+        click.echo(json.dumps({"text": repaired, "edits": [e._asdict() for e in edits]}, indent=2))
     else:
         click.echo(repaired)
         for edit in edits:

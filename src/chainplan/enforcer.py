@@ -51,6 +51,19 @@ characters: a literal or open-string state without its ``then``, any other
 state as itself. The memo is bounded and cleared when full. Sessions share
 it safely: the sets are immutable, and a lost entry only costs a rescan.
 
+Projection steps through a transition graph that each automaton keeps and
+builds lazily: one node per state reached, a dict that maps None to the
+state and each character stepped from it to the successor node, or to None
+when the state rejects it. Only a character not yet stepped from a node
+calls ``transition``, and a node is made for each new state it reaches. A
+state holds the tool, its used arguments and the position inside a value,
+never the calls made before, so answers pass through the same states again
+and step along kept edges. At ``_GRAPH_SIZE`` nodes the graph is cleared.
+Projections share it safely: an edge is a pure function of (state,
+character), so a node that a walk still holds after a clear stays correct,
+and a lost node only costs a restep; a walk decides acceptance from the
+state, never from a node.
+
 Vocabulary masks are exact: a token is allowed if and only if feeding it
 character by character would succeed. A vocabulary belongs to the model: it
 is indexed once (``vocabulary_index``) into a ``TokenIndex`` (sorted distinct
@@ -76,8 +89,8 @@ wrapping decision afterwards.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .registry import IDENTIFIER_PATTERN, Registry, ValueType
 
@@ -185,6 +198,12 @@ def _first_from(names: tuple[str, ...], prefix: str) -> str:
 # Next-character sets an automaton keeps before it clears them all.
 _ALLOWED_CACHE_SIZE = 4096
 
+# Nodes an automaton's transition graph keeps before it clears them all:
+# about 370 B each with its state and edges by tracemalloc over projected
+# regains-1k answers, so about 1.5 MB at the bound.
+_GRAPH_SIZE = 4096
+_UNSEEN = object()
+
 _STRING_TAGS = frozenset(("s", "se", "su"))
 # States whose next characters do not depend on their ``then``: literals and
 # open strings, which ``allowed`` keys without it.
@@ -197,6 +216,7 @@ class _Automaton:
         self.initial_state = ("lit", "[", 0, ("open", item, _ACCEPT))
         self._item_close = ("lit", "}", 0, ("sep", item, _ACCEPT))
         self._allowed: dict[tuple, frozenset[str]] = {}
+        self._graph: dict[tuple, dict] = {}
 
     def accepting(self, state: tuple) -> bool:
         return state == _ACCEPT
@@ -313,6 +333,26 @@ class _Automaton:
             self._allowed[key] = found
         return found
 
+    def node(self, state: tuple) -> dict:
+        """The transition graph's node of ``state``: a dict that maps the key
+        None to ``state`` and each character stepped from it so far to the
+        successor node, or to None when ``state`` rejects it (``successor``).
+        At ``_GRAPH_SIZE`` nodes the graph is cleared first."""
+        graph = self._graph
+        if len(graph) >= _GRAPH_SIZE:
+            graph.clear()
+        return graph.setdefault(state, {None: state})
+
+    def successor(self, node: dict, ch: str):
+        """The node after ``ch`` from ``node``, or None if its state does not
+        take ``ch``: stepped with ``transition`` and kept as the edge
+        ``node[ch]``; a state that steps to itself is its own node. Callers
+        read a kept edge off the node first."""
+        here = node[None]
+        state = self.transition(here, ch)
+        nxt = node[ch] = None if state is None else node if state is here else self.node(state)
+        return nxt
+
     def _name_next(self, key, prefix: str) -> frozenset[str]:
         """The characters a name piece takes after ``prefix``, read off the
         sorted names: ``"`` if ``prefix`` is a name, and the next character
@@ -398,7 +438,6 @@ def compile_subtask_schema(tool_names) -> SubTaskAutomaton:
 # Shared-prefix lengths are stored one byte each. A longer shared prefix is
 # recorded as the cap and its rest walked again: slower, never wrong.
 _SHARED_CAP = 255
-_UNSEEN = object()
 _LAST_CHAR = chr(0x10FFFF)  # the one character without a successor
 
 
@@ -645,8 +684,7 @@ class DecoderSession:
         return dup
 
 
-@dataclass(frozen=True)
-class Edit:
+class Edit(NamedTuple):
     kind: str  # "skip" | "insert" | "truncate"
     position: int  # index into the candidate text
     text: str
@@ -684,20 +722,33 @@ def enforced_repair(automaton, candidate: str) -> tuple[str, list[Edit]]:
     closes an open string with ``"``, and a number or reference index
     offers its continuation's closer, which the priority puts ahead of a
     digit. Idempotent.
+
+    Steps through the automaton's transition graph: a kept edge is read off
+    the node, and only a character not yet stepped from it calls
+    ``transition`` (``successor``). The walk stops when the state accepts,
+    which takes no character, whatever node holds it, so a clear of the
+    graph mid-walk changes nothing.
     """
-    state = automaton.initial_state
+    node = automaton.node(automaton.initial_state)
+    successor = automaton.successor
     out: list[str] = []
     edits: list[Edit] = []
-    i = 0
+    i = done = 0  # candidate[done:i] is consumed but not yet in out
     n = len(candidate)
-    while not automaton.accepting(state):
-        if i < n:
-            nxt = automaton.transition(state, candidate[i])
-            if nxt is not None:
-                state = nxt
-                out.append(candidate[i])
-                i += 1
-                continue
+    while True:
+        while i < n:
+            nxt = node.get(candidate[i], _UNSEEN)
+            if nxt is _UNSEEN:
+                nxt = successor(node, candidate[i])
+            if nxt is None:
+                break
+            node = nxt
+            i += 1
+        state = node[None]
+        if automaton.accepting(state):  # an accepting state takes no character
+            break
+        out.append(candidate[done:i])
+        done = i
         allowed = automaton.allowed(state)
         if len(allowed) == 1:
             pick = next(iter(allowed))
@@ -707,12 +758,13 @@ def enforced_repair(automaton, candidate: str) -> tuple[str, list[Edit]]:
             if jump is not None:
                 # the next pass consumes the allowed character skipped to
                 edits.append(Edit("skip", i, candidate[i : i + 1 + jump]))
-                i += 1 + jump
+                i = done = i + 1 + jump
                 continue
             pick = _priority_char(allowed)
-        state = automaton.transition(state, pick)
+        node = node.get(pick) or successor(node, pick)
         out.append(pick)
         edits.append(Edit("insert", i, pick))
+    out.append(candidate[done:i])
     if i < n:
         edits.append(Edit("truncate", i, candidate[i:]))
     return "".join(out), edits

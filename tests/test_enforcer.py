@@ -519,6 +519,37 @@ def test_repair_output_is_pinned(fixture_registry, golden_examples):
     assert digest.hexdigest() == "5904e4aad7cf4925233b9cdb82a7141c169d2a210c574c7e1ad0ff433a3b8c95"
 
 
+@pytest.mark.parametrize("nodes", [1, 3])
+def test_repair_output_survives_graph_clears(fixture_registry, golden_examples, monkeypatch, nodes):
+    # a bound of a few nodes clears the transition graph many times inside
+    # each walk; a walk decides acceptance from its state, so the pinned
+    # corpus still projects to its digest
+    monkeypatch.setattr("chainplan.enforcer._GRAPH_SIZE", nodes)
+    test_repair_output_is_pinned(fixture_registry, golden_examples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 2**16))
+def test_projection_on_a_warm_graph_equals_a_cold_one(registry_seed, text_seed):
+    registry = random_registry(random.Random(registry_seed), max_tools=5)
+    rng = random.Random(text_seed)
+    texts = [_corrupt(rng, serialize_plan(random_plan(rng, tool_names=registry.names, max_calls=4)))
+             for _ in range(4)]
+    warm = compile_schema(registry)
+    for text in texts:
+        cold = compile_schema(registry)
+        projected = enforced_repair(cold, text)
+        assert enforced_repair(cold, text) == projected
+        assert enforced_repair(warm, text) == projected
+        state = warm.initial_state
+        for ch in projected[0]:
+            state = warm.transition(state, ch)
+            assert state is not None, (text, projected[0])
+        assert warm.accepting(state)
+    for text in texts:
+        assert enforced_repair(warm, text) == enforced_repair(compile_schema(registry), text)
+
+
 def _char_class(ch: str) -> str:
     return "0" if ch.isdigit() else "a" if ch.isalpha() else ch
 
@@ -758,12 +789,25 @@ def test_allowed_memo_is_bounded(fixture_registry):
     assert prefixes > _ALLOWED_CACHE_SIZE
 
 
-def test_shared_memo_stays_exact_under_threads(fixture_registry, monkeypatch):
-    # a tiny bound makes clears frequent while eight threads read and fill
-    # one automaton's memo; a lost entry may only cost a rescan
+def _all_in_threads(run) -> bool:
+    """Whether ``run(seed)`` holds for 16 seeds on eight threads switching
+    every microsecond."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run, seed) for seed in range(16)]
+            return all([future.result(timeout=120) for future in futures])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_shared_memo_stays_exact_under_threads(fixture_registry, monkeypatch):
+    # a tiny bound makes clears frequent while eight threads read and fill
+    # one automaton's memo; a lost entry may only cost a rescan
     monkeypatch.setattr("chainplan.enforcer._ALLOWED_CACHE_SIZE", 8)
     automaton = compile_schema(fixture_registry)
 
@@ -778,11 +822,21 @@ def test_shared_memo_stays_exact_under_threads(fixture_registry, monkeypatch):
                 session.advance(_walk_choice(rng, allowed))
         return True
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(run, seed) for seed in range(16)]
-            assert all(future.result(timeout=120) for future in futures)
-    finally:
-        sys.setswitchinterval(interval)
+    assert _all_in_threads(run)
+
+
+def test_shared_graph_stays_exact_under_threads(fixture_registry, golden_examples, monkeypatch):
+    # eight threads project on one automaton whose graph an 8-node bound
+    # clears often; every projection equals the one on a fresh automaton
+    monkeypatch.setattr("chainplan.enforcer._GRAPH_SIZE", 8)
+    rng = random.Random(31)
+    texts = [_corrupt(rng, ex.gold_text) for ex in golden_examples for _ in range(3)]
+    expected = [enforced_repair(compile_schema(fixture_registry), text) for text in texts]
+    shared = compile_schema(fixture_registry)
+
+    def run(seed):
+        order = list(range(len(texts)))
+        random.Random(seed).shuffle(order)
+        return all(enforced_repair(shared, texts[k]) == expected[k] for k in order)
+
+    assert _all_in_threads(run)
