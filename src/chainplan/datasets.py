@@ -29,10 +29,14 @@ class GoldenExample:
 
 
 def load_golden_dataset(source: str | Path) -> list[GoldenExample]:
-    """Load JSON lines of {"query": str, "gold": <plan wire format>}."""
-    path = Path(source)
+    """Load JSON lines of {"query": str, "gold": <plan wire format>}. A file
+    that is not UTF-8 is refused with its path and the offending byte."""
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{source} is not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     examples: list[GoldenExample] = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

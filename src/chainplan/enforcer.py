@@ -39,10 +39,11 @@ are name pieces keyed by ``(tool, used)``, the arguments of ``tool`` not yet
 machine serves integers, floats and the unsigned sub-task ids and reference
 indices, which are canonical (no leading zero). A member ``"key":value`` has
 a string key and a value of ``_MEMBER_SPEC``: string, float, boolean or null.
-No value is capped in length: no state counts characters. A name state reads
-its next-character set off the sorted names, one bisection per distinct next
-character; every other state scans the transition over printable ASCII.
-Both sets are exact because tool and argument names are identifiers
+No value is capped in length: no state counts characters. A literal state's
+next-character set is its one character, and a name state reads its set off
+the sorted names, one bisection per distinct next character; every other
+state scans the transition over printable ASCII. The sets are exact because
+every literal is printable ASCII, tool and argument names are identifiers
 (``[A-Za-z0-9_]+``), which a ``Registry`` guarantees when it is built and
 the sub-task automaton checks at compile time, and every other accepted
 character is printable ASCII.
@@ -309,8 +310,9 @@ class _Automaton:
 
     def allowed(self, state: tuple) -> frozenset[str]:
         """The printable ASCII characters ``transition`` accepts from ``state``:
-        read off the sorted names for a name state (``_name_next``), found
-        by scanning the transition over printable ASCII for any other.
+        ``text[i]`` alone for a literal state, read off the sorted names for a
+        name state (``_name_next``), found by scanning the transition over
+        printable ASCII for any other.
 
         Memoized per automaton on the state's shape, which allows the same
         characters: a literal state drops ``then``, since it accepts
@@ -323,7 +325,9 @@ class _Automaton:
         key = state[:-1] if state[0] in _SHAPE_TAGS else state
         found = self._allowed.get(key)
         if found is None:
-            if state[0] == "name":
+            if state[0] == "lit":
+                found = frozenset(state[1][state[2]])
+            elif state[0] == "name":
                 found = self._name_next(state[1], state[2])
             else:
                 transition = self.transition

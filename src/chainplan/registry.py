@@ -4,9 +4,13 @@ Tools are described in JSON files (see ``load_registry``) so that nothing else
 in the system hard-codes tool knowledge. A registry is immutable once built
 and valid by construction: ``Registry.__post_init__`` is the one gate for
 every tool-spec rule (identifier names, distinct argument names, list depth,
-object type names), and later stages rely on it without re-checking. Its
-``version`` is a digest of the tool document unless given: ``chainplan
-tools`` prints it, and adding the operator pseudo-tools suffixes it.
+object type names), and later stages rely on it without re-checking; it
+checks each distinct ``ValueType`` once. Its ``version`` is a digest of the
+tool document unless given, computed on first read and then kept, so a
+registry that nothing asks for its version never writes the document:
+``chainplan tools`` prints it, and adding the operator pseudo-tools
+suffixes it. ``load_registry`` parses each distinct type text once per call,
+so equal types in one load share one immutable ``ValueType``.
 """
 
 from __future__ import annotations
@@ -137,15 +141,39 @@ class ToolSpec:
         return tuple(arg.name for arg in self.arguments)
 
 
+class _Version:
+    """``Registry.version``: kept as given, or, when given as None, the
+    sha256 prefix of the tool document, computed on first read and kept."""
+
+    def __get__(self, registry, owner=None):
+        if registry is None:
+            raise AttributeError("version")  # no class-level default: the field stays required
+        version = registry.__dict__["_version"]
+        if version is None:
+            document = _tool_document(registry.tools.values())
+            version = registry.__dict__["_version"] = hashlib.sha256(document.encode("utf-8")).hexdigest()[:12]
+        return version
+
+    def __set__(self, registry, version: str | None) -> None:
+        registry.__dict__["_version"] = version
+
+
 @dataclass(frozen=True)
 class Registry:
     """Immutable, insertion-ordered collection of tool specs, valid by
     construction; paths name the tool's position, as in a tool file."""
 
     tools: dict[str, ToolSpec]
-    version: str
+    version: str = _Version()  # a descriptor, not a default: None asks for the digest
 
     def __post_init__(self) -> None:
+        checked: set[int] = set()  # ids of the value types found valid
+
+        def check(vt: ValueType, tool: str, path: str) -> None:
+            if id(vt) not in checked:
+                _reject_bad_type(vt, tool, path)
+                checked.add(id(vt))
+
         for i, (key, spec) in enumerate(self.tools.items()):
             path = f"$[{i}]"
             if key != spec.name:
@@ -160,8 +188,8 @@ class Registry:
                 if arg.name in names:
                     raise RegistryError(f"duplicate argument_name {arg.name!r}", spec.name, arg_path)
                 names.add(arg.name)
-                _reject_bad_type(arg.value_type, spec.name, arg_path)
-            _reject_bad_type(spec.returns, spec.name, f"{path}.return_type")
+                check(arg.value_type, spec.name, arg_path)
+            check(spec.returns, spec.name, f"{path}.return_type")
 
     @classmethod
     def from_tools(cls, specs: list[ToolSpec] | tuple[ToolSpec, ...], version: str | None = None) -> "Registry":
@@ -170,8 +198,6 @@ class Registry:
             if spec.name in tools:
                 raise RegistryError("duplicate tool name", tool=spec.name)
             tools[spec.name] = spec
-        if version is None:
-            version = hashlib.sha256(_tool_document(tools.values()).encode("utf-8")).hexdigest()[:12]
         return cls(tools=tools, version=version)
 
     def get(self, name: str) -> ToolSpec | None:
@@ -216,7 +242,17 @@ def _check_keys(raw: dict, known: tuple[str, ...], required: tuple[str, ...], to
             raise RegistryError(f"missing required field {key!r}", tool=tool, path=path)
 
 
-def _load_tool(entry: object, index: int) -> ToolSpec:
+def _type(raw: dict, key: str, types: dict[str, ValueType], tool: str, path: str) -> ValueType:
+    """The type that ``raw[key]`` names, parsed once per distinct text:
+    ``types`` maps each text parsed so far in this load to its type."""
+    text = _field(raw, key, str, tool, path)
+    vt = types.get(text)
+    if vt is None:
+        vt = types[text] = parse_type(text, tool=tool, path=path)
+    return vt
+
+
+def _load_tool(entry: object, index: int, types: dict[str, ValueType]) -> ToolSpec:
     path = f"$[{index}]"
     if not isinstance(entry, dict):
         raise RegistryError("tool entry is not an object", path=path)
@@ -232,7 +268,7 @@ def _load_tool(entry: object, index: int) -> ToolSpec:
             ArgSpec(
                 name=_field(raw, "argument_name", str, name, arg_path),
                 description=_field(raw, "argument_description", str, name, arg_path, default=""),
-                value_type=parse_type(_field(raw, "argument_type", str, name, arg_path), tool=name, path=arg_path),
+                value_type=_type(raw, "argument_type", types, name, arg_path),
                 required=_field(raw, "required", bool, name, arg_path, default=False),
             )
         )
@@ -240,8 +276,7 @@ def _load_tool(entry: object, index: int) -> ToolSpec:
         name=name,
         description=_field(entry, "tool_description", str, name, path),
         arguments=tuple(args),
-        returns=parse_type(_field(entry, "return_type", str, name, f"{path}.return_type"),
-                           tool=name, path=f"{path}.return_type"),
+        returns=_type(entry, "return_type", types, name, f"{path}.return_type"),
     )
 
 
@@ -250,21 +285,24 @@ def load_registry(source: str | Path) -> Registry:
 
     A ``str`` that starts with ``[`` (after stripping) is treated as JSON
     text; anything else is treated as a file path. Tool order is preserved
-    for deterministic iteration.
+    for deterministic iteration. Each distinct type text is parsed once. A
+    file that is not UTF-8 is refused with its path and the offending byte.
     """
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif source.lstrip().startswith("["):
+    if isinstance(source, str) and source.lstrip().startswith("["):
         text = source
     else:
-        text = Path(source).read_text(encoding="utf-8")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise RegistryError(f"{source} is not UTF-8 at byte {exc.start}: {exc.reason}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise RegistryError(f"parse failure: {exc}") from exc
     if not isinstance(data, list):
         raise RegistryError("tool document must be a JSON array")
-    return Registry.from_tools([_load_tool(entry, i) for i, entry in enumerate(data)])
+    types: dict[str, ValueType] = {}
+    return Registry.from_tools([_load_tool(entry, i, types) for i, entry in enumerate(data)])
 
 
 def serialize_registry(registry: Registry) -> str:

@@ -192,6 +192,16 @@ def test_eval_empty_dataset_is_one_line_error(runner, tmp_path, source):
     _assert_one_line_error(result, f"{empty}: no dataset records")
 
 
+@pytest.mark.parametrize("option", ["tools", "dataset"])
+def test_input_file_that_is_not_utf8_is_one_line_error(runner, tmp_path, option):
+    # A UTF-16 byte-order mark, as an editor may save a file.
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe[\x00]\x00")
+    args = (["tools", "--tools", str(bad)] if option == "tools" else
+            ["eval", "--dataset", str(bad), "--predictions", str(bad), "--trace", str(tmp_path / "t.json")])
+    _assert_one_line_error(runner.invoke(main, args), f"{bad} is not UTF-8 at byte 0")
+
+
 def test_check_forward_reference_exits_one(runner):
     plan_text = '[{"tool_name":"works_list","arguments":[{"argument_name":"owned_by","argument_value":["$$PREV[5]"]}]}]'
     result = runner.invoke(main, ["check"], input=plan_text)

@@ -646,6 +646,24 @@ def test_memoized_allowed_equals_a_fresh_scan_on_walks(fixture_registry):
                     session.advance(_walk_choice(rng, allowed))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**16), st.booleans(), st.integers(0, 2**16))
+def test_allowed_equals_the_printable_scan_along_random_walks(registry_seed, arrays, walk_seed):
+    # Literal and name states read their sets off the state; every set must
+    # still be the scan's, on a fresh automaton of each kind.
+    pool = {"type_pool": _ARRAY_TYPES} if arrays else {}
+    registry = random_registry(random.Random(registry_seed), max_tools=8, **pool)
+    rng = random.Random(walk_seed)
+    for automaton in (compile_schema(registry), compile_subtask_schema(registry.names)):
+        session = DecoderSession(automaton)
+        while True:
+            allowed = automaton.allowed(session.state)
+            assert allowed == _scan(automaton, session.state), session.emitted[-60:]
+            if session.at_end:
+                break
+            session.advance(_walk_choice(rng, allowed))
+
+
 # String openers in three places: a sub-task thought, a plan string argument
 # and an element of an array-of-string argument.
 _STRING_PLACES = {

@@ -106,11 +106,13 @@ def _tool(name="t", arguments=(("a", primitive("string")),), returns=primitive("
      "duplicate argument_name 'a'; tool=t; at=$[1].arguments[1]"),
     (_tool(arguments=(("a", list_of(list_of(list_of(primitive("string"))))),)),
      "list nesting deeper than 2; tool=t; at=$[1].arguments[0]"),
+    (_tool(returns=list_of(list_of(list_of(primitive("string"))))),
+     "list nesting deeper than 2; tool=t; at=$[1].return_type"),
     (_tool(arguments=(("a", list_of(object_type("Work Item"))),)),
      "object type name 'Work Item' is not an identifier; tool=t; at=$[1].arguments[0]"),
     (_tool(returns=object_type("")), "object type name '' is not an identifier; tool=t; at=$[1].return_type"),
-], ids=["tool-name", "argument-name", "duplicate-argument", "list-depth-3", "argument-object-name",
-        "return-object-name"])
+], ids=["tool-name", "argument-name", "duplicate-argument", "list-depth-3", "return-list-depth-3",
+        "argument-object-name", "return-object-name"])
 def test_registry_gate_rejects_broken_specs(build, tool, error):
     with pytest.raises(RegistryError) as err:
         build([_tool(name="ok", arguments=()), tool])
@@ -191,6 +193,102 @@ def test_validate_empty_description_warns():
     diagnostics = validate_registry(load_registry(doc))
     assert len(diagnostics) == 1
     assert diagnostics[0].severity == "warning"
+
+
+def test_registry_version_is_pinned():
+    # The sha256 prefix of the fixture's tool document, computed on first read.
+    from chainplan.executor import register_operator_tools
+
+    registry = load_registry(fixture_tools_path())
+    assert registry.version == "395ebb18f33c"
+    assert registry.subset(["who_am_i", "works_list"]).version == "395ebb18f33c"
+    assert register_operator_tools(registry).version == "395ebb18f33c+ops"
+    assert Registry.from_tools(list(registry.tools.values()), version="given").version == "given"
+    assert Registry(tools=registry.tools, version="given").version == "given"
+
+
+def test_setup_and_a_query_never_write_the_tool_document(monkeypatch, golden_examples):
+    # The version is computed on first read, and set-up and a RE-GAINS query
+    # read none: with the document writer refusing, all three still succeed.
+    import chainplan.registry
+    from chainplan.llm import ScriptedModel
+    from chainplan.pipelines import PipelineConfig, PlannerContext, run_regains
+    from chainplan.retrieval import HashEmbeddingProvider
+    from conftest import regains_replay_entries
+
+    def refuse(specs):
+        raise AssertionError("the tool document was written")
+
+    monkeypatch.setattr(chainplan.registry, "_tool_document", refuse)
+    registry = load_registry(fixture_tools_path())
+    ctx = PlannerContext.build(registry, HashEmbeddingProvider(), golden_examples)
+    config = PipelineConfig.default()
+    example = golden_examples[5]
+    straying = example.gold_text[:-1] + ",]"
+    model = ScriptedModel(dict(regains_replay_entries(example, ctx, config, response_text=straying)))
+    trace = run_regains(example.query, ctx, model, config)
+    assert trace.enforcement["rap"] == "repaired"
+    with pytest.raises(AssertionError, match="the tool document was written"):
+        registry.version
+
+
+def test_equal_type_texts_share_one_value_type():
+    doc = json.dumps([
+        {"tool_name": f"t{i}", "tool_description": "d", "return_type": "array of object:Work",
+         "arguments": [{"argument_name": "a", "argument_type": "array of object:Work"},
+                       {"argument_name": "b", "argument_type": "string"}]}
+        for i in range(3)
+    ])
+    tools = list(load_registry(doc).tools.values())
+    types = [vt for spec in tools for vt in (spec.returns, *(arg.value_type for arg in spec.arguments))]
+    assert types[0] == list_of(object_type("Work"))
+    assert len({id(vt) for vt in types}) == 2
+    assert load_registry(doc).tools["t0"].returns is not tools[0].returns  # nothing outlives one load
+
+
+def test_the_gate_checks_each_value_type_once(monkeypatch):
+    import chainplan.registry
+
+    checked = []
+    check = chainplan.registry._reject_bad_type
+    monkeypatch.setattr(chainplan.registry, "_reject_bad_type",
+                        lambda vt, tool, path: checked.append(vt) or check(vt, tool, path))
+    works, text = list_of(object_type("Work")), primitive("string")
+    Registry.from_tools([_tool(name=f"t{i}", arguments=(("a", works), ("b", text)), returns=works) for i in range(5)])
+    assert checked == [works, text]
+
+
+@pytest.mark.parametrize("bad_type, error", [
+    ("array of array of array of string", "list nesting deeper than 2; tool=t1; at=$[1].arguments[0]"),
+    ("vector", "unknown type keyword 'vector'; tool=t1; at=$[1].arguments[0]"),
+    ("object:Work Item", "object type name 'Work Item' is not an identifier; tool=t1; at=$[1].arguments[0]"),
+], ids=["list-depth-3", "unknown-keyword", "object-name"])
+def test_a_bad_type_text_met_twice_is_refused_at_its_first_place(bad_type, error):
+    # The same bad text in the second and the fifth tool: the error names the second.
+    doc = json.dumps([
+        {"tool_name": f"t{i}", "tool_description": "d", "return_type": "string",
+         "arguments": [{"argument_name": "a", "argument_type": bad_type if i in (1, 4) else "string"}]}
+        for i in range(6)
+    ])
+    with pytest.raises(RegistryError) as err:
+        load_registry(doc)
+    assert str(err.value) == error
+
+
+@pytest.mark.parametrize("raw, offset", [
+    (b"\xff\xfe[\x00]\x00", 0),
+    ('[{"tool_name": "caf'.encode() + b"\xe9" + b'"}]', 19),
+], ids=["utf16-bom", "latin1-byte"])
+def test_a_file_that_is_not_utf8_is_refused_with_its_path_and_byte(tmp_path, raw, offset):
+    from chainplan.datasets import DatasetError, load_golden_dataset
+
+    target = tmp_path / "input.json"
+    target.write_bytes(raw)
+    for load, error in ((load_registry, RegistryError), (load_golden_dataset, DatasetError)):
+        for source in (target, str(target)):
+            with pytest.raises(error) as err:
+                load(source)
+            assert str(err.value).startswith(f"{target} is not UTF-8 at byte {offset}: "), str(err.value)
 
 
 def test_round_trip_preserves_tools_and_order(fixture_registry):
