@@ -29,7 +29,7 @@ from .pipelines import (
     run_regains,
 )
 from .plan import Plan, iter_prev_refs, parse_plan, plan_to_data, serialize_plan, validate_refs
-from .registry import RegistryError, fixture_tools_path, load_registry, validate_registry
+from .registry import RegistryError, fixture_tools_path, load_registry, read_text, validate_registry
 from .retrieval import HashEmbeddingProvider, RetrievalError
 from .typegraph import build_graph, check_ref, repair_plan
 
@@ -54,15 +54,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_registry_arg(tools: str, with_operators: bool = False):
-    try:
-        registry = load_registry(Path(tools))
-    except RegistryError as exc:
-        _fail(str(exc))
+    registry = load_registry(Path(tools))
     return register_operator_tools(registry) if with_operators else registry
 
 
 def _read_plan_text(in_file: str | None) -> str:
-    return Path(in_file).read_text(encoding="utf-8") if in_file else sys.stdin.read()
+    return read_text(in_file, click.ClickException) if in_file else sys.stdin.read()
 
 
 def _read_plan(in_file: str | None) -> Plan:
@@ -78,7 +75,23 @@ _TOOLS_OPTION = click.option(
 )
 
 
-@click.group()
+# Errors of the library's own checks: each is one error line and exit 1.
+_DOMAIN_ERRORS = (RegistryError, DatasetError, PipelineError, PromptError, CompletionError, RetrievalError,
+                  ExecutionError)
+
+
+class _Commands(click.Group):
+    """The command group: a domain error raised by any command is reported
+    as one ``Error:`` line with its message, and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _DOMAIN_ERRORS as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 @click.version_option(__version__)
 def main():
     """Plan, check, repair, enforce, execute, and score tool-call chains."""
@@ -125,18 +138,10 @@ def cmd_plan(query, pipeline, tools, examples, config_file, replay_file, trace_f
         config = PipelineConfig.from_file(config_file) if config_file else PipelineConfig.default()
     except (ValueError, OSError) as exc:
         _fail(f"config: {exc}")
-    golden = None
-    if examples:
-        try:
-            golden = load_golden_dataset(examples)
-        except DatasetError as exc:
-            _fail(str(exc))
+    golden = load_golden_dataset(examples) if examples else None
     ctx = PlannerContext.build(registry, HashEmbeddingProvider(), golden)
-    try:
-        model = load_replay(replay_file) if replay_file else RemoteChatModel()
-        trace = _PIPELINES[pipeline](query, ctx, model, config)
-    except (PipelineError, PromptError, CompletionError, RetrievalError) as exc:
-        _fail(str(exc))
+    model = load_replay(replay_file) if replay_file else RemoteChatModel()
+    trace = _PIPELINES[pipeline](query, ctx, model, config)
     _write_text(trace_file, trace.to_json())
     click.echo(trace.final_text)
 
@@ -201,9 +206,10 @@ def cmd_repair(tools, in_file, fmt):
 @click.option("--in", "in_file", type=_FILE, default=None, help="Raw candidate text (stdin otherwise).")
 @click.option("--format", "fmt", type=click.Choice(["plan", "json"]), default="plan")
 def cmd_enforce(tools, in_file, fmt):
-    """Project arbitrary text onto the schema-valid plan language."""
+    """Project arbitrary text onto the schema-valid plan language. Trailing
+    JSON whitespace, such as the newline that ends a file, is not projected."""
     registry = _load_registry_arg(tools, with_operators=True)
-    repaired, edits = enforced_repair(compile_schema(registry), _read_plan_text(in_file))
+    repaired, edits = enforced_repair(compile_schema(registry), _read_plan_text(in_file).rstrip(" \t\r\n"))
     if fmt == "json":
         click.echo(json.dumps({"text": repaired, "edits": [e._asdict() for e in edits]}, indent=2))
     else:
@@ -224,10 +230,7 @@ def cmd_exec(tools, in_file, out):
     findings = validate_refs(plan, registry)
     if findings:
         _fail(f"{findings[0].message} ({len(findings)} finding(s) in all; chainplan check lists them)")
-    try:
-        trace = execute(plan, StubRuntime())
-    except ExecutionError as exc:
-        _fail(str(exc))
+    trace = execute(plan, StubRuntime())
     if out:
         _write_text(out, trace.to_json())
         click.echo(f"executed {len(trace.steps)} steps")
@@ -249,10 +252,7 @@ def cmd_exec(tools, in_file, out):
 def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file):
     """Score predictions against the golden dataset."""
     registry = _load_registry_arg(tools)
-    try:
-        examples = load_golden_dataset(dataset)
-    except DatasetError as exc:
-        _fail(str(exc))
+    examples = load_golden_dataset(dataset)
     if not examples:
         _fail(f"{dataset}: no dataset records to score")
     if predictions is None and pipeline is None:
@@ -261,7 +261,7 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
     traces = None
     if predictions:
         predicted_texts = []
-        for line_no, line in enumerate(Path(predictions).read_text(encoding="utf-8").splitlines(), start=1):
+        for line_no, line in enumerate(read_text(predictions, click.ClickException).splitlines(), start=1):
             if not line.strip():
                 continue
             try:
@@ -275,10 +275,7 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
             _fail(f"{len(examples)} dataset records but {len(predicted_texts)} predictions")
     else:
         ctx = PlannerContext.build(registry, HashEmbeddingProvider(), examples)
-        try:
-            model = load_replay(replay_file) if replay_file else RemoteChatModel()
-        except CompletionError as exc:
-            _fail(str(exc))
+        model = load_replay(replay_file) if replay_file else RemoteChatModel()
         predicted_texts = []
         traces = []
         for example in examples:

@@ -9,6 +9,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .plan import Plan, load_json, plan_from_data, serialize_plan
+from .registry import read_text
 
 
 class DatasetError(ValueError):
@@ -31,10 +32,7 @@ class GoldenExample:
 def load_golden_dataset(source: str | Path) -> list[GoldenExample]:
     """Load JSON lines of {"query": str, "gold": <plan wire format>}. A file
     that is not UTF-8 is refused with its path and the offending byte."""
-    try:
-        text = Path(source).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{source} is not UTF-8 at byte {exc.start}: {exc.reason}") from exc
+    text = read_text(source, DatasetError)
     examples: list[GoldenExample] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

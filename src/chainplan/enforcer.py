@@ -52,18 +52,18 @@ characters: a literal or open-string state without its ``then``, any other
 state as itself. The memo is bounded and cleared when full. Sessions share
 it safely: the sets are immutable, and a lost entry only costs a rescan.
 
-Projection steps through a transition graph that each automaton keeps and
-builds lazily: one node per state reached, a dict that maps None to the
-state and each character stepped from it to the successor node, or to None
-when the state rejects it. Only a character not yet stepped from a node
-calls ``transition``, and a node is made for each new state it reaches. A
-state holds the tool, its used arguments and the position inside a value,
-never the calls made before, so answers pass through the same states again
-and step along kept edges. At ``_GRAPH_SIZE`` nodes the graph is cleared.
-Projections share it safely: an edge is a pure function of (state,
-character), so a node that a walk still holds after a clear stays correct,
-and a lost node only costs a restep; a walk decides acceptance from the
-state, never from a node.
+Every walk of an automaton, in decoding (``DecoderSession``), masks
+(``TokenIndex``) and projection (``enforced_repair``), steps through the one
+transition graph it builds lazily: a node per state reached, a dict mapping
+None to the state and each character stepped from it to the successor node,
+or to None when the state rejects it. Only a character not yet stepped from
+a node calls ``transition`` (``successor``). A state holds the tool, its
+used arguments and the position inside a value, never the calls made
+before, so texts pass through the same states and step along kept edges. At
+``_GRAPH_SIZE`` nodes the graph is cleared. Walks in any thread share it
+safely: an edge is a pure function of (state, character), so a node still
+held after a clear stays correct and a lost node only costs a restep; a walk
+decides acceptance from a node's state, never from the node.
 
 Vocabulary masks are exact: a token is allowed if and only if feeding it
 character by character would succeed. A vocabulary belongs to the model: it
@@ -72,14 +72,14 @@ tokens, one shared-prefix byte per token, the token range of each first
 character and a dict of every token mapped to False, about 0.5 MB for 8k
 tokens) that every automaton and session shares. A session maps its
 candidates through a verdict table in C; tokens outside the index are fed one
-by one from the session's state. A structural state's table is a copy of that
+by one from the session's node. A structural state's table is a copy of that
 dict with the accepted tokens set to True, from one pass over the implicit
-trie that visits only the first characters the state allows, memoizes
-transitions for the pass and jumps by bisection past every token under a
-rejected prefix. String states reuse their verdicts: a token without ``"``
-cannot leave the string, so its verdict is the string's alone, kept once per
-index for each string state without ``then``; only the tokens with a ``"``
-are walked per (automaton, state).
+trie that visits only the first characters the state allows, steps through
+the graph and jumps by bisection past every token under a rejected prefix.
+String states reuse their verdicts: a token without ``"`` cannot leave the
+string, so its verdict is the string's alone, kept once per index for each
+string state without ``then``; only the tokens with a ``"`` are walked per
+(automaton, state).
 
 Accepted value shapes per argument are deliberately relaxed around
 references: both a bare ``"$$PREV[i]"`` and a singleton ``["$$PREV[i]"]``
@@ -199,9 +199,9 @@ def _first_from(names: tuple[str, ...], prefix: str) -> str:
 # Next-character sets an automaton keeps before it clears them all.
 _ALLOWED_CACHE_SIZE = 4096
 
-# Nodes an automaton's transition graph keeps before it clears them all:
-# about 370 B each with its state and edges by tracemalloc over projected
-# regains-1k answers, so about 1.5 MB at the bound.
+# Nodes of the transition graph every walk of an automaton steps through,
+# kept before it clears them all: about 370 B each with state and edges by
+# tracemalloc over projected regains-1k answers, so about 1.5 MB at the bound.
 _GRAPH_SIZE = 4096
 _UNSEEN = object()
 
@@ -351,11 +351,25 @@ class _Automaton:
         """The node after ``ch`` from ``node``, or None if its state does not
         take ``ch``: stepped with ``transition`` and kept as the edge
         ``node[ch]``; a state that steps to itself is its own node. Callers
-        read a kept edge off the node first."""
+        read a kept edge off the node first, as ``walk`` does."""
         here = node[None]
         state = self.transition(here, ch)
         nxt = node[ch] = None if state is None else node if state is here else self.node(state)
         return nxt
+
+    def walk(self, node: dict, text: str, i: int = 0) -> tuple[dict, int]:
+        """The node after the longest prefix of ``text[i:]`` that ``node``
+        takes, and the index where it ends; only a miss calls ``successor``."""
+        n = len(text)
+        while i < n:
+            nxt = node.get(text[i], _UNSEEN)
+            if nxt is _UNSEEN:
+                nxt = self.successor(node, text[i])
+            if nxt is None:
+                break
+            node = nxt
+            i += 1
+        return node, i
 
     def _name_next(self, key, prefix: str) -> frozenset[str]:
         """The characters a name piece takes after ``prefix``, read off the
@@ -472,8 +486,8 @@ class _Trie:
         starts = [bisect_left(self.tokens, first) for first in firsts] + [len(self.tokens)]
         self._spans = {first: (starts[j], starts[j + 1]) for j, first in enumerate(firsts)}
 
-    def _walk(self, transition, state: tuple, firsts, table: dict) -> None:
-        """Set ``table[token]`` to True for every token that ``transition``
+    def _walk(self, automaton, state: tuple, firsts, table: dict) -> None:
+        """Set ``table[token]`` to True for every token that ``automaton``
         consumes whole from ``state``, given ``firsts``, a superset of the
         first characters it accepts there; the empty token is accepted.
 
@@ -483,20 +497,16 @@ class _Trie:
         bisection to the first token that does not start with ``p``: the
         first one not below ``p`` with its last character incremented. A
         ``p`` ending in U+10FFFF has no such successor; the tokens after it
-        are stepped over one by one. Transitions are memoized per (state,
-        character) for the walk, so equal states reached by different
-        prefixes are stepped once.
+        are stepped over one by one. Characters step through the
+        automaton's transition graph, so equal states reached by different
+        prefixes, in this walk or an earlier one, are stepped once.
         """
         tokens = self.tokens
         shared = self.shared
+        successor = automaton.successor
         if tokens and not tokens[0]:
             table[""] = True
-        # A node maps each character seen from its state to the next node,
-        # or to None when the character is rejected; the key None holds the
-        # node's own state.
-        root = {None: state}
-        nodes = {state: root}
-        path = [root]  # path[k]: node after the first k characters of the last token walked
+        path = [automaton.node(state)]  # path[k]: node after the first k characters of the last token walked
         for first in firsts:
             span = self._spans.get(first)
             if span is None:
@@ -510,8 +520,7 @@ class _Trie:
                 for ch in token[depth:]:
                     node = here.get(ch, _UNSEEN)
                     if node is _UNSEEN:
-                        nxt = transition(here[None], ch)
-                        node = here[ch] = None if nxt is None else nodes.setdefault(nxt, {None: nxt})
+                        node = successor(here, ch)
                     if node is None:
                         break
                     path.append(node)
@@ -580,7 +589,7 @@ class TokenIndex(_Trie):
             table.update(self._quoted_verdicts(automaton, state))
         else:
             table = _Verdicts(self.rejected)
-            self._walk(automaton.transition, state, automaton.allowed(state), table)
+            self._walk(automaton, state, automaton.allowed(state), table)
         table.peek = peek
         return table
 
@@ -589,7 +598,7 @@ class TokenIndex(_Trie):
         if table is None:
             state = inner + (_ACCEPT,)
             table = self.rejected.copy()
-            self._walk(automaton.transition, state, automaton.allowed(state), table)
+            self._walk(automaton, state, automaton.allowed(state), table)
             self._bodies[inner] = table
         return table
 
@@ -598,7 +607,7 @@ class TokenIndex(_Trie):
         table = self._quoted_tables.get(key)
         if table is None:
             table = self.quoted.rejected.copy()
-            self.quoted._walk(automaton.transition, state, automaton.allowed(state), table)
+            self.quoted._walk(automaton, state, automaton.allowed(state), table)
             if len(self._quoted_tables) >= _QUOTED_CACHE_SIZE:
                 self._quoted_tables.clear()
             self._quoted_tables[key] = table
@@ -632,7 +641,8 @@ class _Verdicts(dict):
 
 class DecoderSession:
     """Single decode stream over a shared automaton, masking through
-    ``index`` when it has one.
+    ``index`` when it has one. The session holds a node of the automaton's
+    transition graph; ``state`` is the node's state.
 
     The emitted buffer is always a prefix of some accepted string; ``advance``
     is atomic and leaves the session untouched on rejection.
@@ -640,33 +650,29 @@ class DecoderSession:
 
     def __init__(self, automaton, index: TokenIndex | None = None):
         self.automaton = automaton
-        self.state = automaton.initial_state
+        self.node = automaton.node(automaton.initial_state)
         self.emitted = ""
         self.index = index
+
+    @property
+    def state(self) -> tuple:
+        return self.node[None]
 
     @property
     def at_end(self) -> bool:
         return self.automaton.accepting(self.state)
 
     def advance(self, text: str) -> "DecoderSession":
-        state = self.state
-        for k, ch in enumerate(text):
-            nxt = self.automaton.transition(state, ch)
-            if nxt is None:
-                raise DecodeRejection(len(self.emitted) + k, ch, self.automaton.allowed(state))
-            state = nxt
-        self.state = state
+        node, j = self.automaton.walk(self.node, text)
+        if j < len(text):
+            raise DecodeRejection(len(self.emitted) + j, text[j], self.automaton.allowed(node[None]))
+        self.node = node
         self.emitted += text
         return self
 
     def peek(self, text: str) -> bool:
         """Whether the whole token could be consumed from the current state."""
-        state = self.state
-        for ch in text:
-            state = self.automaton.transition(state, ch)
-            if state is None:
-                return False
-        return True
+        return self.automaton.walk(self.node, text)[1] == len(text)
 
     def mask_vocabulary(self, vocabulary: list[str]) -> list[bool]:
         """Speculative per-token mask, equal to ``[self.peek(t) for t in
@@ -683,7 +689,7 @@ class DecoderSession:
 
     def copy(self) -> "DecoderSession":
         dup = DecoderSession(self.automaton, self.index)
-        dup.state = self.state
+        dup.node = self.node
         dup.emitted = self.emitted
         return dup
 
@@ -727,27 +733,18 @@ def enforced_repair(automaton, candidate: str) -> tuple[str, list[Edit]]:
     offers its continuation's closer, which the priority puts ahead of a
     digit. Idempotent.
 
-    Steps through the automaton's transition graph: a kept edge is read off
-    the node, and only a character not yet stepped from it calls
-    ``transition`` (``successor``). The walk stops when the state accepts,
-    which takes no character, whatever node holds it, so a clear of the
-    graph mid-walk changes nothing.
+    Steps through the automaton's transition graph (``walk``). The walk
+    stops when the state accepts, which takes no character, whatever node
+    holds it, so a clear of the graph mid-walk changes nothing.
     """
     node = automaton.node(automaton.initial_state)
-    successor = automaton.successor
+    walk = automaton.walk
     out: list[str] = []
     edits: list[Edit] = []
     i = done = 0  # candidate[done:i] is consumed but not yet in out
     n = len(candidate)
     while True:
-        while i < n:
-            nxt = node.get(candidate[i], _UNSEEN)
-            if nxt is _UNSEEN:
-                nxt = successor(node, candidate[i])
-            if nxt is None:
-                break
-            node = nxt
-            i += 1
+        node, i = walk(node, candidate, i)
         state = node[None]
         if automaton.accepting(state):  # an accepting state takes no character
             break
@@ -765,7 +762,7 @@ def enforced_repair(automaton, candidate: str) -> tuple[str, list[Edit]]:
                 i = done = i + 1 + jump
                 continue
             pick = _priority_char(allowed)
-        node = node.get(pick) or successor(node, pick)
+        node = walk(node, pick)[0]
         out.append(pick)
         edits.append(Edit("insert", i, pick))
     out.append(candidate[done:i])

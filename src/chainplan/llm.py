@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .enforcer import DecoderSession, enforced_repair, vocabulary_index
+from .registry import read_text
 
 
 class CompletionError(RuntimeError):
@@ -274,9 +275,10 @@ def constrained_complete(model, request: CompletionRequest, session: DecoderSess
 
 
 def load_replay(path: str | Path) -> ScriptedModel:
-    """Replay file: JSON lines of {"fingerprint": ..., "response": ...}."""
+    """Replay file: JSON lines of {"fingerprint": ..., "response": ...}. A
+    file that is not UTF-8 is refused with its path and the offending byte."""
     entries: list[tuple[str, str]] = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path, CompletionError).splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -27,7 +27,7 @@ from .datasets import GoldenExample
 from .enforcer import DecoderSession, compile_schema, compile_subtask_schema, enforced_repair
 from .llm import CompletionRequest, constrained_complete
 from .plan import Plan, parse_plan, plan_to_data, serialize_plan, validate_refs
-from .registry import Registry
+from .registry import Registry, read_text
 from .retrieval import Corpus, index_corpus, retrieve_top_k, tool_embedding_text
 from .typegraph import TypeGraph, build_graph, repair_plan
 
@@ -143,9 +143,10 @@ class PipelineConfig:
         """Config file: JSON with k, example_count, template paths, insights
         path and model params; missing fields fall back to the defaults. An
         unknown key, at the top or under templates, or a value of the wrong
-        type is an error (``ValueError``)."""
+        type is an error (``ValueError``), and so is a config, template or
+        insights file that is not UTF-8, named with its path and byte."""
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = json.loads(read_text(path, ValueError))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
         templates = doc.get("templates", {}) if isinstance(doc, dict) else None
@@ -165,9 +166,9 @@ class PipelineConfig:
         settings = {key: doc[key] for key in _CONFIG_SCALARS if key in doc}
         for key in _TEMPLATE_SLOTS:
             if key in templates:
-                settings[f"{key}_template"] = (base / templates[key]).read_text(encoding="utf-8")
+                settings[f"{key}_template"] = read_text(base / templates[key], ValueError)
         if "insights" in doc:
-            settings["insights"] = _lines((base / doc["insights"]).read_text(encoding="utf-8"))
+            settings["insights"] = _lines(read_text(base / doc["insights"], ValueError))
         try:
             return cls(**settings)
         except ValueError as exc:

@@ -150,7 +150,7 @@ class _Version:
             raise AttributeError("version")  # no class-level default: the field stays required
         version = registry.__dict__["_version"]
         if version is None:
-            document = _tool_document(registry.tools.values())
+            document = serialize_registry(registry)
             version = registry.__dict__["_version"] = hashlib.sha256(document.encode("utf-8")).hexdigest()[:12]
         return version
 
@@ -280,6 +280,15 @@ def _load_tool(entry: object, index: int, types: dict[str, ValueType]) -> ToolSp
     )
 
 
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """The text of the file at ``path``. A file that is not UTF-8 raises
+    ``error`` with one line naming the path and the offending byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 at byte {exc.start}: {exc.reason}") from exc
+
+
 def load_registry(source: str | Path) -> Registry:
     """Load a registry from a tool file path or raw JSON text.
 
@@ -291,10 +300,7 @@ def load_registry(source: str | Path) -> Registry:
     if isinstance(source, str) and source.lstrip().startswith("["):
         text = source
     else:
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise RegistryError(f"{source} is not UTF-8 at byte {exc.start}: {exc.reason}") from exc
+        text = read_text(source, RegistryError)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -307,28 +313,23 @@ def load_registry(source: str | Path) -> Registry:
 
 def serialize_registry(registry: Registry) -> str:
     """Canonical wire-format JSON for the registry's tool set."""
-    return _tool_document(registry.tools.values())
-
-
-def _tool_document(specs) -> str:
-    doc = []
-    for spec in specs:
-        doc.append(
-            {
-                "tool_name": spec.name,
-                "tool_description": spec.description,
-                "arguments": [
-                    {
-                        "argument_name": a.name,
-                        "argument_description": a.description,
-                        "argument_type": a.value_type.render(),
-                        "required": a.required,
-                    }
-                    for a in spec.arguments
-                ],
-                "return_type": spec.returns.render(),
-            }
-        )
+    doc = [
+        {
+            "tool_name": spec.name,
+            "tool_description": spec.description,
+            "arguments": [
+                {
+                    "argument_name": a.name,
+                    "argument_description": a.description,
+                    "argument_type": a.value_type.render(),
+                    "required": a.required,
+                }
+                for a in spec.arguments
+            ],
+            "return_type": spec.returns.render(),
+        }
+        for spec in registry.tools.values()
+    ]
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 

@@ -192,13 +192,23 @@ def test_eval_empty_dataset_is_one_line_error(runner, tmp_path, source):
     _assert_one_line_error(result, f"{empty}: no dataset records")
 
 
-@pytest.mark.parametrize("option", ["tools", "dataset"])
+@pytest.mark.parametrize("option", ["tools", "dataset", "predictions", "check", "repair", "enforce", "exec",
+                                    "mock", "config", "template"])
 def test_input_file_that_is_not_utf8_is_one_line_error(runner, tmp_path, option):
     # A UTF-16 byte-order mark, as an editor may save a file.
     bad = tmp_path / "utf16.json"
     bad.write_bytes(b"\xff\xfe[\x00]\x00")
-    args = (["tools", "--tools", str(bad)] if option == "tools" else
-            ["eval", "--dataset", str(bad), "--predictions", str(bad), "--trace", str(tmp_path / "t.json")])
+    trace = ["--trace", str(tmp_path / "t.json")]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"templates": {"rap": bad.name}}), encoding="utf-8")
+    args = {
+        "tools": ["tools", "--tools", str(bad)],
+        "dataset": ["eval", "--dataset", str(bad), "--predictions", str(bad), *trace],
+        "predictions": ["eval", "--dataset", str(GOLDEN_PATH), "--predictions", str(bad), *trace],
+        "mock": ["plan", "q", "--mock", str(bad), *trace],
+        "config": ["plan", "q", "--config", str(bad), *trace],
+        "template": ["plan", "q", "--config", str(config), *trace],
+    }.get(option, [option, "--in", str(bad)])
     _assert_one_line_error(runner.invoke(main, args), f"{bad} is not UTF-8 at byte 0")
 
 
@@ -522,6 +532,18 @@ def test_enforce_json_format(runner):
     assert json.loads(result.output) == {
         "text": plan_text, "edits": [{"kind": "truncate", "position": len(plan_text), "text": "!"}],
     }
+
+
+@pytest.mark.parametrize("tail", ["\n", " \t\r\n"], ids=["newline", "json_whitespace"])
+def test_enforce_ignores_trailing_whitespace(runner, tmp_path, golden_examples, tail):
+    # a plan piped or read with its final newline is accepted as it is
+    gold = golden_examples[0].gold_text
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(gold + tail, encoding="utf-8")
+    for args, stdin in ((["--in", str(plan_file)], None), ([], gold + tail)):
+        result = runner.invoke(main, ["enforce", "--format", "json", *args], input=stdin)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == {"text": gold, "edits": []}
 
 
 def test_tools_json_format(runner, fixture_registry):

@@ -13,6 +13,7 @@ from chainplan.enforcer import (
     DecoderSession,
     PlanAutomaton,
     SchemaCompileError,
+    TokenIndex,
     compile_schema,
     compile_subtask_schema,
     enforced_repair,
@@ -844,17 +845,32 @@ def test_shared_memo_stays_exact_under_threads(fixture_registry, monkeypatch):
 
 
 def test_shared_graph_stays_exact_under_threads(fixture_registry, golden_examples, monkeypatch):
-    # eight threads project on one automaton whose graph an 8-node bound
-    # clears often; every projection equals the one on a fresh automaton
+    # eight threads project, decode and mask on one automaton and one index
+    # while an 8-node bound clears the automaton's graph often; every
+    # projection and every mask equals the one on a fresh automaton
     monkeypatch.setattr("chainplan.enforcer._GRAPH_SIZE", 8)
     rng = random.Random(31)
     texts = [_corrupt(rng, ex.gold_text) for ex in golden_examples for _ in range(3)]
     expected = [enforced_repair(compile_schema(fixture_registry), text) for text in texts]
-    shared = compile_schema(fixture_registry)
+    pieces = [[ex.gold_text[i:i + 4] for i in range(0, len(ex.gold_text), 4)] for ex in golden_examples[:3]]
+    vocab = sorted({piece for plan in pieces for piece in plan}) + ["\u00e9", '"}', "zz"]
+
+    def masks(automaton, index, plan):
+        session = DecoderSession(automaton, index)
+        found = []
+        for piece in plan:
+            found.append(session.mask_vocabulary(vocab))
+            session.advance(piece)
+        return found
+
+    expected_masks = [masks(compile_schema(fixture_registry), TokenIndex(vocab), plan) for plan in pieces]
+    shared, index = compile_schema(fixture_registry), TokenIndex(vocab)
 
     def run(seed):
-        order = list(range(len(texts)))
+        order, plans = list(range(len(texts))), list(range(len(pieces)))
         random.Random(seed).shuffle(order)
-        return all(enforced_repair(shared, texts[k]) == expected[k] for k in order)
+        random.Random(seed).shuffle(plans)
+        return (all(enforced_repair(shared, texts[k]) == expected[k] for k in order)
+                and all(masks(shared, index, pieces[k]) == expected_masks[k] for k in plans))
 
     assert _all_in_threads(run)

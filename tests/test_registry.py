@@ -216,10 +216,10 @@ def test_setup_and_a_query_never_write_the_tool_document(monkeypatch, golden_exa
     from chainplan.retrieval import HashEmbeddingProvider
     from conftest import regains_replay_entries
 
-    def refuse(specs):
+    def refuse(registry):
         raise AssertionError("the tool document was written")
 
-    monkeypatch.setattr(chainplan.registry, "_tool_document", refuse)
+    monkeypatch.setattr(chainplan.registry, "serialize_registry", refuse)
     registry = load_registry(fixture_tools_path())
     ctx = PlannerContext.build(registry, HashEmbeddingProvider(), golden_examples)
     config = PipelineConfig.default()
@@ -281,10 +281,13 @@ def test_a_bad_type_text_met_twice_is_refused_at_its_first_place(bad_type, error
 ], ids=["utf16-bom", "latin1-byte"])
 def test_a_file_that_is_not_utf8_is_refused_with_its_path_and_byte(tmp_path, raw, offset):
     from chainplan.datasets import DatasetError, load_golden_dataset
+    from chainplan.llm import CompletionError, load_replay
+    from chainplan.pipelines import PipelineConfig
 
     target = tmp_path / "input.json"
     target.write_bytes(raw)
-    for load, error in ((load_registry, RegistryError), (load_golden_dataset, DatasetError)):
+    for load, error in ((load_registry, RegistryError), (load_golden_dataset, DatasetError),
+                        (load_replay, CompletionError), (PipelineConfig.from_file, ValueError)):
         for source in (target, str(target)):
             with pytest.raises(error) as err:
                 load(source)
