@@ -29,7 +29,7 @@ from .pipelines import (
     run_regains,
 )
 from .plan import Plan, iter_prev_refs, parse_plan, plan_to_data, serialize_plan, validate_refs
-from .registry import RegistryError, fixture_tools_path, load_registry, read_text, validate_registry
+from .registry import RegistryError, decode_text, fixture_tools_path, load_registry, read_text, validate_registry
 from .retrieval import HashEmbeddingProvider, RetrievalError
 from .typegraph import build_graph, check_ref, repair_plan
 
@@ -59,7 +59,11 @@ def _load_registry_arg(tools: str, with_operators: bool = False):
 
 
 def _read_plan_text(in_file: str | None) -> str:
-    return read_text(in_file, click.ClickException) if in_file else sys.stdin.read()
+    """The text of ``in_file``, or of standard input, read as bytes and
+    refused when it is not UTF-8 like a file."""
+    if in_file:
+        return read_text(in_file, click.ClickException)
+    return decode_text(click.get_binary_stream("stdin").read(), "<stdin>", click.ClickException)
 
 
 def _read_plan(in_file: str | None) -> Plan:

@@ -60,8 +60,12 @@ or to None when the state rejects it. Only a character not yet stepped from
 a node calls ``transition`` (``successor``). A state holds the tool, its
 used arguments and the position inside a value, never the calls made
 before, so texts pass through the same states and step along kept edges. At
-``_GRAPH_SIZE`` nodes the graph is cleared. Walks in any thread share it
-safely: an edge is a pure function of (state, character), so a node still
+``_GRAPH_SIZE`` nodes the graph is cleared. A node also keeps its forced
+run (``forced``), once asked for: the text of the chain of states that each
+allow exactly one character, stepped once with ``transition``, and the node
+after it, the run's only node. Projection inserts such a run in one pass
+instead of one loop turn per character. Walks in any thread share the graph
+safely: an edge and a run are pure functions of the state, so a node still
 held after a clear stays correct and a lost node only costs a restep; a walk
 decides acceptance from a node's state, never from the node.
 
@@ -204,6 +208,8 @@ _ALLOWED_CACHE_SIZE = 4096
 # tracemalloc over projected regains-1k answers, so about 1.5 MB at the bound.
 _GRAPH_SIZE = 4096
 _UNSEEN = object()
+# The key of a node's forced run (``forced``); no character is this key.
+_FORCED = object()
 
 _STRING_TAGS = frozenset(("s", "se", "su"))
 # States whose next characters do not depend on their ``then``: literals and
@@ -370,6 +376,40 @@ class _Automaton:
             node = nxt
             i += 1
         return node, i
+
+    def forced(self, node: dict) -> tuple[str, dict]:
+        """The forced run from ``node``: the text of the characters that are
+        each the one character ``allowed`` gives from the state they are
+        stepped from, and the node after them. The run stops at the first
+        state that allows no character or more than one; an accepting state
+        allows none. A state that steps to itself ends the run after its
+        character. A literal state forces the rest of its text at once.
+
+        Stepped with ``transition`` the first time and kept on the node
+        under the key ``_FORCED``; only the state after the run gets a node,
+        so a run adds one node to the graph, not one per character. The run
+        is a pure function of the state, so it is cleared with the graph and
+        stays correct across clears."""
+        run = node.get(_FORCED)
+        if run is None:
+            chars = []
+            state = here = node[None]
+            while True:
+                if state[0] == "lit":  # forces the rest of its text, then goes on in ``then``
+                    chars.append(state[1][state[2]:])
+                    state = state[3]
+                    continue
+                allowed = self.allowed(state)
+                if len(allowed) != 1:
+                    break
+                (ch,) = allowed
+                nxt = self.transition(state, ch)
+                chars.append(ch)
+                if nxt is state:
+                    break
+                state = nxt
+            run = node[_FORCED] = ("".join(chars), node if state is here else self.node(state))
+        return run
 
     def _name_next(self, key, prefix: str) -> frozenset[str]:
         """The characters a name piece takes after ``prefix``, read off the
@@ -722,23 +762,29 @@ def enforced_repair(automaton, candidate: str) -> tuple[str, list[Edit]]:
     """Greedy projection of arbitrary text onto the accepted language.
 
     Identity on accepted inputs. Otherwise, per automaton state: consume the
-    current character when allowed; else emit the forced character when only
-    one is allowed; else skip ahead to the nearest allowed character within a
-    16-character window; else insert by fixed priority (the closing quote of
-    a free string body, else structural closers first, then openers, then
-    digits, then the smallest allowed character).
+    current character when allowed; else, when only one is allowed, take the
+    state's forced run (``forced``), consuming each of its characters the
+    candidate has at the current position and inserting each other; else
+    skip ahead to the nearest allowed character within a 16-character
+    window; else insert by fixed priority (the closing quote of a free
+    string body, else structural closers first, then openers, then digits,
+    then the smallest allowed character).
     Once the automaton accepts, any unconsumed suffix is dropped. Always
     terminates with accepted text, although no value is capped: an insert
     closes an open string with ``"``, and a number or reference index
     offers its continuation's closer, which the priority puts ahead of a
     digit. Idempotent.
 
-    Steps through the automaton's transition graph (``walk``). The walk
-    stops when the state accepts, which takes no character, whatever node
-    holds it, so a clear of the graph mid-walk changes nothing.
+    Steps through the automaton's transition graph (``walk``) and its kept
+    forced runs. The walk stops when the state accepts, which takes no
+    character, whatever node holds it, so a clear of the graph mid-walk
+    changes nothing. A forced run gives the same text and edits as stepping
+    its characters one at a time: each of its states allows only the next
+    character, which the candidate either has or lacks.
     """
     node = automaton.node(automaton.initial_state)
     walk = automaton.walk
+    forced = automaton.forced
     out: list[str] = []
     edits: list[Edit] = []
     i = done = 0  # candidate[done:i] is consumed but not yet in out
@@ -750,18 +796,26 @@ def enforced_repair(automaton, candidate: str) -> tuple[str, list[Edit]]:
             break
         out.append(candidate[done:i])
         done = i
+        text, end = forced(node)
+        if text:
+            # each character is consumed where the candidate has it, else inserted
+            for ch in text:
+                if i < n and candidate[i] == ch:
+                    i += 1
+                else:
+                    edits.append(Edit("insert", i, ch))
+            out.append(text)
+            node, done = end, i
+            continue
         allowed = automaton.allowed(state)
-        if len(allowed) == 1:
-            pick = next(iter(allowed))
-        else:
-            window = candidate[i + 1 : i + 1 + _REPAIR_LOOKAHEAD]
-            jump = next((j for j, c in enumerate(window) if c in allowed), None)
-            if jump is not None:
-                # the next pass consumes the allowed character skipped to
-                edits.append(Edit("skip", i, candidate[i : i + 1 + jump]))
-                i = done = i + 1 + jump
-                continue
-            pick = _priority_char(allowed)
+        window = candidate[i + 1 : i + 1 + _REPAIR_LOOKAHEAD]
+        jump = next((j for j, c in enumerate(window) if c in allowed), None)
+        if jump is not None:
+            # the next pass consumes the allowed character skipped to
+            edits.append(Edit("skip", i, candidate[i : i + 1 + jump]))
+            i = done = i + 1 + jump
+            continue
+        pick = _priority_char(allowed)
         node = walk(node, pick)[0]
         out.append(pick)
         edits.append(Edit("insert", i, pick))

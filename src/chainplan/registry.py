@@ -142,8 +142,9 @@ class ToolSpec:
 
 
 class _Version:
-    """``Registry.version``: kept as given, or, when given as None, the
-    sha256 prefix of the tool document, computed on first read and kept."""
+    """``Registry.version``: kept as given; when given as None, the sha256
+    prefix of the tool document; when given as a registry, that registry's
+    version (``subset``). Either is found on first read and kept."""
 
     def __get__(self, registry, owner=None):
         if registry is None:
@@ -152,6 +153,8 @@ class _Version:
         if version is None:
             document = serialize_registry(registry)
             version = registry.__dict__["_version"] = hashlib.sha256(document.encode("utf-8")).hexdigest()[:12]
+        elif isinstance(version, Registry):
+            version = registry.__dict__["_version"] = version.version
         return version
 
     def __set__(self, registry, version: str | None) -> None:
@@ -212,9 +215,10 @@ class Registry:
         return len(self.tools)
 
     def subset(self, names: list[str] | tuple[str, ...]) -> "Registry":
-        """Registry view restricted to ``names``, keeping the parent version."""
+        """Registry view restricted to ``names``, keeping the parent version,
+        which is read only when the view's version is."""
         picked = {n: self.tools[n] for n in names if n in self.tools}
-        return Registry(tools=picked, version=self.version)
+        return Registry(tools=picked, version=self)
 
 
 _JSON_KINDS = {str: "a string", bool: "a boolean", list: "an array"}
@@ -280,13 +284,21 @@ def _load_tool(entry: object, index: int, types: dict[str, ValueType]) -> ToolSp
     )
 
 
+def decode_text(data: bytes, name: str | Path, error: type[Exception]) -> str:
+    """``data`` decoded as UTF-8, with line ends read as a text file's
+    (CRLF and CR become LF). Bytes that are not UTF-8 raise ``error`` with
+    one line naming ``name`` and the offending byte."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{name} is not UTF-8 at byte {exc.start}: {exc.reason}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def read_text(path: str | Path, error: type[Exception]) -> str:
     """The text of the file at ``path``. A file that is not UTF-8 raises
     ``error`` with one line naming the path and the offending byte."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path} is not UTF-8 at byte {exc.start}: {exc.reason}") from exc
+    return decode_text(Path(path).read_bytes(), path, error)
 
 
 def load_registry(source: str | Path) -> Registry:

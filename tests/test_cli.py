@@ -212,6 +212,28 @@ def test_input_file_that_is_not_utf8_is_one_line_error(runner, tmp_path, option)
     _assert_one_line_error(runner.invoke(main, args), f"{bad} is not UTF-8 at byte 0")
 
 
+@pytest.mark.parametrize("command", ["check", "enforce"])
+def test_stdin_that_is_not_utf8_is_one_line_error(runner, command):
+    # A Latin-1 é is refused at its byte, not read as a surrogate escape.
+    result = runner.invoke(main, [command], input=b'[{"tool_name":"caf\xe9","arguments":[]}]')
+    _assert_one_line_error(result, "<stdin> is not UTF-8 at byte 18: invalid continuation byte")
+
+
+@pytest.mark.parametrize("command", ["check", "enforce"])
+def test_stdin_reads_as_the_same_bytes_in_a_file(runner, tmp_path, command):
+    # UTF-8 text and CRLF line ends: standard input gives what --in gives.
+    data = ('[{"tool_name":"search_object_by_name",\r\n"arguments":[{"argument_name":"query",'
+            '"argument_value":"caf\u00e9"}]}]\r\n').encode("utf-8")
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_bytes(data)
+    from_file = runner.invoke(main, [command, "--in", str(plan_file)])
+    from_stdin = runner.invoke(main, [command], input=data)
+    assert from_file.exit_code == from_stdin.exit_code == 0, from_stdin.output
+    assert from_stdin.output == from_file.output
+    if command == "check":
+        assert from_stdin.output == "ok\n"
+
+
 def test_check_forward_reference_exits_one(runner):
     plan_text = '[{"tool_name":"works_list","arguments":[{"argument_name":"owned_by","argument_value":["$$PREV[5]"]}]}]'
     result = runner.invoke(main, ["check"], input=plan_text)

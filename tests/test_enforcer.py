@@ -551,6 +551,71 @@ def test_projection_on_a_warm_graph_equals_a_cold_one(registry_seed, text_seed):
         assert enforced_repair(warm, text) == enforced_repair(compile_schema(registry), text)
 
 
+def _replay(candidate: str, edits) -> str:
+    """``candidate`` with ``edits`` applied in order: a skip removes its text
+    at its position, an insert adds its text there, a truncate drops the
+    tail from its position."""
+    out = []
+    at = 0
+    for edit in edits:
+        assert edit.position >= at, edits
+        out.append(candidate[at:edit.position])
+        at = edit.position
+        if edit.kind == "insert":
+            out.append(edit.text)
+        elif edit.kind == "skip":
+            assert edit.text and candidate.startswith(edit.text, at), edit
+            at += len(edit.text)
+        else:
+            assert edit.kind == "truncate" and edit.text == candidate[at:] and edit is edits[-1], edit
+            at = len(candidate)
+    return "".join(out) + candidate[at:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**16), st.integers(0, 2**16), st.booleans())
+def test_edits_replayed_on_the_candidate_give_the_projection(registry_seed, text_seed, subtasks):
+    registry = random_registry(random.Random(registry_seed), max_tools=5)
+    rng = random.Random(text_seed)
+    if subtasks:
+        automaton = compile_subtask_schema(registry.names)
+        plans = [serialize_subtasks([SubTask(i, rng.choice(["", "find it", 'say "x"\\y']), rng.choice(registry.names))
+                                     for i in range(rng.randint(1, 3))]) for _ in range(4)]
+    else:
+        automaton = compile_schema(registry)
+        plans = [serialize_plan(random_plan(rng, tool_names=registry.names, max_calls=4)) for _ in range(4)]
+    for plan in plans:
+        candidate = _corrupt(rng, plan)
+        projected, edits = enforced_repair(automaton, candidate)
+        assert _replay(candidate, edits) == projected, (candidate, edits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**16), st.booleans(), st.integers(0, 2**16))
+def test_forced_runs_step_the_one_allowed_character_along_random_walks(registry_seed, arrays, walk_seed):
+    # Each character of a run is the only one its state allows (``allowed``
+    # equals the printable scan, tested above); the run ends where the
+    # choice is not one character.
+    pool = {"type_pool": _ARRAY_TYPES} if arrays else {}
+    registry = random_registry(random.Random(registry_seed), max_tools=8, **pool)
+    rng = random.Random(walk_seed)
+    for automaton in (compile_schema(registry), compile_subtask_schema(registry.names)):
+        session = DecoderSession(automaton)
+        while True:
+            text, end = automaton.forced(session.node)
+            assert automaton.forced(session.node) == (text, end)
+            state = session.state
+            for ch in text:
+                assert automaton.allowed(state) == {ch}, (session.emitted[-60:], text)
+                state = automaton.transition(state, ch)
+            assert state == end[None]
+            assert len(automaton.allowed(state)) != 1, (session.emitted[-60:], text)
+            if session.at_end:
+                assert text == "" and end is session.node
+                break
+            session.advance(_walk_choice(rng, automaton.allowed(session.state)))
+
+
 def _char_class(ch: str) -> str:
     return "0" if ch.isdigit() else "a" if ch.isalpha() else ch
 

@@ -232,6 +232,24 @@ def test_setup_and_a_query_never_write_the_tool_document(monkeypatch, golden_exa
         registry.version
 
 
+def test_a_subset_reads_its_parents_version_only_when_asked(monkeypatch):
+    # EnChAnT compiles each query's plan automaton from a subset; building
+    # one, of a subset too, leaves the parent's version unread.
+    import chainplan.enforcer
+    import chainplan.registry
+
+    registry = load_registry(fixture_tools_path())
+    with monkeypatch.context() as patched:
+        patched.setattr(chainplan.registry, "serialize_registry", lambda registry: pytest.fail("document written"))
+        view = registry.subset(["who_am_i", "works_list"]).subset(["works_list"])
+        chainplan.enforcer.compile_schema(view)
+    assert registry.__dict__["_version"] is None
+    assert view.names == ("works_list",)
+    assert view.version == "395ebb18f33c"
+    assert registry.__dict__["_version"] == "395ebb18f33c"
+    assert view.__dict__["_version"] == "395ebb18f33c"
+
+
 def test_equal_type_texts_share_one_value_type():
     doc = json.dumps([
         {"tool_name": f"t{i}", "tool_description": "d", "return_type": "array of object:Work",
