@@ -40,17 +40,13 @@ machine serves integers, floats and the unsigned sub-task ids and reference
 indices, which are canonical (no leading zero). A member ``"key":value`` has
 a string key and a value of ``_MEMBER_SPEC``: string, float, boolean or null.
 No value is capped in length: no state counts characters. A literal state's
-next-character set is its one character, and a name state reads its set off
-the sorted names, one bisection per distinct next character; every other
-state scans the transition over printable ASCII. The sets are exact because
-every literal is printable ASCII, tool and argument names are identifiers
-(``[A-Za-z0-9_]+``), which a ``Registry`` guarantees when it is built and
-the sub-task automaton checks at compile time, and every other accepted
-character is printable ASCII.
-Each automaton memoizes those sets on a state's shape, which allows the same
-characters: a literal or open-string state without its ``then``, any other
-state as itself. The memo is bounded and cleared when full. Sessions share
-it safely: the sets are immutable, and a lost entry only costs a rescan.
+next-character set is its one character, an open string's is a constant of
+its tag, and a name state reads its set off the sorted names, one bisection
+per distinct next character; every other state scans the transition over
+printable ASCII. The sets are exact because every literal is printable
+ASCII, tool and argument names are identifiers (``[A-Za-z0-9_]+``), which a
+``Registry`` guarantees when it is built and the sub-task automaton checks
+at compile time, and every other accepted character is printable ASCII.
 
 Every walk of an automaton, in decoding (``DecoderSession``), masks
 (``TokenIndex``) and projection (``enforced_repair``), steps through the one
@@ -60,14 +56,16 @@ or to None when the state rejects it. Only a character not yet stepped from
 a node calls ``transition`` (``successor``). A state holds the tool, its
 used arguments and the position inside a value, never the calls made
 before, so texts pass through the same states and step along kept edges. At
-``_GRAPH_SIZE`` nodes the graph is cleared. A node also keeps its forced
-run (``forced``), once asked for: the text of the chain of states that each
-allow exactly one character, stepped once with ``transition``, and the node
-after it, the run's only node. Projection inserts such a run in one pass
-instead of one loop turn per character. Walks in any thread share the graph
-safely: an edge and a run are pure functions of the state, so a node still
-held after a clear stays correct and a lost node only costs a restep; a walk
-decides acceptance from a node's state, never from the node.
+``_GRAPH_SIZE`` nodes the graph is cleared. A node also keeps, once asked
+for, its next-character set (``allowed``) and its forced run (``forced``):
+the text of the chain of states that each allow exactly one character,
+stepped once with ``transition``, and the node after it. A literal's
+characters take no node; any other state of a run gets one, which keeps its
+set. Projection inserts such a run in one pass instead of one loop turn per
+character. Walks in any thread share the graph safely: an edge, a set and a
+run are pure functions of the state, so a node still held after a clear
+stays correct and a lost node only costs a restep; a walk decides acceptance
+from a node's state, never from the node.
 
 Vocabulary masks are exact: a token is allowed if and only if feeding it
 character by character would succeed. A vocabulary belongs to the model: it
@@ -200,21 +198,20 @@ def _first_from(names: tuple[str, ...], prefix: str) -> str:
     return names[i] if i < len(names) else ""
 
 
-# Next-character sets an automaton keeps before it clears them all.
-_ALLOWED_CACHE_SIZE = 4096
-
 # Nodes of the transition graph every walk of an automaton steps through,
-# kept before it clears them all: about 370 B each with state and edges by
-# tracemalloc over projected regains-1k answers, so about 1.5 MB at the bound.
+# kept before it clears them all: about 560 B each with state, edges and
+# next-character set by tracemalloc over projected regains-1k answers, so
+# about 2.3 MB at the bound.
 _GRAPH_SIZE = 4096
 _UNSEEN = object()
-# The key of a node's forced run (``forced``); no character is this key.
+# The keys of a node's forced run (``forced``) and next-character set
+# (``allowed``); no character is either key.
 _FORCED = object()
+_ALLOWED = object()
 
-_STRING_TAGS = frozenset(("s", "se", "su"))
-# States whose next characters do not depend on their ``then``: literals and
-# open strings, which ``allowed`` keys without it.
-_SHAPE_TAGS = _STRING_TAGS | {"lit"}
+# The next characters of an open string, whatever its ``then``: in the body,
+# after a backslash, inside ``\u``.
+_STRING_NEXT = {"s": frozenset(_PRINTABLE), "se": _ESCAPES | {"u"}, "su": _HEX}
 
 
 class _Automaton:
@@ -222,7 +219,6 @@ class _Automaton:
         self._tools = tools
         self.initial_state = ("lit", "[", 0, ("open", item, _ACCEPT))
         self._item_close = ("lit", "}", 0, ("sep", item, _ACCEPT))
-        self._allowed: dict[tuple, frozenset[str]] = {}
         self._graph: dict[tuple, dict] = {}
 
     def accepting(self, state: tuple) -> bool:
@@ -316,31 +312,29 @@ class _Automaton:
 
     def allowed(self, state: tuple) -> frozenset[str]:
         """The printable ASCII characters ``transition`` accepts from ``state``:
-        ``text[i]`` alone for a literal state, read off the sorted names for a
-        name state (``_name_next``), found by scanning the transition over
-        printable ASCII for any other.
+        ``text[i]`` alone for a literal state, a constant per tag for an open
+        string, read off the sorted names for a name state (``_name_next``),
+        found by scanning the transition over printable ASCII for any other.
 
-        Memoized per automaton on the state's shape, which allows the same
-        characters: a literal state drops ``then``, since it accepts
-        ``text[i]`` alone whatever follows; so does an open string, since its
-        closing quote steps into any ``then``; any other state is its own
-        shape. At ``_ALLOWED_CACHE_SIZE`` shapes the memo is cleared.
-        Sessions may share it: the sets are immutable, and a lost entry only
-        costs a rescan.
+        Kept on the state's graph node under the key ``_ALLOWED`` and cleared
+        with the graph. Sessions may share it: the set is a pure function of
+        the state, so a node held across a clear stays correct, and a lost
+        set only costs a rescan.
         """
-        key = state[:-1] if state[0] in _SHAPE_TAGS else state
-        found = self._allowed.get(key)
+        node = self.node(state)
+        found = node.get(_ALLOWED)
         if found is None:
-            if state[0] == "lit":
+            tag = state[0]
+            if tag == "lit":
                 found = frozenset(state[1][state[2]])
-            elif state[0] == "name":
+            elif tag in _STRING_NEXT:
+                found = _STRING_NEXT[tag]
+            elif tag == "name":
                 found = self._name_next(state[1], state[2])
             else:
                 transition = self.transition
                 found = frozenset(ch for ch in _PRINTABLE if transition(state, ch) is not None)
-            if len(self._allowed) >= _ALLOWED_CACHE_SIZE:
-                self._allowed.clear()
-            self._allowed[key] = found
+            node[_ALLOWED] = found
         return found
 
     def node(self, state: tuple) -> dict:
@@ -386,10 +380,11 @@ class _Automaton:
         character. A literal state forces the rest of its text at once.
 
         Stepped with ``transition`` the first time and kept on the node
-        under the key ``_FORCED``; only the state after the run gets a node,
-        so a run adds one node to the graph, not one per character. The run
-        is a pure function of the state, so it is cleared with the graph and
-        stays correct across clears."""
+        under the key ``_FORCED``. A literal's characters take no node; each
+        other state of the run keeps its set on its own node (``allowed``),
+        and the state after the run gets a node. The run is a pure function
+        of the state, so it is cleared with the graph and stays correct
+        across clears."""
         run = node.get(_FORCED)
         if run is None:
             chars = []
@@ -583,7 +578,7 @@ class _Trie:
 # Verdict tables of quoted tokens an index keeps, per (automaton, string
 # state), before it clears them all. A planner context compiles one automaton
 # per kind and retrieved tool set, and each key keeps its automaton alive,
-# about 40 KB with its memo after a plan, so the bound is small; a plan
+# about 100 KB with its graph after a plan, so the bound is small; a plan
 # decodes a few string states, and a table cleared too early costs one walk
 # of the few quoted tokens.
 _QUOTED_CACHE_SIZE = 32
@@ -624,7 +619,7 @@ class TokenIndex(_Trie):
         ``then``, so a token without ``"`` gets the body table's verdict
         from every automaton.
         """
-        if state[0] in _STRING_TAGS:
+        if state[0] in _STRING_NEXT:
             table = _Verdicts(self._body(automaton, state[:-1]))
             table.update(self._quoted_verdicts(automaton, state))
         else:

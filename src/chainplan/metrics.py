@@ -198,7 +198,7 @@ def score_example(record: EvalRecord, registry: Registry) -> ExampleScores:
 
 
 def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+    return math.fsum(values) / len(values) if values else None
 
 
 def evaluate_dataset(records: list[EvalRecord], registry: Registry,

@@ -44,13 +44,23 @@ class RetrievalError(ValueError):
     pass
 
 
+def _norm(vector) -> float:
+    """|vector|, its squares summed correctly rounded by ``math.fsum``, so
+    the same on every interpreter; inf when their sum overflows."""
+    try:
+        return math.sqrt(math.fsum(map(operator.mul, vector, vector)))
+    except OverflowError:
+        return math.inf
+
+
 def cosine(a: list[float], b: list[float]) -> float:
-    """dot(a, b) / (|a| * |b|); errors on dimension mismatch or zero vectors."""
+    """dot(a, b) / (|a| * |b|); errors on dimension mismatch or zero vectors.
+    Sums with ``math.fsum``, so a score is the same on every interpreter."""
     if len(a) != len(b):
         raise RetrievalError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    dot = sum(x * y for x, y in zip(a, b))
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(y * y for y in b))
+    dot = math.fsum(map(operator.mul, a, b))
+    norm_a = _norm(a)
+    norm_b = _norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         raise RetrievalError("cosine of a zero vector is undefined")
     return dot / (norm_a * norm_b)
@@ -161,7 +171,7 @@ class Corpus:
                     f"dimension mismatch: item {index} ({item.id!r}) has {len(item.vector)}, "
                     f"corpus has {self.dimension}"
                 )
-            norm = math.sqrt(sum(map(operator.mul, item.vector, item.vector)))
+            norm = _norm(item.vector)
             if norm == 0.0:
                 raise RetrievalError(f"cosine of a zero vector is undefined: item {index} ({item.id!r})")
             if not math.isfinite(norm):
@@ -230,13 +240,13 @@ class _PreScore:
 
     The float score divides a dot product with absolute error at most
     γ_(D+2)·|q|·|v| by |q|·|v|·(1 + τ), |τ| <= γ_(2D+5), so
-    |s - c| <= γ_(3D+9). This holds for left-to-right summation and for
-    the compensated float ``sum`` of Python 3.12 and later, whose error is
-    smaller. Products or squares that underflow add at most D·2**-1074 to
-    quantities no smaller than 2**-800 (both norms are at least 2**-400),
-    a relative D·2**-274. Together these float terms stay below
-    2**(2Q)·(D + 4)·2**-48, that is below ((D + 4) >> (48 - 2Q)) + 1 field
-    units, so for D <= ``_MAX_DIMENSION`` all of this fits in
+    |s - c| <= γ_(3D+9). This holds for left-to-right summation, and so
+    for the correctly rounded ``math.fsum`` that the scores and norms use,
+    whose error is smaller. Products or squares that underflow add at most
+    D·2**-1074 to quantities no smaller than 2**-800 (both norms are at
+    least 2**-400), a relative D·2**-274. Together these float terms stay
+    below 2**(2Q)·(D + 4)·2**-48, that is below ((D + 4) >> (48 - 2Q)) + 1
+    field units, so for D <= ``_MAX_DIMENSION`` all of this fits in
 
         |P - 2**(2Q)·s| <= Δ = (isqrt(D) + 2)·2**Q + D//4 + 1 + ((D + 4) >> (48 - 2Q)) + 1,
 
@@ -398,17 +408,17 @@ def retrieve_top_k(query: str | list[float], corpus: Corpus, provider, k: int) -
     query_vec = provider.embed(query) if isinstance(query, str) else query
     if len(query_vec) != corpus.dimension:
         raise RetrievalError(f"dimension mismatch: {len(query_vec)} vs {corpus.dimension}")
-    query_norm = math.sqrt(sum(map(operator.mul, query_vec, query_vec)))
+    query_norm = _norm(query_vec)
     if query_norm == 0.0:
         raise RetrievalError("cosine of a zero vector is undefined")
     if not math.isfinite(query_norm):
         raise RetrievalError("query vector has a NaN or infinite value" if not all(map(math.isfinite, query_vec))
                              else "query vector norm overflows")
-    # The same products, summed in the same order and divided the same way
-    # as cosine(query_vec, item.vector), so every score equals it exactly.
+    # The same products, summed and divided the same way as
+    # cosine(query_vec, item.vector), so every score equals it exactly.
     items, norms = corpus.items, corpus.norms
     scored = [
-        (items[i].id, sum(map(operator.mul, query_vec, items[i].vector)) / (query_norm * norms[i]))
+        (items[i].id, math.fsum(map(operator.mul, query_vec, items[i].vector)) / (query_norm * norms[i]))
         for i in _candidates(corpus, query_vec, query_norm, k)
     ]
     return heapq.nsmallest(k, scored, key=lambda pair: (-pair[1], pair[0]))

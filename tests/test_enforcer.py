@@ -7,7 +7,7 @@ from dataclasses import replace
 from hypothesis import example, given, settings, strategies as st
 
 from chainplan.enforcer import (
-    _ALLOWED_CACHE_SIZE,
+    _GRAPH_SIZE,
     _PRINTABLE,
     DecodeRejection,
     DecoderSession,
@@ -692,12 +692,13 @@ def test_allowed_sets_are_pinned_inside_arrays():
 
 
 def _scan(automaton, state) -> frozenset[str]:
-    """The next-character set of ``state``, computed without the memo."""
+    """The next-character set of ``state``, computed without the graph."""
     return frozenset(c for c in _PRINTABLE if automaton.transition(state, c) is not None)
 
 
 def test_memoized_allowed_equals_a_fresh_scan_on_walks(fixture_registry):
-    # each automaton serves six walks, so later states meet a warm memo
+    # each automaton serves six walks, so later states meet sets kept on
+    # their nodes
     rng = random.Random(31)
     registries = [fixture_registry] + [random_registry(random.Random(seed), max_tools=8) for seed in range(100, 106)]
     for registry in registries:
@@ -710,6 +711,14 @@ def test_memoized_allowed_equals_a_fresh_scan_on_walks(fixture_registry):
                     if session.at_end:
                         break
                     session.advance(_walk_choice(rng, allowed))
+
+
+@pytest.mark.parametrize("nodes", [1, 3])
+def test_memoized_allowed_survives_graph_clears(fixture_registry, monkeypatch, nodes):
+    # a bound of a few nodes clears the graph at nearly every step, so sets
+    # are kept on nodes that a later step has cleared
+    monkeypatch.setattr("chainplan.enforcer._GRAPH_SIZE", nodes)
+    test_memoized_allowed_equals_a_fresh_scan_on_walks(fixture_registry)
 
 
 @settings(max_examples=60, deadline=None)
@@ -856,9 +865,11 @@ def test_allowed_reuses_the_set_of_a_seen_shape(fixture_registry):
 
 
 def test_allowed_memo_is_bounded(fixture_registry):
-    # tool names long enough that their prefix states outnumber the bound
+    # tool names long enough that their prefix states outnumber the graph's
+    # bound; each keeps its set on its node, and the sets stay exact past
+    # the clears
     long_names = random_registry(random.Random(5), max_tools=8)
-    length = _ALLOWED_CACHE_SIZE // len(long_names) + 40
+    length = _GRAPH_SIZE // len(long_names) + 40
     specs = [replace(spec, name=f"t{i}_" + "x" * length) for i, spec in enumerate(long_names.tools.values())]
     automaton = PlanAutomaton(Registry.from_tools(specs))
     session = DecoderSession(automaton).advance('[{"tool_name":"')
@@ -868,9 +879,9 @@ def test_allowed_memo_is_bounded(fixture_registry):
         for ch in spec.name:
             name_session.advance(ch)
             assert automaton.allowed(name_session.state) == _scan(automaton, name_session.state)
-            assert len(automaton._allowed) <= _ALLOWED_CACHE_SIZE
+            assert len(automaton._graph) <= _GRAPH_SIZE
             prefixes += 1
-    assert prefixes > _ALLOWED_CACHE_SIZE
+    assert prefixes > _GRAPH_SIZE
 
 
 def _all_in_threads(run) -> bool:
@@ -891,8 +902,9 @@ def _all_in_threads(run) -> bool:
 
 def test_shared_memo_stays_exact_under_threads(fixture_registry, monkeypatch):
     # a tiny bound makes clears frequent while eight threads read and fill
-    # one automaton's memo; a lost entry may only cost a rescan
-    monkeypatch.setattr("chainplan.enforcer._ALLOWED_CACHE_SIZE", 8)
+    # the sets kept on one automaton's graph; a lost set may only cost a
+    # rescan
+    monkeypatch.setattr("chainplan.enforcer._GRAPH_SIZE", 8)
     automaton = compile_schema(fixture_registry)
 
     def run(seed):

@@ -186,15 +186,14 @@ def test_masks_are_fresh_lists_of_bools(place, inside):
 
 class _CountingTransitions:
     """An automaton that counts its ``transition`` calls, stepped through a
-    transition graph of its own."""
+    transition graph of its own, which also keeps its next-character sets."""
 
-    node, successor, walk = _Automaton.node, _Automaton.successor, _Automaton.walk
+    node, successor, walk, allowed = _Automaton.node, _Automaton.successor, _Automaton.walk, _Automaton.allowed
 
     def __init__(self, automaton):
         self._automaton = automaton
         self._graph = {}
         self.initial_state = automaton.initial_state
-        self.allowed = automaton.allowed
         self.calls = 0
 
     def transition(self, state, ch):

@@ -375,7 +375,7 @@ def test_eval_report_is_pinned(fixture_registry, golden_examples):
     for text in (report.to_json(), render_table(report), render_csv(report)):
         digest.update(text.encode("utf-8"))
     assert report.aggregates["invalid_json_rate"] == 1 / 14
-    assert digest.hexdigest() == "9f682eacc4903fb2d5c93a0b02acc768c6ad5683a8ccb1d068caf6acd347121f"
+    assert digest.hexdigest() == "f7240c129ecf422ddd5fa6f27e11dff74a1b513f324b88310727bf2c1a64e18f"
 
 
 def test_all_zero_parsed_renders_dashes(fixture_registry):

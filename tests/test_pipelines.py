@@ -347,7 +347,7 @@ def test_trace_json_is_pinned(ctx, config, golden_examples):
     miswrapped = example.gold_text.replace('["$$PREV[0]"]', '"$$PREV[0]"')
     model = ScriptedModel(dict(enchant_replay_entries(example, ctx, config, recompose_text=miswrapped)))
     pin(run_enchant(example.query, ctx, model, config))
-    assert digest.hexdigest() == "d7f0348af06a12bb5d07b97303b11126aa27e2b71c1d6cc5857ec75c43a7752d"
+    assert digest.hexdigest() == "88497d6ca3c7fb52b1b01fdb033fd578a6fbdd5ba4f1ac4cfc2bfe4ad6d23aac"
 
 
 def test_regains_compiles_the_plan_automaton_once_per_context(fixture_registry, golden_examples, config,

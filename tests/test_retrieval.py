@@ -497,6 +497,8 @@ def test_norms_refuse_non_finite_and_overflowing_items():
         ((float("nan"), 1.0), "non-finite vector value"),
         ((float("inf"), 1.0), "non-finite vector value"),
         ((1e200, 1.0), "vector norm overflows"),
+        # each square is finite, their sum is not
+        ((1.3e154, 1.3e154), "vector norm overflows"),
     ]:
         corpus = Corpus(items=(good, CorpusItem(id="b", vector=vector)), provider_id="table", dimension=2)
         with pytest.raises(RetrievalError, match=rf"item 1 \('b'\): {problem}"):
@@ -561,6 +563,7 @@ def test_retrieve_names_a_nan_query_value():
 
 def test_retrieve_names_an_overflowing_query_norm():
     assert _query_error([1e200, 1.0]) == "query vector norm overflows"
+    assert _query_error([1.3e154, 1.3e154]) == "query vector norm overflows"
 
 
 def test_retrieve_ties_broken_by_ascending_id():
