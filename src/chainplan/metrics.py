@@ -84,12 +84,8 @@ def bleu(predicted_tokens: list[str], gold_tokens: list[str]) -> float:
         return 0.0
     log_sum = 0.0
     for n in range(1, 5):
-        pred_ngrams = Counter(
-            tuple(predicted_tokens[i : i + n]) for i in range(len(predicted_tokens) - n + 1)
-        )
-        gold_ngrams = Counter(
-            tuple(gold_tokens[i : i + n]) for i in range(len(gold_tokens) - n + 1)
-        )
+        pred_ngrams = Counter(zip(*(predicted_tokens[k:] for k in range(n))))
+        gold_ngrams = Counter(zip(*(gold_tokens[k:] for k in range(n))))
         matches = sum((pred_ngrams & gold_ngrams).values())
         total = sum(pred_ngrams.values())
         if n == 1:
@@ -108,17 +104,20 @@ def bleu(predicted_tokens: list[str], gold_tokens: list[str]) -> float:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    # Two-row dynamic program, O(len(a) * len(b)) time, O(len(b)) space.
-    previous = [0] * (len(b) + 1)
+    # Bit-parallel LCS (Allison & Dix 1986; Hyyrö 2004): bit j of v is 1 where
+    # the DP row over b does not step up at column j, and each token of a
+    # updates the whole row at once, with an addition, a subtraction and three
+    # bitwise operations. That is |a| steps on ints of len(b) bits, each
+    # ceil(len(b) / 30) digits; the length is the count of v's zero bits.
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        current = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[len(b)]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l_f1(predicted_tokens: list[str], gold_tokens: list[str]) -> float:

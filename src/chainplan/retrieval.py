@@ -54,16 +54,21 @@ def _norm(vector) -> float:
 
 
 def cosine(a: list[float], b: list[float]) -> float:
-    """dot(a, b) / (|a| * |b|); errors on dimension mismatch or zero vectors.
-    Sums with ``math.fsum``, so a score is the same on every interpreter."""
+    """dot(a, b) / (|a| * |b|); errors on dimension mismatch, zero vectors,
+    non-finite values and norms that overflow. Sums with ``math.fsum``, so a
+    score is the same on every interpreter."""
     if len(a) != len(b):
         raise RetrievalError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    dot = math.fsum(map(operator.mul, a, b))
     norm_a = _norm(a)
     norm_b = _norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         raise RetrievalError("cosine of a zero vector is undefined")
-    return dot / (norm_a * norm_b)
+    for vector, norm in ((a, norm_a), (b, norm_b)):
+        if not math.isfinite(norm):
+            raise RetrievalError("non-finite vector value" if not all(map(math.isfinite, vector))
+                                 else "vector norm overflows")
+    # Both sums of squares are finite, so no product a[i] * b[i] overflows.
+    return math.fsum(map(operator.mul, a, b)) / (norm_a * norm_b)
 
 
 class HashEmbeddingProvider:

@@ -249,8 +249,58 @@ _LONG_B = [["a", "{", "b", "b", ",", "}", "["][i * 7 % 11 % 7] for i in range(10
 @example(["a"] * 70, ["a", "b"] * 40)
 @example(_LONG_A, _LONG_B)
 @example(_LONG_B, _LONG_A[:65])
+# b across the 30-bit digit edges of CPython's ints and the 64-bit word edge,
+# b wholly in a, and a holding tokens that b lacks.
+@example(_LONG_B[:40], _LONG_A[:29])
+@example(_LONG_B[:40], _LONG_A[:30])
+@example(_LONG_B[:40], _LONG_A[:31])
+@example(_LONG_B[:80], _LONG_A[:63])
+@example(_LONG_B[:80], _LONG_A[:64])
+@example(_LONG_B[:80], _LONG_A[:65])
+@example(_LONG_A[:70], _LONG_A[:64])
+@example(["x", "{", "y", "a", "z"] * 14, _LONG_A[:64])
+@example(["x", "y"] * 40, _LONG_A[:31])
 def test_lcs_length_matches_dp_oracle(a, b):
     assert _lcs_length(a, b) == oracle_lcs(a, b)
+
+
+def _perturbed(rng: random.Random, plan: Plan) -> Plan:
+    """``plan`` after one to four call edits: a call dropped, fresh calls
+    inserted, a tool renamed, or two neighbouring calls swapped."""
+    calls = list(plan.calls)
+    for _ in range(rng.randint(1, 4)):
+        edit = rng.randrange(4)
+        if edit == 0 and calls:
+            del calls[rng.randrange(len(calls))]
+        elif edit == 1:
+            at = rng.randint(0, len(calls))
+            calls[at:at] = random_plan(rng, max_calls=2).calls
+        elif edit == 2 and calls:
+            at = rng.randrange(len(calls))
+            calls[at] = ToolCall(f"tool{rng.randrange(8)}", calls[at].arguments)
+        elif edit == 3 and len(calls) > 1:
+            at = rng.randrange(len(calls) - 1)
+            calls[at], calls[at + 1] = calls[at + 1], calls[at]
+    return Plan(tuple(calls))
+
+
+def test_long_plan_scores_are_pinned():
+    # sha256 over float.hex of BLEU and ROUGE-L F1 for 200 seeded plans of up
+    # to 24 calls (up to 1,339 tokens), each scored against a perturbed
+    # copy: the golden set's short plans do not reach these lengths.
+    import hashlib
+
+    rng = random.Random(32)
+    digest = hashlib.sha256()
+    longest = 0
+    for _ in range(200):
+        plan = random_plan(rng, max_calls=24)
+        gold, predicted = plan_tokens(plan), plan_tokens(_perturbed(rng, plan))
+        longest = max(longest, len(gold), len(predicted))
+        for score in (bleu(predicted, gold), rouge_l_f1(predicted, gold)):
+            digest.update(score.hex().encode("ascii"))
+    assert longest > 1000
+    assert digest.hexdigest() == "e915da6d5915b3cb979709010956729f76104787b6fcbe622d12358ed51e5ede"
 
 
 # ---------------------------------------------------------------------------

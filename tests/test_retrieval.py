@@ -57,6 +57,16 @@ def test_cosine_zero_vector():
         cosine([0.0, 0.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("a, b, message", [
+    ([1e200, 1e200], [1e200, -1e200], "vector norm overflows"),
+    ([1.0, math.nan], [1.0, 1.0], "non-finite vector value"),
+    ([1.0, 1.0], [math.inf, 1.0], "non-finite vector value"),
+])
+def test_cosine_refuses_non_finite_norms(a, b, message):
+    with pytest.raises(RetrievalError, match=message):
+        cosine(a, b)
+
+
 def test_cosine_scale_invariance():
     rng = random.Random(1)
     for _ in range(20):
