@@ -261,6 +261,9 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
         _fail(f"{dataset}: no dataset records to score")
     if predictions is None and pipeline is None:
         raise click.UsageError("need --predictions or --pipeline")
+    if predictions is not None and (pipeline is not None or replay_file is not None):
+        other = "--pipeline" if pipeline is not None else "--mock"
+        raise click.UsageError(f"give --predictions or {other}, not both: each is a source of predictions")
 
     traces = None
     if predictions:

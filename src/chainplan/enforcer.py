@@ -63,9 +63,10 @@ stepped once with ``transition``, and the node after it. A literal's
 characters take no node; any other state of a run gets one, which keeps its
 set. Projection inserts such a run in one pass instead of one loop turn per
 character. Walks in any thread share the graph safely: an edge, a set and a
-run are pure functions of the state, so a node still held after a clear
-stays correct and a lost node only costs a restep; a walk decides acceptance
-from a node's state, never from the node.
+run are pure functions of the state, and a string node's quoted-token table
+(below) of the state and the index, so a node still held after a clear stays
+correct and a lost node only costs a restep; a walk decides acceptance from
+a node's state, never from the node.
 
 Vocabulary masks are exact: a token is allowed if and only if feeding it
 character by character would succeed. A vocabulary belongs to the model: it
@@ -76,12 +77,13 @@ tokens) that every automaton and session shares. A session maps its
 candidates through a verdict table in C; tokens outside the index are fed one
 by one from the session's node. A structural state's table is a copy of that
 dict with the accepted tokens set to True, from one pass over the implicit
-trie that visits only the first characters the state allows, steps through
-the graph and jumps by bisection past every token under a rejected prefix.
-String states reuse their verdicts: a token without ``"`` cannot leave the
-string, so its verdict is the string's alone, kept once per index for each
-string state without ``then``; only the tokens with a ``"`` are walked per
-(automaton, state).
+trie from the session's node that visits only the first characters the state
+allows, steps through the graph and jumps by bisection past every token under
+a rejected prefix. String states reuse their verdicts: a token without ``"``
+cannot leave the string, so its verdict is the string's alone, kept once per
+index for each string state without ``then``; only the tokens with a ``"``
+are walked per string state, and their table is kept on the state's node
+under the index as key, cleared with the graph like its set and run.
 
 Accepted value shapes per argument are deliberately relaxed around
 references: both a bare ``"$$PREV[i]"`` and a singleton ``["$$PREV[i]"]``
@@ -201,7 +203,8 @@ def _first_from(names: tuple[str, ...], prefix: str) -> str:
 # Nodes of the transition graph every walk of an automaton steps through,
 # kept before it clears them all: about 560 B each with state, edges and
 # next-character set by tracemalloc over projected regains-1k answers, so
-# about 2.3 MB at the bound.
+# about 2.3 MB at the bound. A string state's node may also hold one small
+# table per index that masked it: the verdicts of the index's quoted tokens.
 _GRAPH_SIZE = 4096
 _UNSEEN = object()
 # The keys of a node's forced run (``forced``) and next-character set
@@ -521,28 +524,29 @@ class _Trie:
         starts = [bisect_left(self.tokens, first) for first in firsts] + [len(self.tokens)]
         self._spans = {first: (starts[j], starts[j + 1]) for j, first in enumerate(firsts)}
 
-    def _walk(self, automaton, state: tuple, firsts, table: dict) -> None:
+    def _walk(self, automaton, node: dict, table: dict) -> None:
         """Set ``table[token]`` to True for every token that ``automaton``
-        consumes whole from ``state``, given ``firsts``, a superset of the
-        first characters it accepts there; the empty token is accepted.
+        consumes whole from the state of ``node``; the empty token is
+        accepted.
 
-        Only the ranges of tokens under ``firsts`` are visited. In a range, a
-        token starts from the states of the prefix it shares with the
-        previous one. When a prefix ``p`` is rejected, the walk jumps by
-        bisection to the first token that does not start with ``p``: the
-        first one not below ``p`` with its last character incremented. A
-        ``p`` ending in U+10FFFF has no such successor; the tokens after it
-        are stepped over one by one. Characters step through the
-        automaton's transition graph, so equal states reached by different
-        prefixes, in this walk or an earlier one, are stepped once.
+        Only the ranges of tokens under the first characters the state
+        allows (``allowed``) are visited. In a range, a token starts from
+        the states of the prefix it shares with the previous one. When a
+        prefix ``p`` is rejected, the walk jumps by bisection to the first
+        token that does not start with ``p``: the first one not below ``p``
+        with its last character incremented. A ``p`` ending in U+10FFFF has
+        no such successor; the tokens after it are stepped over one by one.
+        Characters step through the automaton's transition graph, so equal
+        states reached by different prefixes, in this walk or an earlier
+        one, are stepped once.
         """
         tokens = self.tokens
         shared = self.shared
         successor = automaton.successor
         if tokens and not tokens[0]:
             table[""] = True
-        path = [automaton.node(state)]  # path[k]: node after the first k characters of the last token walked
-        for first in firsts:
+        path = [node]  # path[k]: node after the first k characters of the last token walked
+        for first in automaton.allowed(node[None]):
             span = self._spans.get(first)
             if span is None:
                 continue
@@ -575,34 +579,27 @@ class _Trie:
                     i = bisect_left(tokens, token[:cut - 1] + chr(ord(last) + 1), i, end)
 
 
-# Verdict tables of quoted tokens an index keeps, per (automaton, string
-# state), before it clears them all. A planner context compiles one automaton
-# per kind and retrieved tool set, and each key keeps its automaton alive,
-# about 100 KB with its graph after a plan, so the bound is small; a plan
-# decodes a few string states, and a table cleared too early costs one walk
-# of the few quoted tokens.
-_QUOTED_CACHE_SIZE = 32
-
-
 class TokenIndex(_Trie):
     """A model's vocabulary as an implicit trie, built once per vocabulary
     (``vocabulary_index``) and shared by every automaton and session that
     masks it: about 0.5 MB for 8k tokens, and at most six string-body tables
-    of the ``rejected`` size (see ``verdicts``). Kept tables are never
+    of the ``rejected`` size (see ``verdicts``). It keeps only what no
+    continuation changes; a string state's quoted-token table is kept on
+    the state's graph node, with the index as key. Kept tables are never
     changed, so sessions in different threads may share an index.
     """
 
-    __slots__ = ("quoted", "_bodies", "_quoted_tables")
+    __slots__ = ("quoted", "_bodies")
 
     def __init__(self, vocabulary):
         super().__init__(vocabulary)
         self.quoted = _Trie(token for token in self.tokens if '"' in token)
         self._bodies: dict[tuple, dict[str, bool]] = {}
-        self._quoted_tables: dict[tuple, dict[str, bool]] = {}
 
-    def verdicts(self, automaton, state: tuple, peek) -> dict[str, bool]:
+    def verdicts(self, automaton, node: dict, peek) -> dict[str, bool]:
         """A fresh table: each indexed token mapped to whether ``automaton``
-        consumes all of it from ``state``, any other token to ``peek(token)``.
+        consumes all of it from the state of ``node``, a node of its
+        transition graph, any other token to ``peek(token)``.
 
         A state outside a string is walked over the first characters
         ``automaton`` allows there: that set is exact, since every accepted
@@ -612,40 +609,37 @@ class TokenIndex(_Trie):
           ``("se",)`` or ``("su", k)``, walked once with ``then`` set to the
           final state, which takes no character;
         - laid over it, the verdicts of the tokens that contain ``"``
-          (``quoted``), walked per (automaton, state) and kept in a cache
-          cleared when full.
+          (``quoted``), walked once per node and kept on it under the key
+          ``self``, which no character equals, so cleared with the graph.
 
         Both are exact: until its closing quote a string's steps do not read
         ``then``, so a token without ``"`` gets the body table's verdict
-        from every automaton.
+        from every automaton. The quoted table is a pure function of the
+        state and the index, and is set on the node only once fully walked,
+        so a node shared across threads or held after a clear stays correct
+        and a lost table only costs a rewalk.
         """
+        state = node[None]
         if state[0] in _STRING_NEXT:
             table = _Verdicts(self._body(automaton, state[:-1]))
-            table.update(self._quoted_verdicts(automaton, state))
+            quoted = node.get(self)
+            if quoted is None:
+                quoted = self.quoted.rejected.copy()
+                self.quoted._walk(automaton, node, quoted)
+                node[self] = quoted
+            table.update(quoted)
         else:
             table = _Verdicts(self.rejected)
-            self._walk(automaton, state, automaton.allowed(state), table)
+            self._walk(automaton, node, table)
         table.peek = peek
         return table
 
     def _body(self, automaton, inner: tuple) -> dict[str, bool]:
         table = self._bodies.get(inner)
         if table is None:
-            state = inner + (_ACCEPT,)
             table = self.rejected.copy()
-            self._walk(automaton, state, automaton.allowed(state), table)
+            self._walk(automaton, automaton.node(inner + (_ACCEPT,)), table)
             self._bodies[inner] = table
-        return table
-
-    def _quoted_verdicts(self, automaton, state: tuple) -> dict[str, bool]:
-        key = (automaton, state)
-        table = self._quoted_tables.get(key)
-        if table is None:
-            table = self.quoted.rejected.copy()
-            self.quoted._walk(automaton, state, automaton.allowed(state), table)
-            if len(self._quoted_tables) >= _QUOTED_CACHE_SIZE:
-                self._quoted_tables.clear()
-            self._quoted_tables[key] = table
         return table
 
 
@@ -719,7 +713,7 @@ class DecoderSession:
         """
         if self.index is None:
             return list(map(self.peek, vocabulary))
-        table = self.index.verdicts(self.automaton, self.state, self.peek)
+        table = self.index.verdicts(self.automaton, self.node, self.peek)
         return list(map(table.__getitem__, vocabulary))
 
     def copy(self) -> "DecoderSession":

@@ -276,8 +276,10 @@ def constrained_complete(model, request: CompletionRequest, session: DecoderSess
 
 def load_replay(path: str | Path) -> ScriptedModel:
     """Replay file: JSON lines of {"fingerprint": ..., "response": ...}. A
-    file that is not UTF-8 is refused with its path and the offending byte."""
-    entries: list[tuple[str, str]] = []
+    file that is not UTF-8 is refused with its path and the offending byte,
+    and so is one that gives a fingerprint two different responses; a
+    repeated line is accepted."""
+    entries: dict[str, tuple[str, int]] = {}  # fingerprint -> (response, first line)
     for line_no, line in enumerate(read_text(path, CompletionError).splitlines(), start=1):
         if not line.strip():
             continue
@@ -288,8 +290,11 @@ def load_replay(path: str | Path) -> ScriptedModel:
                 raise TypeError("fingerprint and response must be strings")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise CompletionError(f"bad replay line {line_no}: {exc}") from exc
-        entries.append(entry)
-    return ScriptedModel(entries)
+        response, first = entries.setdefault(entry[0], (entry[1], line_no))
+        if response != entry[1]:
+            raise CompletionError(f"replay lines {first} and {line_no} give fingerprint {entry[0]!r} "
+                                  "different responses")
+    return ScriptedModel({fp: response for fp, (response, _) in entries.items()})
 
 
 def save_replay(entries: list[tuple[str, str]], path: str | Path) -> None:

@@ -80,6 +80,8 @@ class HashEmbeddingProvider:
     embedded and does not change any vector."""
 
     def __init__(self, dimension: int = 64, seed: int = 0):
+        if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
+            raise RetrievalError(f"embedding dimension must be an integer of at least 1, got {dimension!r}")
         self.dimension = dimension
         self.seed = seed
         self.provider_id = f"hash-trigram-{dimension}-{seed}"

@@ -447,6 +447,27 @@ def test_eval_requires_predictions_or_pipeline(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("option", ["--pipeline", "--mock"])
+def test_eval_refuses_predictions_with_a_second_source(runner, tmp_path, replay_files, golden_examples, option):
+    # --pipeline and --mock generate predictions; with --predictions they
+    # would be ignored without a word
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(
+        "\n".join(json.dumps({"predicted": ex.gold_text}) for ex in golden_examples) + "\n",
+        encoding="utf-8",
+    )
+    value = "regains" if option == "--pipeline" else replay_files["regains"]
+    trace_file = tmp_path / "t.json"
+    result = runner.invoke(main, [
+        "eval", "--dataset", str(GOLDEN_PATH), "--predictions", str(predictions), option, value,
+        "--trace", str(trace_file),
+    ])
+    assert result.exit_code == 2, result.output
+    error = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(error) == 1 and "--predictions" in error[0] and option in error[0]
+    assert not trace_file.exists()
+
+
 def test_index_is_not_a_command(runner, tmp_path):
     # corpora are indexed in memory by every plan and eval run; none is saved
     result = runner.invoke(main, ["index", "--out", str(tmp_path / "corpus.json")])

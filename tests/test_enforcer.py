@@ -17,6 +17,7 @@ from chainplan.enforcer import (
     compile_schema,
     compile_subtask_schema,
     enforced_repair,
+    vocabulary_index,
 )
 from chainplan.pipelines import SubTask, parse_subtasks, serialize_subtasks
 from chainplan.plan import Plan, ToolCall, parse_plan, serialize_plan
@@ -951,3 +952,20 @@ def test_shared_graph_stays_exact_under_threads(fixture_registry, golden_example
                 and all(masks(shared, index, pieces[k]) == expected_masks[k] for k in plans))
 
     assert _all_in_threads(run)
+
+
+def test_a_dropped_automaton_is_released_by_the_index_it_masked(fixture_registry):
+    # a string state's quoted-token table is kept on the automaton's graph,
+    # not in the shared index, so the index holds no automaton
+    import gc
+    import weakref
+
+    index = vocabulary_index(['"', '",', "a", '"}]'])
+    automaton = compile_schema(fixture_registry)
+    session = DecoderSession(automaton, index).advance(
+        '[{"tool_name":"search_object_by_name","arguments":[{"argument_name":"query","argument_value":"')
+    assert session.mask_vocabulary(['"', '",', "a", '"}]']) == [True, False, True, True]
+    released = weakref.ref(automaton)
+    del automaton, session
+    gc.collect()
+    assert released() is None

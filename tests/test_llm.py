@@ -72,6 +72,16 @@ def test_replay_file_round_trip(tmp_path):
     assert model.complete(CompletionRequest(prompt="Q")).text == "[]"
 
 
+def test_replay_file_refuses_two_responses_for_one_fingerprint(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    save_replay([(fingerprint("Q"), "[]"), (fingerprint("other"), "[]"), (fingerprint("Q"), "[]")], path)
+    assert load_replay(path).complete(CompletionRequest(prompt="Q")).text == "[]"  # a repeat is accepted
+    save_replay([(fingerprint("Q"), "[]"), (fingerprint("other"), "[]"), (fingerprint("Q"), "[{}]")], path)
+    with pytest.raises(CompletionError, match=f"replay lines 1 and 3 give fingerprint {fingerprint('Q')!r} "
+                                              "different responses"):
+        load_replay(path)
+
+
 def test_replay_file_bad_line(tmp_path):
     path = tmp_path / "replay.jsonl"
     path.write_text('{"fingerprint": "x"}\n', encoding="utf-8")

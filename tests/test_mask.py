@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chainplan.enforcer import DecoderSession, TokenIndex, _Automaton, compile_schema, compile_subtask_schema
+from chainplan.enforcer import DecoderSession, TokenIndex, _Automaton, _Trie, compile_schema, compile_subtask_schema
 from chainplan.registry import fixture_tools_path, load_registry
 
 from conftest import random_registry
@@ -202,22 +202,39 @@ class _CountingTransitions:
 
 
 @pytest.mark.parametrize("place", sorted(_PLACES))
-def test_string_masks_reuse_the_walk_of_their_shape(place):
+def test_string_masks_reuse_the_walk_of_their_shape(place, monkeypatch):
     kind, opener = _PLACES[place]
     automaton = _CountingTransitions(_AUTOMATA[kind])
     vocab = _EDGE_VOCAB + ['"', "\\", "\\u", "é"]
-    session = DecoderSession(automaton, TokenIndex(vocab)).advance(opener)
+    index = TokenIndex(vocab)
+    session = DecoderSession(automaton, index).advance(opener)
     session.mask_vocabulary(vocab)  # walks the shape of a plain string state
     session.copy().advance("\\").mask_vocabulary(vocab)  # and of one after a backslash
+    walks = []
+    walk = _Trie._walk
+    monkeypatch.setattr(_Trie, "_walk", lambda trie, *args: walks.append(trie) or walk(trie, *args))
     for text in ("a", "bc", "\\n", "\\u00e9"):
         session.advance(text)
         for at in (session, session.copy().advance("\\")):
-            # kept edges would hide a walk repeated over the graph; only kept
-            # tables may answer without a transition
+            # kept edges would hide a walk repeated over the graph, so each
+            # count starts from a cleared graph: a node made after a clear
+            # walks only the quoted tokens from its state, reusing the body
+            # table of its shape
             automaton._graph.clear()
             automaton.calls = 0
+            index.quoted._walk(automaton, automaton.node(at.state), index.quoted.rejected.copy())
+            quoted_calls = automaton.calls
+            automaton._graph.clear()
+            at.node = automaton.node(at.state)
+            automaton.calls = 0
             mask = at.mask_vocabulary(vocab)
-            assert automaton.calls == 0
+            assert automaton.calls == quoted_calls > 0
+            # the node keeps its table: masked again, it walks nothing
+            automaton._graph.clear()
+            automaton.calls = 0
+            walks.clear()
+            assert at.mask_vocabulary(vocab) == mask
+            assert automaton.calls == 0 and walks == []
             assert mask == _flat(at, vocab)
 
 

@@ -87,6 +87,16 @@ def test_hash_provider_is_deterministic():
     assert math.isclose(sum(v * v for v in first), 1.0, abs_tol=1e-9)
 
 
+@pytest.mark.parametrize("dimension", [0, -3, 2.0, True, "64", None])
+def test_hash_provider_refuses_a_dimension_below_one(dimension):
+    with pytest.raises(RetrievalError, match="embedding dimension must be an integer of at least 1"):
+        HashEmbeddingProvider(dimension=dimension)
+
+
+def test_hash_provider_takes_a_dimension_of_one():
+    assert HashEmbeddingProvider(dimension=1).embed("who_am_i") == [1.0]
+
+
 def test_index_corpus_nine_tools(fixture_registry):
     provider = HashEmbeddingProvider()
     items = [(name, tool_embedding_text(spec)) for name, spec in fixture_registry.tools.items()]
