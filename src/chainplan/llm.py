@@ -13,13 +13,10 @@ model's own text, in mode "repaired"; the projection is ``session.emitted``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -97,7 +94,10 @@ def _counted(model, request: CompletionRequest, text: str, latency_s: float,
 
 def fingerprint(prompt: str) -> str:
     """Stable hash of the whitespace-normalized prompt, so replays survive
-    formatting drift in retrieved content."""
+    formatting drift in retrieved content. ``hashlib``, and with it OpenSSL,
+    is loaded on the first call, not when the package is imported."""
+    import hashlib
+
     normalized = " ".join(prompt.split())
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
 
@@ -106,20 +106,43 @@ def resolve_endpoint(api_base: str | None, api_key: str | None,
                      timeout: float | None) -> tuple[str, str, float]:
     """(api_base, api_key, timeout): each explicit value, else CHAINPLAN_API_BASE
     / CHAINPLAN_API_KEY / CHAINPLAN_TIMEOUT, else OPENAI_API_BASE / OPENAI_API_KEY,
-    else the OpenAI endpoint, no key and 30 s."""
+    else the OpenAI endpoint, no key and 30 s. A timeout that is not a finite
+    number of seconds above 0 raises CompletionError naming its source."""
     env = os.environ
     base = api_base or env.get("CHAINPLAN_API_BASE") or env.get("OPENAI_API_BASE", "https://api.openai.com")
     key = api_key or env.get("CHAINPLAN_API_KEY") or env.get("OPENAI_API_KEY", "")
     if timeout is None:
-        timeout = float(env.get("CHAINPLAN_TIMEOUT", "30"))
-    return base.rstrip("/"), key, timeout
+        seconds = _seconds(env.get("CHAINPLAN_TIMEOUT", "30"), "CHAINPLAN_TIMEOUT")
+    else:
+        seconds = _seconds(timeout, "timeout")
+    return base.rstrip("/"), key, seconds
+
+
+def _seconds(value, name: str) -> float:
+    """``value`` as a float of seconds; a bool, a non-number, NaN, an
+    infinity, zero or less raises CompletionError."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    # NaN fails the comparison, and a socket refuses an infinite timeout
+    if isinstance(value, bool) or not 0 < seconds < math.inf:
+        raise CompletionError(f"{name} must be a finite number of seconds above 0, got {value!r}")
+    return seconds
 
 
 def post_json(url: str, payload: dict, api_key: str = "", timeout: float = 30.0,
               max_attempts: int = 3, backoff_s: float = 0.5) -> dict:
     """POST JSON with bounded exponential backoff; raises CompletionError
     after the final attempt. A 4xx response other than 408 (timeout) or 429
-    (rate limit) will not change on a retry, so it fails at once."""
+    (rate limit) will not change on a retry, so it fails at once. A response
+    cut short or garbled (an ``http.client.HTTPException``) is retried like
+    any transport failure. The HTTP client, with ``ssl``, is loaded on the
+    first call, so a run that sends no request never loads it."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
     body = json.dumps(payload).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if api_key:
@@ -130,7 +153,8 @@ def post_json(url: str, payload: dict, api_key: str = "", timeout: float = 30.0,
         try:
             with urllib.request.urlopen(request, timeout=timeout) as response:
                 return json.loads(response.read().decode("utf-8"))
-        except (OSError, ValueError) as exc:  # URLError and HTTPError are OSErrors
+        # URLError and HTTPError are OSErrors; IncompleteRead and BadStatusLine are not
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             last = exc
             if isinstance(exc, urllib.error.HTTPError):
                 exc.close()  # it holds the response and its socket

@@ -15,7 +15,6 @@ so equal types in one load share one immutable ``ValueType``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -144,13 +143,16 @@ class ToolSpec:
 class _Version:
     """``Registry.version``: kept as given; when given as None, the sha256
     prefix of the tool document; when given as a registry, that registry's
-    version (``subset``). Either is found on first read and kept."""
+    version (``subset``). Either is found on first read and kept. The first
+    digest loads ``hashlib``, and with it OpenSSL."""
 
     def __get__(self, registry, owner=None):
         if registry is None:
             raise AttributeError("version")  # no class-level default: the field stays required
         version = registry.__dict__["_version"]
         if version is None:
+            import hashlib
+
             document = serialize_registry(registry)
             version = registry.__dict__["_version"] = hashlib.sha256(document.encode("utf-8")).hexdigest()[:12]
         elif isinstance(version, Registry):

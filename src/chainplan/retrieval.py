@@ -27,7 +27,6 @@ vector, a query over 1,000 hashed tools of 64 dimensions costs about
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 import operator
@@ -77,15 +76,19 @@ class HashEmbeddingProvider:
 
     Each distinct trigram is hashed once per instance and memoized as one int,
     ``bucket << 1 | sign_bit``; the memo holds one entry per distinct trigram
-    embedded and does not change any vector."""
+    embedded and does not change any vector. Building a provider loads
+    ``hashlib``, and with it OpenSSL; importing the package does not."""
 
     def __init__(self, dimension: int = 64, seed: int = 0):
+        import hashlib
+
         if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
             raise RetrievalError(f"embedding dimension must be an integer of at least 1, got {dimension!r}")
         self.dimension = dimension
         self.seed = seed
         self.provider_id = f"hash-trigram-{dimension}-{seed}"
         self._trigram_codes: dict[str, int] = {}
+        self._sha256 = hashlib.sha256
 
     def embed(self, text: str) -> list[float]:
         if not text:
@@ -97,7 +100,7 @@ class HashEmbeddingProvider:
             gram = padded[i : i + 3]
             code = codes.get(gram)
             if code is None:
-                digest = hashlib.sha256(f"{self.seed}:{gram}".encode("utf-8")).digest()
+                digest = self._sha256(f"{self.seed}:{gram}".encode("utf-8")).digest()
                 bucket = int.from_bytes(digest[:4], "big") % self.dimension
                 code = codes[gram] = (bucket << 1) | (digest[4] & 1)
             values[code >> 1] += 1.0 if code & 1 else -1.0

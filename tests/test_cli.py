@@ -91,6 +91,14 @@ def test_no_network_under_mock(runner, tmp_path, replay_files, golden_examples, 
     assert result.exit_code == 0, result.output
 
 
+def test_bad_timeout_is_one_line_error(runner, monkeypatch):
+    # refused when the remote client is built, before any request
+    monkeypatch.setenv("CHAINPLAN_TIMEOUT", "abc")
+    monkeypatch.setattr("urllib.request.urlopen", lambda *args, **kwargs: pytest.fail("request sent"))
+    result = runner.invoke(main, ["plan", "q", "--trace", "/dev/null"])
+    _assert_one_line_error(result, "CHAINPLAN_TIMEOUT", "'abc'")
+
+
 @pytest.mark.parametrize("args", [
     ["plan", "q", "--config", "/nonexistent/config.json"],
     ["plan", "q", "--mock", "/nonexistent/replay.jsonl"],

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -107,6 +108,7 @@ def test_replay_file_refuses_non_string_fields(tmp_path, record):
 class _StubHandler(BaseHTTPRequestHandler):
     failures_left = 0
     failure_status = 500
+    truncate = False  # announce the full body, send only its first half
     seen_payloads: list = []
     response = {
         "choices": [{"message": {"role": "assistant", "content": "[]"}}],
@@ -127,7 +129,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        self.wfile.write(body[: len(body) // 2] if type(self).truncate else body)
 
     def log_message(self, *args):
         pass
@@ -140,6 +142,7 @@ def stub_server():
     thread.start()
     _StubHandler.failures_left = 0
     _StubHandler.failure_status = 500
+    _StubHandler.truncate = False
     _StubHandler.seen_payloads = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
@@ -192,6 +195,16 @@ def test_remote_model_fails_after_retries(stub_server):
     with pytest.raises(CompletionError) as err:
         model.complete(CompletionRequest(prompt="q"))
     assert "3 attempts" in str(err.value)
+
+
+def test_truncated_response_is_retried_then_fails_as_completion_error(stub_server):
+    # http.client.IncompleteRead is no OSError, yet it is a transport failure
+    _StubHandler.truncate = True
+    model = RemoteChatModel(api_base=stub_server, api_key="k", backoff_s=0.0, max_attempts=3)
+    with pytest.raises(CompletionError, match="failed after 3 attempts: IncompleteRead"):
+        model.complete(CompletionRequest(prompt="q"))
+    assert len(_StubHandler.seen_payloads) == 3
+    assert model.calls == 0
 
 
 def test_remote_model_does_not_retry_client_error(stub_server):
@@ -250,6 +263,20 @@ def test_endpoint_resolved_from_environment(monkeypatch, client_class):
     monkeypatch.setenv("CHAINPLAN_TIMEOUT", "7.5")
     assert endpoint() == ("http://chainplan.test", "chainplan-key", 7.5)
     assert endpoint(api_base="http://explicit.test/", api_key="k", timeout=2.0) == ("http://explicit.test", "k", 2.0)
+
+
+@pytest.mark.parametrize("value", ["inf", "abc", "nan", "-1", "0"])
+@pytest.mark.parametrize("client_class", [RemoteChatModel, RemoteEmbeddingProvider])
+def test_bad_timeout_is_refused_when_the_client_is_built(monkeypatch, client_class, value):
+    monkeypatch.setenv("CHAINPLAN_TIMEOUT", value)
+    with pytest.raises(CompletionError, match=re.escape(f"CHAINPLAN_TIMEOUT must be a finite number of "
+                                                        f"seconds above 0, got {value!r}")):
+        client_class()
+    monkeypatch.setenv("CHAINPLAN_TIMEOUT", "30")
+    explicit = value if value == "abc" else float(value)
+    with pytest.raises(CompletionError, match=re.escape(f"timeout must be a finite number of "
+                                                        f"seconds above 0, got {explicit!r}")):
+        client_class(timeout=explicit)
 
 
 def test_constrained_token_model_masks_hallucinated_name(fixture_registry):
