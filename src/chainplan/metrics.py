@@ -8,6 +8,12 @@ one unit per tool name plus one per argument assignment. BLEU and ROUGE-L F1
 run over a canonical serialization split on JSON structural characters, which
 makes both scores stable across formatting.
 
+A prediction usually differs from its gold in a few calls, so both scores
+first strip the common prefix and suffix (``_shared_ends``) and work on the
+middles, as diff algorithms do (Myers 1986): the ends are counted once, in
+arithmetic, and the per-token work scales with the difference, not the length.
+Both scores stay exact; see ``bleu`` and ``_lcs_length``.
+
 Unparseable predictions contribute only to the invalid-JSON rate; all other
 aggregates average over the parsed examples.
 """
@@ -16,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -62,13 +67,45 @@ def plan_tokens(plan: Plan) -> list[str]:
     return text_tokens(serialize_plan(plan))
 
 
-_TOKEN = re.compile(r'[{}\[\],:"]|[^{}\[\],:"\s]+')
-
-
 def text_tokens(text: str) -> list[str]:
     """Each JSON structural character ``{}[],:"`` as its own token, and each
     run of other characters between them and whitespace as one token."""
-    return _TOKEN.findall(text)
+    # str.split() splits on str.isspace() characters, so padding each
+    # structural character with spaces makes it a token of its own.
+    for ch in '{}[],:"':
+        text = text.replace(ch, f" {ch} ")
+    return text.split()
+
+
+def _shared_ends(a: list[str], b: list[str]) -> tuple[int, int]:
+    """(p, s): the length p of the common prefix of ``a`` and ``b``, and the
+    length s of the common suffix of what follows it, so that
+    p + s <= min(len(a), len(b)) and the two ends never overlap."""
+    la, lb = len(a), len(b)
+    limit = min(la, lb)
+    p = _equal_run(lambda i, j: a[i:j] == b[i:j], limit)
+    s = _equal_run(lambda i, j: a[la - j:la - i] == b[lb - j:lb - i], limit - p)
+    return p, s
+
+
+def _equal_run(equal, limit: int) -> int:
+    """The largest k <= limit whose first k positions are equal, where
+    ``equal(i, j)`` compares positions i to j - 1 of the two streams.
+
+    Gallops over doubling lengths, then bisects, comparing only positions not
+    yet known equal: O(k) element comparisons in C and O(log k) Python steps.
+    """
+    lo, hi = 0, 1  # positions below lo are equal
+    while hi <= limit and equal(lo, hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, limit + 1)  # and the answer is below hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if equal(lo, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def bleu(predicted_tokens: list[str], gold_tokens: list[str]) -> float:
@@ -77,17 +114,31 @@ def bleu(predicted_tokens: list[str], gold_tokens: list[str]) -> float:
     Modified n-gram precisions with add-one smoothing on higher-order zeros
     (unigram precision stays unsmoothed), times a brevity penalty
     exp(1 - |gold| / |pred|) when the prediction is shorter than the gold.
+
+    Only the n-grams that reach into the differing middle are counted. With a
+    shared prefix of p tokens and a shared suffix of s (``_shared_ends``),
+    max(p - n + 1, 0) n-grams lie wholly in the prefix and max(s - n + 1, 0)
+    wholly in the suffix, at the same places in both streams. Each such n-gram
+    adds the same count A to both sides of its clipped match, and
+    min(A + x, A + y) = A + min(x, y), so the matches are those shared n-grams
+    plus the clipped matches of the n-grams that start after the prefix's and
+    before the suffix's. The counts, and so the score, are exactly the
+    full streams'; the Counter work scales with the difference, not the length.
     """
     if not gold_tokens:
         raise ValueError("gold token stream must not be empty")
     if not predicted_tokens:
         return 0.0
+    p, s = _shared_ends(predicted_tokens, gold_tokens)
     log_sum = 0.0
     for n in range(1, 5):
-        pred_ngrams = Counter(zip(*(predicted_tokens[k:] for k in range(n))))
-        gold_ngrams = Counter(zip(*(gold_tokens[k:] for k in range(n))))
-        matches = sum((pred_ngrams & gold_ngrams).values())
-        total = sum(pred_ngrams.values())
+        lo = max(p - n + 1, 0)  # the n-grams wholly in the prefix, and the next one's start
+        pred_middle = predicted_tokens[lo:len(predicted_tokens) - s + n - 1]
+        gold_middle = gold_tokens[lo:len(gold_tokens) - s + n - 1]
+        pred_ngrams = Counter(zip(*(pred_middle[k:] for k in range(n))))
+        gold_ngrams = Counter(zip(*(gold_middle[k:] for k in range(n))))
+        matches = lo + max(s - n + 1, 0) + sum((pred_ngrams & gold_ngrams).values())
+        total = max(len(predicted_tokens) - n + 1, 0)
         if n == 1:
             if matches == 0:
                 return 0.0
@@ -104,11 +155,17 @@ def bleu(predicted_tokens: list[str], gold_tokens: list[str]) -> float:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    # Bit-parallel LCS (Allison & Dix 1986; Hyyrö 2004): bit j of v is 1 where
-    # the DP row over b does not step up at column j, and each token of a
-    # updates the whole row at once, with an addition, a subtraction and three
-    # bitwise operations. That is |a| steps on ints of len(b) bits, each
-    # ceil(len(b) / 30) digits; the length is the count of v's zero bits.
+    # The shared ends are matched first: when a and b start with the same
+    # token, some longest common subsequence matches those two tokens, and the
+    # same holds at the end, so the LCS is p + s + the LCS of the middles.
+    # The middles then go through the bit-parallel LCS (Allison & Dix 1986;
+    # Hyyrö 2004): bit j of v is 1 where the DP row over b does not step up at
+    # column j, and each token of a updates the whole row at once, with an
+    # addition, a subtraction and three bitwise operations. That is one step
+    # per token of a's middle on ints of one bit per token of b's middle
+    # (30 bits to a digit); the middle's length is the count of v's zero bits.
+    p, s = _shared_ends(a, b)
+    a, b = a[p:len(a) - s], b[p:len(b) - s]
     masks: dict[str, int] = {}
     for j, y in enumerate(b):
         masks[y] = masks.get(y, 0) | 1 << j
@@ -117,7 +174,7 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     for x in a:
         u = v & masks.get(x, 0)
         v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+    return p + s + len(b) - v.bit_count()
 
 
 def rouge_l_f1(predicted_tokens: list[str], gold_tokens: list[str]) -> float:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from chainplan.metrics import (
     EvalRecord,
     _lcs_length,
+    _shared_ends,
     bleu,
     correct_path,
     evaluate_dataset,
@@ -262,6 +264,100 @@ _LONG_B = [["a", "{", "b", "b", ",", "}", "["][i * 7 % 11 % 7] for i in range(10
 @example(["x", "y"] * 40, _LONG_A[:31])
 def test_lcs_length_matches_dp_oracle(a, b):
     assert _lcs_length(a, b) == oracle_lcs(a, b)
+
+
+def counter_bleu(predicted_tokens, gold_tokens):
+    """BLEU counting every n-gram of both whole streams with Counter, as
+    ``bleu`` did before it stripped the shared ends: the exact reference."""
+    if not gold_tokens:
+        raise ValueError("gold token stream must not be empty")
+    if not predicted_tokens:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, 5):
+        pred_ngrams = Counter(zip(*(predicted_tokens[k:] for k in range(n))))
+        gold_ngrams = Counter(zip(*(gold_tokens[k:] for k in range(n))))
+        matches = sum((pred_ngrams & gold_ngrams).values())
+        total = sum(pred_ngrams.values())
+        if n == 1:
+            if matches == 0:
+                return 0.0
+            precision = matches / total
+        elif matches == 0:
+            precision = 1.0 / (total + 1)
+        else:
+            precision = matches / total
+        log_sum += 0.25 * math.log(precision)
+    brevity = 1.0
+    if len(predicted_tokens) < len(gold_tokens):
+        brevity = math.exp(1.0 - len(gold_tokens) / len(predicted_tokens))
+    return brevity * math.exp(log_sum)
+
+
+# Few distinct tokens, so that the middles repeat n-grams of the shared ends.
+_EDIT_TOKENS = st.sampled_from(["{", "}", "[", ",", '"', "a", "b"])
+
+
+@st.composite
+def _edited_pairs(draw):
+    """A random stream and a copy after one to three span edits (insert,
+    delete, replace, or swap of two neighbouring spans), in either order."""
+    stream = draw(st.lists(_EDIT_TOKENS, max_size=60))
+    edited = list(stream)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "swap"]))
+        i = draw(st.integers(0, len(edited)))
+        j = draw(st.integers(i, min(len(edited), i + 4)))
+        if kind == "insert":
+            edited[i:i] = draw(st.lists(_EDIT_TOKENS, min_size=1, max_size=4))
+        elif kind == "delete":
+            del edited[i:j]
+        elif kind == "replace":
+            edited[i:j] = draw(st.lists(_EDIT_TOKENS, min_size=1, max_size=4))
+        else:
+            k = draw(st.integers(j, min(len(edited), j + 4)))
+            edited[i:k] = edited[j:k] + edited[i:j]
+    return (edited, stream) if draw(st.booleans()) else (stream, edited)
+
+
+_STREAM = list('[{"a":"b",[a,b]},{"b":[a]}]')
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_pairs())
+@example((_STREAM, list(_STREAM)))
+@example((_STREAM[:9], _STREAM))
+@example((_STREAM, _STREAM[:9]))
+@example((_STREAM[-9:], _STREAM))
+@example((_STREAM, _STREAM[-9:]))
+# the prefix and the suffix would overlap if each were taken on its own
+@example((["x"] * 5, ["x"] * 3))
+@example((["x"] * 3, ["x"] * 5))
+@example((["a", "b", "a"], ["a", "b", "a", "b", "a"]))
+# too short for 3- and 4-grams
+@example(([], ["a"]))
+@example((["a"], ["a"]))
+@example((["a"], ["b"]))
+@example((["a", "b"], ["a", "c", "b"]))
+@example((["a", "b", "c"], ["a", "c"]))
+@example((["a", "b", "c", "d"], ["a", "b", "d", "d"]))
+@example((["a", "b", "c", "d"], ["b", "c", "d"]))
+# edits at index 0 and at the last index
+@example((["x"] + _STREAM[1:], _STREAM))
+@example((_STREAM[:-1] + ["x"], _STREAM))
+@example((["x"] + _STREAM[1:-1] + ["y"], _STREAM))
+# a one-token middle
+@example((_STREAM[:12] + ["x"] + _STREAM[12:], _STREAM))
+@example((_STREAM[:12] + ["x"] + _STREAM[13:], _STREAM))
+def test_scores_of_pairs_sharing_their_ends_are_exact(pair):
+    predicted, gold = pair
+    p, s = _shared_ends(predicted, gold)
+    assert p + s <= min(len(predicted), len(gold))
+    assert predicted[:p] == gold[:p]
+    assert predicted[len(predicted) - s:] == gold[len(gold) - s:]
+    assert _lcs_length(predicted, gold) == oracle_lcs(predicted, gold)
+    if gold:
+        assert bleu(predicted, gold) == counter_bleu(predicted, gold)
 
 
 def _perturbed(rng: random.Random, plan: Plan) -> Plan:
