@@ -466,10 +466,11 @@ def compile_schema(registry: Registry) -> PlanAutomaton:
 
 class SubTaskAutomaton(_Automaton):
     """Acceptor for decomposition output with tool names pinned to an enum:
-    ``[{"id":uint,"thought":string,"tool_name":name}]``."""
+    ``[{"id":uint,"thought":string,"tool_name":name}]``. The language
+    depends on the set of ``tool_names`` alone; a repeated name is kept once."""
 
     def __init__(self, tool_names):
-        names = tuple(sorted(tool_names))
+        names = tuple(sorted(set(tool_names)))
         if not names:
             raise SchemaCompileError("sub-task schema needs at least one tool name")
         for name in names:

@@ -4,11 +4,13 @@ decoding glue.
 Scripted models make every pipeline reproducible at desk scale: a replay maps
 prompt fingerprints to canned responses, bit-deterministic across runs. The
 remote client speaks the OpenAI-compatible chat completions wire format with
-bounded exponential backoff. Call accounting is exact and in one place:
-``_counted`` builds the result of every model call, from ``complete`` or from
-``constrained_complete``'s token path, and bumps the owning client's
-counters. A repaired completion is the underlying call's result, the
-model's own text, in mode "repaired"; the projection is ``session.emitted``.
+bounded exponential backoff. A model is one of two things: a chat model,
+``complete(request) -> CompletionResult``, or a token model, ``vocabulary``
+plus ``candidate_steps()``. ``_result`` builds the result of every model
+call, from ``complete`` or from ``constrained_complete``'s token path; the
+pipelines' traces sum those results, and are the one account of calls and
+tokens. A repaired completion is the underlying call's result, the model's
+own text, in mode "repaired"; the projection is ``session.emitted``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class CompletionRequest:
     model_id: str = "default"
     max_tokens: int = 1024
     temperature: float = 0.0
-    system: str | None = None
 
     def __post_init__(self):
         # a bool is an int to Python; a fractional cap is never met by a step count
@@ -73,23 +74,18 @@ def estimate_tokens(text: str) -> int:
     return (len(text) + 3) // 4
 
 
-def _counted(model, request: CompletionRequest, text: str, latency_s: float,
-             mode: str = "plain", usage: dict | None = None) -> CompletionResult:
-    """The result of one call of ``model``, counted on its ``calls``,
-    ``prompt_tokens`` and ``completion_tokens``. Token counts come from the
-    server's ``usage`` where it gives them, else from ``estimate_tokens``."""
+def _result(request: CompletionRequest, text: str, latency_s: float,
+            mode: str = "plain", usage: dict | None = None) -> CompletionResult:
+    """The result of one model call. Token counts come from the server's
+    ``usage`` where it gives them, else from ``estimate_tokens``."""
     usage = usage or {}
-    result = CompletionResult(
+    return CompletionResult(
         text=text,
         prompt_tokens=int(usage.get("prompt_tokens", estimate_tokens(request.prompt))),
         completion_tokens=int(usage.get("completion_tokens", estimate_tokens(text))),
         latency_s=latency_s,
         mode=mode,
     )
-    model.calls += 1
-    model.prompt_tokens += result.prompt_tokens
-    model.completion_tokens += result.completion_tokens
-    return result
 
 
 def fingerprint(prompt: str) -> str:
@@ -171,16 +167,13 @@ class ScriptedModel:
 
     def __init__(self, entries: list[tuple[str, str]] | dict[str, str]):
         self._by_fp = dict(entries)
-        self.calls = 0
-        self.prompt_tokens = 0
-        self.completion_tokens = 0
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         fp = fingerprint(request.prompt)
         response = self._by_fp.get(fp)
         if response is None:
             raise ReplayMismatchError(fp)
-        return _counted(self, request, response, 0.0)
+        return _result(request, response, 0.0)
 
 
 class ScriptedTokenModel:
@@ -194,9 +187,6 @@ class ScriptedTokenModel:
     def __init__(self, steps: list[list[str]]):
         self.steps = [list(step) for step in steps]
         self.vocabulary = list(dict.fromkeys(token for step in self.steps for token in step))
-        self.calls = 0
-        self.prompt_tokens = 0
-        self.completion_tokens = 0
 
     def candidate_steps(self):
         return iter(self.steps)
@@ -217,18 +207,11 @@ class RemoteChatModel:
         self.api_base, self.api_key, self.timeout = resolve_endpoint(api_base, api_key, timeout)
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
-        self.calls = 0
-        self.prompt_tokens = 0
-        self.completion_tokens = 0
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        messages = []
-        if request.system:
-            messages.append({"role": "system", "content": request.system})
-        messages.append({"role": "user", "content": request.prompt})
         payload = {
             "model": request.model_id if request.model_id != "default" else self.model_id,
-            "messages": messages,
+            "messages": [{"role": "user", "content": request.prompt}],
             "max_tokens": request.max_tokens,
             "temperature": request.temperature,
         }
@@ -250,7 +233,7 @@ class RemoteChatModel:
         if not isinstance(text, str) or not isinstance(usage, dict) or not all(
                 type(usage.get(key, 0)) is int for key in ("prompt_tokens", "completion_tokens")):
             raise CompletionError("malformed chat completion response: need a string content and integer usage counts")
-        return _counted(self, request, text, latency, usage=usage)
+        return _result(request, text, latency, usage=usage)
 
 
 def _tail(emitted: str, keep: int = 60) -> str:
@@ -291,7 +274,7 @@ def constrained_complete(model, request: CompletionRequest, session: DecoderSess
                 )
         if not session.at_end:
             raise CompletionError("scripted token steps exhausted before the schema accepted")
-        return _counted(model, request, session.emitted, time.monotonic() - started, "enforced")
+        return _result(request, session.emitted, time.monotonic() - started, "enforced")
 
     result = model.complete(request)
     session.advance(enforced_repair(session.automaton, result.text)[0])

@@ -406,7 +406,10 @@ def retrieve_top_k(query: str | list[float], corpus: Corpus, provider, k: int) -
     id; the whole corpus when it holds fewer than k items. ``query`` is a
     text, which ``provider`` embeds, or a vector that ``provider.embed``
     returned, so that one embedding serves several corpora; a vector is
-    checked as an embedded text is."""
+    checked as an embedded text is. ``k`` is an ``int``, a bool not
+    included."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise RetrievalError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise RetrievalError("k must be at least 1")
     if not corpus.items:

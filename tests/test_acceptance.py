@@ -260,7 +260,6 @@ def test_criterion_4_hallucination_elimination(fixture_registry, golden_examples
         model.complete(CompletionRequest(prompt=f"case-{i}")).text
         for i in range(len(cases))
     ]
-    assert model.calls == 100
 
     # unenforced path: parse the model output as-is
     invalid = 0
@@ -417,7 +416,7 @@ def test_criterion_7_end_to_end_replay(fixture_registry, golden_examples):
     for example in golden_examples:
         model = ScriptedModel(dict(regains_replay_entries(example, ctx, config)))
         trace = run_regains(example.query, ctx, model, config)
-        assert model.calls == 1 and trace.llm_calls == 1
+        assert trace.llm_calls == 1
         assert trace.final_plan.tool_sequence == example.gold.tool_sequence
         assert trace.final_text == example.gold_text
         regains_matches += 1
@@ -426,7 +425,7 @@ def test_criterion_7_end_to_end_replay(fixture_registry, golden_examples):
     for example in golden_examples:
         model = ScriptedModel(dict(enchant_replay_entries(example, ctx, config)))
         trace = run_enchant(example.query, ctx, model, config)
-        assert model.calls == 2 and trace.llm_calls == 2
+        assert trace.llm_calls == 2
         assert trace.final_plan.tool_sequence == example.gold.tool_sequence
         assert trace.final_text == example.gold_text
         enchant_matches += 1

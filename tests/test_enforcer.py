@@ -23,7 +23,7 @@ from chainplan.pipelines import SubTask, parse_subtasks, serialize_subtasks
 from chainplan.plan import Plan, ToolCall, parse_plan, serialize_plan
 from chainplan.registry import ArgSpec, Registry, ToolSpec, list_of, object_type, primitive
 
-from conftest import random_plan, random_registry
+from conftest import random_plan, random_registry, subtasks_for
 
 
 SIMPLE = '[{"tool_name":"who_am_i","arguments":[]}]'
@@ -295,6 +295,30 @@ def test_serialized_subtasks_are_accepted_and_parse_back(case):
 def test_subtask_schema_needs_tools():
     with pytest.raises(SchemaCompileError):
         compile_subtask_schema([])
+
+
+def test_a_repeated_tool_name_compiles_the_repeat_free_subtask_automaton(golden_examples):
+    # the language depends on the set of names alone
+    script = subtasks_for(golden_examples[0])  # who_am_i, works_list, prioritize_objects
+    names = ["who_am_i", "works_list", "prioritize_objects"]
+    repeated = compile_subtask_schema(["who_am_i", *names, "works_list", "who_am_i"])
+    plain = compile_subtask_schema(names)
+    vocabulary = sorted({*script, *names, "who_am_j", '"}', '"},'}
+                        | {script[i : i + 3] for i in range(len(script) - 2)})
+    index = vocabulary_index(vocabulary)
+    sessions = [DecoderSession(automaton, index) for automaton in (repeated, plain)]
+    for ch in script:
+        assert repeated.allowed(sessions[0].state) == plain.allowed(sessions[1].state), sessions[1].emitted
+        assert sessions[0].mask_vocabulary(vocabulary) == sessions[1].mask_vocabulary(vocabulary)
+        for session in sessions:
+            session.advance(ch)
+    assert all(session.at_end for session in sessions)
+    for damaged in ('[{"id":0,"thought":"x","tool_name":"who_am_j"}]',
+                    script.replace('"who_am_i"', '"who_am"'),
+                    script.replace('"works_list"', '"who_am_i_list"'),
+                    script[:-1] + ",]",
+                    script[: len(script) // 2]):
+        assert enforced_repair(repeated, damaged) == enforced_repair(plain, damaged), damaged
 
 
 def test_value_machines_accept_typed_values(automaton):

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from chainplan.llm import ScriptedModel, estimate_tokens
+from chainplan.metrics import EvalRecord, evaluate_dataset
 from chainplan.pipelines import (
     PipelineConfig,
     PipelineError,
@@ -18,7 +19,7 @@ from chainplan.retrieval import HashEmbeddingProvider
 from chainplan.typegraph import check_ref
 from chainplan.executor import register_operator_tools
 
-from conftest import enchant_replay_entries, regains_replay_entries
+from conftest import enchant_replay_entries, regains_replay_entries, subtasks_for
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,6 @@ def test_enchant_reproduces_fixture_gold(ctx, config, golden_examples):
     assert trace.final_plan.tool_sequence == ("who_am_i", "works_list", "prioritize_objects")
     assert trace.final_text == example.gold_text
     assert trace.llm_calls == 2
-    assert model.calls == 2
 
 
 def test_enchant_repairs_miswrapped_reference(ctx, config, golden_examples):
@@ -108,7 +108,6 @@ def test_enchant_empty_corpus_fails_before_any_call(ctx, config):
     model = ScriptedModel({})
     with pytest.raises(PipelineError):
         run_enchant("anything", broken, model, config)
-    assert model.calls == 0
 
 
 def test_regains_single_call_no_repairs(ctx, config, golden_examples):
@@ -116,7 +115,6 @@ def test_regains_single_call_no_repairs(ctx, config, golden_examples):
     model = ScriptedModel(dict(regains_replay_entries(example, ctx, config)))
     trace = run_regains(example.query, ctx, model, config)
     assert trace.llm_calls == 1
-    assert model.calls == 1
     assert trace.enforcement["rap"] == "plain"
     assert trace.repairs == []
     assert trace.final_text == example.gold_text
@@ -286,9 +284,6 @@ def test_enchant_with_token_level_constrained_model(ctx, config, golden_examples
         def __init__(self, stages):
             self.stages = list(stages)
             self.vocabulary = [token for stage in stages for step in stage for token in step]
-            self.calls = 0
-            self.prompt_tokens = 0
-            self.completion_tokens = 0
 
         def candidate_steps(self):
             return iter(self.stages.pop(0))
@@ -305,10 +300,83 @@ def test_enchant_with_token_level_constrained_model(ctx, config, golden_examples
     ]
     model = StagedTokenModel([decompose_steps, recompose_steps])
     trace = run_enchant(example.query, ctx, model, config)
-    assert model.calls == 2
+    assert trace.llm_calls == 2
     assert trace.enforcement == {"decompose": "enforced", "recompose": "enforced"}
     assert trace.final_plan.tool_sequence == ("who_am_i",)
     assert trace.final_text == example.gold_text
+
+
+# The model protocol: a chat model is ``complete`` alone, a token model is
+# ``vocabulary`` and ``candidate_steps`` alone. The trace is the account.
+
+class ChatModel:
+    """A chat model with nothing but ``complete``: it answers from a replay
+    and keeps each result it returns, in call order."""
+
+    def __init__(self, entries):
+        self._replay = ScriptedModel(dict(entries))
+        self.results = []
+
+    def complete(self, request):
+        result = self._replay.complete(request)
+        self.results.append(result)
+        return result
+
+
+class TokenModel:
+    """A token model with nothing but ``vocabulary`` and ``candidate_steps``:
+    each call decodes the next text, offered in pieces of 7 characters."""
+
+    def __init__(self, *texts):
+        self._texts = list(texts)
+        self.vocabulary = sorted({text[i : i + 7] for text in texts for i in range(0, len(text), 7)})
+
+    def candidate_steps(self):
+        text = self._texts.pop(0)
+        return ([text[i : i + 7]] for i in range(0, len(text), 7))
+
+
+def test_a_token_model_is_its_vocabulary_and_candidate_steps(ctx, config, golden_examples):
+    example = golden_examples[0]
+    model = TokenModel(subtasks_for(example), example.gold_text)
+    trace = run_enchant(example.query, ctx, model, config)
+    assert trace.enforcement == {"decompose": "enforced", "recompose": "enforced"}
+    assert trace.raw_texts == {"decompose": subtasks_for(example), "recompose": example.gold_text}
+    assert trace.final_text == example.gold_text
+    assert trace.llm_calls == 2
+
+
+def test_a_chat_model_is_its_complete(ctx, config, golden_examples):
+    example = golden_examples[0]
+    model = ChatModel(regains_replay_entries(example, ctx, config))
+    trace = run_regains(example.query, ctx, model, config)
+    assert trace.final_text == example.gold_text
+    assert (trace.llm_calls, trace.prompt_tokens, trace.completion_tokens) == (
+        1, estimate_tokens(trace.prompts["rap"]), estimate_tokens(example.gold_text))
+
+
+def test_trace_totals_are_the_count_and_sums_of_the_stage_results(ctx, config, golden_examples):
+    traces, records = [], []
+    for example in golden_examples:
+        for run, entries in ((run_regains, regains_replay_entries), (run_enchant, enchant_replay_entries)):
+            model = ChatModel(entries(example, ctx, config))
+            trace = run(example.query, ctx, model, config)
+            assert trace.final_text == example.gold_text
+            assert (trace.llm_calls, trace.prompt_tokens, trace.completion_tokens) == (
+                len(model.results),
+                sum(result.prompt_tokens for result in model.results),
+                sum(result.completion_tokens for result in model.results),
+            )
+            assert list(trace.raw_texts.values()) == [result.text for result in model.results]
+            traces.append(trace)
+            records.append(EvalRecord(example.query, example.gold, trace.final_text))
+    assert sum(trace.llm_calls for trace in traces) == 30
+    counts = evaluate_dataset(records, ctx.registry, traces=traces).counts
+    assert {key: counts[key] for key in ("llm_calls", "prompt_tokens", "completion_tokens")} == {
+        "llm_calls": sum(trace.llm_calls for trace in traces),
+        "prompt_tokens": sum(trace.prompt_tokens for trace in traces),
+        "completion_tokens": sum(trace.completion_tokens for trace in traces),
+    }
 
 
 def test_trace_json_is_pinned(ctx, config, golden_examples):

@@ -4,6 +4,7 @@ import heapq
 import json
 import math
 import random
+import re
 import sys
 import threading
 from array import array
@@ -605,6 +606,21 @@ def test_retrieve_empty_corpus_errors():
     corpus = index_corpus(provider, [])
     with pytest.raises(RetrievalError):
         retrieve_top_k("q", corpus, provider, k=1)
+
+
+@pytest.mark.parametrize("k, message", [
+    (2.5, "k must be an integer, got 2.5"),
+    ("3", "k must be an integer, got '3'"),
+    (True, "k must be an integer, got True"),
+    (None, "k must be an integer, got None"),
+    (0, "k must be at least 1"),
+    (-2, "k must be at least 1"),
+])
+def test_retrieve_refuses_a_k_that_is_not_a_positive_int(k, message):
+    provider = HashEmbeddingProvider()
+    corpus = index_corpus(provider, [("a", "text"), ("b", "other text")])
+    with pytest.raises(RetrievalError, match=f"^{re.escape(message)}$"):
+        retrieve_top_k("q", corpus, provider, k)
 
 
 def test_retrieve_provider_mismatch():
