@@ -43,7 +43,7 @@ from .plan import (
 )
 from .registry import Registry, ToolSpec, load_registry, validate_registry
 from .retrieval import HashEmbeddingProvider, cosine, index_corpus, retrieve_top_k, top_n_recall
-from .typegraph import TypeGraph, build_graph, check_ref, repair_plan
+from .typegraph import TypeGraph, build_graph, check_ref, repair_plan, validate_plan
 
 __all__ = [
     "CompletionRequest",
@@ -93,6 +93,7 @@ __all__ = [
     "serialize_plan",
     "tool_selection_scores",
     "top_n_recall",
+    "validate_plan",
     "validate_refs",
     "validate_registry",
 ]

@@ -28,10 +28,10 @@ from .pipelines import (
     run_enchant,
     run_regains,
 )
-from .plan import Plan, iter_prev_refs, parse_plan, plan_to_data, serialize_plan, validate_refs
+from .plan import Plan, RefDiagnostic, parse_plan, plan_to_data, serialize_plan
 from .registry import RegistryError, decode_text, fixture_tools_path, load_registry, read_text, validate_registry
 from .retrieval import HashEmbeddingProvider, RetrievalError
-from .typegraph import build_graph, check_ref, repair_plan
+from .typegraph import build_graph, repair_plan, validate_plan
 
 
 def _fail(message: str) -> None:
@@ -71,6 +71,11 @@ def _read_plan(in_file: str | None) -> Plan:
     if not outcome.ok:
         _fail(f"{outcome.kind}: {outcome.detail}")
     return outcome.plan
+
+
+def _located(diag: RefDiagnostic) -> str:
+    unit = f"call {diag.position}" if diag.argument is None else f"call {diag.position} argument {diag.argument!r}"
+    return f"{unit}: {diag.message}"
 
 
 _TOOLS_OPTION = click.option(
@@ -154,34 +159,17 @@ def cmd_plan(query, pipeline, tools, examples, config_file, replay_file, trace_f
 @_TOOLS_OPTION
 @click.option("--in", "in_file", type=_FILE, default=None, help="Plan JSON file (stdin otherwise).")
 def cmd_check(tools, in_file):
-    """Validate a plan's names, references and type-graph wiring.
+    """Validate a plan: names, references, literal types, required
+    arguments and type-graph wiring.
 
-    Errors, each once: every ``validate_refs`` finding against the registry,
-    then every reference without a type edge in the arguments left clean (no
-    finding on the argument, on its call's tool or on a tool it references).
-    Warns on a repairable wrapping mismatch. Exits 1 on any error."""
+    Prints every ``validate_plan`` finding against the registry, in plan
+    order: a repairable wrapping mismatch as a warning, any other finding
+    as an error. Exits 1 on any error, and prints ``ok`` otherwise."""
     registry = _load_registry_arg(tools, with_operators=True)
-    plan = _read_plan(in_file)
-    findings = validate_refs(plan, registry)
+    findings = validate_plan(_read_plan(in_file), registry)
     for diag in findings:
-        unit = f"call {diag.position}" if diag.argument is None else f"call {diag.position} argument {diag.argument!r}"
-        click.echo(f"error: {unit}: {diag.message}")
-    errors = len(findings)
-    flagged = {(diag.position, diag.argument) for diag in findings}
-    unknown_tools = {position for position, argument in flagged if argument is None}
-    graph = build_graph(registry)
-    for position, call in enumerate(plan.calls):
-        for name, value in call.arguments:
-            if ((position, name) in flagged or position in unknown_tools
-                    or any(ref.index in unknown_tools for ref in iter_prev_refs(value))):
-                continue
-            result = check_ref(graph, plan, position, name)
-            if result.status == "incompatible":
-                click.echo(f"error: call {position} argument {name!r}: {result.note}")
-                errors += 1
-            elif result.compatible and result.wrapping_mismatch:
-                click.echo(f"warning: call {position} argument {name!r}: {result.note} (repairable)")
-    if errors:
+        click.echo(f"error: {_located(diag)}" if diag.is_error else f"warning: {_located(diag)} (repairable)")
+    if any(diag.is_error for diag in findings):
         sys.exit(1)
     click.echo("ok")
 
@@ -227,13 +215,15 @@ def cmd_enforce(tools, in_file, fmt):
 @click.option("--in", "in_file", type=_FILE, default=None, help="Plan JSON file (stdin otherwise).")
 @click.option("--out", default=None, help="Write the execution trace here instead of stdout.")
 def cmd_exec(tools, in_file, out):
-    """Execute a plan on the bundled stub runtime. A plan with unknown names
-    or bad references against the registry is refused before the first call."""
+    """Execute a plan on the bundled stub runtime. A plan that ``chainplan
+    check`` rejects against the registry is refused before the first call,
+    with one error line naming its first error."""
     registry = _load_registry_arg(tools, with_operators=True)
     plan = _read_plan(in_file)
-    findings = validate_refs(plan, registry)
-    if findings:
-        _fail(f"{findings[0].message} ({len(findings)} finding(s) in all; chainplan check lists them)")
+    findings = validate_plan(plan, registry)
+    errors = [diag for diag in findings if diag.is_error]
+    if errors:
+        _fail(f"{_located(errors[0])} ({len(findings)} finding(s) in all; chainplan check lists them)")
     trace = execute(plan, StubRuntime())
     if out:
         _write_text(out, trace.to_json())

@@ -177,9 +177,9 @@ def parse_plan(text: str) -> ParseOutcome:
 
 
 def leaves(value: ArgValue, depth: int = 0) -> Iterator[tuple[ArgValue, int]]:
-    """Every value in ``value`` that is not an array, in order, with the
-    number of arrays around it."""
-    if isinstance(value, tuple):
+    """Every value in ``value`` that holds no other value, a non-array value
+    or an empty array, in order, with the number of arrays around it."""
+    if isinstance(value, tuple) and value:
         for item in value:
             yield from leaves(item, depth + 1)
     else:
@@ -229,8 +229,14 @@ class RefDiagnostic:
     position: int
     argument: str | None  # None for the call's tool name
     index: int | None  # the referenced call, for a bad_reference
-    kind: str  # "unknown_tool" | "unknown_argument" | "bad_reference" | "malformed_reference"
+    # validate_refs: "unknown_tool" | "unknown_argument" | "bad_reference" | "malformed_reference";
+    # typegraph.validate_plan adds "wrong_type" | "incompatible" | "wrapping" | "missing_required"
+    kind: str
     message: str
+
+    @property
+    def is_error(self) -> bool:
+        return self.kind != "wrapping"  # a wrapping mismatch is one repair_plan fixes
 
 
 def _reference_findings(value: ArgValue, position: int, argument: str) -> Iterator[RefDiagnostic]:

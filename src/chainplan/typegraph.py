@@ -1,4 +1,5 @@
-"""Tool-compatibility graph, the one wiring verdict, and ``$$PREV`` repair.
+"""Tool-compatibility graph, the one wiring verdict, ``$$PREV`` repair, and
+the one plan validator.
 
 An edge of weight 1 from tool A to argument g of tool B means A's return type
 equals g's type exactly; weight 2 means g is list-typed and A's return type
@@ -10,14 +11,19 @@ registry, and edges are computed from it when asked for.
 bare reference, or one alone in an array, may sit on either edge; a wrapping
 that disagrees is a repairable mismatch. Any other reference nested d arrays
 deep fits only if g's type less d list layers is A's return type.
+
+``validate_plan`` gives every finding on a plan: ``validate_refs``'s names
+and references, literal types, required arguments, and ``check_ref``'s
+verdict on each argument left clean.
 """
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .plan import Plan, PrevRef, leaves
+from .plan import Plan, PrevRef, RefDiagnostic, iter_prev_refs, leaves, validate_refs
 from .registry import Registry, ValueType
 
 COMPATIBLE = "compatible"
@@ -172,3 +178,75 @@ def repair_plan(graph: TypeGraph, plan: Plan) -> tuple[Plan, list[Repair]]:
             arguments.append((name, value))
         calls.append(type(call)(tool_name=call.tool_name, arguments=tuple(arguments)))
     return Plan(calls=tuple(calls)), repairs
+
+
+# The literals a scalar type takes. A bool is an int to Python but not to the
+# automaton, and a float takes an int, as the automaton's float grammar does.
+_LITERALS = {"string": str, "integer": int, "float": (int, float), "boolean": bool}
+
+
+def _fits(literal, base: ValueType) -> bool:
+    if base.kind == "object":
+        return isinstance(literal, dict)  # member values are not typed
+    if isinstance(literal, bool):
+        return base.primitive == "boolean"
+    return isinstance(literal, _LITERALS[base.primitive])
+
+
+def _wrong_type(value, declared: ValueType) -> str | None:
+    """Why a literal in ``value`` does not fit ``declared``, if one does not.
+
+    A literal nested d arrays deep must fit ``declared`` less d list layers,
+    which must leave a scalar type; an empty array needs a list layer left.
+    References are ``check_ref``'s to judge."""
+    layers, base = 0, declared
+    while base.is_list:
+        layers, base = layers + 1, base.element
+    for leaf, depth in leaves(value):
+        if isinstance(leaf, PrevRef):
+            continue
+        misfit = depth >= layers if isinstance(leaf, tuple) else (depth != layers or not _fits(leaf, base))
+        if misfit:
+            where = f" at array depth {depth}" if depth else ""
+            return f"{json.dumps(leaf)}{where} does not fit {declared.render()}"
+    return None
+
+
+def validate_plan(plan: Plan, registry: Registry) -> list[RefDiagnostic]:
+    """Every finding on ``plan`` against ``registry``, in plan order.
+
+    Each ``validate_refs`` finding. On each argument of a known tool with no
+    finding of its own, its first literal that does not fit (``wrong_type``);
+    else, unless a reference names an unknown tool, ``check_ref``'s verdict:
+    ``incompatible``, or ``wrapping`` for a mismatch ``repair_plan`` fixes,
+    the one kind that is not an error. After a known tool's written
+    arguments, each required one it lacks (``missing_required``)."""
+    graph = build_graph(registry)
+    by_unit = defaultdict(list)
+    for diag in validate_refs(plan, registry):
+        by_unit[diag.position, diag.argument].append(diag)
+    flagged = set(by_unit)
+    unknown_tools = {position for position, argument in flagged if argument is None}
+    out: list[RefDiagnostic] = []
+    for position, call in enumerate(plan.calls):
+        out.extend(by_unit.pop((position, None), ()))
+        spec = registry.get(call.tool_name)
+        for name, value in call.arguments:
+            out.extend(by_unit.pop((position, name), ()))
+            if (position, name) in flagged or spec is None:
+                continue
+            misfit = _wrong_type(value, spec.argument(name).value_type)
+            if misfit is not None:
+                out.append(RefDiagnostic(position, name, None, "wrong_type", misfit))
+            elif not any(ref.index in unknown_tools for ref in iter_prev_refs(value)):
+                result = check_ref(graph, plan, position, name)
+                if result.status == INCOMPATIBLE:
+                    out.append(RefDiagnostic(position, name, None, "incompatible", result.note))
+                elif result.wrapping_mismatch:
+                    out.append(RefDiagnostic(position, name, None, "wrapping", result.note))
+        if spec is not None:
+            written = call.argument_names
+            out.extend(RefDiagnostic(position, arg.name, None, "missing_required",
+                                     f"missing required argument {spec.name}.{arg.name}")
+                       for arg in spec.arguments if arg.required and arg.name not in written)
+    return out

@@ -336,6 +336,33 @@ def test_exec_refuses_plan_unknown_to_tools_file(runner, tmp_path, fixture_regis
     assert checked.exit_code == 1 and "unknown tool 'who_am_i'" in checked.output
 
 
+@pytest.mark.parametrize("plan_text, lines", [
+    ('[{"tool_name":"who_am_i","arguments":[]},'
+     '{"tool_name":"summarize_objects","arguments":[{"argument_name":"objects","argument_value":"$$PREV[0]"}]}]',
+     ["error: call 1 argument 'objects': no type edge who_am_i -> summarize_objects.objects"]),
+    ('[{"tool_name":"works_list","arguments":[{"argument_name":"limit","argument_value":"many"}]},'
+     '{"tool_name":"summarize_objects","arguments":[]}]',
+     ["error: call 0 argument 'limit': \"many\" does not fit integer",
+      "error: call 1 argument 'objects': missing required argument summarize_objects.objects"]),
+    ('[{"tool_name":"works_list","arguments":[]},'
+     '{"tool_name":"summarize_objects","arguments":[{"argument_name":"objects","argument_value":["$$PREV[0]"]}]}]',
+     ["warning: call 1 argument 'objects': array where bare value required (repairable)", "ok"]),
+], ids=["no_edge", "wrong_type_and_missing_required", "repairable_wrapping"])
+def test_exec_refuses_iff_check_rejects(runner, tmp_path, plan_text, lines):
+    checked = runner.invoke(main, ["check"], input=plan_text)
+    assert checked.output.splitlines() == lines
+    out = tmp_path / "trace.json"
+    executed = runner.invoke(main, ["exec", "--out", str(out)], input=plan_text)
+    assert executed.exit_code == checked.exit_code
+    errors = [line.removeprefix("error: ") for line in lines if line.startswith("error: ")]
+    if errors:
+        # one line: the first error as check locates it, and the count
+        _assert_one_line_error(executed, f"Error: {errors[0]} ({len(lines)} finding(s) in all;")
+        assert not out.exists()
+    else:
+        assert executed.output == "executed 2 steps\n" and out.exists()
+
+
 @pytest.mark.parametrize("with_operators, mode", [(True, "plain"), (False, "repaired")])
 def test_plan_with_operators_keeps_an_operator_call(runner, tmp_path, fixture_registry, with_operators, mode):
     # the same op_gt answer is a known tool with the flag and is projected

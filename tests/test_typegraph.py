@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 
-from chainplan.plan import Plan, PrevRef, ToolCall, iter_prev_refs
-from chainplan.registry import ArgSpec, Registry, ToolSpec, list_of, primitive
-from chainplan.typegraph import Repair, TypeEdge, build_graph, check_ref, repair_plan
+import pytest
+
+from chainplan.plan import Plan, PrevRef, ToolCall, iter_prev_refs, parse_plan, validate_refs
+from chainplan.registry import ArgSpec, Registry, ToolSpec, list_of, parse_type, primitive
+from chainplan.typegraph import Repair, TypeEdge, build_graph, check_ref, repair_plan, validate_plan
 
 from conftest import random_plan, random_registry
 
@@ -240,3 +243,141 @@ def test_reference_two_arrays_deep_fits_a_list_of_lists():
     for value in [(PrevRef(0),), PrevRef(0), ((PrevRef(0),), PrevRef(0))]:
         plan = Plan((ToolCall("t"), ToolCall("t", (("a", value),))))
         assert check_ref(graph, plan, 1, "a").status == "incompatible", value
+
+
+# ---------------------------------------------------------------------------
+# validate_plan: the one list of findings `chainplan check` and `exec` read
+# ---------------------------------------------------------------------------
+
+_REF_KINDS = ("unknown_tool", "unknown_argument", "bad_reference", "malformed_reference")
+
+
+def _oracle_check_lines(plan, registry):
+    """The lines `chainplan check` printed before validate_plan: its body from
+    the first finding on, verbatim but for ``click.echo``, which collects."""
+    lines = []
+    echo = lines.append
+    findings = validate_refs(plan, registry)
+    for diag in findings:
+        unit = f"call {diag.position}" if diag.argument is None else f"call {diag.position} argument {diag.argument!r}"
+        echo(f"error: {unit}: {diag.message}")
+    errors = len(findings)
+    flagged = {(diag.position, diag.argument) for diag in findings}
+    unknown_tools = {position for position, argument in flagged if argument is None}
+    graph = build_graph(registry)
+    for position, call in enumerate(plan.calls):
+        for name, value in call.arguments:
+            if ((position, name) in flagged or position in unknown_tools
+                    or any(ref.index in unknown_tools for ref in iter_prev_refs(value))):
+                continue
+            result = check_ref(graph, plan, position, name)
+            if result.status == "incompatible":
+                echo(f"error: call {position} argument {name!r}: {result.note}")
+                errors += 1
+            elif result.compatible and result.wrapping_mismatch:
+                echo(f"warning: call {position} argument {name!r}: {result.note} (repairable)")
+    return lines
+
+
+def _wiring_line(diag):
+    if diag.is_error:
+        return f"error: call {diag.position} argument {diag.argument!r}: {diag.message}"
+    return f"warning: call {diag.position} argument {diag.argument!r}: {diag.message} (repairable)"
+
+
+def test_validate_plan_keeps_the_check_merge_rule():
+    rng = random.Random(3701)
+    kinds = Counter()
+    for draw in range(2000):
+        registry = random_registry(rng)
+        # every fourth plan may call a tool the registry lacks
+        plan = random_plan(rng, tool_names=registry.names + ("ghost",) * (draw % 4 == 0))
+        found = validate_plan(plan, registry)
+        kinds.update(diag.kind for diag in found)
+        refs = validate_refs(plan, registry)
+        assert [diag for diag in found if diag.kind in _REF_KINDS] == refs
+        # the oracle's wiring lines, less those on arguments with a literal
+        # that does not fit: such an argument gets no wiring finding
+        typed = tuple(f"call {diag.position} argument {diag.argument!r}:"
+                      for diag in found if diag.kind == "wrong_type")
+        expected = [line for line in _oracle_check_lines(plan, registry)[len(refs):]
+                    if not line.split(" ", 1)[1].startswith(typed)]
+        assert [_wiring_line(diag) for diag in found if diag.kind in ("incompatible", "wrapping")] == expected
+    # random_plan writes backward references only; every other kind is drawn,
+    # the wiring ones often enough to test the rule
+    assert kinds.keys() == {"unknown_tool", "unknown_argument", "wrong_type", "missing_required",
+                            "incompatible", "wrapping"}, kinds
+    assert kinds["incompatible"] > 500 and kinds["wrapping"] > 50, kinds
+
+
+def test_every_golden_plan_has_no_finding(fixture_registry, golden_examples):
+    for example in golden_examples:
+        assert validate_plan(parse_plan(example.gold_text).plan, fixture_registry) == []
+
+
+def test_missing_required_follows_the_written_arguments(fixture_registry):
+    plan = Plan(calls=(
+        ToolCall("add_work_items_to_sprint", (("ghost", 1), ("sprint_id", "S-1"))),
+        ToolCall("phantom_tool"),
+    ))
+    found = [(diag.position, diag.argument, diag.kind, diag.message) for diag in validate_plan(plan, fixture_registry)]
+    assert found == [
+        (0, "ghost", "unknown_argument", "unknown argument 'ghost' for tool 'add_work_items_to_sprint' at call 0"),
+        (0, "work_items", "missing_required", "missing required argument add_work_items_to_sprint.work_items"),
+        (1, None, "unknown_tool", "unknown tool 'phantom_tool' at call 1"),
+    ]
+
+
+@pytest.mark.parametrize("declared, value, message", [
+    ("string", "a", None),
+    ("string", 1, "1 does not fit string"),
+    ("string", True, "true does not fit string"),
+    ("integer", 10, None),
+    ("integer", True, "true does not fit integer"),
+    ("integer", 1.5, "1.5 does not fit integer"),
+    ("integer", "many", '"many" does not fit integer'),
+    ("integer", (), "[] does not fit integer"),
+    ("float", 10, None),
+    ("float", 2.5, None),
+    ("float", False, "false does not fit float"),
+    ("boolean", True, None),
+    ("boolean", 1, "1 does not fit boolean"),
+    ("object:WorkItem", {"k": [1, 2]}, None),
+    ("object:WorkItem", "x", '"x" does not fit object:WorkItem'),
+    ("object:WorkItem", (), "[] does not fit object:WorkItem"),
+    ("string", None, "null does not fit string"),
+    ("object:WorkItem", None, "null does not fit object:WorkItem"),
+    ("array of string", ("a",), None),
+    ("array of string", (), None),
+    ("array of string", "a", '"a" does not fit array of string'),
+    ("array of string", (("a",),), '"a" at array depth 2 does not fit array of string'),
+    ("array of string", ((),), "[] at array depth 1 does not fit array of string"),
+    ("array of string", ("a", 1, None), "1 at array depth 1 does not fit array of string"),
+    ("array of array of string", (("a",), ()), None),
+    ("array of array of string", ("a",), '"a" at array depth 1 does not fit array of array of string'),
+    ("array of array of string", (((),),), "[] at array depth 2 does not fit array of array of string"),
+    # references are check_ref's: bare, alone in an array, or among literals
+    ("integer", PrevRef(0), None),
+    ("integer", (PrevRef(0),), None),
+    ("integer", (PrevRef(0), 5), "5 at array depth 1 does not fit integer"),
+    ("array of string", ("a", PrevRef(0)), None),
+], ids=lambda item: repr(item) if not isinstance(item, str) else item)
+def test_wrong_type_rules(declared, value, message):
+    arg = ArgSpec(name="a", description="a", value_type=parse_type(declared))
+    registry = Registry.from_tools([ToolSpec(name="t", description="t", arguments=(arg,), returns=primitive("string"))])
+    plan = Plan(calls=(ToolCall("t"), ToolCall("t", (("a", value),))))
+    typed = [diag.message for diag in validate_plan(plan, registry) if diag.kind == "wrong_type"]
+    assert typed == ([] if message is None else [message])
+
+
+def test_wrong_type_leaves_no_wiring_finding():
+    # who_am_i returns a string: the reference among literals would be
+    # incompatible with an integer, but the literal already does not fit
+    registry = Registry.from_tools([
+        ToolSpec(name="who", description="w", arguments=(), returns=primitive("string")),
+        ToolSpec(name="t", description="t", returns=primitive("string"),
+                 arguments=(ArgSpec(name="a", description="a", value_type=primitive("integer")),)),
+    ])
+    plan = Plan(calls=(ToolCall("who"), ToolCall("t", (("a", (PrevRef(0), "x")),))))
+    assert [diag.kind for diag in validate_plan(plan, registry)] == ["wrong_type"]
+    assert check_ref(build_graph(registry), plan, 1, "a").status == "incompatible"
