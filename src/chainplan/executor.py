@@ -4,8 +4,11 @@ A runtime has ``coverage``, the tool names it runs, and ``invoke(tool_name,
 arguments) -> value``. Arguments map names to the JSON values the plan holds
 (string, number, boolean, null or dict; an array is a tuple, so no step can
 change an array an earlier step stored), and a runtime returns such a value.
-A runtime gets a deep copy of its arguments, so it cannot change the plan,
-an earlier step's stored output or the arguments the trace records.
+A runtime gets a copy of its arguments that shares nothing mutable with the
+plan, a stored output, the trace or another argument: every dict, list and
+tuple is rebuilt, JSON scalars are immutable and pass as they are, and any
+other value goes through ``copy.deepcopy``. So a runtime cannot change the
+plan, an earlier step's stored output or the arguments the trace records.
 
 Steps run strictly in order; every ``$$PREV[i]`` resolves to step i's stored
 output, never by re-invoking the tool, and results are not fed back to any
@@ -79,7 +82,7 @@ def execute(plan: Plan, runtime) -> ExecutionTrace:
                     for name, value in call.arguments}
         started = time.monotonic()
         try:
-            output = runtime.invoke(call.tool_name, copy.deepcopy(resolved))
+            output = runtime.invoke(call.tool_name, _copy(resolved))
         except ExecutionError:
             raise
         except Exception as exc:
@@ -87,6 +90,24 @@ def execute(plan: Plan, runtime) -> ExecutionTrace:
         trace.steps.append(ExecutionStep(tool_name=call.tool_name, arguments=resolved, output=output,
                                          duration_s=time.monotonic() - started))
     return trace
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _copy(value: Any) -> Any:
+    """A copy of ``value`` that shares nothing mutable with it, built for the
+    JSON values a plan holds; deep-copies any other value."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is dict:
+        return {_copy(key): _copy(item) for key, item in value.items()}
+    if kind is list:
+        return [_copy(item) for item in value]
+    if kind is tuple:
+        return tuple([_copy(item) for item in value])
+    return copy.deepcopy(value)
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,17 @@ from .plan import Plan, parse_plan, serialize_plan, validate_refs
 from .registry import Registry
 
 
+def _clipped_matches(predicted: Counter, gold: Counter) -> int:
+    """The size of the multiset intersection, summed over the shared keys."""
+    shared = predicted.keys() & gold.keys()
+    return sum(map(min, map(predicted.__getitem__, shared), map(gold.__getitem__, shared)))
+
+
 def tool_selection_scores(predicted: Plan, gold: Plan) -> tuple[float, float, float]:
     """(irrelevant rate, necessary rate, missing rate) over tool multisets."""
-    pred = Counter(predicted.tool_sequence)
-    gold_counts = Counter(gold.tool_sequence)
-    necessary = sum((pred & gold_counts).values())
-    total_pred = sum(pred.values())
-    total_gold = sum(gold_counts.values())
+    necessary = _clipped_matches(Counter(predicted.tool_sequence), Counter(gold.tool_sequence))
+    total_pred = len(predicted.calls)
+    total_gold = len(gold.calls)
     if total_pred == 0:
         ir, nr = 0.0, 0.0
     else:
@@ -82,6 +86,8 @@ def _shared_ends(a: list[str], b: list[str]) -> tuple[int, int]:
     length s of the common suffix of what follows it, so that
     p + s <= min(len(a), len(b)) and the two ends never overlap."""
     la, lb = len(a), len(b)
+    if a == b:
+        return la, 0
     limit = min(la, lb)
     p = _equal_run(lambda i, j: a[i:j] == b[i:j], limit)
     s = _equal_run(lambda i, j: a[la - j:la - i] == b[lb - j:lb - i], limit - p)
@@ -122,8 +128,11 @@ def bleu(predicted_tokens: list[str], gold_tokens: list[str]) -> float:
     adds the same count A to both sides of its clipped match, and
     min(A + x, A + y) = A + min(x, y), so the matches are those shared n-grams
     plus the clipped matches of the n-grams that start after the prefix's and
-    before the suffix's. The counts, and so the score, are exactly the
-    full streams'; the Counter work scales with the difference, not the length.
+    before the suffix's. Those n-grams are counted only where both middles
+    hold at least n tokens: with fewer on either side they have no match, so
+    an identical or near-identical pair builds no empty Counter. The counts,
+    and so the score, are exactly the full streams'; the Counter work scales
+    with the difference, not the length.
     """
     if not gold_tokens:
         raise ValueError("gold token stream must not be empty")
@@ -135,9 +144,10 @@ def bleu(predicted_tokens: list[str], gold_tokens: list[str]) -> float:
         lo = max(p - n + 1, 0)  # the n-grams wholly in the prefix, and the next one's start
         pred_middle = predicted_tokens[lo:len(predicted_tokens) - s + n - 1]
         gold_middle = gold_tokens[lo:len(gold_tokens) - s + n - 1]
-        pred_ngrams = Counter(zip(*(pred_middle[k:] for k in range(n))))
-        gold_ngrams = Counter(zip(*(gold_middle[k:] for k in range(n))))
-        matches = lo + max(s - n + 1, 0) + sum((pred_ngrams & gold_ngrams).values())
+        matches = lo + max(s - n + 1, 0)
+        if len(pred_middle) >= n and len(gold_middle) >= n:
+            matches += _clipped_matches(Counter(zip(*(pred_middle[k:] for k in range(n)))),
+                                        Counter(zip(*(gold_middle[k:] for k in range(n)))))
         total = max(len(predicted_tokens) - n + 1, 0)
         if n == 1:
             if matches == 0:

@@ -95,7 +95,7 @@ class _Violation(Exception):
 
 def _decode_value(raw: Any) -> ArgValue:
     if isinstance(raw, str):
-        match = PREV_REF_PATTERN.fullmatch(raw)
+        match = raw.startswith("$$PREV[") and PREV_REF_PATTERN.fullmatch(raw)
         if match:
             return PrevRef(index=int(match.group(1)))
     elif isinstance(raw, list):
@@ -104,6 +104,10 @@ def _decode_value(raw: Any) -> ArgValue:
     # objects are NOT recognized (references live at argument top level
     # or inside arrays).
     return raw
+
+
+_CALL_KEYS = frozenset({"tool_name", "arguments"})
+_ARGUMENT_KEYS = frozenset({"argument_name", "argument_value"})
 
 
 def _record_name(raw: Any, path: str, record: str, name_key: str, value_key: str) -> str:
@@ -118,27 +122,33 @@ def _record_name(raw: Any, path: str, record: str, name_key: str, value_key: str
 
 
 def plan_from_data(data: Any) -> ParseOutcome:
-    """Build a plan from already-decoded JSON data, checking the wire shape."""
+    """Build a plan from already-decoded JSON data, checking the wire shape.
+    A well-formed record passes one test; only one that fails it is named
+    by its path, through ``_record_name``."""
     try:
         if not isinstance(data, list):
             raise _Violation("", "plan must be a JSON array of calls")
         calls: list[ToolCall] = []
         for i, raw_call in enumerate(data):
-            call_path = f"/{i}"
-            name = _record_name(raw_call, call_path, "call", "tool_name", "arguments")
+            if isinstance(raw_call, dict) and raw_call.keys() == _CALL_KEYS and isinstance(raw_call["tool_name"], str):
+                name = raw_call["tool_name"]
+            else:
+                name = _record_name(raw_call, f"/{i}", "call", "tool_name", "arguments")
             raw_args = raw_call["arguments"]
             if not isinstance(raw_args, list):
-                raise _Violation(f"{call_path}/arguments", "arguments must be an array")
-            pairs: list[tuple[str, ArgValue]] = []
-            seen: set[str] = set()
+                raise _Violation(f"/{i}/arguments", "arguments must be an array")
+            arguments: dict[str, ArgValue] = {}
             for j, raw_arg in enumerate(raw_args):
-                arg_path = f"{call_path}/arguments/{j}"
-                arg_name = _record_name(raw_arg, arg_path, "argument", "argument_name", "argument_value")
-                if arg_name in seen:
-                    raise _Violation(f"{arg_path}/argument_name", f"duplicate argument name {arg_name!r}")
-                seen.add(arg_name)
-                pairs.append((arg_name, _decode_value(raw_arg["argument_value"])))
-            calls.append(ToolCall(tool_name=name, arguments=tuple(pairs)))
+                if (isinstance(raw_arg, dict) and raw_arg.keys() == _ARGUMENT_KEYS
+                        and isinstance(raw_arg["argument_name"], str)):
+                    arg_name = raw_arg["argument_name"]
+                else:
+                    arg_name = _record_name(raw_arg, f"/{i}/arguments/{j}", "argument", "argument_name",
+                                            "argument_value")
+                if arg_name in arguments:
+                    raise _Violation(f"/{i}/arguments/{j}/argument_name", f"duplicate argument name {arg_name!r}")
+                arguments[arg_name] = _decode_value(raw_arg["argument_value"])
+            calls.append(ToolCall(tool_name=name, arguments=tuple(arguments.items())))
         return ParseOutcome("ok", plan=Plan(calls=tuple(calls)))
     except _Violation as exc:
         return ParseOutcome("schema_violation", path=exc.path, detail=exc.detail)
@@ -191,7 +201,7 @@ def map_refs(value: ArgValue, fn) -> ArgValue:
     if isinstance(value, PrevRef):
         return fn(value)
     if isinstance(value, tuple):
-        return tuple(map_refs(item, fn) for item in value)
+        return tuple([map_refs(item, fn) for item in value])
     return value
 
 

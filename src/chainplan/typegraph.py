@@ -126,9 +126,10 @@ def check_ref(graph: TypeGraph, plan: Plan, position: int, argument: str) -> Che
     Otherwise incompatible, with one error per reference that does not fit
     and ``note`` the first of them.
     """
-    value = plan.calls[position].argument(argument)
-    if value is None:
+    call = plan.calls[position]
+    if argument not in call.argument_names:
         return CheckResult(status=NOT_A_PREV_REF, note=f"no argument {argument!r} on call {position}")
+    value = call.argument(argument)
     refs = [(leaf, depth) for leaf, depth in leaves(value) if isinstance(leaf, PrevRef)]
     if not refs:
         return CheckResult(status=NOT_A_PREV_REF)

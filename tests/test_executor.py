@@ -168,6 +168,76 @@ def test_runtime_cannot_change_a_stored_output():
     assert trace.steps[1].arguments == {"x": {"k": 1}}
 
 
+def test_runtime_cannot_change_a_list_inside_an_object_literal():
+    class Mutating:
+        coverage = {"t"}
+
+        def invoke(self, tool_name, arguments):
+            arguments["o"]["ks"].append(3)
+            arguments["o"]["inner"]["ks"][0] = 99
+            return None
+
+    plan = parse_plan('[{"tool_name":"t","arguments":[{"argument_name":"o",'
+                      '"argument_value":{"ks":[1,2],"inner":{"ks":[1]}}}]}]').plan
+    assert plan.calls[0].argument("o") == {"ks": [1, 2], "inner": {"ks": [1]}}
+    before = serialize_plan(plan)
+    trace = execute(plan, Mutating())
+    assert serialize_plan(plan) == before
+    assert trace.steps[0].arguments == {"o": {"ks": [1, 2], "inner": {"ks": [1]}}}
+
+
+def test_two_arguments_of_one_stored_output_get_their_own_copies():
+    seen = {}
+
+    class Mutating:
+        coverage = {"a", "b"}
+
+        def invoke(self, tool_name, arguments):
+            if tool_name == "a":
+                return {"k": [1]}
+            arguments["x"]["k"].append(99)
+            seen.update(arguments)
+            return None
+
+    plan = parse_plan('[{"tool_name":"a","arguments":[]},{"tool_name":"b","arguments":['
+                      '{"argument_name":"x","argument_value":"$$PREV[0]"},'
+                      '{"argument_name":"y","argument_value":"$$PREV[0]"}]}]').plan
+    trace = execute(plan, Mutating())
+    assert seen == {"x": {"k": [1, 99]}, "y": {"k": [1]}}
+    assert trace.steps[0].output == {"k": [1]}
+    assert trace.steps[1].arguments == {"x": {"k": [1]}, "y": {"k": [1]}}
+
+
+class _Box:
+    def __init__(self, items):
+        self.items = items
+
+
+def _contents(value):
+    return value.items if isinstance(value, _Box) else value
+
+
+@pytest.mark.parametrize("output", [{1, 2}, _Box({1, 2})], ids=["set", "object"])
+def test_an_output_that_is_not_json_reaches_the_next_call_as_a_deep_copy(output):
+    received = []
+
+    class Mutating:
+        coverage = {"a", "b"}
+
+        def invoke(self, tool_name, arguments):
+            if tool_name == "a":
+                return output
+            received.append(arguments["x"][0])
+            _contents(arguments["x"][0]).add(3)
+            return None
+
+    plan = parse_plan('[{"tool_name":"a","arguments":[]},'
+                      '{"tool_name":"b","arguments":[{"argument_name":"x","argument_value":["$$PREV[0]"]}]}]').plan
+    trace = execute(plan, Mutating())
+    assert received[0] is not output and trace.steps[0].output is output
+    assert _contents(output) == {1, 2} and _contents(received[0]) == {1, 2, 3}
+
+
 def test_trace_records_the_arguments_a_runtime_was_given():
     import json
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from chainplan.metrics import hallucination_rate
 from chainplan.plan import (
     PREV_REF_PATTERN,
+    ParseOutcome,
     Plan,
     PrevRef,
     ToolCall,
@@ -253,3 +254,110 @@ def test_round_trip_hypothesis_plans(plan):
         ToolCall(call.tool_name, tuple((name, _as_parsed(value)) for name, value in call.arguments))
         for call in plan.calls
     ))
+
+
+# The reference parser: every check on every record, each record named by its
+# path before it is looked at. plan_from_data must return an equal outcome.
+class _ReferenceViolation(Exception):
+    def __init__(self, path, detail):
+        super().__init__(f"{detail} (at {path})")
+        self.path = path
+        self.detail = detail
+
+
+def _reference_decode_value(raw):
+    if isinstance(raw, str):
+        match = PREV_REF_PATTERN.fullmatch(raw)
+        if match:
+            return PrevRef(index=int(match.group(1)))
+    elif isinstance(raw, list):
+        return tuple(_reference_decode_value(item) for item in raw)
+    return raw
+
+
+def _reference_record_name(raw, path, record, name_key, value_key):
+    if not isinstance(raw, dict):
+        raise _ReferenceViolation(path, f"{record} must be a JSON object")
+    if set(raw) != {name_key, value_key}:
+        raise _ReferenceViolation(path, f"{record} must have exactly {name_key} and {value_key}")
+    if not isinstance(raw[name_key], str):
+        raise _ReferenceViolation(f"{path}/{name_key}", f"{name_key} must be a string")
+    return raw[name_key]
+
+
+def _reference_plan_from_data(data):
+    try:
+        if not isinstance(data, list):
+            raise _ReferenceViolation("", "plan must be a JSON array of calls")
+        calls = []
+        for i, raw_call in enumerate(data):
+            call_path = f"/{i}"
+            name = _reference_record_name(raw_call, call_path, "call", "tool_name", "arguments")
+            raw_args = raw_call["arguments"]
+            if not isinstance(raw_args, list):
+                raise _ReferenceViolation(f"{call_path}/arguments", "arguments must be an array")
+            pairs = []
+            seen = set()
+            for j, raw_arg in enumerate(raw_args):
+                arg_path = f"{call_path}/arguments/{j}"
+                arg_name = _reference_record_name(raw_arg, arg_path, "argument", "argument_name", "argument_value")
+                if arg_name in seen:
+                    raise _ReferenceViolation(f"{arg_path}/argument_name", f"duplicate argument name {arg_name!r}")
+                seen.add(arg_name)
+                pairs.append((arg_name, _reference_decode_value(raw_arg["argument_value"])))
+            calls.append(ToolCall(tool_name=name, arguments=tuple(pairs)))
+        return ParseOutcome("ok", plan=Plan(calls=tuple(calls)))
+    except _ReferenceViolation as exc:
+        return ParseOutcome("schema_violation", path=exc.path, detail=exc.detail)
+
+
+# Strings that look like references: canonical ones, and ones with a leading
+# zero, a non-ASCII digit (U+0663), a trailing newline or no closing bracket.
+_REF_LIKE = st.sampled_from(["$$PREV[0]", "$$PREV[12]", "$$PREV[01]", "$$PREV[00]", "$$PREV[٣]",
+                             "$$PREV[0]\n", "$$PREV[", "$$PREV", "$$PREV[x]", "x", ""])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | _REF_LIKE | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_REF_LIKE | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_NAMES = st.sampled_from(["a", "b", "c"])
+_VALUES = _REF_LIKE | _JSON | st.lists(_REF_LIKE | _JSON, max_size=3)
+
+
+def _records(name_key, value_key, values):
+    """A well-formed record half the time; otherwise one that is not an
+    object, lacks a key, has an extra key or has a name that is not a string."""
+    good = st.builds(lambda name, value: {name_key: name, value_key: value}, _NAMES, values)
+    return good | st.one_of(
+        _JSON.filter(lambda raw: not isinstance(raw, dict)),
+        good.map(lambda record: {name_key: record[name_key]}),
+        good.map(lambda record: {value_key: record[value_key]}),
+        good.map(lambda record: {**record, "extra": 1}),
+        st.builds(lambda name, value: {name_key: name, value_key: value},
+                  st.integers() | st.none() | st.lists(_NAMES, max_size=1), values),
+    )
+
+
+def _calls(arguments):
+    return st.builds(lambda name, args: {"tool_name": name, "arguments": args}, _NAMES, arguments)
+
+
+_GOOD_CALLS = _calls(st.lists(st.builds(lambda name, value: {"argument_name": name, "argument_value": value},
+                                        _NAMES, _VALUES), max_size=3, unique_by=lambda arg: arg["argument_name"]))
+_WIRE_DATA = st.one_of(
+    st.lists(_GOOD_CALLS, max_size=4),
+    _JSON.filter(lambda data: not isinstance(data, list)),
+    st.lists(_GOOD_CALLS | _calls(_JSON.filter(lambda raw: not isinstance(raw, list))), max_size=4),
+    st.lists(_records("tool_name", "arguments", st.just([])), max_size=4),
+    # argument records that may be damaged or repeat a name
+    st.lists(_calls(st.lists(_records("argument_name", "argument_value", _VALUES), max_size=4)), max_size=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_WIRE_DATA)
+def test_plan_from_data_equals_the_reference_parser(data):
+    outcome, reference = plan_from_data(data), _reference_plan_from_data(data)
+    assert outcome == reference
+    assert repr(outcome) == repr(reference)

@@ -5,7 +5,7 @@ import pytest
 
 from chainplan.plan import Plan, PrevRef, ToolCall, iter_prev_refs, parse_plan, validate_refs
 from chainplan.registry import ArgSpec, Registry, ToolSpec, list_of, parse_type, primitive
-from chainplan.typegraph import Repair, TypeEdge, build_graph, check_ref, repair_plan, validate_plan
+from chainplan.typegraph import CheckResult, Repair, TypeEdge, build_graph, check_ref, repair_plan, validate_plan
 
 from conftest import random_plan, random_registry
 
@@ -96,6 +96,14 @@ def test_check_ref_literal_is_not_a_ref(fixture_registry):
     graph = build_graph(fixture_registry)
     plan = Plan((ToolCall("works_list", (("type", "issue"),)),))
     assert check_ref(graph, plan, 0, "type").status == "not_a_prev_ref"
+
+
+def test_check_ref_tells_a_written_null_from_a_missing_argument(fixture_registry):
+    graph = build_graph(fixture_registry)
+    plan = parse_plan('[{"tool_name":"works_list","arguments":[{"argument_name":"limit","argument_value":null}]}]').plan
+    assert check_ref(graph, plan, 0, "limit") == CheckResult(status="not_a_prev_ref")
+    missing = check_ref(graph, plan, 0, "owned_by")
+    assert missing == CheckResult(status="not_a_prev_ref", note="no argument 'owned_by' on call 0")
 
 
 def test_repair_wraps_bare_reference(fixture_registry):
