@@ -94,7 +94,7 @@ wrapping decision afterwards.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .registry import IDENTIFIER_PATTERN, Registry, ValueType
@@ -730,6 +730,10 @@ class Edit(NamedTuple):
     text: str
 
 
+# Builds an Edit from a (kind, position, text) tuple in C, without the
+# NamedTuple's Python-level __new__.
+_edit = partial(tuple.__new__, Edit)
+
 _REPAIR_LOOKAHEAD = 16
 _INSERT_PRIORITY = ']}",:{['
 
@@ -793,7 +797,7 @@ def enforced_repair(automaton, candidate: str) -> tuple[str, list[Edit]]:
                 if i < n and candidate[i] == ch:
                     i += 1
                 else:
-                    edits.append(Edit("insert", i, ch))
+                    edits.append(_edit(("insert", i, ch)))
             out.append(text)
             node, done = end, i
             continue
@@ -802,14 +806,14 @@ def enforced_repair(automaton, candidate: str) -> tuple[str, list[Edit]]:
         jump = next((j for j, c in enumerate(window) if c in allowed), None)
         if jump is not None:
             # the next pass consumes the allowed character skipped to
-            edits.append(Edit("skip", i, candidate[i : i + 1 + jump]))
+            edits.append(_edit(("skip", i, candidate[i : i + 1 + jump])))
             i = done = i + 1 + jump
             continue
         pick = _priority_char(allowed)
         node = walk(node, pick)[0]
         out.append(pick)
-        edits.append(Edit("insert", i, pick))
+        edits.append(_edit(("insert", i, pick)))
     out.append(candidate[done:i])
     if i < n:
-        edits.append(Edit("truncate", i, candidate[i:]))
+        edits.append(_edit(("truncate", i, candidate[i:])))
     return "".join(out), edits

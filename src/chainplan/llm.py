@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .enforcer import DecoderSession, enforced_repair, vocabulary_index
-from .registry import read_text
+from .registry import read_text, sha256
 
 
 class CompletionError(RuntimeError):
@@ -90,12 +90,9 @@ def _result(request: CompletionRequest, text: str, latency_s: float,
 
 def fingerprint(prompt: str) -> str:
     """Stable hash of the whitespace-normalized prompt, so replays survive
-    formatting drift in retrieved content. ``hashlib``, and with it OpenSSL,
-    is loaded on the first call, not when the package is imported."""
-    import hashlib
-
+    formatting drift in retrieved content."""
     normalized = " ".join(prompt.split())
-    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
+    return sha256(normalized.encode("utf-8")).hexdigest()[:16]
 
 
 def resolve_endpoint(api_base: str | None, api_key: str | None,

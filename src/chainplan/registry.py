@@ -20,6 +20,17 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+# SHA-256 from the interpreter's built-in module, as CPython's random takes
+# sha512: hashlib would load OpenSSL's libcrypto, over 3 MB resident.
+# Resolved once here, since a failed import is not cached.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 # Tool, argument and object type names; test with ``fullmatch``.
 IDENTIFIER_PATTERN = re.compile(r"[A-Za-z0-9_]+")
 
@@ -143,18 +154,15 @@ class ToolSpec:
 class _Version:
     """``Registry.version``: kept as given; when given as None, the sha256
     prefix of the tool document; when given as a registry, that registry's
-    version (``subset``). Either is found on first read and kept. The first
-    digest loads ``hashlib``, and with it OpenSSL."""
+    version (``subset``). Either is found on first read and kept."""
 
     def __get__(self, registry, owner=None):
         if registry is None:
             raise AttributeError("version")  # no class-level default: the field stays required
         version = registry.__dict__["_version"]
         if version is None:
-            import hashlib
-
             document = serialize_registry(registry)
-            version = registry.__dict__["_version"] = hashlib.sha256(document.encode("utf-8")).hexdigest()[:12]
+            version = registry.__dict__["_version"] = sha256(document.encode("utf-8")).hexdigest()[:12]
         elif isinstance(version, Registry):
             version = registry.__dict__["_version"] = version.version
         return version

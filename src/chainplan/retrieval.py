@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .llm import post_json, resolve_endpoint
+from .registry import sha256
 
 
 class RetrievalError(ValueError):
@@ -76,25 +77,25 @@ class HashEmbeddingProvider:
 
     Each distinct trigram is hashed once per instance and memoized as one int,
     ``bucket << 1 | sign_bit``; the memo holds one entry per distinct trigram
-    embedded and does not change any vector. Building a provider loads
-    ``hashlib``, and with it OpenSSL; importing the package does not."""
+    embedded and does not change any vector. A vector's components are signed
+    trigram counts over one norm, so it holds one float object per distinct
+    count. SHA-256 comes from the interpreter's built-in module, not from
+    OpenSSL (``registry.sha256``)."""
 
     def __init__(self, dimension: int = 64, seed: int = 0):
-        import hashlib
-
         if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
             raise RetrievalError(f"embedding dimension must be an integer of at least 1, got {dimension!r}")
         self.dimension = dimension
         self.seed = seed
         self.provider_id = f"hash-trigram-{dimension}-{seed}"
         self._trigram_codes: dict[str, int] = {}
-        self._sha256 = hashlib.sha256
+        self._sha256 = sha256
 
     def embed(self, text: str) -> list[float]:
         if not text:
             raise RetrievalError("cannot embed empty text")
         padded = f"##{text.lower()}##"
-        values = [0.0] * self.dimension
+        counts = [0] * self.dimension
         codes = self._trigram_codes
         for i in range(len(padded) - 2):
             gram = padded[i : i + 3]
@@ -103,12 +104,15 @@ class HashEmbeddingProvider:
                 digest = self._sha256(f"{self.seed}:{gram}".encode("utf-8")).digest()
                 bucket = int.from_bytes(digest[:4], "big") % self.dimension
                 code = codes[gram] = (bucket << 1) | (digest[4] & 1)
-            values[code >> 1] += 1.0 if code & 1 else -1.0
-        norm = math.sqrt(sum(v * v for v in values))
-        if norm == 0.0:
-            values[0] = 1.0
-            norm = 1.0
-        return [v / norm for v in values]
+            counts[code >> 1] += 1 if code & 1 else -1
+        # The integer sum of squares is exact, and an int divides as the
+        # float of its value does, so each component is what summing and
+        # dividing floats gives; one division per distinct count.
+        norm = math.sqrt(sum(map(operator.mul, counts, counts)))
+        if not norm:
+            return [1.0] + [0.0] * (self.dimension - 1)
+        shared = {c: c / norm for c in set(counts)}
+        return list(map(shared.__getitem__, counts))
 
 
 class RemoteEmbeddingProvider:

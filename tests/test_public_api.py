@@ -31,6 +31,12 @@ loaded = sorted(set(sys.argv[1:]) & (set(sys.modules) - before))
 
 from chainplan.llm import fingerprint, post_json
 from chainplan.registry import fixture_tools_path, load_registry
+
+vector = chainplan.HashEmbeddingProvider().embed("who am i")
+version = load_registry(fixture_tools_path()).version
+prompt_fingerprint = fingerprint("plan  it")
+hashes = sorted({"hashlib", "_hashlib"} & set(sys.modules))
+
 import urllib.request
 
 class Response:
@@ -46,9 +52,10 @@ class Response:
 urllib.request.urlopen = lambda request, timeout: Response()
 print(json.dumps({
     "loaded": loaded,
-    "vector": chainplan.HashEmbeddingProvider().embed("who am i"),
-    "version": load_registry(fixture_tools_path()).version,
-    "fingerprint": fingerprint("plan  it"),
+    "hashes": hashes,
+    "vector": vector,
+    "version": version,
+    "fingerprint": prompt_fingerprint,
     "posted": post_json("http://127.0.0.1:9/unused", {}),
 }))
 '''
@@ -62,7 +69,10 @@ def test_import_loads_no_http_tls_or_openssl_hash_module():
                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     probe = json.loads(out.stdout)
     assert probe["loaded"] == []
-    # each lazily loaded hash gives what the suite's pins give, and post_json
+    # embedding, the registry version and a fingerprint take SHA-256 from the
+    # interpreter's built-in module, never from OpenSSL
+    assert probe["hashes"] == []
+    # each hash gives what the suite's pins give, and post_json
     # calls the urlopen in place when it runs, a patched one included
     assert probe["vector"] == chainplan.HashEmbeddingProvider().embed("who am i")
     assert probe["version"] == "395ebb18f33c"

@@ -562,6 +562,39 @@ def test_hash_embeddings_are_pinned(fixture_registry, golden_examples):
     assert digest.hexdigest() == "187301b2ba4727a6847a95695a1e4348faf788a8c2fcb96e6969e498cd4cf20d"
 
 
+def _float_embed(dimension: int, seed: int, text: str) -> list[float]:
+    """The hashing provider's ``embed`` as it was before it counted in ints:
+    float accumulation, a float sum of squares and a division per component."""
+    padded = f"##{text.lower()}##"
+    values = [0.0] * dimension
+    for i in range(len(padded) - 2):
+        digest = hashlib.sha256(f"{seed}:{padded[i : i + 3]}".encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:4], "big") % dimension
+        values[bucket] += 1.0 if digest[4] & 1 else -1.0
+    norm = math.sqrt(sum(v * v for v in values))
+    if norm == 0.0:
+        values[0] = 1.0
+        norm = 1.0
+    return [v / norm for v in values]
+
+
+# Small alphabets at small dimensions make counts that cancel to a zero norm:
+# "aa" does at dimension 1, and "a ba" at dimension 2.
+_EMBED_TEXTS = st.one_of(st.text(alphabet="ab A", min_size=1, max_size=30), st.text(min_size=1, max_size=200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_EMBED_TEXTS, dimension=st.sampled_from([1, 2, 3, 64, 257]), seed=st.integers(0, 3))
+@example(text="aa", dimension=1, seed=0)
+@example(text="a ba", dimension=2, seed=0)
+def test_hash_embedding_equals_the_float_accumulating_oracle(text, dimension, seed):
+    provider = HashEmbeddingProvider(dimension, seed)
+    vector = provider.embed(text)
+    assert list(map(float.hex, vector)) == list(map(float.hex, _float_embed(dimension, seed, text)))
+    # one float object per distinct component
+    assert len({id(x) for x in vector}) == len(set(vector))
+
+
 def test_retrieve_rejects_non_finite_query():
     table = {"a": [1.0, 0.0], "z": [0.0, 1.0], "nan": [float("nan"), 1.0], "inf": [float("inf"), 1.0]}
     provider = TableProvider(table)
