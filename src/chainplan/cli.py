@@ -273,6 +273,7 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
     else:
         ctx = PlannerContext.build(registry, HashEmbeddingProvider(), examples)
         model = load_replay(replay_file) if replay_file else RemoteChatModel()
+        config = PipelineConfig.default()  # read once, not once per example
         predicted_texts = []
         traces = []
         for example in examples:
@@ -280,7 +281,7 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
             pool = tuple(item for item in ctx.example_corpus.items if item.id != example.id)
             held_out = replace(ctx, example_corpus=replace(ctx.example_corpus, items=pool))
             try:
-                trace = _PIPELINES[pipeline](example.query, held_out, model)
+                trace = _PIPELINES[pipeline](example.query, held_out, model, config)
             except (PipelineError, CompletionError) as exc:
                 _fail(f"pipeline failed on {example.query!r}: {exc}")
             predicted_texts.append(trace.final_text)

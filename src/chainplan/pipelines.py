@@ -176,18 +176,12 @@ class PipelineConfig:
 
 
 def render_tool_docs(registry: Registry, names: list[str] | tuple[str, ...]) -> str:
-    lines: list[str] = []
-    for name in names:
-        spec = registry.get(name)
-        if spec is None:
-            continue
-        signature = ", ".join(f"{a.name}: {a.value_type.render()}" for a in spec.arguments)
-        lines.append(f"- {spec.name}({signature}) -> {spec.returns.render()}")
-        lines.append(f"    {spec.description}")
-        for arg in spec.arguments:
-            if arg.description:
-                lines.append(f"    {arg.name}: {arg.description}")
-    return "\n".join(lines)
+    """The tool list of a prompt: the ``prompt_block`` of each tool in
+    ``names`` that ``registry`` holds, in order, one line apart. A name the
+    registry lacks is skipped. Each block is rendered once per tool and kept
+    with its spec, so a query only joins them."""
+    tools = registry.tools
+    return "\n".join([tools[name].prompt_block for name in names if name in tools])
 
 
 def render_examples(examples: list[GoldenExample]) -> str:

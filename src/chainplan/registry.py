@@ -10,7 +10,8 @@ tool document unless given, computed on first read and then kept, so a
 registry that nothing asks for its version never writes the document:
 ``chainplan tools`` prints it, and adding the operator pseudo-tools
 suffixes it. ``load_registry`` parses each distinct type text once per call,
-so equal types in one load share one immutable ``ValueType``.
+so equal types in one load share one immutable ``ValueType``. A tool's
+``prompt_block`` is likewise rendered on first read and kept with its spec.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 # SHA-256 from the interpreter's built-in module, as CPython's random takes
@@ -149,6 +151,16 @@ class ToolSpec:
     @property
     def argument_names(self) -> tuple[str, ...]:
         return tuple(arg.name for arg in self.arguments)
+
+    @cached_property
+    def prompt_block(self) -> str:
+        """The tool's lines in a prompt's tool list: its signature, its
+        description, and each described argument. Rendered on first use and
+        kept, as the spec is immutable."""
+        signature = ", ".join(f"{a.name}: {a.value_type.render()}" for a in self.arguments)
+        lines = [f"- {self.name}({signature}) -> {self.returns.render()}", f"    {self.description}"]
+        lines += [f"    {arg.name}: {arg.description}" for arg in self.arguments if arg.description]
+        return "\n".join(lines)
 
 
 class _Version:

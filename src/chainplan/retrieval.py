@@ -18,11 +18,12 @@ and the items whose pre-score lies within twice the pre-score's error bound
 of it (about k of them) are scored in floating point. Those scores use the
 products, order and division of :func:`cosine`, so results equal a full
 :func:`cosine` sort bit for bit, ties included; :class:`_PreScore` derives
-the bound. On a 2-core x86-64 host under CPython 3.11, given the query
-vector, a query over 1,000 hashed tools of 64 dimensions costs about
-0.23 ms instead of 3.9 ms for scoring every item in float, and over
-10,000 tools about 0.9 ms instead of 30 ms; packing takes about
-20 to 30 ms per 1,000 tools, on the first query.
+the bound. On a 2-core Intel Xeon x86-64 host under CPython 3.11.7,
+given the query vector, a query for the top 10 of 1,000 hashed tools of
+64 dimensions costs about 0.11 ms instead of 3.0 ms for scoring every item
+in float, and over 10,000 tools about 0.5 ms instead of 38 ms; packing
+takes about 26 ms for 1,000 tools and 160 ms for 10,000, on the first
+query.
 """
 
 from __future__ import annotations

@@ -159,26 +159,35 @@ def repair_plan(graph: TypeGraph, plan: Plan) -> tuple[Plan, list[Repair]]:
 
     The tool sequence, tool names and all non-reference values are left
     unchanged; incompatible references stay untouched and are reported as
-    unrepaired. Idempotent: repairing a repaired plan changes nothing.
+    unrepaired. Only a call with a re-wrapped value is built anew, and a
+    plan with none is returned as it is. Idempotent: repairing a repaired
+    plan changes nothing.
     """
     repairs: list[Repair] = []
-    calls: list = []
+    calls = None  # a copy of plan.calls, once a value is re-wrapped
     for position, call in enumerate(plan.calls):
-        arguments = []
-        for name, value in call.arguments:
+        arguments = None  # likewise for call.arguments
+        for i, (name, value) in enumerate(call.arguments):
+            if not isinstance(value, (PrevRef, tuple)):
+                continue  # a scalar or an object holds no reference
             result = check_ref(graph, plan, position, name)
             repairs.extend(Repair(position, name, "unrepaired", error) for error in result.errors)
-            if result.wrapping_mismatch and isinstance(value, PrevRef):
+            if not result.wrapping_mismatch:
+                continue
+            if isinstance(value, PrevRef):
                 repairs.append(Repair(position, name, "wrapped",
                                       f"$$PREV[{value.index}] wrapped into array for {call.tool_name}.{name}"))
                 value = (value,)
-            elif result.wrapping_mismatch:
+            else:
                 value = value[0]
                 repairs.append(Repair(position, name, "unwrapped",
                                       f"[$$PREV[{value.index}]] unwrapped to bare value for {call.tool_name}.{name}"))
-            arguments.append((name, value))
-        calls.append(type(call)(tool_name=call.tool_name, arguments=tuple(arguments)))
-    return Plan(calls=tuple(calls)), repairs
+            arguments = arguments or list(call.arguments)
+            arguments[i] = (name, value)
+        if arguments is not None:
+            calls = calls or list(plan.calls)
+            calls[position] = type(call)(tool_name=call.tool_name, arguments=tuple(arguments))
+    return plan if calls is None else Plan(calls=tuple(calls)), repairs
 
 
 # The literals a scalar type takes. A bool is an int to Python but not to the

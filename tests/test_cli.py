@@ -436,6 +436,39 @@ def test_eval_pipeline_mock(runner, tmp_path, replay_files):
     assert report["counts"]["llm_calls"] == 10
 
 
+@pytest.mark.parametrize("pipeline, pinned", [
+    ("regains", "589acba1bda25c8a65eb9c155f8ba3d312992c59d8b8923731edfb61fe4ffe32"),
+    ("enchant", "ee0d0d3197c6dc2615192a131993aefb9d22b2c6ad4642a32f06c65311a01008"),
+])
+def test_eval_pipeline_run_reads_its_config_once(runner, tmp_path, replay_files, monkeypatch, pipeline, pinned):
+    # one PipelineConfig serves every example of a run, so each packaged
+    # template and the insights file is read once; sha256 over the JSON
+    # report and the trace file, pinned as per-example configs wrote them
+    import hashlib
+    from collections import Counter
+
+    import chainplan.pipelines as pipelines
+
+    reads = Counter()
+    read_data = pipelines._read_data
+
+    def counting_read(name):
+        reads[name] += 1
+        return read_data(name)
+
+    monkeypatch.setattr(pipelines, "_read_data", counting_read)
+    trace_file = tmp_path / "t.json"
+    result = runner.invoke(main, [
+        "eval", "--dataset", str(GOLDEN_PATH), "--pipeline", pipeline, "--mock", replay_files[pipeline],
+        "--format", "json", "--trace", str(trace_file),
+    ])
+    assert result.exit_code == 0, result.output
+    assert reads == Counter(["templates/decompose.txt", "templates/recompose.txt", "templates/rap.txt",
+                             "insights.txt"])
+    digest = hashlib.sha256(result.output.encode("utf-8") + trace_file.read_bytes())
+    assert digest.hexdigest() == pinned
+
+
 def test_eval_prompts_hold_out_their_own_example(runner, tmp_path, replay_files, golden_examples):
     trace_file = tmp_path / "t.json"
     result = runner.invoke(main, [

@@ -418,6 +418,51 @@ def test_trace_json_is_pinned(ctx, config, golden_examples):
     assert digest.hexdigest() == "88497d6ca3c7fb52b1b01fdb033fd578a6fbdd5ba4f1ac4cfc2bfe4ad6d23aac"
 
 
+def grown_registry(fixture_registry, size: int, seed: int):
+    """The fixture's tools, then seeded ones up to ``size`` tools in all:
+    each takes its name and description words from the fixture's, the
+    arguments of a fixture tool, a third of them left undescribed, and a
+    fixture tool's return type."""
+    import random
+
+    from chainplan.registry import Registry, ToolSpec
+
+    rng = random.Random(seed)
+    fixture = list(fixture_registry.tools.values())
+    name_words = sorted({word for spec in fixture for word in spec.name.split("_")})
+    words = sorted({word for spec in fixture for word in spec.description.split()})
+    specs = list(fixture)
+    for i in range(len(fixture), size):
+        arguments = tuple(dataclasses.replace(arg, description="") if rng.random() < 1 / 3 else arg
+                          for arg in rng.choice(fixture).arguments)
+        specs.append(ToolSpec(
+            name=f"{rng.choice(name_words)}_{rng.choice(name_words)}_{i}",
+            description=" ".join(rng.choice(words) for _ in range(rng.randint(4, 12))),
+            arguments=arguments,
+            returns=rng.choice(fixture).returns,
+        ))
+    return Registry.from_tools(specs)
+
+
+def test_rap_prompts_over_a_registry_larger_than_k_are_pinned(fixture_registry, golden_examples, config):
+    # sha256 over, for every golden query, the RAP prompt, the retrieved tool
+    # ids and scores, and the retrieved example ids, on a seeded 300-tool
+    # registry: tools are pre-scored and pruned before the top k are scored
+    # in float, and the prompt lists retrieved tools outside the fixture.
+    import hashlib
+
+    registry = grown_registry(fixture_registry, 300, seed=40)
+    assert len(registry) == 300
+    grown = PlannerContext.build(registry, HashEmbeddingProvider(), golden_examples)
+    digest = hashlib.sha256()
+    for example in golden_examples:
+        prompt, retrieved, example_ids = assemble_rap_prompt(example.query, grown, config)
+        assert len(retrieved) == config.k and len(example_ids) == config.example_count
+        digest.update(json.dumps([prompt, retrieved, example_ids]).encode("utf-8"))
+    assert "_prescore" in grown.tool_corpus.__dict__  # the pruning path ran
+    assert digest.hexdigest() == "c953d2214ca2a87995ad1dc7718c9bef660c387e152c4e0aea06ac94cf352920"
+
+
 def test_regains_compiles_the_plan_automaton_once_per_context(fixture_registry, golden_examples, config,
                                                               monkeypatch):
     # straying answers to several queries share one automaton and project as

@@ -141,6 +141,38 @@ def test_repair_is_fixed_point_on_correct_plan(fixture_registry):
     assert repairs == []
 
 
+def test_repair_returns_the_plan_itself_unless_it_rewraps(fixture_registry):
+    # a plan with nothing to re-wrap comes back as the very object; one
+    # mismatch builds a new plan that keeps the untouched calls as they are
+    graph = build_graph(fixture_registry)
+    clean = Plan((
+        ToolCall("who_am_i"),
+        ToolCall("works_list", (("owned_by", (PrevRef(0),)), ("limit", 5))),
+        ToolCall("prioritize_objects", (("objects", PrevRef(1)),)),
+    ))
+    assert repair_plan(graph, clean) == (clean, [])
+    assert repair_plan(graph, clean)[0] is clean
+    incompatible = Plan((ToolCall("get_sprint_id"), ToolCall("prioritize_objects", (("objects", PrevRef(0)),))))
+    assert repair_plan(graph, incompatible)[0] is incompatible
+    miswrapped = Plan((
+        clean.calls[0],
+        ToolCall("works_list", (("owned_by", PrevRef(0)), ("limit", 5))),
+        clean.calls[2],
+    ))
+    repaired, repairs = repair_plan(graph, miswrapped)
+    assert repaired == clean
+    assert repaired.calls[0] is miswrapped.calls[0] and repaired.calls[2] is miswrapped.calls[2]
+    assert miswrapped.calls[1].argument("owned_by") == PrevRef(0)
+    assert [r.action for r in repairs] == ["wrapped"]
+    rng = random.Random(41)
+    for _ in range(200):
+        registry = random_registry(rng)
+        plan = random_plan(rng, tool_names=registry.names)
+        repaired, repairs = repair_plan(build_graph(registry), plan)
+        rewrapped = any(r.action != "unrepaired" for r in repairs)
+        assert (repaired is plan) is not rewrapped
+
+
 def test_repair_leaves_incompatible_refs_untouched(fixture_registry):
     graph = build_graph(fixture_registry)
     plan = Plan((
