@@ -24,7 +24,8 @@ the text goes on in once the piece is done:
   and ``]`` continues in ``close``;
 - sequence ``("lf"|"le", espec, close, then)``, after its opener or after an
   element: ``,``-separated values of ``espec``, then ``close`` and ``then``.
-  An object is a list of members: ``("lf", ("member",), "}", then)``;
+  An object is a list of members: ``("lf", ("member", value), "}", then)``
+  with ``value`` its members' value spec;
 - value ``_start(spec, then)``, the first state of a value of ``spec``. A
   string steps into ``then`` on its closing ``"``, an object or a list on
   its sequence's ``close``. ``true``, ``false``, ``null`` and the fixed
@@ -36,10 +37,20 @@ the text goes on in once the piece is done:
 Both automata are these pieces alone: the plan automaton's argument names
 are name pieces keyed by ``(tool, used)``, the arguments of ``tool`` not yet
 ``used``, each going on in ``,"argument_value":`` and its value. One number
-machine serves integers, floats and the unsigned sub-task ids and reference
-indices, which are canonical (no leading zero). A member ``"key":value`` has
-a string key and a value of ``_MEMBER_SPEC``: string, float, boolean or null.
-No value is capped in length: no state counts characters. A literal state's
+machine serves integers and the unsigned sub-task ids and reference indices,
+which are canonical (no leading zero). A float is JSON's number as
+``json.dumps`` writes it: an exponent ``[eE][+-]?[0-9]+`` follows only a
+one-digit integer part and its fraction, so ``12e3`` is refused, and the
+value stays finite. A negative exponent takes any digits, a positive one at
+most 308; at 308 the mantissa's digits must stay below ``_FINITE``, the
+digits of ``2**1024 - 2**970``, where a double rounds to infinity, which a
+comparison position in the state checks digit by digit. Left open: a plain
+float with 309 or more integer digits and a fraction may read as infinity,
+which ``load_json`` refuses. A member ``"key":value`` has a string key and
+any JSON value whose arrays and objects nest at most ``MAX_LIST_DEPTH``
+levels below the member's object (``_json_spec``). No value is capped in
+length: no state counts characters, except a float's comparison position
+and positive exponent, which stop at 309 digits and at 308. A literal state's
 next-character set is its one character, an open string's is a constant of
 its tag, and a name state reads its set off the sorted names, one bisection
 per distinct next character; every other state scans the transition over
@@ -88,16 +99,19 @@ under the index as key, cleared with the graph like its set and run.
 Accepted value shapes per argument are deliberately relaxed around
 references: both a bare ``"$$PREV[i]"`` and a singleton ``["$$PREV[i]"]``
 are accepted at decode time for any argument; the type graph owns the
-wrapping decision afterwards.
+wrapping decision afterwards. What a literal of a type may be is these value
+states alone: ``literal_fits`` walks them over a literal's canonical text,
+and ``validate_plan`` reads its verdict.
 """
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .registry import IDENTIFIER_PATTERN, Registry, ValueType
+from .registry import IDENTIFIER_PATTERN, MAX_LIST_DEPTH, Registry, ValueType
 
 _PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
 _STRING_BODY = frozenset(_PRINTABLE) - {'"', "\\"}
@@ -127,20 +141,30 @@ class DecodeRejection(ValueError):
 # first state of a value of ``spec`` that continues in ``then``.
 # ---------------------------------------------------------------------------
 
-_NUMBER_KINDS = frozenset(("integer", "uint", "float"))
 _BOOLEAN = ("union", (("lit", "true"), ("lit", "false")))
 _NULL = ("lit", "null")
 _PREV = ("prev",)
 
-# An object member's value: the four branches start with distinct characters.
-_MEMBER_SPEC = ("union", (("string",), ("float",), _BOOLEAN, _NULL))
+
+def _json_spec(depth: int) -> tuple:
+    """Any JSON value whose arrays and objects nest at most ``depth`` levels,
+    an object member's value; the branches start with distinct characters."""
+    branches = (("string",), ("float",), _BOOLEAN, _NULL)
+    if depth:
+        inner = _json_spec(depth - 1)
+        branches += (("list", inner), ("object", inner))
+    return ("union", branches)
+
+
+# An object's spec holds its members' value spec.
+_OBJECT = ("object", _json_spec(MAX_LIST_DEPTH))
 
 
 def _value_spec(vt: ValueType) -> tuple:
     if vt.kind == "primitive":
         return _BOOLEAN if vt.primitive == "boolean" else (vt.primitive,)
     if vt.kind == "object":
-        return ("object",)
+        return _OBJECT
     return ("list", _element_spec(vt.element))
 
 
@@ -170,10 +194,12 @@ def _start(spec: tuple, then: tuple) -> tuple:
         return ("lit", spec[1], 0, then)
     if kind == "string":
         return ("lit", '"', 0, ("s", then))
-    if kind in _NUMBER_KINDS:
+    if kind == "integer" or kind == "uint":
         return ("n0", kind, then)
+    if kind == "float":
+        return ("f0", then)
     if kind == "object":
-        return ("lit", "{", 0, ("lf", ("member",), "}", then))
+        return ("lit", "{", 0, ("lf", ("member", spec[1]), "}", then))
     if kind == "list":
         return ("lit", "[", 0, ("lf", spec[1], "]", then))
     if kind == "prev":
@@ -181,8 +207,26 @@ def _start(spec: tuple, then: tuple) -> tuple:
     if kind == "wrap":
         return ("lit", "[", 0, _start(_PREV, ("lit", "]", 0, then)))
     if kind == "member":
-        return _start(("string",), ("lit", ":", 0, _start(_MEMBER_SPEC, then)))
+        return _start(("string",), ("lit", ":", 0, _start(spec[1], then)))
     raise ValueError(f"unknown value spec {spec!r}")
+
+
+# The digits of 2**1024 - 2**970, halfway between the largest finite double
+# and 2**1024, where a double rounds to infinity: m * 10**308 is finite
+# exactly when the digits of the mantissa m stay below these. The last digit
+# is not 0, so a mantissa that matches only a prefix of them is below.
+_FINITE = str(2**1024 - 2**970)
+_BELOW, _NOT_BELOW = -1, len(_FINITE)
+
+
+def _compare(c: int, ch: str) -> int:
+    """A mantissa's comparison with ``_FINITE`` after its next digit ``ch``,
+    from ``c`` before it: ``_BELOW`` or ``_NOT_BELOW`` once a digit differed
+    or every digit of ``_FINITE`` matched, else how many have matched."""
+    if c == _BELOW or c == _NOT_BELOW:
+        return c
+    bound = _FINITE[c]
+    return c + 1 if ch == bound else _BELOW if ch < bound else _NOT_BELOW
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +329,8 @@ class _Automaton:
             return None
 
         # A number, (tag, kind, then): -?(0|[1-9][0-9]*)(\.[0-9]+)?, no sign
-        # for uint, a fraction only for float. "nz", "ni" and "nf" may end.
+        # for uint, a fraction only for float, whose states below reach "ni"
+        # and "ndot" alone. "nz", "ni" and "nf" may end.
         if tag == "n0" or tag == "nneg":
             _, kind, then = state
             if ch == "-" and tag == "n0" and kind != "uint":
@@ -310,6 +355,45 @@ class _Automaton:
             if tag == "lf":
                 return self.transition(_start(state[1], ("le",) + state[1:]), ch)
             return _start(state[1], state) if ch == "," else None
+
+        # A float: the integer machine's plain form once a second integer
+        # digit makes ("ni", "float", then), else -?[0-9](\.[0-9]+)? and an
+        # optional [eE][+-]?[0-9]+. ("f0", then) at the start, ("f-", then)
+        # after the sign; ("fm", c, then) after the integer digit, ("fd", c,
+        # then) after its dot and ("ff", c, then) in the fraction, where c
+        # compares the mantissa's digits with _FINITE (``_compare``); after
+        # "e" ("fe", top, then), after "+" ("fp", top, then) and in a positive
+        # exponent ("fx", e, top, then): the exponent e so far, at most top.
+        # A negative exponent's digits run from ("ndot", "float", then).
+        # "fm", "ff", "fx" may end.
+        if tag == "f0" or tag == "f-":
+            if ch == "-" and tag == "f0":
+                return ("f-", state[1])
+            return ("fm", _compare(0, ch), state[1]) if ch in _DIGITS else None
+        if tag == "fm" or tag == "ff":
+            _, c, then = state
+            if ch in _DIGITS:
+                if tag == "fm":  # a second integer digit, none after a 0
+                    return ("ni", "float", then) if c != _BELOW else None
+                after = _compare(c, ch)
+                return state if after == c else ("ff", after, then)
+            if ch == "." and tag == "fm":
+                return ("fd", c, then)
+            if ch == "e" or ch == "E":
+                return ("fe", 307 if c == _NOT_BELOW else 308, then)
+            return self.transition(then, ch)
+        if tag == "fd":
+            return ("ff", _compare(state[1], ch), state[2]) if ch in _DIGITS else None
+        if tag == "fe" or tag == "fp" or tag == "fx":
+            top, then = state[-2:]
+            if ch in _DIGITS:
+                e = (state[1] * 10 if tag == "fx" else 0) + int(ch)
+                return ("fx", e, top, then) if e <= top else None
+            if tag == "fx":
+                return self.transition(then, ch)
+            if tag == "fp":
+                return None
+            return ("fp", top, then) if ch == "+" else ("ndot", "float", then) if ch == "-" else None
 
         return None
 
@@ -486,6 +570,31 @@ class SubTaskAutomaton(_Automaton):
 
 def compile_subtask_schema(tool_names) -> SubTaskAutomaton:
     return SubTaskAutomaton(tool_names)
+
+
+# Steps value states alone, which reach no name piece.
+_VALUES = _Automaton((), None)
+# The closing brace of the argument record a value sits in: a number ends
+# only on a character it does not take.
+_VALUE_END = ("lit", "}", 0, _ACCEPT)
+
+
+def literal_fits(literal, base: ValueType) -> bool:
+    """Whether ``literal`` is a value of ``base``, a type without list
+    layers, in the automaton's own grammar: its canonical text, ``json.dumps``
+    as ``serialize_plan`` writes it and without NaN or infinity, walks from
+    ``_start(_value_spec(base), ...)`` to the value's end."""
+    try:
+        text = json.dumps(literal, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+    except ValueError:
+        return False
+    state = _start(_value_spec(base), _VALUE_END)
+    transition = _VALUES.transition
+    for ch in text + "}":
+        state = transition(state, ch)
+        if state is None:
+            return False
+    return state == _ACCEPT
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +876,9 @@ def enforced_repair(automaton, candidate: str) -> tuple[str, list[Edit]]:
     terminates with accepted text, although no value is capped: an insert
     closes an open string with ``"``, and a number or reference index
     offers its continuation's closer, which the priority puts ahead of a
-    digit. Idempotent.
+    digit. A float state that may not end, after a sign, a dot, an ``e``
+    or a ``+``, allows a digit toward a state that may end; a member value
+    opens a string, not an array or an object. Idempotent.
 
     Steps through the automaton's transition graph (``walk``) and its kept
     forced runs. The walk stops when the state accepts, which takes no

@@ -356,11 +356,10 @@ def _trace(pipeline: str, query: str, retrieved: list[tuple[str, float]], exampl
     )
 
 
-def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig | None = None) -> PipelineTrace:
+def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig) -> PipelineTrace:
     """Retrieve, decompose under the sub-task schema, recompose under the plan
     schema restricted to the retrieved tools, then type-graph repair.
     Exactly two model calls."""
-    config = config or PipelineConfig.default()
     retrieved = _retrieve_tools(query, ctx, config)
     tool_names = [name for name, _ in retrieved]
 
@@ -381,11 +380,10 @@ def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig |
     return _trace("enchant", query, retrieved, [], stages, outcome.plan, ctx)
 
 
-def run_regains(query: str, ctx: PlannerContext, model, config: PipelineConfig | None = None) -> PipelineTrace:
+def run_regains(query: str, ctx: PlannerContext, model, config: PipelineConfig) -> PipelineTrace:
     """One retrieval-augmented, insight-guided prompt, exactly one model call;
     output projected onto the plan schema when it strays, then type-graph
     repaired."""
-    config = config or PipelineConfig.default()
     prompt, retrieved, example_ids = assemble_rap_prompt(query, ctx, config)
 
     result = model.complete(_request(prompt, config))

@@ -14,7 +14,10 @@ deep fits only if g's type less d list layers is A's return type.
 
 ``validate_plan`` gives every finding on a plan: ``validate_refs``'s names
 and references, literal types, required arguments, and ``check_ref``'s
-verdict on each argument left clean.
+verdict on each argument left clean. A literal's type is the schema
+automaton's: this module keeps only the list layers, and each literal under
+them fits when ``enforcer.literal_fits`` walks its canonical text through the
+automaton's value states, so the validator and the decoder read one grammar.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 
+from .enforcer import literal_fits
 from .plan import Plan, PrevRef, RefDiagnostic, iter_prev_refs, leaves, validate_refs
 from .registry import Registry, ValueType
 
@@ -190,32 +194,20 @@ def repair_plan(graph: TypeGraph, plan: Plan) -> tuple[Plan, list[Repair]]:
     return plan if calls is None else Plan(calls=tuple(calls)), repairs
 
 
-# The literals a scalar type takes. A bool is an int to Python but not to the
-# automaton, and a float takes an int, as the automaton's float grammar does.
-_LITERALS = {"string": str, "integer": int, "float": (int, float), "boolean": bool}
-
-
-def _fits(literal, base: ValueType) -> bool:
-    if base.kind == "object":
-        return isinstance(literal, dict)  # member values are not typed
-    if isinstance(literal, bool):
-        return base.primitive == "boolean"
-    return isinstance(literal, _LITERALS[base.primitive])
-
-
 def _wrong_type(value, declared: ValueType) -> str | None:
     """Why a literal in ``value`` does not fit ``declared``, if one does not.
 
     A literal nested d arrays deep must fit ``declared`` less d list layers,
-    which must leave a scalar type; an empty array needs a list layer left.
-    References are ``check_ref``'s to judge."""
+    which must leave no list layer, in the automaton's value grammar
+    (``literal_fits``); an empty array needs a list layer left. References
+    are ``check_ref``'s to judge."""
     layers, base = 0, declared
     while base.is_list:
         layers, base = layers + 1, base.element
     for leaf, depth in leaves(value):
         if isinstance(leaf, PrevRef):
             continue
-        misfit = depth >= layers if isinstance(leaf, tuple) else (depth != layers or not _fits(leaf, base))
+        misfit = depth >= layers if isinstance(leaf, tuple) else (depth != layers or not literal_fits(leaf, base))
         if misfit:
             where = f" at array depth {depth}" if depth else ""
             return f"{json.dumps(leaf)}{where} does not fit {declared.render()}"

@@ -493,6 +493,28 @@ def test_repair_closes_unterminated_string_value(automaton):
     assert parse_plan(out).plan.calls[0].argument("type") == "abc"
 
 
+@pytest.mark.parametrize("text, accepted", [
+    ("1e-07", True),
+    ("1.5e+300", True),
+    ("5e-324", True),
+    ("-0.0", True),
+    ("1e+308", True),
+    ("1.7976931348623157e+308", True),  # the largest finite double
+    ("1.7976931348623159e308", False),  # reads as infinity
+    ("2e308", False),
+    ("1e999", False),
+    ("01.5", False),  # a leading zero
+])
+def test_float_texts_at_the_edges(text, accepted):
+    # a float takes an exponent where the value stays finite
+    arg = ArgSpec(name="x", description="x", value_type=primitive("float"))
+    automaton = compile_schema(Registry.from_tools([ToolSpec(name="t", description="t", arguments=(arg,),
+                                                             returns=primitive("float"))]))
+    plan = f'[{{"tool_name":"t","arguments":[{{"argument_name":"x","argument_value":{text}}}]}}]'
+    assert (enforced_repair(automaton, plan) == (plan, [])) == accepted
+    assert parse_plan(plan).ok == accepted
+
+
 # Corruptions for the pinned-repair test: dropped spans, noise (including
 # non-ASCII and control characters), fabricated names and cut-offs.
 _PIN_NOISE = '[]{}",:$ aZ_09\\\té'
@@ -542,7 +564,7 @@ def test_repair_output_is_pinned(fixture_registry, golden_examples):
             out, edits = enforced_repair(automaton, _corrupt(rng, base))
             record = [out, [[e.kind, e.position, e.text] for e in edits]]
             digest.update(json.dumps(record).encode("utf-8"))
-    assert digest.hexdigest() == "5904e4aad7cf4925233b9cdb82a7141c169d2a210c574c7e1ad0ff433a3b8c95"
+    assert digest.hexdigest() == "d162ed728d5f80762875f24fe20d2cc96c0ab4cb7ae1741f239d722b2c5fbfb5"
 
 
 @pytest.mark.parametrize("nodes", [1, 3])
@@ -693,7 +715,7 @@ def test_allowed_sets_are_pinned(fixture_registry):
     registries = [fixture_registry] + [random_registry(random.Random(seed), max_tools=8) for seed in range(12)]
     digest, states = _pinned_walk_digest(registries, rng)
     assert states > 20_000
-    assert digest == "b48c0a7bc045667aef29e4e2ffb718486d8eacb65d1338005d4bedaad15df2f4"
+    assert digest == "bb4772ae49b565e717835c62609862b0f3db2fa680dbc2b7f41325b81e95cf5e"
 
 
 # Argument types the default pool of ``random_registry`` lacks: numbers and
@@ -713,7 +735,7 @@ def test_allowed_sets_are_pinned_inside_arrays():
     registries = [random_registry(random.Random(seed), max_tools=8, type_pool=_ARRAY_TYPES) for seed in range(12)]
     digest, states = _pinned_walk_digest(registries, rng)
     assert states > 20_000
-    assert digest == "f5c26183d49b0c243dccd0ffdc045367da022c47975a0fccc7e7a704c4380093"
+    assert digest == "fd6cd6ab2fe11e627d5756e6b2d4c4b4454a789d326a1bdc1036a9bfaf5f84b0"
 
 
 def _scan(automaton, state) -> frozenset[str]:

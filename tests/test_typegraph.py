@@ -1,10 +1,23 @@
+import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chainplan.plan import Plan, PrevRef, ToolCall, iter_prev_refs, parse_plan, validate_refs
-from chainplan.registry import ArgSpec, Registry, ToolSpec, list_of, parse_type, primitive
+from chainplan.enforcer import compile_schema, enforced_repair
+from chainplan.plan import Plan, PrevRef, ToolCall, iter_prev_refs, parse_plan, serialize_plan, validate_refs
+from chainplan.registry import (
+    MAX_LIST_DEPTH,
+    PRIMITIVES,
+    ArgSpec,
+    Registry,
+    ToolSpec,
+    list_of,
+    object_type,
+    parse_type,
+    primitive,
+)
 from chainplan.typegraph import CheckResult, Repair, TypeEdge, build_graph, check_ref, repair_plan, validate_plan
 
 from conftest import random_plan, random_registry
@@ -379,10 +392,16 @@ def test_missing_required_follows_the_written_arguments(fixture_registry):
     ("integer", (), "[] does not fit integer"),
     ("float", 10, None),
     ("float", 2.5, None),
+    ("float", 1e-07, None),
     ("float", False, "false does not fit float"),
+    ("float", math.inf, "Infinity does not fit float"),
+    ("float", math.nan, "NaN does not fit float"),
     ("boolean", True, None),
     ("boolean", 1, "1 does not fit boolean"),
     ("object:WorkItem", {"k": [1, 2]}, None),
+    ("object:WorkItem", {"k": {"a": 1}}, None),
+    # member values nest at most MAX_LIST_DEPTH levels below their object
+    ("object:WorkItem", {"k": [[[1]]]}, '{"k": [[[1]]]} does not fit object:WorkItem'),
     ("object:WorkItem", "x", '"x" does not fit object:WorkItem'),
     ("object:WorkItem", (), "[] does not fit object:WorkItem"),
     ("string", None, "null does not fit string"),
@@ -408,6 +427,100 @@ def test_wrong_type_rules(declared, value, message):
     plan = Plan(calls=(ToolCall("t"), ToolCall("t", (("a", value),))))
     typed = [diag.message for diag in validate_plan(plan, registry) if diag.kind == "wrong_type"]
     assert typed == ([] if message is None else [message])
+
+
+# Every declarable type: each base type under 0 to MAX_LIST_DEPTH list layers.
+_BASE_TYPES = tuple(primitive(kind) for kind in PRIMITIVES) + (object_type("Foo"),)
+
+
+def _with_layers(vt, layers: int):
+    for _ in range(layers):
+        vt = list_of(vt)
+    return vt
+
+
+_ALL_TYPES = tuple(_with_layers(base, layers) for base in _BASE_TYPES for layers in range(MAX_LIST_DEPTH + 1))
+
+
+def _one_argument(declared):
+    arg = ArgSpec(name="a", description="a", value_type=declared, required=True)
+    return Registry.from_tools([ToolSpec(name="t", description="t", arguments=(arg,), returns=primitive("string"))])
+
+
+def _accepts(automaton, text: str) -> bool:
+    node, i = automaton.walk(automaton.node(automaton.initial_state), text)
+    return i == len(text) and automaton.accepting(node[None])
+
+
+# A string outside an object that starts with $$PREV is a reference, or a
+# malformed one; either is not a literal.
+_STRINGS = st.text() | st.sampled_from(['"\\/\b\f\n\r\t', "\x00\x1f\x7f", "é中\U0001f4a5", "$$PREV[0"])
+_PLAIN_STRINGS = _STRINGS.filter(lambda text: not text.startswith("$$PREV"))
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -0.0, 2.2250738585072014e-308, 1e-07, 1e16, 1.5e300, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
+def _member_values(depth: int):
+    """Member values whose arrays and objects nest at most ``depth`` levels."""
+    values = st.none() | st.booleans() | st.integers() | _FINITE_FLOATS | _STRINGS
+    if depth:
+        inner = _member_values(depth - 1)
+        values |= st.lists(inner, max_size=3) | st.dictionaries(_STRINGS, inner, max_size=3)
+    return values
+
+
+_SCALAR_VALUES = {
+    "string": _PLAIN_STRINGS,
+    "integer": st.integers(),
+    "float": _FINITE_FLOATS | st.integers(),
+    "boolean": st.booleans(),
+}
+
+
+def _typed_values(declared):
+    """Values of ``declared``, arrays as tuples, as a parsed plan holds them."""
+    if declared.is_list:
+        return st.lists(_typed_values(declared.element), max_size=3).map(tuple)
+    if declared.kind == "object":
+        return st.dictionaries(_STRINGS, _member_values(MAX_LIST_DEPTH), max_size=3)
+    return _SCALAR_VALUES[declared.primitive]
+
+
+# Any JSON value, NaN and infinities included, arrays as tuples.
+_ANY_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _PLAIN_STRINGS,
+    lambda inner: st.lists(inner, max_size=3).map(tuple) | st.dictionaries(_STRINGS, _member_values(1), max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize("declared", _ALL_TYPES, ids=lambda vt: vt.render())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_wrong_type_is_the_automaton_refusing_the_canonical_text(declared, data):
+    # validate_plan and the automaton read one literal grammar: for random
+    # and type-directed values alike, no wrong_type exactly when the plan
+    # automaton accepts the value's serialized text
+    value = data.draw(_ANY_VALUES | _typed_values(declared))
+    registry = _one_argument(declared)
+    plan = Plan(calls=(ToolCall("t", (("a", value),)),))
+    typed = [diag for diag in validate_plan(plan, registry) if diag.kind == "wrong_type"]
+    assert (not typed) == _accepts(compile_schema(registry), serialize_plan(plan)), (typed, serialize_plan(plan))
+
+
+@pytest.mark.parametrize("declared", _ALL_TYPES, ids=lambda vt: vt.render())
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_value_of_its_type_passes_enforcement_unchanged(declared, data):
+    # the automaton takes every value serialize_plan writes for a type:
+    # escaped and non-ASCII strings, any int, finite floats with exponents,
+    # objects with members nested up to the bound
+    plan = Plan(calls=(ToolCall("t", (("a", data.draw(_typed_values(declared))),)),))
+    registry = _one_argument(declared)
+    assert validate_plan(plan, registry) == []
+    text = serialize_plan(plan)
+    assert enforced_repair(compile_schema(registry), text) == (text, [])
 
 
 def test_wrong_type_leaves_no_wiring_finding():
