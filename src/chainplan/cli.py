@@ -29,7 +29,8 @@ from .pipelines import (
     run_regains,
 )
 from .plan import Plan, RefDiagnostic, parse_plan, plan_to_data, serialize_plan
-from .registry import RegistryError, decode_text, fixture_tools_path, load_registry, read_text, validate_registry
+from .registry import (RegistryError, decode_text, fixture_tools_path, line_error, load_registry,
+                       read_json_lines, read_text, validate_registry)
 from .retrieval import HashEmbeddingProvider, RetrievalError
 from .typegraph import build_graph, repair_plan, validate_plan
 
@@ -258,15 +259,10 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
     traces = None
     if predictions:
         predicted_texts = []
-        for line_no, line in enumerate(read_text(predictions, click.ClickException).splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                _fail(f"predictions line {line_no}: {exc}")
+        for line_no, record in read_json_lines(predictions, click.ClickException):
             if not isinstance(record, dict) or not isinstance(record.get("predicted"), str):
-                _fail(f'predictions line {line_no}: need an object with a string "predicted"')
+                raise line_error(click.ClickException, predictions, line_no,
+                                 'need an object with a string "predicted"')
             predicted_texts.append(record["predicted"])
         if len(predicted_texts) != len(examples):
             _fail(f"{len(examples)} dataset records but {len(predicted_texts)} predictions")

@@ -8,14 +8,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .plan import Plan, load_json, plan_from_data, serialize_plan
-from .registry import read_text
+from .plan import Plan, plan_from_data, serialize_plan
+from .registry import line_error, read_json_lines
 
 
 class DatasetError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(f"line {line}: {message}" if line is not None else message)
-        self.line = line
+    """A golden dataset that cannot be loaded. ``line`` is the number of
+    the refused line, or None when the file as a whole is refused."""
+
+    line: int | None = None
 
 
 @dataclass(frozen=True)
@@ -31,23 +32,20 @@ class GoldenExample:
 
 def load_golden_dataset(source: str | Path) -> list[GoldenExample]:
     """Load JSON lines of {"query": str, "gold": <plan wire format>}. A file
-    that is not UTF-8 is refused with its path and the offending byte."""
-    text = read_text(source, DatasetError)
+    that is not UTF-8 is refused with its path and the offending byte; a
+    line that is not strict JSON, or not such a record, with one error line
+    starting ``<path> line <n>:`` (``registry.read_json_lines``)."""
     examples: list[GoldenExample] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = load_json(line)
-        except ValueError as exc:
-            raise DatasetError(f"invalid JSON: {exc}", line=line_no) from exc
+    for line_no, record in read_json_lines(source, DatasetError):
         if not isinstance(record, dict) or "query" not in record or "gold" not in record:
-            raise DatasetError("record needs query and gold fields", line=line_no)
+            raise line_error(DatasetError, source, line_no, "record needs query and gold fields")
         if not isinstance(record["query"], str) or not record["query"]:
-            raise DatasetError(f"query must be a non-empty string, not {record['query']!r}", line=line_no)
+            raise line_error(DatasetError, source, line_no,
+                             f"query must be a non-empty string, not {record['query']!r}")
         outcome = plan_from_data(record["gold"])
         if not outcome.ok:
-            raise DatasetError(f"gold plan does not match the wire format: {outcome.detail}", line=line_no)
+            raise line_error(DatasetError, source, line_no,
+                             f"gold plan does not match the wire format: {outcome.detail}")
         examples.append(GoldenExample(id=f"ex{line_no:03d}", query=record["query"], gold=outcome.plan))
     return examples
 

@@ -106,11 +106,11 @@ and ``validate_plan`` reads its verdict.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from functools import lru_cache, partial
 from typing import NamedTuple
 
+from .plan import CANONICAL_JSON
 from .registry import IDENTIFIER_PATTERN, MAX_LIST_DEPTH, Registry, ValueType
 
 _PRINTABLE = "".join(chr(c) for c in range(0x20, 0x7F))
@@ -581,11 +581,11 @@ _VALUE_END = ("lit", "}", 0, _ACCEPT)
 
 def literal_fits(literal, base: ValueType) -> bool:
     """Whether ``literal`` is a value of ``base``, a type without list
-    layers, in the automaton's own grammar: its canonical text, ``json.dumps``
-    as ``serialize_plan`` writes it and without NaN or infinity, walks from
+    layers, in the automaton's own grammar: its canonical text, as
+    ``serialize_plan`` writes it (``CANONICAL_JSON``), walks from
     ``_start(_value_spec(base), ...)`` to the value's end."""
     try:
-        text = json.dumps(literal, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+        text = CANONICAL_JSON.encode(literal)
     except ValueError:
         return False
     state = _start(_value_spec(base), _VALUE_END)

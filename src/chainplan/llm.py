@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .enforcer import DecoderSession, enforced_repair, vocabulary_index
-from .registry import read_text, sha256
+from .registry import line_error, read_json_lines, sha256
 
 
 class CompletionError(RuntimeError):
@@ -280,24 +280,22 @@ def constrained_complete(model, request: CompletionRequest, session: DecoderSess
 
 def load_replay(path: str | Path) -> ScriptedModel:
     """Replay file: JSON lines of {"fingerprint": ..., "response": ...}. A
-    file that is not UTF-8 is refused with its path and the offending byte,
-    and so is one that gives a fingerprint two different responses; a
+    file that is not UTF-8 is refused with its path and the offending byte;
+    a line that is not strict JSON, or not such a record, or that gives a
+    fingerprint a response other than an earlier line's, with one error
+    line starting ``<path> line <n>:`` (``registry.read_json_lines``). A
     repeated line is accepted."""
     entries: dict[str, tuple[str, int]] = {}  # fingerprint -> (response, first line)
-    for line_no, line in enumerate(read_text(path, CompletionError).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            entry = (record["fingerprint"], record["response"])
-            if not all(isinstance(part, str) for part in entry):
-                raise TypeError("fingerprint and response must be strings")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise CompletionError(f"bad replay line {line_no}: {exc}") from exc
-        response, first = entries.setdefault(entry[0], (entry[1], line_no))
-        if response != entry[1]:
-            raise CompletionError(f"replay lines {first} and {line_no} give fingerprint {entry[0]!r} "
-                                  "different responses")
+    for line_no, record in read_json_lines(path, CompletionError):
+        if not isinstance(record, dict) or not {"fingerprint", "response"} <= record.keys():
+            raise line_error(CompletionError, path, line_no, "record needs fingerprint and response fields")
+        fingerprint, response = record["fingerprint"], record["response"]
+        if not isinstance(fingerprint, str) or not isinstance(response, str):
+            raise line_error(CompletionError, path, line_no, "fingerprint and response must be strings")
+        first_response, first = entries.setdefault(fingerprint, (response, line_no))
+        if response != first_response:
+            raise line_error(CompletionError, path, line_no,
+                             f"fingerprint {fingerprint!r} has a different response on line {first}")
     return ScriptedModel({fp: response for fp, (response, _) in entries.items()})
 
 

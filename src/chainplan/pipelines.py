@@ -26,7 +26,7 @@ from pathlib import Path
 from .datasets import GoldenExample
 from .enforcer import DecoderSession, compile_schema, compile_subtask_schema, enforced_repair
 from .llm import CompletionRequest, constrained_complete
-from .plan import Plan, parse_plan, plan_to_data, serialize_plan, validate_refs
+from .plan import CANONICAL_JSON, Plan, parse_plan, plan_to_data, serialize_plan, validate_refs
 from .registry import Registry, read_text
 from .retrieval import Corpus, index_corpus, retrieve_top_k, tool_embedding_text
 from .typegraph import TypeGraph, build_graph, repair_plan
@@ -66,7 +66,7 @@ class SubTask:
 
 def serialize_subtasks(subtasks: list[SubTask]) -> str:
     doc = [{"id": st.index, "thought": st.thought, "tool_name": st.tool_name} for st in subtasks]
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
+    return CANONICAL_JSON.encode(doc)
 
 
 def parse_subtasks(text: str) -> list[SubTask]:
@@ -257,13 +257,6 @@ class PipelineTrace:
         return json.dumps(doc, indent=2)
 
 
-def _retrieve_tools(query: str | list[float], ctx: PlannerContext,
-                    config: PipelineConfig) -> list[tuple[str, float]]:
-    if not ctx.tool_corpus.items:
-        raise PipelineError("tool corpus is empty; nothing to retrieve")
-    return retrieve_top_k(query, ctx.tool_corpus, ctx.provider, config.k)
-
-
 def _automaton(ctx: PlannerContext, kind: str, names):
     """The ``"plan"`` or ``"subtask"`` automaton over the tools ``names``,
     compiled once per context and tool set: both automata sort their names,
@@ -306,7 +299,7 @@ def assemble_rap_prompt(query: str, ctx: PlannerContext, config: PipelineConfig
     """(prompt, retrieved tools, retrieved example ids); pure, model-free.
     The query is embedded once, for both corpora."""
     query_vec = ctx.provider.embed(query)
-    retrieved = _retrieve_tools(query_vec, ctx, config)
+    retrieved = retrieve_top_k(query_vec, ctx.tool_corpus, ctx.provider, config.k)
     tool_names = [name for name, _ in retrieved]
     example_ids: list[str] = []
     if ctx.example_corpus is not None and ctx.example_corpus.items and config.example_count > 0:
@@ -360,7 +353,7 @@ def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig) 
     """Retrieve, decompose under the sub-task schema, recompose under the plan
     schema restricted to the retrieved tools, then type-graph repair.
     Exactly two model calls."""
-    retrieved = _retrieve_tools(query, ctx, config)
+    retrieved = retrieve_top_k(query, ctx.tool_corpus, ctx.provider, config.k)
     tool_names = [name for name, _ in retrieved]
 
     decompose_prompt = assemble_decompose_prompt(query, tool_names, ctx.registry, config)

@@ -20,12 +20,11 @@ value with its references mapped).
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .registry import Registry
+from .registry import Registry, load_json
 
 # A canonical index, as the schema automaton spells it: no leading zero.
 PREV_REF_PATTERN = re.compile(r"\$\$PREV\[(0|[1-9][0-9]*)\]")
@@ -154,27 +153,6 @@ def plan_from_data(data: Any) -> ParseOutcome:
         return ParseOutcome("schema_violation", path=exc.path, detail=exc.detail)
 
 
-def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is out of a float's range")
-    return value
-
-
-_STRICT_DECODER = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float)
-
-
-def load_json(text: str) -> Any:
-    """``json.loads`` that refuses numbers strict JSON does not have:
-    ``NaN``, ``Infinity`` and ``-Infinity``, and a float out of range such
-    as ``1e999``, which Python would read as infinite. Raises ValueError."""
-    return _STRICT_DECODER.decode(text)
-
-
 def parse_plan(text: str) -> ParseOutcome:
     """Parse plan wire-format text; a non-finite number is invalid JSON.
     Forward/self references still parse; they are validated separately so
@@ -218,15 +196,22 @@ def plan_to_data(plan: Plan) -> list:
     ]
 
 
+# The canonical JSON text of a plan, a sub-task list or a literal: no
+# insignificant whitespace, ASCII only, and no NaN or infinity, which
+# strict JSON does not have (``encode`` raises ValueError on them).
+CANONICAL_JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+
+
 def serialize_plan(plan: Plan) -> str:
-    """Canonical single-line form: no insignificant whitespace, key order
-    tool_name then arguments, arguments in stored order, ASCII only.
+    """Canonical single-line form (``CANONICAL_JSON``): key order tool_name
+    then arguments, arguments in stored order. A hand-built plan holding a
+    NaN or an infinity raises ValueError, as strict JSON has neither.
 
     Note: a hand-built string argument that happens to match the
     ``$$PREV[i]`` pattern is indistinguishable from a reference on the wire
     and re-parses as one; parsing never produces such strings.
     """
-    return json.dumps(plan_to_data(plan), separators=(",", ":"), ensure_ascii=True)
+    return CANONICAL_JSON.encode(plan_to_data(plan))
 
 
 def iter_prev_refs(value: ArgValue) -> Iterator[PrevRef]:

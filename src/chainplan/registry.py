@@ -12,15 +12,23 @@ registry that nothing asks for its version never writes the document:
 suffixes it. ``load_registry`` parses each distinct type text once per call,
 so equal types in one load share one immutable ``ValueType``. A tool's
 ``prompt_block`` is likewise rendered on first read and kept with its spec.
+
+The readers of input files live here too, so that each outside input is
+checked once, where it enters: ``read_text`` refuses a file that is not
+UTF-8, ``load_json`` refuses NaN, infinities and overflowing floats, and
+``read_json_lines`` reads a JSON-lines file (a golden dataset, a replay or
+predictions) through both, naming the path and line of each refusal.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Any, Iterator
 
 # SHA-256 from the interpreter's built-in module, as CPython's random takes
 # sha512: hashlib would load OpenSSL's libcrypto, over 3 MB resident.
@@ -321,6 +329,52 @@ def read_text(path: str | Path, error: type[Exception]) -> str:
     """The text of the file at ``path``. A file that is not UTF-8 raises
     ``error`` with one line naming the path and the offending byte."""
     return decode_text(Path(path).read_bytes(), path, error)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is out of a float's range")
+    return value
+
+
+_STRICT_DECODER = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float)
+
+
+def load_json(text: str) -> Any:
+    """``json.loads`` that refuses numbers strict JSON does not have:
+    ``NaN``, ``Infinity`` and ``-Infinity``, and a float out of range such
+    as ``1e999``, which Python would read as infinite. Raises ValueError."""
+    return _STRICT_DECODER.decode(text)
+
+
+def line_error(error: type[Exception], path: str | Path, line: int, message: str) -> Exception:
+    """``error`` with one line, ``<path> line <line>: <message>``, that
+    refuses a line of a JSON-lines file; the line number is kept as its
+    ``line``."""
+    exc = error(f"{path} line {line}: {message}")
+    exc.line = line
+    return exc
+
+
+def read_json_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, Any]]:
+    """``(line number, value)`` for each non-blank line of the file at
+    ``path``, read by :func:`load_json`. A file that is not UTF-8 raises
+    ``error`` as :func:`read_text` does, and a line that is not strict JSON
+    raises it through :func:`line_error`, with the column for a syntax
+    error."""
+    for number, line in enumerate(read_text(path, error).splitlines(), start=1):
+        if line.strip():
+            try:
+                value = load_json(line)
+            except ValueError as exc:
+                detail = f"{exc.msg} at column {exc.colno}" if isinstance(exc, json.JSONDecodeError) else exc
+                raise line_error(error, path, number, f"invalid JSON: {detail}") from exc
+            yield number, value
 
 
 def load_registry(source: str | Path) -> Registry:

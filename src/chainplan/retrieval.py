@@ -6,12 +6,17 @@ and a client for any OpenAI-compatible embeddings endpoint. Corpora are
 built in memory, immutable after indexing, and carry the provider id so a
 query embedded by another provider is refused.
 
+Every vector is checked once, where it enters: a corpus checks each item's
+vector and keeps its norm when it is built, and a query is checked as it
+arrives, by the same function, so no corpus holds a vector that a query
+would refuse.
+
 A query, a text or the vector a provider embedded it as, is scored in two
-passes. A corpus derives, on first use, its items' norms and a packed form
-of its unit vectors: one Python int per dimension whose 32-bit field i holds
-item i's component rounded to ``_Q`` fractional bits. The query's
-components, rounded the same way, are integer weights; the dimensions that
-share a non-zero weight have their ints summed and multiplied by it once,
+passes. A corpus derives, on first use, a packed form of its unit
+vectors: one Python int per dimension whose 32-bit field i holds item i's
+component rounded to ``_Q`` fractional bits. The query's components,
+rounded the same way, are integer weights; the dimensions that share a
+non-zero weight have their ints summed and multiplied by it once,
 which pre-scores every item at once. Counting the fields' top bytes from
 the highest down narrows the k-th best pre-score to a handful of fields,
 and the items whose pre-score lies within twice the pre-score's error bound
@@ -34,7 +39,7 @@ import operator
 import os
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .llm import post_json, resolve_endpoint
@@ -54,20 +59,27 @@ def _norm(vector) -> float:
         return math.inf
 
 
+def _checked_norm(vector, dimension: int, where: str) -> float:
+    """``_norm(vector)``, the one check of a vector that enters retrieval:
+    one that is not of ``dimension``, is zero, holds a NaN or an infinity,
+    or whose norm overflows raises one error, prefixed by ``where``."""
+    if len(vector) != dimension:
+        raise RetrievalError(f"{where}: vector has dimension {len(vector)}, expected {dimension}")
+    norm = _norm(vector)
+    if norm == 0.0:
+        raise RetrievalError(f"{where}: cosine of a zero vector is undefined")
+    if not math.isfinite(norm):
+        raise RetrievalError(f"{where}: non-finite vector value" if not all(map(math.isfinite, vector))
+                             else f"{where}: vector norm overflows")
+    return norm
+
+
 def cosine(a: list[float], b: list[float]) -> float:
     """dot(a, b) / (|a| * |b|); errors on dimension mismatch, zero vectors,
     non-finite values and norms that overflow. Sums with ``math.fsum``, so a
     score is the same on every interpreter."""
-    if len(a) != len(b):
-        raise RetrievalError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    norm_a = _norm(a)
-    norm_b = _norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise RetrievalError("cosine of a zero vector is undefined")
-    for vector, norm in ((a, norm_a), (b, norm_b)):
-        if not math.isfinite(norm):
-            raise RetrievalError("non-finite vector value" if not all(map(math.isfinite, vector))
-                                 else "vector norm overflows")
+    norm_a = _checked_norm(a, len(b), "a")
+    norm_b = _checked_norm(b, len(b), "b")
     # Both sums of squares are finite, so no product a[i] * b[i] overflows.
     return math.fsum(map(operator.mul, a, b)) / (norm_a * norm_b)
 
@@ -90,7 +102,6 @@ class HashEmbeddingProvider:
         self.seed = seed
         self.provider_id = f"hash-trigram-{dimension}-{seed}"
         self._trigram_codes: dict[str, int] = {}
-        self._sha256 = sha256
 
     def embed(self, text: str) -> list[float]:
         if not text:
@@ -102,7 +113,7 @@ class HashEmbeddingProvider:
             gram = padded[i : i + 3]
             code = codes.get(gram)
             if code is None:
-                digest = self._sha256(f"{self.seed}:{gram}".encode("utf-8")).digest()
+                digest = sha256(f"{self.seed}:{gram}".encode("utf-8")).digest()
                 bucket = int.from_bytes(digest[:4], "big") % self.dimension
                 code = codes[gram] = (bucket << 1) | (digest[4] & 1)
             counts[code >> 1] += 1 if code & 1 else -1
@@ -166,35 +177,24 @@ class CorpusItem:
 
 @dataclass(frozen=True)
 class Corpus:
+    """Items embedded by one provider. Every item's vector is checked when
+    the corpus is built, as :func:`retrieve_top_k` checks a query: a
+    wrong-length, zero or non-finite vector, or one whose norm overflows,
+    raises naming the item's index and id. ``norms`` holds each item's L2
+    norm, in item order, summed as :func:`cosine` sums it."""
+
     items: tuple[CorpusItem, ...]
     provider_id: str
     dimension: int
+    norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        norms = tuple(_checked_norm(item.vector, self.dimension, f"item {index} ({item.id!r})")
+                      for index, item in enumerate(self.items))
+        object.__setattr__(self, "norms", norms)
 
     def __len__(self) -> int:
         return len(self.items)
-
-    @cached_property
-    def norms(self) -> tuple[float, ...]:
-        """Each item's L2 norm, in item order, summed as :func:`cosine` sums
-        it. Derived on first use; a zero, wrong-length or non-finite item
-        vector, or one whose norm overflows, raises here, once per corpus
-        (a corpus built directly is not checked before)."""
-        norms = []
-        for index, item in enumerate(self.items):
-            if len(item.vector) != self.dimension:
-                raise RetrievalError(
-                    f"dimension mismatch: item {index} ({item.id!r}) has {len(item.vector)}, "
-                    f"corpus has {self.dimension}"
-                )
-            norm = _norm(item.vector)
-            if norm == 0.0:
-                raise RetrievalError(f"cosine of a zero vector is undefined: item {index} ({item.id!r})")
-            if not math.isfinite(norm):
-                problem = ("non-finite vector value" if not all(map(math.isfinite, item.vector))
-                           else "vector norm overflows")
-                raise RetrievalError(f"item {index} ({item.id!r}): {problem}")
-            norms.append(norm)
-        return tuple(norms)
 
     @cached_property
     def _prescore(self) -> _PreScore:
@@ -379,11 +379,10 @@ def _candidates(corpus: Corpus, query_vec: list[float], query_norm: float, k: in
 
 def index_corpus(provider, items: list[tuple[str, str]]) -> Corpus:
     """One vector per (id, text) item, order preserved. Every item needs a
-    new id and a vector of the corpus dimension with finite values; errors
-    name the item's index and id."""
+    new id, and :class:`Corpus` checks each vector; errors name the item's
+    index and id."""
     seen: set[str] = set()
     indexed: list[CorpusItem] = []
-    dimension = getattr(provider, "dimension", None)
     for index, (item_id, text) in enumerate(items):
         try:
             vector = provider.embed(text)
@@ -391,19 +390,14 @@ def index_corpus(provider, items: list[tuple[str, str]]) -> Corpus:
             raise
         except Exception as exc:
             raise RetrievalError(f"provider failed on item {item_id!r}: {exc}") from exc
-        if dimension is None:
-            dimension = len(vector)
         if item_id in seen:
             raise RetrievalError(f"item {index}: duplicate corpus id {item_id!r}")
         seen.add(item_id)
-        if len(vector) != dimension:
-            raise RetrievalError(
-                f"item {index} ({item_id!r}): vector has dimension {len(vector)}, expected {dimension}"
-            )
-        if not all(map(math.isfinite, vector)):
-            raise RetrievalError(f"item {index} ({item_id!r}): non-finite vector value")
         indexed.append(CorpusItem(id=item_id, vector=tuple(vector)))
-    return Corpus(items=tuple(indexed), provider_id=provider.provider_id, dimension=dimension or 0)
+    dimension = getattr(provider, "dimension", None)
+    if dimension is None:
+        dimension = len(indexed[0].vector) if indexed else 0
+    return Corpus(items=tuple(indexed), provider_id=provider.provider_id, dimension=dimension)
 
 
 def retrieve_top_k(query: str | list[float], corpus: Corpus, provider, k: int) -> list[tuple[str, float]]:
@@ -424,14 +418,7 @@ def retrieve_top_k(query: str | list[float], corpus: Corpus, provider, k: int) -
             f"corpus indexed with provider {corpus.provider_id!r}, queried with {provider.provider_id!r}"
         )
     query_vec = provider.embed(query) if isinstance(query, str) else query
-    if len(query_vec) != corpus.dimension:
-        raise RetrievalError(f"dimension mismatch: {len(query_vec)} vs {corpus.dimension}")
-    query_norm = _norm(query_vec)
-    if query_norm == 0.0:
-        raise RetrievalError("cosine of a zero vector is undefined")
-    if not math.isfinite(query_norm):
-        raise RetrievalError("query vector has a NaN or infinite value" if not all(map(math.isfinite, query_vec))
-                             else "query vector norm overflows")
+    query_norm = _checked_norm(query_vec, corpus.dimension, "query")
     # The same products, summed and divided the same way as
     # cosine(query_vec, item.vector), so every score equals it exactly.
     items, norms = corpus.items, corpus.norms

@@ -130,13 +130,10 @@ def subtasks_for(example: GoldenExample) -> str:
 def enchant_replay_entries(example: GoldenExample, ctx, config,
                            recompose_text: str | None = None) -> list[tuple[str, str]]:
     from chainplan.llm import fingerprint
-    from chainplan.pipelines import (
-        assemble_decompose_prompt,
-        assemble_recompose_prompt,
-        _retrieve_tools,
-    )
+    from chainplan.pipelines import assemble_decompose_prompt, assemble_recompose_prompt
+    from chainplan.retrieval import retrieve_top_k
 
-    retrieved = _retrieve_tools(example.query, ctx, config)
+    retrieved = retrieve_top_k(example.query, ctx.tool_corpus, ctx.provider, config.k)
     names = [name for name, _ in retrieved]
     subtask_text = subtasks_for(example)
     decompose_prompt = assemble_decompose_prompt(example.query, names, ctx.registry, config)

@@ -128,7 +128,8 @@ def test_malformed_replay_is_one_line_error(runner, tmp_path):
     for args in (["plan", "q", "--mock", str(replay), "--trace", str(tmp_path / "t.json")],
                  ["eval", "--dataset", str(GOLDEN_PATH), "--pipeline", "enchant", "--mock", str(replay),
                   "--trace", str(tmp_path / "t.json")]):
-        _assert_one_line_error(runner.invoke(main, args), "bad replay line 1")
+        _assert_one_line_error(runner.invoke(main, args),
+                               f"Error: {replay} line 1: record needs fingerprint and response fields\n")
 
 
 @pytest.mark.parametrize("command", ["plan", "eval", "exec"])
@@ -187,7 +188,65 @@ def test_eval_bad_predictions_line_is_one_line_error(runner, tmp_path, golden_ex
         "eval", "--dataset", str(GOLDEN_PATH), "--predictions", str(predictions),
         "--trace", str(tmp_path / "t.json"),
     ])
-    _assert_one_line_error(result, "predictions line 2", '"predicted"')
+    _assert_one_line_error(result, f'Error: {predictions} line 2: need an object with a string "predicted"\n')
+
+
+def _dataset_error(path, tmp_path):
+    from chainplan.datasets import DatasetError, load_golden_dataset
+
+    with pytest.raises(DatasetError) as err:
+        load_golden_dataset(path)
+    assert err.value.line == 2
+    return str(err.value)
+
+
+def _replay_error(path, tmp_path):
+    from chainplan.llm import CompletionError, load_replay
+
+    with pytest.raises(CompletionError) as err:
+        load_replay(path)
+    return str(err.value)
+
+
+def _predictions_error(path, tmp_path):
+    result = CliRunner().invoke(main, ["eval", "--dataset", str(GOLDEN_PATH), "--predictions", str(path),
+                                       "--trace", str(tmp_path / "t.json")])
+    assert result.exit_code == 1 and result.output.startswith("Error: ") and result.output.count("\n") == 1
+    return result.output.removeprefix("Error: ").removesuffix("\n")
+
+
+# Each JSON-lines loader, a good first line for it, and its refusal of a
+# record of the wrong shape.
+_JSON_LINES_LOADERS = {
+    "dataset": (_dataset_error, '{"query": "q", "gold": []}', "record needs query and gold fields"),
+    "replay": (_replay_error, '{"fingerprint": "f", "response": "[]"}',
+               "record needs fingerprint and response fields"),
+    "predictions": (_predictions_error, '{"predicted": "[]"}', 'need an object with a string "predicted"'),
+}
+
+
+@pytest.mark.parametrize("loader", list(_JSON_LINES_LOADERS))
+@pytest.mark.parametrize(("bad_line", "problem"), [
+    ('{"query": ', "invalid JSON: Expecting value at column 11"),
+    ('{"value": NaN}', "invalid JSON: NaN is not a JSON number"),
+    ("[1, 2]", None),
+], ids=["invalid_json", "nan", "wrong_shape"])
+def test_json_lines_loaders_name_the_path_and_line(tmp_path, loader, bad_line, problem):
+    error, good_line, wrong_shape = _JSON_LINES_LOADERS[loader]
+    path = tmp_path / "input.jsonl"
+    path.write_text(f"{good_line}\n{bad_line}\n", encoding="utf-8")
+    assert error(path, tmp_path) == f"{path} line 2: {problem or wrong_shape}"
+
+
+@pytest.mark.parametrize("pipeline", ["enchant", "regains"])
+def test_plan_with_no_tools_is_one_line_error(runner, tmp_path, pipeline):
+    tools = tmp_path / "tools.json"
+    tools.write_text("[]", encoding="utf-8")
+    replay = tmp_path / "empty.jsonl"
+    replay.write_text("", encoding="utf-8")
+    result = runner.invoke(main, ["plan", "q", "--pipeline", pipeline, "--tools", str(tools),
+                                  "--mock", str(replay), "--trace", str(tmp_path / "t.json")])
+    _assert_one_line_error(result, "Error: cannot retrieve from an empty corpus\n")
 
 
 @pytest.mark.parametrize("source", ["predictions", "pipeline"])

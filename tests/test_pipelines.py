@@ -7,7 +7,6 @@ from chainplan.llm import ScriptedModel, estimate_tokens
 from chainplan.metrics import EvalRecord, evaluate_dataset
 from chainplan.pipelines import (
     PipelineConfig,
-    PipelineError,
     PlannerContext,
     PromptError,
     assemble_rap_prompt,
@@ -15,7 +14,7 @@ from chainplan.pipelines import (
     run_enchant,
     run_regains,
 )
-from chainplan.retrieval import HashEmbeddingProvider
+from chainplan.retrieval import HashEmbeddingProvider, RetrievalError
 from chainplan.typegraph import check_ref
 from chainplan.executor import register_operator_tools
 
@@ -106,8 +105,9 @@ def test_enchant_empty_corpus_fails_before_any_call(ctx, config):
         graph=ctx.graph,
     )
     model = ScriptedModel({})
-    with pytest.raises(PipelineError):
+    with pytest.raises(RetrievalError) as err:
         run_enchant("anything", broken, model, config)
+    assert str(err.value) == "cannot retrieve from an empty corpus"
 
 
 def test_regains_single_call_no_repairs(ctx, config, golden_examples):
@@ -194,9 +194,9 @@ def test_regains_prompt_budget_seventeen_tools(fixture_registry, golden_examples
 def test_subtask_tool_names_restricted_to_retrieved(ctx, config, golden_examples):
     # sub-task decode is compiled over the retrieved tool enum
     from chainplan.enforcer import DecoderSession, compile_subtask_schema, DecodeRejection
-    from chainplan.pipelines import _retrieve_tools
+    from chainplan.retrieval import retrieve_top_k
 
-    retrieved = _retrieve_tools("summarize things", ctx, config)
+    retrieved = retrieve_top_k("summarize things", ctx.tool_corpus, ctx.provider, config.k)
     automaton = compile_subtask_schema([name for name, _ in retrieved])
     session = DecoderSession(automaton)
     with pytest.raises(DecodeRejection):
@@ -528,7 +528,7 @@ def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, gol
     monkeypatch.setattr(pipelines, "compile_subtask_schema", counting_subtask_compile)
     tool_sets = set()
     for example in golden_examples[:6] * 2:
-        names = [name for name, _ in pipelines._retrieve_tools(example.query, fresh, config)]
+        names = [name for name, _ in pipelines.retrieve_top_k(example.query, fresh.tool_corpus, fresh.provider, config.k)]
         tool_sets.add(frozenset(names))
         decompose_text = subtasks_for(example)[:-1] + ",]"  # trailing comma
         recompose_text = example.gold_text.replace('"tool_name":"', '"tool_name":"x', 1)  # unknown tool

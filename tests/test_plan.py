@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -106,6 +107,15 @@ def test_serialize_renders_reference_tag():
 def test_serialize_is_canonical_single_line():
     plan = Plan((ToolCall("who_am_i"),))
     assert serialize_plan(plan) == '[{"tool_name":"who_am_i","arguments":[]}]'
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, (1.0, math.nan), {"k": math.inf}],
+                         ids=["nan", "inf", "-inf", "nan_in_array", "inf_in_object"])
+def test_serialize_refuses_a_non_finite_value(value):
+    # strict JSON has no NaN or infinity, and parse_plan reads either as invalid JSON
+    plan = Plan((ToolCall("op_mul", (("a", value),)),))
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        serialize_plan(plan)
 
 
 def test_round_trip_random_plans():

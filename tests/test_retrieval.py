@@ -118,13 +118,18 @@ def test_index_rejects_wrong_dimension():
 
 
 @pytest.mark.parametrize(("items", "message"), [
-    ([("a", "x"), ("b", "nan")], r"item 1 \('b'\): non-finite vector value"),
-    ([("a", "x"), ("b", "z"), ("a", "x")], r"item 2: duplicate corpus id 'a'"),
-], ids=["nan", "duplicate-id"])
+    ([("a", "x"), ("b", "nan")], "item 1 ('b'): non-finite vector value"),
+    # no query could be scored against a zero or an overflowing item
+    ([("a", "x"), ("b", "zero")], "item 1 ('b'): cosine of a zero vector is undefined"),
+    ([("a", "x"), ("b", "big")], "item 1 ('b'): vector norm overflows"),
+    ([("a", "x"), ("b", "z"), ("a", "x")], "item 2: duplicate corpus id 'a'"),
+], ids=["nan", "zero", "overflow", "duplicate-id"])
 def test_index_rejects_bad_items(items, message):
-    provider = TableProvider({"x": [1.0] * 3, "z": [1.0] * 3, "nan": [1.0, float("nan"), 1.0]})
-    with pytest.raises(RetrievalError, match=message):
+    provider = TableProvider({"x": [1.0] * 3, "z": [1.0] * 3, "nan": [1.0, float("nan"), 1.0],
+                              "zero": [0.0] * 3, "big": [1e200, 1.0, 1.0]})
+    with pytest.raises(RetrievalError) as err:
         index_corpus(provider, items)
+    assert str(err.value) == message
 
 
 def test_retrieve_full_corpus_when_k_large():
@@ -521,30 +526,59 @@ def test_norms_refuse_non_finite_and_overflowing_items():
         # each square is finite, their sum is not
         ((1.3e154, 1.3e154), "vector norm overflows"),
     ]:
-        corpus = Corpus(items=(good, CorpusItem(id="b", vector=vector)), provider_id="table", dimension=2)
-        with pytest.raises(RetrievalError, match=rf"item 1 \('b'\): {problem}"):
-            corpus.norms
-    provider = TableProvider({"big": [1e200, 1.0], "q": [1.0, 1.0]})
-    corpus = index_corpus(provider, [("big", "big")])
-    with pytest.raises(RetrievalError, match=r"item 0 \('big'\): vector norm overflows"):
-        retrieve_top_k("q", corpus, provider, k=1)
+        with pytest.raises(RetrievalError) as err:
+            Corpus(items=(good, CorpusItem(id="b", vector=vector)), provider_id="table", dimension=2)
+        assert str(err.value) == f"item 1 ('b'): {problem}"
+    provider = TableProvider({"big": [1e200, 1.0]})
+    with pytest.raises(RetrievalError) as err:
+        index_corpus(provider, [("big", "big")])
+    assert str(err.value) == "item 0 ('big'): vector norm overflows"
+
+
+# Components that make a vector zero, non-finite, or overflow its norm:
+# sqrt(DBL_MAX) is about 1.34e154.
+_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1e-300]),
+    st.floats(1e154, 1e200).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(-1e6, 1e6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector=st.integers(1, 4).flatmap(lambda d: st.lists(_COMPONENTS, min_size=d, max_size=d)),
+       item_id=st.text(max_size=5))
+def test_corpus_refuses_exactly_the_vectors_cosine_refuses(vector, item_id):
+    good = CorpusItem(id="a", vector=(1.0,) * len(vector))
+    try:
+        cosine(vector, vector)
+    except RetrievalError as exc:
+        expected = f"item 1 ({item_id!r}): {str(exc).removeprefix('a: ')}"
+    else:
+        expected = None
+    try:
+        corpus = Corpus(items=(good, CorpusItem(id=item_id, vector=tuple(vector))), provider_id="t",
+                        dimension=len(vector))
+    except RetrievalError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert corpus.norms[1] == math.sqrt(math.fsum(x * x for x in vector))
 
 
 def test_retrieve_zero_vectors_and_wrong_dimension_raise():
     table = {"a": [1.0, -2.0], "zero": [0.0, 0.0], "q": [0.5, 0.5], "q3": [1.0, 1.0, 1.0]}
     provider = TableProvider(table)
-    with pytest.raises(RetrievalError, match="cosine of a zero vector is undefined"):
-        retrieve_top_k("q", index_corpus(provider, [("a", "a"), ("z", "zero")]), provider, k=1)
+    with pytest.raises(RetrievalError) as err:
+        index_corpus(provider, [("a", "a"), ("z", "zero")])
+    assert str(err.value) == "item 1 ('z'): cosine of a zero vector is undefined"
     corpus = index_corpus(provider, [("a", "a")])
-    with pytest.raises(RetrievalError, match="cosine of a zero vector is undefined"):
-        retrieve_top_k("zero", corpus, provider, k=1)
-    with pytest.raises(RetrievalError, match="dimension mismatch"):
-        retrieve_top_k("q3", corpus, provider, k=1)
     # a vector query is checked as an embedded text is
-    with pytest.raises(RetrievalError, match="cosine of a zero vector is undefined"):
-        retrieve_top_k(table["zero"], corpus, provider, k=1)
-    with pytest.raises(RetrievalError, match="dimension mismatch: 3 vs 2"):
-        retrieve_top_k(table["q3"], corpus, provider, k=1)
+    for query, message in [("zero", "query: cosine of a zero vector is undefined"),
+                           ("q3", "query: vector has dimension 3, expected 2")]:
+        for sent in (query, table[query]):
+            with pytest.raises(RetrievalError) as err:
+                retrieve_top_k(sent, corpus, provider, k=1)
+            assert str(err.value) == message
     assert retrieve_top_k("q", corpus, provider, k=1) == [("a", cosine([0.5, 0.5], [1.0, -2.0]))]
     assert retrieve_top_k(table["q"], corpus, provider, k=1) == retrieve_top_k("q", corpus, provider, k=1)
 
@@ -600,8 +634,9 @@ def test_retrieve_rejects_non_finite_query():
     provider = TableProvider(table)
     corpus = index_corpus(provider, [("z", "z"), ("a", "a")])
     for query in ("nan", "inf", table["nan"], table["inf"]):
-        with pytest.raises(RetrievalError, match="NaN or infinite"):
+        with pytest.raises(RetrievalError) as err:
             retrieve_top_k(query, corpus, provider, k=2)
+        assert str(err.value) == "query: non-finite vector value"
 
 
 def _query_error(vector):
@@ -612,12 +647,12 @@ def _query_error(vector):
 
 
 def test_retrieve_names_a_nan_query_value():
-    assert _query_error([float("nan"), 1.0]) == "query vector has a NaN or infinite value"
+    assert _query_error([float("nan"), 1.0]) == "query: non-finite vector value"
 
 
 def test_retrieve_names_an_overflowing_query_norm():
-    assert _query_error([1e200, 1.0]) == "query vector norm overflows"
-    assert _query_error([1.3e154, 1.3e154]) == "query vector norm overflows"
+    assert _query_error([1e200, 1.0]) == "query: vector norm overflows"
+    assert _query_error([1.3e154, 1.3e154]) == "query: vector norm overflows"
 
 
 def test_retrieve_ties_broken_by_ascending_id():

@@ -501,12 +501,18 @@ _ANY_VALUES = st.recursive(
 def test_wrong_type_is_the_automaton_refusing_the_canonical_text(declared, data):
     # validate_plan and the automaton read one literal grammar: for random
     # and type-directed values alike, no wrong_type exactly when the plan
-    # automaton accepts the value's serialized text
+    # automaton accepts the value's serialized text; a value holding NaN or
+    # an infinity has no such text, and fits no type
     value = data.draw(_ANY_VALUES | _typed_values(declared))
     registry = _one_argument(declared)
     plan = Plan(calls=(ToolCall("t", (("a", value),)),))
     typed = [diag for diag in validate_plan(plan, registry) if diag.kind == "wrong_type"]
-    assert (not typed) == _accepts(compile_schema(registry), serialize_plan(plan)), (typed, serialize_plan(plan))
+    try:
+        text = serialize_plan(plan)
+    except ValueError:
+        assert typed
+        return
+    assert (not typed) == _accepts(compile_schema(registry), text), (typed, text)
 
 
 @pytest.mark.parametrize("declared", _ALL_TYPES, ids=lambda vt: vt.render())
