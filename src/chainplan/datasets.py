@@ -51,10 +51,13 @@ def load_golden_dataset(source: str | Path) -> list[GoldenExample]:
 
 
 def save_golden_dataset(examples: list[GoldenExample], path: str | Path) -> None:
+    """Write ``examples`` as JSON lines that :func:`load_golden_dataset`
+    reads back. A gold plan holding a NaN or an infinity, which strict JSON
+    does not have, raises ValueError before the file is opened."""
     from .plan import plan_to_data
 
     lines = [
-        json.dumps({"query": ex.query, "gold": plan_to_data(ex.gold)}, ensure_ascii=False)
+        json.dumps({"query": ex.query, "gold": plan_to_data(ex.gold)}, ensure_ascii=False, allow_nan=False)
         for ex in examples
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

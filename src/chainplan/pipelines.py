@@ -27,7 +27,7 @@ from .datasets import GoldenExample
 from .enforcer import DecoderSession, compile_schema, compile_subtask_schema, enforced_repair
 from .llm import CompletionRequest, constrained_complete
 from .plan import CANONICAL_JSON, Plan, parse_plan, plan_to_data, serialize_plan, validate_refs
-from .registry import Registry, read_text
+from .registry import Registry, load_json, read_text
 from .retrieval import Corpus, index_corpus, retrieve_top_k, tool_embedding_text
 from .typegraph import TypeGraph, build_graph, repair_plan
 
@@ -127,7 +127,8 @@ class PipelineConfig:
         wrong = [key for key, kind in _CONFIG_SCALARS.items() if _wrong_type(getattr(self, key), kind)]
         if wrong:
             raise ValueError(f"config values of the wrong type: {', '.join(wrong)}")
-        # JSON config files may spell NaN, which "not >=" refuses, and Infinity
+        # a library caller may pass NaN, which "not >=" refuses, or infinity;
+        # from_file refuses both as invalid JSON before they get here
         low = [f"{key} must be at least {least}"
                for key, least in _CONFIG_MINIMA.items() if not getattr(self, key) >= least]
         low += ["temperature must be finite"] if self.temperature == math.inf else []
@@ -144,10 +145,14 @@ class PipelineConfig:
         path and model params; missing fields fall back to the defaults. An
         unknown key, at the top or under templates, or a value of the wrong
         type is an error (``ValueError``), and so is a config, template or
-        insights file that is not UTF-8, named with its path and byte."""
+        insights file that is not UTF-8, named with its path and byte. The
+        file is read by ``registry.load_json``, so ``NaN``, ``Infinity`` and
+        a float out of range such as ``1e999`` are invalid JSON that names
+        the number."""
+        text = read_text(path, ValueError)
         try:
-            doc = json.loads(read_text(path, ValueError))
-        except json.JSONDecodeError as exc:
+            doc = load_json(text)
+        except ValueError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
         templates = doc.get("templates", {}) if isinstance(doc, dict) else None
         if not isinstance(templates, dict):

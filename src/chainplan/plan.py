@@ -15,13 +15,21 @@ inside objects are never references. Parsing and serialization are pure,
 and plans are immutable. Every walk over a parsed value goes through
 ``leaves`` (each non-array value with its array depth) or ``map_refs`` (the
 value with its references mapped).
+
+The records a parse builds, :class:`PrevRef`, :class:`ToolCall`,
+:class:`Plan` and :class:`ParseOutcome`, are frozen slotted dataclasses. Each
+has a hand-written ``__init__`` with its fields' names, order and defaults,
+which stores each field through its slot descriptor's ``__set__`` (read once,
+by ``_slot_stores``) instead of the generated frozen ``__init__``'s
+``object.__setattr__`` per field; equality, hashing, repr, ``replace``, copy
+and pickle are the dataclass ones.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterator
 
 from .registry import Registry, load_json
@@ -30,14 +38,26 @@ from .registry import Registry, load_json
 PREV_REF_PATTERN = re.compile(r"\$\$PREV\[(0|[1-9][0-9]*)\]")
 
 
-@dataclass(frozen=True)
+def _slot_stores(cls) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in field order: it
+    stores past the frozen ``__setattr__`` without looking the name up."""
+    return tuple(vars(cls)[field.name].__set__ for field in fields(cls))
+
+
+@dataclass(frozen=True, slots=True)
 class PrevRef:
     """Reference to the output of the ``index``-th call in the same plan."""
 
     index: int
 
+    def __init__(self, index: int):
+        _set_index(self, index)
+
     def render(self) -> str:
         return f"$$PREV[{self.index}]"
+
+
+(_set_index,) = _slot_stores(PrevRef)
 
 
 # An argument value: a JSON scalar or object, a PrevRef, or a tuple of
@@ -45,10 +65,14 @@ class PrevRef:
 ArgValue = Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToolCall:
     tool_name: str
     arguments: tuple[tuple[str, "ArgValue"], ...] = ()
+
+    def __init__(self, tool_name: str, arguments: tuple[tuple[str, "ArgValue"], ...] = ()):
+        _set_tool_name(self, tool_name)
+        _set_arguments(self, arguments)
 
     def argument(self, name: str) -> "ArgValue | None":
         for arg_name, value in self.arguments:
@@ -61,16 +85,25 @@ class ToolCall:
         return tuple(name for name, _ in self.arguments)
 
 
-@dataclass(frozen=True)
+_set_tool_name, _set_arguments = _slot_stores(ToolCall)
+
+
+@dataclass(frozen=True, slots=True)
 class Plan:
     calls: tuple[ToolCall, ...] = ()
+
+    def __init__(self, calls: tuple[ToolCall, ...] = ()):
+        _set_calls(self, calls)
 
     @property
     def tool_sequence(self) -> tuple[str, ...]:
         return tuple(call.tool_name for call in self.calls)
 
 
-@dataclass(frozen=True)
+(_set_calls,) = _slot_stores(Plan)
+
+
+@dataclass(frozen=True, slots=True)
 class ParseOutcome:
     """Result of :func:`parse_plan`: exactly one of ok / invalid JSON /
     schema violation. Invalid JSON feeds the invalid-JSON-rate metric."""
@@ -80,9 +113,18 @@ class ParseOutcome:
     path: str | None = None
     detail: str | None = None
 
+    def __init__(self, kind: str, plan: Plan | None = None, path: str | None = None, detail: str | None = None):
+        _set_kind(self, kind)
+        _set_plan(self, plan)
+        _set_path(self, path)
+        _set_detail(self, detail)
+
     @property
     def ok(self) -> bool:
         return self.kind == "ok"
+
+
+_set_kind, _set_plan, _set_path, _set_detail = _slot_stores(ParseOutcome)
 
 
 class _Violation(Exception):
@@ -96,17 +138,13 @@ def _decode_value(raw: Any) -> ArgValue:
     if isinstance(raw, str):
         match = raw.startswith("$$PREV[") and PREV_REF_PATTERN.fullmatch(raw)
         if match:
-            return PrevRef(index=int(match.group(1)))
+            return PrevRef(int(match.group(1)))
     elif isinstance(raw, list):
-        return tuple(_decode_value(item) for item in raw)
+        return tuple([_decode_value(item) for item in raw])
     # Scalars and objects stay as they are; prev-ref strings nested inside
     # objects are NOT recognized (references live at argument top level
     # or inside arrays).
     return raw
-
-
-_CALL_KEYS = frozenset({"tool_name", "arguments"})
-_ARGUMENT_KEYS = frozenset({"argument_name", "argument_value"})
 
 
 def _record_name(raw: Any, path: str, record: str, name_key: str, value_key: str) -> str:
@@ -122,33 +160,32 @@ def _record_name(raw: Any, path: str, record: str, name_key: str, value_key: str
 
 def plan_from_data(data: Any) -> ParseOutcome:
     """Build a plan from already-decoded JSON data, checking the wire shape.
-    A well-formed record passes one test; only one that fails it is named
-    by its path, through ``_record_name``."""
+    A well-formed record, a ``dict`` of exactly its two keys whose name is a
+    ``str``, passes one test without a keys view; any other record, a
+    ``dict`` or ``str`` subclass included, goes through ``_record_name``,
+    which accepts it or names what is wrong by its path."""
     try:
         if not isinstance(data, list):
             raise _Violation("", "plan must be a JSON array of calls")
         calls: list[ToolCall] = []
         for i, raw_call in enumerate(data):
-            if isinstance(raw_call, dict) and raw_call.keys() == _CALL_KEYS and isinstance(raw_call["tool_name"], str):
-                name = raw_call["tool_name"]
-            else:
+            if not (type(raw_call) is dict and len(raw_call) == 2 and "arguments" in raw_call
+                    and type(name := raw_call.get("tool_name")) is str):
                 name = _record_name(raw_call, f"/{i}", "call", "tool_name", "arguments")
             raw_args = raw_call["arguments"]
             if not isinstance(raw_args, list):
                 raise _Violation(f"/{i}/arguments", "arguments must be an array")
             arguments: dict[str, ArgValue] = {}
             for j, raw_arg in enumerate(raw_args):
-                if (isinstance(raw_arg, dict) and raw_arg.keys() == _ARGUMENT_KEYS
-                        and isinstance(raw_arg["argument_name"], str)):
-                    arg_name = raw_arg["argument_name"]
-                else:
+                if not (type(raw_arg) is dict and len(raw_arg) == 2 and "argument_value" in raw_arg
+                        and type(arg_name := raw_arg.get("argument_name")) is str):
                     arg_name = _record_name(raw_arg, f"/{i}/arguments/{j}", "argument", "argument_name",
                                             "argument_value")
                 if arg_name in arguments:
                     raise _Violation(f"/{i}/arguments/{j}/argument_name", f"duplicate argument name {arg_name!r}")
                 arguments[arg_name] = _decode_value(raw_arg["argument_value"])
-            calls.append(ToolCall(tool_name=name, arguments=tuple(arguments.items())))
-        return ParseOutcome("ok", plan=Plan(calls=tuple(calls)))
+            calls.append(ToolCall(name, tuple(arguments.items())))
+        return ParseOutcome("ok", Plan(tuple(calls)))
     except _Violation as exc:
         return ParseOutcome("schema_violation", path=exc.path, detail=exc.detail)
 

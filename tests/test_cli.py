@@ -159,9 +159,9 @@ def test_output_in_a_missing_directory_is_one_line_error(runner, tmp_path, repla
     ('{"example_count": -1}', "out of range: example_count must be at least 0"),
     ('{"max_tokens": 0}', "out of range: max_tokens must be at least 1"),
     ('{"temperature": -1}', "out of range: temperature must be at least 0"),
-    ('{"temperature": NaN}', "out of range: temperature must be at least 0"),
-    ('{"temperature": Infinity}', "out of range: temperature must be finite"),
-    ('{"temperature": 1e999}', "out of range: temperature must be finite"),
+    ('{"temperature": NaN}', "config.json: invalid JSON: NaN is not a JSON number"),
+    ('{"temperature": Infinity}', "config.json: invalid JSON: Infinity is not a JSON number"),
+    ('{"temperature": 1e999}', "config.json: invalid JSON: 1e999 is out of a float's range"),
     ('{"k": 0, "max_tokens": 0, "temperature": -0.5}',
      "out of range: k must be at least 1, max_tokens must be at least 1, temperature must be at least 0"),
 ], ids=["invalid_json", "array", "templates_array", "unknown_key", "missing_template", "wrong_types",

@@ -243,6 +243,7 @@ def test_config_built_directly_holds_the_packaged_templates(ctx, golden_examples
     ({"max_tokens": 2.5}, "wrong type: max_tokens"),
     ({"max_tokens": True, "k": 3.0}, "wrong type: k, max_tokens"),
     ({"temperature": float("inf")}, "temperature must be finite"),
+    ({"temperature": float("nan")}, "temperature must be at least 0"),
 ])
 def test_config_built_directly_refuses_what_a_file_may_not_hold(setting, message):
     with pytest.raises(ValueError, match=message):

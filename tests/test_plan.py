@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import inspect
 import math
+import pickle
 import random
 
 import pytest
@@ -355,6 +359,28 @@ def _calls(arguments):
 
 _GOOD_CALLS = _calls(st.lists(st.builds(lambda name, value: {"argument_name": name, "argument_value": value},
                                         _NAMES, _VALUES), max_size=3, unique_by=lambda arg: arg["argument_name"]))
+
+
+# plan_from_data takes already-decoded data from any caller, so records may be
+# dict subclasses and names and values str subclasses, which JSON never gives.
+class _Dict(dict):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+def _maybe_dict_subclass(records):
+    return records | records.map(lambda raw: _Dict(raw) if type(raw) is dict else raw)
+
+
+_SUBCLASS_NAMES = _NAMES | _NAMES.map(_Str)
+_SUBCLASS_VALUES = _REF_LIKE.map(_Str) | st.lists(_REF_LIKE.map(_Str) | _JSON, min_size=1, max_size=3) | _VALUES
+_SUBCLASS_CALLS = _maybe_dict_subclass(st.builds(
+    lambda name, args: {"tool_name": name, "arguments": args}, _SUBCLASS_NAMES,
+    st.lists(_maybe_dict_subclass(st.builds(lambda name, value: {"argument_name": name, "argument_value": value},
+                                            _SUBCLASS_NAMES, _SUBCLASS_VALUES)), max_size=3)))
 _WIRE_DATA = st.one_of(
     st.lists(_GOOD_CALLS, max_size=4),
     _JSON.filter(lambda data: not isinstance(data, list)),
@@ -362,6 +388,11 @@ _WIRE_DATA = st.one_of(
     st.lists(_records("tool_name", "arguments", st.just([])), max_size=4),
     # argument records that may be damaged or repeat a name
     st.lists(_calls(st.lists(_records("argument_name", "argument_value", _VALUES), max_size=4)), max_size=3),
+    # dict-subclass records and str-subclass names and values, whole or damaged
+    st.lists(_SUBCLASS_CALLS, max_size=4),
+    st.lists(_maybe_dict_subclass(_records("tool_name", "arguments", st.just([]))), max_size=3),
+    st.lists(_calls(st.lists(_maybe_dict_subclass(_records("argument_name", "argument_value", _SUBCLASS_VALUES)),
+                             max_size=4)), max_size=3),
 )
 
 
@@ -371,3 +402,91 @@ def test_plan_from_data_equals_the_reference_parser(data):
     outcome, reference = plan_from_data(data), _reference_plan_from_data(data)
     assert outcome == reference
     assert repr(outcome) == repr(reference)
+
+
+# The record contract: each of the four plan records is a frozen slotted
+# dataclass with a hand-written __init__, and behaves as a plain frozen
+# dataclass of the same fields (its twin here) does.
+@dataclasses.dataclass(frozen=True)
+class _PlainPrevRef:
+    index: int
+
+
+@dataclasses.dataclass(frozen=True)
+class _PlainToolCall:
+    tool_name: str
+    arguments: tuple = ()
+
+
+@dataclasses.dataclass(frozen=True)
+class _PlainPlan:
+    calls: tuple = ()
+
+
+@dataclasses.dataclass(frozen=True)
+class _PlainParseOutcome:
+    kind: str
+    plan: object = None
+    path: object = None
+    detail: object = None
+
+
+_TWINS = {PrevRef: _PlainPrevRef, ToolCall: _PlainToolCall, Plan: _PlainPlan, ParseOutcome: _PlainParseOutcome}
+
+_HASHABLE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3)
+    | st.builds(PrevRef, st.integers()),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=4,
+)
+_RECORD_CALLS = st.builds(ToolCall, st.text(max_size=3),
+                          st.lists(st.tuples(st.text(max_size=2), _HASHABLE_VALUES), max_size=2).map(tuple))
+_OPTIONAL_TEXT = st.none() | st.text(max_size=3)
+# Keyword arguments for each record; a field left out takes its default.
+_RECORD_KWARGS = {
+    PrevRef: st.fixed_dictionaries({"index": st.integers()}),
+    ToolCall: st.fixed_dictionaries({"tool_name": st.text(max_size=3)}, optional={
+        "arguments": st.lists(st.tuples(st.text(max_size=2), _HASHABLE_VALUES), max_size=2).map(tuple)}),
+    Plan: st.fixed_dictionaries({}, optional={"calls": st.lists(_RECORD_CALLS, max_size=2).map(tuple)}),
+    ParseOutcome: st.fixed_dictionaries({"kind": st.sampled_from(["ok", "invalid_json", "schema_violation"])}, optional={
+        "plan": st.none() | st.lists(_RECORD_CALLS, max_size=2).map(lambda calls: Plan(tuple(calls))),
+        "path": _OPTIONAL_TEXT, "detail": _OPTIONAL_TEXT}),
+}
+
+
+@pytest.mark.parametrize("cls", list(_TWINS), ids=lambda cls: cls.__name__)
+def test_record_init_has_exactly_its_fields(cls):
+    parameters = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in parameters] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(cls)
+    ]
+
+
+@pytest.mark.parametrize("cls", list(_TWINS), ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_record_behaves_as_a_plain_frozen_dataclass(cls, data):
+    kwargs, other_kwargs = data.draw(_RECORD_KWARGS[cls]), data.draw(_RECORD_KWARGS[cls])
+    record, twin = cls(**kwargs), _TWINS[cls](**kwargs)
+    values = [getattr(twin, f.name) for f in dataclasses.fields(twin)]
+    assert [getattr(record, f.name) for f in dataclasses.fields(cls)] == values
+    assert cls(*values) == record
+    assert hash(record) == hash(twin) == hash(cls(**kwargs))
+    assert repr(twin).startswith("_Plain") and repr(record) == repr(twin)[len("_Plain"):]
+    assert (record == cls(**other_kwargs)) == (twin == _TWINS[cls](**other_kwargs))
+    assert record != twin
+
+    name = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, values[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(record, name)
+    assert not hasattr(record, "__dict__")
+
+    copies = [copy.copy(record), copy.deepcopy(record), dataclasses.replace(record)]
+    copies += [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in copies:
+        assert type(copied) is cls and copied == record and repr(copied) == repr(record)
+        assert hash(copied) == hash(record)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -343,8 +344,21 @@ def test_golden_dataset_save_round_trip(tmp_path, golden_examples):
     target = tmp_path / "golden.jsonl"
     save_golden_dataset(golden_examples, target)
     reloaded = load_golden_dataset(target)
-    assert [ex.query for ex in reloaded] == [ex.query for ex in golden_examples]
-    assert [ex.gold for ex in reloaded] == [ex.gold for ex in golden_examples]
+    assert reloaded == golden_examples  # ids, queries and gold plans
+    assert [ex.gold_text for ex in reloaded] == [ex.gold_text for ex in golden_examples]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, (1, math.nan)],
+                         ids=["nan", "inf", "minus_inf", "nan_in_array"])
+def test_golden_dataset_save_refuses_a_non_finite_value(tmp_path, golden_examples, value):
+    from chainplan.datasets import GoldenExample, save_golden_dataset
+    from chainplan.plan import Plan, ToolCall
+
+    bad = GoldenExample(id="ex002", query="q", gold=Plan((ToolCall("op_mul", (("a", value),)),)))
+    target = tmp_path / "golden.jsonl"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_golden_dataset([golden_examples[0], bad], target)
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("bad_record", [
