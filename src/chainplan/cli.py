@@ -274,8 +274,7 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
         traces = []
         for example in examples:
             # Hold the example out of the worked examples: no prompt shows its own gold plan.
-            pool = tuple(item for item in ctx.example_corpus.items if item.id != example.id)
-            held_out = replace(ctx, example_corpus=replace(ctx.example_corpus, items=pool))
+            held_out = replace(ctx, examples={i: ex for i, ex in ctx.examples.items() if i != example.id})
             try:
                 trace = _PIPELINES[pipeline](example.query, held_out, model, config)
             except (PipelineError, CompletionError) as exc:

@@ -165,24 +165,15 @@ def _value_spec(vt: ValueType) -> tuple:
         return _BOOLEAN if vt.primitive == "boolean" else (vt.primitive,)
     if vt.kind == "object":
         return _OBJECT
-    return ("list", _element_spec(vt.element))
-
-
-def _element_spec(vt: ValueType) -> tuple:
-    inner = _value_spec(vt)
-    if inner == ("string",):
-        return inner  # strings already cover the reference pattern
-    return ("union", (inner, _PREV))
+    return ("list", ("union", (_value_spec(vt.element), _PREV)))
 
 
 def argument_value_spec(vt: ValueType) -> tuple:
-    """Declared type, plus bare and singleton-array reference forms."""
-    inner = _value_spec(vt)
-    if inner[0] == "list":
-        return ("union", (inner, _PREV))
-    if inner == ("string",):
-        return ("union", (inner, ("wrap",)))
-    return ("union", (inner, _PREV, ("wrap",)))
+    """Declared type, plus bare and singleton-array reference forms. A union
+    hands a character to its first branch that takes it, so after a string
+    the bare reference, and after a list the wrapped one, never takes one:
+    the string or the list already spells it."""
+    return ("union", (_value_spec(vt), _PREV, ("wrap",)))
 
 
 def _start(spec: tuple, then: tuple) -> tuple:
@@ -515,13 +506,19 @@ class _Automaton:
 class PlanAutomaton(_Automaton):
     """Deterministic character acceptor for schema-valid plan texts:
     ``[{"tool_name":name,"arguments":[{"argument_name":arg,"argument_value":value}]}]``.
-    An argument list offers no further item once every argument is used;
-    argument names are read from the registry, which is not copied."""
+    The tool names are those of ``names`` that the registry holds, a name
+    it lacks skipped and a repeat kept once, or, when ``names`` is None,
+    all of them. An argument list offers no further item once every
+    argument is used; argument names are read from the registry, which is
+    not copied."""
 
-    def __init__(self, registry: Registry):
-        if not registry.tools:
-            raise SchemaCompileError("cannot compile a schema for an empty registry")
-        super().__init__(tuple(sorted(registry.tools)), ("lit", '{"tool_name":"', 0, ("name", None, "")))
+    def __init__(self, registry: Registry, names=None):
+        tools = registry.tools
+        spelled = tools if names is None else {name for name in names if name in tools}
+        if not spelled:
+            raise SchemaCompileError("cannot compile a schema for an empty registry" if names is None
+                                     else "cannot compile a schema: the registry holds none of the names")
+        super().__init__(tuple(sorted(spelled)), ("lit", '{"tool_name":"', 0, ("name", None, "")))
         self._registry = registry
 
     def _names(self, key) -> tuple[str, ...]:
@@ -544,8 +541,10 @@ class PlanAutomaton(_Automaton):
         return ("lit", '{"argument_name":"', 0, ("name", (tool, used), ""))
 
 
-def compile_schema(registry: Registry) -> PlanAutomaton:
-    return PlanAutomaton(registry)
+def compile_schema(registry: Registry, names=None) -> PlanAutomaton:
+    """The plan automaton over the tools ``names`` of ``registry``, or over
+    all of them when ``names`` is None (see :class:`PlanAutomaton`)."""
+    return PlanAutomaton(registry, names)
 
 
 class SubTaskAutomaton(_Automaton):

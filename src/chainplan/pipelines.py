@@ -26,7 +26,7 @@ from pathlib import Path
 from .datasets import GoldenExample
 from .enforcer import DecoderSession, compile_schema, compile_subtask_schema, enforced_repair
 from .llm import CompletionRequest, constrained_complete
-from .plan import CANONICAL_JSON, Plan, parse_plan, plan_to_data, serialize_plan, validate_refs
+from .plan import Plan, parse_plan, plan_to_data, serialize_plan, validate_refs
 from .registry import Registry, load_json, read_text
 from .retrieval import Corpus, index_corpus, retrieve_top_k, tool_embedding_text
 from .typegraph import TypeGraph, build_graph, repair_plan
@@ -55,23 +55,6 @@ def build_prompt(template: str, slots: dict[str, str]) -> str:
         return slots[name]
 
     return _PLACEHOLDER.sub(replace, template)
-
-
-@dataclass(frozen=True)
-class SubTask:
-    index: int
-    thought: str
-    tool_name: str
-
-
-def serialize_subtasks(subtasks: list[SubTask]) -> str:
-    doc = [{"id": st.index, "thought": st.thought, "tool_name": st.tool_name} for st in subtasks]
-    return CANONICAL_JSON.encode(doc)
-
-
-def parse_subtasks(text: str) -> list[SubTask]:
-    data = json.loads(text)
-    return [SubTask(index=item["id"], thought=item["thought"], tool_name=item["tool_name"]) for item in data]
 
 
 def _read_data(name: str) -> str:
@@ -203,7 +186,9 @@ _AUTOMATA_KEPT = 32
 class PlannerContext:
     """Immutable inputs shared by pipeline runs: registry, embedding provider,
     indexed corpora, golden examples, the type graph, and the automata
-    compiled so far (see :func:`_automaton`)."""
+    compiled so far (see :func:`_automaton`). A run's worked examples are
+    those of ``examples``, so a copy with one left out holds it out of the
+    prompts (see :func:`assemble_rap_prompt`)."""
 
     registry: Registry
     provider: object
@@ -265,15 +250,15 @@ class PipelineTrace:
 def _automaton(ctx: PlannerContext, kind: str, names):
     """The ``"plan"`` or ``"subtask"`` automaton over the tools ``names``,
     compiled once per context and tool set: both automata sort their names,
-    so the language depends on the set alone. ``names`` None, for a plan,
-    is the whole registry, keyed ``("plan", None)`` and compiled from
-    ``ctx.registry`` itself, so no key or subset is built per call. At
-    ``_AUTOMATA_KEPT`` automata the memo is cleared."""
+    so the language depends on the set alone. A plan automaton spells the
+    named tools of ``ctx.registry`` itself, so no registry is built per
+    tool set; ``names`` None is the whole registry, keyed ``("plan", None)``,
+    so no key is built per call. At ``_AUTOMATA_KEPT`` automata the memo is
+    cleared."""
     key = (kind, None if names is None else frozenset(names))
     automaton = ctx.automata.get(key)
     if automaton is None:
-        automaton = (compile_schema(ctx.registry if names is None else ctx.registry.subset(names))
-                     if kind == "plan" else compile_subtask_schema(names))
+        automaton = compile_schema(ctx.registry, names) if kind == "plan" else compile_subtask_schema(names)
         if len(ctx.automata) >= _AUTOMATA_KEPT:
             ctx.automata.clear()
         ctx.automata[key] = automaton
@@ -302,15 +287,24 @@ def assemble_recompose_prompt(query: str, subtasks_text: str, tool_names,
 def assemble_rap_prompt(query: str, ctx: PlannerContext, config: PipelineConfig
                         ) -> tuple[str, list[tuple[str, float]], list[str]]:
     """(prompt, retrieved tools, retrieved example ids); pure, model-free.
-    The query is embedded once, for both corpora."""
+    The query is embedded once, for both corpora.
+
+    The worked examples are those of ``ctx.examples``: the example corpus
+    is ranked to ``example_count`` plus the number of its items that
+    ``ctx.examples`` lacks, and the first ``example_count`` ranked items
+    it holds are kept, in rank order. So an example is held out by leaving
+    it out of ``ctx.examples``, with the ids a corpus built without it
+    would give, ties included, and the corpus is not rebuilt."""
     query_vec = ctx.provider.embed(query)
     retrieved = retrieve_top_k(query_vec, ctx.tool_corpus, ctx.provider, config.k)
     tool_names = [name for name, _ in retrieved]
     example_ids: list[str] = []
-    if ctx.example_corpus is not None and ctx.example_corpus.items and config.example_count > 0:
-        ranked = retrieve_top_k(query_vec, ctx.example_corpus, ctx.provider, config.example_count)
-        example_ids = [ex_id for ex_id, _ in ranked]
-    picked = [ctx.examples[ex_id] for ex_id in example_ids if ex_id in ctx.examples]
+    corpus, examples = ctx.example_corpus, ctx.examples
+    if corpus is not None and corpus.items and config.example_count > 0:
+        lacking = sum(item.id not in examples for item in corpus.items)
+        ranked = retrieve_top_k(query_vec, corpus, ctx.provider, config.example_count + lacking)
+        example_ids = [ex_id for ex_id, _ in ranked if ex_id in examples][:config.example_count]
+    picked = [examples[ex_id] for ex_id in example_ids]
     prompt = build_prompt(
         config.rap_template,
         {
@@ -357,7 +351,8 @@ def _trace(pipeline: str, query: str, retrieved: list[tuple[str, float]], exampl
 def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig) -> PipelineTrace:
     """Retrieve, decompose under the sub-task schema, recompose under the plan
     schema restricted to the retrieved tools, then type-graph repair.
-    Exactly two model calls."""
+    Exactly two model calls. The recomposition prompt holds the
+    decomposition as decoded: the text the sub-task automaton accepted."""
     retrieved = retrieve_top_k(query, ctx.tool_corpus, ctx.provider, config.k)
     tool_names = [name for name, _ in retrieved]
 
@@ -365,9 +360,7 @@ def run_enchant(query: str, ctx: PlannerContext, model, config: PipelineConfig) 
     # Both sessions mask through the one index of the model's vocabulary.
     decompose = DecoderSession(_automaton(ctx, "subtask", tool_names))
     decomposed = constrained_complete(model, _request(decompose_prompt, config), decompose)
-    recompose_prompt = assemble_recompose_prompt(
-        query, serialize_subtasks(parse_subtasks(decompose.emitted)), tool_names, ctx.registry, config
-    )
+    recompose_prompt = assemble_recompose_prompt(query, decompose.emitted, tool_names, ctx.registry, config)
     recompose = DecoderSession(_automaton(ctx, "plan", tool_names))
     recomposed = constrained_complete(model, _request(recompose_prompt, config), recompose)
 

@@ -173,8 +173,7 @@ class ToolSpec:
 
 class _Version:
     """``Registry.version``: kept as given; when given as None, the sha256
-    prefix of the tool document; when given as a registry, that registry's
-    version (``subset``). Either is found on first read and kept."""
+    prefix of the tool document, found on first read and kept."""
 
     def __get__(self, registry, owner=None):
         if registry is None:
@@ -183,8 +182,6 @@ class _Version:
         if version is None:
             document = serialize_registry(registry)
             version = registry.__dict__["_version"] = sha256(document.encode("utf-8")).hexdigest()[:12]
-        elif isinstance(version, Registry):
-            version = registry.__dict__["_version"] = version.version
         return version
 
     def __set__(self, registry, version: str | None) -> None:
@@ -243,12 +240,6 @@ class Registry:
 
     def __len__(self) -> int:
         return len(self.tools)
-
-    def subset(self, names: list[str] | tuple[str, ...]) -> "Registry":
-        """Registry view restricted to ``names``, keeping the parent version,
-        which is read only when the view's version is."""
-        picked = {n: self.tools[n] for n in names if n in self.tools}
-        return Registry(tools=picked, version=self)
 
 
 _JSON_KINDS = {str: "a string", bool: "a boolean", list: "an array"}
@@ -384,14 +375,17 @@ def load_registry(source: str | Path) -> Registry:
     text; anything else is treated as a file path. Tool order is preserved
     for deterministic iteration. Each distinct type text is parsed once. A
     file that is not UTF-8 is refused with its path and the offending byte.
+    The document is read by :func:`load_json`, so ``NaN``, ``Infinity`` and
+    a float out of range such as ``1e999`` are a parse failure that names
+    the number.
     """
     if isinstance(source, str) and source.lstrip().startswith("["):
         text = source
     else:
         text = read_text(source, RegistryError)
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = load_json(text)
+    except ValueError as exc:
         raise RegistryError(f"parse failure: {exc}") from exc
     if not isinstance(data, list):
         raise RegistryError("tool document must be a JSON array")

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from chainplan.datasets import GoldenExample, load_golden_dataset
-from chainplan.plan import Plan, PrevRef, ToolCall
+from chainplan.plan import CANONICAL_JSON, Plan, PrevRef, ToolCall
 from chainplan.registry import (
     ArgSpec,
     Registry,
@@ -119,10 +119,8 @@ def random_plan(rng: random.Random, tool_names: tuple[str, ...] | None = None,
 # ---------------------------------------------------------------------------
 
 def subtasks_for(example: GoldenExample) -> str:
-    from chainplan.pipelines import SubTask, serialize_subtasks
-
-    return serialize_subtasks([
-        SubTask(index=i, thought=f"Step {i}: use {tool}", tool_name=tool)
+    return CANONICAL_JSON.encode([
+        {"id": i, "thought": f"Step {i}: use {tool}", "tool_name": tool}
         for i, tool in enumerate(example.gold.tool_sequence)
     ])
 

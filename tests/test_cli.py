@@ -381,10 +381,11 @@ def test_exec_result_out_of_range_is_one_line_error(runner):
 def test_exec_refuses_plan_unknown_to_tools_file(runner, tmp_path, fixture_registry):
     # --tools holds only get_sprint_id: both calls name unknown tools, so
     # nothing runs and one error line names the first finding
-    from chainplan.registry import serialize_registry
+    from chainplan.registry import Registry, serialize_registry
 
     tools = tmp_path / "tools.json"
-    tools.write_text(serialize_registry(fixture_registry.subset(["get_sprint_id"])), encoding="utf-8")
+    only = Registry.from_tools([fixture_registry.tools["get_sprint_id"]])
+    tools.write_text(serialize_registry(only), encoding="utf-8")
     plan_text = ('[{"tool_name":"who_am_i","arguments":[]},'
                  '{"tool_name":"works_list","arguments":[{"argument_name":"owned_by","argument_value":["$$PREV[0]"]}]}]')
     out = tmp_path / "trace.json"
@@ -540,6 +541,28 @@ def test_eval_prompts_hold_out_their_own_example(runner, tmp_path, replay_files,
     for example, run in zip(golden_examples, runs):
         assert run["retrieved_examples"] and example.id not in run["retrieved_examples"]
         assert example.gold_text not in run["prompts"]["rap"]
+
+
+@pytest.mark.parametrize("pipeline", ["regains", "enchant"])
+def test_eval_pipeline_builds_corpora_only_at_set_up(runner, tmp_path, replay_files, monkeypatch, pipeline):
+    # set-up indexes the tools and the examples; each example is then held
+    # out of the context's examples, and no corpus is built for it
+    from chainplan.retrieval import Corpus
+
+    built = []
+    post_init = Corpus.__post_init__
+
+    def counting_post_init(corpus):
+        built.append(len(corpus.items))
+        post_init(corpus)
+
+    monkeypatch.setattr(Corpus, "__post_init__", counting_post_init)
+    result = runner.invoke(main, [
+        "eval", "--dataset", str(GOLDEN_PATH), "--pipeline", pipeline, "--mock", replay_files[pipeline],
+        "--trace", str(tmp_path / "t.json"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert built == [9, 10]  # the fixture's tools, then the golden examples
 
 
 def test_eval_bad_dataset_line_cites_line_number(runner, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -19,8 +20,7 @@ from chainplan.enforcer import (
     enforced_repair,
     vocabulary_index,
 )
-from chainplan.pipelines import SubTask, parse_subtasks, serialize_subtasks
-from chainplan.plan import Plan, ToolCall, parse_plan, serialize_plan
+from chainplan.plan import CANONICAL_JSON, Plan, ToolCall, parse_plan, serialize_plan
 from chainplan.registry import ArgSpec, Registry, ToolSpec, list_of, object_type, primitive
 
 from conftest import random_plan, random_registry, subtasks_for
@@ -265,6 +265,11 @@ def test_subtask_automaton_repair(fixture_registry):
     assert data[0]["tool_name"] in fixture_registry.names
 
 
+def _subtask(index: int, thought: str, tool_name: str) -> dict:
+    """A sub-task record, its keys in the order the sub-task schema spells them."""
+    return {"id": index, "thought": thought, "tool_name": tool_name}
+
+
 @st.composite
 def _subtask_lists(draw):
     names = random_registry(random.Random(draw(st.integers(0, 2**16))), max_tools=8).names
@@ -273,7 +278,7 @@ def _subtask_lists(draw):
                  st.characters(max_codepoint=0xFF), st.characters())
     thoughts = st.one_of(st.text(alphabet=alphabet, max_size=_LONG_STRING) for alphabet in alphabets)
     subtasks = draw(st.lists(
-        st.builds(SubTask, index=st.integers(0, 10**15), thought=thoughts, tool_name=st.sampled_from(names)),
+        st.builds(_subtask, index=st.integers(0, 10**15), thought=thoughts, tool_name=st.sampled_from(names)),
         max_size=4,
     ))
     return names, subtasks
@@ -281,15 +286,15 @@ def _subtask_lists(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_subtask_lists())
-@example((("tool0",), [SubTask(0, "a" * _LONG_STRING, "tool0")]))
-@example((("tool0",), [SubTask(1_700_000_000_000, "é\n\"\\" * (_LONG_STRING // 4), "tool0")]))
-@example((("tool0",), [SubTask(1, "\U0001F600" * _LONG_STRING, "tool0")]))
+@example((("tool0",), [_subtask(0, "a" * _LONG_STRING, "tool0")]))
+@example((("tool0",), [_subtask(1_700_000_000_000, "é\n\"\\" * (_LONG_STRING // 4), "tool0")]))
+@example((("tool0",), [_subtask(1, "\U0001F600" * _LONG_STRING, "tool0")]))
 def test_serialized_subtasks_are_accepted_and_parse_back(case):
     names, subtasks = case
-    text = serialize_subtasks(subtasks)
+    text = CANONICAL_JSON.encode(subtasks)
     automaton = compile_subtask_schema(names)
     assert DecoderSession(automaton).advance(text).at_end
-    assert parse_subtasks(text) == subtasks
+    assert json.loads(text) == subtasks
 
 
 def test_subtask_schema_needs_tools():
@@ -374,7 +379,7 @@ def test_object_keys_are_strings():
 
 def test_long_subtask_thought_is_not_rewritten(fixture_registry):
     automaton = compile_subtask_schema(fixture_registry.names)
-    text = serialize_subtasks([SubTask(0, "t" * _LONG_STRING, "who_am_i")])
+    text = CANONICAL_JSON.encode([_subtask(0, "t" * _LONG_STRING, "who_am_i")])
     assert enforced_repair(automaton, text) == (text, [])
 
 
@@ -598,6 +603,44 @@ def test_projection_on_a_warm_graph_equals_a_cold_one(registry_seed, text_seed):
         assert enforced_repair(warm, text) == enforced_repair(compile_schema(registry), text)
 
 
+@st.composite
+def _named_registries(draw):
+    """A random registry and a list of names: some of its tools, in any
+    order and repeated, and names it lacks."""
+    registry = random_registry(random.Random(draw(st.integers(0, 2**16))), max_tools=6)
+    names = draw(st.lists(st.sampled_from(registry.names + ("missing", "tool99", "Tool0")), max_size=8))
+    return registry, names
+
+
+@settings(max_examples=60, deadline=None)
+@given(_named_registries(), st.integers(0, 2**16))
+def test_compiling_over_names_equals_compiling_a_registry_of_those_tools(case, seed):
+    # the automaton over named tools of one registry walks and projects as
+    # one compiled from a registry that holds only the named known tools
+    registry, names = case
+    known = [registry.tools[name] for name in dict.fromkeys(names) if name in registry.tools]
+    if not known:
+        with pytest.raises(SchemaCompileError):
+            compile_schema(registry, names)
+        return
+    over_names, rebuilt = compile_schema(registry, names), compile_schema(Registry.from_tools(known))
+    rng = random.Random(seed)
+    for _ in range(3):
+        session, twin = DecoderSession(rebuilt), DecoderSession(over_names)
+        while not session.at_end:
+            allowed = rebuilt.allowed(session.state)
+            assert over_names.allowed(twin.state) == allowed, session.emitted
+            ch = rng.choice(sorted(allowed))
+            session.advance(ch)
+            twin.advance(ch)
+            assert len(session.emitted) < 100_000, "walk exceeded depth cap"
+        assert twin.at_end
+    for _ in range(4):
+        # plans over every tool of the registry, named or not
+        text = _corrupt(rng, serialize_plan(random_plan(rng, tool_names=registry.names, max_calls=4)))
+        assert enforced_repair(over_names, text) == enforced_repair(rebuilt, text)
+
+
 def _replay(candidate: str, edits) -> str:
     """``candidate`` with ``edits`` applied in order: a skip removes its text
     at its position, an insert adds its text there, a truncate drops the
@@ -626,8 +669,8 @@ def test_edits_replayed_on_the_candidate_give_the_projection(registry_seed, text
     rng = random.Random(text_seed)
     if subtasks:
         automaton = compile_subtask_schema(registry.names)
-        plans = [serialize_subtasks([SubTask(i, rng.choice(["", "find it", 'say "x"\\y']), rng.choice(registry.names))
-                                     for i in range(rng.randint(1, 3))]) for _ in range(4)]
+        plans = [CANONICAL_JSON.encode([_subtask(i, rng.choice(["", "find it", 'say "x"\\y']), rng.choice(registry.names))
+                                        for i in range(rng.randint(1, 3))]) for _ in range(4)]
     else:
         automaton = compile_schema(registry)
         plans = [serialize_plan(random_plan(rng, tool_names=registry.names, max_calls=4)) for _ in range(4)]

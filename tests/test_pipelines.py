@@ -464,6 +464,48 @@ def test_rap_prompts_over_a_registry_larger_than_k_are_pinned(fixture_registry, 
     assert digest.hexdigest() == "c953d2214ca2a87995ad1dc7718c9bef660c387e152c4e0aea06ac94cf352920"
 
 
+def _synthetic_examples(count: int, seed: int):
+    """``count`` examples whose queries join two or three of eight words, so
+    that many repeat and their scores tie."""
+    import random
+
+    from chainplan.datasets import GoldenExample
+    from chainplan.plan import Plan, ToolCall
+
+    rng = random.Random(seed)
+    words = ("list", "sprint", "work", "items", "owner", "summarize", "urgent", "tickets")
+    gold = Plan((ToolCall("who_am_i", ()),))
+    return [GoldenExample(id=f"syn{i:03d}", query=" ".join(rng.choices(words, k=rng.randint(2, 3))), gold=gold)
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("source", ["golden", "synthetic"])
+def test_an_example_held_out_of_the_context_ranks_as_a_corpus_built_without_it(fixture_registry, golden_examples,
+                                                                                source):
+    # dropping an example from ctx.examples, with the corpus kept whole,
+    # gives the prompt, tools and example ids of a context built without
+    # it, for its own query, which ranks it first, and for others
+    import random
+
+    rng = random.Random(45)
+    examples = golden_examples if source == "golden" else _synthetic_examples(300, seed=45)
+    dropped = range(len(examples)) if source == "golden" else rng.sample(range(len(examples)), 12)
+    queries = [example.query for example in rng.sample(examples, 3)]
+    configs = [PipelineConfig.default(example_count=count) for count in range(5)]
+    provider = HashEmbeddingProvider()
+    full = PlannerContext.build(fixture_registry, provider, examples)
+    tied = 0
+    for i in dropped:
+        held = dataclasses.replace(full, examples={ex.id: ex for ex in examples if ex is not examples[i]})
+        rebuilt = PlannerContext.build(fixture_registry, provider, examples[:i] + examples[i + 1:])
+        for query in (examples[i].query, *queries):
+            for config in configs:
+                assert assemble_rap_prompt(query, held, config) == assemble_rap_prompt(query, rebuilt, config)
+        tied += sum(ex.query == examples[i].query for ex in examples) > 1
+    # a dropped synthetic example shares its query, so scores tie and ids decide
+    assert tied or source == "golden"
+
+
 def test_regains_compiles_the_plan_automaton_once_per_context(fixture_registry, golden_examples, config,
                                                               monkeypatch):
     # straying answers to several queries share one automaton and project as
@@ -476,9 +518,9 @@ def test_regains_compiles_the_plan_automaton_once_per_context(fixture_registry, 
     fresh = PlannerContext.build(fixture_registry, HashEmbeddingProvider(), golden_examples)
     compiled = []
 
-    def counting_compile(registry):
+    def counting_compile(registry, names):
         compiled.append(registry.version)
-        return compile_schema(registry)
+        return compile_schema(registry, names)
 
     monkeypatch.setattr(pipelines, "compile_schema", counting_compile)
     for i, example in enumerate(golden_examples[:6]):
@@ -495,6 +537,29 @@ def test_regains_compiles_the_plan_automaton_once_per_context(fixture_registry, 
     assert compiled == [fixture_registry.version]
 
 
+def test_the_recomposition_prompt_holds_the_decomposition_as_decoded(ctx, config, golden_examples):
+    # the escapes \/ and \u0041 in a decoded thought reach the prompt as
+    # written, not rewritten to / and A
+    from chainplan.llm import ScriptedTokenModel
+    from chainplan.pipelines import assemble_recompose_prompt
+
+    example = golden_examples[5]  # gold: [who_am_i]
+    decoded = '[{"id":0,"thought":"a\\/b \\u0041","tool_name":"who_am_i"}]'
+    # each step ranks the sub-task token first and the plan token second
+    steps = [
+        ['[{"id":0,"thought":"a\\/b \\u0041","tool_name":"', '[{"tool_name":"'],
+        ["who_am_i"],
+        ['"}]', '","arguments":[]}]'],
+    ]
+    trace = run_enchant(example.query, ctx, ScriptedTokenModel(steps), config)
+    assert trace.enforcement == {"decompose": "enforced", "recompose": "enforced"}
+    assert trace.raw_texts["decompose"] == decoded
+    names = [name for name, _ in trace.retrieved_tools]
+    assert trace.prompts["recompose"] == assemble_recompose_prompt(example.query, decoded, names, ctx.registry,
+                                                                   config)
+    assert decoded in trace.prompts["recompose"]
+
+
 def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, golden_examples, monkeypatch):
     # plans over the same retrieved tools share both automata and decode as
     # freshly compiled ones would; both stages stray, so both are projected
@@ -503,13 +568,9 @@ def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, gol
     import chainplan.pipelines as pipelines
     from chainplan.enforcer import compile_schema, compile_subtask_schema, enforced_repair
     from chainplan.llm import fingerprint
-    from chainplan.pipelines import (
-        assemble_decompose_prompt,
-        assemble_recompose_prompt,
-        parse_subtasks,
-        serialize_subtasks,
-    )
+    from chainplan.pipelines import assemble_decompose_prompt, assemble_recompose_prompt
     from chainplan.plan import parse_plan
+    from chainplan.registry import Registry
     from chainplan.typegraph import repair_plan
     from conftest import subtasks_for
 
@@ -517,9 +578,9 @@ def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, gol
     fresh = PlannerContext.build(fixture_registry, HashEmbeddingProvider(), golden_examples)
     compiled = Counter()
 
-    def counting_compile(registry):
-        compiled["plan", frozenset(registry.names)] += 1
-        return compile_schema(registry)
+    def counting_compile(registry, names):
+        compiled["plan", frozenset(names)] += 1
+        return compile_schema(registry, names)
 
     def counting_subtask_compile(names):
         compiled["subtask", frozenset(names)] += 1
@@ -527,6 +588,8 @@ def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, gol
 
     monkeypatch.setattr(pipelines, "compile_schema", counting_compile)
     monkeypatch.setattr(pipelines, "compile_subtask_schema", counting_subtask_compile)
+    registries_built = []
+    monkeypatch.setattr(Registry, "__post_init__", lambda registry: registries_built.append(registry.names))
     tool_sets = set()
     for example in golden_examples[:6] * 2:
         names = [name for name, _ in pipelines.retrieve_top_k(example.query, fresh.tool_corpus, fresh.provider, config.k)]
@@ -534,10 +597,9 @@ def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, gol
         decompose_text = subtasks_for(example)[:-1] + ",]"  # trailing comma
         recompose_text = example.gold_text.replace('"tool_name":"', '"tool_name":"x', 1)  # unknown tool
         subtasks, _ = enforced_repair(compile_subtask_schema(names), decompose_text)
-        plan_text, _ = enforced_repair(compile_schema(fixture_registry.subset(names)), recompose_text)
+        plan_text, _ = enforced_repair(compile_schema(fixture_registry, names), recompose_text)
         decompose_prompt = assemble_decompose_prompt(example.query, names, fixture_registry, config)
-        recompose_prompt = assemble_recompose_prompt(
-            example.query, serialize_subtasks(parse_subtasks(subtasks)), names, fixture_registry, config)
+        recompose_prompt = assemble_recompose_prompt(example.query, subtasks, names, fixture_registry, config)
         model = ScriptedModel({fingerprint(decompose_prompt): decompose_text,
                                fingerprint(recompose_prompt): recompose_text})
         trace = run_enchant(example.query, fresh, model, config)
@@ -548,6 +610,7 @@ def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, gol
         assert trace.final_plan == repair_plan(fresh.graph, parse_plan(plan_text).plan)[0]
     assert len(tool_sets) > 1
     assert compiled == Counter({(kind, names): 1 for kind in ("plan", "subtask") for names in tool_sets})
+    assert registries_built == []  # each plan automaton spells names of the context's one registry
 
 
 class CountingProvider(HashEmbeddingProvider):

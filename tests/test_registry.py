@@ -142,6 +142,28 @@ def test_wrong_typed_field_names_tool_and_path(tool_field, argument_field, error
     assert str(err.value) == error
 
 
+# A tool document with one value of each field as raw JSON text.
+_RAW_DOCUMENT = ('[{{"tool_name": "t", "tool_description": {description}, "return_type": "string", '
+                 '"arguments": [{{"argument_name": "a", "argument_type": "string", "required": {required}}}]}}]')
+
+
+@pytest.mark.parametrize("description, required, error", [
+    ('"d"', "NaN", "parse failure: NaN is not a JSON number"),
+    ("Infinity", "false", "parse failure: Infinity is not a JSON number"),
+    ("1e999", "false", "parse failure: 1e999 is out of a float's range"),
+], ids=["required-nan", "tool-description-infinity", "tool-description-overflow"])
+def test_a_number_strict_json_lacks_is_a_parse_failure_that_names_it(tmp_path, description, required, error):
+    # Python's json module reads all three as floats, which the field checks
+    # would then misname as a value of the wrong kind
+    text = _RAW_DOCUMENT.format(description=description, required=required)
+    path = tmp_path / "tools.json"
+    path.write_text(text, encoding="utf-8")
+    for source in (text, path):
+        with pytest.raises(RegistryError) as err:
+            load_registry(source)
+        assert str(err.value) == error
+
+
 @pytest.mark.parametrize("tool_field, argument_field, error", [
     ({"tool_descripton": "d"}, {}, "unknown field 'tool_descripton'; tool=t; at=$[0]"),
     ({}, {"requried": True}, "unknown field 'requried'; tool=t; at=$[0].arguments[0]"),
@@ -202,7 +224,6 @@ def test_registry_version_is_pinned():
 
     registry = load_registry(fixture_tools_path())
     assert registry.version == "395ebb18f33c"
-    assert registry.subset(["who_am_i", "works_list"]).version == "395ebb18f33c"
     assert register_operator_tools(registry).version == "395ebb18f33c+ops"
     assert Registry.from_tools(list(registry.tools.values()), version="given").version == "given"
     assert Registry(tools=registry.tools, version="given").version == "given"
@@ -233,22 +254,21 @@ def test_setup_and_a_query_never_write_the_tool_document(monkeypatch, golden_exa
         registry.version
 
 
-def test_a_subset_reads_its_parents_version_only_when_asked(monkeypatch):
-    # EnChAnT compiles each query's plan automaton from a subset; building
-    # one, of a subset too, leaves the parent's version unread.
+def test_compiling_an_automaton_over_names_writes_no_tool_document(monkeypatch):
+    # EnChAnT compiles each query's plan automaton over the retrieved names
+    # of the one registry; that leaves the registry's version unread.
     import chainplan.enforcer
     import chainplan.registry
 
     registry = load_registry(fixture_tools_path())
     with monkeypatch.context() as patched:
         patched.setattr(chainplan.registry, "serialize_registry", lambda registry: pytest.fail("document written"))
-        view = registry.subset(["who_am_i", "works_list"]).subset(["works_list"])
-        chainplan.enforcer.compile_schema(view)
+        automaton = chainplan.enforcer.compile_schema(registry, ["works_list", "who_am_i", "unknown"])
+        session = chainplan.enforcer.DecoderSession(automaton).advance('[{"tool_name":"w')
     assert registry.__dict__["_version"] is None
-    assert view.names == ("works_list",)
-    assert view.version == "395ebb18f33c"
+    assert automaton.allowed(session.state) == frozenset("ho")  # who_am_i, works_list
+    assert registry.version == "395ebb18f33c"
     assert registry.__dict__["_version"] == "395ebb18f33c"
-    assert view.__dict__["_version"] == "395ebb18f33c"
 
 
 def test_equal_type_texts_share_one_value_type():
