@@ -145,7 +145,7 @@ def cmd_plan(query, pipeline, tools, examples, config_file, replay_file, trace_f
     """Turn QUERY into a validated plan; plan JSON on stdout, trace to file."""
     registry = _load_registry_arg(tools, with_operators)
     try:
-        config = PipelineConfig.from_file(config_file) if config_file else PipelineConfig.default()
+        config = PipelineConfig.from_file(config_file) if config_file else PipelineConfig()
     except (ValueError, OSError) as exc:
         _fail(f"config: {exc}")
     golden = load_golden_dataset(examples) if examples else None
@@ -269,7 +269,7 @@ def cmd_eval(dataset, predictions, pipeline, replay_file, tools, fmt, trace_file
     else:
         ctx = PlannerContext.build(registry, HashEmbeddingProvider(), examples)
         model = load_replay(replay_file) if replay_file else RemoteChatModel()
-        config = PipelineConfig.default()  # read once, not once per example
+        config = PipelineConfig()  # read once, not once per example
         predicted_texts = []
         traces = []
         for example in examples:

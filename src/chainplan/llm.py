@@ -55,9 +55,11 @@ class CompletionRequest:
             raise ValueError("max_tokens must be an integer")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be at least 1")
-        # NaN fails both comparisons; infinity is no JSON number
-        if not 0 <= self.temperature < math.inf:
-            raise ValueError("temperature must be finite and nonnegative")
+        # a bool would be sent as JSON true, NaN fails both comparisons, and
+        # infinity is no JSON number
+        t = self.temperature
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 <= t < math.inf:
+            raise ValueError("temperature must be a finite nonnegative number")
 
 
 @dataclass(frozen=True)

@@ -102,14 +102,18 @@ class PipelineConfig:
         self.validate()
 
     def validate(self) -> None:
+        wrong = [key for key, kind in _CONFIG_SCALARS.items() if _wrong_type(getattr(self, key), kind)]
+        wrong += [f"{k}_template" for k in _TEMPLATE_SLOTS if not isinstance(getattr(self, f"{k}_template"), str)]
+        # a bare string would render one insight per character
+        if not isinstance(self.insights, (tuple, list)) or not all(isinstance(i, str) for i in self.insights):
+            wrong.append("insights")
+        if wrong:
+            raise ValueError(f"config values of the wrong type: {', '.join(wrong)}")
         for key, slots in _TEMPLATE_SLOTS.items():
             template = getattr(self, f"{key}_template")
             missing = [slot for slot in slots if f"{{{slot}}}" not in template]
             if missing:
                 raise ValueError(f"{key}_template lacks required placeholders: {missing}")
-        wrong = [key for key, kind in _CONFIG_SCALARS.items() if _wrong_type(getattr(self, key), kind)]
-        if wrong:
-            raise ValueError(f"config values of the wrong type: {', '.join(wrong)}")
         # a library caller may pass NaN, which "not >=" refuses, or infinity;
         # from_file refuses both as invalid JSON before they get here
         low = [f"{key} must be at least {least}"
@@ -120,6 +124,7 @@ class PipelineConfig:
 
     @classmethod
     def default(cls, **overrides) -> "PipelineConfig":
+        """``cls(**overrides)``; kept until ROADMAP item 6 folds the benchmark's calls."""
         return cls(**overrides)
 
     @classmethod

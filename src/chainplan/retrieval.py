@@ -1,10 +1,9 @@
 """Dense retrieval over tool and example corpora.
 
 Embeds texts through a pluggable provider, ranks by cosine similarity, and
-selects top-k. Ships a deterministic hashing provider for network-free tests
-and a client for any OpenAI-compatible embeddings endpoint. Corpora are
-built in memory, immutable after indexing, and carry the provider id so a
-query embedded by another provider is refused.
+selects top-k. Ships a deterministic hashing provider that needs no network.
+Corpora are built in memory, immutable after indexing, and carry the
+provider id so a query embedded by another provider is refused.
 
 Every vector is checked once, where it enters: a corpus checks each item's
 vector and keeps its norm when it is built, and a query is checked as it
@@ -36,13 +35,11 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-import os
 import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .llm import post_json, resolve_endpoint
 from .registry import sha256
 
 
@@ -125,48 +122,6 @@ class HashEmbeddingProvider:
             return [1.0] + [0.0] * (self.dimension - 1)
         shared = {c: c / norm for c in set(counts)}
         return list(map(shared.__getitem__, counts))
-
-
-class RemoteEmbeddingProvider:
-    """OpenAI-compatible embeddings endpoint (POST {base}/v1/embeddings)."""
-
-    def __init__(self, model: str | None = None, api_base: str | None = None,
-                 api_key: str | None = None, timeout: float | None = None):
-        self.model = model or os.environ.get("CHAINPLAN_EMBED_MODEL", "text-embedding-ada-002")
-        self.api_base, self.api_key, self.timeout = resolve_endpoint(api_base, api_key, timeout)
-        self.provider_id = f"remote-{self.model}"
-        self.dimension: int | None = None
-
-    def embed(self, text: str) -> list[float]:
-        if not text:
-            raise RetrievalError("cannot embed empty text")
-        body = post_json(
-            f"{self.api_base}/v1/embeddings",
-            {"model": self.model, "input": text},
-            api_key=self.api_key,
-            timeout=self.timeout,
-        )
-        try:
-            embedding = body["data"][0]["embedding"]
-            if not isinstance(embedding, list):
-                raise TypeError(f"embedding is a {type(embedding).__name__}, not a list")
-            vector = [_finite_component(v) for v in embedding]
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-            raise RetrievalError(f"malformed embeddings response: {exc}") from exc
-        if self.dimension is None:
-            self.dimension = len(vector)
-        return vector
-
-
-def _finite_component(value) -> float:
-    """A decoded JSON number as a finite float; a string, a bool (which
-    Python counts an int), a list, NaN or an infinity raises."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"component {value!r} is not a number")
-    component = float(value)
-    if not math.isfinite(component):
-        raise ValueError(f"component {value!r} is not finite")
-    return component
 
 
 @dataclass(frozen=True)

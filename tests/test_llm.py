@@ -21,7 +21,6 @@ from chainplan.llm import (
     save_replay,
 )
 from chainplan.plan import parse_plan
-from chainplan.retrieval import RemoteEmbeddingProvider
 
 
 def test_request_validation():
@@ -39,6 +38,7 @@ def test_request_refuses_nan(field):
 
 @pytest.mark.parametrize("field, value", [
     ("max_tokens", 2.5), ("max_tokens", True), ("temperature", float("inf")),
+    ("temperature", True), ("temperature", "0.5"),
 ])
 def test_request_refuses_a_value_no_decode_or_payload_can_hold(field, value):
     # a fractional cap is never met by a step count, and infinity is no JSON number
@@ -243,7 +243,7 @@ def test_retried_and_refused_responses_are_closed(stub_server):
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-@pytest.mark.parametrize("client_class", [RemoteChatModel, RemoteEmbeddingProvider])
+@pytest.mark.parametrize("client_class", [RemoteChatModel])
 def test_endpoint_resolved_from_environment(monkeypatch, client_class):
     def endpoint(**explicit):
         client = client_class(**explicit)
@@ -263,7 +263,7 @@ def test_endpoint_resolved_from_environment(monkeypatch, client_class):
 
 
 @pytest.mark.parametrize("value", ["inf", "abc", "nan", "-1", "0"])
-@pytest.mark.parametrize("client_class", [RemoteChatModel, RemoteEmbeddingProvider])
+@pytest.mark.parametrize("client_class", [RemoteChatModel])
 def test_bad_timeout_is_refused_when_the_client_is_built(monkeypatch, client_class, value):
     monkeypatch.setenv("CHAINPLAN_TIMEOUT", value)
     with pytest.raises(CompletionError, match=re.escape(f"CHAINPLAN_TIMEOUT must be a finite number of "

@@ -244,6 +244,12 @@ def test_config_built_directly_holds_the_packaged_templates(ctx, golden_examples
     ({"max_tokens": True, "k": 3.0}, "wrong type: k, max_tokens"),
     ({"temperature": float("inf")}, "temperature must be finite"),
     ({"temperature": float("nan")}, "temperature must be at least 0"),
+    ({"decompose_template": 3}, "wrong type: decompose_template$"),
+    ({"recompose_template": b"{query} {tools} {subtasks}"}, "wrong type: recompose_template$"),
+    ({"rap_template": None, "k": 3.0}, "wrong type: k, rap_template$"),
+    ({"insights": "abc"}, "wrong type: insights$"),
+    ({"insights": None}, "wrong type: insights$"),
+    ({"insights": ("one", 2)}, "wrong type: insights$"),
 ])
 def test_config_built_directly_refuses_what_a_file_may_not_hold(setting, message):
     with pytest.raises(ValueError, match=message):
@@ -640,44 +646,3 @@ def test_each_run_embeds_its_query_once(fixture_registry, golden_examples, confi
         provider.calls = 0
         run_enchant(example.query, fresh, enchant_model, config)
         assert provider.calls == 1
-
-
-def test_regains_sends_one_embeddings_request_per_run(fixture_registry, golden_examples, config):
-    import json
-    import threading
-    from http.server import BaseHTTPRequestHandler, HTTPServer
-
-    from chainplan.retrieval import RemoteEmbeddingProvider
-
-    hashing = HashEmbeddingProvider()
-    posts = []
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            posts.append(self.path)
-            body = json.dumps({"data": [{"embedding": hashing.embed(payload["input"])}]}).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        provider = RemoteEmbeddingProvider(api_base=f"http://127.0.0.1:{server.server_port}", api_key="k")
-        remote = PlannerContext.build(fixture_registry, provider, golden_examples)
-        assert len(posts) == len(fixture_registry) + len(golden_examples)
-        for example in golden_examples[:2]:
-            model = ScriptedModel(dict(regains_replay_entries(example, remote, config)))
-            posts.clear()
-            trace = run_regains(example.query, remote, model, config)
-            assert posts == ["/v1/embeddings"]
-            assert trace.final_text == example.gold_text
-    finally:
-        server.shutdown()
-        server.server_close()

@@ -1,4 +1,4 @@
-import contextlib
+import ast
 import hashlib
 import heapq
 import json
@@ -6,13 +6,13 @@ import math
 import random
 import re
 import sys
-import threading
 from array import array
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import chainplan.retrieval
 from chainplan.retrieval import (
     _BIAS,
     _MAX_DIMENSION,
@@ -21,7 +21,6 @@ from chainplan.retrieval import (
     Corpus,
     CorpusItem,
     HashEmbeddingProvider,
-    RemoteEmbeddingProvider,
     RetrievalError,
     _candidates,
     _select,
@@ -726,95 +725,13 @@ def test_top_n_recall_monotone_in_n():
         assert last == 1.0
 
 
-def test_remote_embedding_provider_against_stub():
-    import json
-    import threading
-    from http.server import BaseHTTPRequestHandler, HTTPServer
-
-    from chainplan.retrieval import RemoteEmbeddingProvider
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            length = int(self.headers["Content-Length"])
-            payload = json.loads(self.rfile.read(length))
-            assert payload["model"] == "test-embed"
-            body = json.dumps({"data": [{"embedding": [0.6, 0.8]}]}).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        provider = RemoteEmbeddingProvider(
-            model="test-embed", api_base=f"http://127.0.0.1:{server.server_port}", api_key="k"
-        )
-        vector = provider.embed("some tool text")
-        assert vector == [0.6, 0.8]
-        assert provider.dimension == 2
-        corpus = index_corpus(provider, [("a", "alpha")])
-        assert corpus.provider_id == "remote-test-embed"
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-@contextlib.contextmanager
-def _embeddings_stub(body: bytes):
-    """A localhost embeddings endpoint answering every POST with ``body``."""
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-
-
-@pytest.mark.parametrize("embedding, vector", [
-    ("[0.6, 0.8]", [0.6, 0.8]),
-    ("[3, -4]", [3.0, -4.0]),
-    ('["nan", 1.0]', None),
-    ('["inf", 1.0]', None),
-    ('["0.6", 0.8]', None),
-    ("[true, 1.0]", None),
-    ("[0.6, null]", None),
-    ("[NaN, 1.0]", None),
-    ("[Infinity, 1.0]", None),
-    ("[-Infinity, 1.0]", None),
-    ("[1e999, 1.0]", None),
-    ("[[0.6], 0.8]", None),
-    ('"0.6,0.8"', None),
-    ('{"0": 0.6}', None),
-])
-def test_remote_embedding_provider_takes_only_finite_json_numbers(embedding, vector):
-    body = f'{{"data": [{{"embedding": {embedding}}}]}}'.encode("utf-8")
-    with _embeddings_stub(body) as api_base:
-        provider = RemoteEmbeddingProvider(model="test-embed", api_base=api_base, api_key="k")
-        if vector is None:
-            with pytest.raises(RetrievalError, match="^malformed embeddings response: "):
-                provider.embed("some tool text")
-            assert provider.dimension is None
-        else:
-            assert provider.embed("some tool text") == vector
-            assert provider.dimension == len(vector)
+def test_retrieval_takes_nothing_from_the_package_but_the_registry():
+    # ranking sits below the chat transport and the enforcer
+    tree = ast.parse(Path(chainplan.retrieval.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(f"chainplan.{node.module or ''}" if node.level else node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {name for name in imported if name.split(".")[0] == "chainplan"} == {"chainplan.registry"}
