@@ -124,7 +124,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_response(type(self).failure_status)
             self.end_headers()
             return
-        body = json.dumps(type(self).response).encode("utf-8")
+        response = type(self).response
+        body = response if isinstance(response, bytes) else json.dumps(response).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -170,6 +171,41 @@ def test_remote_model_refuses_a_malformed_answer(stub_server, monkeypatch, respo
     model = RemoteChatModel(api_base=stub_server, api_key="k")
     with pytest.raises(CompletionError, match="^malformed chat completion response: "):
         model.complete(CompletionRequest(prompt="q"))
+
+
+# The transport's json.loads takes NaN, Infinity and an overflowing 1e999 as
+# floats, so the client itself must refuse all but a string content and
+# integer counts.
+@pytest.mark.parametrize("content, count, accepted", [
+    ('"[]"', "12", True),
+    ('"[]"', "0", True),
+    ('"[]"', "12.0", False),
+    ('"[]"', "true", False),
+    ('"[]"', '"12"', False),
+    ('"[]"', "NaN", False),
+    ('"[]"', "Infinity", False),
+    ('"[]"', "-Infinity", False),
+    ('"[]"', "1e999", False),
+    ('"[]"', "[12]", False),
+    ('"[]"', '{"0": 12}', False),
+    ("3", "12", False),
+    ("true", "12", False),
+    ('["[]"]', "12", False),
+    ('{"text": "[]"}', "12", False),
+    ("NaN", "12", False),
+])
+def test_remote_model_takes_only_a_string_content_and_integer_counts(stub_server, monkeypatch,
+                                                                      content, count, accepted):
+    body = (f'{{"choices": [{{"message": {{"content": {content}}}}}], '
+            f'"usage": {{"prompt_tokens": {count}, "completion_tokens": 2}}}}')
+    monkeypatch.setattr(_StubHandler, "response", body.encode("utf-8"))
+    model = RemoteChatModel(api_base=stub_server, api_key="k")
+    if accepted:
+        result = model.complete(CompletionRequest(prompt="q"))
+        assert (result.text, result.prompt_tokens, result.completion_tokens) == ("[]", int(count), 2)
+    else:
+        with pytest.raises(CompletionError, match="^malformed chat completion response: need a string content"):
+            model.complete(CompletionRequest(prompt="q"))
 
 
 def test_remote_model_estimates_tokens_without_usage(stub_server, monkeypatch):
