@@ -16,8 +16,8 @@ the text goes on in once the piece is done:
 
 - literal ``("lit", text, i, then)`` matches ``text[i]`` and, at the end of
   ``text``, continues in ``then``;
-- name ``("name", key, prefix)`` spells one of the sorted names the
-  automaton maps ``key`` to and, after its closing quote, continues in
+- name ``("name", key, prefix)`` spells one of the sorted names of
+  ``key`` (``_names``) and, after its closing quote, continues in
   ``_after_name(key, name)``. ``key`` is None for tool names;
 - records ``("open"|"sep", item, close)``, after ``[`` or after a record:
   a record opens with the literal ``item`` (``None``: no further record),
@@ -35,8 +35,10 @@ the text goes on in once the piece is done:
   character it does not take is stepped from ``then``.
 
 Both automata are these pieces alone: the plan automaton's argument names
-are name pieces keyed by ``(tool, used)``, the arguments of ``tool`` not yet
-``used``, each going on in ``,"argument_value":`` and its value. One number
+are name pieces keyed by ``(tool, unused)``, the sorted arguments of
+``tool`` the call has not written yet, read from the registry once when the
+argument list opens; each goes on in ``,"argument_value":`` and its value,
+and the next record's key drops the name written. One number
 machine serves integers and the unsigned sub-task ids and reference indices,
 which are canonical (no leading zero). A float is JSON's number as
 ``json.dumps`` writes it: an exponent ``[eE][+-]?[0-9]+`` follows only a
@@ -65,7 +67,7 @@ transition graph it builds lazily: a node per state reached, a dict mapping
 None to the state and each character stepped from it to the successor node,
 or to None when the state rejects it. Only a character not yet stepped from
 a node calls ``transition`` (``successor``). A state holds the tool, its
-used arguments and the position inside a value, never the calls made
+unused arguments and the position inside a value, never the calls made
 before, so texts pass through the same states and step along kept edges. At
 ``_GRAPH_SIZE`` nodes the graph is cleared. A node also keeps, once asked
 for, its next-character set (``allowed``) and its forced run (``forced``):
@@ -222,8 +224,7 @@ def _compare(c: int, ch: str) -> int:
 
 # ---------------------------------------------------------------------------
 # Automata: one transition over the pieces of the module docstring.
-# Subclasses supply the tool names, a top-level item and ``_after_name``; the
-# plan automaton also keys argument names in ``_names``.
+# Subclasses supply the tool names, a top-level item and ``_after_name``.
 # ---------------------------------------------------------------------------
 
 _ACCEPT = ("accept",)
@@ -263,8 +264,9 @@ class _Automaton:
         return state == _ACCEPT
 
     def _names(self, key) -> tuple[str, ...]:
-        """The sorted names the name piece keyed by ``key`` spells."""
-        return self._tools
+        """The sorted names the name piece keyed by ``key`` spells: the tool
+        names for None, else the names the key holds after its tool."""
+        return self._tools if key is None else key[1]
 
     def transition(self, state: tuple, ch: str):  # noqa: C901 - one dispatcher
         """The state after ``ch``, or None if ``state`` does not take it."""
@@ -509,8 +511,9 @@ class PlanAutomaton(_Automaton):
     The tool names are those of ``names`` that the registry holds, a name
     it lacks skipped and a repeat kept once, or, when ``names`` is None,
     all of them. An argument list offers no further item once every
-    argument is used; argument names are read from the registry, which is
-    not copied."""
+    argument is written. The registry is read when an argument list opens,
+    for the tool's argument names, and when an argument's value starts, for
+    its type; it is not copied."""
 
     def __init__(self, registry: Registry, names=None):
         tools = registry.tools
@@ -521,24 +524,19 @@ class PlanAutomaton(_Automaton):
         super().__init__(tuple(sorted(spelled)), ("lit", '{"tool_name":"', 0, ("name", None, "")))
         self._registry = registry
 
-    def _names(self, key) -> tuple[str, ...]:
-        if key is None:
-            return self._tools
-        tool, used = key
-        return tuple(sorted(a for a in self._registry.tools[tool].argument_names if a not in used))
-
     def _after_name(self, key, name: str) -> tuple:
         if key is None:
-            return ("lit", ',"arguments":[', 0, ("open", self._arg_item(name, frozenset()), self._item_close))
-        tool, used = key
-        then = ("lit", "}", 0, ("sep", self._arg_item(tool, used | {name}), self._item_close))
+            unused = tuple(sorted(self._registry.tools[name].argument_names))
+            return ("lit", ',"arguments":[', 0, ("open", self._arg_item(name, unused), self._item_close))
+        tool, unused = key
+        then = ("lit", "}", 0, ("sep", self._arg_item(tool, tuple(a for a in unused if a != name)), self._item_close))
         spec = argument_value_spec(self._registry.tools[tool].argument(name).value_type)
         return ("lit", ',"argument_value":', 0, _start(spec, then))
 
-    def _arg_item(self, tool: str, used: frozenset):
-        if len(used) == len(self._registry.tools[tool].arguments):
+    def _arg_item(self, tool: str, unused: tuple[str, ...]):
+        if not unused:
             return None
-        return ("lit", '{"argument_name":"', 0, ("name", (tool, used), ""))
+        return ("lit", '{"argument_name":"', 0, ("name", (tool, unused), ""))
 
 
 def compile_schema(registry: Registry, names=None) -> PlanAutomaton:

@@ -230,8 +230,10 @@ class RemoteChatModel:
             raise CompletionError(f"malformed chat completion response: {exc}") from exc
         usage = {} if body.get("usage") is None else body["usage"]
         if not isinstance(text, str) or not isinstance(usage, dict) or not all(
-                type(usage.get(key, 0)) is int for key in ("prompt_tokens", "completion_tokens")):
-            raise CompletionError("malformed chat completion response: need a string content and integer usage counts")
+                type(count) is int and count >= 0
+                for count in (usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0))):
+            raise CompletionError("malformed chat completion response: need a string content "
+                                  "and non-negative integer usage counts")
         return _result(request, text, latency, usage=usage)
 
 

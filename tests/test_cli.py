@@ -259,6 +259,23 @@ def test_eval_empty_dataset_is_one_line_error(runner, tmp_path, source):
     _assert_one_line_error(result, f"{empty}: no dataset records")
 
 
+def test_eval_with_fewer_predictions_than_records_is_one_line_error(runner, tmp_path, golden_examples):
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(json.dumps({"predicted": golden_examples[0].gold_text}) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--dataset", str(GOLDEN_PATH), "--predictions", str(predictions),
+                                  "--trace", str(tmp_path / "t.json")])
+    _assert_one_line_error(result, f"Error: {len(golden_examples)} dataset records but 1 predictions\n")
+
+
+def test_eval_pipeline_whose_replay_lacks_a_prompt_is_one_line_error(runner, tmp_path, golden_examples):
+    replay = tmp_path / "empty.jsonl"
+    replay.write_text("", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--dataset", str(GOLDEN_PATH), "--pipeline", "regains",
+                                  "--mock", str(replay), "--trace", str(tmp_path / "t.json")])
+    _assert_one_line_error(result, f"Error: pipeline failed on {golden_examples[0].query!r}: replay mismatch: "
+                                   "prompt fingerprint ", "is not in the replay\n")
+
+
 @pytest.mark.parametrize("option", ["tools", "dataset", "predictions", "check", "repair", "enforce", "exec",
                                     "mock", "config", "template"])
 def test_input_file_that_is_not_utf8_is_one_line_error(runner, tmp_path, option):

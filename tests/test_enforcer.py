@@ -180,6 +180,29 @@ def test_serialized_fixture_golds_are_accepted(automaton, golden_examples):
         assert session.at_end
 
 
+def test_argument_name_states_are_keyed_by_the_names_the_call_has_not_written(fixture_registry, automaton,
+                                                                              golden_examples):
+    # along each gold plan, every argument-name state holds its tool and the
+    # sorted argument names its call has not written yet
+    for example in golden_examples:
+        expected = []
+        for call in example.gold.calls:
+            unused = set(fixture_registry.get(call.tool_name).argument_names)
+            for name, _ in call.arguments:
+                expected.append((call.tool_name, tuple(sorted(unused))))
+                unused.discard(name)
+        keys = []
+        session = DecoderSession(automaton)
+        for ch in example.gold_text:
+            tag, *piece = session.state
+            if tag == "name" and piece[0] is not None:
+                if piece[1] == "":
+                    keys.append(piece[0])
+                assert piece[0] == keys[-1], (example.id, session.emitted)
+            session.advance(ch)
+        assert keys == expected, example.id
+
+
 def test_repair_identity_on_valid(automaton):
     out, edits = enforced_repair(automaton, SIMPLE)
     assert out == SIMPLE
@@ -913,8 +936,8 @@ def test_name_state_sets_equal_the_scan(tools, arguments):
     for spec in specs:
         names = sorted(spec.argument_names)
         for k in range(min(len(names), 3)):  # some arguments are left
-            used = frozenset(names[:k])
-            states += _name_states((spec.name, used), [a for a in names if a not in used])
+            unused = tuple(names[k:])
+            states += _name_states((spec.name, unused), unused)
     for state in states:
         assert plan.allowed(state) == _scan(plan, state), state
     subtask = compile_subtask_schema(tools)

@@ -280,6 +280,17 @@ def test_division_by_zero():
         apply_operator("floordiv", 1, 0)
 
 
+@pytest.mark.parametrize(("op", "a", "b", "message"), [
+    ("xor", 1, 2, "unknown operator 'xor'"),
+    ("add", [1], 2, "add requires scalar operands"),
+    ("eq", 1, [2], "eq requires scalar operands"),
+])
+def test_unknown_operator_and_list_operand_are_refused(op, a, b, message):
+    with pytest.raises(OperatorError) as err:
+        apply_operator(op, a, b)
+    assert str(err.value) == message
+
+
 def test_floor_division_and_modulus_signs():
     assert apply_operator("floordiv", -7, 2) == -4
     assert apply_operator("mod", -7, 2) == 1

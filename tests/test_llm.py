@@ -175,10 +175,11 @@ def test_remote_model_refuses_a_malformed_answer(stub_server, monkeypatch, respo
 
 # The transport's json.loads takes NaN, Infinity and an overflowing 1e999 as
 # floats, so the client itself must refuse all but a string content and
-# integer counts.
+# non-negative integer counts.
 @pytest.mark.parametrize("content, count, accepted", [
     ('"[]"', "12", True),
     ('"[]"', "0", True),
+    ('"[]"', "-3", False),
     ('"[]"', "12.0", False),
     ('"[]"', "true", False),
     ('"[]"', '"12"', False),

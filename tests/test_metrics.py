@@ -218,6 +218,12 @@ def test_rouge_identical_and_disjoint():
     assert rouge_l_f1(["a"], ["b"]) == 0.0
 
 
+def test_rouge_refuses_empty_gold_and_scores_empty_prediction_zero():
+    with pytest.raises(ValueError, match=r"^gold token stream must not be empty$"):
+        rouge_l_f1(["a"], [])
+    assert rouge_l_f1([], ["a", "b"]) == 0.0
+
+
 def test_rouge_hand_example():
     assert rouge_l_f1(["a", "x", "b", "y"], ["a", "b"]) == pytest.approx(2 / 3)
 

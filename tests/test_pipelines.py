@@ -619,6 +619,22 @@ def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, gol
     assert registries_built == []  # each plan automaton spells names of the context's one registry
 
 
+def test_the_automaton_memo_is_cleared_at_its_bound(fixture_registry, golden_examples):
+    # a tool set met again reuses its automaton until the memo holds
+    # _AUTOMATA_KEPT of them; the next new set clears it first
+    from chainplan.pipelines import _AUTOMATA_KEPT, _automaton
+
+    fresh = PlannerContext.build(fixture_registry, HashEmbeddingProvider(), golden_examples)
+    first = _automaton(fresh, "subtask", ["t0"])
+    for i in range(1, _AUTOMATA_KEPT):
+        _automaton(fresh, "subtask", [f"t{i}"])
+    assert len(fresh.automata) == _AUTOMATA_KEPT
+    assert _automaton(fresh, "subtask", ["t0"]) is first
+    last = _automaton(fresh, "subtask", ["new"])
+    assert fresh.automata == {("subtask", frozenset(["new"])): last}
+    assert _automaton(fresh, "subtask", ["t0"]) is not first
+
+
 class CountingProvider(HashEmbeddingProvider):
     """The hashing provider, counting the texts it embeds."""
 

@@ -178,6 +178,26 @@ def test_unknown_field_names_tool_and_path(tool_field, argument_field, error):
     assert str(err.value) == error
 
 
+def test_a_document_that_is_not_an_array_is_refused(tmp_path):
+    # text that does not start with "[" is a path
+    path = tmp_path / "tools.json"
+    path.write_text('{"tools": []}', encoding="utf-8")
+    with pytest.raises(RegistryError) as err:
+        load_registry(path)
+    assert str(err.value) == "tool document must be a JSON array"
+
+
+@pytest.mark.parametrize("doc, error", [
+    ("[1]", "tool entry is not an object; at=$[0]"),
+    ('[{"tool_name": "t", "tool_description": "d", "return_type": "string", "arguments": ["a"]}]',
+     "argument entry is not an object; tool=t; at=$[0].arguments[0]"),
+], ids=["tool", "argument"])
+def test_an_entry_that_is_not_an_object_is_refused(doc, error):
+    with pytest.raises(RegistryError) as err:
+        load_registry(doc)
+    assert str(err.value) == error
+
+
 def test_missing_required_field():
     doc = json.dumps([{"tool_name": "x", "arguments": []}])
     with pytest.raises(RegistryError) as err:
@@ -396,4 +416,17 @@ def test_dataset_loader_cites_bad_line(tmp_path, bad_record):
     target.write_text('{"query": "ok", "gold": []}\n' + bad_record + "\n", encoding="utf-8")
     with pytest.raises(DatasetError) as err:
         load_golden_dataset(target)
+    assert err.value.line == 2
+
+
+def test_dataset_loader_refuses_a_gold_plan_off_the_wire_format(tmp_path):
+    from chainplan.datasets import DatasetError, load_golden_dataset
+
+    target = tmp_path / "bad.jsonl"
+    target.write_text('{"query": "ok", "gold": []}\n{"query": "q", "gold": [{"tool_name": "t"}]}\n',
+                      encoding="utf-8")
+    with pytest.raises(DatasetError) as err:
+        load_golden_dataset(target)
+    assert str(err.value) == (f"{target} line 2: gold plan does not match the wire format: "
+                              "call must have exactly tool_name and arguments")
     assert err.value.line == 2

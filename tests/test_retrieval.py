@@ -110,6 +110,15 @@ def test_index_empty_items():
     assert len(corpus) == 0
 
 
+def test_hash_provider_refuses_empty_text_and_indexing_keeps_its_error():
+    with pytest.raises(RetrievalError, match=r"^cannot embed empty text$"):
+        HashEmbeddingProvider().embed("")
+    # a provider's own RetrievalError passes through index_corpus unwrapped
+    with pytest.raises(RetrievalError) as err:
+        index_corpus(HashEmbeddingProvider(), [("a", "x"), ("b", "")])
+    assert str(err.value) == "cannot embed empty text" and err.value.__cause__ is None
+
+
 def test_index_rejects_wrong_dimension():
     provider = TableProvider({"x": [1.0] * 3, "y": [1.0] * 4})
     with pytest.raises(RetrievalError, match=r"item 1 \('b'\): vector has dimension 4, expected 3"):
@@ -122,7 +131,9 @@ def test_index_rejects_wrong_dimension():
     ([("a", "x"), ("b", "zero")], "item 1 ('b'): cosine of a zero vector is undefined"),
     ([("a", "x"), ("b", "big")], "item 1 ('b'): vector norm overflows"),
     ([("a", "x"), ("b", "z"), ("a", "x")], "item 2: duplicate corpus id 'a'"),
-], ids=["nan", "zero", "overflow", "duplicate-id"])
+    # any other exception from the provider, here the table's KeyError
+    ([("a", "x"), ("b", "missing")], "provider failed on item 'b': 'missing'"),
+], ids=["nan", "zero", "overflow", "duplicate-id", "provider-error"])
 def test_index_rejects_bad_items(items, message):
     provider = TableProvider({"x": [1.0] * 3, "z": [1.0] * 3, "nan": [1.0, float("nan"), 1.0],
                               "zero": [0.0] * 3, "big": [1e200, 1.0, 1.0]})
