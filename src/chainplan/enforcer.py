@@ -86,17 +86,24 @@ character by character would succeed. A vocabulary belongs to the model: it
 is indexed once (``vocabulary_index``) into a ``TokenIndex`` (sorted distinct
 tokens, one shared-prefix byte per token, the token range of each first
 character and a dict of every token mapped to False, about 0.5 MB for 8k
-tokens) that every automaton and session shares. A session maps its
-candidates through a verdict table in C; tokens outside the index are fed one
-by one from the session's node. A structural state's table is a copy of that
-dict with the accepted tokens set to True, from one pass over the implicit
-trie from the session's node that visits only the first characters the state
-allows, steps through the graph and jumps by bisection past every token under
-a rejected prefix. String states reuse their verdicts: a token without ``"``
-cannot leave the string, so its verdict is the string's alone, kept once per
-index for each string state without ``then``; only the tokens with a ``"``
-are walked per string state, and their table is kept on the state's node
-under the index as key, cleared with the graph like its set and run.
+tokens) that every automaton and session shares. A session maps all its
+candidates at every step, in C, through one verdict table of its own, kept
+from step to step and changed in place; tokens outside the index are fed one
+by one from the node the table was last set for. A structural state sets its
+accepted tokens to True, from one pass over the implicit trie from the
+session's node that visits only the first characters the state allows,
+steps through the graph and jumps by bisection past every token under a
+rejected prefix, after resetting to False only the tokens the previous
+structural state set; after a string state the table is first refilled from
+that dict. String states reuse their verdicts: a token without ``"`` cannot
+leave the string, so its verdict is the string's alone, kept once per index
+for each string state without ``then``; only the tokens with a ``"`` are
+walked per string state, and their table is kept on the state's node under
+the index as key, cleared with the graph like its set and run. A string step
+on the node of the session's previous step reuses the session's table as it
+is; any other refills it from those two. The index's tables are only copied,
+never changed, and a session's table is never shared; ``constrained_complete``
+drops it when a decode ends.
 
 Accepted value shapes per argument are deliberately relaxed around
 references: both a bare ``"$$PREV[i]"`` and a singleton ``["$$PREV[i]"]``
@@ -610,7 +617,7 @@ class _Trie:
     range of tokens under each first character.
 
     ``rejected`` maps every token, in sorted order, to False; a walk sets the
-    accepted tokens of a copy to True.
+    accepted tokens to True in the table it is given, never in ``rejected``.
     """
 
     __slots__ = ("tokens", "shared", "rejected", "_spans")
@@ -703,14 +710,18 @@ class TokenIndex(_Trie):
         self.quoted = _Trie(token for token in self.tokens if '"' in token)
         self._bodies: dict[tuple, dict[str, bool]] = {}
 
-    def verdicts(self, automaton, node: dict, peek) -> dict[str, bool]:
-        """A fresh table: each indexed token mapped to whether ``automaton``
-        consumes all of it from the state of ``node``, a node of its
-        transition graph, any other token to ``peek(token)``.
+    def verdicts(self, automaton, node: dict, table: _Verdicts | None = None) -> _Verdicts:
+        """The verdict table of the state of ``node``, a node of the
+        transition graph of ``automaton``: each indexed token mapped to
+        whether ``automaton`` consumes all of it from that state, any other
+        token walked from ``node``. ``table`` is the table this returned for
+        its caller's previous step, or None for a new one; it is reused and
+        changed in place, so it must be the caller's own. A table refilled
+        is cleared first, so one caller never holds two tables' entries.
 
-        A state outside a string is walked over the first characters
-        ``automaton`` allows there: that set is exact, since every accepted
-        character is printable ASCII. A string state takes kept tables:
+        A string state returns ``table`` as it is when it was set for the
+        same node: a verdict is a function of the state and the token alone,
+        so through any index. Otherwise it refills it from kept tables:
 
         - the body table of the state without ``then``, ``("s",)``,
           ``("se",)`` or ``("su", k)``, walked once with ``then`` set to the
@@ -725,20 +736,40 @@ class TokenIndex(_Trie):
         state and the index, and is set on the node only once fully walked,
         so a node shared across threads or held after a clear stays correct
         and a lost table only costs a rewalk.
+
+        A state outside a string is walked over the first characters
+        ``automaton`` allows there: that set is exact, since every accepted
+        character is printable ASCII. The tokens it accepts are set to True
+        once the tokens the previous structural walk set are reset to False;
+        a table last set for a string state or through another index is
+        first refilled from ``rejected``. Kept tables are only copied, never
+        changed.
         """
+        if table is None:
+            table = _Verdicts()
         state = node[None]
         if state[0] in _STRING_NEXT:
-            table = _Verdicts(self._body(automaton, state[:-1]))
+            if table.node is node:
+                return table
             quoted = node.get(self)
             if quoted is None:
                 quoted = self.quoted.rejected.copy()
                 self.quoted._walk(automaton, node, quoted)
                 node[self] = quoted
+            table.clear()
+            table.update(self._body(automaton, state[:-1]))
             table.update(quoted)
+            raised = None
         else:
-            table = _Verdicts(self.rejected)
-            self._walk(automaton, node, table)
-        table.peek = peek
+            if table.raised is None or table.index is not self:
+                table.clear()
+                table.update(self.rejected)
+            else:
+                table.update(dict.fromkeys(table.raised, False))
+            raised = {}
+            self._walk(automaton, node, raised)
+            table.update(raised)
+        table.automaton, table.node, table.index, table.raised = automaton, node, self, raised
         return table
 
     def _body(self, automaton, inner: tuple) -> dict[str, bool]:
@@ -766,19 +797,24 @@ def vocabulary_index(vocabulary) -> TokenIndex:
 
 
 class _Verdicts(dict):
-    """A verdict table that answers a token outside the index with ``peek``:
-    a session's, so from the session's current state."""
+    """A session's verdict table (``TokenIndex.verdicts``), set last for
+    ``node`` of ``automaton`` through ``index``; ``raised`` holds the tokens
+    a structural walk set to True, None in a string state's table. A token
+    outside the index is walked from ``node``, so the table refers to no
+    session."""
 
-    __slots__ = ("peek",)
+    automaton = node = index = raised = None
 
     def __missing__(self, token: str) -> bool:
-        return self.peek(token)
+        return self.automaton.walk(self.node, token)[1] == len(token)
 
 
 class DecoderSession:
     """Single decode stream over a shared automaton, masking through
     ``index`` when it has one. The session holds a node of the automaton's
-    transition graph; ``state`` is the node's state.
+    transition graph; ``state`` is the node's state. ``table`` is the
+    session's own verdict table, kept from one mask to the next (None
+    before the first); setting it to None releases it.
 
     The emitted buffer is always a prefix of some accepted string; ``advance``
     is atomic and leaves the session untouched on rejection.
@@ -789,6 +825,7 @@ class DecoderSession:
         self.node = automaton.node(automaton.initial_state)
         self.emitted = ""
         self.index = index
+        self.table: _Verdicts | None = None
 
     @property
     def state(self) -> tuple:
@@ -814,16 +851,22 @@ class DecoderSession:
         """Speculative per-token mask, equal to ``[self.peek(t) for t in
         vocabulary]``; the session state is unchanged.
 
-        With an index, the vocabulary is mapped in C through the index's
-        verdict table for the current state (``TokenIndex.verdicts``), and
-        tokens outside the index are peeked; without one, every token is.
+        With an index, the whole vocabulary is mapped in C through the
+        session's verdict table, set for the current state by the index
+        (``TokenIndex.verdicts``) from the table of the previous mask: a
+        string state masked again on the same node reuses it as it is, a
+        structural state resets only the previous structural state's
+        accepted tokens. Tokens outside the index are walked from the
+        current node; without an index, every token is peeked.
         """
         if self.index is None:
             return list(map(self.peek, vocabulary))
-        table = self.index.verdicts(self.automaton, self.node, self.peek)
+        table = self.table = self.index.verdicts(self.automaton, self.node, self.table)
         return list(map(table.__getitem__, vocabulary))
 
     def copy(self) -> "DecoderSession":
+        """A session at the same node with the same index and no verdict
+        table, so the two never share one."""
         dup = DecoderSession(self.automaton, self.index)
         dup.node = self.node
         dup.emitted = self.emitted

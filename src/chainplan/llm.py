@@ -250,29 +250,33 @@ def constrained_complete(model, request: CompletionRequest, session: DecoderSess
     automaton-accepted text ("enforced"), in at most ``request.max_tokens``
     steps. The session masks through the vocabulary's index, built once for
     equal content (``vocabulary_index``); a candidate outside the vocabulary
-    is still masked exactly. Models without per-step access run one plain
-    completion, kept as the result's text, greedily projected onto the schema
-    ("repaired"). Either way the accepted text is ``session.emitted``.
+    is still masked exactly. The session keeps one verdict table across the
+    steps and drops it when the decode ends, however it ends. Models without
+    per-step access run one plain completion, kept as the result's text,
+    greedily projected onto the schema ("repaired"). Either way the accepted text is ``session.emitted``.
     """
     if hasattr(model, "candidate_steps"):
         started = time.monotonic()
         session.index = vocabulary_index(model.vocabulary)
-        for step, candidates in enumerate(model.candidate_steps(), start=1):
-            mask = session.mask_vocabulary(candidates)
-            chosen = next((tok for tok, ok in zip(candidates, mask) if ok), None)
-            if chosen is None:
-                raise NoPermissibleTokenError(
-                    f"none of {len(candidates)} candidates is permissible after "
-                    f"{_tail(session.emitted)}; first candidates: {repr(candidates[:3])[:120]}"
-                )
-            session.advance(chosen)
-            if session.at_end:
-                break
-            if step == request.max_tokens:
-                raise CompletionError(
-                    f"the schema did not accept within max_tokens={request.max_tokens} decode steps, "
-                    f"after {_tail(session.emitted)}"
-                )
+        try:
+            for step, candidates in enumerate(model.candidate_steps(), start=1):
+                mask = session.mask_vocabulary(candidates)
+                chosen = next((tok for tok, ok in zip(candidates, mask) if ok), None)
+                if chosen is None:
+                    raise NoPermissibleTokenError(
+                        f"none of {len(candidates)} candidates is permissible after "
+                        f"{_tail(session.emitted)}; first candidates: {repr(candidates[:3])[:120]}"
+                    )
+                session.advance(chosen)
+                if session.at_end:
+                    break
+                if step == request.max_tokens:
+                    raise CompletionError(
+                        f"the schema did not accept within max_tokens={request.max_tokens} decode steps, "
+                        f"after {_tail(session.emitted)}"
+                    )
+        finally:
+            session.table = None
         if not session.at_end:
             raise CompletionError("scripted token steps exhausted before the schema accepted")
         return _result(request, session.emitted, time.monotonic() - started, "enforced")

@@ -1037,7 +1037,8 @@ def test_shared_memo_stays_exact_under_threads(fixture_registry, monkeypatch):
 def test_shared_graph_stays_exact_under_threads(fixture_registry, golden_examples, monkeypatch):
     # eight threads project, decode and mask on one automaton and one index
     # while an 8-node bound clears the automaton's graph often; every
-    # projection and every mask equals the one on a fresh automaton
+    # projection equals the one on a fresh automaton, and every mask the
+    # per-token peeks on a fresh automaton
     monkeypatch.setattr("chainplan.enforcer._GRAPH_SIZE", 8)
     rng = random.Random(31)
     texts = [_corrupt(rng, ex.gold_text) for ex in golden_examples for _ in range(3)]
@@ -1046,14 +1047,15 @@ def test_shared_graph_stays_exact_under_threads(fixture_registry, golden_example
     vocab = sorted({piece for plan in pieces for piece in plan}) + ["\u00e9", '"}', "zz"]
 
     def masks(automaton, index, plan):
+        # masked through ``index``, or with no index peeked token by token
         session = DecoderSession(automaton, index)
         found = []
         for piece in plan:
-            found.append(session.mask_vocabulary(vocab))
+            found.append(session.mask_vocabulary(vocab) if index else [session.peek(t) for t in vocab])
             session.advance(piece)
         return found
 
-    expected_masks = [masks(compile_schema(fixture_registry), TokenIndex(vocab), plan) for plan in pieces]
+    expected_masks = [masks(compile_schema(fixture_registry), None, plan) for plan in pieces]
     shared, index = compile_schema(fixture_registry), TokenIndex(vocab)
 
     def run(seed):
@@ -1081,3 +1083,52 @@ def test_a_dropped_automaton_is_released_by_the_index_it_masked(fixture_registry
     del automaton, session
     gc.collect()
     assert released() is None
+
+
+# Tokens around the quotes and escapes of strings and the structure around
+# them, and tokens no state takes; the empty token twice.
+_REUSE_EXTRA = ['"', '",', '"}', '"]', "\\", "\\u", "]", ",", "{", "zz", "\u00e9", "", ""]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("fixture", "subtask", "random")), st.integers(0, 2**16), st.data())
+def test_a_session_reusing_its_verdict_table_masks_every_step_exactly(fixture_registry, kind, seed, data):
+    # one session masks at every step of a walk through string and
+    # structural states, keeping one verdict table across them: a vocabulary
+    # with tokens outside the index, the empty token and duplicates, masked
+    # through an index switched and switched back mid-walk, beside a copy
+    # advanced another way, equals the per-token peeks at every step
+    rng = random.Random(seed)
+    registry = random_registry(rng) if kind == "random" else fixture_registry
+    automaton = compile_subtask_schema(registry.names) if kind == "subtask" else compile_schema(registry)
+    walker = DecoderSession(automaton)
+    while not walker.at_end and len(walker.emitted) < 300:
+        allowed = automaton.allowed(walker.state)
+        # string bodies run on, so steps stay on a string state's node
+        walker.advance(rng.choice("ab \\") if len(allowed) > 60 and rng.random() < 0.9
+                       else _walk_choice(rng, allowed))
+    text, pieces, at = walker.emitted, [], 0
+    while at < len(text):
+        pieces.append(text[at:at + rng.randint(1, 4)])
+        at += len(pieces[-1])
+    distinct = sorted(set(pieces))
+    outside = set(rng.sample(distinct, len(distinct) // 4))
+    index = TokenIndex([token for token in distinct + _REUSE_EXTRA if token not in outside])
+    other = TokenIndex(sorted(outside) + _REUSE_EXTRA[:4])
+    vocab = pieces + _REUSE_EXTRA + rng.choices(pieces, k=3)
+    rng.shuffle(vocab)
+    switches = {data.draw(st.integers(0, len(pieces)), label="switch") for _ in range(2)}
+    fork = data.draw(st.integers(0, len(pieces)), label="fork")
+    session, dup = DecoderSession(automaton, index), None
+    for step, piece in enumerate(pieces):
+        if step in switches:
+            session.index = other if session.index is index else index
+        if step == fork:
+            dup = session.copy()
+            assert dup.table is None
+        assert session.mask_vocabulary(vocab) == [session.peek(token) for token in vocab]
+        if dup is not None and not dup.at_end:
+            dup.advance(_walk_choice(rng, automaton.allowed(dup.state)))
+            assert dup.mask_vocabulary(vocab) == [dup.peek(token) for token in vocab]
+        session.advance(piece)
+    assert session.emitted == text

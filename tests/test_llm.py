@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from chainplan.enforcer import DecoderSession, compile_schema
+from chainplan.enforcer import DecoderSession, compile_schema, vocabulary_index
 from chainplan.llm import (
     CompletionError,
     CompletionRequest,
@@ -455,3 +455,62 @@ def test_constrained_errors_unchanged_with_an_index(fixture_registry, built_inde
                              DecoderSession(automaton))
     assert not isinstance(err.value, NoPermissibleTokenError)
     assert len(built_indexes) == 2
+
+
+def _held_tables(session, steps):
+    """A token model over ``steps`` that records, as the decode asks for
+    each step after the first, whether ``session`` holds a verdict table."""
+    model, held = ScriptedTokenModel(steps), []
+
+    def candidate_steps():
+        for step in steps:
+            yield step
+            held.append(session.table is not None)
+
+    model.candidate_steps = candidate_steps
+    return model, held
+
+
+_HEAD = '[{"tool_name":"'
+
+
+@pytest.mark.parametrize("steps, max_tokens, error", [
+    (_steps([_PLAN[i : i + 3] for i in range(0, len(_PLAN), 3)]), 1024, None),
+    (_steps([_HEAD]) + [["[", "{", "]]", ":"]], 1024, "none of 4 candidates is permissible"),
+    (_steps([_HEAD, "wor", "ks", "_li"]), 3, "max_tokens=3"),
+    (_steps([_HEAD, "who_am_i"]), 1024, "exhausted"),
+], ids=["returns", "no-permissible-token", "max-tokens", "steps-exhausted"])
+def test_constrained_drops_the_verdict_table_when_the_decode_ends(fixture_registry, steps, max_tokens, error):
+    # the session keeps its table from step to step while decoding and
+    # holds none once the decode has returned or raised
+    session = DecoderSession(compile_schema(fixture_registry))
+    model, held = _held_tables(session, steps)
+    request = CompletionRequest(prompt="q", max_tokens=max_tokens)
+    if error is None:
+        assert constrained_complete(model, request, session).text == _PLAN
+    else:
+        with pytest.raises(CompletionError, match=error):
+            constrained_complete(model, request, session)
+    assert held and all(held)
+    assert session.table is None
+
+
+@pytest.mark.parametrize("text", [_HEAD, _STRING_VALUE], ids=["structural", "string"])
+def test_a_dropped_session_is_freed_without_the_cycle_collector(fixture_registry, text):
+    # a session's verdict table walks unindexed tokens from its node, not
+    # through the session, so a session holding a table is in no cycle
+    import gc
+    import weakref
+
+    session = DecoderSession(compile_schema(fixture_registry), vocabulary_index(_TAIL)).advance(text)
+    session.mask_vocabulary(_TAIL + ["zz"])
+    assert session.table is not None
+    freed = weakref.ref(session)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del session
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
