@@ -8,11 +8,13 @@ one unit per tool name plus one per argument assignment. BLEU and ROUGE-L F1
 run over a canonical serialization split on JSON structural characters, which
 makes both scores stable across formatting.
 
-A prediction usually differs from its gold in a few calls, so both scores
-first strip the common prefix and suffix (``_shared_ends``) and work on the
-middles, as diff algorithms do (Myers 1986): the ends are counted once, in
-arithmetic, and the per-token work scales with the difference, not the length.
-Both scores stay exact; see ``bleu`` and ``_lcs_length``.
+A prediction usually differs from its gold in a few calls, so
+``score_example`` finds the common prefix and suffix (``_shared_ends``) once
+per record and hands them to both scores, which work on the middles, as diff
+algorithms do (Myers 1986): the ends are counted once, in arithmetic, and the
+per-token work scales with the difference, not the length. BLEU counts the
+middle n-grams of all four orders into one table per side. Both scores stay
+exact; see ``bleu`` and ``_lcs_length``.
 
 Unparseable predictions contribute only to the invalid-JSON rate; all other
 aggregates average over the parsed examples.
@@ -22,22 +24,23 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .plan import Plan, parse_plan, serialize_plan, validate_refs
 from .registry import Registry
 
 
-def _clipped_matches(predicted: Counter, gold: Counter) -> int:
-    """The size of the multiset intersection, summed over the shared keys."""
-    shared = predicted.keys() & gold.keys()
-    return sum(map(min, map(predicted.__getitem__, shared), map(gold.__getitem__, shared)))
-
-
 def tool_selection_scores(predicted: Plan, gold: Plan) -> tuple[float, float, float]:
     """(irrelevant rate, necessary rate, missing rate) over tool multisets."""
-    necessary = _clipped_matches(Counter(predicted.tool_sequence), Counter(gold.tool_sequence))
+    unmatched: dict[str, int] = {}
+    for name in gold.tool_sequence:
+        unmatched[name] = unmatched.get(name, 0) + 1
+    necessary = 0
+    for name in predicted.tool_sequence:
+        left = unmatched.get(name)
+        if left:
+            unmatched[name] = left - 1
+            necessary += 1
     total_pred = len(predicted.calls)
     total_gold = len(gold.calls)
     if total_pred == 0:
@@ -114,7 +117,22 @@ def _equal_run(equal, limit: int) -> int:
     return lo
 
 
-def bleu(predicted_tokens: list[str], gold_tokens: list[str]) -> float:
+def _middle_ngrams(tokens: list[str], p: int, s: int) -> dict[tuple[str, ...], int]:
+    """Counts of the n-grams, n = 1 to 4, that start after the n-grams wholly
+    in the shared prefix of p tokens and before the shared suffix of s; an
+    n-gram is an n-tuple, so a key's length is its order."""
+    counts: dict[tuple[str, ...], int] = {}
+    end = len(tokens) - s
+    for n in range(1, 5):
+        middle = tokens[max(p - n + 1, 0):end + n - 1]
+        if len(middle) >= n:  # an identical pair's middles are all shorter
+            for gram in zip(*(middle[k:] for k in range(n))):
+                counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+def bleu(predicted_tokens: list[str], gold_tokens: list[str], *,
+         ends: tuple[int, int] | None = None) -> float:
     """Sentence-level BLEU, 4-gram, uniform weights.
 
     Modified n-gram precisions with add-one smoothing on higher-order zeros
@@ -122,32 +140,31 @@ def bleu(predicted_tokens: list[str], gold_tokens: list[str]) -> float:
     exp(1 - |gold| / |pred|) when the prediction is shorter than the gold.
 
     Only the n-grams that reach into the differing middle are counted. With a
-    shared prefix of p tokens and a shared suffix of s (``_shared_ends``),
-    max(p - n + 1, 0) n-grams lie wholly in the prefix and max(s - n + 1, 0)
-    wholly in the suffix, at the same places in both streams. Each such n-gram
-    adds the same count A to both sides of its clipped match, and
-    min(A + x, A + y) = A + min(x, y), so the matches are those shared n-grams
-    plus the clipped matches of the n-grams that start after the prefix's and
-    before the suffix's. Those n-grams are counted only where both middles
-    hold at least n tokens: with fewer on either side they have no match, so
-    an identical or near-identical pair builds no empty Counter. The counts,
-    and so the score, are exactly the full streams'; the Counter work scales
-    with the difference, not the length.
+    shared prefix of p tokens and a shared suffix of s (``ends``, computed by
+    ``_shared_ends`` when not given), max(p - n + 1, 0) n-grams lie wholly in
+    the prefix and max(s - n + 1, 0) wholly in the suffix, at the same places
+    in both streams. Each such n-gram adds the same count A to both sides of
+    its clipped match, and min(A + x, A + y) = A + min(x, y), so the matches
+    are those shared n-grams plus the clipped matches of the n-grams that
+    start after the prefix's and before the suffix's. Those n-grams, of all
+    four orders, go into one count table per side, and one pass over the keys
+    the tables share gives every order's clipped matches. The counts, and so
+    the score, are exactly the full streams'; the counting work scales with
+    the difference, not the length.
     """
     if not gold_tokens:
         raise ValueError("gold token stream must not be empty")
     if not predicted_tokens:
         return 0.0
-    p, s = _shared_ends(predicted_tokens, gold_tokens)
+    p, s = _shared_ends(predicted_tokens, gold_tokens) if ends is None else ends
+    pred_counts = _middle_ngrams(predicted_tokens, p, s)
+    gold_counts = _middle_ngrams(gold_tokens, p, s)
+    middle_matches = [0] * 5
+    for gram in pred_counts.keys() & gold_counts.keys():
+        middle_matches[len(gram)] += min(pred_counts[gram], gold_counts[gram])
     log_sum = 0.0
     for n in range(1, 5):
-        lo = max(p - n + 1, 0)  # the n-grams wholly in the prefix, and the next one's start
-        pred_middle = predicted_tokens[lo:len(predicted_tokens) - s + n - 1]
-        gold_middle = gold_tokens[lo:len(gold_tokens) - s + n - 1]
-        matches = lo + max(s - n + 1, 0)
-        if len(pred_middle) >= n and len(gold_middle) >= n:
-            matches += _clipped_matches(Counter(zip(*(pred_middle[k:] for k in range(n)))),
-                                        Counter(zip(*(gold_middle[k:] for k in range(n)))))
+        matches = max(p - n + 1, 0) + max(s - n + 1, 0) + middle_matches[n]
         total = max(len(predicted_tokens) - n + 1, 0)
         if n == 1:
             if matches == 0:
@@ -164,7 +181,7 @@ def bleu(predicted_tokens: list[str], gold_tokens: list[str]) -> float:
     return brevity * math.exp(log_sum)
 
 
-def _lcs_length(a: list[str], b: list[str]) -> int:
+def _lcs_length(a: list[str], b: list[str], *, ends: tuple[int, int] | None = None) -> int:
     # The shared ends are matched first: when a and b start with the same
     # token, some longest common subsequence matches those two tokens, and the
     # same holds at the end, so the LCS is p + s + the LCS of the middles.
@@ -174,7 +191,8 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     # addition, a subtraction and three bitwise operations. That is one step
     # per token of a's middle on ints of one bit per token of b's middle
     # (30 bits to a digit); the middle's length is the count of v's zero bits.
-    p, s = _shared_ends(a, b)
+    # ``ends`` is _shared_ends(a, b), when the caller has it already.
+    p, s = _shared_ends(a, b) if ends is None else ends
     a, b = a[p:len(a) - s], b[p:len(b) - s]
     masks: dict[str, int] = {}
     for j, y in enumerate(b):
@@ -187,13 +205,16 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return p + s + len(b) - v.bit_count()
 
 
-def rouge_l_f1(predicted_tokens: list[str], gold_tokens: list[str]) -> float:
-    """F1 over the longest common subsequence; 0 when there is no overlap."""
+def rouge_l_f1(predicted_tokens: list[str], gold_tokens: list[str], *,
+               ends: tuple[int, int] | None = None) -> float:
+    """F1 over the longest common subsequence; 0 when there is no overlap.
+    ``ends`` is ``_shared_ends(predicted_tokens, gold_tokens)``, computed
+    when not given."""
     if not gold_tokens:
         raise ValueError("gold token stream must not be empty")
     if not predicted_tokens:
         return 0.0
-    lcs = _lcs_length(predicted_tokens, gold_tokens)
+    lcs = _lcs_length(predicted_tokens, gold_tokens, ends=ends)
     if lcs == 0:
         return 0.0
     precision = lcs / len(predicted_tokens)
@@ -250,6 +271,9 @@ def score_example(record: EvalRecord, registry: Registry) -> ExampleScores:
     predicted = outcome.plan
     ir, nr, mr = tool_selection_scores(predicted, record.gold)
     predicted_tokens, gold_tokens = plan_tokens(predicted), plan_tokens(record.gold)
+    # One search for both scores. They are called as module globals, where
+    # the benchmark's traced run patches them.
+    ends = _shared_ends(predicted_tokens, gold_tokens)
     return ExampleScores(
         query=record.query,
         invalid_json=False,
@@ -257,8 +281,8 @@ def score_example(record: EvalRecord, registry: Registry) -> ExampleScores:
         nr=nr,
         mr=mr,
         hr=hallucination_rate(predicted, registry),
-        bleu=bleu(predicted_tokens, gold_tokens),
-        rouge_l_f1=rouge_l_f1(predicted_tokens, gold_tokens),
+        bleu=bleu(predicted_tokens, gold_tokens, ends=ends),
+        rouge_l_f1=rouge_l_f1(predicted_tokens, gold_tokens, ends=ends),
         correct_path=correct_path(predicted, record.gold),
     )
 
@@ -273,10 +297,12 @@ def evaluate_dataset(records: list[EvalRecord], registry: Registry,
 
     Tool/argument/solution aggregates average over parsed examples; the
     invalid-JSON rate covers all examples. Call and token counts are filled
-    in when pipeline traces are supplied.
+    in when pipeline traces are supplied, one per record.
     """
     if not records:
         raise ValueError("dataset must not be empty")
+    if traces is not None and len(traces) != len(records):
+        raise ValueError(f"{len(traces)} traces for {len(records)} records")
     scored = [score_example(record, registry) for record in records]
     parsed = [s for s in scored if not s.invalid_json]
     aggregates: dict[str, float | None] = {

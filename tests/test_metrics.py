@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +21,7 @@ from chainplan.metrics import (
     text_tokens,
     tool_selection_scores,
 )
-from chainplan.plan import Plan, PrevRef, ToolCall, serialize_plan
+from chainplan.plan import Plan, PrevRef, ToolCall, parse_plan, serialize_plan
 
 from conftest import random_plan
 
@@ -80,7 +81,7 @@ def test_selection_matches_oracle_on_random_pairs():
         gold = _plan(*(rng.choice(names) for _ in range(rng.randint(0, 6))))
         got = tool_selection_scores(pred, gold)
         want = _oracle_selection(pred.tool_sequence, gold.tool_sequence)
-        assert got == pytest.approx(want)
+        assert got == want
         if pred.calls:
             assert got[0] + got[1] == pytest.approx(1.0)
 
@@ -364,6 +365,9 @@ def test_scores_of_pairs_sharing_their_ends_are_exact(pair):
     assert _lcs_length(predicted, gold) == oracle_lcs(predicted, gold)
     if gold:
         assert bleu(predicted, gold) == counter_bleu(predicted, gold)
+        ends = (p, s)
+        assert (bleu(predicted, gold, ends=ends), rouge_l_f1(predicted, gold, ends=ends)) == (
+            bleu(predicted, gold), rouge_l_f1(predicted, gold))
 
 
 def _perturbed(rng: random.Random, plan: Plan) -> Plan:
@@ -495,6 +499,42 @@ def test_evaluate_identical_examples_equal_single(fixture_registry):
 def test_evaluate_empty_dataset_errors(fixture_registry):
     with pytest.raises(ValueError):
         evaluate_dataset([], fixture_registry)
+
+
+def test_evaluate_refuses_a_trace_count_other_than_the_record_count(fixture_registry):
+    plan = Plan((ToolCall("who_am_i"),))
+    record = EvalRecord(query="q", gold=plan, predicted_text=serialize_plan(plan))
+    trace = SimpleNamespace(llm_calls=1, prompt_tokens=10, completion_tokens=5)
+    for traces in ([], [trace], [trace] * 3):
+        with pytest.raises(ValueError, match=f"^{len(traces)} traces for 2 records$"):
+            evaluate_dataset([record, record], fixture_registry, traces=traces)
+    counts = evaluate_dataset([record, record], fixture_registry, traces=[trace, trace]).counts
+    assert (counts["llm_calls"], counts["prompt_tokens"], counts["completion_tokens"]) == (2, 20, 10)
+
+
+def test_each_parsed_record_searches_its_shared_ends_once(fixture_registry, golden_examples, monkeypatch):
+    import chainplan.metrics as metrics
+
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return _shared_ends(a, b)
+
+    monkeypatch.setattr(metrics, "_shared_ends", counted)
+    gold = golden_examples[3].gold
+    predicted = [
+        serialize_plan(gold),  # identical
+        serialize_plan(Plan(gold.calls[:-1])),  # shares a prefix
+        serialize_plan(Plan(gold.calls[1:])),  # shares a suffix
+        "[]",
+        "{broken",  # invalid JSON: never tokenized
+    ]
+    records = [EvalRecord("q", gold, text) for text in predicted]
+    report = evaluate_dataset(records, fixture_registry)
+    assert report.counts["parsed"] == 4
+    gold_tokens = plan_tokens(gold)
+    assert calls == [(plan_tokens(parse_plan(text).plan), gold_tokens) for text in predicted[:4]]
 
 
 def test_report_renderings(fixture_registry):
