@@ -170,11 +170,10 @@ _OBJECT = ("object", _json_spec(MAX_LIST_DEPTH))
 
 
 def _value_spec(vt: ValueType) -> tuple:
-    if vt.kind == "primitive":
-        return _BOOLEAN if vt.primitive == "boolean" else (vt.primitive,)
-    if vt.kind == "object":
-        return _OBJECT
-    return ("list", ("union", (_value_spec(vt.element), _PREV)))
+    spec = _OBJECT if vt.kind == "object" else _BOOLEAN if vt.name == "boolean" else (vt.name,)
+    for _ in range(vt.depth):
+        spec = ("list", ("union", (spec, _PREV)))
+    return spec
 
 
 def argument_value_spec(vt: ValueType) -> tuple:

@@ -262,7 +262,8 @@ class RefDiagnostic:
     argument: str | None  # None for the call's tool name
     index: int | None  # the referenced call, for a bad_reference
     # validate_refs: "unknown_tool" | "unknown_argument" | "bad_reference" | "malformed_reference";
-    # typegraph.validate_plan adds "wrong_type" | "incompatible" | "wrapping" | "missing_required"
+    # typegraph.check_ref: "incompatible" | "wrapping";
+    # typegraph.validate_plan adds "wrong_type" | "missing_required"
     kind: str
     message: str
 

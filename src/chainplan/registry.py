@@ -3,14 +3,16 @@
 Tools are described in JSON files (see ``load_registry``) so that nothing else
 in the system hard-codes tool knowledge. A registry is immutable once built
 and valid by construction: ``Registry.__post_init__`` is the one gate for
-every tool-spec rule (identifier names, distinct argument names, list depth,
-object type names), and later stages rely on it without re-checking; it
-checks each distinct ``ValueType`` once. Its ``version`` is a digest of the
-tool document unless given, computed on first read and then kept, so a
-registry that nothing asks for its version never writes the document:
-``chainplan tools`` prints it, and adding the operator pseudo-tools
-suffixes it. ``load_registry`` parses each distinct type text once per call,
-so equal types in one load share one immutable ``ValueType``. A tool's
+every tool-spec rule (identifier names, distinct argument names, and each
+type's kind, primitive or object type name, and list depth), and later
+stages rely on it without re-checking; it checks each distinct ``ValueType``
+once. A ``ValueType`` is a kind, a name and a list depth, so no field can
+disagree with another. Its ``version`` is a digest of the tool document
+unless given, computed on first read and then kept, so a registry that
+nothing asks for its version never writes the document: ``chainplan tools``
+prints it, and adding the operator pseudo-tools suffixes it.
+``load_registry`` parses each distinct type text once per call, so equal
+types in one load share one immutable ``ValueType``. A tool's
 ``prompt_block`` is likewise rendered on first read and kept with its spec.
 
 The readers of input files live here too, so that each outside input is
@@ -66,42 +68,45 @@ class RegistryError(ValueError):
 
 @dataclass(frozen=True)
 class ValueType:
-    """Type of a tool argument or return value.
+    """Type of a tool argument or return value: ``depth`` list layers around
+    a base type named ``name``.
 
-    ``kind`` is one of ``"primitive"`` (with ``primitive`` set), ``"list"``
-    (with ``element`` set) or ``"object"`` (with an opaque ``type_name``).
-    Equality is structural; object types compare by exact name.
+    ``kind`` is ``"primitive"`` (``name`` one of ``PRIMITIVES``) or
+    ``"object"`` (``name`` an opaque type name), and ``depth`` runs from 0
+    to ``MAX_LIST_DEPTH``. Equality is structural; object types compare by
+    exact name.
     """
 
     kind: str
-    primitive: str | None = None
-    element: "ValueType | None" = None
-    type_name: str | None = None
+    name: str
+    depth: int = 0
 
     @property
     def is_list(self) -> bool:
-        return self.kind == "list"
+        return self.depth > 0
+
+    @property
+    def element(self) -> "ValueType | None":
+        """The type one list layer in; None when this is not a list."""
+        return ValueType(self.kind, self.name, self.depth - 1) if self.depth else None
 
     def render(self) -> str:
-        if self.kind == "primitive":
-            return self.primitive or "?"
-        if self.kind == "list":
-            return f"array of {self.element.render()}" if self.element else "array of ?"
-        return f"object:{self.type_name}"
+        base = self.name if self.kind == "primitive" else f"object:{self.name}"
+        return "array of " * self.depth + base
 
 
 def primitive(kind: str) -> ValueType:
     if kind not in PRIMITIVES:
         raise ValueError(f"unknown primitive kind: {kind!r}")
-    return ValueType(kind="primitive", primitive=kind)
+    return ValueType("primitive", kind)
 
 
 def list_of(element: ValueType) -> ValueType:
-    return ValueType(kind="list", element=element)
+    return ValueType(element.kind, element.name, element.depth + 1)
 
 
 def object_type(name: str) -> ValueType:
-    return ValueType(kind="object", type_name=name)
+    return ValueType("object", name)
 
 
 def parse_type(text: str, tool: str | None = None, path: str | None = None) -> ValueType:
@@ -113,26 +118,27 @@ def parse_type(text: str, tool: str | None = None, path: str | None = None) -> V
         depth += 1
         spec = spec[len("array of "):].strip()
     if spec.startswith("object:"):
-        result = object_type(spec[len("object:"):].strip())
+        result = ValueType("object", spec[len("object:"):].strip(), depth)
     elif spec in PRIMITIVES:
-        result = primitive(spec)
+        result = ValueType("primitive", spec, depth)
     else:
         raise RegistryError(f"unknown type keyword {spec!r}", tool, path)
-    for _ in range(depth):
-        result = list_of(result)
     _reject_bad_type(result, tool, path)
     return result
 
 
 def _reject_bad_type(vt: ValueType, tool: str | None, path: str | None) -> None:
-    depth = 0
-    while vt.is_list:
-        depth += 1
-        if depth > MAX_LIST_DEPTH:
-            raise RegistryError(f"list nesting deeper than {MAX_LIST_DEPTH}", tool, path)
-        vt = vt.element
-    if vt.kind == "object" and not IDENTIFIER_PATTERN.fullmatch(vt.type_name or ""):
-        raise RegistryError(f"object type name {vt.type_name!r} is not an identifier", tool, path)
+    if vt.depth > MAX_LIST_DEPTH:
+        raise RegistryError(f"list nesting deeper than {MAX_LIST_DEPTH}", tool, path)
+    if vt.depth < 0:
+        raise RegistryError(f"negative list depth {vt.depth}", tool, path)
+    if vt.kind == "primitive":
+        if vt.name not in PRIMITIVES:
+            raise RegistryError(f"unknown primitive {vt.name!r}", tool, path)
+    elif vt.kind != "object":
+        raise RegistryError(f"unknown type kind {vt.kind!r}", tool, path)
+    elif not IDENTIFIER_PATTERN.fullmatch(vt.name or ""):
+        raise RegistryError(f"object type name {vt.name!r} is not an identifier", tool, path)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Tool-compatibility graph, the one wiring verdict, ``$$PREV`` repair, and
+"""Tool-compatibility graph, the one wiring check, ``$$PREV`` repair, and
 the one plan validator.
 
 An edge of weight 1 from tool A to argument g of tool B means A's return type
@@ -7,17 +7,20 @@ equals its element type. At most one edge can exist per (A, B, g) triple
 because a type never equals a list of itself. The graph is a view of the
 registry, and edges are computed from it when asked for.
 
-``check_ref`` classifies a referenced value; ``repair_plan`` acts on it. A
+``check_ref`` gives the findings on the references one argument holds, and
+both ``validate_plan`` and ``repair_plan`` act on them: an ``incompatible``
+for each reference without a fitting edge, else at most one ``wrapping``. A
 bare reference, or one alone in an array, may sit on either edge; a wrapping
 that disagrees is a repairable mismatch. Any other reference nested d arrays
 deep fits only if g's type less d list layers is A's return type.
 
 ``validate_plan`` gives every finding on a plan: ``validate_refs``'s names
-and references, literal types, required arguments, and ``check_ref``'s
-verdict on each argument left clean. A literal's type is the schema
-automaton's: this module keeps only the list layers, and each literal under
-them fits when ``enforcer.literal_fits`` walks its canonical text through the
-automaton's value states, so the validator and the decoder read one grammar.
+and references, literal types, required arguments, and the first of
+``check_ref``'s findings on each argument left clean. A literal's type is
+the schema automaton's: this module keeps only the list depth, and each
+literal under it fits when ``enforcer.literal_fits`` walks its canonical
+text through the automaton's value states, so the validator and the decoder
+read one grammar.
 """
 
 from __future__ import annotations
@@ -30,10 +33,6 @@ from .enforcer import literal_fits
 from .plan import Plan, PrevRef, RefDiagnostic, iter_prev_refs, leaves, validate_refs
 from .registry import Registry, ValueType
 
-COMPATIBLE = "compatible"
-INCOMPATIBLE = "incompatible"
-NOT_A_PREV_REF = "not_a_prev_ref"
-
 
 @dataclass(frozen=True)
 class TypeEdge:
@@ -43,28 +42,27 @@ class TypeEdge:
     weight: int  # 1 = direct, 2 = list-wrapped
 
 
-def _layers(source: ValueType, target: ValueType | None) -> int | None:
+def _layers(source: ValueType, target: ValueType) -> int | None:
     """How many list layers of ``target`` wrap ``source``, if any number does."""
-    depth = 0
-    while target is not None and target != source:
-        target, depth = target.element, depth + 1
-    return None if target is None else depth
+    if (target.kind, target.name) == (source.kind, source.name) and target.depth >= source.depth:
+        return target.depth - source.depth
+    return None
 
 
 class TypeGraph:
     """A view of one registry; check/repair are pure and safe to share."""
 
     def __init__(self, registry: Registry):
-        self._registry = registry
+        self.registry = registry
 
     @property
     def edges(self) -> frozenset[TypeEdge]:
         """Every edge, found through an index of the tools by return type."""
         by_return: dict[ValueType, list[str]] = defaultdict(list)
-        for spec in self._registry.tools.values():
+        for spec in self.registry.tools.values():
             by_return[spec.returns].append(spec.name)
         edges = set()
-        for to_spec in self._registry.tools.values():
+        for to_spec in self.registry.tools.values():
             for arg in to_spec.arguments:
                 for weight, source in ((1, arg.value_type), (2, arg.value_type.element)):
                     for from_tool in by_return.get(source, ()):
@@ -87,67 +85,49 @@ def build_graph(registry: Registry) -> TypeGraph:
     return TypeGraph(registry)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    status: str  # COMPATIBLE | INCOMPATIBLE | NOT_A_PREV_REF
-    weight: int | None = None  # of the first reference: w - 1 list layers wrap its type
-    wrapping_mismatch: bool = False
-    note: str | None = None
-    errors: tuple[str, ...] = ()  # one per reference without a fitting edge
-
-    @property
-    def compatible(self) -> bool:
-        return self.status == COMPATIBLE
-
-
 def _edge_for(graph: TypeGraph, plan: Plan, position: int, argument: str,
               ref: PrevRef, depth: int, relaxed: bool) -> tuple[int | None, str | None]:
-    """(weight, error) for ``ref`` nested ``depth`` arrays deep in the call's
-    argument. A weight w means the return type fits w - 1 list layers deep;
-    a relaxed reference takes weight 1 or 2, any other only ``depth + 1``."""
+    """(layers, error) for ``ref`` nested ``depth`` arrays deep in the call's
+    argument: how many list layers of the argument's type wrap the return
+    type. A relaxed reference takes 0 or 1 layers, any other only ``depth``."""
     if not 0 <= ref.index < position:
         return None, f"reference $$PREV[{ref.index}] does not point strictly backwards"
-    source = graph._registry.get(plan.calls[ref.index].tool_name)
-    spec = graph._registry.get(plan.calls[position].tool_name)
+    source = graph.registry.get(plan.calls[ref.index].tool_name)
+    spec = graph.registry.get(plan.calls[position].tool_name)
     if source is None or spec is None:
         return None, "unknown tool"
     arg = spec.argument(argument)
     fit = _layers(source.returns, arg.value_type) if arg is not None else None
     if fit == depth or (relaxed and fit in (0, 1)):
-        return fit + 1, None
+        return fit, None
     if depth < 2 and fit == 0:
         return None, "array element without a list-wrapped edge"
     missing = f"no type edge {source.name} -> {spec.name}.{argument}"
     return None, missing if depth < 2 else f"{missing} for $$PREV[{ref.index}] at array depth {depth}"
 
 
-def check_ref(graph: TypeGraph, plan: Plan, position: int, argument: str) -> CheckResult:
-    """Check the references held by one argument of one call.
+def check_ref(graph: TypeGraph, plan: Plan, position: int, argument: str) -> list[RefDiagnostic]:
+    """The findings on the references one argument of one call holds.
 
-    Compatible with matching wrapping when a bare value sits on a weight-1
-    edge or an array-wrapped value on a weight-2 edge; compatible with a
-    wrapping-mismatch note when the edge exists but the wrapping disagrees.
-    Otherwise incompatible, with one error per reference that does not fit
-    and ``note`` the first of them.
+    An ``incompatible`` for each reference without a fitting edge; if there
+    is none, a ``wrapping`` when the first reference's edge exists but its
+    wrapping disagrees (a bare value on a weight-2 edge, or one alone in an
+    array on a weight-1 edge). No finding when every reference fits as
+    written, or the argument, written or not, holds no reference.
     """
-    call = plan.calls[position]
-    if argument not in call.argument_names:
-        return CheckResult(status=NOT_A_PREV_REF, note=f"no argument {argument!r} on call {position}")
-    value = call.argument(argument)
+    value = plan.calls[position].argument(argument)
     refs = [(leaf, depth) for leaf, depth in leaves(value) if isinstance(leaf, PrevRef)]
     if not refs:
-        return CheckResult(status=NOT_A_PREV_REF)
+        return []
     first, depth = refs[0]
     relaxed = value == first or value == (first,)  # bare, or alone in an array
     verdicts = [_edge_for(graph, plan, position, argument, ref, d, relaxed) for ref, d in refs]
-    errors = tuple(error for _, error in verdicts if error is not None)
-    if errors:
-        return CheckResult(status=INCOMPATIBLE, note=errors[0], errors=errors)
-    weight = verdicts[0][0]
-    if weight != depth + 1:
-        note = "array where bare value required" if depth else "bare value where array required"
-        return CheckResult(status=COMPATIBLE, weight=weight, wrapping_mismatch=True, note=note)
-    return CheckResult(status=COMPATIBLE, weight=weight)
+    found = [RefDiagnostic(position, argument, None, "incompatible", error)
+             for _, error in verdicts if error is not None]
+    if found or verdicts[0][0] == depth:
+        return found
+    note = "array where bare value required" if depth else "bare value where array required"
+    return [RefDiagnostic(position, argument, None, "wrapping", note)]
 
 
 @dataclass(frozen=True)
@@ -174,9 +154,10 @@ def repair_plan(graph: TypeGraph, plan: Plan) -> tuple[Plan, list[Repair]]:
         for i, (name, value) in enumerate(call.arguments):
             if not isinstance(value, (PrevRef, tuple)):
                 continue  # a scalar or an object holds no reference
-            result = check_ref(graph, plan, position, name)
-            repairs.extend(Repair(position, name, "unrepaired", error) for error in result.errors)
-            if not result.wrapping_mismatch:
+            found = check_ref(graph, plan, position, name)
+            repairs.extend(Repair(position, name, "unrepaired", diag.message)
+                           for diag in found if diag.kind == "incompatible")
+            if not found or found[0].kind != "wrapping":
                 continue
             if isinstance(value, PrevRef):
                 repairs.append(Repair(position, name, "wrapped",
@@ -201,9 +182,7 @@ def _wrong_type(value, declared: ValueType) -> str | None:
     which must leave no list layer, in the automaton's value grammar
     (``literal_fits``); an empty array needs a list layer left. References
     are ``check_ref``'s to judge."""
-    layers, base = 0, declared
-    while base.is_list:
-        layers, base = layers + 1, base.element
+    layers, base = declared.depth, ValueType(declared.kind, declared.name)
     for leaf, depth in leaves(value):
         if isinstance(leaf, PrevRef):
             continue
@@ -219,10 +198,11 @@ def validate_plan(plan: Plan, registry: Registry) -> list[RefDiagnostic]:
 
     Each ``validate_refs`` finding. On each argument of a known tool with no
     finding of its own, its first literal that does not fit (``wrong_type``);
-    else, unless a reference names an unknown tool, ``check_ref``'s verdict:
-    ``incompatible``, or ``wrapping`` for a mismatch ``repair_plan`` fixes,
-    the one kind that is not an error. After a known tool's written
-    arguments, each required one it lacks (``missing_required``)."""
+    else, unless a reference names an unknown tool, the first of
+    ``check_ref``'s findings: ``incompatible``, or ``wrapping`` for a
+    mismatch ``repair_plan`` fixes, the one kind that is not an error.
+    After a known tool's written arguments, each required one it lacks
+    (``missing_required``)."""
     graph = build_graph(registry)
     by_unit = defaultdict(list)
     for diag in validate_refs(plan, registry):
@@ -241,11 +221,7 @@ def validate_plan(plan: Plan, registry: Registry) -> list[RefDiagnostic]:
             if misfit is not None:
                 out.append(RefDiagnostic(position, name, None, "wrong_type", misfit))
             elif not any(ref.index in unknown_tools for ref in iter_prev_refs(value)):
-                result = check_ref(graph, plan, position, name)
-                if result.status == INCOMPATIBLE:
-                    out.append(RefDiagnostic(position, name, None, "incompatible", result.note))
-                elif result.wrapping_mismatch:
-                    out.append(RefDiagnostic(position, name, None, "wrapping", result.note))
+                out.extend(check_ref(graph, plan, position, name)[:1])
         if spec is not None:
             written = call.argument_names
             out.extend(RefDiagnostic(position, arg.name, None, "missing_required",

@@ -322,9 +322,9 @@ def test_criterion_5_type_graph_oracle():
             for name, value in call.arguments:
                 if not list(iter_prev_refs(value)):
                     continue
-                result = check_ref(graph, once, position, name)
-                if result.compatible:
-                    assert not result.wrapping_mismatch
+                found = check_ref(graph, once, position, name)
+                if all(diag.kind != "incompatible" for diag in found):
+                    assert found == []
                     checked += 1
         return checked
 
@@ -410,7 +410,7 @@ def test_criterion_6_retriever_correctness():
 def test_criterion_7_end_to_end_replay(fixture_registry, golden_examples):
     assert len(golden_examples) == 10
     ctx = PlannerContext.build(fixture_registry, HashEmbeddingProvider(), golden_examples)
-    config = PipelineConfig.default()
+    config = PipelineConfig()
 
     regains_matches = 0
     for example in golden_examples:
@@ -433,7 +433,7 @@ def test_criterion_7_end_to_end_replay(fixture_registry, golden_examples):
     # prompt budget: 17 retrieved tools + 2 worked examples under 4000 tokens
     extended = register_operator_tools(fixture_registry)
     budget_ctx = PlannerContext.build(extended, HashEmbeddingProvider(), golden_examples)
-    budget_config = PipelineConfig.default(k=17, example_count=2)
+    budget_config = PipelineConfig(k=17, example_count=2)
     prompt, retrieved, example_ids = assemble_rap_prompt(
         "Prioritize my work items and add them to the current sprint", budget_ctx, budget_config
     )

@@ -20,7 +20,7 @@ def runner():
 def replay_files(tmp_path_factory, fixture_registry, golden_examples):
     """Replay JSONL files covering every golden example for both pipelines."""
     ctx = PlannerContext.build(fixture_registry, HashEmbeddingProvider(), golden_examples)
-    config = PipelineConfig.default()
+    config = PipelineConfig()
     regains_entries = []
     enchant_entries = []
     for example in golden_examples:
@@ -453,7 +453,7 @@ def test_plan_with_operators_keeps_an_operator_call(runner, tmp_path, fixture_re
               '{"argument_name":"b","argument_value":2.0}]}]')
     registry = register_operator_tools(fixture_registry) if with_operators else fixture_registry
     ctx = PlannerContext.build(registry, HashEmbeddingProvider())
-    prompt, _, _ = assemble_rap_prompt(query, ctx, PipelineConfig.default())
+    prompt, _, _ = assemble_rap_prompt(query, ctx, PipelineConfig())
     replay = tmp_path / "replay.jsonl"
     save_replay([(fingerprint(prompt), answer)], replay)
     trace_file = tmp_path / "trace.json"

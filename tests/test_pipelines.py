@@ -28,7 +28,7 @@ def ctx(fixture_registry, golden_examples):
 
 @pytest.fixture(scope="module")
 def config():
-    return PipelineConfig.default()
+    return PipelineConfig()
 
 
 def test_build_prompt_substitutes():
@@ -74,9 +74,7 @@ def test_enchant_repairs_miswrapped_reference(ctx, config, golden_examples):
     assert trace.final_text == example.gold_text
     for position, call in enumerate(trace.final_plan.calls):
         for name, _ in call.arguments:
-            result = check_ref(ctx.graph, trace.final_plan, position, name)
-            assert result.status != "incompatible"
-            assert not result.wrapping_mismatch
+            assert check_ref(ctx.graph, trace.final_plan, position, name) == []
 
 
 def test_enchant_trace_keeps_the_models_answer(ctx, config, golden_examples):
@@ -182,7 +180,7 @@ def test_regains_prompt_budget_seventeen_tools(fixture_registry, golden_examples
     extended = register_operator_tools(fixture_registry)
     assert len(extended) == 22
     ctx = PlannerContext.build(extended, HashEmbeddingProvider(), golden_examples)
-    config = PipelineConfig.default(k=17, example_count=2)
+    config = PipelineConfig(k=17, example_count=2)
     prompt, retrieved, example_ids = assemble_rap_prompt(
         "Prioritize my work items and add them to the current sprint", ctx, config
     )
@@ -497,7 +495,7 @@ def test_an_example_held_out_of_the_context_ranks_as_a_corpus_built_without_it(f
     examples = golden_examples if source == "golden" else _synthetic_examples(300, seed=45)
     dropped = range(len(examples)) if source == "golden" else rng.sample(range(len(examples)), 12)
     queries = [example.query for example in rng.sample(examples, 3)]
-    configs = [PipelineConfig.default(example_count=count) for count in range(5)]
+    configs = [PipelineConfig(example_count=count) for count in range(5)]
     provider = HashEmbeddingProvider()
     full = PlannerContext.build(fixture_registry, provider, examples)
     tied = 0
@@ -580,7 +578,7 @@ def test_enchant_compiles_each_automaton_once_per_tool_set(fixture_registry, gol
     from chainplan.typegraph import repair_plan
     from conftest import subtasks_for
 
-    config = PipelineConfig.default(k=3)  # several distinct tool sets over the fixture
+    config = PipelineConfig(k=3)  # several distinct tool sets over the fixture
     fresh = PlannerContext.build(fixture_registry, HashEmbeddingProvider(), golden_examples)
     compiled = Counter()
 

@@ -8,6 +8,7 @@ from chainplan.registry import (
     Registry,
     RegistryError,
     ToolSpec,
+    ValueType,
     fixture_tools_path,
     list_of,
     load_registry,
@@ -112,8 +113,19 @@ def _tool(name="t", arguments=(("a", primitive("string")),), returns=primitive("
     (_tool(arguments=(("a", list_of(object_type("Work Item"))),)),
      "object type name 'Work Item' is not an identifier; tool=t; at=$[1].arguments[0]"),
     (_tool(returns=object_type("")), "object type name '' is not an identifier; tool=t; at=$[1].return_type"),
+    # hand-built types whose fields no type text can spell
+    (_tool(arguments=(("a", ValueType("list", "string")),)),
+     "unknown type kind 'list'; tool=t; at=$[1].arguments[0]"),
+    (_tool(arguments=(("a", ValueType("primitive", "banana")),)),
+     "unknown primitive 'banana'; tool=t; at=$[1].arguments[0]"),
+    (_tool(arguments=(("a", ValueType("primitive", "string", 3)),)),
+     "list nesting deeper than 2; tool=t; at=$[1].arguments[0]"),
+    (_tool(returns=ValueType("primitive", "string", -1)), "negative list depth -1; tool=t; at=$[1].return_type"),
+    (_tool(arguments=(("a", ValueType("object", "Work-Item", 1)),)),
+     "object type name 'Work-Item' is not an identifier; tool=t; at=$[1].arguments[0]"),
 ], ids=["tool-name", "argument-name", "duplicate-argument", "list-depth-3", "return-list-depth-3",
-        "argument-object-name", "return-object-name"])
+        "argument-object-name", "return-object-name", "unknown-kind", "unknown-primitive", "depth-3",
+        "negative-depth", "listed-object-name"])
 def test_registry_gate_rejects_broken_specs(build, tool, error):
     with pytest.raises(RegistryError) as err:
         build([_tool(name="ok", arguments=()), tool])
@@ -264,7 +276,7 @@ def test_setup_and_a_query_never_write_the_tool_document(monkeypatch, golden_exa
     monkeypatch.setattr(chainplan.registry, "serialize_registry", refuse)
     registry = load_registry(fixture_tools_path())
     ctx = PlannerContext.build(registry, HashEmbeddingProvider(), golden_examples)
-    config = PipelineConfig.default()
+    config = PipelineConfig()
     example = golden_examples[5]
     straying = example.gold_text[:-1] + ",]"
     model = ScriptedModel(dict(regains_replay_entries(example, ctx, config, response_text=straying)))

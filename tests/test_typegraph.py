@@ -1,24 +1,26 @@
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainplan.enforcer import compile_schema, enforced_repair
-from chainplan.plan import Plan, PrevRef, ToolCall, iter_prev_refs, parse_plan, serialize_plan, validate_refs
+from chainplan.enforcer import _BOOLEAN, _OBJECT, _PREV, _value_spec, compile_schema, enforced_repair
+from chainplan.plan import Plan, PrevRef, RefDiagnostic, ToolCall, iter_prev_refs, parse_plan, serialize_plan, validate_refs
 from chainplan.registry import (
     MAX_LIST_DEPTH,
     PRIMITIVES,
     ArgSpec,
     Registry,
     ToolSpec,
+    ValueType,
     list_of,
     object_type,
     parse_type,
     primitive,
 )
-from chainplan.typegraph import CheckResult, Repair, TypeEdge, build_graph, check_ref, repair_plan, validate_plan
+from chainplan.typegraph import Repair, TypeEdge, _layers, build_graph, check_ref, repair_plan, validate_plan
 
 from conftest import random_plan, random_registry
 
@@ -66,10 +68,7 @@ def test_check_ref_compatible_wrapped(fixture_registry):
         ToolCall("who_am_i"),
         ToolCall("works_list", (("owned_by", (PrevRef(0),)),)),
     ))
-    result = check_ref(graph, plan, 1, "owned_by")
-    assert result.compatible
-    assert result.weight == 2
-    assert not result.wrapping_mismatch
+    assert check_ref(graph, plan, 1, "owned_by") == []
 
 
 def test_check_ref_bare_where_array_required(fixture_registry):
@@ -78,10 +77,9 @@ def test_check_ref_bare_where_array_required(fixture_registry):
         ToolCall("who_am_i"),
         ToolCall("works_list", (("owned_by", PrevRef(0)),)),
     ))
-    result = check_ref(graph, plan, 1, "owned_by")
-    assert result.compatible
-    assert result.weight == 2
-    assert result.wrapping_mismatch
+    assert check_ref(graph, plan, 1, "owned_by") == [
+        RefDiagnostic(1, "owned_by", None, "wrapping", "bare value where array required"),
+    ]
 
 
 def test_check_ref_incompatible(fixture_registry):
@@ -90,8 +88,7 @@ def test_check_ref_incompatible(fixture_registry):
         ToolCall("get_sprint_id"),
         ToolCall("prioritize_objects", (("objects", PrevRef(0)),)),
     ))
-    result = check_ref(graph, plan, 1, "objects")
-    assert result.status == "incompatible"
+    assert [diag.kind for diag in check_ref(graph, plan, 1, "objects")] == ["incompatible"]
 
 
 def test_check_ref_unknown_tool(fixture_registry):
@@ -100,23 +97,20 @@ def test_check_ref_unknown_tool(fixture_registry):
         ToolCall("made_up_tool"),
         ToolCall("works_list", (("owned_by", PrevRef(0)),)),
     ))
-    result = check_ref(graph, plan, 1, "owned_by")
-    assert result.status == "incompatible"
-    assert "unknown tool" in result.note
+    assert check_ref(graph, plan, 1, "owned_by") == [RefDiagnostic(1, "owned_by", None, "incompatible", "unknown tool")]
 
 
 def test_check_ref_literal_is_not_a_ref(fixture_registry):
     graph = build_graph(fixture_registry)
     plan = Plan((ToolCall("works_list", (("type", "issue"),)),))
-    assert check_ref(graph, plan, 0, "type").status == "not_a_prev_ref"
+    assert check_ref(graph, plan, 0, "type") == []
 
 
 def test_check_ref_tells_a_written_null_from_a_missing_argument(fixture_registry):
     graph = build_graph(fixture_registry)
     plan = parse_plan('[{"tool_name":"works_list","arguments":[{"argument_name":"limit","argument_value":null}]}]').plan
-    assert check_ref(graph, plan, 0, "limit") == CheckResult(status="not_a_prev_ref")
-    missing = check_ref(graph, plan, 0, "owned_by")
-    assert missing == CheckResult(status="not_a_prev_ref", note="no argument 'owned_by' on call 0")
+    assert check_ref(graph, plan, 0, "limit") == []
+    assert check_ref(graph, plan, 0, "owned_by") == []
 
 
 def test_repair_wraps_bare_reference(fixture_registry):
@@ -221,9 +215,8 @@ def test_post_repair_check_passes_for_every_edged_reference():
                 refs = list(iter_prev_refs(value))
                 if not refs:
                     continue
-                result = check_ref(graph, repaired, position, name)
-                if result.compatible:
-                    assert not result.wrapping_mismatch, (position, name, value)
+                found = check_ref(graph, repaired, position, name)
+                assert "wrapping" not in [diag.kind for diag in found], (position, name, value)
 
 
 def test_forward_reference_in_array_is_unrepaired(fixture_registry):
@@ -233,9 +226,7 @@ def test_forward_reference_in_array_is_unrepaired(fixture_registry):
         ToolCall("works_list", (("owned_by", (PrevRef(1),)),)),
     ))
     detail = "reference $$PREV[1] does not point strictly backwards"
-    result = check_ref(graph, plan, 1, "owned_by")
-    assert result.status == "incompatible"
-    assert result.note == detail
+    assert check_ref(graph, plan, 1, "owned_by") == [RefDiagnostic(1, "owned_by", None, "incompatible", detail)]
     repaired, repairs = repair_plan(graph, plan)
     assert repaired == plan
     assert repairs == [Repair(1, "owned_by", "unrepaired", detail)]
@@ -247,10 +238,7 @@ def test_reference_among_literals_on_weight_two_edge(fixture_registry):
         ToolCall("who_am_i"),
         ToolCall("works_list", (("owned_by", (PrevRef(0), "x")),)),
     ))
-    result = check_ref(graph, plan, 1, "owned_by")
-    assert result.compatible
-    assert result.weight == 2
-    assert not result.wrapping_mismatch
+    assert check_ref(graph, plan, 1, "owned_by") == []
     assert repair_plan(graph, plan) == (plan, [])
 
 
@@ -263,7 +251,7 @@ def test_array_elements_on_weight_one_edge_are_unrepaired(fixture_registry):
     repaired, repairs = repair_plan(graph, plan)
     assert repaired == plan
     assert repairs == [Repair(1, "objects", "unrepaired", "array element without a list-wrapped edge")] * 2
-    assert check_ref(graph, plan, 1, "objects").note == repairs[0].detail
+    assert [diag.message for diag in check_ref(graph, plan, 1, "objects")] == [r.detail for r in repairs]
 
 
 def test_reference_two_arrays_deep_without_fitting_type_is_unrepaired(fixture_registry):
@@ -273,10 +261,7 @@ def test_reference_two_arrays_deep_without_fitting_type_is_unrepaired(fixture_re
         ToolCall("works_list", (("owned_by", ((PrevRef(0),),)),)),
     ))
     detail = "no type edge who_am_i -> works_list.owned_by for $$PREV[0] at array depth 2"
-    result = check_ref(graph, plan, 1, "owned_by")
-    assert result.status == "incompatible"
-    assert result.note == detail
-    assert result.errors == (detail,)
+    assert check_ref(graph, plan, 1, "owned_by") == [RefDiagnostic(1, "owned_by", None, "incompatible", detail)]
     assert repair_plan(graph, plan) == (plan, [Repair(1, "owned_by", "unrepaired", detail)])
 
 
@@ -288,14 +273,67 @@ def test_reference_two_arrays_deep_fits_a_list_of_lists():
     graph = build_graph(registry)
     for value in [((PrevRef(0),),), ((PrevRef(0), "x"), ("y",))]:
         plan = Plan((ToolCall("t"), ToolCall("t", (("a", value),))))
-        result = check_ref(graph, plan, 1, "a")
-        assert result.compatible, value
-        assert not result.wrapping_mismatch and result.errors == ()
+        assert check_ref(graph, plan, 1, "a") == [], value
         assert repair_plan(graph, plan) == (plan, [])
     # a reference directly inside the outer array, or bare, does not fit
     for value in [(PrevRef(0),), PrevRef(0), ((PrevRef(0),), PrevRef(0))]:
         plan = Plan((ToolCall("t"), ToolCall("t", (("a", value),))))
-        assert check_ref(graph, plan, 1, "a").status == "incompatible", value
+        assert {diag.kind for diag in check_ref(graph, plan, 1, "a")} == {"incompatible"}, value
+
+
+# ---------------------------------------------------------------------------
+# A value type as a linked record, one node per list layer, and the recursive
+# readers of it: the oracles for a kind, a name and a depth.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _LinkedType:
+    kind: str  # "primitive" | "list" | "object"
+    primitive: str | None = None
+    element: "_LinkedType | None" = None
+    type_name: str | None = None
+
+    def render(self) -> str:
+        if self.kind == "primitive":
+            return self.primitive or "?"
+        if self.kind == "list":
+            return f"array of {self.element.render()}" if self.element else "array of ?"
+        return f"object:{self.type_name}"
+
+
+def _linked_value_spec(vt: _LinkedType) -> tuple:
+    if vt.kind == "primitive":
+        return _BOOLEAN if vt.primitive == "boolean" else (vt.primitive,)
+    if vt.kind == "object":
+        return _OBJECT
+    return ("list", ("union", (_linked_value_spec(vt.element), _PREV)))
+
+
+def _linked_layers(source: _LinkedType, target: _LinkedType | None) -> int | None:
+    depth = 0
+    while target is not None and target != source:
+        target, depth = target.element, depth + 1
+    return None if target is None else depth
+
+
+def test_a_kind_name_and_depth_reads_as_the_linked_record():
+    # every type of depth 0 to MAX_LIST_DEPTH over the four primitives and
+    # two object names, built both ways
+    pairs = []
+    for kind, name in [("primitive", p) for p in PRIMITIVES] + [("object", "Foo"), ("object", "Bar")]:
+        linked = _LinkedType(kind, primitive=name) if kind == "primitive" else _LinkedType(kind, type_name=name)
+        for depth in range(MAX_LIST_DEPTH + 1):
+            pairs.append((ValueType(kind, name, depth), linked))
+            linked = _LinkedType("list", element=linked)
+    assert len(pairs) == 18
+    for vt, linked in pairs:
+        assert _value_spec(vt) == _linked_value_spec(linked)
+        assert vt.render() == linked.render()
+        assert parse_type(vt.render()) == vt
+    for source, linked_source in pairs:
+        for target, linked_target in pairs:
+            assert _layers(source, target) == _linked_layers(linked_source, linked_target), (source, target)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +361,12 @@ def _oracle_check_lines(plan, registry):
             if ((position, name) in flagged or position in unknown_tools
                     or any(ref.index in unknown_tools for ref in iter_prev_refs(value))):
                 continue
-            result = check_ref(graph, plan, position, name)
-            if result.status == "incompatible":
-                echo(f"error: call {position} argument {name!r}: {result.note}")
+            found = check_ref(graph, plan, position, name)
+            if found and found[0].kind == "incompatible":
+                echo(f"error: call {position} argument {name!r}: {found[0].message}")
                 errors += 1
-            elif result.compatible and result.wrapping_mismatch:
-                echo(f"warning: call {position} argument {name!r}: {result.note} (repairable)")
+            elif found and found[0].kind == "wrapping":
+                echo(f"warning: call {position} argument {name!r}: {found[0].message} (repairable)")
     return lines
 
 
@@ -484,7 +522,7 @@ def _typed_values(declared):
         return st.lists(_typed_values(declared.element), max_size=3).map(tuple)
     if declared.kind == "object":
         return st.dictionaries(_STRINGS, _member_values(MAX_LIST_DEPTH), max_size=3)
-    return _SCALAR_VALUES[declared.primitive]
+    return _SCALAR_VALUES[declared.name]
 
 
 # Any JSON value, NaN and infinities included, arrays as tuples.
@@ -539,4 +577,4 @@ def test_wrong_type_leaves_no_wiring_finding():
     ])
     plan = Plan(calls=(ToolCall("who"), ToolCall("t", (("a", (PrevRef(0), "x")),))))
     assert [diag.kind for diag in validate_plan(plan, registry)] == ["wrong_type"]
-    assert check_ref(build_graph(registry), plan, 1, "a").status == "incompatible"
+    assert [diag.kind for diag in check_ref(build_graph(registry), plan, 1, "a")] == ["incompatible"]
