@@ -72,9 +72,9 @@ class ValueType:
     a base type named ``name``.
 
     ``kind`` is ``"primitive"`` (``name`` one of ``PRIMITIVES``) or
-    ``"object"`` (``name`` an opaque type name), and ``depth`` runs from 0
-    to ``MAX_LIST_DEPTH``. Equality is structural; object types compare by
-    exact name.
+    ``"object"`` (``name`` an opaque type name), and ``depth``, an ``int``,
+    runs from 0 to ``MAX_LIST_DEPTH``. Equality is structural; object types
+    compare by exact name.
     """
 
     kind: str
@@ -128,6 +128,10 @@ def parse_type(text: str, tool: str | None = None, path: str | None = None) -> V
 
 
 def _reject_bad_type(vt: ValueType, tool: str | None, path: str | None) -> None:
+    if type(vt.depth) is not int:
+        raise RegistryError(f"list depth {vt.depth!r} is not an integer", tool, path)
+    if not isinstance(vt.name, str):
+        raise RegistryError(f"type name {vt.name!r} is not a string", tool, path)
     if vt.depth > MAX_LIST_DEPTH:
         raise RegistryError(f"list nesting deeper than {MAX_LIST_DEPTH}", tool, path)
     if vt.depth < 0:

@@ -123,9 +123,17 @@ def _tool(name="t", arguments=(("a", primitive("string")),), returns=primitive("
     (_tool(returns=ValueType("primitive", "string", -1)), "negative list depth -1; tool=t; at=$[1].return_type"),
     (_tool(arguments=(("a", ValueType("object", "Work-Item", 1)),)),
      "object type name 'Work-Item' is not an identifier; tool=t; at=$[1].arguments[0]"),
+    # fields of the wrong Python type: no comparison or match may raise first
+    (_tool(arguments=(("a", ValueType("primitive", "string", "1")),)),
+     "list depth '1' is not an integer; tool=t; at=$[1].arguments[0]"),
+    (_tool(returns=ValueType("object", 5)), "type name 5 is not a string; tool=t; at=$[1].return_type"),
+    (_tool(arguments=(("a", ValueType("primitive", "string", True)),)),
+     "list depth True is not an integer; tool=t; at=$[1].arguments[0]"),
+    (_tool(arguments=(("a", ValueType("primitive", "string", 1.0)),)),
+     "list depth 1.0 is not an integer; tool=t; at=$[1].arguments[0]"),
 ], ids=["tool-name", "argument-name", "duplicate-argument", "list-depth-3", "return-list-depth-3",
         "argument-object-name", "return-object-name", "unknown-kind", "unknown-primitive", "depth-3",
-        "negative-depth", "listed-object-name"])
+        "negative-depth", "listed-object-name", "string-depth", "int-name", "bool-depth", "float-depth"])
 def test_registry_gate_rejects_broken_specs(build, tool, error):
     with pytest.raises(RegistryError) as err:
         build([_tool(name="ok", arguments=()), tool])

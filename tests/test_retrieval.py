@@ -119,6 +119,19 @@ def test_hash_provider_refuses_empty_text_and_indexing_keeps_its_error():
     assert str(err.value) == "cannot embed empty text" and err.value.__cause__ is None
 
 
+@pytest.mark.parametrize("text, name", [
+    (b"Who am I", "bytes"), (None, "NoneType"), (["a"], "list"), (7, "int"),
+], ids=["bytes", "none", "list", "int"])
+def test_hash_provider_refuses_what_is_not_text(text, name):
+    message = f"can only embed text, not {name}"
+    with pytest.raises(RetrievalError) as err:
+        HashEmbeddingProvider().embed(text)
+    assert str(err.value) == message
+    with pytest.raises(RetrievalError) as err:
+        index_corpus(HashEmbeddingProvider(), [("a", "x"), ("b", text)])
+    assert str(err.value) == message and err.value.__cause__ is None
+
+
 def test_index_rejects_wrong_dimension():
     provider = TableProvider({"x": [1.0] * 3, "y": [1.0] * 4})
     with pytest.raises(RetrievalError, match=r"item 1 \('b'\): vector has dimension 4, expected 3"):
@@ -637,6 +650,31 @@ def test_hash_embedding_equals_the_float_accumulating_oracle(text, dimension, se
     assert list(map(float.hex, vector)) == list(map(float.hex, _float_embed(dimension, seed, text)))
     # one float object per distinct component
     assert len({id(x) for x in vector}) == len(set(vector))
+
+
+# Few letters, so that trigrams repeat across and within texts, with Latin-1
+# letters, astral characters and "İ", which lowercases to two code points.
+_REPEATING_TEXTS = st.lists(st.text(alphabet="ab éÿ\U0001F600\U00010400İ", min_size=1, max_size=12),
+                            min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=_REPEATING_TEXTS, dimension=st.sampled_from([1, 2, 3, 64, 257]), seed=st.integers(0, 3))
+@example(texts=["aa", "aa", "İİ", "\U0001F600a"], dimension=2, seed=0)
+def test_hash_embedding_through_one_provider_equals_the_oracle(texts, dimension, seed):
+    provider = HashEmbeddingProvider(dimension, seed)
+    for text in texts + texts:
+        vector = provider.embed(text)
+        assert list(map(float.hex, vector)) == list(map(float.hex, _float_embed(dimension, seed, text)))
+    seen = set()
+    for text in texts:
+        padded = f"##{text.lower()}##"
+        seen.update(padded[i : i + 3] for i in range(len(padded) - 2))
+    memo = provider._trigram_codes
+    assert all(type(key) is tuple and len(key) == 3 for key in memo)
+    assert {"".join(key) for key in memo} == seen and len(memo) == len(seen)
+    # equal pairs are one object
+    assert len({id(pair) for pair in memo.values()}) == len(set(memo.values())) <= 2 * dimension
 
 
 def test_retrieve_rejects_non_finite_query():
