@@ -196,7 +196,10 @@ class RemoteChatModel:
 
     Credentials and endpoint come from the environment (CHAINPLAN_API_BASE /
     CHAINPLAN_API_KEY, falling back to OPENAI_API_BASE / OPENAI_API_KEY)
-    unless passed explicitly.
+    unless passed explicitly. The retry settings are checked when the client
+    is built, before any request: ``max_attempts`` is an ``int`` of at least
+    1 and ``backoff_s`` a finite number of seconds of at least 0, a bool
+    being neither; anything else raises CompletionError naming the setting.
     """
 
     def __init__(self, model_id: str | None = None, api_base: str | None = None,
@@ -204,6 +207,11 @@ class RemoteChatModel:
                  max_attempts: int = 3, backoff_s: float = 0.5):
         self.model_id = model_id or os.environ.get("CHAINPLAN_MODEL", "gpt-3.5-turbo")
         self.api_base, self.api_key, self.timeout = resolve_endpoint(api_base, api_key, timeout)
+        if isinstance(max_attempts, bool) or not isinstance(max_attempts, int) or max_attempts < 1:
+            raise CompletionError(f"max_attempts must be an integer of at least 1, got {max_attempts!r}")
+        # NaN fails the comparison, and time.sleep refuses a negative length
+        if isinstance(backoff_s, bool) or not isinstance(backoff_s, (int, float)) or not 0 <= backoff_s < math.inf:
+            raise CompletionError(f"backoff_s must be a finite number of seconds of at least 0, got {backoff_s!r}")
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
 

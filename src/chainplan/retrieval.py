@@ -360,12 +360,14 @@ def index_corpus(provider, items: list[tuple[str, str]]) -> Corpus:
     return Corpus(items=tuple(indexed), provider_id=provider.provider_id, dimension=dimension)
 
 
-def retrieve_top_k(query: str | list[float], corpus: Corpus, provider, k: int) -> list[tuple[str, float]]:
+def retrieve_top_k(query: str | list[float] | tuple[float, ...], corpus: Corpus, provider,
+                   k: int) -> list[tuple[str, float]]:
     """The k highest-cosine items, descending score, ties broken by ascending
     id; the whole corpus when it holds fewer than k items. ``query`` is a
-    text, which ``provider`` embeds, or a vector that ``provider.embed``
-    returned, so that one embedding serves several corpora; a vector is
-    checked as an embedded text is. ``k`` is an ``int``, a bool not
+    ``str``, which ``provider`` embeds, or a vector that ``provider.embed``
+    returned, so that one embedding serves several corpora: a ``list`` or
+    ``tuple``, checked as an embedded text is. A query of any other type,
+    ``bytes`` included, is refused. ``k`` is an ``int``, a bool not
     included."""
     if isinstance(k, bool) or not isinstance(k, int):
         raise RetrievalError(f"k must be an integer, got {k!r}")
@@ -377,7 +379,12 @@ def retrieve_top_k(query: str | list[float], corpus: Corpus, provider, k: int) -
         raise RetrievalError(
             f"corpus indexed with provider {corpus.provider_id!r}, queried with {provider.provider_id!r}"
         )
-    query_vec = provider.embed(query) if isinstance(query, str) else query
+    if isinstance(query, str):
+        query_vec = provider.embed(query)
+    elif isinstance(query, (list, tuple)):
+        query_vec = query
+    else:
+        raise RetrievalError(f"query must be a str or a list or tuple of floats, got {type(query).__name__}")
     query_norm = _checked_norm(query_vec, corpus.dimension, "query")
     # The same products, summed and divided the same way as
     # cosine(query_vec, item.vector), so every score equals it exactly.

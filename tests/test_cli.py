@@ -4,11 +4,11 @@ import pytest
 from click.testing import CliRunner
 
 from chainplan.cli import main
-from chainplan.llm import save_replay
+from chainplan.llm import estimate_tokens, save_replay
 from chainplan.pipelines import PipelineConfig, PlannerContext
 from chainplan.retrieval import HashEmbeddingProvider
 
-from conftest import GOLDEN_PATH, enchant_replay_entries, regains_replay_entries
+from conftest import GOLDEN_PATH, enchant_replay_entries, regains_replay_entries, subtasks_for
 
 
 @pytest.fixture()
@@ -52,6 +52,8 @@ def test_plan_regains_mock(runner, tmp_path, replay_files, golden_examples):
     trace = json.loads(trace_file.read_text(encoding="utf-8"))
     assert trace["llm_calls"] == 1
     assert trace["retrieved_tools"]
+    assert trace["prompt_tokens"] == sum(map(estimate_tokens, trace["prompts"].values()))
+    assert trace["completion_tokens"] == estimate_tokens(golden_examples[0].gold_text)
 
 
 def test_plan_enchant_mock_same_final_plan(runner, tmp_path, replay_files, golden_examples):
@@ -66,6 +68,9 @@ def test_plan_enchant_mock_same_final_plan(runner, tmp_path, replay_files, golde
     assert result.output.strip() == golden_examples[0].gold_text
     trace = json.loads(trace_file.read_text(encoding="utf-8"))
     assert trace["llm_calls"] == 2
+    assert trace["prompt_tokens"] == sum(map(estimate_tokens, trace["prompts"].values()))
+    answers = [subtasks_for(golden_examples[0]), golden_examples[0].gold_text]
+    assert trace["completion_tokens"] == sum(map(estimate_tokens, answers))
 
 
 def test_plan_missing_tools_file_is_usage_error(runner):
@@ -197,6 +202,12 @@ def _dataset_error(path, tmp_path):
     with pytest.raises(DatasetError) as err:
         load_golden_dataset(path)
     assert err.value.line == 2
+    # the same line from the CLI; an empty replay keeps the run offline
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    result = CliRunner().invoke(main, ["plan", "q", "--examples", str(path), "--mock", str(empty),
+                                       "--trace", str(tmp_path / "t.json")])
+    _assert_one_line_error(result, f"Error: {err.value}\n")
     return str(err.value)
 
 
@@ -205,6 +216,8 @@ def _replay_error(path, tmp_path):
 
     with pytest.raises(CompletionError) as err:
         load_replay(path)
+    result = CliRunner().invoke(main, ["plan", "q", "--mock", str(path), "--trace", str(tmp_path / "t.json")])
+    _assert_one_line_error(result, f"Error: {err.value}\n")
     return str(err.value)
 
 
@@ -318,6 +331,15 @@ def test_stdin_reads_as_the_same_bytes_in_a_file(runner, tmp_path, command):
         assert from_stdin.output == "ok\n"
 
 
+@pytest.mark.parametrize("command", ["check", "repair", "exec"])
+@pytest.mark.parametrize("text, line", [
+    ("[{", "Error: invalid_json: "),
+    ("{}", "Error: schema_violation: plan must be a JSON array of calls\n"),
+], ids=["invalid_json", "not_an_array"])
+def test_plan_text_that_does_not_parse_is_one_line_error(runner, command, text, line):
+    _assert_one_line_error(runner.invoke(main, [command], input=text), line)
+
+
 def test_check_forward_reference_exits_one(runner):
     plan_text = '[{"tool_name":"works_list","arguments":[{"argument_name":"owned_by","argument_value":["$$PREV[5]"]}]}]'
     result = runner.invoke(main, ["check"], input=plan_text)
@@ -352,6 +374,13 @@ def test_repair_wraps_bare_reference(runner):
     result = runner.invoke(main, ["repair"], input=bare)
     assert result.exit_code == 0, result.output
     assert '["$$PREV[0]"]' in result.output
+    # a reference without a type edge: the plan as it was, one unrepaired
+    # line on stderr, and exit 0
+    no_edge = ('[{"tool_name":"get_sprint_id","arguments":[]},{"tool_name":"prioritize_objects",'
+               '"arguments":[{"argument_name":"objects","argument_value":"$$PREV[0]"}]}]')
+    result = runner.invoke(main, ["repair"], input=no_edge)
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        0, no_edge + "\n", "unrepaired: call 1 objects: no type edge get_sprint_id -> prioritize_objects.objects\n")
 
 
 def test_enforce_trailing_comma(runner):
@@ -360,6 +389,10 @@ def test_enforce_trailing_comma(runner):
     from chainplan.plan import parse_plan
 
     assert parse_plan(result.output.strip().splitlines()[0]).ok
+    as_json = json.loads(runner.invoke(main, ["enforce", "--format", "json"],
+                                       input='[{"tool_name":"who_am_i","arguments":[]},]').output)
+    assert as_json["text"] + "\n" == result.stdout
+    assert as_json["edits"] and all(sorted(edit) == ["kind", "position", "text"] for edit in as_json["edits"])
 
 
 def test_enforce_uncompilable_registry_is_one_line_error(runner, tmp_path):
@@ -411,6 +444,9 @@ def test_exec_refuses_plan_unknown_to_tools_file(runner, tmp_path, fixture_regis
     assert not out.exists()
     checked = runner.invoke(main, ["check", "--tools", str(tools)], input=plan_text)
     assert checked.exit_code == 1 and "unknown tool 'who_am_i'" in checked.output
+    # against the bundled registry the list-wrapped reference fits
+    checked = runner.invoke(main, ["check"], input=plan_text)
+    assert (checked.exit_code, checked.output) == (0, "ok\n")
 
 
 @pytest.mark.parametrize("plan_text, lines", [
@@ -485,6 +521,7 @@ def test_eval_predictions_equal_golds(runner, tmp_path, golden_examples):
     assert report["aggregates"]["mr"] == 0.0
     assert report["aggregates"]["hr"] == 0.0
     assert report["aggregates"]["invalid_json_rate"] == 0.0
+    assert report["aggregates"]["bleu"] == report["aggregates"]["rouge_l_f1"] == 1.0
 
 
 def test_eval_table_format(runner, tmp_path, golden_examples):
@@ -604,6 +641,24 @@ def test_tools_summary_and_graph(runner):
     assert {"from": "who_am_i", "to": "works_list", "argument": "owned_by", "weight": 2} in edges
 
 
+def test_tools_prints_registry_warnings(runner, tmp_path):
+    # empty descriptions load, and are warned about in either format
+    tools = tmp_path / "tools.json"
+    tools.write_text(json.dumps([{
+        "tool_name": "t", "tool_description": "", "return_type": "string",
+        "arguments": [{"argument_name": "a", "argument_description": "", "argument_type": "string"},
+                      {"argument_name": "b", "argument_description": "b", "argument_type": "string"}],
+    }]), encoding="utf-8")
+    warnings = [("tool 't'", "tool description is empty"), ("tool 't' argument 'a'", "argument description is empty")]
+    result = runner.invoke(main, ["tools", "--tools", str(tools)])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[1:] == ["  t"] + [f"warning: {where}: {what}" for where, what in warnings]
+    result = runner.invoke(main, ["tools", "--tools", str(tools), "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["diagnostics"] == [
+        {"severity": "warning", "location": where, "message": what} for where, what in warnings]
+
+
 def test_usage_error_on_unknown_pipeline(runner):
     result = runner.invoke(main, ["plan", "q", "--pipeline", "bogus"])
     assert result.exit_code == 2
@@ -667,6 +722,23 @@ def test_eval_mixed_fixture_matches_precomputed_values(runner, tmp_path, golden_
     assert aggregates["mr"] == pytest.approx(1 / 9)
     assert aggregates["hr"] == 0.0
     assert aggregates["correct_path_rate"] == pytest.approx(8 / 9)
+    # each plan loses its last call (a one-call plan gets who_am_i appended
+    # instead), so prediction and gold share a prefix and a suffix that BLEU
+    # and ROUGE-L count once; the scores are pinned bit for bit
+    edited = []
+    for example in golden_examples:
+        gold = json.loads(example.gold_text)
+        edited.append(gold[:-1] if len(gold) > 1 else gold + [{"tool_name": "who_am_i", "arguments": []}])
+    predictions.write_text("".join(json.dumps({"predicted": json.dumps(plan)}) + "\n" for plan in edited),
+                           encoding="utf-8")
+    result = runner.invoke(main, [
+        "eval", "--dataset", str(GOLDEN_PATH), "--predictions", str(predictions),
+        "--format", "json", "--trace", str(tmp_path / "t.json"),
+    ])
+    aggregates = json.loads(result.output)["aggregates"]
+    assert aggregates["bleu"].hex() == "0x1.03508ad3859d6p-1"
+    assert aggregates["rouge_l_f1"].hex() == "0x1.77a33d4d872b9p-1"
+    assert aggregates["correct_path_rate"] == 0.2
 
 
 @pytest.mark.parametrize("plan_text", [
@@ -742,6 +814,14 @@ def test_enforce_json_format(runner):
     assert json.loads(result.output) == {
         "text": plan_text, "edits": [{"kind": "truncate", "position": len(plan_text), "text": "!"}],
     }
+    # floats with exponents and an object member holding an array, as
+    # serialize_plan writes them, pass unchanged
+    plan_text = ('[{"tool_name":"op_mul","arguments":[{"argument_name":"a","argument_value":1e-07},'
+                 '{"argument_name":"b","argument_value":1.5e+300}]},{"tool_name":"summarize_objects",'
+                 '"arguments":[{"argument_name":"objects","argument_value":[{"k":[1,2]}]}]}]')
+    result = runner.invoke(main, ["enforce", "--format", "json"], input=plan_text)
+    assert json.loads(result.output) == {"text": plan_text, "edits": []}
+    assert runner.invoke(main, ["check"], input=plan_text).output == "ok\n"
 
 
 @pytest.mark.parametrize("tail", ["\n", " \t\r\n"], ids=["newline", "json_whitespace"])
@@ -754,6 +834,8 @@ def test_enforce_ignores_trailing_whitespace(runner, tmp_path, golden_examples, 
         result = runner.invoke(main, ["enforce", "--format", "json", *args], input=stdin)
         assert result.exit_code == 0, result.output
         assert json.loads(result.output) == {"text": gold, "edits": []}
+        result = runner.invoke(main, ["enforce", *args], input=stdin)
+        assert (result.exit_code, result.stdout, result.stderr) == (0, gold + "\n", "")
 
 
 def test_tools_json_format(runner, fixture_registry):

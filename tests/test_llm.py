@@ -313,6 +313,26 @@ def test_bad_timeout_is_refused_when_the_client_is_built(monkeypatch, client_cla
         client_class(timeout=explicit)
 
 
+@pytest.mark.parametrize("setting, value, message", [
+    ("max_attempts", 0, "max_attempts must be an integer of at least 1, got 0"),
+    ("max_attempts", True, "max_attempts must be an integer of at least 1, got True"),
+    ("max_attempts", 2.0, "max_attempts must be an integer of at least 1, got 2.0"),
+    ("backoff_s", -1, "backoff_s must be a finite number of seconds of at least 0, got -1"),
+    ("backoff_s", True, "backoff_s must be a finite number of seconds of at least 0, got True"),
+    ("backoff_s", float("nan"), "backoff_s must be a finite number of seconds of at least 0, got nan"),
+    ("backoff_s", float("inf"), "backoff_s must be a finite number of seconds of at least 0, got inf"),
+    ("backoff_s", "0.5", "backoff_s must be a finite number of seconds of at least 0, got '0.5'"),
+], ids=["attempts_zero", "attempts_bool", "attempts_float", "backoff_negative", "backoff_bool", "backoff_nan",
+        "backoff_inf", "backoff_string"])
+def test_bad_retry_setting_is_refused_when_the_client_is_built(monkeypatch, setting, value, message):
+    monkeypatch.setattr("urllib.request.urlopen", lambda *args, **kwargs: pytest.fail("request sent"))
+    with pytest.raises(CompletionError, match=f"^{re.escape(message)}$"):
+        RemoteChatModel(api_base="http://127.0.0.1:9", **{setting: value})
+    # the smallest values stay valid
+    model = RemoteChatModel(api_base="http://127.0.0.1:9", max_attempts=1, backoff_s=0.0)
+    assert (model.max_attempts, model.backoff_s) == (1, 0.0)
+
+
 def test_constrained_token_model_masks_hallucinated_name(fixture_registry):
     automaton = compile_schema(fixture_registry)
     steps = [

@@ -7,6 +7,7 @@ from chainplan.llm import ScriptedModel, estimate_tokens
 from chainplan.metrics import EvalRecord, evaluate_dataset
 from chainplan.pipelines import (
     PipelineConfig,
+    PipelineError,
     PlannerContext,
     PromptError,
     assemble_rap_prompt,
@@ -153,6 +154,31 @@ def test_regains_projects_a_non_finite_number(ctx, config, golden_examples):
     json.loads(trace.final_text, parse_constant=refuse)
     json.loads(trace.to_json(), parse_constant=refuse)
     assert trace.final_plan.calls[0].tool_name == "works_list"
+
+
+# A float the plan automaton accepts and parse_plan refuses as out of a
+# float's range: ROADMAP item 7's open gap. Once item 7 bounds a number's
+# integer part, projection cuts this value and both runs below change.
+_OVERFLOWING_FLOAT = "1" + "0" * 309 + ".5"
+
+
+@pytest.mark.parametrize("run, entries, error", [
+    (run_regains, regains_replay_entries, "projection repair produced unparseable text"),
+    (run_enchant, enchant_replay_entries, "enforced recomposition produced unparseable text"),
+], ids=["regains", "enchant"])
+def test_an_accepted_text_that_does_not_parse_fails_the_run(fixture_registry, config, run, entries, error):
+    # one PipelineError, never a plan the model did not write
+    from chainplan.datasets import GoldenExample
+    from chainplan.plan import Plan, ToolCall
+
+    ctx = PlannerContext.build(register_operator_tools(fixture_registry), HashEmbeddingProvider())
+    example = GoldenExample("mul", "Multiply a by b", Plan((ToolCall("op_mul"),)))
+    answer = ('[{"tool_name":"op_mul","arguments":[{"argument_name":"a","argument_value":'
+              f'{_OVERFLOWING_FLOAT}}},{{"argument_name":"b","argument_value":2}}]}}]')
+    model = ScriptedModel(dict(entries(example, ctx, config, answer)))
+    with pytest.raises(PipelineError) as err:
+        run(example.query, ctx, model, config)
+    assert str(err.value) == f"{error}: {_OVERFLOWING_FLOAT} is out of a float's range"
 
 
 def test_regains_retrieves_examples(ctx, config, golden_examples):

@@ -2,7 +2,9 @@ import json
 import math
 
 import pytest
+from click.testing import CliRunner
 
+from chainplan.cli import main
 from chainplan.registry import (
     ArgSpec,
     Registry,
@@ -182,6 +184,9 @@ def test_a_number_strict_json_lacks_is_a_parse_failure_that_names_it(tmp_path, d
         with pytest.raises(RegistryError) as err:
             load_registry(source)
         assert str(err.value) == error
+    # the CLI reports it as one error line, and exit 1
+    result = CliRunner().invoke(main, ["tools", "--tools", str(path)])
+    assert (result.exit_code, result.output) == (1, f"Error: {error}\n")
 
 
 @pytest.mark.parametrize("tool_field, argument_field, error", [

@@ -661,6 +661,7 @@ _REPEATING_TEXTS = st.lists(st.text(alphabet="ab éÿ\U0001F600\U00010400İ", mi
 @settings(max_examples=200, deadline=None)
 @given(texts=_REPEATING_TEXTS, dimension=st.sampled_from([1, 2, 3, 64, 257]), seed=st.integers(0, 3))
 @example(texts=["aa", "aa", "İİ", "\U0001F600a"], dimension=2, seed=0)
+@example(texts=["İstanbul \U0001F600 İİ \U0001F600\U0001F600"], dimension=64, seed=0)
 def test_hash_embedding_through_one_provider_equals_the_oracle(texts, dimension, seed):
     provider = HashEmbeddingProvider(dimension, seed)
     for text in texts + texts:
@@ -737,6 +738,17 @@ def test_retrieve_refuses_a_k_that_is_not_a_positive_int(k, message):
     corpus = index_corpus(provider, [("a", "text"), ("b", "other text")])
     with pytest.raises(RetrievalError, match=f"^{re.escape(message)}$"):
         retrieve_top_k("q", corpus, provider, k)
+
+
+@pytest.mark.parametrize("query", [b"x" * 64, bytearray(b"who am i"), None, 7, {"who": 1.0}],
+                         ids=["bytes", "bytearray", "none", "int", "dict"])
+def test_retrieve_refuses_a_query_that_is_neither_text_nor_vector(query):
+    # bytes are neither a text to embed nor a vector of byte values
+    provider = HashEmbeddingProvider()
+    corpus = index_corpus(provider, [("a", "text"), ("b", "other text")])
+    message = f"query must be a str or a list or tuple of floats, got {type(query).__name__}"
+    with pytest.raises(RetrievalError, match=f"^{re.escape(message)}$"):
+        retrieve_top_k(query, corpus, provider, 1)
 
 
 def test_retrieve_provider_mismatch():
