@@ -126,6 +126,17 @@ def _seconds(value, name: str) -> float:
     return seconds
 
 
+def _check_retry_settings(max_attempts, backoff_s) -> None:
+    """Raise CompletionError naming the setting unless ``max_attempts`` is an
+    ``int`` of at least 1 and ``backoff_s`` a finite number of seconds of at
+    least 0, a bool being neither."""
+    if isinstance(max_attempts, bool) or not isinstance(max_attempts, int) or max_attempts < 1:
+        raise CompletionError(f"max_attempts must be an integer of at least 1, got {max_attempts!r}")
+    # NaN fails the comparison, and time.sleep refuses a negative length
+    if isinstance(backoff_s, bool) or not isinstance(backoff_s, (int, float)) or not 0 <= backoff_s < math.inf:
+        raise CompletionError(f"backoff_s must be a finite number of seconds of at least 0, got {backoff_s!r}")
+
+
 def post_json(url: str, payload: dict, api_key: str = "", timeout: float = 30.0,
               max_attempts: int = 3, backoff_s: float = 0.5) -> dict:
     """POST JSON with bounded exponential backoff; raises CompletionError
@@ -133,7 +144,9 @@ def post_json(url: str, payload: dict, api_key: str = "", timeout: float = 30.0,
     (rate limit) will not change on a retry, so it fails at once. A response
     cut short or garbled (an ``http.client.HTTPException``) is retried like
     any transport failure. The HTTP client, with ``ssl``, is loaded on the
-    first call, so a run that sends no request never loads it."""
+    first call, so a run that sends no request never loads it. The retry
+    settings are checked first, as ``RemoteChatModel`` checks them."""
+    _check_retry_settings(max_attempts, backoff_s)
     import http.client
     import urllib.error
     import urllib.request
@@ -207,11 +220,7 @@ class RemoteChatModel:
                  max_attempts: int = 3, backoff_s: float = 0.5):
         self.model_id = model_id or os.environ.get("CHAINPLAN_MODEL", "gpt-3.5-turbo")
         self.api_base, self.api_key, self.timeout = resolve_endpoint(api_base, api_key, timeout)
-        if isinstance(max_attempts, bool) or not isinstance(max_attempts, int) or max_attempts < 1:
-            raise CompletionError(f"max_attempts must be an integer of at least 1, got {max_attempts!r}")
-        # NaN fails the comparison, and time.sleep refuses a negative length
-        if isinstance(backoff_s, bool) or not isinstance(backoff_s, (int, float)) or not 0 <= backoff_s < math.inf:
-            raise CompletionError(f"backoff_s must be a finite number of seconds of at least 0, got {backoff_s!r}")
+        _check_retry_settings(max_attempts, backoff_s)
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
 

@@ -14,7 +14,10 @@ per record and hands them to both scores, which work on the middles, as diff
 algorithms do (Myers 1986): the ends are counted once, in arithmetic, and the
 per-token work scales with the difference, not the length. BLEU counts the
 middle n-grams of all four orders into one table per side. Both scores stay
-exact; see ``bleu`` and ``_lcs_length``.
+exact; see ``bleu`` and ``_lcs_length``. A prediction that is its gold's
+canonical text, as a correct plan from either pipeline is, scores 1.0 on both
+without being tokenized: canonical text is a fixed point of parsing then
+serializing, so its token streams are equal.
 
 Unparseable predictions contribute only to the invalid-JSON rate; all other
 aggregates average over the parsed examples.
@@ -265,15 +268,31 @@ class MetricsReport:
 
 
 def score_example(record: EvalRecord, registry: Registry) -> ExampleScores:
+    """One record's scores; invalid JSON is scored only as such.
+
+    The rates and the correct path come from the parsed prediction. When the
+    prediction's text is the gold's canonical text, BLEU and ROUGE-L F1 are
+    1.0 without tokenizing either plan. That is exact: canonical text is a
+    fixed point of ``parse_plan`` then ``serialize_plan``, so the prediction
+    would serialize back to the same text, its token stream would equal the
+    gold's, and equal streams score exactly 1.0 on both. Any other
+    prediction is tokenized and scored against the gold's text.
+    """
     outcome = parse_plan(record.predicted_text)
     if not outcome.ok:
         return ExampleScores(query=record.query, invalid_json=True)
     predicted = outcome.plan
     ir, nr, mr = tool_selection_scores(predicted, record.gold)
-    predicted_tokens, gold_tokens = plan_tokens(predicted), plan_tokens(record.gold)
-    # One search for both scores. They are called as module globals, where
-    # the benchmark's traced run patches them.
-    ends = _shared_ends(predicted_tokens, gold_tokens)
+    # plan_tokens, serialize_plan, bleu and rouge_l_f1 are called as module
+    # globals, where the benchmark's traced run patches them.
+    gold_text = serialize_plan(record.gold)
+    if record.predicted_text == gold_text:
+        bleu_score = rouge_score = 1.0
+    else:
+        predicted_tokens, gold_tokens = plan_tokens(predicted), text_tokens(gold_text)
+        ends = _shared_ends(predicted_tokens, gold_tokens)  # one search for both scores
+        bleu_score = bleu(predicted_tokens, gold_tokens, ends=ends)
+        rouge_score = rouge_l_f1(predicted_tokens, gold_tokens, ends=ends)
     return ExampleScores(
         query=record.query,
         invalid_json=False,
@@ -281,8 +300,8 @@ def score_example(record: EvalRecord, registry: Registry) -> ExampleScores:
         nr=nr,
         mr=mr,
         hr=hallucination_rate(predicted, registry),
-        bleu=bleu(predicted_tokens, gold_tokens, ends=ends),
-        rouge_l_f1=rouge_l_f1(predicted_tokens, gold_tokens, ends=ends),
+        bleu=bleu_score,
+        rouge_l_f1=rouge_score,
         correct_path=correct_path(predicted, record.gold),
     )
 

@@ -18,6 +18,7 @@ from chainplan.llm import (
     constrained_complete,
     fingerprint,
     load_replay,
+    post_json,
     save_replay,
 )
 from chainplan.plan import parse_plan
@@ -313,7 +314,7 @@ def test_bad_timeout_is_refused_when_the_client_is_built(monkeypatch, client_cla
         client_class(timeout=explicit)
 
 
-@pytest.mark.parametrize("setting, value, message", [
+_BAD_RETRY_SETTINGS = pytest.mark.parametrize("setting, value, message", [
     ("max_attempts", 0, "max_attempts must be an integer of at least 1, got 0"),
     ("max_attempts", True, "max_attempts must be an integer of at least 1, got True"),
     ("max_attempts", 2.0, "max_attempts must be an integer of at least 1, got 2.0"),
@@ -324,6 +325,9 @@ def test_bad_timeout_is_refused_when_the_client_is_built(monkeypatch, client_cla
     ("backoff_s", "0.5", "backoff_s must be a finite number of seconds of at least 0, got '0.5'"),
 ], ids=["attempts_zero", "attempts_bool", "attempts_float", "backoff_negative", "backoff_bool", "backoff_nan",
         "backoff_inf", "backoff_string"])
+
+
+@_BAD_RETRY_SETTINGS
 def test_bad_retry_setting_is_refused_when_the_client_is_built(monkeypatch, setting, value, message):
     monkeypatch.setattr("urllib.request.urlopen", lambda *args, **kwargs: pytest.fail("request sent"))
     with pytest.raises(CompletionError, match=f"^{re.escape(message)}$"):
@@ -331,6 +335,16 @@ def test_bad_retry_setting_is_refused_when_the_client_is_built(monkeypatch, sett
     # the smallest values stay valid
     model = RemoteChatModel(api_base="http://127.0.0.1:9", max_attempts=1, backoff_s=0.0)
     assert (model.max_attempts, model.backoff_s) == (1, 0.0)
+
+
+@_BAD_RETRY_SETTINGS
+def test_bad_retry_setting_is_refused_by_post_json_before_any_request(stub_server, setting, value, message):
+    with pytest.raises(CompletionError, match=f"^{re.escape(message)}$"):
+        post_json(f"{stub_server}/v1/chat/completions", {}, **{setting: value})
+    assert _StubHandler.seen_payloads == []
+    # the smallest values stay valid
+    assert post_json(f"{stub_server}/v1/chat/completions", {}, max_attempts=1, backoff_s=0.0) == _StubHandler.response
+    assert _StubHandler.seen_payloads == [{}]
 
 
 def test_constrained_token_model_masks_hallucinated_name(fixture_registry):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chainplan.metrics import (
     EvalRecord,
+    ExampleScores,
     _lcs_length,
     _shared_ends,
     bleu,
@@ -18,10 +20,11 @@ from chainplan.metrics import (
     render_csv,
     render_table,
     rouge_l_f1,
+    score_example,
     text_tokens,
     tool_selection_scores,
 )
-from chainplan.plan import Plan, PrevRef, ToolCall, parse_plan, serialize_plan
+from chainplan.plan import Plan, PrevRef, ToolCall, parse_plan, plan_to_data, serialize_plan
 
 from conftest import random_plan
 
@@ -534,7 +537,64 @@ def test_each_parsed_record_searches_its_shared_ends_once(fixture_registry, gold
     report = evaluate_dataset(records, fixture_registry)
     assert report.counts["parsed"] == 4
     gold_tokens = plan_tokens(gold)
-    assert calls == [(plan_tokens(parse_plan(text).plan), gold_tokens) for text in predicted[:4]]
+    # the gold's canonical text is scored 1.0 untokenized, so never searched
+    assert calls == [(plan_tokens(parse_plan(text).plan), gold_tokens) for text in predicted[1:4]]
+    assert (gold_tokens, gold_tokens) not in calls
+
+
+def reference_score(record, registry):
+    """``score_example`` tokenizing and scoring every parsed record, as it
+    did before a prediction that is its gold's canonical text was scored
+    1.0 untokenized."""
+    outcome = parse_plan(record.predicted_text)
+    if not outcome.ok:
+        return ExampleScores(query=record.query, invalid_json=True)
+    predicted = outcome.plan
+    ir, nr, mr = tool_selection_scores(predicted, record.gold)
+    predicted_tokens, gold_tokens = plan_tokens(predicted), plan_tokens(record.gold)
+    ends = _shared_ends(predicted_tokens, gold_tokens)
+    return ExampleScores(
+        query=record.query, invalid_json=False, ir=ir, nr=nr, mr=mr,
+        hr=hallucination_rate(predicted, registry),
+        bleu=bleu(predicted_tokens, gold_tokens, ends=ends),
+        rouge_l_f1=rouge_l_f1(predicted_tokens, gold_tokens, ends=ends),
+        correct_path=correct_path(predicted, record.gold),
+    )
+
+
+_GOLD_WITH_ONE = Plan((ToolCall("who_am_i"), ToolCall("works_list", (("limit", 1), ("owned_by", (PrevRef(0),))))))
+_GOLD_WITH_A_REFERENCE_STRING = Plan((ToolCall("who_am_i"), ToolCall("works_list", (("owned_by", ("$$PREV[0]",)),))))
+
+
+@st.composite
+def _predictions(draw):
+    """A gold plan over the fixture's tool names and unknown ones, with its
+    canonical text, the same plan as indented JSON, or a perturbed plan."""
+    rng = draw(st.randoms(use_true_random=False))
+    names = ("who_am_i", "works_list", "get_sprint_id", "summarize_objects", "ghost_tool")
+    gold = random_plan(rng, tool_names=names, max_calls=draw(st.integers(0, 12)))
+    kind = draw(st.sampled_from(["canonical", "indented", "perturbed"]))
+    if kind == "canonical":
+        text = serialize_plan(gold)
+    elif kind == "indented":
+        text = json.dumps(plan_to_data(gold), indent=1)
+    else:
+        text = serialize_plan(_perturbed(rng, gold))
+    return EvalRecord("q", gold, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_predictions())
+# parsed plans that compare equal while their texts differ: 1.0 == 1
+@example(EvalRecord("q", _GOLD_WITH_ONE, serialize_plan(_GOLD_WITH_ONE).replace(":1}", ":1.0}")))
+@example(EvalRecord("q", _GOLD_WITH_ONE, serialize_plan(_GOLD_WITH_ONE)))
+# a hand-built string that reads as a reference: the texts are equal, the plans are not
+@example(EvalRecord("q", _GOLD_WITH_A_REFERENCE_STRING, serialize_plan(_GOLD_WITH_A_REFERENCE_STRING)))
+@example(EvalRecord("q", Plan(), "[]"))
+@example(EvalRecord("q", Plan(), "[ ]"))
+@example(EvalRecord("q", Plan(), "{broken"))
+def test_score_example_equals_the_tokenizing_reference(fixture_registry, record):
+    assert score_example(record, fixture_registry) == reference_score(record, fixture_registry)
 
 
 def test_report_renderings(fixture_registry):

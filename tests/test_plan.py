@@ -270,6 +270,28 @@ def test_round_trip_hypothesis_plans(plan):
     ))
 
 
+# Values whose canonical text could drift on a second pass: float reprs,
+# negative zero, an int beyond 64 bits, escapes and non-ASCII text, an
+# object member holding a list, and a hand-built string that re-parses as a
+# reference.
+_EDGE_VALUES = st.sampled_from([
+    1e-07, 1.5e+300, -0.0, 2**70, "Zürich ☃ \U0001F600", 'a "quote", a \\ and \n\t\x00',
+    {"k": (1, "$$PREV[0]", [2.5])}, "$$PREV[0]",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.lists(_EDGE_VALUES | st.tuples(_EDGE_VALUES, _EDGE_VALUES), max_size=4))
+def test_canonical_text_is_a_fixed_point_of_parse_then_serialize(rng, edge_values):
+    # what scoring a prediction that is its gold's canonical text rests on
+    plan = random_plan(rng, max_calls=8)
+    edge_call = ToolCall("edge", tuple((f"arg{i}", value) for i, value in enumerate(edge_values)))
+    calls = list(plan.calls)
+    calls.insert(rng.randint(0, len(calls)), edge_call)
+    text = serialize_plan(Plan(tuple(calls)))
+    assert serialize_plan(parse_plan(text).plan) == text
+
+
 # The reference parser: every check on every record, each record named by its
 # path before it is looked at. plan_from_data must return an equal outcome.
 class _ReferenceViolation(Exception):
