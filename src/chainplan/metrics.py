@@ -28,6 +28,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import compress, count
+from operator import ne
 
 from .plan import Plan, parse_plan, serialize_plan, validate_refs
 from .registry import Registry
@@ -90,34 +92,17 @@ def text_tokens(text: str) -> list[str]:
 def _shared_ends(a: list[str], b: list[str]) -> tuple[int, int]:
     """(p, s): the length p of the common prefix of ``a`` and ``b``, and the
     length s of the common suffix of what follows it, so that
-    p + s <= min(len(a), len(b)) and the two ends never overlap."""
-    la, lb = len(a), len(b)
-    if a == b:
-        return la, 0
-    limit = min(la, lb)
-    p = _equal_run(lambda i, j: a[i:j] == b[i:j], limit)
-    s = _equal_run(lambda i, j: a[la - j:la - i] == b[lb - j:lb - i], limit - p)
-    return p, s
+    p + s <= min(len(a), len(b)) and the two ends never overlap.
 
-
-def _equal_run(equal, limit: int) -> int:
-    """The largest k <= limit whose first k positions are equal, where
-    ``equal(i, j)`` compares positions i to j - 1 of the two streams.
-
-    Gallops over doubling lengths, then bisects, comparing only positions not
-    yet known equal: O(k) element comparisons in C and O(log k) Python steps.
+    Two scans run in C, each to its first differing pair: p from the front,
+    and the streams' common suffix from the back. The common suffix of the
+    tails after p is that suffix cut to the shorter tail's length,
+    min(len(a), len(b)) - p, so s is that cut.
     """
-    lo, hi = 0, 1  # positions below lo are equal
-    while hi <= limit and equal(lo, hi):
-        lo, hi = hi, 2 * hi
-    hi = min(hi, limit + 1)  # and the answer is below hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if equal(lo, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    limit = min(len(a), len(b))
+    p = next(compress(count(), map(ne, a, b)), limit)
+    s = next(compress(count(), map(ne, reversed(a), reversed(b))), limit)
+    return p, min(s, limit - p)
 
 
 def _middle_ngrams(tokens: list[str], p: int, s: int) -> dict[tuple[str, ...], int]:
@@ -128,9 +113,8 @@ def _middle_ngrams(tokens: list[str], p: int, s: int) -> dict[tuple[str, ...], i
     end = len(tokens) - s
     for n in range(1, 5):
         middle = tokens[max(p - n + 1, 0):end + n - 1]
-        if len(middle) >= n:  # an identical pair's middles are all shorter
-            for gram in zip(*(middle[k:] for k in range(n))):
-                counts[gram] = counts.get(gram, 0) + 1
+        for gram in zip(*(middle[k:] for k in range(n))):
+            counts[gram] = counts.get(gram, 0) + 1
     return counts
 
 

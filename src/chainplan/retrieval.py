@@ -58,10 +58,13 @@ def _norm(vector) -> float:
 
 def _checked_norm(vector, dimension: int, where: str) -> float:
     """``_norm(vector)``, the one check of a vector that enters retrieval:
-    one that is not of ``dimension``, is zero, holds a NaN or an infinity,
+    one that is not of ``dimension``, holds a value that is not an ``int``
+    or a ``float`` (a bool is neither), is zero, holds a NaN or an infinity,
     or whose norm overflows raises one error, prefixed by ``where``."""
     if len(vector) != dimension:
         raise RetrievalError(f"{where}: vector has dimension {len(vector)}, expected {dimension}")
+    if not set(map(type, vector)) <= {int, float}:
+        raise RetrievalError(f"{where}: vector value is not an int or a float")
     norm = _norm(vector)
     if norm == 0.0:
         raise RetrievalError(f"{where}: cosine of a zero vector is undefined")
@@ -72,9 +75,10 @@ def _checked_norm(vector, dimension: int, where: str) -> float:
 
 
 def cosine(a: list[float], b: list[float]) -> float:
-    """dot(a, b) / (|a| * |b|); errors on dimension mismatch, zero vectors,
-    non-finite values and norms that overflow. Sums with ``math.fsum``, so a
-    score is the same on every interpreter."""
+    """dot(a, b) / (|a| * |b|); errors on dimension mismatch, values that
+    are not an int or a float, zero vectors, non-finite values and norms that
+    overflow. Sums with ``math.fsum``, so a score is the same on every
+    interpreter."""
     norm_a = _checked_norm(a, len(b), "a")
     norm_b = _checked_norm(b, len(b), "b")
     # Both sums of squares are finite, so no product a[i] * b[i] overflows.
@@ -139,9 +143,9 @@ class CorpusItem:
 class Corpus:
     """Items embedded by one provider. Every item's vector is checked when
     the corpus is built, as :func:`retrieve_top_k` checks a query: a
-    wrong-length, zero or non-finite vector, or one whose norm overflows,
-    raises naming the item's index and id. ``norms`` holds each item's L2
-    norm, in item order, summed as :func:`cosine` sums it."""
+    wrong-length, non-numeric, zero or non-finite vector, or one whose norm
+    overflows, raises naming the item's index and id. ``norms`` holds each
+    item's L2 norm, in item order, summed as :func:`cosine` sums it."""
 
     items: tuple[CorpusItem, ...]
     provider_id: str

@@ -365,6 +365,11 @@ def test_scores_of_pairs_sharing_their_ends_are_exact(pair):
     assert p + s <= min(len(predicted), len(gold))
     assert predicted[:p] == gold[:p]
     assert predicted[len(predicted) - s:] == gold[len(gold) - s:]
+    # and each is the longest: the prefix up to the shorter stream, the
+    # suffix up to the tokens the prefix leaves
+    limit = min(len(predicted), len(gold))
+    assert p == limit or predicted[p] != gold[p]
+    assert s == limit - p or predicted[len(predicted) - s - 1] != gold[len(gold) - s - 1]
     assert _lcs_length(predicted, gold) == oracle_lcs(predicted, gold)
     if gold:
         assert bleu(predicted, gold) == counter_bleu(predicted, gold)

@@ -146,10 +146,16 @@ def test_index_rejects_wrong_dimension():
     ([("a", "x"), ("b", "z"), ("a", "x")], "item 2: duplicate corpus id 'a'"),
     # any other exception from the provider, here the table's KeyError
     ([("a", "x"), ("b", "missing")], "provider failed on item 'b': 'missing'"),
-], ids=["nan", "zero", "overflow", "duplicate-id", "provider-error"])
+    # values that are not an int or a float: a bool is neither
+    ([("a", "x"), ("b", "strs")], "item 1 ('b'): vector value is not an int or a float"),
+    ([("a", "x"), ("b", "nones")], "item 1 ('b'): vector value is not an int or a float"),
+    ([("a", "x"), ("b", "bool")], "item 1 ('b'): vector value is not an int or a float"),
+], ids=["nan", "zero", "overflow", "duplicate-id", "provider-error", "str-values", "none-values",
+        "bool-value"])
 def test_index_rejects_bad_items(items, message):
     provider = TableProvider({"x": [1.0] * 3, "z": [1.0] * 3, "nan": [1.0, float("nan"), 1.0],
-                              "zero": [0.0] * 3, "big": [1e200, 1.0, 1.0]})
+                              "zero": [0.0] * 3, "big": [1e200, 1.0, 1.0], "strs": ["x"] * 3,
+                              "nones": [None] * 3, "bool": [True, 0.0, 0.0]})
     with pytest.raises(RetrievalError) as err:
         index_corpus(provider, items)
     assert str(err.value) == message
@@ -548,6 +554,9 @@ def test_norms_refuse_non_finite_and_overflowing_items():
         ((1e200, 1.0), "vector norm overflows"),
         # each square is finite, their sum is not
         ((1.3e154, 1.3e154), "vector norm overflows"),
+        (("x", "x"), "vector value is not an int or a float"),
+        ((None, None), "vector value is not an int or a float"),
+        ((True, 0.0), "vector value is not an int or a float"),
     ]:
         with pytest.raises(RetrievalError) as err:
             Corpus(items=(good, CorpusItem(id="b", vector=vector)), provider_id="table", dimension=2)
@@ -589,7 +598,8 @@ def test_corpus_refuses_exactly_the_vectors_cosine_refuses(vector, item_id):
 
 
 def test_retrieve_zero_vectors_and_wrong_dimension_raise():
-    table = {"a": [1.0, -2.0], "zero": [0.0, 0.0], "q": [0.5, 0.5], "q3": [1.0, 1.0, 1.0]}
+    table = {"a": [1.0, -2.0], "zero": [0.0, 0.0], "q": [0.5, 0.5], "q3": [1.0, 1.0, 1.0],
+             "strs": ["x", "x"], "nones": [None, None], "bool": [True, 0.0]}
     provider = TableProvider(table)
     with pytest.raises(RetrievalError) as err:
         index_corpus(provider, [("a", "a"), ("z", "zero")])
@@ -597,7 +607,10 @@ def test_retrieve_zero_vectors_and_wrong_dimension_raise():
     corpus = index_corpus(provider, [("a", "a")])
     # a vector query is checked as an embedded text is
     for query, message in [("zero", "query: cosine of a zero vector is undefined"),
-                           ("q3", "query: vector has dimension 3, expected 2")]:
+                           ("q3", "query: vector has dimension 3, expected 2"),
+                           ("strs", "query: vector value is not an int or a float"),
+                           ("nones", "query: vector value is not an int or a float"),
+                           ("bool", "query: vector value is not an int or a float")]:
         for sent in (query, table[query]):
             with pytest.raises(RetrievalError) as err:
                 retrieve_top_k(sent, corpus, provider, k=1)
