@@ -70,7 +70,8 @@ def _read_plan_text(in_file: str | None) -> str:
 def _read_plan(in_file: str | None) -> Plan:
     outcome = parse_plan(_read_plan_text(in_file))
     if not outcome.ok:
-        _fail(f"{outcome.kind}: {outcome.detail}")
+        where = f" at {outcome.path}" if outcome.path else ""
+        _fail(f"{outcome.kind}{where}: {outcome.detail}")
     return outcome.plan
 
 

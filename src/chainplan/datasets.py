@@ -34,7 +34,8 @@ def load_golden_dataset(source: str | Path) -> list[GoldenExample]:
     """Load JSON lines of {"query": str, "gold": <plan wire format>}. A file
     that is not UTF-8 is refused with its path and the offending byte; a
     line that is not strict JSON, or not such a record, with one error line
-    starting ``<path> line <n>:`` (``registry.read_json_lines``)."""
+    starting ``<path> line <n>:`` (``registry.read_json_lines``); a gold
+    plan off the wire format also names where, such as ``at /0``."""
     examples: list[GoldenExample] = []
     for line_no, record in read_json_lines(source, DatasetError):
         if not isinstance(record, dict) or "query" not in record or "gold" not in record:
@@ -44,8 +45,9 @@ def load_golden_dataset(source: str | Path) -> list[GoldenExample]:
                              f"query must be a non-empty string, not {record['query']!r}")
         outcome = plan_from_data(record["gold"])
         if not outcome.ok:
+            where = f" at {outcome.path}" if outcome.path else ""
             raise line_error(DatasetError, source, line_no,
-                             f"gold plan does not match the wire format: {outcome.detail}")
+                             f"gold plan does not match the wire format{where}: {outcome.detail}")
         examples.append(GoldenExample(id=f"ex{line_no:03d}", query=record["query"], gold=outcome.plan))
     return examples
 

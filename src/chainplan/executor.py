@@ -12,9 +12,11 @@ plan, an earlier step's stored output or the arguments the trace records.
 
 Steps run strictly in order; every ``$$PREV[i]`` resolves to step i's stored
 output, never by re-invoking the tool, and results are not fed back to any
-planner. Arithmetic and comparison operators are available both directly and
-as built-in pseudo-tools (op_add, op_gt, ...) so plans can chain output
-manipulations through references.
+planner. Arithmetic and comparison operators are available both directly, as
+:func:`apply_operator`, and as built-in pseudo-tools (op_add, op_gt, ...) so
+plans can chain output manipulations through references. :class:`StubRuntime`
+runs the fixture's tools and the pseudo-tools itself; another runtime that
+covers them calls :func:`apply_operator` the same way.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ class ExecutionStep:
 @dataclass
 class ExecutionTrace:
     steps: list[ExecutionStep] = field(default_factory=list)
-
-    @property
-    def outputs(self) -> list[Any]:
-        return [step.output for step in self.steps]
 
     def to_json(self) -> str:
         return json.dumps([asdict(step) for step in self.steps], indent=2)
@@ -199,19 +197,6 @@ def register_operator_tools(registry: Registry) -> Registry:
     return Registry.from_tools(specs, version=f"{registry.version}+ops")
 
 
-class OperatorRuntime:
-    """Covers the op_* pseudo-tools."""
-
-    def __init__(self):
-        self.coverage = frozenset(f"op_{op}" for op in ALL_OPS)
-
-    def invoke(self, tool_name: str, arguments: dict[str, Any]) -> Any:
-        op = tool_name.removeprefix("op_")
-        if "a" not in arguments or "b" not in arguments:
-            raise OperatorError(f"{tool_name} needs arguments a and b")
-        return apply_operator(op, arguments["a"], arguments["b"])
-
-
 def _work_item(item_id: str, title: str) -> dict:
     return {"type": "WorkItem", "id": item_id, "title": title}
 
@@ -239,17 +224,17 @@ _STUB_TOOLS = {
 class StubRuntime:
     """Deterministic synthetic runtime for the bundled nine-tool fixture:
     ``_STUB_TOOLS`` maps each tool to its output given the arguments (a lone
-    ``objects`` value counts as one object), and the op_* pseudo-tools run on
-    :class:`OperatorRuntime`. The values are implementer-authored test data;
-    no service is contacted."""
+    ``objects`` value counts as one object), and an op_* pseudo-tool applies
+    :func:`apply_operator` to its ``a`` and ``b``. The values are
+    implementer-authored test data; no service is contacted."""
 
-    def __init__(self):
-        self._operators = OperatorRuntime()
-        self.coverage = self._operators.coverage | frozenset(_STUB_TOOLS)
+    coverage = frozenset(_STUB_TOOLS) | frozenset(f"op_{op}" for op in ALL_OPS)
 
     def invoke(self, tool_name: str, arguments: dict[str, Any]) -> Any:
-        if tool_name in self._operators.coverage:
-            return self._operators.invoke(tool_name, arguments)
-        if tool_name not in _STUB_TOOLS:
+        if tool_name in _STUB_TOOLS:
+            return _STUB_TOOLS[tool_name](arguments)
+        if tool_name not in self.coverage:
             raise ExecutionError(f"stub runtime does not cover {tool_name!r}")
-        return _STUB_TOOLS[tool_name](arguments)
+        if "a" not in arguments or "b" not in arguments:
+            raise OperatorError(f"{tool_name} needs arguments a and b")
+        return apply_operator(tool_name.removeprefix("op_"), arguments["a"], arguments["b"])

@@ -10,7 +10,9 @@ state/action-framed prompt seeded with curated insights, completes once,
 projects the output onto the plan schema if needed, and finishes with
 type-graph repair.
 
-Both build their trace in ``_trace``, from one record per model call.
+Both read their settings from a :class:`PipelineConfig`, which is checked
+once, when it is built, and frozen. Both build their trace in ``_trace``,
+from one record per model call.
 Prompt assembly is exposed as pure functions so replays can be authored
 offline and prompt budgets checked without any model call.
 """
@@ -82,11 +84,13 @@ def _wrong_type(value, kind) -> bool:
     return isinstance(value, bool) or not isinstance(value, kind)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Pipeline settings, validated when built; the templates and insights
-    default to the packaged ones. ``_TEMPLATE_SLOTS`` gives each template's
-    config-file key and required placeholders; its field is ``<key>_template``."""
+    """Pipeline settings, checked once, when built, and frozen, so a config
+    cannot drift from that check; ``dataclasses.replace`` builds and checks a
+    new one. The templates and insights default to the packaged ones.
+    ``_TEMPLATE_SLOTS`` gives each template's config-file key and required
+    placeholders; its field is ``<key>_template``."""
 
     k: int = 10
     example_count: int = 2
@@ -99,9 +103,6 @@ class PipelineConfig:
     temperature: float = 0.0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         wrong = [key for key, kind in _CONFIG_SCALARS.items() if _wrong_type(getattr(self, key), kind)]
         wrong += [f"{k}_template" for k in _TEMPLATE_SLOTS if not isinstance(getattr(self, f"{k}_template"), str)]
         # a bare string would render one insight per character

@@ -82,10 +82,6 @@ class ValueType:
     depth: int = 0
 
     @property
-    def is_list(self) -> bool:
-        return self.depth > 0
-
-    @property
     def element(self) -> "ValueType | None":
         """The type one list layer in; None when this is not a list."""
         return ValueType(self.kind, self.name, self.depth - 1) if self.depth else None

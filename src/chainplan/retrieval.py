@@ -69,8 +69,9 @@ def _checked_norm(vector, dimension: int, where: str) -> float:
     if norm == 0.0:
         raise RetrievalError(f"{where}: cosine of a zero vector is undefined")
     if not math.isfinite(norm):
-        raise RetrievalError(f"{where}: non-finite vector value" if not all(map(math.isfinite, vector))
-                             else f"{where}: vector norm overflows")
+        # an int is finite however large; math.isfinite would overflow on one past a float's range
+        finite = all(type(value) is int or math.isfinite(value) for value in vector)
+        raise RetrievalError(f"{where}: vector norm overflows" if finite else f"{where}: non-finite vector value")
     return norm
 
 
@@ -156,9 +157,6 @@ class Corpus:
         norms = tuple(_checked_norm(item.vector, self.dimension, f"item {index} ({item.id!r})")
                       for index, item in enumerate(self.items))
         object.__setattr__(self, "norms", norms)
-
-    def __len__(self) -> int:
-        return len(self.items)
 
     @cached_property
     def _prescore(self) -> _PreScore:
@@ -349,7 +347,7 @@ def index_corpus(provider, items: list[tuple[str, str]]) -> Corpus:
     indexed: list[CorpusItem] = []
     for index, (item_id, text) in enumerate(items):
         try:
-            vector = provider.embed(text)
+            vector = tuple(provider.embed(text))
         except RetrievalError:
             raise
         except Exception as exc:
@@ -357,7 +355,7 @@ def index_corpus(provider, items: list[tuple[str, str]]) -> Corpus:
         if item_id in seen:
             raise RetrievalError(f"item {index}: duplicate corpus id {item_id!r}")
         seen.add(item_id)
-        indexed.append(CorpusItem(id=item_id, vector=tuple(vector)))
+        indexed.append(CorpusItem(id=item_id, vector=vector))
     dimension = getattr(provider, "dimension", None)
     if dimension is None:
         dimension = len(indexed[0].vector) if indexed else 0

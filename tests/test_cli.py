@@ -335,7 +335,10 @@ def test_stdin_reads_as_the_same_bytes_in_a_file(runner, tmp_path, command):
 @pytest.mark.parametrize("text, line", [
     ("[{", "Error: invalid_json: "),
     ("{}", "Error: schema_violation: plan must be a JSON array of calls\n"),
-], ids=["invalid_json", "not_an_array"])
+    ('[{"tool_name":"who_am_i","arguments":[]},'
+     '{"tool_name":"works_list","arguments":[{"argument_name":"limit"}]}]',
+     "Error: schema_violation at /1/arguments/0: argument must have exactly argument_name and argument_value\n"),
+], ids=["invalid_json", "not_an_array", "argument_lacks_its_value"])
 def test_plan_text_that_does_not_parse_is_one_line_error(runner, command, text, line):
     _assert_one_line_error(runner.invoke(main, [command], input=text), line)
 

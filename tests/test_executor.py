@@ -5,7 +5,6 @@ import pytest
 from chainplan.executor import (
     ExecutionError,
     OperatorError,
-    OperatorRuntime,
     StubRuntime,
     apply_operator,
     execute,
@@ -430,15 +429,22 @@ def test_operator_pseudo_tools_chain_via_references(fixture_registry):
     outcome = parse_plan(text)
     assert outcome.ok
     trace = execute(outcome.plan, StubRuntime())
-    assert trace.outputs[0] == 5
-    assert trace.outputs[1] == 20
-    assert trace.outputs[2] is True
+    assert trace.steps[0].output == 5
+    assert trace.steps[1].output == 20
+    assert trace.steps[2].output is True
 
 
 def test_operator_runtime_requires_both_operands():
-    runtime = OperatorRuntime()
+    runtime = StubRuntime()
     with pytest.raises(OperatorError):
         runtime.invoke("op_add", {"a": 1})
+
+
+@pytest.mark.parametrize("tool_name", ["unknown_tool", "op_", "op_xor", "who_am"])
+def test_stub_runtime_refuses_a_tool_it_does_not_cover(tool_name):
+    assert tool_name not in StubRuntime.coverage
+    with pytest.raises(ExecutionError, match=f"stub runtime does not cover '{tool_name}'"):
+        StubRuntime().invoke(tool_name, {"a": 1, "b": 2})
 
 
 def test_literal_resolution_kinds(fixture_registry):

@@ -241,7 +241,7 @@ def test_string_masks_reuse_the_walk_of_their_shape(place, monkeypatch):
 def _opening(value_type):
     """Text that opens a string inside a value of ``value_type``: the value
     itself, an element of an array, an object member's value, or None."""
-    if value_type.is_list:
+    if value_type.depth:
         inner = _opening(value_type.element)
         return None if inner is None else "[" + inner
     if value_type.kind == "object":

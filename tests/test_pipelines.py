@@ -280,6 +280,16 @@ def test_config_built_directly_refuses_what_a_file_may_not_hold(setting, message
         PipelineConfig(**setting)
 
 
+def test_a_built_config_is_frozen_and_a_replaced_one_is_checked_again():
+    config = PipelineConfig(k=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.k = 0
+    assert config.k == 3
+    assert dataclasses.replace(config, k=5).k == 5
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        dataclasses.replace(config, k=0)
+
+
 def test_config_validation_rejects_broken_template(tmp_path):
     import json
 

@@ -142,6 +142,12 @@ def test_registry_gate_rejects_broken_specs(build, tool, error):
     assert str(err.value) == error
 
 
+@pytest.mark.parametrize("kind", ["text", "list", "String", ""])
+def test_primitive_refuses_a_kind_outside_the_primitives(kind):
+    with pytest.raises(ValueError, match=f"unknown primitive kind: {kind!r}"):
+        primitive(kind)
+
+
 def test_registry_gate_rejects_a_key_that_is_not_the_tool_name():
     with pytest.raises(RegistryError) as err:
         Registry(tools={"ok": _tool(name="ok", arguments=()), "alias": _tool(name="real")}, version="v")
@@ -452,6 +458,6 @@ def test_dataset_loader_refuses_a_gold_plan_off_the_wire_format(tmp_path):
                       encoding="utf-8")
     with pytest.raises(DatasetError) as err:
         load_golden_dataset(target)
-    assert str(err.value) == (f"{target} line 2: gold plan does not match the wire format: "
+    assert str(err.value) == (f"{target} line 2: gold plan does not match the wire format at /0: "
                               "call must have exactly tool_name and arguments")
     assert err.value.line == 2

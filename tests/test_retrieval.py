@@ -101,13 +101,13 @@ def test_index_corpus_nine_tools(fixture_registry):
     provider = HashEmbeddingProvider()
     items = [(name, tool_embedding_text(spec)) for name, spec in fixture_registry.tools.items()]
     corpus = index_corpus(provider, items)
-    assert len(corpus) == 9
+    assert len(corpus.items) == 9
     assert [item.id for item in corpus.items] == list(fixture_registry.names)
 
 
 def test_index_empty_items():
     corpus = index_corpus(HashEmbeddingProvider(), [])
-    assert len(corpus) == 0
+    assert len(corpus.items) == 0
 
 
 def test_hash_provider_refuses_empty_text_and_indexing_keeps_its_error():
@@ -143,19 +143,23 @@ def test_index_rejects_wrong_dimension():
     # no query could be scored against a zero or an overflowing item
     ([("a", "x"), ("b", "zero")], "item 1 ('b'): cosine of a zero vector is undefined"),
     ([("a", "x"), ("b", "big")], "item 1 ('b'): vector norm overflows"),
+    # an int past a float's range
+    ([("a", "x"), ("b", "huge")], "item 1 ('b'): vector norm overflows"),
     ([("a", "x"), ("b", "z"), ("a", "x")], "item 2: duplicate corpus id 'a'"),
     # any other exception from the provider, here the table's KeyError
     ([("a", "x"), ("b", "missing")], "provider failed on item 'b': 'missing'"),
+    # a provider that returns no vector at all
+    ([("a", "x"), ("b", "none")], "provider failed on item 'b': 'NoneType' object is not iterable"),
     # values that are not an int or a float: a bool is neither
     ([("a", "x"), ("b", "strs")], "item 1 ('b'): vector value is not an int or a float"),
     ([("a", "x"), ("b", "nones")], "item 1 ('b'): vector value is not an int or a float"),
     ([("a", "x"), ("b", "bool")], "item 1 ('b'): vector value is not an int or a float"),
-], ids=["nan", "zero", "overflow", "duplicate-id", "provider-error", "str-values", "none-values",
-        "bool-value"])
+], ids=["nan", "zero", "overflow", "huge-int", "duplicate-id", "provider-error", "no-vector", "str-values",
+        "none-values", "bool-value"])
 def test_index_rejects_bad_items(items, message):
     provider = TableProvider({"x": [1.0] * 3, "z": [1.0] * 3, "nan": [1.0, float("nan"), 1.0],
-                              "zero": [0.0] * 3, "big": [1e200, 1.0, 1.0], "strs": ["x"] * 3,
-                              "nones": [None] * 3, "bool": [True, 0.0, 0.0]})
+                              "zero": [0.0] * 3, "big": [1e200, 1.0, 1.0], "huge": [10**400, 0, 0],
+                              "none": None, "strs": ["x"] * 3, "nones": [None] * 3, "bool": [True, 0.0, 0.0]})
     with pytest.raises(RetrievalError) as err:
         index_corpus(provider, items)
     assert str(err.value) == message
@@ -207,7 +211,8 @@ class TableProvider:
         self.table = table
 
     def embed(self, text):
-        return list(self.table[text])
+        vector = self.table[text]
+        return None if vector is None else list(vector)
 
 
 def _oracle_top_k(query_vec, corpus, k):
@@ -554,6 +559,8 @@ def test_norms_refuse_non_finite_and_overflowing_items():
         ((1e200, 1.0), "vector norm overflows"),
         # each square is finite, their sum is not
         ((1.3e154, 1.3e154), "vector norm overflows"),
+        ((10**400, 0), "vector norm overflows"),
+        ((10**400, float("nan")), "non-finite vector value"),
         (("x", "x"), "vector value is not an int or a float"),
         ((None, None), "vector value is not an int or a float"),
         ((True, 0.0), "vector value is not an int or a float"),
@@ -715,6 +722,7 @@ def test_retrieve_names_a_nan_query_value():
 def test_retrieve_names_an_overflowing_query_norm():
     assert _query_error([1e200, 1.0]) == "query: vector norm overflows"
     assert _query_error([1.3e154, 1.3e154]) == "query: vector norm overflows"
+    assert _query_error([10**400, 0]) == "query: vector norm overflows"
 
 
 def test_retrieve_ties_broken_by_ascending_id():

@@ -518,7 +518,7 @@ _SCALAR_VALUES = {
 
 def _typed_values(declared):
     """Values of ``declared``, arrays as tuples, as a parsed plan holds them."""
-    if declared.is_list:
+    if declared.depth:
         return st.lists(_typed_values(declared.element), max_size=3).map(tuple)
     if declared.kind == "object":
         return st.dictionaries(_STRINGS, _member_values(MAX_LIST_DEPTH), max_size=3)
